@@ -33,9 +33,9 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
-from ..ir.passes import default_pipeline
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import payload_checksum
+from ..runtime.resolve import toolchain_identity
 from .bundle import (BUNDLE_FORMAT_VERSION, QUARANTINE_DIR,
                      ArtifactStore)
 
@@ -160,7 +160,6 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
     comparisons (still sufficient for pipeline/lowering/source/tuning
     drift).
     """
-    from ..runtime.lowering import LOWERING_VERSION
     from ..tuning.database import model_source_hash, tuning_db_key
     from ..tuning.space import Workload
 
@@ -173,7 +172,7 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
             key="", model="", variant="",
             kind="missing", detail=f"no readable manifest in {root}"))
         return report
-    current_fp = default_pipeline(verify_each=False).fingerprint()
+    current_fp, lowering_version = toolchain_identity()
     if db is None:
         from ..tuning.database import TuningDB
         db = TuningDB()
@@ -215,12 +214,12 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
                         f" current {current_fp!r}")))
             _count_stale()
             flagged = True
-        if prov.get("lowering_version") != LOWERING_VERSION:
+        if prov.get("lowering_version") != lowering_version:
             report.findings.append(AuditFinding(
                 key=key, model=model, variant=variant,
                 kind="lowering_drift",
                 detail=(f"built at v{prov.get('lowering_version')}, "
-                        f"current v{LOWERING_VERSION}")))
+                        f"current v{lowering_version}")))
             _count_stale()
             flagged = True
         try:

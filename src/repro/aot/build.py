@@ -26,7 +26,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..codegen import generate_baseline, generate_limpet_mlir
 from ..codegen.common import UnsupportedModelError
-from ..ir.passes import default_pipeline
 from ..models import all_model_files, load_model
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
@@ -175,7 +174,7 @@ def build_bundle(dest: Union[str, pathlib.Path],
     docstring.
     """
     from ..obs import trace as _trace
-    from ..runtime.executor import KernelRunner
+    from ..runtime.resolve import resolve_kernel, toolchain_identity
     from ..runtime.sharded import _module_has_omp
     from ..tuning.database import model_source_hash
 
@@ -187,8 +186,7 @@ def build_bundle(dest: Union[str, pathlib.Path],
         from ..tuning.database import TuningDB
         db = TuningDB()
     names = list(models) if models else all_model_files()
-    fingerprint = default_pipeline(verify_each=False).fingerprint()
-    from ..runtime.lowering import LOWERING_VERSION
+    fingerprint, lowering_version = toolchain_identity()
     tools = _tool_versions()
     manifest = _read_manifest(root)
     report = BuildReport(root=str(root))
@@ -248,16 +246,15 @@ def build_bundle(dest: Union[str, pathlib.Path],
             try:
                 with _trace.span("artifact_build", model=name,
                                  variant=variant):
-                    runner = KernelRunner(generated, fuse=fuse,
-                                          arena=arena, cache=None,
-                                          artifacts=False)
+                    kernel, _ = resolve_kernel(generated, fuse=fuse,
+                                               arena=arena)
                     omp = _module_has_omp(
                         generated.module,
                         generated.spec.function_name)
                     entry = _make_entry(
-                        key, generated, runner.kernel, fuse, arena,
+                        key, generated, kernel, fuse, arena,
                         variant, config, workload, omp, fingerprint,
-                        LOWERING_VERSION, model_source_hash(name),
+                        lowering_version, model_source_hash(name),
                         built_at, tools)
                 with file_lock(root / ".lock"):
                     _atomic_write(root / f"{key}.json", entry)
@@ -283,10 +280,10 @@ def build_bundle(dest: Union[str, pathlib.Path],
                 action="built", seconds=seconds))
 
     if changed or manifest.get("pipeline_fingerprint") != fingerprint \
-            or manifest.get("lowering_version") != LOWERING_VERSION:
+            or manifest.get("lowering_version") != lowering_version:
         manifest["created_at"] = built_at
         manifest["pipeline_fingerprint"] = fingerprint
-        manifest["lowering_version"] = LOWERING_VERSION
+        manifest["lowering_version"] = lowering_version
         manifest["tool_versions"] = tools
         with file_lock(root / ".lock"):
             _atomic_write(root / MANIFEST_NAME, manifest)

@@ -43,7 +43,7 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Union
 
 from ..codegen.common import BackendMode, GeneratedKernel, KernelSpec
@@ -90,12 +90,11 @@ def spec_fingerprint(model: str, backend: str, width: int,
     The layout is deliberately absent: it is derived by the backend
     from (mode, width) and reconstructed from the entry payload.
     """
-    from ..ir.passes import default_pipeline
     from ..runtime.kernel_cache import CACHE_FORMAT_VERSION
-    from ..runtime.lowering import LOWERING_VERSION
+    from ..runtime.resolve import toolchain_identity
+    default_fingerprint, lowering_version = toolchain_identity()
     if pipeline_fingerprint is None:
-        pipeline_fingerprint = default_pipeline(
-            verify_each=False).fingerprint()
+        pipeline_fingerprint = default_fingerprint
     lines = [
         f"bundle={BUNDLE_FORMAT_VERSION}",
         f"cache_format={CACHE_FORMAT_VERSION}",
@@ -110,7 +109,7 @@ def spec_fingerprint(model: str, backend: str, width: int,
         f"population={population}",
         f"variant={variant}",
         f"pipeline={pipeline_fingerprint}",
-        f"lowering=v{LOWERING_VERSION}",
+        f"lowering=v{lowering_version}",
     ]
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
@@ -121,10 +120,11 @@ class ArtifactKernel(GeneratedKernel):
 
     ``module`` is ``None`` — there is no IR; the lowered source in
     ``payload`` goes straight to
-    :func:`~repro.runtime.lowering.compile_kernel_source`.  The runner
-    recognizes this type and skips passes/verify/lowering entirely;
-    the sharded runner reads the recorded ``omp_parallel`` flag instead
-    of walking the (absent) module.
+    :func:`~repro.runtime.lowering.compile_kernel_source`.
+    :func:`~repro.runtime.resolve.resolve_kernel` recognizes this type
+    and skips passes/verify/lowering entirely; the sharded runner reads
+    the recorded ``omp_parallel`` flag instead of walking the (absent)
+    module.
     """
 
     key: str = ""
@@ -377,11 +377,11 @@ def runner_from_store(model, backend: str = "limpet_mlir",
                       width: int = 8, use_lut: bool = True,
                       lut_interpolation: str = "linear",
                       fuse: bool = True, arena: bool = False,
-                      verify: bool = True, population: str = "",
+                      population: str = "",
                       tune: bool = False, tune_cells: int = 512,
                       tune_dt: float = 0.01, tune_db=None,
                       store: Optional[ArtifactStore] = None,
-                      runner_cls=None, **runner_kwargs):
+                      **runner_kwargs):
     """The zero-compile cold-start path: a runner straight from a bundle.
 
     Resolves the requested kernel through the manifest's spec index —
@@ -393,7 +393,8 @@ def runner_from_store(model, backend: str = "limpet_mlir",
     ``tune=True`` resolves the tuning-DB winner for the
     ``tune_cells``/``tune_dt`` workload *first* and looks up that tuned
     variant's artifact, mirroring ``KernelRunner(tune=True)``; the
-    returned runner carries ``tuned_config``.
+    returned runner carries ``tuned_config``.  ``runner_kwargs`` go to
+    :func:`~repro.runtime.tiers.make_runner` (``workers=`` included).
     """
     store = store if store is not None else default_store()
     if store is None:
@@ -406,15 +407,10 @@ def runner_from_store(model, backend: str = "limpet_mlir",
     variant = "default"
     config = None
     if tune:
-        try:
-            from ..models import load_model
-            from ..tuning import lookup_config
-            parsed = load_model(name) if isinstance(model, str) else model
-            config = lookup_config(parsed, tune_cells, tune_dt,
-                                   db=tune_db, population=population)
-        except Exception:
-            config = None
-        if config is not None and config.shards == 1:
+        from ..tuning import tuned_config_for
+        config = tuned_config_for(model, tune_cells, tune_dt, tune_db,
+                                  population=population)
+        if config is not None:
             variant = tuned_variant_name(config)
             backend = "baseline" if config.width == 1 else backend
             width = config.width
@@ -422,11 +418,9 @@ def runner_from_store(model, backend: str = "limpet_mlir",
             lut_interpolation = config.lut_interpolation
             fuse = config.fuse
             arena = config.arena
-        else:
-            config = None
 
     fp = spec_fingerprint(name, backend, width, use_lut,
-                          lut_interpolation, fuse, arena, verify,
+                          lut_interpolation, fuse, arena, True,
                           population, variant)
     key = manifest.get("spec_index", {}).get(fp)
     ment = manifest.get("entries", {}).get(key) if key else None
@@ -466,12 +460,11 @@ def runner_from_store(model, backend: str = "limpet_mlir",
             model=name, key=key)
         _count_miss()
         return None
-    from ..runtime.executor import KernelRunner
-    cls = runner_cls or KernelRunner
-    runner = cls(kernel, fuse=fuse, arena=arena,
-                 artifacts=False, **runner_kwargs)
+    from ..runtime.tiers import make_runner
+    runner = make_runner(kernel, fuse=fuse, arena=arena, artifacts=False,
+                         **runner_kwargs)
     if config is not None:
-        runner.tuned_config = config
+        runner.resolution = replace(runner.resolution, tuned_config=config)
     _count_hit()
     from ..obs import ledger as _ledger
     _ledger.record_event("artifact_load", model=name, backend=backend,

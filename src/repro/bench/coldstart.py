@@ -36,6 +36,8 @@ import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
+from ..runtime import available_cpus
+
 #: models whose pipeline cost dominates cold start (the large Markov
 #: models plus the canonical mid-size ones) — the set BENCH_PR8 reports
 REPRESENTATIVE = ("TomekORd", "IyerMazhariWinslow", "HeijmanRudy",
@@ -203,7 +205,7 @@ def coldstart_report(models: Sequence[str] = REPRESENTATIVE,
                                 "scratch LIMPET_CACHE_DIR"},
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
-                    "available_cpus": os.cpu_count() or 1},
+                    "available_cpus": available_cpus()},
         "bundle_build_seconds": build_seconds,
         "models": rows,
     }

@@ -204,8 +204,7 @@ class SweepRecord:
     fell_back: bool = False
     seconds: Optional[float] = None
     health: Optional[HealthReport] = None
-    #: execution tier the run finished on (None = plain runner;
-    #: "supervised"/"threads"/"single" when workers were requested)
+    #: execution tier the run finished on (None = it never started)
     tier: Optional[str] = None
     diagnostics: List[Diagnostic] = field(default_factory=list)
 
@@ -236,11 +235,11 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
     aborting the sweep.  ``inject_factory(model_name)`` may return a
     :class:`~repro.resilience.FaultInjector` per model (fault drills).
 
-    ``workers > 1`` executes each model on the supervised multiprocess
-    tier (:class:`~repro.runtime.supervised.SupervisedRunner`,
-    configured by ``supervision``): worker crashes are retried and
-    supervision failures degrade down the tier ladder, so the sweep
-    completes under injected process faults too.  The injector's
+    A parallel ``workers`` count (``make_runner``'s rule) executes each
+    model on the supervised multiprocess tier, configured by
+    ``supervision``: worker crashes are retried and supervision
+    failures degrade down the tier ladder, so the sweep completes under
+    injected process faults too.  The injector's
     :class:`~repro.resilience.FaultPlan` process-fault fields
     (``kill_worker``/``stall_worker``) are honored per model.
     """
@@ -255,7 +254,8 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
         try:
             compiled = compile_resilient(
                 name, width=width, strict=strict,
-                reproducer_dir=reproducer_dir, inject=inject)
+                reproducer_dir=reproducer_dir, inject=inject,
+                workers=workers, supervision=supervision)
         except Exception as err:  # noqa: BLE001 - sweep survives anything
             record.diagnostics.extend(getattr(err, "diagnostics", []))
             record.diagnostics.append(Diagnostic.from_exception(
@@ -267,20 +267,6 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
         record.diagnostics.extend(compiled.diagnostics)
         hook = inject.step_hook if inject is not None else None
         runner = compiled.runner
-        supervised = None
-        if workers > 1:
-            try:
-                from ..runtime.supervised import SupervisedRunner
-                supervised = SupervisedRunner(
-                    compiled.kernel, n_workers=workers,
-                    config=supervision,
-                    fault_plan=getattr(inject, "plan", None))
-                runner = supervised
-            except Exception as err:  # noqa: BLE001 - e.g. SoA refusal
-                record.diagnostics.append(Diagnostic.from_exception(
-                    stage="run", component="supervised", exc=err,
-                    severity=Severity.WARNING, with_traceback=False,
-                    model=name))
         try:
             state = runner.make_state(n_cells)
             result = runner.run(state, n_steps, dt,
@@ -297,10 +283,9 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
                 severity=Severity.ERROR))
             continue
         finally:
-            if supervised is not None:
-                record.tier = supervised.tier
-                record.diagnostics.extend(supervised.diagnostics)
-                supervised.close()
+            record.tier = runner.active_tier
+            record.diagnostics.extend(runner.diagnostics)
+            runner.close()
         record.health = result.health
         record.seconds = result.elapsed_seconds
         record.ok = bool(result.health is None or result.health.ok)

@@ -26,7 +26,6 @@ number for a kernel that diverges is worthless.
 from __future__ import annotations
 
 import json
-import os
 import platform
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
@@ -34,7 +33,7 @@ from typing import Dict, List, Optional
 from ..codegen import generate_limpet_mlir
 from ..models import load_model
 from ..runtime import (KernelCache, KernelRunner, ShardedRunner,
-                       compare_trajectories)
+                       available_cpus, compare_trajectories)
 from .timing import TimingStats, steady_state
 
 #: the canonical benchmark config (CI and README numbers use these).
@@ -103,22 +102,18 @@ def _timed_run(runner, n_cells: int, n_steps: int, dt: float,
     (the breakdown's clock reads perturb timing, so it never feeds the
     headline number).
     """
-    samples: list = []
-    first_result: list = []
+    results: list = []
 
     def sample():
         state = runner.make_state(n_cells)
-        result = runner.run(state, n_steps, dt)
-        if not samples:
-            first_result.append(result)
-        samples.append(result.elapsed_seconds)
+        results.append(runner.run(state, n_steps, dt))
 
     steady_state(sample, warmup=1, repeats=runs)
-    stats = TimingStats(samples=samples[1:])    # untimed warmup dropped
+    first = results[0]              # the untimed warmup: a cold first step
+    stats = TimingStats(samples=[r.elapsed_seconds for r in results[1:]])
     seconds = stats.median
     breakdown = runner.run(runner.make_state(n_cells), n_steps, dt,
                            time_breakdown=True)
-    first = first_result[0] if first_result else None
     return PerfVariant(
         name="", construct_seconds=0.0, run_seconds=seconds,
         steps_per_second=n_steps / max(seconds, 1e-12),
@@ -126,15 +121,15 @@ def _timed_run(runner, n_cells: int, n_steps: int, dt: float,
         run_seconds_iqr=stats.iqr,
         compute_seconds=breakdown.compute_seconds,
         overhead_seconds=breakdown.overhead_seconds,
-        time_to_first_step=getattr(first, "time_to_first_step", None),
-        compile_seconds=getattr(first, "compile_seconds", None))
+        time_to_first_step=first.time_to_first_step,
+        compile_seconds=first.compile_seconds)
 
 
 def perf_report(model_name: str = CANONICAL_MODEL,
                 n_cells: int = CANONICAL_CELLS,
                 n_steps: int = CANONICAL_STEPS,
                 dt: float = CANONICAL_DT,
-                threads: int = 4,
+                threads: int = 0,
                 cache: Optional[KernelCache] = None,
                 runs: int = 5,
                 check_steps: int = 40,
@@ -145,9 +140,11 @@ def perf_report(model_name: str = CANONICAL_MODEL,
     ``cache`` defaults to the process default cache; pass a dedicated
     :class:`KernelCache` to keep benchmark entries out of it.
     ``width`` is the SIMD width of the generated kernels (the CLI's
-    ``--width`` override; the canonical config uses 8).
+    ``--width`` override; the canonical config uses 8); ``threads=0``
+    shards over every available CPU, never more.
     """
     model = load_model(model_name)
+    threads = threads or available_cpus()
 
     def gen():
         return generate_limpet_mlir(load_model(model_name), width=width)
@@ -240,7 +237,7 @@ def perf_report(model_name: str = CANONICAL_MODEL,
                    "n_states": len(model.states)},
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
-                    "available_cpus": os.cpu_count() or 1},
+                    "available_cpus": available_cpus()},
         "differential": "all variants match unfused baseline "
                         "(NaN-strict compare_trajectories)",
         "variants": [v.as_dict() for v in variants],
@@ -362,7 +359,7 @@ def sweep_report(model_name: str, params: Dict[str, str],
                    "width": width, "threads": 1},
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
-                    "available_cpus": os.cpu_count() or 1},
+                    "available_cpus": available_cpus()},
         "differential": "every batched instance bitwise-equals its "
                         "single-instance run (np.array_equal)",
         "variants": [loop.as_dict(), batched.as_dict()],

@@ -218,8 +218,9 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=(2, 4, 8),
                       help="vector width for the limpetMLIR variants "
                            "(default: the canonical width, 8)")
-    perf.add_argument("--threads", type=_positive_int, default=4,
-                      help="shard count for the sharded variant")
+    perf.add_argument("--threads", type=_positive_int, default=0,
+                      help="shard count for the sharded variant "
+                           "(default: every available CPU)")
     perf.add_argument("--runs", type=_positive_int, default=5,
                       help="timing runs per variant (paper protocol: 5)")
     perf.add_argument("--json", default=None, metavar="PATH",
@@ -532,7 +533,7 @@ def cmd_run(model_name: str, backend: str, width: int, cells: int,
     chain = _CHAINS[backend]
     try:
         compiled = compile_resilient(model_name, chain=chain, width=width,
-                                     strict=strict)
+                                     strict=strict, workers=workers or 0)
     except ResilientCompileError as err:
         print(format_trail(err.diagnostics))
         print(f"{model_name}: all backend tiers failed", file=sys.stderr)
@@ -542,11 +543,6 @@ def cmd_run(model_name: str, backend: str, width: int, cells: int,
               file=sys.stderr)
         return EXIT_COMPILE_FAILED
     runner = compiled.runner
-    supervised = None
-    if workers and workers > 1:
-        from .runtime import SupervisedRunner
-        supervised = SupervisedRunner(compiled.kernel, n_workers=workers)
-        runner = supervised
     guard = None if watchdog == "off" else WatchdogConfig(policy=watchdog)
     try:
         result = None
@@ -560,16 +556,15 @@ def cmd_run(model_name: str, backend: str, width: int, cells: int,
               file=sys.stderr)
         return EXIT_NUMERICAL
     finally:
-        if supervised is not None:
-            supervised.close()
+        runner.close()
     per_cell_step = seconds / (cells * steps) * 1e9
-    tier = f", {supervised.tier} x{workers}" if supervised else ""
+    tier = f", {runner.active_tier} x{workers}" if workers else ""
     print(f"{model_name} [{compiled.backend}, width "
           f"{compiled.kernel.spec.width}{tier}]: "
           f"{cells} cells x {steps} steps in {seconds * 1e3:.1f} ms "
           f"({per_cell_step:.1f} ns/cell-step)")
-    if supervised is not None and supervised.diagnostics:
-        print(format_trail(supervised.diagnostics))
+    if runner.diagnostics:
+        print(format_trail(runner.diagnostics))
     if result.health is not None:
         print(result.health.summary())
     if compiled.fell_back:
@@ -963,7 +958,7 @@ def cmd_trace(model_name: Optional[str], backend: str, width: int,
         print("trace: a MODEL is required unless --merge is given",
               file=sys.stderr)
         return EXIT_USAGE
-    from .runtime import KernelRunner
+    from .runtime import make_runner
     # the model registry caches parsed models; re-parse so the trace
     # captures the parse/frontend spans too
     load_model.cache_clear()
@@ -972,29 +967,17 @@ def cmd_trace(model_name: Optional[str], backend: str, width: int,
     try:
         model = load_model(model_name)
         generated = generate_variant(model, backend, width)
-        if workers:
-            # supervised tier: forked workers join the trace via the
-            # injected TraceContext and stream their spans back over
-            # the reply pipes; the merged file has one lane per pid
-            from .runtime import SupervisedRunner, multiprocess_supported
-            if not multiprocess_supported():
-                print("trace: --workers needs the fork start method "
-                      "(unavailable on this platform)", file=sys.stderr)
-                return EXIT_FAILURE
-            runner = SupervisedRunner(generated, n_workers=workers)
-            try:
-                state = runner.make_state(cells)
-                runner.run(state, steps, dt)
-            finally:
-                runner.close()
-        else:
-            runner = KernelRunner(generated, profile=profile)
+        # on the supervised tier forked workers join the trace via the
+        # injected TraceContext and stream their spans back over the
+        # reply pipes; the merged file has one lane per pid
+        with make_runner(generated, workers=workers,
+                         profile=profile) as runner:
             state = runner.make_state(cells)
             runner.run(state, steps, dt)
     finally:
         _trace.deactivate(previous)
     print(tracer.summary_tree())
-    if profile and not workers:
+    if profile and runner.active_tier == "single":   # clocks are in-process
         print()
         print(runner.profile_report(invocations=steps).hot_table())
     path = tracer.write(out or f"trace_{model_name}.json")

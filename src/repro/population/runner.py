@@ -20,7 +20,7 @@ ragged cell counts × execution tiers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import Dict, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -30,8 +30,8 @@ from ..frontend.model import IonicModel
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..runtime.executor import KernelRunner, RunResult, Stimulus
-from ..runtime.sharded import ShardedRunner
 from ..runtime.state import SimulationState
+from ..runtime.tiers import choose_tier, make_runner
 from .spec import PopulationSpec
 
 
@@ -177,8 +177,9 @@ class PopulationRunner:
     ``n_threads`` > 1 shards the flattened (instance × cell) axis on a
     thread pool; ``shard_axis="instances"`` aligns shard bounds to
     instance boundaries when the geometry allows (falling back to cell
-    sharding otherwise).  ``n_workers`` > 0 runs shards in supervised
-    worker processes (crash isolation, PR 6).
+    sharding otherwise).  ``n_workers`` > 1 runs shards in supervised
+    worker processes (crash isolation); the tier is chosen by
+    :func:`~repro.runtime.tiers.make_runner`.
     """
 
     def __init__(self, model, spec: PopulationSpec,
@@ -237,34 +238,20 @@ class PopulationRunner:
                 self._runner_cells == cells_per_instance:
             return self._runner
         self.close()
-        kwargs = dict(self._runner_kwargs)
-        kwargs["population"] = self.spec.fingerprint()
-        if self.n_workers > 0:
-            from ..runtime.supervised import SupervisedRunner
-            runner: KernelRunner = SupervisedRunner(
-                self.generated, n_workers=self.n_workers,
-                shard_plan=self._shard_plan(cells_per_instance,
-                                            self.n_workers),
-                **kwargs)
-        elif self.n_threads > 1:
-            runner = ShardedRunner(
-                self.generated, n_threads=self.n_threads,
-                shard_plan=self._shard_plan(cells_per_instance,
-                                            self.n_threads),
-                **kwargs)
-        else:
-            runner = KernelRunner(self.generated, **kwargs)
-        self._runner = runner
+        _, n_shards = choose_tier(self.n_threads, self.n_workers)
+        self._runner = make_runner(
+            self.generated, threads=self.n_threads, workers=self.n_workers,
+            shard_plan=self._shard_plan(cells_per_instance, n_shards),
+            population=self.spec.fingerprint(), **self._runner_kwargs)
         self._runner_cells = cells_per_instance
-        return runner
+        return self._runner
 
     def _shard_plan(self, cells_per_instance: int, n_shards: int):
         if self.shard_axis != "instances":
             return None
-        plan = instance_shard_plan(self.spec.n_instances,
+        return instance_shard_plan(self.spec.n_instances,
                                    cells_per_instance, n_shards,
                                    self.width)
-        return plan
 
     @property
     def cache_hit(self) -> bool:
@@ -275,7 +262,7 @@ class PopulationRunner:
         return self._runner.cache_key if self._runner is not None else None
 
     def close(self) -> None:
-        if self._runner is not None and hasattr(self._runner, "close"):
+        if self._runner is not None:
             self._runner.close()
         self._runner = None
         self._runner_cells = None
@@ -349,7 +336,7 @@ class PopulationRunner:
             "population_run", model=self.model.name,
             population=self.spec.fingerprint(),
             instances=self.spec.n_instances, cells_per_instance=c,
-            tier=getattr(runner, "execution_tier", "single"),
+            tier=runner.active_tier,
             n_steps=n_steps, dt=dt,
             steps_per_second=flat.steps_per_second,
             disposition="ok")

@@ -25,7 +25,7 @@ from ..models import load_model
 from ..obs import ledger as _ledger
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..runtime import KernelRunner
+from ..runtime import KernelRunner, make_runner
 from .diagnostics import Diagnostic, Severity, log_diagnostic
 from .sandbox import SandboxedPassManager, sandboxed_pipeline
 
@@ -83,7 +83,8 @@ def compile_resilient(model: Union[str, IonicModel],
                       reproducer_dir: Optional[pathlib.Path] = None,
                       inject=None, tune: bool = False,
                       tune_cells: int = 512, tune_dt: float = 0.01,
-                      tune_db=None, artifacts=None) -> ResilientKernel:
+                      tune_db=None, artifacts=None, workers: int = 0,
+                      supervision=None) -> ResilientKernel:
     """Compile ``model`` down the backend fallback chain.
 
     Tries each tier in ``chain`` in order; a tier fails when code
@@ -96,9 +97,13 @@ def compile_resilient(model: Union[str, IonicModel],
     tier (testing hook).
 
     ``tune=True`` forwards the tuning-DB lookup to the winning tier's
-    :class:`KernelRunner` (see ``KernelRunner(tune=True)``): a recorded
-    winner for the ``tune_cells``/``tune_dt`` workload silently
-    replaces the tier's default variant, and a miss changes nothing.
+    runner (see ``KernelRunner(tune=True)``): a recorded winner for the
+    ``tune_cells``/``tune_dt`` workload silently replaces the tier's
+    default variant, and a miss changes nothing.
+
+    ``workers`` / ``supervision`` go to ``make_runner``, so the kernel
+    is resolved once, by the runner that will execute it (supervised
+    when the count is parallel, armed with ``inject``'s process faults).
 
     When an AOT artifact bundle is mounted (``$LIMPET_ARTIFACT_DIR``,
     or an explicit ``artifacts=`` store), each tier first tries the
@@ -108,8 +113,10 @@ def compile_resilient(model: Union[str, IonicModel],
     fall-back to ordinary JIT compilation.  Fault-injection runs
     (``inject=``) always JIT so drills exercise the real pipeline.
     """
-    tune_kwargs = dict(tune=tune, tune_cells=tune_cells,
-                       tune_dt=tune_dt, tune_db=tune_db)
+    runner_kwargs = dict(tune=tune, tune_cells=tune_cells,
+                         tune_dt=tune_dt, tune_db=tune_db,
+                         workers=workers, supervision=supervision,
+                         fault_plan=getattr(inject, "plan", None))
     if isinstance(model, str):
         model = load_model(model)
     if not chain:
@@ -118,87 +125,72 @@ def compile_resilient(model: Union[str, IonicModel],
     store = None if inject is not None else resolve_store(artifacts)
     diagnostics: List[Diagnostic] = []
     for tier, backend in enumerate(chain):
+        pipeline: Optional[SandboxedPassManager] = None
+        runner = None
         if store is not None:
             try:
                 runner = runner_from_store(
                     model, backend=backend,
                     width=1 if backend == "baseline" else width,
-                    use_lut=use_lut, store=store, **tune_kwargs)
+                    use_lut=use_lut, store=store, **runner_kwargs)
             except Exception as err:  # noqa: BLE001 - tier boundary
-                runner = None
                 diagnostics.append(log_diagnostic(Diagnostic.from_exception(
                     stage="compile", component="artifacts", exc=err,
                     severity=Severity.WARNING, with_traceback=False,
                     tier=tier, model=model.name)))
-            if runner is not None:
+        if runner is not None:
+            kernel = runner.generated
+            outcome = (f"loaded {model.name} from AOT artifact bundle via "
+                       f"{backend!r} (zero compile)")
+        else:
+            if store is not None:
                 diagnostics.append(log_diagnostic(Diagnostic(
-                    stage="compile", component=backend,
+                    stage="compile", component="artifacts",
                     severity=Severity.INFO,
-                    message=(f"loaded {model.name} from AOT artifact "
-                             f"bundle via {backend!r} (zero compile)"),
-                    data={"tier": tier, "model": model.name,
-                          "artifact": True})))
-                _ledger.record_event(
-                    "compile", model=model.name, backend=backend,
-                    cache="artifact", tier_index=tier,
-                    key=runner.cache_key,
-                    disposition="fell_back" if tier else "ok")
-                return ResilientKernel(
-                    model_name=model.name, backend=backend,
-                    requested=chain[0], kernel=runner.generated,
-                    runner=runner, diagnostics=diagnostics)
-            diagnostics.append(log_diagnostic(Diagnostic(
-                stage="compile", component="artifacts",
-                severity=Severity.INFO,
-                message=(f"no usable AOT artifact for {model.name} via "
-                         f"{backend!r}; falling back to JIT"),
-                data={"tier": tier, "model": model.name})))
-        pipeline: Optional[SandboxedPassManager] = None
-        try:
-            with _trace.span("compile_tier", model=model.name,
-                             backend=backend, tier=tier):
-                if inject is not None:
-                    inject.maybe_fail_backend(backend)
-                kernel = _generate(model, backend, width, use_lut)
-                if sandbox:
-                    pipeline = sandboxed_pipeline(reproducer_dir)
+                    message=(f"no usable AOT artifact for {model.name} "
+                             f"via {backend!r}; falling back to JIT"),
+                    data={"tier": tier, "model": model.name})))
+            try:
+                with _trace.span("compile_tier", model=model.name,
+                                 backend=backend, tier=tier):
                     if inject is not None:
-                        inject.wrap_pipeline(pipeline)
-                    runner = KernelRunner(kernel, optimize=True,
-                                          verify=True, pipeline=pipeline,
-                                          **tune_kwargs)
-                else:
-                    runner = KernelRunner(kernel, optimize=True,
-                                          verify=True, **tune_kwargs)
-        except Exception as err:  # noqa: BLE001 - tier boundary
-            if strict:
-                raise
-            severity = (Severity.WARNING if isinstance(
-                err, UnsupportedModelError) else Severity.ERROR)
-            diagnostics.append(log_diagnostic(Diagnostic.from_exception(
-                stage="compile", component=backend, exc=err,
-                severity=severity, with_traceback=not isinstance(
-                    err, UnsupportedModelError),
-                tier=tier, model=model.name)))
-            _metrics.counter("fallback_tier_skips_total",
-                             "backend tiers skipped by the chain").inc()
-            continue
+                        inject.maybe_fail_backend(backend)
+                    kernel = _generate(model, backend, width, use_lut)
+                    if sandbox:
+                        pipeline = sandboxed_pipeline(reproducer_dir)
+                        if inject is not None:
+                            inject.wrap_pipeline(pipeline)
+                    runner = make_runner(kernel, pipeline=pipeline,
+                                         **runner_kwargs)
+            except Exception as err:  # noqa: BLE001 - tier boundary
+                if strict:
+                    raise
+                severity = (Severity.WARNING if isinstance(
+                    err, UnsupportedModelError) else Severity.ERROR)
+                diagnostics.append(log_diagnostic(Diagnostic.from_exception(
+                    stage="compile", component=backend, exc=err,
+                    severity=severity, with_traceback=not isinstance(
+                        err, UnsupportedModelError),
+                    tier=tier, model=model.name)))
+                _metrics.counter("fallback_tier_skips_total",
+                                 "backend tiers skipped by the chain").inc()
+                continue
+            outcome = (f"compiled {model.name} via {backend!r}"
+                       + (f" after {tier} skipped tier(s)" if tier else ""))
+        quarantined = sorted(pipeline.quarantined) if pipeline else []
         if pipeline is not None:
             diagnostics.extend(pipeline.diagnostics)
         diagnostics.append(log_diagnostic(Diagnostic(
             stage="compile", component=backend, severity=Severity.INFO,
-            message=(f"compiled {model.name} via {backend!r}"
-                     + (f" after {tier} skipped tier(s)" if tier else "")),
+            message=outcome,
             data={"tier": tier, "model": model.name,
-                  "quarantined": sorted(pipeline.quarantined)
-                  if pipeline else []})))
+                  "quarantined": quarantined,
+                  "artifact": runner.artifact_hit})))
         _ledger.record_event(
             "compile", model=model.name, backend=backend,
-            cache=runner._cache_outcome(), tier_index=tier,
-            key=runner.cache_key,
-            compile_seconds=runner.compile_seconds,
-            quarantined=sorted(pipeline.quarantined)
-            if pipeline and pipeline.quarantined else None,
+            cache=runner.resolution.cache_outcome, tier_index=tier,
+            key=runner.cache_key, compile_seconds=runner.compile_seconds,
+            quarantined=quarantined or None,
             disposition="fell_back" if tier else "ok")
         return ResilientKernel(model_name=model.name, backend=backend,
                                requested=chain[0], kernel=kernel,

@@ -2,15 +2,17 @@
 
 from .executor import (KernelRunner, RunResult, Stimulus,
                        TrajectoryComparison, compare_trajectories)
+from .resolve import Resolution, resolve_kernel
 from .lowering import (LOWERING_VERSION, BufferArena, CompiledKernel,
                        LoweringError, compile_kernel_source,
                        lower_function)
 from .kernel_cache import (CacheStats, KernelCache, default_cache,
                            default_cache_dir, kernel_cache_key)
-from .sharded import ShardedRunner, shard_bounds
+from .sharded import ShardedRunner, available_cpus, shard_bounds
 from .supervised import (SupervisedExecutionError, SupervisedRunner,
                          SupervisionConfig, close_all_runners,
                          multiprocess_supported)
+from .tiers import choose_tier, make_runner
 from .locking import file_lock, locking_available
 from .shutdown import (install_signal_handlers, register_cleanup,
                        run_cleanups, unregister_cleanup)
@@ -23,7 +25,8 @@ from .foreign import foreign_function, register_foreign, registered_foreign
 from .interpreter import Interpreter, InterpreterError, interpret_kernel
 
 __all__ = ["KernelRunner", "RunResult", "Stimulus", "TrajectoryComparison",
-           "compare_trajectories",
+           "compare_trajectories", "Resolution", "resolve_kernel",
+           "available_cpus", "choose_tier", "make_runner",
            "CompiledKernel", "LoweringError", "lower_function",
            "LOWERING_VERSION", "BufferArena", "compile_kernel_source",
            "CacheStats", "KernelCache", "default_cache",

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import time as _time
 from collections import OrderedDict
+from math import inf
 from dataclasses import dataclass, field
 from typing import Callable, Dict, List, Optional
 
@@ -27,15 +28,12 @@ import numpy as np
 
 from ..codegen.common import GeneratedKernel
 from ..frontend.model import IonicModel
-from ..ir.passes import default_pipeline
 from ..ir.passes.pass_manager import PassManager
-from ..ir.verifier import verify_module
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .kernel_cache import KernelCache, default_cache, kernel_cache_key
-from .lowering import (CompiledKernel, compile_kernel_source,
-                       lower_function)
+from .kernel_cache import KernelCache, default_cache
 from .lut_runtime import LUTData, build_all_luts
+from .resolve import resolve_kernel
 from .state import SimulationState, StateCheckpoint, allocate_state
 
 
@@ -80,8 +78,7 @@ class RunResult:
     #: through :meth:`KernelRunner.run`
     compile_seconds: Optional[float] = None
     #: compile_seconds + the first step's wall time: how long a fresh
-    #: process waits for its first simulated step.  ``None`` on guarded
-    #: (watchdog) runs and zero-step runs.
+    #: process waits for its first simulated step (``None``: no step).
     time_to_first_step: Optional[float] = None
 
     @property
@@ -121,6 +118,29 @@ def _quantize_dt(dt: float) -> float:
     return round(float(dt), _LUT_DT_DIGITS)
 
 
+def advance(state: SimulationState, n_steps: int, dt: float,
+            compute: Callable[[SimulationState, float], None],
+            solver: Callable[..., None],
+            stimulus: Optional[Stimulus] = None,
+            hook: Optional[Callable[[SimulationState], None]] = None,
+            until: float = inf) -> int:
+    """The two-stage loop (§3.1), the only copy of it: up to
+    ``n_steps`` steps of compute stage then solver stage, ``hook``
+    after each, stopping early once ``state.time`` reaches ``until``
+    (the watchdog's target time; unguarded runs are count-based).
+    Returns the number of steps taken."""
+    done = 0
+    while done < n_steps and state.time < until:
+        compute(state, dt)
+        solver(state, dt, stimulus)
+        state.time += dt
+        state.steps_done += 1
+        done += 1
+        if hook is not None:
+            hook(state)
+    return done
+
+
 class KernelRunner:
     """Owns one compiled kernel and runs simulations with it.
 
@@ -131,19 +151,20 @@ class KernelRunner:
 
     ``cache`` wires in the persistent kernel cache: pass a
     :class:`~repro.runtime.kernel_cache.KernelCache`, or ``True`` for
-    the process-default cache dir.  On a hit, the pass pipeline,
-    verification and lowering are all skipped and the cached source is
-    compiled directly; ``self.cache_hit`` records which path ran.
+    the process-default cache dir.  The kernel comes from
+    :func:`~repro.runtime.resolve.resolve_kernel`; ``self.resolution``
+    records which source served it, and ``cache_hit``, ``artifact_hit``,
+    ``cache_key``, ``compile_seconds`` and ``tuned_config`` view it.
 
     ``tune`` consults the persistent tuning database
     (:mod:`repro.tuning`) for this model at the ``tune_cells`` /
     ``tune_dt`` workload shape: on a hit the runner silently swaps in
     the recorded winning variant (width/layout/LUT regeneration plus
-    the ``fuse``/``arena`` flags) — ``self.tuned_config`` records what
-    was applied.  It never measures at construction time (run
-    ``limpet-bench tune`` or :func:`repro.tuning.autotune` to populate
-    the DB) and falls back to the passed-in kernel when there is no
-    record, the record needs sharding, or the model is not registered.
+    the ``fuse``/``arena`` flags).  It never measures at construction
+    time (run ``limpet-bench tune`` or :func:`repro.tuning.autotune` to
+    populate the DB) and falls back to the passed-in kernel when there
+    is no record, the record needs sharding, or the model is not
+    registered.
 
     ``profile`` lowers the kernel with per-statement clock bracketing
     (see :mod:`repro.obs.profiler`): every compute statement's wall
@@ -153,8 +174,9 @@ class KernelRunner:
     bitwise-identical trajectories.
     """
 
+    _tier = "single"            # the tier ladder rung (``active_tier``)
+
     def __init__(self, generated: GeneratedKernel, optimize: bool = True,
-                 verify: bool = True,
                  pipeline: Optional[PassManager] = None,
                  fuse: bool = True, arena: bool = False,
                  cache=None, tune: bool = False, tune_cells: int = 512,
@@ -163,10 +185,17 @@ class KernelRunner:
                  population: Optional[str] = None,
                  artifacts=None):
         self.population = population
-        self.tuned_config = None
+        config = None
         if tune:
-            generated, fuse, arena = self._tuned_variant(
-                generated, fuse, arena, tune_cells, tune_dt, tune_db)
+            from ..tuning import generate_for, tuned_config_for
+            config = tuned_config_for(generated.spec.model, tune_cells,
+                                      tune_dt, tune_db)
+        if config is not None:
+            try:
+                generated = generate_for(generated.spec.model, config)
+                fuse, arena = config.fuse, config.arena
+            except Exception:       # regeneration failed: keep the kernel
+                config = None
         self.generated = generated
         self.spec = generated.spec
         self.model: IonicModel = generated.spec.model
@@ -174,26 +203,20 @@ class KernelRunner:
         self.pipeline = pipeline
         self.fuse = fuse
         self.arena = arena
-        self.profile = profile
-        self.cache: Optional[KernelCache] = (
-            None if profile
-            else default_cache() if cache is True else cache or None)
-        # the read-only AOT artifact tier, consulted after a cache
-        # miss (profiled kernels bypass it like they bypass the cache)
-        if profile:
-            self.artifacts = None
-        else:
+        # a profiled kernel's source differs from the cacheable form:
+        # it bypasses the kernel cache and the artifact tier
+        self.cache: Optional[KernelCache] = None
+        store = None
+        if not profile:
             from ..aot.bundle import resolve_store
-            self.artifacts = resolve_store(artifacts)
-        self.cache_hit = False
-        self.artifact_hit = False
-        self.cache_key: Optional[str] = None
-        _t0 = _time.perf_counter()
-        self.kernel: CompiledKernel = self._build_kernel(
-            optimize, verify, pipeline)
-        #: one-time construction cost: passes + verify + lowering on a
-        #: JIT build, just source exec on a cache/artifact hit
-        self.compile_seconds: float = _time.perf_counter() - _t0
+            self.cache = default_cache() if cache is True else cache or None
+            store = resolve_store(artifacts)
+        self.kernel, self.resolution = resolve_kernel(
+            generated, optimize=optimize, pipeline=pipeline, fuse=fuse,
+            arena=arena, cache=self.cache, artifacts=store,
+            profile=profile, population=population, tuned_config=config)
+        #: run-time Diagnostics (worker restarts, tier degradations)
+        self.diagnostics: List = []
         # LUTs include dt-dependent Rush-Larsen columns: built lazily
         # for the dt of the first step, rebuilt if dt changes.  Keyed by
         # quantized dt, LRU-bounded so watchdog dt-halving cannot leak.
@@ -204,114 +227,40 @@ class KernelRunner:
         # prebound compute_step arguments (rebuilt on state/dt/sv change)
         self._bound: Optional[tuple] = None
 
-    def _tuned_variant(self, generated: GeneratedKernel, fuse: bool,
-                       arena: bool, n_cells: int, dt: float, db):
-        """The tuning DB's winning variant for this workload, if any.
+    @property
+    def cache_hit(self) -> bool:
+        return self.resolution.source == "cache"
 
-        DB-lookup only — never measures.  Any failure (unregistered
-        model, unreadable DB, regeneration error) falls back to the
-        caller's kernel unchanged; tuning is an optimization, not a
-        correctness dependency.
-        """
-        try:
-            from ..tuning import generate_for, lookup_config
-            config = lookup_config(generated.spec.model, n_cells, dt,
-                                   db=db)
-        except Exception:
-            return generated, fuse, arena
-        if config is None or config.shards > 1:
-            # sharded winners need a ShardedRunner; keep the kernel
-            return generated, fuse, arena
-        try:
-            tuned = generate_for(generated.spec.model, config)
-        except Exception:
-            return generated, fuse, arena
-        self.tuned_config = config
-        return tuned, config.fuse, config.arena
+    @property
+    def artifact_hit(self) -> bool:
+        return self.resolution.source in ("bundle", "artifact")
 
-    def _build_kernel(self, optimize: bool, verify: bool,
-                      pipeline: Optional[PassManager]) -> CompiledKernel:
-        generated = self.generated
-        payload = getattr(generated, "payload", None)
-        if payload and generated.module is None:
-            # an ArtifactKernel straight from a bundle: the payload IS
-            # the finished JIT product — exec it, skip everything
-            self.artifact_hit = True
-            self.cache_key = getattr(generated, "key", "") or None
-            return compile_kernel_source(
-                payload["function_name"], payload["source"],
-                payload["mode"], payload["width"],
-                payload["arg_names"], fused=payload["fused"],
-                arena=payload["arena"])
-        if pipeline is not None:
-            fingerprint = pipeline.fingerprint()
-        elif optimize:
-            pipeline = default_pipeline(verify_each=False)
-            fingerprint = pipeline.fingerprint()
-        else:
-            fingerprint = "none"
-        if self.cache is not None:
-            with _trace.span("cache_lookup",
-                             model=self.model.name) as look:
-                self.cache_key = kernel_cache_key(
-                    generated, fingerprint, self.fuse, self.arena, verify,
-                    population=self.population)
-                payload = self.cache.load(self.cache_key)
-                look.annotate(hit=payload is not None)
-            if payload is not None:
-                self.cache_hit = True
-                return compile_kernel_source(
-                    payload["function_name"], payload["source"],
-                    payload["mode"], payload["width"],
-                    payload["arg_names"], fused=payload["fused"],
-                    arena=payload["arena"])
-        if self.artifacts is not None:
-            if self.cache_key is None:
-                self.cache_key = kernel_cache_key(
-                    generated, fingerprint, self.fuse, self.arena, verify,
-                    population=self.population)
-            with _trace.span("artifact_lookup",
-                             model=self.model.name) as look:
-                payload = self.artifacts.lookup_kernel(self.cache_key)
-                look.annotate(hit=payload is not None)
-            if payload is not None:
-                self.artifact_hit = True
-                return compile_kernel_source(
-                    payload["function_name"], payload["source"],
-                    payload["mode"], payload["width"],
-                    payload["arg_names"], fused=payload["fused"],
-                    arena=payload["arena"])
-        if pipeline is not None:
-            tracer = _trace.active_tracer()
-            if tracer is not None:
-                from ..obs.passes import TracePassInstrumentation
-                if not any(isinstance(i, TracePassInstrumentation)
-                           for i in pipeline.instrumentations):
-                    pipeline.add_instrumentation(
-                        TracePassInstrumentation(tracer))
-            with _trace.span("passes", model=self.model.name,
-                             pipeline=fingerprint):
-                pipeline.run(generated.module, fixed_point=True)
-        if verify:
-            with _trace.span("verify", model=self.model.name):
-                verify_module(generated.module)
-        with _trace.span("lowering", model=self.model.name,
-                         fuse=self.fuse, arena=self.arena,
-                         profile=self.profile):
-            kernel = lower_function(generated.module,
-                                    generated.spec.function_name,
-                                    fuse=self.fuse, arena=self.arena,
-                                    profile=self.profile)
-        if self.cache is not None and self.cache_key is not None \
-                and not getattr(pipeline, "quarantined", None):
-            # a sandboxed pipeline that quarantined passes produced a
-            # module the full pipeline would not have: storing it under
-            # the full-pipeline key would poison every later consumer
-            self.cache.store(self.cache_key, kernel.source, kernel.mode,
-                             kernel.width, kernel.arg_names,
-                             kernel.name, fused=kernel.fused,
-                             arena=kernel.arena is not None)
-        return kernel
+    @property
+    def cache_key(self) -> Optional[str]:
+        return self.resolution.key
+
+    @property
+    def compile_seconds(self) -> float:
+        return self.resolution.seconds
+
+    @property
+    def tuned_config(self):
+        return self.resolution.tuned_config
+
+    @property
+    def active_tier(self) -> str:
+        """``single``, ``threads`` or ``supervised``: the tier in effect
+        (a supervised runner steps down when supervision gives up)."""
+        return self._tier
+
+    def close(self) -> None:
+        """Release pools, workers, shared memory; none held inline."""
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
 
     def luts_for(self, dt: float) -> List[LUTData]:
         if not self.spec.use_lut:
@@ -427,22 +376,6 @@ class KernelRunner:
         self._ledger_run_row(state, n_steps, dt, result=result)
         return result
 
-    @property
-    def execution_tier(self) -> str:
-        """Which tier of the execution ladder this runner occupies
-        (ledger-facing; subclasses override)."""
-        return "single"
-
-    def _cache_outcome(self) -> str:
-        """How this runner's kernel was obtained: ``artifact`` (AOT
-        bundle), ``hit``/``miss`` (persistent kernel cache), or ``off``
-        (no cache configured)."""
-        if self.artifact_hit:
-            return "artifact"
-        if self.cache is None:
-            return "off"
-        return "hit" if self.cache_hit else "miss"
-
     def _ledger_run_row(self, state: SimulationState, n_steps: int,
                         dt: float, result, error=None) -> None:
         """One ``run`` row in the env-gated ledger (no-op when off)."""
@@ -462,8 +395,8 @@ class KernelRunner:
             ttfs = result.time_to_first_step
         _ledger_mod.record_event(
             "run", model=self.model.name, key=self.cache_key,
-            cache=self._cache_outcome(), tier=self.execution_tier,
-            compile_seconds=getattr(self, "compile_seconds", None),
+            cache=self.resolution.cache_outcome, tier=self.active_tier,
+            compile_seconds=self.compile_seconds,
             time_to_first_step=ttfs, steps_per_second=sps,
             n_steps=n_steps, n_cells=state.n_cells, dt=dt,
             population=self.population, disposition=disposition)
@@ -472,79 +405,66 @@ class KernelRunner:
              stimulus: Optional[Stimulus], record_vm: bool, watchdog,
              step_hook: Optional[Callable[[SimulationState], None]],
              time_breakdown: bool) -> RunResult:
-        if watchdog is not None:
-            return self._run_guarded(state, n_steps, dt, stimulus,
-                                     record_vm, watchdog, step_hook)
-        has_vm = "Vm" in state.externals
-        trace = np.empty(n_steps) if record_vm and has_vm else None
+        """Every run mode is :func:`advance` plus wrappers: the time
+        breakdown clocks ``compute``, the Vm trace is a step hook, the
+        first step is taken alone so it can be timed, and the watchdog
+        advances in ``check_interval`` segments."""
+        clock = _time.perf_counter
         compute = self.compute_step
-        solver = self.solver_step
+        compute_seconds = 0.0 if time_breakdown else None
         if time_breakdown:
-            clock = _time.perf_counter
-            vm = state.externals["Vm"] if trace is not None else None
-            compute_total = 0.0
-            start = clock()
-            for step in range(n_steps):
+            def compute(st, cur_dt, kernel=self.compute_step):
+                nonlocal compute_seconds
                 t0 = clock()
-                compute(state, dt)
-                compute_total += clock() - t0
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-                if trace is not None:
-                    trace[step] = vm[0]
+                kernel(st, cur_dt)
+                compute_seconds += clock() - t0
+        trace: Optional[List[float]] = None
+        hook = step_hook
+        if record_vm and "Vm" in state.externals:
+            trace = []
+            vm = state.externals["Vm"]
+
+            def hook(st):
+                trace.append(vm[0])
                 if step_hook is not None:
-                    step_hook(state)
-            elapsed = clock() - start
-            return RunResult(state=state, n_steps=n_steps, dt=dt,
-                             elapsed_seconds=elapsed, vm_trace=trace,
-                             compute_seconds=compute_total,
-                             compile_seconds=getattr(
-                                 self, "compile_seconds", None))
-        compile_seconds = getattr(self, "compile_seconds", None)
+                    step_hook(st)
         first_step = None
-        start = _time.perf_counter()
-        if trace is None and step_hook is None:
-            # hot path: the first step is peeled (it binds arguments
-            # and builds LUTs, and times the cold-start latency); the
-            # remaining loop has no per-step branch checks at all
-            if n_steps > 0:
-                compute(state, dt)
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-                first_step = _time.perf_counter() - start
-            for _ in range(n_steps - 1):
-                compute(state, dt)
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
+        start = clock()
+
+        def step(n: int, cur_dt: float, until: float = inf) -> int:
+            nonlocal first_step
+            done = 0
+            if first_step is None and n > 0:
+                done = advance(state, 1, cur_dt, compute, self.solver_step,
+                               stimulus, hook, until)
+                if done:
+                    first_step = clock() - start
+            return done + advance(state, n - done, cur_dt, compute,
+                                  self.solver_step, stimulus, hook, until)
+
+        health = None
+        if watchdog is None:
+            step(n_steps, dt)
         else:
-            vm = state.externals["Vm"] if trace is not None else None
-            for step in range(n_steps):
-                compute(state, dt)
-                solver(state, dt, stimulus)
-                state.time += dt
-                state.steps_done += 1
-                if step == 0:
-                    first_step = _time.perf_counter() - start
-                if trace is not None:
-                    trace[step] = vm[0]
-                if step_hook is not None:
-                    step_hook(state)
-        elapsed = _time.perf_counter() - start
-        ttfs = None if first_step is None or compile_seconds is None \
-            else compile_seconds + first_step
-        return RunResult(state=state, n_steps=n_steps, dt=dt,
-                         elapsed_seconds=elapsed, vm_trace=trace,
-                         compile_seconds=compile_seconds,
-                         time_to_first_step=ttfs)
+            n_steps, dt, health = self._run_guarded(
+                state, n_steps, dt, watchdog, step, trace)
+        elapsed = clock() - start
+        return RunResult(
+            state=state, n_steps=n_steps, dt=dt, elapsed_seconds=elapsed,
+            vm_trace=None if trace is None else np.asarray(trace, float),
+            health=health,
+            compute_seconds=compute_seconds,
+            compile_seconds=self.compile_seconds,
+            time_to_first_step=None if first_step is None
+            else self.compile_seconds + first_step)
 
     # -- the guarded (watchdog) path ----------------------------------------------
 
     def _run_guarded(self, state: SimulationState, n_steps: int, dt: float,
-                     stimulus: Optional[Stimulus], record_vm: bool,
-                     watchdog, step_hook) -> RunResult:
+                     watchdog, step: Callable[..., int],
+                     trace: Optional[List[float]]):
+        """Drive ``step`` towards the target time under the watchdog;
+        returns ``(steps executed, final dt, health report)``."""
         from ..resilience.diagnostics import DivergenceEvent
         from ..resilience.watchdog import (NumericalDivergenceError,
                                            NumericalWatchdog,
@@ -558,29 +478,15 @@ class KernelRunner:
                             f"NumericalWatchdog, got {watchdog!r}")
         config = guard.config
         report = guard.new_report(dt)
-        has_vm = "Vm" in state.externals
-        trace: Optional[List[float]] = [] if record_vm and has_vm else None
         target_time = state.time + n_steps * dt
         eps = dt * 1e-9
         checkpoint: StateCheckpoint = state.checkpoint()
         trace_mark = 0
         cur_dt = dt
         executed = 0
-        start = _time.perf_counter()
         while state.time < target_time - eps:
-            segment = 0
-            while segment < config.check_interval and \
-                    state.time < target_time - eps:
-                self.compute_step(state, cur_dt)
-                self.solver_step(state, cur_dt, stimulus)
-                state.time += cur_dt
-                state.steps_done += 1
-                executed += 1
-                segment += 1
-                if trace is not None:
-                    trace.append(state.externals["Vm"][0])
-                if step_hook is not None:
-                    step_hook(state)
+            executed += step(config.check_interval, cur_dt,
+                             target_time - eps)
             report.checks += 1
             bad = guard.scan(state)
             if not bad:
@@ -638,14 +544,9 @@ class KernelRunner:
                              "checkpoint rollbacks taken by the "
                              "watchdog").inc()
             cur_dt = next_dt
-        elapsed = _time.perf_counter() - start
         report.final_dt = cur_dt
         report.ok = not report.aborted and not guard.scan(state)
-        return RunResult(state=state, n_steps=executed, dt=cur_dt,
-                         elapsed_seconds=elapsed,
-                         vm_trace=np.asarray(trace) if trace is not None
-                         else None,
-                         health=report)
+        return executed, cur_dt, report
 
     def profile_report(self, invocations: int = 0):
         """The per-op hot report for a ``profile=True`` runner.

@@ -20,7 +20,7 @@ from ..codegen.multimodel import generate_plugin
 from ..frontend.model import IonicModel
 from ..ir.passes import default_pipeline
 from ..ir.verifier import verify_module
-from .executor import KernelRunner, Stimulus
+from .executor import KernelRunner, Stimulus, advance
 from .lowering import lower_function
 from .lut_runtime import build_all_luts
 from .state import SimulationState, allocate_state
@@ -48,7 +48,6 @@ class HierarchicalSimulation:
         self.state = self.parent.make_state(n_cells,
                                             perturbation=perturbation)
         self.plugins: List[PluginInstance] = []
-        self.time = 0.0
 
     # -- construction -----------------------------------------------------------
 
@@ -90,33 +89,34 @@ class HierarchicalSimulation:
             plugin.luts = build_all_luts(plugin.model, dt=dt)
         return plugin.luts
 
-    def step(self, dt: float = 0.01,
-             stimulus: Optional[Stimulus] = None) -> None:
-        """One coupled step: parent compute, plugins accumulate, solve."""
-        self.parent.compute_step(self.state, dt)
+    def _compute_coupled(self, state: SimulationState, dt: float) -> None:
+        """The compute stage: the parent's kernel, then every plugin's
+        (each accumulating into the parent's externals)."""
+        self.parent.compute_step(state, dt)
         for plugin in self.plugins:
             ps = plugin.state
-            args = [0, ps.n_alloc, dt, self.time, ps.sv]
+            args = [0, ps.n_alloc, dt, state.time, ps.sv]
             args += [ps.externals[ext] for ext in plugin.model.externals]
             args += self._plugin_luts(plugin, dt)
             args.append(plugin.parent_map)
             for ext in plugin.model.externals:
-                parent_array = self.state.externals.get(ext)
+                parent_array = state.externals.get(ext)
                 if parent_array is None:
                     # the parent does not expose this external: plugins
                     # fall through to their local storage for it
                     parent_array = ps.externals[ext]
                 args.append(parent_array)
             plugin.kernel.fn(*args)
-        self.parent.solver_step(self.state, dt, stimulus)
-        self.time += dt
-        self.state.time = self.time
-        self.state.steps_done += 1
+
+    def step(self, dt: float = 0.01,
+             stimulus: Optional[Stimulus] = None) -> None:
+        """One coupled step: parent compute, plugins accumulate, solve."""
+        self.run(1, dt, stimulus)
 
     def run(self, n_steps: int, dt: float = 0.01,
             stimulus: Optional[Stimulus] = None) -> None:
-        for _ in range(n_steps):
-            self.step(dt, stimulus)
+        advance(self.state, n_steps, dt, self._compute_coupled,
+                self.parent.solver_step, stimulus)
 
     # -- views -------------------------------------------------------------------
 

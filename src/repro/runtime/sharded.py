@@ -36,6 +36,11 @@ from .executor import KernelRunner
 from .state import SimulationState
 
 
+def available_cpus() -> int:
+    """CPUs on this machine: the default width of both parallel tiers."""
+    return os.cpu_count() or 1
+
+
 def _module_has_omp(module: Module, sym_name: str) -> bool:
     """True when the kernel function contains an ``omp.parallel`` region."""
 
@@ -85,8 +90,9 @@ class ShardedRunner(KernelRunner):
     promptly; an unclosed pool is reclaimed at interpreter exit.
     """
 
+    _tier = "threads"
+
     def __init__(self, generated: GeneratedKernel, n_threads: int = 0,
-                 require_omp: bool = False,
                  shard_plan: Optional[List[Tuple[int, int]]] = None,
                  **kwargs):
         if kwargs.get("arena"):
@@ -94,7 +100,7 @@ class ShardedRunner(KernelRunner):
                              "arena slots would alias across shards")
         kwargs["arena"] = False
         super().__init__(generated, **kwargs)
-        self.n_threads = n_threads or (os.cpu_count() or 1)
+        self.n_threads = n_threads or available_cpus()
         # an explicit decomposition (e.g. the population layer sharding
         # along the instance axis) overrides the default cell split
         if shard_plan is not None:
@@ -122,16 +128,8 @@ class ShardedRunner(KernelRunner):
         else:
             self.parallel_marked = _module_has_omp(
                 generated.module, generated.spec.function_name)
-        if require_omp and not self.parallel_marked:
-            raise ValueError(
-                f"kernel {generated.spec.function_name} has no "
-                f"omp.parallel region to honor")
         self._pool: Optional[ThreadPoolExecutor] = None
         self._shards: Optional[Tuple[int, List[Tuple[int, int]]]] = None
-
-    @property
-    def execution_tier(self) -> str:
-        return "threads"
 
     # -- pool lifecycle ------------------------------------------------------------
 
@@ -146,12 +144,6 @@ class ShardedRunner(KernelRunner):
         if self._pool is not None:
             self._pool.shutdown(wait=True)
             self._pool = None
-
-    def __enter__(self) -> "ShardedRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()
 
     # -- sharded compute stage -----------------------------------------------------
 

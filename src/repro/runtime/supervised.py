@@ -56,7 +56,7 @@ from ..obs import ledger as _ledger
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .executor import KernelRunner
-from .sharded import ShardedRunner
+from .sharded import ShardedRunner, available_cpus
 from .state import SimulationState
 
 try:                        # gate, don't require (minimal builds)
@@ -170,11 +170,6 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
     threading.Thread(target=beat, daemon=True,
                      name=f"limpet-heartbeat-{slot}").start()
     fn = runner.kernel.fn
-    externals = [state.externals[e] for e in runner.model.externals]
-    # promoted parameter arrays are read-only: fork-inherited copies
-    # are exact and never need to live in the shared segment
-    param_arrays = [state.params[p] for p in runner.model.promoted_params]
-    use_lut = runner.spec.use_lut
     tasks_done = 0
     try:
         while True:
@@ -193,12 +188,12 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
                                     start=start, end=end)
             try:
                 with task_span:
-                    args = [start, end, dt, now, state.sv] + externals \
-                        + param_arrays
-                    if use_lut:
-                        # deterministic per-quantized-dt rebuild: bitwise
-                        # identical to the parent's tables
-                        args += runner.luts_for(dt)
+                    # the parent's own binding, over this shard: shm
+                    # state views, fork-inherited read-only parameter
+                    # arrays (exact copies, never in the segment), LUTs
+                    # rebuilt deterministically per quantized dt
+                    args = runner._bind_args(state, dt)
+                    args[0], args[1], args[3] = start, end, now
                     fn(*args)
             except Exception as err:
                 task_span.annotate(error=f"{type(err).__name__}: {err}")
@@ -263,16 +258,16 @@ class SupervisedRunner(ShardedRunner):
     are reaped at interpreter exit.
     """
 
+    _tier = TIERS[0]            # degradation rebinds it per instance
+
     def __init__(self, generated: GeneratedKernel, n_workers: int = 0,
                  config: Optional[SupervisionConfig] = None,
                  fault_plan=None, **kwargs):
-        n_workers = n_workers or (os.cpu_count() or 1)
+        n_workers = n_workers or available_cpus()
         super().__init__(generated, n_threads=n_workers, **kwargs)
         self.n_workers = n_workers
         self.config = config or SupervisionConfig()
         self.fault_plan = fault_plan
-        self.diagnostics: List = []
-        self._tier = TIERS[0]
         self._seq = 0
         self._procs: List[Optional[mp.process.BaseProcess]] = []
         self._conns: List = []
@@ -300,12 +295,8 @@ class SupervisedRunner(ShardedRunner):
 
     @property
     def tier(self) -> str:
-        """The execution tier currently in effect."""
-        return self._tier
-
-    @property
-    def execution_tier(self) -> str:
-        """Ledger-facing tier name (overrides the static base names)."""
+        """``active_tier`` as ``benchmarks/e2e`` reads it; a runner
+        without a ``tier`` is, to it, one that cannot degrade."""
         return self._tier
 
     # -- the degradation ladder ----------------------------------------------------
@@ -355,9 +346,10 @@ class SupervisedRunner(ShardedRunner):
             stimulus=None, record_vm: bool = False, watchdog=None,
             step_hook=None, time_breakdown: bool = False):
         from ..resilience.watchdog import NumericalDivergenceError
+        args = (state, n_steps, dt, stimulus, record_vm, watchdog,
+                step_hook, time_breakdown)
         if self._tier != "supervised":
-            return super().run(state, n_steps, dt, stimulus, record_vm,
-                               watchdog, step_hook, time_breakdown)
+            return super().run(*args)
         initial = state.checkpoint()
         while True:
             try:
@@ -365,14 +357,10 @@ class SupervisedRunner(ShardedRunner):
                     self._attach_state(state)
                     try:
                         self._ensure_workers(state)
-                        return super().run(state, n_steps, dt, stimulus,
-                                           record_vm, watchdog,
-                                           step_hook, time_breakdown)
+                        return super().run(*args)
                     finally:
                         self._detach_state()
-                return super().run(state, n_steps, dt, stimulus,
-                                   record_vm, watchdog, step_hook,
-                                   time_breakdown)
+                return super().run(*args)
             except NumericalDivergenceError:
                 raise           # a watchdog verdict, not an infra failure
             except SupervisedExecutionError as err:
@@ -739,9 +727,3 @@ class SupervisedRunner(ShardedRunner):
         self._shutdown_workers()
         _ACTIVE_RUNNERS.discard(self)
         super().close()
-
-    def __enter__(self) -> "SupervisedRunner":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

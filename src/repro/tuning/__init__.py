@@ -20,7 +20,7 @@ from .space import (LAYOUTS, LUT_MODES, WIDTHS, TuningConfig, Workload,
                     default_config_for, enumerate_space,
                     integrator_summary)
 from .tuner import (CandidateResult, TuningResult, autotune, build_runner,
-                    lookup_config, tuned_runner)
+                    lookup_config, tuned_config_for, tuned_runner)
 
 __all__ = [
     "LAYOUTS", "LUT_MODES", "WIDTHS", "TuningConfig", "Workload",
@@ -30,7 +30,7 @@ __all__ = [
     "PredictedCandidate", "generate_for", "predict_ranking",
     "profile_variants", "variant_key",
     "CandidateResult", "TuningResult", "autotune", "build_runner",
-    "lookup_config", "tuned_runner",
+    "lookup_config", "tuned_config_for", "tuned_runner",
     "MIN_SPEEDUP", "MIN_TOP1_AGREEMENT", "REPRESENTATIVE_MODELS",
     "SLOWDOWN_TOLERANCE", "check_tuning_report", "format_tuning_table",
     "tuning_report",

@@ -44,10 +44,10 @@ import pathlib
 import time
 from typing import Dict, Optional, Union
 
-from ..ir.passes import default_pipeline
 from ..models import model_entry
 from ..obs import metrics as _metrics
 from ..runtime.locking import file_lock
+from ..runtime.resolve import toolchain_identity
 from .space import TuningConfig, Workload
 
 #: bump to invalidate every tuning decision at once
@@ -72,10 +72,9 @@ def tuning_db_key(workload: Workload,
     ``source_hash`` to the registry file's hash (override both in
     tests to prove invalidation).
     """
-    from ..runtime.lowering import LOWERING_VERSION
+    default_fingerprint, lowering_version = toolchain_identity()
     if pipeline_fingerprint is None:
-        pipeline_fingerprint = default_pipeline(
-            verify_each=False).fingerprint()
+        pipeline_fingerprint = default_fingerprint
     if source_hash is None:
         source_hash = model_source_hash(workload.model)
     lines = [
@@ -87,7 +86,7 @@ def tuning_db_key(workload: Workload,
         f"dt={workload.dt!r}",
         f"machine={workload.machine}",
         f"pipeline={pipeline_fingerprint}",
-        f"lowering=v{LOWERING_VERSION}",
+        f"lowering=v{lowering_version}",
     ]
     # population-shape line only when present: pre-population keys (and
     # every existing DB record) are unchanged

@@ -12,11 +12,11 @@ assertions.
 
 from __future__ import annotations
 
-import os
 import platform
 from typing import Dict, List, Optional, Sequence
 
 from ..models import SIZE_CLASS
+from ..runtime import available_cpus
 from .database import TuningDB
 from .tuner import autotune
 
@@ -74,7 +74,7 @@ def tuning_report(models: Sequence[str] = REPRESENTATIVE_MODELS,
                    "repeats": repeats},
         "machine": {"platform": platform.platform(),
                     "python": platform.python_version(),
-                    "available_cpus": os.cpu_count() or 1},
+                    "available_cpus": available_cpus()},
         "protocol": "interleaved steady-state (warmup, median-of-"
                     "repeats); cost-model ranking over the full legal "
                     "space, measured refinement of top-k + default + "

@@ -20,12 +20,12 @@ plus the runtime's own constraints:
 
 from __future__ import annotations
 
-import os
 from dataclasses import asdict, dataclass
 from typing import Dict, Iterable, List, Optional
 
 from ..codegen.legality import check_simd_legality
 from ..frontend.model import IonicModel
+from ..runtime.sharded import available_cpus
 
 WIDTHS = (1, 4, 8)
 LAYOUTS = ("aos", "soa", "aosoa")
@@ -167,7 +167,7 @@ def enumerate_space(model: IonicModel,
     layer's extra degree of freedom).
     """
     if shard_counts is None:
-        cpus = os.cpu_count() or 1
+        cpus = available_cpus()
         shard_counts = (1,) if cpus <= 1 else (1, min(cpus, 4))
     shard_counts = sorted(set(int(s) for s in shard_counts))
     if any(s < 1 for s in shard_counts):

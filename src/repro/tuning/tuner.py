@@ -27,7 +27,7 @@ from ..frontend.model import IonicModel
 from ..models import load_model
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from ..runtime import KernelRunner, ShardedRunner
+from ..runtime import KernelRunner, make_runner
 from .costrank import PredictedCandidate, generate_for, predict_ranking
 from .database import TuningDB, tuning_db_key
 from .space import (TuningConfig, Workload, default_config_for,
@@ -42,20 +42,13 @@ DEFAULT_TOP_K = 5
 
 def build_runner(model: Union[str, IonicModel], config: TuningConfig,
                  **runner_kwargs) -> KernelRunner:
-    """A runner executing ``model`` under ``config``.
-
-    Returns a :class:`~repro.runtime.sharded.ShardedRunner` when the
-    config asks for more than one shard, a plain
-    :class:`~repro.runtime.executor.KernelRunner` otherwise.
-    """
+    """A runner executing ``model`` under ``config``, on the thread
+    tier when the config asks for more than one shard."""
     if isinstance(model, str):
         model = load_model(model)
-    generated = generate_for(model, config)
-    if config.shards > 1:
-        return ShardedRunner(generated, n_threads=config.shards,
-                             fuse=config.fuse, **runner_kwargs)
-    return KernelRunner(generated, fuse=config.fuse, arena=config.arena,
-                        **runner_kwargs)
+    return make_runner(generate_for(model, config), threads=config.shards,
+                       fuse=config.fuse, arena=config.arena,
+                       **runner_kwargs)
 
 
 @dataclass
@@ -303,3 +296,22 @@ def lookup_config(model: IonicModel, n_cells: int, dt: float,
                                    population=population)
     db = db if db is not None else TuningDB()
     return db.get_config(tuning_db_key(workload))
+
+
+def tuned_config_for(model: Union[str, IonicModel], n_cells: int,
+                     dt: float, db: Optional[TuningDB] = None,
+                     population: str = "") -> Optional[TuningConfig]:
+    """The recorded single-shard winner for a workload, or None: the
+    one DB consultation behind every ``tune=True``.  Never measures and
+    never raises — an unregistered model or unreadable DB is "no tuning"
+    (an optimization, not a correctness dependency); so is a multi-shard
+    winner, whose kernel is the single-shard one split at run time."""
+    try:
+        if isinstance(model, str):
+            model = load_model(model)
+        config = lookup_config(model, n_cells, dt, db=db,
+                               population=population)
+    except Exception:
+        return None
+    return config if config is not None and config.shards == 1 else None
+

@@ -196,12 +196,19 @@ class TestTuneCommand:
         code = main(["tune"])
         assert code == 2
 
-    def test_perf_width_flag(self, capsys):
+    def test_perf_width_flag(self, capsys, tmp_path):
+        import json
+        out_path = tmp_path / "perf.json"
         code, out = run_cli(capsys, "perf", "--model", "FitzHughNagumo",
                             "--cells", "48", "--steps", "5",
-                            "--runs", "2", "--width", "4")
+                            "--runs", "2", "--width", "4",
+                            "--json", str(out_path))
         assert code == 0
         assert "BENCH_PR2" in out
+        # no --threads: the sharded variant gets every CPU, never more
+        report = json.loads(out_path.read_text())
+        assert report["config"]["threads"] \
+            == report["machine"]["available_cpus"]
 
 
 class TestSweep:

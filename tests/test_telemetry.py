@@ -278,7 +278,7 @@ class TestSupervisedTelemetry:
             try:
                 state = runner.make_state(24)
                 runner.run(state, 30, 0.01)
-                assert runner.execution_tier == "supervised"
+                assert runner.active_tier == "supervised"
             finally:
                 runner.close()
         finally:
@@ -342,7 +342,7 @@ class TestSupervisedTelemetry:
         try:
             state = runner.make_state(24)
             runner.run(state, 10, 0.01)
-            assert runner.execution_tier in ("threads", "single")
+            assert runner.active_tier in ("threads", "single")
         finally:
             runner.close()
         rows = ledger.RunLedger(
