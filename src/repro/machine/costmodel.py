@@ -48,6 +48,11 @@ LINE_DOUBLES = 8
 GLUE_CYCLES_PER_CELL = 19.0
 
 
+def _is_aos(layout: str) -> bool:
+    """``KernelProfile.layout`` names plain AoS (not ``aosoa(block=W)``)."""
+    return layout.startswith("aos") and not layout.startswith("aosoa")
+
+
 @dataclass(frozen=True)
 class TimePoint:
     """Modeled execution of one configuration."""
@@ -146,7 +151,7 @@ class CostModel:
         return (nominal + gather_lanes * waste) * 8.0 / lanes
 
     def _gather_waste(self, p: KernelProfile) -> float:
-        if p.layout.startswith("aos") and not p.layout.startswith("aosoa"):
+        if _is_aos(p.layout):
             # stride = n_states doubles: each lane's element sits on its
             # own cache line, but successive slots of the same cell reuse
             # it, so the effective waste is ~2x rather than a full line
@@ -233,6 +238,17 @@ class PythonRuntimeCostModel(CostModel):
     work parallelizes (ufuncs release the GIL), dispatch does not, and
     each step pays a pool-submission cost per shard.
 
+    Memory accesses are priced by the addressing mode the lowering
+    gives them (DESIGN.md §6.2), read off the profile's layout: a
+    ``vector.load`` / ``vector.store`` is a *unit-stride* slice copy —
+    one flat loop under SoA and for externals, one inner loop per block
+    row under AoSoA (``EL_ROW_NS``); a ``vector.gather`` /
+    ``vector.scatter`` is a *strided* slice copy under AoS and an
+    *indexed* access (index array + fancy gather, masked multimodel
+    kernels) under every other layout.  Index arithmetic and broadcasts
+    of loop invariants cost nothing: sliced accesses never materialise
+    them.
+
     Constants were calibrated against measured ``steady_state`` runs of
     representative models on CPython 3.11 + NumPy (see EXPERIMENTS.md,
     tuner ablation); they need to *rank* configurations, not predict
@@ -257,13 +273,16 @@ class PythonRuntimeCostModel(CostModel):
     EL_DIV_NS = 2.0
     EL_EXP_NS = 3.5
     EL_POW_NS = 6.0
-    EL_MOVE_NS = 1.0          # vector load/store (fancy-index block move)
-    EL_GATHER_NS = 4.0        # vector gather/scatter (strided fancy index)
+    EL_MOVE_NS = 0.35         # unit-stride access (flat slice copy)
+    EL_GATHER_NS = 1.25       # strided access (AoS: stride n_states)
+    EL_INDEXED_NS = 2.6       # indexed access (fancy gather/scatter)
     EL_LUT_COLUMN_NS = 13.0   # 2 row gathers + interpolation arithmetic
-    #: per-block index construction for vector accessors — the runtime
-    #: builds one fancy index per cell *block*, so wider kernels build
-    #: fewer (this is what separates width 8 from width 4 at runtime)
-    EL_INDEX_NS = 1.0
+    #: per-block cost of an access that cannot run as one flat loop: a
+    #: unit-stride access under AoSoA copies one W-element row per block
+    #: (rows are n_states*W apart), an indexed access builds one index
+    #: row per block — so wider kernels pay it less often (this is what
+    #: separates width 8 from width 4 at runtime)
+    EL_ROW_NS = 6.0
     #: statements per interpolated LUT column (gathers + mul/add chain)
     LUT_COLUMN_STATEMENTS = 3.0
     #: per-op per-cell cost of the scalar baseline's Python loop
@@ -289,14 +308,17 @@ class PythonRuntimeCostModel(CostModel):
             return self._scalar_step(p, n_cells)
         # statements executed per step (flattened: one per IR op)
         statements = (p.simple_fp + p.div_fp + p.exp_class + p.pow_class
-                      + p.int_ops * 0.3
                       + p.contiguous_loads + p.contiguous_stores
-                      + p.gathers + p.scatters
-                      + p.broadcasts * 0.2 + p.inserts_extracts
+                      + p.gathers + p.scatters + p.inserts_extracts
                       + p.lut_columns_vector * self.LUT_COLUMN_STATEMENTS
                       + p.lut_columns_scalar * self.LUT_COLUMN_STATEMENTS)
         if fuse:
             statements *= self.FUSED_STATEMENT_RATIO
+        if p.layout == "soa":
+            # every slot is its own region of the buffer, so each state
+            # binds its own block view where the interleaved layouts
+            # share one
+            statements += p.contiguous_stores
         dispatch_us = self.DISPATCH_US
         if arena:
             dispatch_us *= self.ARENA_DISPATCH_RATIO
@@ -306,21 +328,23 @@ class PythonRuntimeCostModel(CostModel):
                       + (p.exp_class + p.pow_class)
                       * self.DISPATCH_EXP_US) * 1e-6
 
+        unit = p.contiguous_loads + p.contiguous_stores
+        gathers = p.gathers + p.scatters
+        aosoa = p.layout.startswith("aosoa")
+        aos = _is_aos(p.layout)
         per_el_ns = (p.simple_fp * self.EL_SIMPLE_NS
                      + p.div_fp * self.EL_DIV_NS
                      + p.exp_class * self.EL_EXP_NS
                      + p.pow_class * self.EL_POW_NS
-                     + (p.contiguous_loads + p.contiguous_stores)
-                     * self.EL_MOVE_NS
-                     + (p.gathers + p.scatters) * self.EL_GATHER_NS
+                     + unit * self.EL_MOVE_NS
+                     + gathers * (self.EL_GATHER_NS if aos
+                                  else self.EL_INDEXED_NS)
                      + (p.lut_columns_vector + p.lut_columns_scalar)
-                     * self.EL_LUT_COLUMN_NS
-                     + p.int_ops * 0.3)
-        accessors = (p.contiguous_loads + p.contiguous_stores
-                     + p.gathers + p.scatters)
+                     * self.EL_LUT_COLUMN_NS)
+        row_accesses = (unit if aosoa else 0.0) + (0.0 if aos else gathers)
         n_blocks = n_cells / max(p.width, 1)
         t_element = (n_cells * per_el_ns
-                     + accessors * n_blocks * self.EL_INDEX_NS) * 1e-9
+                     + row_accesses * n_blocks * self.EL_ROW_NS) * 1e-9
         if arena:
             t_element *= self.ARENA_ELEMENT_RATIO
 

@@ -42,14 +42,21 @@ __all__ = ["OpCost", "KernelProfileReport", "classify_op",
 _MOVE_OPS = {"memref.load", "memref.store", "vector.load", "vector.store"}
 _GATHER_OPS = {"vector.gather", "vector.scatter"}
 _DIV_OPS = {"arith.divf", "arith.remf"}
+#: a vector access's class is the addressing mode the lowering gave it
+#: (its provenance ``detail``), not the op that asked for it
+_ADDRESSING_CLASS = {"unit": "move", "strided": "gather",
+                     "indexed": "indexed"}
 
 
 def classify_op(op_name: str, detail: Optional[str] = None) -> str:
-    """Map an IR op (+ call detail) onto a cost-model element class."""
+    """Map an IR op (+ call / addressing detail) onto a cost-model
+    element class."""
     if op_name == "func.call":
         if detail and detail.startswith("LUT_"):
             return "lut"
         return "other"
+    if detail in _ADDRESSING_CLASS and op_name.startswith("vector."):
+        return _ADDRESSING_CLASS[detail]
     if op_name in _DIV_OPS:
         return "div"
     if op_name in _SIMPLE_FP:
@@ -77,7 +84,9 @@ class OpCost:
     seconds: float
     source: Optional[str] = None   # EasyML name via the result hint
     snippet: str = ""              # the lowered statement text
-    detail: Optional[str] = None   # callee for func.call statements
+    #: callee for func.call statements; addressing mode (``unit`` /
+    #: ``strided`` / ``indexed``) for vector memory accesses
+    detail: Optional[str] = None
 
     @property
     def element_class(self) -> str:
@@ -154,30 +163,39 @@ class KernelProfileReport:
     # -- presentation -------------------------------------------------------------
 
     def hot_table(self, top_n: int = 10) -> str:
-        """The top-N hot-op table: seconds, share, op, source name."""
+        """The top-N hot-op table: seconds, share, op, its detail (a
+        call's callee, an access's addressing mode), source name."""
         head = f"hot ops — {self.model}" if self.model else "hot ops"
         if self.invocations:
             head += f" ({self.invocations} kernel calls)"
         head += f", {self.total_seconds * 1e3:.2f} ms attributed"
         lines = [head,
                  f"{'seconds':>10} {'share':>7} {'cum':>7} "
-                 f"{'op':<18} {'source':<16} statement"]
+                 f"{'op':<18} {'detail':<10} {'source':<16} statement"]
         total = max(self.total_seconds, 1e-12)
-        cumulative = 0.0
-        for entry in self.entries[:top_n]:
-            cumulative += entry.seconds
+
+        def row(entry: OpCost, cumulative: str) -> str:
             snippet = entry.snippet
             if len(snippet) > 48:
                 snippet = snippet[:45] + "..."
-            lines.append(
-                f"{entry.seconds:>10.6f} {entry.seconds / total:>6.1%} "
-                f"{cumulative / total:>6.1%} {entry.op:<18} "
-                f"{(entry.source or '-'):<16} {snippet}")
+            return (f"{entry.seconds:>10.6f} {entry.seconds / total:>6.1%} "
+                    f"{cumulative:>6} {entry.op:<18} "
+                    f"{(entry.detail or '-')[:10]:<10} "
+                    f"{(entry.source or '-'):<16} {snippet}")
+
+        cumulative = 0.0
+        for entry in self.entries[:top_n]:
+            cumulative += entry.seconds
+            lines.append(row(entry, f"{cumulative / total:.1%}"))
         remaining = len(self.entries) - top_n
         if remaining > 0:
             rest = sum(e.seconds for e in self.entries[top_n:])
             lines.append(f"{rest:>10.6f} {rest / total:>6.1%} "
                          f"{'100.0%':>7} (+{remaining} more)")
+        # an access the lowering could not slice gets a line of its own
+        # wherever it ranks
+        lines += [row(entry, "") for entry in self.entries[top_n:]
+                  if entry.detail == "indexed"]
         return "\n".join(lines)
 
     def as_dict(self) -> Dict:
@@ -188,7 +206,8 @@ class KernelProfileReport:
                 "by_class": self.by_class(),
                 "entries": [{"index": e.index, "op": e.op,
                              "dialect": e.dialect, "seconds": e.seconds,
-                             "source": e.source, "snippet": e.snippet}
+                             "source": e.source, "snippet": e.snippet,
+                             "detail": e.detail}
                             for e in self.entries]}
 
 
@@ -204,6 +223,7 @@ _CLASS_TO_CONSTANT = {
     "pow": "EL_POW_NS",
     "move": "EL_MOVE_NS",
     "gather": "EL_GATHER_NS",
+    "indexed": "EL_INDEXED_NS",
     "lut": "EL_LUT_COLUMN_NS",
 }
 

@@ -12,7 +12,10 @@ This plays the role of MLIR's lowering to LLVM and JIT execution:
   shape-polymorphic), while the per-ISA width W is charged by the
   machine model.  NumPy's C kernels stand in for the SIMD units, so the
   measured scalar-vs-vector gap mirrors the paper's scalar-vs-SIMD gap
-  (DESIGN.md §2).
+  (DESIGN.md §2).  Memory accesses whose address is affine in the loop
+  induction variable and the lane id lower to strided slices of a
+  per-memref block view (*unit* / *strided* addressing); only the rest
+  build an index array (*indexed* addressing) — DESIGN.md §6.2.
 
 The generated source is kept on the :class:`CompiledKernel` for
 inspection and tests.
@@ -23,19 +26,21 @@ from __future__ import annotations
 import math
 import re
 import time as _time
-from dataclasses import dataclass
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from dataclasses import dataclass, replace
+from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
 
-from ..ir.core import Block, IRError, Module, Operation, Value
+from ..ir.core import (Block, IRError, Module, Operation, OpResult, Value,
+                       is_defined_in)
 from ..ir.dialects.arith import trunc_div, trunc_rem
+from ..ir.types import VectorType
 from .lut_runtime import (lut_interp_row, lut_interp_row_spline,
                           lut_interp_row_spline_vec, lut_interp_row_vec)
 
 #: bump whenever generated source semantics change — part of the
 #: persistent kernel cache key (repro.runtime.kernel_cache)
-LOWERING_VERSION = 2
+LOWERING_VERSION = 3
 
 #: fused expressions deeper than this are materialized into a named
 #: temporary so generated lines stay readable and CPython's parser
@@ -399,8 +404,156 @@ for _op, _tpl in VECTOR_MATH_TEMPLATES.items():
         _ARENA_UFUNCS.setdefault(_op, f"np.{_m.group(1)}")
 
 #: operand texts safe to mention twice (once as input, once for the
-#: arena's shape/dtype probe): bare names and numeric literals
-_SIMPLE_OPERAND = re.compile(r"[A-Za-z_]\w*|[-+]?\d+(\.\d+)?(e[-+]?\d+)?")
+#: arena's shape/dtype probe): bare names and numeric literals (a
+#: negative literal arrives parenthesised, see ``_lower_constant``)
+_NUMBER = r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?"
+_SIMPLE_OPERAND = re.compile(rf"[A-Za-z_]\w*|{_NUMBER}|\({_NUMBER}\)")
+
+# -- addressing modes (DESIGN.md §6.2) ---------------------------------------
+# A vector memory access in the flattened cell loop touches, for block k
+# and lane l, the address ``a*(lb + k*S) + sym + b + c*l``.  When the
+# analysis proves that form the access is a strided slice of a
+# ``(n_blocks, a*S)`` view of the memref; otherwise it builds the index
+# array.
+
+#: op -> position of its index operand
+_ACCESS_INDEX_OPERAND = {"vector.load": 1, "vector.store": 2,
+                         "vector.gather": 1, "vector.scatter": 2}
+#: ops that compute nothing but addresses when every use is one
+_ADDRESS_OPS = {"arith.addi", "arith.subi", "arith.muli",
+                "arith.index_cast", "vector.broadcast", "vector.step"}
+
+
+@dataclass(frozen=True)
+class _Affine:
+    """An index value as ``a*iv + sym + b + c*lane`` over one cell loop."""
+
+    a: int = 0                     # coefficient of the induction variable
+    b: int = 0                     # compile-time constant
+    c: int = 0                     # coefficient of the lane id
+    sym: Optional[Value] = None    # loop-invariant runtime scalar
+
+    @property
+    def invariant(self) -> bool:
+        return self.a == 0 and self.c == 0
+
+    @property
+    def constant(self) -> bool:
+        return self.invariant and self.sym is None
+
+
+@dataclass(frozen=True)
+class Access:
+    """The addressing mode of one vector memory access."""
+
+    #: ``unit`` (lanes adjacent), ``strided`` (lanes a constant stride
+    #: apart) or ``indexed`` (nothing proven: an index array)
+    mode: str
+    mem: Value
+    loop: Operation
+    #: the address including the lane term; ``None`` when indexed
+    form: Optional[_Affine] = None
+    #: the loop's constant step (cells per block)
+    step: int = 0
+
+
+class _AffineAnalysis:
+    """Derives :class:`_Affine` forms for index values of one cell loop."""
+
+    def __init__(self, loop: Operation):
+        self.loop = loop
+        self.iv = loop.regions[0].entry.args[0]
+        self.forms: Dict[int, Optional[_Affine]] = {}
+
+    def form(self, value: Value) -> Optional[_Affine]:
+        key = id(value)
+        if key not in self.forms:
+            self.forms[key] = self._derive(value)
+        return self.forms[key]
+
+    def _derive(self, value: Value) -> Optional[_Affine]:
+        if value is self.iv:
+            return _Affine(a=1)
+        if not value.type.is_integer:
+            return None
+        unvaried = not is_defined_in(value, self.loop)
+        if isinstance(value, OpResult):
+            operands = [self.form(v) for v in value.op.operands]
+            if all(f is not None for f in operands):
+                form = self._combine(value.op, operands)
+                if form is not None:
+                    return form
+                unvaried = unvaried or (
+                    value.op.is_pure and bool(operands)
+                    and all(f.invariant for f in operands))
+        if unvaried and not isinstance(value.type, VectorType):
+            return _Affine(sym=value)       # a runtime scalar symbol
+        return None
+
+    @staticmethod
+    def _combine(op: Operation,
+                 operands: List[_Affine]) -> Optional[_Affine]:
+        name = op.name
+        if name == "arith.constant":
+            value = op.attributes["value"]
+            is_int = isinstance(value, int) and not isinstance(value, bool)
+            return _Affine(b=value) if is_int else None
+        if name == "vector.step":
+            return _Affine(c=1)
+        if name in ("vector.broadcast", "arith.index_cast"):
+            return operands[0]
+        if name in ("arith.addi", "arith.subi"):
+            x, y = operands
+            if name == "arith.subi":
+                if y.sym is not None:
+                    return None
+                y = _Affine(-y.a, -y.b, -y.c)
+            if x.sym is not None and y.sym is not None:
+                return None
+            return _Affine(x.a + y.a, x.b + y.b, x.c + y.c,
+                           x.sym if x.sym is not None else y.sym)
+        if name == "arith.muli":
+            x, k = operands
+            if not k.constant:
+                x, k = k, x
+            if not k.constant or x.sym is not None:
+                return None
+            return _Affine(x.a * k.b, x.b * k.b, x.c * k.b)
+        return None
+
+    def classify(self, op: Operation) -> Access:
+        """The cheapest addressing mode ``op``'s index proves."""
+        position = _ACCESS_INDEX_OPERAND[op.name]
+        indexed = Access("indexed", op.operands[position - 1], self.loop)
+        index = op.operands[position:]      # a mask makes it longer
+        step = self.form(self.loop.operands[2])
+        form = self.form(index[0]) if len(index) == 1 else None
+        if form is None or step is None or not step.constant:
+            return indexed
+        if op.name in ("vector.load", "vector.store"):
+            form = replace(form, c=form.c + 1)     # the implicit lane id
+            vec = op.results[0] if op.results else op.operands[0]
+        else:
+            vec = index[0]
+        last_lane = form.b + form.c * (vec.type.width - 1)
+        if form.a < 1 or form.c < 1 or form.b < 0 \
+                or last_lane >= form.a * step.b:
+            return indexed
+        return replace(indexed, mode="unit" if form.c == 1 else "strided",
+                       form=form, step=step.b)
+
+
+def analyze_accesses(func_op: Operation) -> Dict[int, Access]:
+    """``id(op)`` -> :class:`Access` for every vector memory access
+    inside a cell loop of ``func_op`` (masked accesses are indexed)."""
+    accesses: Dict[int, Access] = {}
+    for loop in func_op.walk():
+        if loop.name == "scf.for" and loop.attributes.get("cell_loop"):
+            analysis = _AffineAnalysis(loop)
+            for op in loop.walk():
+                if op.name in _ACCESS_INDEX_OPERAND:
+                    accesses[id(op)] = analysis.classify(op)
+    return accesses
 
 
 class _FunctionLowering:
@@ -454,6 +607,18 @@ class _FunctionLowering:
         # simt kernels flatten scalar per-thread code over NumPy arrays,
         # so they share the vector op table
         self.expr_table = _SCALAR_EXPR if mode == "scalar" else _VECTOR_EXPR
+        #: id(op) -> addressing mode of each vector memory access
+        self.access: Dict[int, Access] = {}
+        #: ids of ops whose results only ever feed a sliced address
+        self.address_only: Set[int] = set()
+        #: (loop, memref, a, sym) -> name of the hoisted block view
+        self.views: Dict[Tuple[int, int, int, int], str] = {}
+        #: id(cell loop) -> name of its block count
+        self.block_counts: Dict[int, str] = {}
+        #: cell loops lowered flattened so far
+        self.flat_loops: List[Operation] = []
+        #: True once a statement mentions ``_lanes``
+        self.uses_lanes = False
 
     # -- naming ------------------------------------------------------------------
 
@@ -555,11 +720,110 @@ class _FunctionLowering:
         header = f"def {sym}({', '.join(arg_names)}):"
         self.lines.append(header)
         if self.mode == "vector":
-            self.line(f"_lanes = np.arange({self.width})")
+            self._plan_addressing()
         self._lower_block_ops(entry)
-        if len(self.lines) == 1 + (1 if self.mode == 'vector' else 0):
+        if self.uses_lanes:
+            self.lines.insert(1, f"    _lanes = np.arange({self.width})")
+        if len(self.lines) == 1:
             self.line("pass")
         return "\n".join(self.lines)
+
+    # -- addressing ---------------------------------------------------------------
+
+    def _plan_addressing(self) -> None:
+        """Classify every vector access, then find the index arithmetic
+        that only sliced accesses consume: it is never materialised."""
+        self.access = analyze_accesses(self.op)
+        live = {id(a.form.sym) for a in self.access.values()
+                if a.form is not None and a.form.sym is not None}
+        # users come after definitions, so one reverse walk settles it
+        for op in reversed(list(self.op.walk())):
+            if op.name in _ADDRESS_OPS and id(op.results[0]) not in live \
+                    and self._feeds_only_slices(op.results[0]):
+                self.address_only.add(id(op))
+
+    def _feeds_only_slices(self, value: Value) -> bool:
+        for user, position in value.uses:
+            if id(user) in self.address_only:
+                continue
+            access = self.access.get(id(user))
+            if access is None or access.form is None \
+                    or position != _ACCESS_INDEX_OPERAND[user.name]:
+                return False        # a use that needs the value itself
+        return True
+
+    @staticmethod
+    def _view_key(access: Access) -> Tuple[int, int, int, int]:
+        return (id(access.loop), id(access.mem), access.form.a,
+                id(access.form.sym))
+
+    def _block_view(self, access: Access) -> str:
+        """The ``(n_blocks, a*step)`` view of the memref whose row k
+        holds every address block k of ``access`` may touch.  A slice
+        clipped by the end of the buffer cannot be reshaped, so an
+        out-of-range block raises instead of reading or writing past
+        the memref."""
+        hoisted = self.views.get(self._view_key(access))
+        if hoisted is not None:
+            return hoisted
+        form = access.form
+        lo = self.name_of(access.loop.operands[0])
+        if form.a != 1:
+            lo = f"{form.a}*{lo}"
+        if form.sym is not None:
+            lo = f"{self.use_name(form.sym)} + {lo}"
+        n_blocks = self.block_counts[id(access.loop)]
+        row = form.a * access.step
+        return (f"{self.use_name(access.mem)}[{lo}:{lo} + {n_blocks}*{row}]"
+                f".reshape({n_blocks}, {row})")
+
+    @staticmethod
+    def _lane_columns(access: Access, width: int) -> str:
+        """The column slice selecting ``access``'s ``width`` lanes from a
+        row of its block view ('' when they are the whole row)."""
+        form = access.form
+        stop = form.b + form.c * (width - 1) + 1
+        if form.b == 0 and stop == form.a * access.step:
+            return ""
+        stride = "" if form.c == 1 else f":{form.c}"
+        return f"[:, {form.b}:{stop}{stride}]"
+
+    def _lower_access(self, op: Operation) -> None:
+        """vector.load / store / gather / scatter, one emitter per
+        addressing mode: sliced (unit or strided) and indexed."""
+        n = self.use
+        position = _ACCESS_INDEX_OPERAND[op.name]
+        mem, index = op.operands[position - 1:position + 1]
+        stores = not op.results
+        value = op.operands[0] if stores else None
+        access = self.access.get(id(op))
+        if access is not None and access.form is not None:
+            vec = value if stores else op.results[0]
+            view = self._block_view(access)
+            columns = self._lane_columns(access, vec.type.width)
+            if stores:
+                text = f"{view}{columns or '[:]'} = {n(value)}"
+            else:
+                # a copy: later stores must not show through, and every
+                # consumer ufunc gets a contiguous operand
+                text = f"{self.fresh(op.results[0])} = {view}{columns}.copy()"
+        elif op.name in ("vector.load", "vector.store"):
+            self.uses_lanes = True
+            where = f"_vb({n(index)}) + _lanes"
+            if stores:
+                text = f"_vstore({n(mem)}, {where}, {n(value)})"
+            else:
+                text = f"{self.fresh(op.results[0])} = {n(mem)}[{where}]"
+        else:
+            extra = "".join(f", {n(v)}" for v in op.operands[position + 1:])
+            if stores:
+                text = (f"_vscatter({n(mem)}, {n(index)}, {n(value)}"
+                        f"{extra})")
+            else:
+                text = (f"{self.fresh(op.results[0])} = _vgather({n(mem)}, "
+                        f"{n(index)}{extra})")
+        self._emit_stmt(text, op,
+                        detail=access.mode if access else "indexed")
 
     # -- structure ----------------------------------------------------------------
 
@@ -569,6 +833,8 @@ class _FunctionLowering:
 
     def _lower_op(self, op: Operation) -> None:
         name = op.name
+        if id(op) in self.address_only:
+            return
         if name == "func.return":
             if op.operands:
                 values = ", ".join(self.use(v) for v in op.operands)
@@ -617,8 +883,10 @@ class _FunctionLowering:
         if name == "func.call":
             self._lower_call(op)
             return
-        if name in ("memref.load", "memref.store", "vector.load",
-                    "vector.store", "vector.gather", "vector.scatter",
+        if name in _ACCESS_INDEX_OPERAND:
+            self._lower_access(op)
+            return
+        if name in ("memref.load", "memref.store",
                     "vector.broadcast", "vector.extract", "vector.insert",
                     "vector.step", "memref.cast", "memref.view",
                     "memref.dim", "arith.select", "arith.cmpf",
@@ -676,9 +944,7 @@ class _FunctionLowering:
             call = f"_lut_vec({operands})"
         elif callee.startswith("LUT_interpRow"):
             call = f"_lut_scalar({operands})"
-        elif callee.startswith("foreign_"):
-            call = f"{_sanitize(callee)}({operands})"
-        else:
+        else:       # foreign_* and module-local functions alike
             call = f"{_sanitize(callee)}({operands})"
         if not op.results:
             self._emit_stmt(call, op, detail=callee)
@@ -718,33 +984,16 @@ class _FunctionLowering:
             text = n(value)
             indices = ", ".join(n(v) for v in idx)
             self._emit_stmt(f"{n(base)}[{indices}] = {text}", op)
-        elif name == "vector.load":
-            base, *idx = op.operands
-            result = self.fresh(op.results[0])
-            self._emit_stmt(f"{result} = {n(base)}"
-                            f"[_vb({n(idx[0])}) + _lanes]", op)
-        elif name == "vector.store":
-            value, base, *idx = op.operands
-            text = n(value)
-            self._emit_stmt(f"_vstore({n(base)}, _vb({n(idx[0])}) + "
-                            f"_lanes, {text})", op)
-        elif name == "vector.gather":
-            base, idx = op.operands[0], op.operands[1]
-            extra = ""
-            if len(op.operands) == 4:
-                extra = f", {n(op.operands[2])}, {n(op.operands[3])}"
-            result = self.fresh(op.results[0])
-            self._emit_stmt(f"{result} = _vgather({n(base)}, "
-                            f"{n(idx)}{extra})", op)
-        elif name == "vector.scatter":
-            value, base, idx = op.operands[0], op.operands[1], op.operands[2]
-            text = n(value)
-            extra = f", {n(op.operands[3])}" if len(op.operands) == 4 else ""
-            self._emit_stmt(f"_vscatter({n(base)}, {n(idx)}, "
-                            f"{text}{extra})", op)
         elif name == "vector.broadcast":
-            depth = 1 + self._depth_of(op.operands[0])
-            self._defer_or_assign(op, f"_vb({n(op.operands[0])})", depth)
+            src = op.operands[0]
+            depth = self._depth_of(src)
+            if self._per_block(src):
+                self._defer_or_assign(op, f"_vb({n(src)})", 1 + depth)
+            elif self.fuse and id(src) in self.names:
+                # a scalar the cell loop does not vary broadcasts itself
+                self.names[id(op.results[0])] = self.names[id(src)]
+            else:
+                self._defer_or_assign(op, n(src), depth)
         elif name == "vector.extract":
             pos = op.attributes["position"]
             # the template mentions the source twice: force a bare name
@@ -760,6 +1009,7 @@ class _FunctionLowering:
                 op, f"_vinsert({n(vec)}, {n(scalar)}, "
                     f"{op.attributes['position']}, {width})", depth)
         elif name == "vector.step":
+            self.uses_lanes = True
             self._defer_or_assign(op, "_lanes", 0)
         elif name in ("memref.cast", "memref.view"):
             # Typed reinterpretation: runtime buffers are already flat
@@ -793,9 +1043,13 @@ class _FunctionLowering:
                 raise LoweringError(
                     "vector cell loop cannot carry iter_args")
             # Flatten: all blocks execute at once; the induction variable
-            # becomes the array of block start indices.
-            self._emit_stmt(f"{iv_name} = np.arange({lb}, {ub}, {step}, "
-                            f"dtype=np.int64)", op)
+            # becomes the array of block start indices — built only when
+            # something other than a sliced address reads it.
+            self.flat_loops.append(op)
+            if not self._feeds_only_slices(body.args[0]):
+                self._emit_stmt(f"{iv_name} = np.arange({lb}, {ub}, {step}, "
+                                f"dtype=np.int64)", op)
+            self._hoist_block_views(op, f"range({lb}, {ub}, {step})")
             self._lower_block_body(body, acc_names)
             return
         self.line(f"for {iv_name} in range({lb}, {ub}, {step}):")
@@ -809,6 +1063,35 @@ class _FunctionLowering:
         self.indent -= 1
         for result, acc in zip(op.results, acc_names):
             self.names[id(result)] = acc
+
+    def _hoist_block_views(self, loop: Operation, blocks: str) -> None:
+        """Bind the loop's block count and, once per (memref, row shape)
+        whose ingredients exist before the loop, the block view every
+        sliced access of that memref shares."""
+        sliced = [access for access in self.access.values()
+                  if access.loop is loop and access.form is not None]
+        if not sliced:
+            return
+        n_blocks = f"_nb{len(self.block_counts) or ''}"
+        self.block_counts[id(loop)] = n_blocks
+        self._emit_stmt(f"{n_blocks} = len({blocks})", loop)
+        for access in sliced:
+            key = self._view_key(access)
+            if key in self.views or is_defined_in(access.mem, loop) or (
+                    access.form.sym is not None
+                    and is_defined_in(access.form.sym, loop)):
+                continue
+            text = self._block_view(access)
+            self.views[key] = (f"_{self.name_of(access.mem)}"
+                               f"_b{len(self.views)}")
+            self._emit_stmt(f"{self.views[key]} = {text}", loop)
+
+    def _per_block(self, value: Value) -> bool:
+        """True when ``value`` may hold one scalar per cell block (an
+        array once the loop is flattened) rather than one scalar."""
+        if isinstance(value, OpResult) and value.op.name == "arith.constant":
+            return False
+        return any(is_defined_in(value, loop) for loop in self.flat_loops)
 
     def _lower_block_body(self, body: Block, acc_names: List[str]) -> None:
         for inner in body.ops:

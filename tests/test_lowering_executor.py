@@ -220,4 +220,5 @@ class TestKernelSourceQuality:
         runner = KernelRunner(generate_limpet_mlir(gate_model, 8))
         # markov/BE inner loops would use 'for'; this model has none
         assert "for " not in runner.kernel.source
-        assert "np.arange" in runner.kernel.source
+        # flattened: one block count, every block addressed at once
+        assert "_nb = len(range(start, end, 8))" in runner.kernel.source

@@ -380,6 +380,30 @@ class TestKernelProfiler:
         for key in snap_p:
             assert np.array_equal(snap_p[key], snap_u[key]), key
 
+    @pytest.mark.parametrize("layout", ["aosoa", "aos", "soa"])
+    def test_profiled_access_modes_bitwise_identical(self, layout):
+        """Sliced loads and stores bracket like any statement; their
+        provenance names the addressing mode and the hot table shows it."""
+        def runner(**kwargs):
+            return KernelRunner(generate_limpet_mlir(
+                load_model("LuoRudy91"), 8, layout=layout), **kwargs)
+        profiled, plain = runner(profile=True), runner()
+        res_p = profiled.run(profiled.make_state(21), 25, 0.01)
+        res_u = plain.run(plain.make_state(21), 25, 0.01)
+        snap_p, snap_u = res_p.state.snapshot(), res_u.state.snapshot()
+        for key in snap_u:
+            assert np.array_equal(snap_p[key], snap_u[key]), key
+        modes = {e["detail"] for e in profiled.kernel.provenance
+                 if e["op"] in ("vector.load", "vector.store",
+                                "vector.gather", "vector.scatter")}
+        assert modes == ({"unit", "strided"} if layout == "aos"
+                         else {"unit"})
+        report = profiled.profile_report(invocations=25)
+        assert "detail" in report.hot_table(3).splitlines()[1]
+        assert any(f" {mode} " in report.hot_table(len(report.entries))
+                   for mode in modes)
+        assert "indexed" not in report.by_class()
+
     def test_profile_report_attributes_compute_time(self):
         profiled = make_runner("OHara", profile=True)
         plain = make_runner("OHara")
