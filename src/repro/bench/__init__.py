@@ -1,4 +1,10 @@
-"""Benchmark harness: measured engines + the modeled Cascade Lake bench."""
+"""Benchmark harness: measured engines + the modeled Cascade Lake bench.
+
+The perf record (:mod:`repro.bench.record`) and the regression gate
+(:mod:`repro.bench.regress`) are imported by name, not re-exported
+here: the gate pulls in :mod:`repro.tuning`, which itself imports
+:mod:`repro.bench.timing`.
+"""
 
 from .harness import (PAPER_CELLS, PAPER_DT, PAPER_STEPS, VARIANTS,
                       BenchConfig, MeasuredRun, ModeledBench, ModeledRun,
@@ -8,10 +14,8 @@ from .coldstart import (REPRESENTATIVE, check_coldstart_report,
                         coldstart_report, format_coldstart_table)
 from .perf import (CANONICAL_CELLS, CANONICAL_DT, CANONICAL_MODEL,
                    CANONICAL_STEPS, CANONICAL_WIDTH, PerfVariant,
-                   check_report, check_sweep_report, combine_sweep_reports,
-                   perf_report, sweep_report, write_report)
-from .regress import (GateRow, extract_metrics, format_gate_table,
-                      measure_current, perf_gate)
+                   check_report, check_sweep_report, perf_report,
+                   sweep_report)
 from .report import (THREAD_SWEEP, figure_isa_sweep, figure_roofline,
                      figure_scaling, figure_speedups, format_isa_sweep,
                      format_perf_table, format_scaling_table,
@@ -26,12 +30,10 @@ __all__ = ["PAPER_CELLS", "PAPER_DT", "PAPER_STEPS", "VARIANTS",
            "generate_variant", "kernel_profile", "run_measured",
            "CANONICAL_CELLS", "CANONICAL_DT", "CANONICAL_MODEL",
            "CANONICAL_STEPS", "CANONICAL_WIDTH", "PerfVariant",
-           "check_report", "check_sweep_report", "combine_sweep_reports",
+           "check_report", "check_sweep_report",
            "perf_report", "sweep_report", "format_sweep_report",
-           "write_report", "REPRESENTATIVE", "check_coldstart_report",
+           "REPRESENTATIVE", "check_coldstart_report",
            "coldstart_report", "format_coldstart_table",
-           "GateRow", "extract_metrics", "format_gate_table",
-           "measure_current", "perf_gate",
            "THREAD_SWEEP", "figure_isa_sweep", "figure_roofline",
            "figure_scaling", "figure_speedups", "format_isa_sweep",
            "format_perf_table", "format_scaling_table",

@@ -1,4 +1,5 @@
-"""Cold-start benchmark: JIT vs AOT artifact bundle (BENCH_PR8).
+"""Cold-start benchmark: JIT vs AOT artifact bundle (the ``coldstart``
+section of the perf record, :mod:`repro.bench.record`).
 
 The whole point of ``limpet-bench build-all`` is the fleet cold start:
 a fresh process — empty kernel cache, nothing warm — should reach its
@@ -18,7 +19,7 @@ tracer (proof the artifact path really skipped ``passes``/``verify``/
 ``lowering``), and a sha256 over the final state matrix (proof the
 served kernel is bitwise-identical to the JIT one).
 
-``check_coldstart_report`` encodes the PR's acceptance bar: bitwise
+``check_coldstart_report`` encodes the acceptance bar: bitwise
 identity on every model, zero compile-stage spans in every artifact
 child, and >= ``min_speedup`` time-to-first-step on at least
 ``min_models`` of the representative set.
@@ -29,17 +30,16 @@ from __future__ import annotations
 import json
 import os
 import pathlib
-import platform
 import subprocess
 import sys
 import tempfile
 import time
 from typing import Dict, List, Optional, Sequence
 
-from ..runtime import available_cpus
+from .record import make_section
 
 #: models whose pipeline cost dominates cold start (the large Markov
-#: models plus the canonical mid-size ones) — the set BENCH_PR8 reports
+#: models plus the canonical mid-size ones) — the set BENCH.json records
 REPRESENTATIVE = ("TomekORd", "IyerMazhariWinslow", "HeijmanRudy",
                   "OHara", "Courtemanche")
 
@@ -125,9 +125,12 @@ def _run_child(model: str, mode: str, bundle: Optional[str],
                n_cells: int, n_steps: int, dt: float, width: int,
                workdir: pathlib.Path) -> Dict:
     """One measurement process; returns its parsed result JSON."""
-    cache_dir = workdir / f"cache-{model}-{mode}"
-    cache_dir.mkdir(parents=True, exist_ok=True)
-    result_path = workdir / f"result-{model}-{mode}.json"
+    # a directory of its own per child: repeats must not share a cache
+    child_dir = pathlib.Path(tempfile.mkdtemp(prefix=f"{model}-{mode}-",
+                                              dir=workdir))
+    cache_dir = child_dir / "cache"
+    cache_dir.mkdir()
+    result_path = child_dir / "result.json"
     env = dict(os.environ)
     env["PYTHONPATH"] = _src_root()
     env["LIMPET_CACHE_DIR"] = str(cache_dir)     # always a cold cache
@@ -163,11 +166,16 @@ def _run_child(model: str, mode: str, bundle: Optional[str],
 def coldstart_report(models: Sequence[str] = REPRESENTATIVE,
                      bundle: Optional[str] = None,
                      n_cells: int = 64, n_steps: int = 50,
-                     dt: float = 0.01, width: int = 8) -> Dict:
-    """Build the BENCH_PR8 report: per-model JIT vs artifact cold start.
+                     dt: float = 0.01, width: int = 8,
+                     repeats: int = 1) -> Dict:
+    """Build the ``coldstart`` section: per-model JIT vs artifact.
 
-    ``bundle`` is an existing bundle directory; when None one is built
-    into a temporary directory first (its build time is reported).
+    Variants are named ``<model>.jit`` / ``<model>.artifact`` and carry
+    the child's whole result.  ``bundle`` is an existing bundle
+    directory; when None one is built into a temporary directory first
+    (its build time is reported).  Each variant is the fastest of
+    ``repeats`` children: fresh processes are noisy and the record
+    should hold capability, not scheduler luck.
     """
     from ..aot import build_bundle
 
@@ -185,68 +193,80 @@ def coldstart_report(models: Sequence[str] = REPRESENTATIVE,
                 raise RuntimeError(
                     "bundle build failed for: " +
                     ", ".join(e.model for e in failed))
-        rows: List[Dict] = []
+        variants: List[Dict] = []
+        ratios: Dict[str, float] = {}
+        bitwise: Dict[str, bool] = {}
+
+        def fastest(model: str, mode: str, store: Optional[str]) -> Dict:
+            return min((_run_child(model, mode, store, n_cells, n_steps,
+                                   dt, width, workdir)
+                        for _ in range(max(1, repeats))),
+                       key=lambda child: child["time_to_first_step"])
+
         for model in models:
-            jit = _run_child(model, "jit", None, n_cells, n_steps,
-                             dt, width, workdir)
-            art = _run_child(model, "artifact", bundle, n_cells,
-                             n_steps, dt, width, workdir)
-            speedup = (jit["time_to_first_step"]
-                       / max(art["time_to_first_step"], 1e-12))
-            rows.append({"model": model, "jit": jit, "artifact": art,
-                         "speedup_time_to_first_step": speedup,
-                         "bitwise_identical":
-                         jit["state_sha256"] == art["state_sha256"]})
-    return {
-        "benchmark": "BENCH_PR8",
-        "config": {"models": list(models), "n_cells": n_cells,
-                   "n_steps": n_steps, "dt": dt, "width": width,
-                   "isolation": "one child process per measurement, "
-                                "scratch LIMPET_CACHE_DIR"},
-        "machine": {"platform": platform.platform(),
-                    "python": platform.python_version(),
-                    "available_cpus": available_cpus()},
-        "bundle_build_seconds": build_seconds,
-        "models": rows,
-    }
+            jit = fastest(model, "jit", None)
+            art = fastest(model, "artifact", bundle)
+            variants += [{"name": f"{model}.jit", **jit},
+                         {"name": f"{model}.artifact", **art}]
+            ratios[f"{model}.artifact_vs_jit"] = (
+                jit["time_to_first_step"]
+                / max(art["time_to_first_step"], 1e-12))
+            bitwise[model] = jit["state_sha256"] == art["state_sha256"]
+    return make_section(
+        config={"models": list(models), "n_cells": n_cells,
+                "n_steps": n_steps, "dt": dt, "width": width,
+                "repeats": repeats},
+        variants=variants, ratios=ratios,
+        evidence={"isolation": "one child process per measurement, "
+                               "scratch LIMPET_CACHE_DIR",
+                  "bundle_build_seconds": build_seconds,
+                  "bitwise_identical": bitwise})
 
 
-def format_coldstart_table(report: Dict) -> str:
-    """Render a :func:`coldstart_report` dict as a text table."""
-    cfg = report["config"]
+def _by_model(section: Dict):
+    """``(model, jit, artifact, speedup, bitwise)`` per recorded model."""
+    variants = {v["name"]: v for v in section["variants"]}
+    for model in section["config"]["models"]:
+        yield (model, variants[f"{model}.jit"],
+               variants[f"{model}.artifact"],
+               section["ratios"][f"{model}.artifact_vs_jit"],
+               section["evidence"]["bitwise_identical"][model])
+
+
+def format_coldstart_table(section: Dict) -> str:
+    """Render a :func:`coldstart_report` section as a text table."""
+    cfg = section["config"]
     lines = [
-        f"BENCH_PR8 — cold start, JIT vs AOT bundle "
+        f"cold start, JIT vs AOT bundle "
         f"({cfg['n_cells']} cells x {cfg['n_steps']} steps, "
         f"width {cfg['width']}, fresh process + cold cache each)",
         f"{'model':<22} {'jit ttfs':>11} {'artifact ttfs':>14} "
         f"{'speedup':>8} {'bitwise':>8} {'0-compile':>10}",
     ]
-    for row in report["models"]:
-        art = row["artifact"]
+    for model, jit, art, speedup, bitwise in _by_model(section):
         no_compile = not any(art["spans"].get(s) for s in COMPILE_SPANS)
         lines.append(
-            f"{row['model']:<22} "
-            f"{row['jit']['time_to_first_step'] * 1e3:>9.1f}ms "
+            f"{model:<22} "
+            f"{jit['time_to_first_step'] * 1e3:>9.1f}ms "
             f"{art['time_to_first_step'] * 1e3:>12.1f}ms "
-            f"{row['speedup_time_to_first_step']:>7.2f}x "
-            f"{'yes' if row['bitwise_identical'] else 'NO':>8} "
+            f"{speedup:>7.2f}x "
+            f"{'yes' if bitwise else 'NO':>8} "
             f"{'yes' if no_compile and art['artifact_hit'] else 'NO':>10}")
-    if report.get("bundle_build_seconds") is not None:
-        lines.append(f"bundle build: "
-                     f"{report['bundle_build_seconds']:.2f}s "
-                     f"({len(report['models'])} models)")
+    build_seconds = section["evidence"].get("bundle_build_seconds")
+    if build_seconds is not None:
+        lines.append(f"bundle build: {build_seconds:.2f}s "
+                     f"({len(cfg['models'])} models)")
     return "\n".join(lines)
 
 
-def check_coldstart_report(report: Dict, min_speedup: float = 5.0,
+def check_coldstart_report(section: Dict, min_speedup: float = 5.0,
                            min_models: int = 3) -> List[str]:
-    """The PR8 acceptance assertions; returns failures (empty = ok)."""
+    """The cold-start acceptance assertions; returns failures
+    (empty = ok)."""
     failures: List[str] = []
     fast = 0
-    for row in report.get("models", []):
-        model = row["model"]
-        art = row["artifact"]
-        if not row.get("bitwise_identical"):
+    for model, _, art, speedup, bitwise in _by_model(section):
+        if not bitwise:
             failures.append(f"{model}: artifact trajectory is not "
                             f"bitwise-identical to the JIT one")
         if not art.get("artifact_hit"):
@@ -257,10 +277,11 @@ def check_coldstart_report(report: Dict, min_speedup: float = 5.0,
                 failures.append(
                     f"{model}: artifact child ran {art['spans'][name]} "
                     f"{name!r} span(s) — cold start was not zero-compile")
-        if row.get("speedup_time_to_first_step", 0.0) >= min_speedup:
+        if speedup >= min_speedup:
             fast += 1
-    if len(report.get("models", [])) < min_models:
-        failures.append(f"report covers {len(report.get('models', []))} "
+    covered = len(section["config"]["models"])
+    if covered < min_models:
+        failures.append(f"report covers {covered} "
                         f"models; need >= {min_models}")
     elif fast < min_models:
         failures.append(

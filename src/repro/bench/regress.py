@@ -1,23 +1,24 @@
-"""Perf-regression gate: current measurements vs a committed BENCH file.
+"""Perf-regression gate: current measurements vs a committed record.
 
-The repo's BENCH_*.json trajectory (PR2 variants, PR7 population
-sweeps, PR8 cold starts) records what the machine that produced them
-could do.  ``limpet-bench perf --baseline BENCH_PR8.json`` re-measures
-the same configuration **today** and fails (non-zero exit) when a
-tracked metric regressed beyond ``--tolerance`` — the observe-then-
-calibrate loop the paper applies to its generated kernels, turned on
-the reproduction itself and wired into CI.
+``BENCH.json`` records what the machine that produced it could do
+(:mod:`repro.bench.record`).  ``limpet-bench perf --baseline BENCH.json``
+re-measures every section the file holds, with the section's own
+``config``, **today**, and fails (non-zero exit) when a tracked metric
+regressed beyond ``--tolerance`` — the observe-then-calibrate loop the
+paper applies to its generated kernels, turned on the reproduction
+itself and wired into CI.
 
-Two classes of metric, gated differently:
+Two classes of metric fall out of the section shape, gated differently:
 
-* **ratio** metrics (speedups: artifact-vs-JIT time-to-first-step,
-  fused-vs-baseline run time, batched-vs-loop sweeps) are dimension-
-  less and survive a machine change — always gated;
-* **absolute** metrics (steps_per_second, seconds of
-  time_to_first_step) only mean something on the machine that recorded
-  the baseline — gated when ``platform.platform()`` matches the
-  baseline's ``machine.platform``, reported as *skipped* otherwise
-  (CI runners differ from the committed-baseline machine).
+* every entry of a section's ``ratios`` (speedups: artifact-vs-JIT
+  time-to-first-step, fused-vs-baseline run time, batched-vs-loop
+  sweeps, tuned-vs-default) is dimensionless and survives a machine
+  change — always gated;
+* ``steps_per_second`` and ``time_to_first_step`` of every variant are
+  **absolute** and only mean something on the machine that recorded
+  the baseline — gated when the two records' machine identities match
+  (:func:`repro.bench.record.same_machine`), reported as *skipped*
+  otherwise (CI runners differ from the committed-baseline machine).
 
 A regression is ``current < baseline * (1 - tolerance)`` for
 higher-is-better metrics and ``current > baseline * (1 + tolerance)``
@@ -28,17 +29,25 @@ actually trips (``perf --baseline ... --inject-slowdown 4``).
 
 from __future__ import annotations
 
-import json
-import pathlib
-import platform
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-__all__ = ["GateRow", "extract_metrics", "measure_current",
+from ..tuning.report import tuning_report
+from .coldstart import coldstart_report
+from .perf import perf_report, sweep_report
+from .record import load_record, make_record, same_machine
+
+__all__ = ["MEASURE", "GateRow", "extract_metrics", "measure_record",
            "compare_metrics", "perf_gate", "format_gate_table"]
 
-#: benchmark schemas the gate can re-measure
-SUPPORTED = ("BENCH_PR2", "BENCH_PR7", "BENCH_PR8")
+#: section name -> its measurer; a section's ``config`` is exactly the
+#: measurer's keyword arguments
+MEASURE: Dict[str, Callable[..., Dict]] = {
+    "perf": perf_report, "sweep": sweep_report,
+    "coldstart": coldstart_report, "tune": tuning_report}
+
+#: the absolute per-variant metrics: (key, higher is better)
+ABSOLUTE = (("steps_per_second", True), ("time_to_first_step", False))
 
 
 @dataclass
@@ -58,170 +67,71 @@ class GateRow:
         return self.status == "regression"
 
 
-def _metric(out: List[Dict], name: str, value, higher_better: bool,
-            absolute: bool) -> None:
-    if isinstance(value, (int, float)) and value > 0:
-        out.append({"name": name, "value": float(value),
-                    "higher_better": higher_better,
-                    "absolute": absolute})
-
-
-def extract_metrics(report: Dict) -> List[Dict]:
-    """The gated metrics of one BENCH report, schema-dispatched.
-
-    Each entry: ``{name, value, higher_better, absolute}``.
-    """
-    bench = report.get("benchmark")
+def extract_metrics(record: Dict) -> List[Dict]:
+    """The gated metrics of a record, each
+    ``{name, value, higher_better, absolute}``."""
     out: List[Dict] = []
-    if bench == "BENCH_PR2":
-        for name, ratios in report.get("speedups_vs_baseline",
-                                       {}).items():
-            if name == "baseline":
-                continue
-            for kind in ("run", "total"):
-                _metric(out, f"speedup.{name}.{kind}",
-                        ratios.get(kind), True, False)
-        for variant in report.get("variants", []):
-            _metric(out, f"{variant.get('name')}.steps_per_second",
-                    variant.get("steps_per_second"), True, True)
-    elif bench == "BENCH_PR7":
-        entries = report.get("models")
-        if entries is None:         # a single-model sweep report
-            entries = [report]
-        for entry in entries:
-            model = entry.get("config", {}).get("model", "?")
-            _metric(out, f"{model}.speedup_batched_vs_loop",
-                    entry.get("speedup_batched_vs_loop"), True, False)
-            for variant in entry.get("variants", []):
-                _metric(out,
-                        f"{model}.{variant.get('name')}"
-                        f".steps_per_second",
-                        variant.get("steps_per_second"), True, True)
-    elif bench == "BENCH_PR8":
-        for row in report.get("models", []):
-            model = row.get("model", "?")
-            _metric(out, f"{model}.speedup_time_to_first_step",
-                    row.get("speedup_time_to_first_step"), True, False)
-            for mode in ("jit", "artifact"):
-                child = row.get(mode) or {}
-                _metric(out, f"{model}.{mode}.time_to_first_step",
-                        child.get("time_to_first_step"), False, True)
-    else:
-        raise ValueError(
-            f"cannot gate benchmark {bench!r}; supported: "
-            f"{', '.join(SUPPORTED)}")
+
+    def metric(name: str, value, higher_better: bool,
+               absolute: bool) -> None:
+        if isinstance(value, (int, float)) and value > 0:
+            out.append({"name": name, "value": float(value),
+                        "higher_better": higher_better,
+                        "absolute": absolute})
+
+    for section_name, section in record["sections"].items():
+        for name, value in section["ratios"].items():
+            metric(f"{section_name}.{name}", value, True, False)
+        for variant in section["variants"]:
+            for key, higher_better in ABSOLUTE:
+                metric(f"{section_name}.{variant['name']}.{key}",
+                       variant.get(key), higher_better, True)
     return out
 
 
-def _best_of_coldstart(reports: List[Dict]) -> Dict:
-    """Fold repeated BENCH_PR8 runs into per-model best (min ttfs per
-    mode, speedup recomputed) — cold-start children are noisy and the
-    gate should compare capability, not scheduler luck."""
-    best = reports[0]
-    if len(reports) == 1:
-        return best
-    by_model: Dict[str, Dict] = {row["model"]: dict(row)
-                                 for row in best.get("models", [])}
-    for report in reports[1:]:
-        for row in report.get("models", []):
-            seen = by_model.setdefault(row["model"], dict(row))
-            for mode in ("jit", "artifact"):
-                if row[mode]["time_to_first_step"] < \
-                        seen[mode]["time_to_first_step"]:
-                    seen[mode] = row[mode]
-    for row in by_model.values():
-        row["speedup_time_to_first_step"] = (
-            row["jit"]["time_to_first_step"]
-            / max(row["artifact"]["time_to_first_step"], 1e-12))
-    folded = dict(best)
-    folded["models"] = list(by_model.values())
-    return folded
+def measure_record(baseline: Dict, runs: Optional[int] = None) -> Dict:
+    """Re-run every section of ``baseline`` with its recorded config.
 
-
-def measure_current(baseline: Dict, repeats: int = 2,
-                    runs: Optional[int] = None) -> Dict:
-    """Re-run the baseline's benchmark with the baseline's config.
-
-    Returns a report in the same schema, measured on this machine now.
-    ``repeats`` applies to BENCH_PR8 (best-of-N children); ``runs``
-    overrides the per-variant timing runs of BENCH_PR2/PR7.
+    Returns a record measured on this machine now.  ``runs`` overrides
+    the timing runs of the sections whose config has that keyword.
     """
-    bench = baseline.get("benchmark")
-    config = baseline.get("config", {})
-    if bench == "BENCH_PR2":
-        from .perf import perf_report
-        return perf_report(
-            model_name=config.get("model", "OHara"),
-            n_cells=config.get("n_cells", 4096),
-            n_steps=config.get("n_steps", 100),
-            dt=config.get("dt", 0.01),
-            threads=config.get("threads", 4),
-            runs=runs or config.get("runs", 5),
-            width=config.get("width", 8))
-    if bench == "BENCH_PR7":
-        from .perf import combine_sweep_reports, sweep_report
-        entries = baseline.get("models")
-        if entries is None:
-            entries = [baseline]
-        reports = []
-        for entry in entries:
-            cfg = entry.get("config", {})
-            reports.append(sweep_report(
-                cfg.get("model", "LuoRudy91"),
-                params=cfg.get("params", {}),
-                cells_per_instance=cfg.get("cells_per_instance", 128),
-                n_steps=cfg.get("n_steps", 50),
-                dt=cfg.get("dt", 0.01),
-                runs=runs or cfg.get("runs", 5),
-                width=cfg.get("width", 8)))
-        return combine_sweep_reports(reports)
-    if bench == "BENCH_PR8":
-        from .coldstart import coldstart_report
-        reports = [coldstart_report(
-            models=config.get("models") or None,
-            n_cells=config.get("n_cells", 64),
-            n_steps=config.get("n_steps", 50),
-            dt=config.get("dt", 0.01),
-            width=config.get("width", 8))
-            for _ in range(max(1, repeats))]
-        return _best_of_coldstart(reports)
-    raise ValueError(
-        f"cannot re-measure benchmark {bench!r}; supported: "
-        f"{', '.join(SUPPORTED)}")
+    unknown = sorted(set(baseline["sections"]) - set(MEASURE))
+    if unknown:
+        raise ValueError(
+            f"no measurer for section(s) {', '.join(unknown)}; "
+            f"known: {', '.join(MEASURE)}")
+    sections = {}
+    for name, section in baseline["sections"].items():
+        config = dict(section["config"])
+        if runs is not None and "runs" in config:
+            config["runs"] = runs
+        sections[name] = MEASURE[name](**config)
+    return make_record(sections)
 
 
 def compare_metrics(baseline: List[Dict], current: List[Dict],
                     tolerance: float,
                     gate_absolute: bool) -> List[GateRow]:
     """Pair metrics by name and apply the tolerance."""
-    current_by_name = {m["name"]: m for m in current}
+    current_by_name = {m["name"]: m["value"] for m in current}
     rows: List[GateRow] = []
     for base in baseline:
-        name = base["name"]
-        cur = current_by_name.get(name)
-        if cur is None:
-            rows.append(GateRow(name=name, baseline=base["value"],
-                                current=None,
-                                higher_better=base["higher_better"],
-                                absolute=base["absolute"],
-                                status="missing"))
-            continue
-        ratio = cur["value"] / base["value"]
-        if base["absolute"] and not gate_absolute:
+        value = current_by_name.get(base["name"])
+        if value is None:
+            status = "missing"
+        elif base["absolute"] and not gate_absolute:
             status = "skipped"
         elif base["higher_better"]:
             status = "regression" \
-                if cur["value"] < base["value"] * (1 - tolerance) \
-                else "ok"
+                if value < base["value"] * (1 - tolerance) else "ok"
         else:
             status = "regression" \
-                if cur["value"] > base["value"] * (1 + tolerance) \
-                else "ok"
-        rows.append(GateRow(name=name, baseline=base["value"],
-                            current=cur["value"],
-                            higher_better=base["higher_better"],
-                            absolute=base["absolute"],
-                            status=status, ratio=ratio))
+                if value > base["value"] * (1 + tolerance) else "ok"
+        rows.append(GateRow(
+            name=base["name"], baseline=base["value"], current=value,
+            higher_better=base["higher_better"],
+            absolute=base["absolute"], status=status,
+            ratio=None if value is None else value / base["value"]))
     return rows
 
 
@@ -237,33 +147,29 @@ def _inject_slowdown(metrics: List[Dict], factor: float) -> List[Dict]:
 
 
 def perf_gate(baseline_path, tolerance: float = 0.15,
-              slowdown: Optional[float] = None, repeats: int = 2,
+              slowdown: Optional[float] = None,
               runs: Optional[int] = None,
               measure: Optional[Callable[[Dict], Dict]] = None
               ) -> Tuple[List[GateRow], List[str], Dict]:
     """The full gate: load baseline, re-measure, compare.
 
-    Returns ``(rows, failures, current_report)`` — ``failures`` is the
+    Returns ``(rows, failures, current_record)`` — ``failures`` is the
     list of human-readable regression lines (empty = gate passes).
     ``measure`` overrides the re-measurement (tests inject cheap
     fakes); ``slowdown`` synthetically degrades the current metrics.
     """
-    baseline_path = pathlib.Path(baseline_path)
-    with open(baseline_path) as fh:
-        baseline = json.load(fh)
+    baseline = load_record(baseline_path)
     if measure is not None:
         current = measure(baseline)
     else:
-        current = measure_current(baseline, repeats=repeats, runs=runs)
-    base_metrics = extract_metrics(baseline)
+        current = measure_record(baseline, runs=runs)
     cur_metrics = extract_metrics(current)
     if slowdown:
         cur_metrics = _inject_slowdown(cur_metrics, slowdown)
-    base_platform = baseline.get("machine", {}).get("platform")
-    gate_absolute = (base_platform is not None
-                     and base_platform == platform.platform())
-    rows = compare_metrics(base_metrics, cur_metrics, tolerance,
-                           gate_absolute)
+    rows = compare_metrics(
+        extract_metrics(baseline), cur_metrics, tolerance,
+        gate_absolute=same_machine(baseline["machine"],
+                                   current["machine"]))
     failures = []
     for row in rows:
         if row.failed:
@@ -281,7 +187,7 @@ def format_gate_table(rows: List[GateRow], tolerance: float,
         f"perf gate vs {baseline_name} (tolerance "
         f"{tolerance * 100:.0f}%; absolute metrics "
         f"{'gated' if any(r.absolute and r.status != 'skipped' for r in rows) else 'skipped: different machine'})",
-        f"{'metric':<44} {'baseline':>12} {'current':>12} "
+        f"{'metric':<52} {'baseline':>12} {'current':>12} "
         f"{'ratio':>7}  status",
     ]
     for row in rows:
@@ -289,7 +195,7 @@ def format_gate_table(rows: List[GateRow], tolerance: float,
         ratio = f"{row.ratio:.3f}" if row.ratio is not None else "-"
         mark = {"ok": "ok", "regression": "REGRESSION",
                 "skipped": "skipped", "missing": "MISSING"}[row.status]
-        lines.append(f"{row.name:<44} {row.baseline:>12g} {cur:>12} "
+        lines.append(f"{row.name:<52} {row.baseline:>12g} {cur:>12} "
                      f"{ratio:>7}  {mark}")
     n_fail = sum(r.failed for r in rows)
     n_ok = sum(r.status == "ok" for r in rows)

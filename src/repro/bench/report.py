@@ -171,40 +171,35 @@ def figure_roofline(n_cells: int = 8192, threads: int = 32,
 
 
 # ---------------------------------------------------------------------------
-# BENCH_PR2 — measured performance-layer comparison
+# Measured sections of the perf record (repro.bench.record)
 # ---------------------------------------------------------------------------
 
 
-def format_perf_table(report: Dict) -> str:
-    """Render a :func:`repro.bench.perf.perf_report` dict as a table.
+def format_perf_table(section: Dict) -> str:
+    """Render a :func:`repro.bench.perf.perf_report` section as a table.
 
     Throughput columns come from the runner's
     :class:`~repro.runtime.executor.RunResult` units
     (``steps_per_second`` / ``cell_steps_per_second``).
     """
-    cfg = report["config"]
-    machine = report.get("machine", {})
-    speedups = report["speedups_vs_baseline"]
+    cfg = section["config"]
+    ratios = section["ratios"]
     lines = [
-        f"BENCH_PR2 — {cfg['model']}: {cfg['n_cells']} cells x "
+        f"perf — {cfg['model_name']}: {cfg['n_cells']} cells x "
         f"{cfg['n_steps']} steps, dt={cfg['dt']}, "
         f"{cfg['threads']} threads "
-        f"({machine.get('available_cpus', '?')} cpus available)",
+        f"({section['evidence'].get('available_cpus', '?')} cpus "
+        f"available)",
         f"{'variant':<14} {'construct':>11} {'ttfs':>11} {'run':>11} "
         f"{'compute':>11} {'overhead':>11} {'total':>11} "
         f"{'Mcell-steps/s':>14} {'speedup':>8}",
     ]
-    for v in report["variants"]:
-        total = v["construct_seconds"] + v["run_seconds"]
-        compute = v.get("compute_seconds")
-        overhead = v.get("overhead_seconds")
-        ttfs = v.get("time_to_first_step")
-        compute_text = (f"{compute * 1e3:>9.1f}ms" if compute is not None
-                        else f"{'-':>11}")
-        overhead_text = (f"{overhead * 1e3:>9.1f}ms" if overhead is not None
-                         else f"{'-':>11}")
-        ttfs_text = (f"{ttfs * 1e3:>9.1f}ms" if ttfs is not None
-                     else f"{'-':>11}")
+
+    def millis(seconds: Optional[float]) -> str:
+        return f"{seconds * 1e3:>9.1f}ms" if seconds is not None \
+            else f"{'-':>11}"
+
+    for v in section["variants"]:
         # a population axis multiplies throughput: make it visible
         name = v["name"]
         if v.get("instances", 1) > 1:
@@ -212,45 +207,43 @@ def format_perf_table(report: Dict) -> str:
         if v.get("artifact_hit"):
             name += "*"     # construction served by the AOT bundle
         lines.append(
-            f"{name:<14} {v['construct_seconds'] * 1e3:>9.1f}ms "
-            f"{ttfs_text} "
-            f"{v['run_seconds'] * 1e3:>9.1f}ms "
-            f"{compute_text} {overhead_text} {total * 1e3:>9.1f}ms "
+            f"{name:<14} {millis(v['construct_seconds'])} "
+            f"{millis(v.get('time_to_first_step'))} "
+            f"{millis(v['run_seconds'])} "
+            f"{millis(v.get('compute_seconds'))} "
+            f"{millis(v.get('overhead_seconds'))} "
+            f"{millis(v['construct_seconds'] + v['run_seconds'])} "
             f"{v['cell_steps_per_second'] / 1e6:>14.2f} "
-            f"{speedups[v['name']]['total']:>7.2f}x")
-    extra = speedups.get("sharded", {}).get("vs_fused_run")
-    if extra is not None:
-        lines.append(f"sharded vs fused (run only): {extra:.2f}x "
-                     f"at {cfg['threads']} threads")
+            f"{ratios.get(v['name'] + '.total', 1.0):>7.2f}x")
+    lines.append(f"sharded vs fused (run only): "
+                 f"{ratios['sharded.vs_fused_run']:.2f}x "
+                 f"at {cfg['threads']} threads")
     return "\n".join(lines)
 
 
-def format_sweep_report(report: Dict) -> str:
-    """Render a :func:`repro.bench.perf.sweep_report` dict as a table.
-
-    Accepts a single-model report or a combined ``models`` document.
-    """
-    if "models" in report:
-        return "\n\n".join(format_sweep_report(entry)
-                           for entry in report["models"])
-    cfg = report["config"]
+def format_sweep_report(section: Dict) -> str:
+    """Render a :func:`repro.bench.perf.sweep_report` section as a
+    table."""
+    cfg = section["config"]
+    evidence = section["evidence"]
     params = ", ".join(f"{k}={v}" for k, v in cfg["params"].items())
     lines = [
-        f"BENCH_PR7 — {cfg['model']} sweep {params}: "
-        f"{cfg['instances']} instances x {cfg['cells_per_instance']} "
+        f"sweep — {cfg['model_name']} {params}: "
+        f"{evidence['instances']} instances x "
+        f"{cfg['cells_per_instance']} "
         f"cells x {cfg['n_steps']} steps, dt={cfg['dt']}, single thread",
         f"{'variant':<14} {'run':>11} {'iqr':>9} "
         f"{'Mcell-steps/s':>14} {'instances':>10}",
     ]
-    for v in report["variants"]:
+    for v in section["variants"]:
         lines.append(
             f"{v['name']:<14} {v['run_seconds'] * 1e3:>9.1f}ms "
             f"{v['run_seconds_iqr'] * 1e3:>7.1f}ms "
             f"{v['cell_steps_per_second'] / 1e6:>14.2f} "
             f"{v.get('instances', 1):>10}")
-    lines.append(f"batched vs loop-of-{cfg['instances']}: "
-                 f"{report['speedup_batched_vs_loop']:.2f}x")
-    reuse = report.get("compile_reuse", {})
+    lines.append(f"batched vs loop-of-{evidence['instances']}: "
+                 f"{section['ratios']['batched_vs_loop']:.2f}x")
+    reuse = evidence.get("compile_reuse", {})
     lines.append(f"compile reuse (same shape): first build "
                  f"{'hit' if reuse.get('first_build_cache_hit') else 'miss'}"
                  f", second build "

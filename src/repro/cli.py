@@ -16,12 +16,12 @@ Subcommands:
 * ``perf`` — measured performance-layer comparison (baseline / fused /
   fused+cached / sharded) with the steady-state harness;
 * ``tune`` — the cost-model-guided kernel autotuner: tune one workload
-  (``--model``), run the BENCH_PR3 ablation (``--report``), or clear
-  the persistent tuning DB (``--clear``);
+  (``--model``), run the tuned-vs-default ablation (``--report``), or
+  clear the persistent tuning DB (``--clear``);
 * ``sweep MODEL --param NAME=lo:hi:N`` — population-batched parameter
   sweep: one kernel advances all N parameter-perturbed instances,
-  timed against the loop-of-N shape it replaces (BENCH_PR7), with a
-  bitwise differential gate between the two;
+  timed against the loop-of-N shape it replaces, with a bitwise
+  differential gate between the two;
 * ``build-all`` — AOT-compile the whole model zoo (plus tuned variants
   recorded in the tuning DB) into a versioned artifact bundle; any
   process pointed at it via ``$LIMPET_ARTIFACT_DIR`` cold-starts with
@@ -30,9 +30,8 @@ Subcommands:
   keys, flags pipeline/lowering/tuning/source drift, quarantines
   corrupt entries; nonzero exit when anything drifted) / manifest
   listing;
-* ``coldstart`` — the BENCH_PR8 measurement: JIT vs artifact-bundle
-  time-to-first-step in fresh child processes, with bitwise and
-  zero-compile-span proof;
+* ``coldstart`` — JIT vs artifact-bundle time-to-first-step in fresh
+  child processes, with bitwise and zero-compile-span proof;
 * ``cache-stats`` — kernel-cache and LUT-cache statistics;
 * ``trace MODEL`` — compile + run one model under the tracer and emit
   the span tree (parse -> frontend -> irgen -> passes -> lowering ->
@@ -52,9 +51,12 @@ Subcommands:
   of recent spans/metrics written on worker death, degradation,
   quarantine or unhandled exception).
 
-``perf --baseline BENCH_PR8.json`` switches ``perf`` into the
-regression gate: re-measure the baseline's configuration and exit
-non-zero when a tracked metric regressed beyond ``--tolerance``
+``perf``, ``sweep``, ``coldstart`` and ``tune --report`` each measure
+one section of the perf record (:mod:`repro.bench.record`); ``--json``
+writes it as a one-section record.  ``perf --baseline BENCH.json``
+switches ``perf`` into the regression gate: re-measure every section
+the record holds with its recorded configuration and exit non-zero
+when a tracked metric regressed beyond ``--tolerance``
 (``--inject-slowdown`` self-tests the trip wire).  ``trace MODEL
 --workers N`` runs on the supervised tier and merges worker spans into
 one multi-pid trace; ``trace --merge DIR`` stitches per-process
@@ -86,6 +88,7 @@ from .bench import (figure_isa_sweep, figure_roofline, figure_scaling,
                     figure_speedups, format_isa_sweep, format_scaling_table,
                     format_speedup_table, format_sweep_table,
                     generate_variant, resilient_sweep)
+from .bench.record import make_record, write_record
 from .codegen import check_simd_legality
 from .ir import print_module, verify_module
 from .ir.passes import default_pipeline
@@ -221,24 +224,22 @@ def build_parser() -> argparse.ArgumentParser:
     perf.add_argument("--threads", type=_positive_int, default=0,
                       help="shard count for the sharded variant "
                            "(default: every available CPU)")
-    perf.add_argument("--runs", type=_positive_int, default=5,
-                      help="timing runs per variant (paper protocol: 5)")
+    perf.add_argument("--runs", type=_positive_int, default=None,
+                      help="timing runs per variant (default: the paper "
+                           "protocol's 5; --baseline mode: the record's)")
     perf.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the report as JSON (BENCH_PR2)")
+                      help="also write the measurement as a perf record")
     perf.add_argument("--check", action="store_true",
                       help="fail (exit 1) unless fused >= unfused and "
                            "the cache hit sped up construction")
     perf.add_argument("--baseline", default=None, metavar="PATH",
-                      help="regression-gate mode: re-measure the given "
-                           "BENCH_*.json's configuration and fail "
-                           "(exit 1) on any metric regressed beyond "
-                           "--tolerance")
+                      help="regression-gate mode: re-measure every "
+                           "section of the given perf record "
+                           "(BENCH.json) and fail (exit 1) on any "
+                           "metric regressed beyond --tolerance")
     perf.add_argument("--tolerance", type=_positive_float, default=0.15,
                       help="allowed fractional regression per metric "
                            "in --baseline mode (default: 0.15)")
-    perf.add_argument("--repeats", type=_positive_int, default=2,
-                      help="--baseline mode: best-of-N re-measurements "
-                           "for noisy cold-start benchmarks (default 2)")
     perf.add_argument("--inject-slowdown", type=_positive_float,
                       default=None, metavar="FACTOR", dest="slowdown",
                       help="--baseline mode self-test: synthetically "
@@ -247,7 +248,7 @@ def build_parser() -> argparse.ArgumentParser:
     perf.set_defaults(func=lambda args: cmd_perf(
         args.model, args.cells, args.steps, args.dt, args.threads,
         args.runs, args.json, args.check, args.width, args.baseline,
-        args.tolerance, args.repeats, args.slowdown))
+        args.tolerance, args.slowdown))
 
     tune = sub.add_parser(
         "tune", help="cost-model-guided kernel autotuner "
@@ -272,13 +273,13 @@ def build_parser() -> argparse.ArgumentParser:
                            "~/.cache/limpet-repro/tuning.json)")
     tune.add_argument("--json", default=None, metavar="PATH",
                       help="also write the result as JSON "
-                           "(--report: BENCH_PR3)")
+                           "(--report: a perf record)")
     tune.add_argument("--force", action="store_true",
                       help="re-measure even on a tuning-DB hit")
     tune.add_argument("--clear", action="store_true",
                       help="delete all tuning-DB records first")
     tune.add_argument("--report", action="store_true",
-                      help="BENCH_PR3 ablation over the five "
+                      help="tuned-vs-default ablation over the five "
                            "representative models")
     tune.add_argument("--check", action="store_true",
                       help="fail (exit 1) unless the acceptance "
@@ -291,7 +292,7 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd = sub.add_parser(
         "sweep", help="population-batched parameter sweep: one kernel "
                       "advancing N parameter-perturbed instances, timed "
-                      "against the loop-of-N shape (BENCH_PR7)")
+                      "against the loop-of-N shape")
     _add_model_argument(sweep_cmd)
     sweep_cmd.add_argument("--param", action="append", default=None,
                            metavar="NAME=lo:hi:N", dest="params",
@@ -310,8 +311,8 @@ def build_parser() -> argparse.ArgumentParser:
     sweep_cmd.add_argument("--width", type=int, default=8,
                            choices=(2, 4, 8))
     sweep_cmd.add_argument("--json", default=None, metavar="PATH",
-                           help="also write the report as JSON "
-                                "(BENCH_PR7)")
+                           help="also write the measurement as a perf "
+                                "record")
     sweep_cmd.add_argument("--check", action="store_true",
                            help="fail (exit 1) unless batched beats the "
                                 "loop by >= 1.5x with warm-cache reuse")
@@ -357,7 +358,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     coldstart = sub.add_parser(
         "coldstart", help="JIT vs AOT-bundle cold start in fresh child "
-                          "processes (BENCH_PR8)")
+                          "processes")
     coldstart.add_argument("--models", nargs="+", default=None,
                            metavar="MODEL", choices=ALL_MODELS,
                            help="models to measure (default: the "
@@ -370,8 +371,8 @@ def build_parser() -> argparse.ArgumentParser:
     coldstart.add_argument("--width", type=int, default=8,
                            choices=(2, 4, 8))
     coldstart.add_argument("--json", default=None, metavar="PATH",
-                           help="also write the report as JSON "
-                                "(BENCH_PR8)")
+                           help="also write the measurement as a perf "
+                                "record")
     coldstart.add_argument("--check", action="store_true",
                            help="fail (exit 1) unless bitwise identity, "
                                 "zero compile spans, and >= 5x on >= 3 "
@@ -632,48 +633,51 @@ def cmd_figure(which: str) -> int:
     return EXIT_OK
 
 
-def cmd_perf(model: Optional[str], cells: Optional[int],
-             steps: Optional[int], dt: Optional[float], threads: int,
-             runs: int, json_path: Optional[str], check: bool,
-             width: Optional[int] = None,
-             baseline: Optional[str] = None, tolerance: float = 0.15,
-             repeats: int = 2,
-             slowdown: Optional[float] = None) -> int:
-    if baseline is not None:
-        return _perf_gate(baseline, tolerance, repeats, slowdown,
-                          runs if runs != 5 else None, json_path)
-    from .bench.perf import (CANONICAL_CELLS, CANONICAL_DT,
-                             CANONICAL_MODEL, CANONICAL_STEPS,
-                             CANONICAL_WIDTH, check_report, perf_report,
-                             write_report)
-    from .bench.report import format_perf_table
-    report = perf_report(model_name=model or CANONICAL_MODEL,
-                         n_cells=cells or CANONICAL_CELLS,
-                         n_steps=steps or CANONICAL_STEPS,
-                         dt=dt or CANONICAL_DT,
-                         threads=threads, runs=runs,
-                         width=width or CANONICAL_WIDTH)
-    print(format_perf_table(report))
+def _emit_record(record, table: str, json_path: Optional[str],
+                 failures: Optional[List[str]], passed: str,
+                 label: str = "CHECK FAILED") -> int:
+    """The tail every measuring command shares: table -> ``--json`` ->
+    verdict (``failures`` is None when no check was asked for)."""
+    print(table)
     if json_path:
-        write_report(report, json_path)
-        print(f"report written to {json_path}")
-    if check:
-        failures = check_report(report)
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return EXIT_FAILURE
-        print("checks passed: fused >= unfused, cache hit sped up "
-              "construction")
+        write_record(record, json_path)
+        print(f"record written to {json_path}")
+    if failures is None:
+        return EXIT_OK
+    for failure in failures:
+        print(f"{label}: {failure}", file=sys.stderr)
+    if failures:
+        return EXIT_FAILURE
+    print(passed)
     return EXIT_OK
 
 
-def _perf_gate(baseline_path: str, tolerance: float, repeats: int,
-               slowdown: Optional[float],
-               runs: Optional[int], json_path: Optional[str]) -> int:
-    """``perf --baseline``: the regression gate (exit 1 on regression)."""
-    import json as _json
+def cmd_perf(model: Optional[str], cells: Optional[int],
+             steps: Optional[int], dt: Optional[float], threads: int,
+             runs: Optional[int], json_path: Optional[str], check: bool,
+             width: Optional[int] = None,
+             baseline: Optional[str] = None, tolerance: float = 0.15,
+             slowdown: Optional[float] = None) -> int:
+    if baseline is not None:
+        return _perf_gate(baseline, tolerance, slowdown, runs, json_path)
+    from .bench.perf import check_report, perf_report
+    from .bench.report import format_perf_table
+    given = {"model_name": model, "n_cells": cells, "n_steps": steps,
+             "dt": dt, "runs": runs, "width": width}
+    # what the command line left out is the canonical config's
+    section = perf_report(threads=threads, **{
+        key: value for key, value in given.items() if value is not None})
+    return _emit_record(
+        make_record({"perf": section}), format_perf_table(section),
+        json_path, check_report(section) if check else None,
+        "checks passed: fused >= unfused, cache and artifact hits sped "
+        "up construction")
 
+
+def _perf_gate(baseline_path: str, tolerance: float,
+               slowdown: Optional[float], runs: Optional[int],
+               json_path: Optional[str]) -> int:
+    """``perf --baseline``: the regression gate (exit 1 on regression)."""
     from .bench.regress import format_gate_table, perf_gate
     if not os.path.isfile(baseline_path):
         print(f"perf: baseline {baseline_path!r} not found",
@@ -682,34 +686,23 @@ def _perf_gate(baseline_path: str, tolerance: float, repeats: int,
     try:
         rows, failures, current = perf_gate(
             baseline_path, tolerance=tolerance, slowdown=slowdown,
-            repeats=repeats, runs=runs)
-    except ValueError as exc:        # unsupported benchmark schema
+            runs=runs)
+    except ValueError as exc:        # not a record / unknown section
         print(f"perf: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(format_gate_table(rows, tolerance,
-                            os.path.basename(baseline_path)))
-    if json_path:
-        with open(json_path, "w") as fh:
-            _json.dump(current, fh, indent=2)
-        print(f"current measurements written to {json_path}")
-    for failure in failures:
-        print(f"PERF REGRESSION: {failure}", file=sys.stderr)
-    if failures:
-        return EXIT_FAILURE
-    missing = [r.name for r in rows if r.status == "missing"]
-    if missing:
-        print("perf: metrics missing from the current run: "
-              + ", ".join(missing), file=sys.stderr)
-        return EXIT_FAILURE
-    print("perf gate passed")
-    return EXIT_OK
+    failures += [f"{r.name}: missing from the current run"
+                 for r in rows if r.status == "missing"]
+    return _emit_record(
+        current, format_gate_table(rows, tolerance,
+                                   os.path.basename(baseline_path)),
+        json_path, failures, "perf gate passed", label="PERF REGRESSION")
 
 
 def cmd_sweep(model: str, param_specs: Optional[List[str]],
               absolute: bool, cells: int, steps: int, dt: float,
               runs: int, width: int, json_path: Optional[str],
               check: bool) -> int:
-    from .bench.perf import check_sweep_report, sweep_report, write_report
+    from .bench.perf import check_sweep_report, sweep_report
     from .bench.report import format_sweep_report
 
     if not param_specs:
@@ -726,26 +719,18 @@ def cmd_sweep(model: str, param_specs: Optional[List[str]],
         params[name] = rng
     from .easyml.errors import EasyMLError
     try:
-        report = sweep_report(model_name=model, params=params,
-                              cells_per_instance=cells, n_steps=steps,
-                              dt=dt, runs=runs, width=width,
-                              absolute=absolute)
+        section = sweep_report(model_name=model, params=params,
+                               cells_per_instance=cells, n_steps=steps,
+                               dt=dt, runs=runs, width=width,
+                               absolute=absolute)
     except (ValueError, EasyMLError) as exc:  # unknown param, bad range
         print(f"sweep: {exc}", file=sys.stderr)
         return EXIT_USAGE
-    print(format_sweep_report(report))
-    if json_path:
-        write_report(report, json_path)
-        print(f"report written to {json_path}")
-    if check:
-        failures = check_sweep_report(report)
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return EXIT_FAILURE
-        print("checks passed: batched >= 1.5x loop, compile reused "
-              "across same-shape sweeps")
-    return EXIT_OK
+    return _emit_record(
+        make_record({"sweep": section}), format_sweep_report(section),
+        json_path, check_sweep_report(section) if check else None,
+        "checks passed: batched >= 1.5x loop, compile reused across "
+        "same-shape sweeps")
 
 
 def cmd_tune(model: Optional[str], cells: Optional[int],
@@ -765,22 +750,13 @@ def cmd_tune(model: Optional[str], cells: Optional[int],
         if model is None and not report:
             return EXIT_OK
     if report:
-        data = tuning_report(n_cells=cells or 4096, n_steps=steps or 10,
-                             dt=dt, top_k=top_k, repeats=repeats, db=db)
-        print(format_tuning_table(data))
-        if json_path:
-            with open(json_path, "w") as fh:
-                _json.dump(data, fh, indent=2)
-            print(f"report written to {json_path}")
-        if check:
-            failures = check_tuning_report(data)
-            for failure in failures:
-                print(f"CHECK FAILED: {failure}", file=sys.stderr)
-            if failures:
-                return EXIT_FAILURE
-            print("checks passed: tuned never slower than default; "
-                  "speedup and cost-model agreement bars met")
-        return EXIT_OK
+        section = tuning_report(n_cells=cells or 4096, n_steps=steps or 10,
+                                dt=dt, top_k=top_k, repeats=repeats, db=db)
+        return _emit_record(
+            make_record({"tune": section}), format_tuning_table(section),
+            json_path, check_tuning_report(section) if check else None,
+            "checks passed: tuned never slower than default; speedup "
+            "and cost-model agreement bars met")
     if model is None:
         print("tune: --model is required (or use --report / --clear)",
               file=sys.stderr)
@@ -887,23 +863,15 @@ def cmd_coldstart(models: Optional[List[str]], bundle: Optional[str],
                   json_path: Optional[str], check: bool) -> int:
     from .bench.coldstart import (REPRESENTATIVE, check_coldstart_report,
                                   coldstart_report, format_coldstart_table)
-    from .bench.perf import write_report
-    report = coldstart_report(models=models or REPRESENTATIVE,
-                              bundle=bundle, n_cells=cells,
-                              n_steps=steps, width=width)
-    print(format_coldstart_table(report))
-    if json_path:
-        write_report(report, json_path)
-        print(f"report written to {json_path}")
-    if check:
-        failures = check_coldstart_report(report)
-        for failure in failures:
-            print(f"CHECK FAILED: {failure}", file=sys.stderr)
-        if failures:
-            return EXIT_FAILURE
-        print("checks passed: bitwise identity, zero compile spans, "
-              "cold-start speedup bar met")
-    return EXIT_OK
+    section = coldstart_report(models=models or REPRESENTATIVE,
+                               bundle=bundle, n_cells=cells,
+                               n_steps=steps, width=width)
+    return _emit_record(
+        make_record({"coldstart": section}),
+        format_coldstart_table(section), json_path,
+        check_coldstart_report(section) if check else None,
+        "checks passed: bitwise identity, zero compile spans, "
+        "cold-start speedup bar met")
 
 
 def cmd_cache_stats(cache_dir: Optional[str], clear: bool) -> int:

@@ -13,8 +13,9 @@
    tune of the same workload is a pure DB hit (zero measurements).
 
 The recorded result keeps the cost-model-predicted vs measured ranking
-so tuner accuracy is reportable (BENCH_PR3 asserts the predicted top-1
-lands in the measured top-3 for most workloads).
+so tuner accuracy is reportable (``tune --report --check`` asserts the
+predicted top-1 lands in the measured top-3, up to timing noise, for
+most workloads).
 """
 
 from __future__ import annotations
@@ -166,23 +167,34 @@ def _measure_candidates(model: IonicModel,
     return taken
 
 
-def _pick_winner(candidates: List[CandidateResult]) -> CandidateResult:
-    """Fastest measured candidate, noise-tie-broken toward the default.
+def _within_noise(slower: CandidateResult,
+                  faster: CandidateResult) -> bool:
+    """Is ``slower``'s median inside the harness's noise band of
+    ``faster``'s (the larger of the two IQRs)?  Then the harness cannot
+    tell them apart."""
+    noise = max(slower.measured_iqr or 0.0, faster.measured_iqr or 0.0)
+    return slower.measured_seconds - faster.measured_seconds <= noise
 
-    If the default's median is within the winner's noise band (the
-    larger of the two IQRs), keep the default: a tuned config must beat
-    it by more than the harness can be wrong about.
-    """
+
+def _pick_winner(candidates: List[CandidateResult]) -> CandidateResult:
+    """Fastest measured candidate, noise-tie-broken toward the default:
+    a tuned config must beat the default by more than the harness can
+    be wrong about."""
     best = min(candidates, key=lambda c: c.measured_seconds)
-    if best.is_default:
-        return best
     default = next((c for c in candidates if c.is_default), None)
-    if default is None:
-        return best
-    noise = max(best.measured_iqr or 0.0, default.measured_iqr or 0.0)
-    if default.measured_seconds - best.measured_seconds <= noise:
+    if default is not None and _within_noise(default, best):
         return default
     return best
+
+
+def _top1_agrees(candidates: List[CandidateResult]) -> bool:
+    """Did the cost model's first pick measure among the three fastest?
+    Where the whole space runs within the noise band that breaks the
+    winner's ties, rank alone is a coin flip, so a pick no slower than
+    the third-fastest by more than that band agrees too."""
+    top1 = next(c for c in candidates if c.predicted_rank == 0)
+    third = sorted(candidates, key=lambda c: c.measured_seconds)[:3][-1]
+    return _within_noise(top1, third)
 
 
 def autotune(model: Union[str, IonicModel], n_cells: int = 512,
@@ -248,9 +260,7 @@ def autotune(model: Union[str, IonicModel], n_cells: int = 512,
     # 4. pick + persist
     winner = _pick_winner(candidates)
     default = next(c for c in candidates if c.is_default)
-    top1 = next(c for c in candidates if c.predicted_rank == 0)
-    top1_ok = (top1.measured_rank is not None
-               and top1.measured_rank <= 2)
+    top1_ok = _top1_agrees(candidates)
     result = TuningResult(
         workload=workload, key=key, winner=winner.config,
         default_config=default_config, from_db=False,

@@ -445,13 +445,16 @@ class TestColdStartHarness:
                                            coldstart_report)
         report = coldstart_report(models=["Plonsey"], n_cells=8,
                                   n_steps=5)
-        (row,) = report["models"]
-        assert row["bitwise_identical"]
-        assert row["artifact"]["artifact_hit"]
+        jit, art = report["variants"]
+        assert (jit["name"], art["name"]) == ("Plonsey.jit",
+                                              "Plonsey.artifact")
+        assert report["evidence"]["bitwise_identical"] == {"Plonsey": True}
+        assert art["artifact_hit"] and not jit["artifact_hit"]
         from repro.bench.coldstart import COMPILE_SPANS as CHILD_SPANS
-        assert not any(row["artifact"]["spans"].get(s)
-                       for s in CHILD_SPANS)
-        # the speedup bar is asserted by the committed BENCH_PR8.json,
+        assert not any(art["spans"].get(s) for s in CHILD_SPANS)
+        assert report["ratios"]["Plonsey.artifact_vs_jit"] == \
+            jit["time_to_first_step"] / art["time_to_first_step"]
+        # the speedup bar is asserted by the committed BENCH.json,
         # not by this smoke run's tiny workload
         failures = check_coldstart_report(report, min_speedup=0.0,
                                           min_models=1)

@@ -197,23 +197,26 @@ class TestTuneCommand:
         assert code == 2
 
     def test_perf_width_flag(self, capsys, tmp_path):
-        import json
         out_path = tmp_path / "perf.json"
         code, out = run_cli(capsys, "perf", "--model", "FitzHughNagumo",
                             "--cells", "48", "--steps", "5",
                             "--runs", "2", "--width", "4",
                             "--json", str(out_path))
         assert code == 0
-        assert "BENCH_PR2" in out
-        # no --threads: the sharded variant gets every CPU, never more
-        report = json.loads(out_path.read_text())
-        assert report["config"]["threads"] \
-            == report["machine"]["available_cpus"]
+        assert "perf — FitzHughNagumo" in out
+        # no --threads: the sharded variant gets every CPU, never more;
+        # no --runs beyond the flag's: the config is what was measured
+        from repro.bench.record import load_record
+        from repro.runtime import available_cpus
+        config = load_record(out_path)["sections"]["perf"]["config"]
+        assert config == {"model_name": "FitzHughNagumo", "n_cells": 48,
+                          "n_steps": 5, "dt": 0.01,
+                          "threads": available_cpus(), "runs": 2,
+                          "width": 4}
 
 
 class TestSweep:
     def test_sweep_prints_bench_table(self, capsys, tmp_path):
-        import json
         out_path = tmp_path / "sweep.json"
         code, out = run_cli(capsys, "sweep", "LuoRudy91",
                             "--param", "GK=0.5:1.0:3",
@@ -221,13 +224,14 @@ class TestSweep:
                             "--runs", "2", "--width", "4",
                             "--json", str(out_path))
         assert code == 0
-        assert "BENCH_PR7" in out
+        assert "sweep — LuoRudy91" in out
         assert "batched vs loop-of-3" in out
-        data = json.loads(out_path.read_text())
-        assert data["benchmark"] == "BENCH_PR7"
-        assert data["config"]["instances"] == 3
+        from repro.bench.record import load_record
+        data = load_record(out_path)["sections"]["sweep"]
+        assert data["evidence"]["instances"] == 3
         names = {v["name"] for v in data["variants"]}
         assert names == {"loop", "batched"}
+        assert set(data["ratios"]) == {"batched_vs_loop"}
 
     def test_sweep_requires_param(self, capsys):
         code = main(["sweep", "LuoRudy91"])

@@ -363,32 +363,34 @@ class TestShardedRunner:
 
 
 def _synthetic_report(fused_run=0.5, cached_construct=0.01,
-                      sharded_run=0.3, cpus=4):
-    def variant(name, construct, run, hit=False, threads=1):
+                      sharded_run=0.3):
+    """A ``perf`` section with plausible numbers."""
+    def variant(name, construct, run, threads=1, **hits):
         return {"name": name, "construct_seconds": construct,
                 "run_seconds": run, "total_seconds": construct + run,
                 "steps_per_second": 100 / run,
                 "cell_steps_per_second": 100 * 4096 / run,
-                "cache_hit": hit, "threads": threads}
+                "cache_hit": False, "artifact_hit": False,
+                "threads": threads, **hits}
 
     variants = [variant("baseline", 0.1, 1.0),
                 variant("fused", 0.08, fused_run),
                 variant("fused_cached", cached_construct, fused_run,
-                        hit=True),
+                        cache_hit=True),
+                variant("fused_artifact", cached_construct, fused_run,
+                        artifact_hit=True),
                 variant("sharded", 0.08, sharded_run, threads=4)]
     base_total, base_run = 1.1, 1.0
-    speedups = {v["name"]: {"total": base_total / v["total_seconds"],
-                            "run": base_run / v["run_seconds"]}
-                for v in variants}
-    speedups["sharded"]["vs_fused_run"] = fused_run / sharded_run
-    return {"benchmark": "BENCH_PR2",
-            "config": {"model": "OHara", "n_cells": 4096, "n_steps": 100,
-                       "dt": 0.01, "threads": 4, "runs": 5,
-                       "n_states": 41},
-            "machine": {"platform": "test", "python": "3",
-                        "available_cpus": cpus},
-            "variants": variants,
-            "speedups_vs_baseline": speedups}
+    ratios = {}
+    for v in variants[1:]:
+        ratios[f"{v['name']}.total"] = base_total / v["total_seconds"]
+        ratios[f"{v['name']}.run"] = base_run / v["run_seconds"]
+    ratios["sharded.vs_fused_run"] = fused_run / sharded_run
+    return {"config": {"model_name": "OHara", "n_cells": 4096,
+                       "n_steps": 100, "dt": 0.01, "threads": 4,
+                       "runs": 5, "width": 8},
+            "variants": variants, "ratios": ratios,
+            "evidence": {"n_states": 41, "available_cpus": 4}}
 
 
 class TestPerfReportPlumbing:
@@ -406,26 +408,39 @@ class TestPerfReportPlumbing:
         report = _synthetic_report()
         report["variants"][2]["cache_hit"] = False
         assert any("cache" in f for f in check_report(report))
+        report = _synthetic_report()
+        report["variants"][3]["artifact_hit"] = False
+        assert any("artifact" in f for f in check_report(report))
+        slow = _synthetic_report(cached_construct=0.2)
+        assert any("not faster than full pipeline" in f
+                   for f in check_report(slow))
 
-    def test_check_report_sharded_gated_on_cpus(self):
+    def test_check_report_leaves_sharded_to_the_gate(self):
+        """The thread tier's speed is no invariant (ROADMAP 3a): a
+        sharded variant slower than fused passes ``--check`` and is a
+        ratio the baseline gate compares like any other."""
         from repro.bench.perf import check_report
-        # regression on a multicore box -> flagged
-        bad = _synthetic_report(sharded_run=0.9, cpus=4)
-        assert any("sharded" in f for f in check_report(bad))
-        # same numbers on a 1-cpu box -> not flagged (nothing to scale)
-        assert check_report(_synthetic_report(sharded_run=0.9,
-                                              cpus=1)) == []
+        from repro.bench.regress import extract_metrics
+        slow = _synthetic_report(sharded_run=0.9)
+        assert slow["ratios"]["sharded.vs_fused_run"] < 1.0
+        assert check_report(slow) == []
+        gated = {m["name"]: m for m in
+                 extract_metrics({"sections": {"perf": slow}})}
+        assert not gated["perf.sharded.vs_fused_run"]["absolute"]
 
     def test_format_perf_table(self):
         from repro.bench.report import format_perf_table
         text = format_perf_table(_synthetic_report())
-        assert "BENCH_PR2" in text and "fused_cached" in text
+        assert "OHara" in text and "fused_cached" in text
+        assert "fused_artifact*" in text
         assert "Mcell-steps/s" in text
 
     def test_write_report_round_trips(self, tmp_path):
-        from repro.bench.perf import write_report
-        path = tmp_path / "BENCH_PR2.json"
-        write_report(_synthetic_report(), path)
-        loaded = json.loads(path.read_text())
-        assert loaded["benchmark"] == "BENCH_PR2"
-        assert len(loaded["variants"]) == 4
+        from repro.bench.record import (SCHEMA, load_record, make_record,
+                                        machine_identity, write_record)
+        path = tmp_path / "BENCH.json"
+        write_record(make_record({"perf": _synthetic_report()}), path)
+        loaded = load_record(path)
+        assert loaded["schema"] == SCHEMA
+        assert loaded["machine"] == machine_identity()
+        assert len(loaded["sections"]["perf"]["variants"]) == 5

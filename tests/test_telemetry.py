@@ -362,18 +362,30 @@ class TestSupervisedTelemetry:
 # Perf-regression gate (cheap fakes; the real re-measure runs in CI)
 # ---------------------------------------------------------------------------
 
+def _copy(record, **machine):
+    """A deep copy of ``record`` with ``machine`` fields replaced."""
+    copy = json.loads(json.dumps(record))
+    copy["machine"].update(machine)
+    return copy
+
+
 class TestPerfGate:
+    MACHINE = {"cpu_model": "Test CPU @ 2.10GHz",
+               "isa_flags": ["avx2", "fma"], "cores": 2,
+               "python": "3.11.7", "numpy": "2.4.6",
+               "platform": "Linux-6.18.5-fc-v20-x86_64"}
     BASELINE = {
-        "benchmark": "BENCH_PR8",
-        "machine": {"platform": "test-machine"},
-        "config": {"models": ["A"], "n_cells": 8, "n_steps": 5,
-                   "dt": 0.01, "width": 8},
-        "models": [{
-            "model": "A",
-            "jit": {"time_to_first_step": 0.100},
-            "artifact": {"time_to_first_step": 0.010},
-            "speedup_time_to_first_step": 10.0,
-        }],
+        "schema": "limpet-bench-record/1",
+        "machine": MACHINE,
+        "sections": {"coldstart": {
+            "config": {"models": ["A"], "n_cells": 8, "n_steps": 5,
+                       "dt": 0.01, "width": 8, "repeats": 1},
+            "variants": [
+                {"name": "A.jit", "time_to_first_step": 0.100},
+                {"name": "A.artifact", "time_to_first_step": 0.010}],
+            "ratios": {"A.artifact_vs_jit": 10.0},
+            "evidence": {"bitwise_identical": {"A": True}},
+        }},
     }
 
     def _write(self, tmp_path, payload):
@@ -384,20 +396,26 @@ class TestPerfGate:
     def test_gate_passes_on_identical_measurement(self, tmp_path):
         from repro.bench.regress import perf_gate
         path = self._write(tmp_path, self.BASELINE)
-        rows, failures, _ = perf_gate(path, measure=lambda b: b)
+        other = _copy(self.BASELINE, cpu_model="Another CPU")
+        rows, failures, _ = perf_gate(path, measure=lambda b: other)
         assert failures == []
-        # different machine: absolute ttfs metrics are skipped
-        assert {r.status for r in rows} == {"ok", "skipped"}
+        # different machine: absolute ttfs metrics are skipped, the
+        # ratio is still gated
+        assert {r.name: r.status for r in rows} == {
+            "coldstart.A.artifact_vs_jit": "ok",
+            "coldstart.A.jit.time_to_first_step": "skipped",
+            "coldstart.A.artifact.time_to_first_step": "skipped"}
 
     def test_gate_trips_on_ratio_regression(self, tmp_path):
         from repro.bench.regress import perf_gate
         path = self._write(tmp_path, self.BASELINE)
-        current = json.loads(json.dumps(self.BASELINE))
-        current["models"][0]["speedup_time_to_first_step"] = 5.0
+        current = _copy(self.BASELINE, cpu_model="Another CPU")
+        current["sections"]["coldstart"]["ratios"][
+            "A.artifact_vs_jit"] = 5.0
         rows, failures, _ = perf_gate(path, tolerance=0.15,
                                       measure=lambda b: current)
         assert len(failures) == 1
-        assert "speedup_time_to_first_step" in failures[0]
+        assert "coldstart.A.artifact_vs_jit" in failures[0]
 
     def test_injected_slowdown_trips_the_gate(self, tmp_path):
         from repro.bench.regress import perf_gate
@@ -407,46 +425,110 @@ class TestPerfGate:
                                    measure=lambda b: b)
         assert clean == [] and degraded
 
-    def test_absolute_metrics_gated_on_same_machine(self, tmp_path,
-                                                    monkeypatch):
-        import platform as _platform
-
+    def test_absolute_metrics_gated_on_same_machine(self, tmp_path):
+        """Identity is CPU/flags/cores/versions; the kernel build
+        string is informational and must not disarm the gate."""
         from repro.bench.regress import perf_gate
-        monkeypatch.setattr(_platform, "platform",
-                            lambda: "test-machine")
         path = self._write(tmp_path, self.BASELINE)
-        current = json.loads(json.dumps(self.BASELINE))
-        current["models"][0]["artifact"]["time_to_first_step"] = 0.050
+        current = _copy(self.BASELINE,
+                        platform="Linux-6.18.44-fc-v42-x86_64")
+        current["sections"]["coldstart"]["variants"][1][
+            "time_to_first_step"] = 0.050
         rows, failures, _ = perf_gate(path, tolerance=0.15,
                                       measure=lambda b: current)
-        assert any("artifact.time_to_first_step" in f
+        assert any("A.artifact.time_to_first_step" in f
                    for f in failures)
         assert not any(r.status == "skipped" for r in rows)
 
+    @pytest.mark.parametrize("field,value", [
+        ("cpu_model", "Another CPU"), ("isa_flags", ["avx2"]),
+        ("cores", 4), ("python", "3.12.0"), ("numpy", "1.26.4")])
+    def test_absolute_metrics_skipped_on_another_machine(
+            self, tmp_path, field, value):
+        from repro.bench.regress import perf_gate
+        path = self._write(tmp_path, self.BASELINE)
+        current = _copy(self.BASELINE, **{field: value})
+        current["sections"]["coldstart"]["variants"][1][
+            "time_to_first_step"] = 0.050
+        rows, failures, _ = perf_gate(path, measure=lambda b: current)
+        assert failures == []
+        assert [r.status for r in rows if r.absolute] \
+            == ["skipped", "skipped"]
+        assert [r.status for r in rows if not r.absolute] == ["ok"]
+
+    def test_machine_identity_of_this_host(self):
+        from repro.bench.record import (IDENTITY_KEYS, machine_identity,
+                                        same_machine)
+        here = machine_identity()
+        assert set(IDENTITY_KEYS) < set(here)
+        assert same_machine(here, dict(here, platform="other kernel"))
+        # a block without the identity fields matches nothing
+        assert not same_machine({"platform": here["platform"]}, here)
+
     def test_unsupported_benchmark_rejected(self, tmp_path):
         from repro.bench.regress import perf_gate
-        path = self._write(tmp_path, {"benchmark": "BENCH_PR3"})
-        with pytest.raises(ValueError):
-            perf_gate(path, measure=lambda b: b)
+        old = self._write(tmp_path, {"benchmark": "BENCH_PR3"})
+        with pytest.raises(ValueError, match="schema"):
+            perf_gate(old, measure=lambda b: b)
+        unknown = json.loads(json.dumps(self.BASELINE))
+        unknown["sections"]["warp"] = unknown["sections"]["coldstart"]
+        with pytest.raises(ValueError, match="warp"):
+            perf_gate(self._write(tmp_path, unknown))
+        shapeless = json.loads(json.dumps(self.BASELINE))
+        del shapeless["sections"]["coldstart"]["ratios"]
+        with pytest.raises(ValueError, match="ratios"):
+            perf_gate(self._write(tmp_path, shapeless),
+                      measure=lambda b: b)
 
-    def test_pr2_and_pr7_schemas_extract(self):
+    def test_metrics_are_one_loop_over_sections(self):
         from repro.bench.regress import extract_metrics
-        pr2 = {"benchmark": "BENCH_PR2",
-               "speedups_vs_baseline": {"fused": {"run": 3.0,
-                                                  "total": 2.5}},
-               "variants": [{"name": "fused",
-                             "steps_per_second": 1e5}]}
-        names = {m["name"] for m in extract_metrics(pr2)}
-        assert names == {"speedup.fused.run", "speedup.fused.total",
-                         "fused.steps_per_second"}
-        pr7 = {"benchmark": "BENCH_PR7",
-               "models": [{"config": {"model": "M"},
-                           "speedup_batched_vs_loop": 2.0,
-                           "variants": [{"name": "batched",
-                                         "steps_per_second": 5e4}]}]}
-        names = {m["name"] for m in extract_metrics(pr7)}
-        assert names == {"M.speedup_batched_vs_loop",
-                         "M.batched.steps_per_second"}
+        record = {"sections": {
+            "perf": {"ratios": {"fused.run": 3.0, "fused.total": 2.5},
+                     "variants": [{"name": "fused",
+                                   "steps_per_second": 1e5,
+                                   "time_to_first_step": 0.2}]},
+            "sweep": {"ratios": {"batched_vs_loop": 2.0},
+                      "variants": [{"name": "batched",
+                                    "steps_per_second": 5e4}]}}}
+        metrics_ = {m["name"]: m for m in extract_metrics(record)}
+        assert set(metrics_) == {
+            "perf.fused.run", "perf.fused.total",
+            "perf.fused.steps_per_second",
+            "perf.fused.time_to_first_step",
+            "sweep.batched_vs_loop", "sweep.batched.steps_per_second"}
+        assert not metrics_["perf.fused.run"]["absolute"]
+        assert metrics_["perf.fused.steps_per_second"]["absolute"]
+        assert not metrics_["perf.fused.time_to_first_step"][
+            "higher_better"]
+
+    def test_gate_remeasures_with_the_recorded_config(self, tmp_path,
+                                                      monkeypatch):
+        """Re-measuring is ``MEASURE[name](**config)``: no second set
+        of defaults, ``runs`` overridden only where a config has it."""
+        from repro.bench import regress
+        seen = {}
+
+        def fake(name):
+            def measurer(**config):
+                seen[name] = config
+                return {"config": config, "variants": [], "ratios": {},
+                        "evidence": {}}
+            return measurer
+
+        monkeypatch.setattr(regress, "MEASURE",
+                            {"perf": fake("perf"),
+                             "coldstart": fake("coldstart")})
+        baseline = json.loads(json.dumps(self.BASELINE))
+        baseline["sections"]["perf"] = {
+            "config": {"model_name": "OHara", "threads": 2, "runs": 5},
+            "variants": [], "ratios": {}, "evidence": {}}
+        path = self._write(tmp_path, baseline)
+        _, _, current = regress.perf_gate(path, runs=3)
+        assert seen["perf"] == {"model_name": "OHara", "threads": 2,
+                                "runs": 3}
+        assert seen["coldstart"] == \
+            self.BASELINE["sections"]["coldstart"]["config"]
+        assert set(current["sections"]) == {"coldstart", "perf"}
 
 
 # ---------------------------------------------------------------------------

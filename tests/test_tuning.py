@@ -270,14 +270,14 @@ class TestRunnerIntegration:
 
 class TestReportChecks:
     def _report(self, speedups, agreements):
-        rows = [{"model": f"M{i}", "speedup_tuned_vs_default": s,
-                 "top1_in_measured_top3": a}
-                for i, (s, a) in enumerate(zip(speedups, agreements))]
-        n_ok = sum(1 for s in speedups if s >= 1.1)
-        return {"models": rows, "summary": {
-            "models_with_min_speedup": n_ok,
-            "worst_slowdown": min(speedups),
-            "top1_agreement": sum(agreements) / len(agreements)}}
+        """A ``tune`` section with the fields the checks read."""
+        names = [f"M{i}" for i in range(len(speedups))]
+        return {"ratios": {f"{n}.tuned_vs_default": s
+                           for n, s in zip(names, speedups)},
+                "evidence": {
+                    "models": {n: {"top1_in_measured_top3": a}
+                               for n, a in zip(names, agreements)},
+                    "top1_agreement": sum(agreements) / len(agreements)}}
 
     def test_passing_report(self):
         report = self._report([1.5, 1.3, 1.2, 1.0, 1.0],
@@ -298,3 +298,60 @@ class TestReportChecks:
         report = self._report([1.5, 1.3, 1.2, 1.0, 1.0],
                               [True, True, False, False, False])
         assert any("top-3" in f for f in check_tuning_report(report))
+
+
+class TestTop1Agreement:
+    """Cost-model agreement uses the winner's own noise rule."""
+
+    def _candidates(self, rows):
+        from repro.tuning import CandidateResult
+        config = TuningConfig(width=8, layout="aosoa", lut="off")
+        return [CandidateResult(config=config, predicted_seconds=0.0,
+                                predicted_rank=rank,
+                                measured_seconds=seconds,
+                                measured_iqr=iqr)
+                for rank, (seconds, iqr) in enumerate(rows)]
+
+    def test_rank_inside_the_top_three_agrees(self):
+        from repro.tuning.tuner import _top1_agrees
+        assert _top1_agrees(self._candidates(
+            [(2.0, 0.0), (1.0, 0.0), (3.0, 0.0), (4.0, 0.0)]))
+
+    def test_rank_inside_the_noise_band_agrees(self):
+        # the FitzHughNagumo/Plonsey shape: the whole space within a
+        # few hundredths of a millisecond, top-1 measured fifth
+        from repro.tuning.tuner import _top1_agrees
+        flat = self._candidates([(0.427, 0.031), (0.383, 0.015),
+                                 (0.397, 0.018), (0.414, 0.025),
+                                 (0.416, 0.024)])
+        assert _top1_agrees(flat)
+
+    def test_rank_outside_the_noise_band_disagrees(self):
+        from repro.tuning.tuner import _top1_agrees
+        assert not _top1_agrees(self._candidates(
+            [(2.0, 0.05), (1.0, 0.05), (1.1, 0.05), (1.2, 0.05)]))
+
+    def test_fewer_than_three_candidates(self):
+        from repro.tuning.tuner import _top1_agrees
+        assert _top1_agrees(self._candidates([(2.0, 0.0), (1.0, 0.0)]))
+
+
+class TestReportDatabase:
+    def test_report_without_a_db_leaves_the_users_alone(self, tmp_path,
+                                                        monkeypatch):
+        """``tuning_report`` force-retunes, so the gate (which passes
+        no db) must write to a throw-away one."""
+        from repro.tuning import tuning_report
+        users = tmp_path / "users-tuning.json"
+        monkeypatch.setenv("LIMPET_TUNE_DB", str(users))
+        section = tuning_report(models=["FitzHughNagumo"], n_cells=48,
+                                n_steps=3, top_k=1, repeats=2)
+        assert not users.exists()
+        assert [v["name"] for v in section["variants"]] == \
+            ["FitzHughNagumo.default", "FitzHughNagumo.tuned"]
+        assert section["ratios"]["FitzHughNagumo.tuned_vs_default"] >= 1.0
+        # an explicit db is the caller's to fill
+        mine = TuningDB(path=tmp_path / "mine.json")
+        tuning_report(models=["FitzHughNagumo"], n_cells=48, n_steps=3,
+                      top_k=1, repeats=2, db=mine)
+        assert len(mine) == 1
