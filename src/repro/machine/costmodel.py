@@ -276,15 +276,21 @@ class PythonRuntimeCostModel(CostModel):
     EL_MOVE_NS = 0.35         # unit-stride access (flat slice copy)
     EL_GATHER_NS = 1.25       # strided access (AoS: stride n_states)
     EL_INDEXED_NS = 2.6       # indexed access (fancy gather/scatter)
-    EL_LUT_COLUMN_NS = 13.0   # 2 row gathers + interpolation arithmetic
+    #: per live column: two contiguous-row gathers (values, slopes) and
+    #: an in-place multiply-add (3.1-3.5 measured over OHara,
+    #: Courtemanche, LuoRudy91, TenTusscherPanfilov at 4096 cells)
+    EL_LUT_COLUMN_NS = 3.3
     #: per-block cost of an access that cannot run as one flat loop: a
     #: unit-stride access under AoSoA copies one W-element row per block
     #: (rows are n_states*W apart), an indexed access builds one index
     #: row per block — so wider kernels pay it less often (this is what
     #: separates width 8 from width 4 at runtime)
     EL_ROW_NS = 6.0
-    #: statements per interpolated LUT column (gathers + mul/add chain)
-    LUT_COLUMN_STATEMENTS = 3.0
+    #: statements per live LUT column: a call costs ~15 us of index
+    #: arithmetic and gathers however many columns it returns, plus
+    #: ~0.5 us per column (view, unpack); spread over the 15-27 live
+    #: columns of the tuner's representative models (2.7-4.2 measured)
+    LUT_COLUMN_STATEMENTS = 3.6
     #: per-op per-cell cost of the scalar baseline's Python loop
     PY_SCALAR_OP_NS = 60.0
     #: per-shard pool submission cost per step, and thread efficiency
@@ -310,7 +316,7 @@ class PythonRuntimeCostModel(CostModel):
         statements = (p.simple_fp + p.div_fp + p.exp_class + p.pow_class
                       + p.contiguous_loads + p.contiguous_stores
                       + p.gathers + p.scatters + p.inserts_extracts
-                      + p.lut_columns_vector * self.LUT_COLUMN_STATEMENTS
+                      + p.lut_columns_live * self.LUT_COLUMN_STATEMENTS
                       + p.lut_columns_scalar * self.LUT_COLUMN_STATEMENTS)
         if fuse:
             statements *= self.FUSED_STATEMENT_RATIO
@@ -339,7 +345,7 @@ class PythonRuntimeCostModel(CostModel):
                      + unit * self.EL_MOVE_NS
                      + gathers * (self.EL_GATHER_NS if aos
                                   else self.EL_INDEXED_NS)
-                     + (p.lut_columns_vector + p.lut_columns_scalar)
+                     + (p.lut_columns_live + p.lut_columns_scalar)
                      * self.EL_LUT_COLUMN_NS)
         row_accesses = (unit if aosoa else 0.0) + (0.0 if aos else gathers)
         n_blocks = n_cells / max(p.width, 1)

@@ -71,6 +71,9 @@ class KernelProfile:
     lut_columns_scalar: float = 0.0
     #: columns summed over vector calls (one call covers ALL lanes)
     lut_columns_vector: float = 0.0
+    #: of those, the columns some op reads: the paper's vector routine
+    #: fills the whole row, the NumPy runtime only these (DESIGN.md §6.5)
+    lut_columns_live: float = 0.0
     other_calls: float = 0.0
     # pre-loop setup ops (hoisted; charged once per kernel invocation)
     setup_ops: float = 0.0
@@ -223,17 +226,20 @@ def _count_op(op: Operation, profile: KernelProfile, m: float) -> None:
         profile.inserts_extracts += m
     elif name == "func.call":
         callee = op.attributes.get("callee", "")
+        live = sum(1 for r in op.results if r.num_uses)
         if callee.startswith("LUT_interpRowSpline_n_elements_vec"):
             # cubic interpolation: 4 row gathers + a polynomial per
             # column, charged as twice the linear column work
             profile.lut_calls_vector += m
             profile.lut_columns_vector += 2.0 * m * len(op.results)
+            profile.lut_columns_live += 2.0 * m * live
         elif callee.startswith("LUT_interpRowSpline"):
             profile.lut_calls_scalar += m
             profile.lut_columns_scalar += 2.0 * m * len(op.results)
         elif callee.startswith("LUT_interpRow_n_elements_vec"):
             profile.lut_calls_vector += m
             profile.lut_columns_vector += m * len(op.results)
+            profile.lut_columns_live += m * live
         elif callee.startswith("LUT_interpRow"):
             profile.lut_calls_scalar += m
             profile.lut_columns_scalar += m * len(op.results)

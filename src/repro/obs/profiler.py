@@ -52,7 +52,7 @@ def classify_op(op_name: str, detail: Optional[str] = None) -> str:
     """Map an IR op (+ call / addressing detail) onto a cost-model
     element class."""
     if op_name == "func.call":
-        if detail and detail.startswith("LUT_"):
+        if detail and "LUT_" in detail:
             return "lut"
         return "other"
     if detail in _ADDRESSING_CLASS and op_name.startswith("vector."):
@@ -84,13 +84,22 @@ class OpCost:
     seconds: float
     source: Optional[str] = None   # EasyML name via the result hint
     snippet: str = ""              # the lowered statement text
-    #: callee for func.call statements; addressing mode (``unit`` /
-    #: ``strided`` / ``indexed``) for vector memory accesses
+    #: callee for func.call statements, ``live/total callee`` columns
+    #: for a LUT call; addressing mode (``unit`` / ``strided`` /
+    #: ``indexed``) for vector memory accesses
     detail: Optional[str] = None
 
     @property
     def element_class(self) -> str:
         return classify_op(self.op, self.detail)
+
+    @property
+    def elements_per_cell(self) -> int:
+        """Values the statement produces per cell: the live columns of
+        a LUT call (what ``EL_LUT_COLUMN_NS`` prices), else one."""
+        if self.element_class == "lut":
+            return int(self.detail.split("/", 1)[0])
+        return 1
 
 
 class KernelProfileReport:
@@ -146,11 +155,12 @@ class KernelProfileReport:
             totals[cls_] = totals.get(cls_, 0.0) + entry.seconds
         return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
 
-    def class_statement_counts(self) -> Dict[str, int]:
+    def class_element_counts(self) -> Dict[str, int]:
+        """Values produced per cell per kernel call, by class."""
         counts: Dict[str, int] = {}
         for entry in self.entries:
             cls_ = entry.element_class
-            counts[cls_] = counts.get(cls_, 0) + 1
+            counts[cls_] = counts.get(cls_, 0) + entry.elements_per_cell
         return counts
 
     def attributed_fraction(self, measured_compute_seconds: float) -> float:
@@ -234,18 +244,19 @@ def measured_op_costs(report: KernelProfileReport, n_cells: int,
     """Measured per-element nanoseconds by cost-model class.
 
     Each class's attributed seconds are divided by the elements its
-    statements processed (statements × cells × invocations).  The
+    statements produced (one per statement, one per live column of a
+    LUT call; × cells × invocations).  The
     numbers include per-statement dispatch, so they are *effective*
     per-element costs at this cell count — exactly what the runtime
     cost model wants for ranking at the same workload shape.
     """
     invocations = invocations or report.invocations or 1
     seconds = report.by_class()
-    statements = report.class_statement_counts()
+    per_cell = report.class_element_counts()
     costs: Dict[str, float] = {}
     for cls_, secs in seconds.items():
-        n_stmt = statements.get(cls_, 0)
-        elements = n_stmt * max(n_cells, 1) * max(invocations, 1)
+        elements = (per_cell.get(cls_, 0) * max(n_cells, 1)
+                    * max(invocations, 1))
         if elements:
             costs[cls_] = secs / elements * 1e9
     return costs

@@ -40,7 +40,7 @@ from .lut_runtime import (lut_interp_row, lut_interp_row_spline,
 
 #: bump whenever generated source semantics change — part of the
 #: persistent kernel cache key (repro.runtime.kernel_cache)
-LOWERING_VERSION = 3
+LOWERING_VERSION = 4
 
 #: fused expressions deeper than this are materialized into a named
 #: temporary so generated lines stay readable and CPython's parser
@@ -936,25 +936,36 @@ class _FunctionLowering:
     def _lower_call(self, op: Operation) -> None:
         callee = op.attributes["callee"]
         operands = ", ".join(self.use(v) for v in op.operands)
+        results = list(op.results)
+        detail = callee
+        is_lut = callee.startswith("LUT_interpRow")
+        if is_lut:
+            if "_n_elements_vec" in callee:
+                # a vector call returns only the columns something
+                # reads: the runtime gathers from a table of just those
+                live = tuple(i for i, r in enumerate(results) if r.num_uses)
+                results = [results[i] for i in live]
+                operands += f", {live}"
+            detail = f"{len(results)}/{len(op.results)} {callee}"
         if callee.startswith("LUT_interpRowSpline_n_elements_vec"):
             call = f"_lut_spline_vec({operands})"
         elif callee.startswith("LUT_interpRowSpline"):
             call = f"_lut_spline_scalar({operands})"
         elif callee.startswith("LUT_interpRow_n_elements_vec"):
             call = f"_lut_vec({operands})"
-        elif callee.startswith("LUT_interpRow"):
+        elif is_lut:
             call = f"_lut_scalar({operands})"
         else:       # foreign_* and module-local functions alike
             call = f"{_sanitize(callee)}({operands})"
-        if not op.results:
-            self._emit_stmt(call, op, detail=callee)
+        if not results:
+            self._emit_stmt(call, op, detail=detail)
             return
-        results = ", ".join(self.fresh(r) for r in op.results)
-        if callee.startswith("LUT_interpRow"):
+        targets = ", ".join(self.fresh(r) for r in results)
+        if is_lut:
             # the LUT runtime returns a tuple of columns even for a
             # single-column table: force sequence unpacking
-            results += ","
-        self._emit_stmt(f"{results} = {call}", op, detail=callee)
+            targets += ","
+        self._emit_stmt(f"{targets} = {call}", op, detail=detail)
 
     def _lower_special(self, op: Operation) -> None:
         n = self.use
