@@ -36,8 +36,8 @@ from .frontend import IonicModel, Method, analyze
 from .frontend import load_model as load_model_source
 from .frontend import load_model_file
 from .codegen import (BackendMode, GeneratedKernel, KernelSpec, Layout,
-                      aos, aosoa, generate_baseline, generate_icc_simd,
-                      generate_limpet_mlir, soa)
+                      aos, aosoa, generate, generate_baseline,
+                      generate_icc_simd, generate_limpet_mlir, soa)
 from .runtime import (KernelRunner, RunResult, SimulationState, Stimulus,
                       TrajectoryComparison, compare_trajectories)
 from .resilience import (Diagnostic, FaultInjector, FaultPlan, HealthReport,
@@ -56,7 +56,8 @@ __all__ = [
     "parse_model", "parse_model_file", "IonicModel", "Method", "analyze",
     "load_model_source", "load_model_file", "BackendMode",
     "GeneratedKernel", "KernelSpec", "Layout", "aos", "aosoa", "soa",
-    "generate_baseline", "generate_icc_simd", "generate_limpet_mlir",
+    "generate", "generate_baseline", "generate_icc_simd",
+    "generate_limpet_mlir",
     "KernelRunner", "RunResult", "SimulationState", "Stimulus",
     "compare_trajectories", "AVX2", "AVX512", "CASCADE_LAKE", "SSE",
     "CostModel", "profile_kernel", "ALL_MODELS", "SIZE_CLASS",

@@ -123,7 +123,7 @@ def _quarantine_entry(root: pathlib.Path, path: pathlib.Path,
 
 def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
     """Regenerate the entry's kernel IR and recompute its cache key."""
-    from ..codegen import generate_baseline, generate_limpet_mlir
+    from ..codegen import generate
     from ..models import load_model
     from ..runtime.kernel_cache import kernel_cache_key
     spec = entry["spec"]
@@ -137,14 +137,9 @@ def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
         fuse, arena = config.fuse, config.arena
     else:
         fuse, arena = True, False
-        if spec["backend"] == "baseline":
-            generated = generate_baseline(
-                model, use_lut=spec["use_lut"],
-                lut_interpolation=spec["lut_interpolation"])
-        else:
-            generated = generate_limpet_mlir(
-                model, spec["width"], use_lut=spec["use_lut"],
-                lut_interpolation=spec["lut_interpolation"])
+        generated = generate(
+            model, spec["backend"], spec["width"], use_lut=spec["use_lut"],
+            lut_interpolation=spec["lut_interpolation"])
     return kernel_cache_key(generated, fingerprint, fuse, arena, True)
 
 

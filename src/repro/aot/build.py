@@ -24,8 +24,7 @@ import time
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
-from ..codegen import generate_baseline, generate_limpet_mlir
-from ..codegen.common import UnsupportedModelError
+from ..codegen import backend_for, generate
 from ..models import all_model_files, load_model
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
@@ -220,14 +219,12 @@ def build_bundle(dest: Union[str, pathlib.Path],
                     fuse, arena = config.fuse, config.arena
                 else:
                     fuse, arena = True, False
-                    try:
-                        generated = generate_limpet_mlir(
-                            model, width, use_lut=use_lut)
-                    except UnsupportedModelError:
-                        # the 4 foreign-function models: first-class
-                        # baseline-tier entries, not build errors
-                        generated = generate_baseline(
-                            model, use_lut=use_lut)
+                    # the 4 foreign-function models: first-class
+                    # baseline-tier entries, not build errors
+                    generated = generate(
+                        model, backend_for("limpet_mlir", width,
+                                           bool(model.foreign_functions)),
+                        width=width, use_lut=use_lut)
                 key = kernel_cache_key(generated, fingerprint, fuse,
                                        arena, True)
             except Exception as err:  # noqa: BLE001 - per-model boundary

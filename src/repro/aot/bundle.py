@@ -46,6 +46,7 @@ import pathlib
 from dataclasses import dataclass, field, replace
 from typing import Dict, Optional, Union
 
+from ..codegen import backend_for
 from ..codegen.common import BackendMode, GeneratedKernel, KernelSpec
 from ..codegen.layout import Layout, LayoutKind
 from ..obs import metrics as _metrics
@@ -412,7 +413,7 @@ def runner_from_store(model, backend: str = "limpet_mlir",
                                   population=population)
         if config is not None:
             variant = tuned_variant_name(config)
-            backend = "baseline" if config.width == 1 else backend
+            backend = backend_for(backend, config.width)
             width = config.width
             use_lut = config.use_lut
             lut_interpolation = config.lut_interpolation

@@ -19,8 +19,7 @@ from dataclasses import dataclass, field
 from functools import lru_cache
 from typing import Callable, List, Optional, Sequence
 
-from ..codegen import (BackendMode, GeneratedKernel, generate_baseline,
-                       generate_icc_simd, generate_limpet_mlir)
+from ..codegen import BackendMode, GeneratedKernel, generate
 from ..frontend import IonicModel
 from ..ir.passes import default_pipeline
 from ..machine import (AVX512, CostModel, KernelProfile, VectorISA,
@@ -37,9 +36,16 @@ PAPER_CELLS = 8192
 PAPER_STEPS = 100_000
 PAPER_DT = 0.01
 
-#: backend variants the evaluation exercises
-VARIANTS = ("baseline", "limpet_mlir", "limpet_mlir_aos", "icc_simd",
-            "limpet_mlir_nolut", "baseline_nolut")
+#: backend variants the evaluation exercises -> generator coordinates
+_VARIANT_COORDS = {
+    "baseline": dict(backend="baseline"),
+    "limpet_mlir": dict(backend="limpet_mlir"),
+    "limpet_mlir_aos": dict(backend="limpet_mlir", layout="aos"),
+    "icc_simd": dict(backend="icc_simd"),
+    "limpet_mlir_nolut": dict(backend="limpet_mlir", use_lut=False),
+    "baseline_nolut": dict(backend="baseline", use_lut=False),
+}
+VARIANTS = tuple(_VARIANT_COORDS)
 
 
 @dataclass(frozen=True)
@@ -65,19 +71,10 @@ class BenchConfig:
 def generate_variant(model: IonicModel, variant: str,
                      width: int = 8) -> GeneratedKernel:
     """Build one backend variant's kernel for ``model``."""
-    if variant == "baseline":
-        return generate_baseline(model)
-    if variant == "baseline_nolut":
-        return generate_baseline(model, use_lut=False)
-    if variant == "limpet_mlir":
-        return generate_limpet_mlir(model, width)
-    if variant == "limpet_mlir_aos":
-        return generate_limpet_mlir(model, width, data_layout_opt=False)
-    if variant == "limpet_mlir_nolut":
-        return generate_limpet_mlir(model, width, use_lut=False)
-    if variant == "icc_simd":
-        return generate_icc_simd(model, width)
-    raise ValueError(f"unknown variant {variant!r}; one of {VARIANTS}")
+    coords = _VARIANT_COORDS.get(variant)
+    if coords is None:
+        raise ValueError(f"unknown variant {variant!r}; one of {VARIANTS}")
+    return generate(model, width=width, **coords)
 
 
 @lru_cache(maxsize=512)

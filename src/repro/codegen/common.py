@@ -1,4 +1,4 @@
-"""Shared code-generation machinery for both backends.
+"""Shared code-generation machinery for every backend.
 
 * :class:`KernelSpec` — everything that parameterizes a generated
   compute kernel (model, SIMD width, layout, backend mode).
@@ -13,7 +13,7 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
@@ -79,8 +79,6 @@ class GeneratedKernel:
     module: "object"               # repro.ir.Module
     spec: KernelSpec
     layout: Layout
-    #: LUT tables actually emitted (empty when use_lut=False)
-    lut_tables: List[object] = field(default_factory=list)
 
 
 class ExprEmitter:

@@ -14,13 +14,13 @@ Three call shapes are generated:
 
 from __future__ import annotations
 
-from typing import Dict, List
+from typing import Callable, Dict, List, NamedTuple, Sequence
 
-from ..frontend.model import IonicModel, LUTTable
+from ..frontend.model import LUTTable
 from ..ir.builder import IRBuilder
 from ..ir.core import Module, Value
 from ..ir.dialects import func as func_dialect, vector as vector_dialect
-from ..ir.types import f64, memref_of, vector_of
+from ..ir.types import VectorType, f64, memref_of, vector_of
 
 SCALAR_INTERP = "LUT_interpRow"
 VECTOR_INTERP = "LUT_interpRow_n_elements_vec"
@@ -40,51 +40,35 @@ def interp_symbol(table: LUTTable, vectorized: bool, width: int = 0,
     return f"{SCALAR_SPLINE if spline else SCALAR_INTERP}_{table.var}"
 
 
-def declare_interp_functions(module: Module, model: IonicModel,
+def declare_interp_functions(module: Module, tables: Sequence[LUTTable],
                              vectorized: bool, width: int,
                              spline: bool = False) -> None:
     """Add ``func.func private`` declarations for each table's routine."""
-    for table in model.lut_tables:
-        n_cols = table.n_columns
-        if vectorized:
-            vec = vector_of(width, f64)
-            func_dialect.func(module,
-                              interp_symbol(table, True, width, spline),
-                              [LUT_MEMREF, vec], [vec] * n_cols,
-                              declaration=True)
-        else:
-            func_dialect.func(module,
-                              interp_symbol(table, False, spline=spline),
-                              [LUT_MEMREF, f64], [f64] * n_cols,
-                              declaration=True)
+    elem = vector_of(width, f64) if vectorized else f64
+    for table in tables:
+        func_dialect.func(module,
+                          interp_symbol(table, vectorized, width, spline),
+                          [LUT_MEMREF, elem], [elem] * table.n_columns,
+                          declaration=True)
 
 
-def emit_scalar_interp(builder: IRBuilder, table: LUTTable, lut_arg: Value,
-                       key: Value, env: Dict[str, Value],
-                       spline: bool = False) -> None:
-    """Baseline path: scalar row interpolation, results into ``env``."""
+def emit_direct_interp(builder: IRBuilder, table: LUTTable, lut_arg: Value,
+                       key: Value, env: Dict[str, Value], width: int,
+                       spline: bool) -> None:
+    """One call at the key's own width, results into ``env``: the scalar
+    routine per cell (Listing 2) or the vectorized one for all lanes."""
+    vectorized = isinstance(key.type, VectorType)
     call = func_dialect.call(builder,
-                             interp_symbol(table, False, spline=spline),
-                             [lut_arg, key], [f64] * table.n_columns)
-    for name, result in zip(table.column_names, call.results):
-        env[name] = result
-
-
-def emit_vector_interp(builder: IRBuilder, table: LUTTable, lut_arg: Value,
-                       key_vec: Value, env: Dict[str, Value],
-                       width: int, spline: bool = False) -> None:
-    """limpetMLIR path: one vectorized interpolation for all lanes."""
-    vec = vector_of(width, f64)
-    call = func_dialect.call(builder,
-                             interp_symbol(table, True, width, spline),
-                             [lut_arg, key_vec], [vec] * table.n_columns)
+                             interp_symbol(table, vectorized, width, spline),
+                             [lut_arg, key], [key.type] * table.n_columns)
     for name, result in zip(table.column_names, call.results):
         env[name] = result
 
 
 def emit_serialized_interp(builder: IRBuilder, table: LUTTable,
                            lut_arg: Value, key_vec: Value,
-                           env: Dict[str, Value], width: int) -> None:
+                           env: Dict[str, Value], width: int,
+                           spline: bool) -> None:
     """icc_simd path: the vector call is serialized lane by lane.
 
     Each lane's key is extracted, the scalar routine is called, and the
@@ -94,7 +78,8 @@ def emit_serialized_interp(builder: IRBuilder, table: LUTTable,
     lane_results: List[List[Value]] = [[] for _ in range(table.n_columns)]
     for lane in range(width):
         key = vector_dialect.extract(builder, key_vec, lane)
-        call = func_dialect.call(builder, interp_symbol(table, False),
+        call = func_dialect.call(builder,
+                                 interp_symbol(table, False, spline=spline),
                                  [lut_arg, key], [f64] * table.n_columns)
         for col, result in enumerate(call.results):
             lane_results[col].append(result)
@@ -104,3 +89,16 @@ def emit_serialized_interp(builder: IRBuilder, table: LUTTable,
         for lane, scalar in enumerate(lane_results[col]):
             vec = vector_dialect.insert(builder, scalar, vec, lane)
         env[name] = vec
+
+
+class LutShape(NamedTuple):
+    """A target's LUT call shape: which routine it declares and how it
+    is called from the cell loop."""
+
+    vectorized: bool
+    emit: Callable[..., None]
+
+
+SCALAR_LUT = LutShape(False, emit_direct_interp)
+VECTOR_LUT = LutShape(True, emit_direct_interp)
+SERIALIZED_LUT = LutShape(False, emit_serialized_interp)

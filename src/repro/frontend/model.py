@@ -1,8 +1,8 @@
 """The analyzed ionic model: what the code generators consume.
 
 :class:`IonicModel` is the common hand-off point between the limpet
-frontend (this package) and both backends (``repro.codegen.limpet_c``
-and ``repro.codegen.limpet_mlir``), exactly as the AST produced by
+frontend (this package) and the one kernel emitter behind every
+backend (``repro.codegen.emitter``), exactly as the AST produced by
 openCARP's Python limpet frontend is shared between limpetC++ and
 limpetMLIR (Figure 1 of the paper).
 """

@@ -24,8 +24,7 @@ from typing import List, Optional, Tuple
 
 import numpy as np
 
-from ..codegen import (check_population_legality, generate_baseline,
-                       generate_limpet_mlir)
+from ..codegen import backend_for, check_population_legality, generate
 from ..frontend.model import IonicModel
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -202,11 +201,9 @@ class PopulationRunner:
         self._runner_kwargs = dict(runner_kwargs)
         self._runner_kwargs["cache"] = cache
         self.foreign = bool(self.model.foreign_functions)
-        if self.foreign:
-            self.generated = generate_baseline(self.model, use_lut=use_lut)
-        else:
-            self.generated = generate_limpet_mlir(
-                self.model, width=width, layout=layout, use_lut=use_lut)
+        self.generated = generate(
+            self.model, backend_for("limpet_mlir", width, self.foreign),
+            width=width, layout=layout, use_lut=use_lut)
         self.width = self.generated.spec.width
         self._runner: Optional[KernelRunner] = None
         self._runner_cells: Optional[int] = None

@@ -17,9 +17,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import List, Optional, Sequence, Union
 
-from ..codegen import (GeneratedKernel, UnsupportedModelError,
-                       generate_baseline, generate_icc_simd,
-                       generate_limpet_mlir)
+from ..codegen import GeneratedKernel, UnsupportedModelError, generate
 from ..frontend.model import IonicModel
 from ..models import load_model
 from ..obs import ledger as _ledger
@@ -62,18 +60,6 @@ class ResilientKernel:
         if self.fell_back:
             head += f" (requested {self.requested!r})"
         return head
-
-
-def _generate(model: IonicModel, backend: str, width: int,
-              use_lut: bool) -> GeneratedKernel:
-    if backend == "limpet_mlir":
-        return generate_limpet_mlir(model, width, use_lut=use_lut)
-    if backend == "icc_simd":
-        return generate_icc_simd(model, width, use_lut=use_lut)
-    if backend == "baseline":
-        return generate_baseline(model, use_lut=use_lut)
-    raise ValueError(f"unknown backend tier {backend!r}; "
-                     f"one of {DEFAULT_CHAIN}")
 
 
 def compile_resilient(model: Union[str, IonicModel],
@@ -155,7 +141,8 @@ def compile_resilient(model: Union[str, IonicModel],
                                  backend=backend, tier=tier):
                     if inject is not None:
                         inject.maybe_fail_backend(backend)
-                    kernel = _generate(model, backend, width, use_lut)
+                    kernel = generate(model, backend, width,
+                                      use_lut=use_lut)
                     if sandbox:
                         pipeline = sandboxed_pipeline(reproducer_dir)
                         if inject is not None:

@@ -11,18 +11,15 @@ currents into the parent's ``Iion`` — openCARP's plugin architecture
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional, Sequence
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
-from ..codegen import generate_limpet_mlir
-from ..codegen.multimodel import generate_plugin
+from ..codegen import generate_limpet_mlir, generate_plugin
 from ..frontend.model import IonicModel
-from ..ir.passes import default_pipeline
-from ..ir.verifier import verify_module
-from .executor import KernelRunner, Stimulus, advance
-from .lowering import lower_function
+from .executor import KernelRunner, Stimulus, _quantize_dt, advance
 from .lut_runtime import build_all_luts
+from .resolve import resolve_kernel
 from .state import SimulationState, allocate_state
 
 
@@ -34,7 +31,9 @@ class PluginInstance:
     kernel: object                 # CompiledKernel
     state: SimulationState
     parent_map: np.ndarray         # offspring cell -> parent cell (or -1)
-    luts: List
+    #: quantised dt -> tables: Rush–Larsen columns are dt-dependent, so
+    #: keyed exactly as ``KernelRunner.luts_for`` keys its own
+    luts: Dict[float, List]
     use_lut: bool
 
 
@@ -65,17 +64,13 @@ class HierarchicalSimulation:
         if (parent_map >= self.state.n_cells).any():
             raise ValueError("parent_map points past the parent's cells")
         generated = generate_plugin(model, self.width, use_lut=use_lut)
-        default_pipeline(verify_each=False).run(generated.module,
-                                                fixed_point=True)
-        verify_module(generated.module)
-        kernel = lower_function(generated.module,
-                                generated.spec.function_name)
+        kernel, _ = resolve_kernel(generated)
         state = allocate_state(model, generated.layout, len(parent_map),
                                width=self.width)
         padded_map = np.full(state.n_alloc, -1, dtype=np.int64)
         padded_map[:len(parent_map)] = parent_map
         plugin = PluginInstance(model=model, kernel=kernel, state=state,
-                                parent_map=padded_map, luts=[],
+                                parent_map=padded_map, luts={},
                                 use_lut=use_lut)
         self.plugins.append(plugin)
         return plugin
@@ -85,9 +80,10 @@ class HierarchicalSimulation:
     def _plugin_luts(self, plugin: PluginInstance, dt: float) -> List:
         if not plugin.use_lut:
             return []
-        if not plugin.luts:
-            plugin.luts = build_all_luts(plugin.model, dt=dt)
-        return plugin.luts
+        key = _quantize_dt(dt)
+        if key not in plugin.luts:
+            plugin.luts[key] = build_all_luts(plugin.model, dt=dt)
+        return plugin.luts[key]
 
     def _compute_coupled(self, state: SimulationState, dt: float) -> None:
         """The compute stage: the parent's kernel, then every plugin's

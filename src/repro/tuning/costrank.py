@@ -16,7 +16,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
-from ..codegen import generate_baseline, generate_limpet_mlir
+from ..codegen import backend_for, generate
 from ..frontend.model import IonicModel
 from ..ir.passes import default_pipeline
 from ..machine.costmodel import (PythonRuntimeCostModel, isa_for_width)
@@ -33,13 +33,10 @@ def variant_key(config: TuningConfig) -> VariantKey:
 
 def generate_for(model: IonicModel, config: TuningConfig):
     """The generated kernel for one config's IR variant."""
-    if config.width == 1:
-        return generate_baseline(model, use_lut=config.use_lut,
-                                 lut_interpolation=config.lut_interpolation)
-    return generate_limpet_mlir(model, width=config.width,
-                                layout=config.layout,
-                                use_lut=config.use_lut,
-                                lut_interpolation=config.lut_interpolation)
+    return generate(model, backend_for("limpet_mlir", config.width),
+                    width=config.width, layout=config.layout,
+                    use_lut=config.use_lut,
+                    lut_interpolation=config.lut_interpolation)
 
 
 def profile_variants(model: IonicModel, configs: List[TuningConfig]

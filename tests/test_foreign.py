@@ -6,7 +6,7 @@ import pytest
 from repro.codegen import (generate_baseline, generate_icc_simd,
                            generate_limpet_mlir)
 from repro.codegen.common import UnsupportedModelError
-from repro.codegen.multimodel import generate_plugin
+from repro.codegen import generate_plugin
 from repro.frontend import load_model
 from repro.models import (ALL_MODELS, UNSUPPORTED_MODELS, all_model_files,
                           load_model as load_registry_model,

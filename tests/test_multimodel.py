@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codegen import generate_limpet_mlir
-from repro.codegen.multimodel import generate_plugin
+from repro.codegen import generate_limpet_mlir, generate_plugin
 from repro.frontend import load_model
 from repro.ir import verify_module
 from repro.models import load_model as load_registry_model
@@ -49,6 +48,25 @@ class TestPluginCodegen:
 
 
 class TestHierarchy:
+    def test_plugin_luts_follow_dt(self):
+        """Rush–Larsen columns are dt-dependent: a plugin's tables built
+        for one dt must not serve the next."""
+        model = load_registry_model("LuoRudy91")
+
+        def coupled():
+            sim = HierarchicalSimulation(model, n_cells=16, width=8)
+            sim.attach_plugin(model, list(range(16)))
+            sim.run(20, 0.01)
+            return sim
+
+        reused, rebuilt = coupled(), coupled()
+        rebuilt.plugins[0].luts.clear()
+        for sim in (reused, rebuilt):
+            sim.run(20, 0.005)
+        assert np.array_equal(reused.parent_vm(), rebuilt.parent_vm())
+        assert np.array_equal(reused.plugin_state(0, "m"),
+                              rebuilt.plugin_state(0, "m"))
+
     def test_coupled_cells_feel_the_plugin(self, plugin_model):
         parent = load_registry_model("LuoRudy91")
         sim = HierarchicalSimulation(parent, n_cells=32, width=8)

@@ -7,6 +7,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro import codegen
 from repro.codegen import generate_limpet_mlir
 from repro.ir.passes import default_pipeline
 from repro.ir.passes.pass_manager import PassInstrumentation, PassManager
@@ -486,6 +487,25 @@ class TestEndToEndTrace:
         events = tracer.to_chrome()["traceEvents"]
         assert any(e.get("args", {}).get("op_delta") is not None
                    for e in events)
+
+    @pytest.mark.parametrize("backend, width, build", [
+        ("baseline", 1, codegen.generate_baseline),
+        ("limpet_mlir", 4, lambda m: codegen.generate_limpet_mlir(m, 4)),
+        ("icc_simd", 8, codegen.generate_icc_simd),
+        ("gpu", 1, codegen.generate_gpu),
+        ("plugin", 8, codegen.generate_plugin)])
+    def test_one_irgen_span_per_generated_kernel(self, no_tracer, backend,
+                                                 width, build):
+        model = load_model("LuoRudy91")
+        tracer = Tracer()
+        previous = obs_trace.activate(tracer)
+        try:
+            build(model)
+        finally:
+            obs_trace.deactivate(previous)
+        assert [(r.name, r.args) for r in tracer.roots] == [
+            ("irgen", {"model": "LuoRudy91", "backend": backend,
+                       "width": width})]
 
     def test_disabled_tracing_leaves_runner_untouched(self, no_tracer):
         runner = make_runner("Plonsey")
