@@ -97,7 +97,8 @@ from .models import (ALL_MODELS, UNSUPPORTED_MODELS,
                      all_model_files, list_models, load_model)
 from .resilience import (FaultInjector, FaultPlan, NumericalDivergenceError,
                          ResilientCompileError, WatchdogConfig,
-                         compile_resilient, format_trail, load_reproducer)
+                         compile_resilient, format_trail, load_reproducer,
+                         sandboxed_pipeline)
 from .runtime import Stimulus, compare_trajectories
 
 #: structured exit codes (documented above; mapped from Diagnostics)
@@ -938,8 +939,10 @@ def cmd_trace(model_name: Optional[str], backend: str, width: int,
         # on the supervised tier forked workers join the trace via the
         # injected TraceContext and stream their spans back over the
         # reply pipes; the merged file has one lane per pid
-        with make_runner(generated, workers=workers,
-                         profile=profile) as runner:
+        # the sandboxed pipeline, as `run` compiles: its `sandbox` span
+        # (minus the pass:* children) is what the sandbox itself costs
+        with make_runner(generated, workers=workers, profile=profile,
+                         pipeline=sandboxed_pipeline()) as runner:
             state = runner.make_state(cells)
             runner.run(state, steps, dt)
     finally:
@@ -1095,6 +1098,9 @@ def _drill_pass_exception(reproducer_dir) -> str:
     assert compiled.sandbox.reproducers, "no reproducer bundle written"
     module, meta = load_reproducer(compiled.sandbox.reproducers[0])
     assert meta["pass"] == "cse" and module.funcs(), "bundle did not load"
+    quarantine = next(d for d in compiled.diagnostics if d.stage == "pass")
+    assert quarantine.data["replayed_passes"] == ["canonicalize"], \
+        "rollback did not replay the journal"
     clean = compile_resilient("Plonsey")
     r_faulty = compiled.runner.simulate(16, 30, perturbation=0.01)
     r_clean = clean.runner.simulate(16, 30, perturbation=0.01)

@@ -199,8 +199,9 @@ class Parser:
         if match.group("results"):
             result_hints = [t.strip().lstrip("%")
                             for t in _split_commas(match.group("results"))]
-        op = Operation(name, operands, out_tys, attrs,
-                       result_hints=result_hints)
+        # all-digit names are the printer's own numbering, not hints
+        op = Operation(name, operands, out_tys, attrs, result_hints=[
+            None if h.isdigit() else h for h in result_hints])
         for key, label in fixups:
             self.block_fixups.append((op, key, label))
         for hint, result in zip(result_hints, op.results):

@@ -9,8 +9,8 @@ The unified measurement layer of the reproduction (DESIGN.md §8):
   with JSON and Prometheus exports (``limpet-bench metrics``);
 * :mod:`repro.obs.passes` — concrete
   :class:`~repro.ir.passes.PassInstrumentation` hooks (op-count
-  deltas, per-pass spans, ``--print-ir-after-all`` dumps, the
-  sandbox's pre-pass snapshots);
+  deltas, per-pass spans, ``--print-ir-after-all`` dumps, pre-pass
+  IR snapshots);
 * :mod:`repro.obs.profiler` — measured per-op kernel costs from
   profile-mode lowering, feeding hot tables, the runtime cost model
   and the roofline.

@@ -19,6 +19,8 @@ bare gauges).  The canonical set, wired in this PR:
 ``kernel_cache_evictions_total`` ... LRU evictions
 ``fallback_tier_skips_total``   backend tiers skipped by the chain
 ``pass_quarantines_total``      passes quarantined by the sandbox
+``sandbox_replays_total``       sandbox rollbacks replayed from the
+                                checkpoint
 ``watchdog_nan_events_total``   NaN/Inf detections by the watchdog
 ``watchdog_retries_total``      checkpoint rollbacks (dt halving)
 ``tuner_measurements_total``    timed samples taken by the autotuner

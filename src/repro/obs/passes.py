@@ -13,7 +13,7 @@ instruments, mirroring upstream MLIR's tooling:
   after changing passes (``-print-ir-after-all`` /
   ``-print-ir-after-change``);
 * :class:`IRSnapshotInstrumentation` — captures the printed pre-pass
-  IR; the sandboxed pass manager's rollback source;
+  IR (what a sandbox reproducer's ``module.ir`` must equal);
 * :class:`MetricsPassInstrumentation` — per-pass wall time into the
   ``pass_seconds`` histogram of the metrics registry.
 """
@@ -174,11 +174,13 @@ class PrintIRInstrumentation(PassInstrumentation):
 class IRSnapshotInstrumentation(PassInstrumentation):
     """Captures the printed IR immediately before each pass.
 
-    This is the sandbox's rollback source: the
-    :class:`~repro.resilience.sandbox.SandboxedPassManager` reads
-    :attr:`last` after the shared ``before_pass`` hooks fire, instead
-    of keeping a private snapshotting path.  ``keep_history=True``
-    additionally retains every ``(pass_name, ir_text)`` pair.
+    An ordinary instrument, attached by whoever wants the text: it
+    prints the whole module per pass, which is why the
+    :class:`~repro.resilience.sandbox.SandboxedPassManager` does not use
+    it (it rebuilds the pre-pass module from one checkpoint instead).
+    :attr:`last` is the latest capture; ``keep_history=True``
+    additionally retains every ``(pass_name, ir_text)`` pair — the
+    reference the sandbox's rollback is tested against.
     """
 
     def __init__(self, keep_history: bool = False):

@@ -165,6 +165,7 @@ def compile_resilient(model: Union[str, IonicModel],
             outcome = (f"compiled {model.name} via {backend!r}"
                        + (f" after {tier} skipped tier(s)" if tier else ""))
         quarantined = sorted(pipeline.quarantined) if pipeline else []
+        replayed = pipeline.replayed_passes if pipeline else []
         if pipeline is not None:
             diagnostics.extend(pipeline.diagnostics)
         diagnostics.append(log_diagnostic(Diagnostic(
@@ -178,6 +179,7 @@ def compile_resilient(model: Union[str, IonicModel],
             cache=runner.resolution.cache_outcome, tier_index=tier,
             key=runner.cache_key, compile_seconds=runner.compile_seconds,
             quarantined=quarantined or None,
+            replayed_passes=replayed or None,
             disposition="fell_back" if tier else "ok")
         return ResilientKernel(model_name=model.name, backend=backend,
                                requested=chain[0], kernel=kernel,

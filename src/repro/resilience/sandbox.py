@@ -1,13 +1,22 @@
-"""Sandboxed pass execution: snapshot -> run -> verify -> commit.
+"""Sandboxed pass execution: checkpoint -> run -> verify -> journal.
 
 MLIR's structured-codegen line of work keeps long pass pipelines sound
 by verifying after each transform; this module goes one step further
-the way a production driver must: every pass runs against a snapshot of
-the module, and when the pass either raises or leaves the module in a
-state the verifier rejects, the module is **rolled back** to the
-snapshot, the pass is **quarantined** for the remainder of the
-pipeline, and a **reproducer bundle** (pre-pass IR + pass name +
-traceback) is written to disk so the failure can be replayed offline::
+the way a production driver must: when a pass either raises or leaves
+the module in a state the verifier rejects, the module is **rolled
+back** to what the pass was given, the pass is **quarantined** for the
+remainder of the pipeline, and a **reproducer bundle** (pre-pass IR +
+pass name + traceback) is written to disk so the failure can be
+replayed offline.
+
+Rollback is a replay, not a stored snapshot.  The module is printed
+once, on entry (the **checkpoint**); every invocation that ran and
+verified goes into a **journal**; a failure parses the checkpoint and
+re-runs the journal.  The compile that never fails, which is every
+zoo model, prints once instead of once per pass; the per-pass
+``verify_module`` stays, including after a pass that reports no change.
+
+The bundle layout::
 
     <reproducer_dir>/<pass>-<n>/
         module.ir       # the generic-form IR the pass was given
@@ -29,9 +38,10 @@ from typing import Dict, List, Optional, Set, Tuple
 from ..ir.core import Module
 from ..ir.parser import parse_module
 from ..ir.passes.pass_manager import Pass, PassManager, PassStatistics
+from ..ir.printer import print_module
 from ..ir.verifier import VerificationError, verify_module
 from ..obs import metrics as _metrics
-from ..obs.passes import IRSnapshotInstrumentation
+from ..obs import trace as _trace
 from .diagnostics import Diagnostic, Severity, log_diagnostic
 
 
@@ -65,30 +75,51 @@ def load_reproducer(bundle: pathlib.Path) -> Tuple[Module, Dict]:
     return module, meta
 
 
-def _rollback(module: Module, snapshot_text: str) -> None:
-    """Restore ``module`` in place from its printed snapshot."""
-    restored = parse_module(snapshot_text)
-    module.body = restored.body
-    module.attributes = dict(restored.attributes)
+class ReplayError(RuntimeError):
+    """Rebuilding the pre-pass module from the checkpoint failed: a
+    journaled pass did not repeat what it did the first time."""
+
+    def __init__(self, detail: str):
+        super().__init__("cannot rebuild the pre-pass module, a journaled "
+                         f"pass is not deterministic: {detail}")
+
+
+def _replay(checkpoint: str, journal: List[Tuple[Pass, bool]]) -> Module:
+    """Rebuild the module the journaled invocations left: parse the
+    checkpoint, re-run them, verify.  A fault-injection proxy is stepped
+    around (``inner``), so a replay never counts as an invocation."""
+    module = parse_module(checkpoint)
+    try:
+        repeated = [bool(getattr(pass_, "inner", pass_).run(module))
+                    for pass_, _ in journal]
+        verify_module(module)
+    except Exception as err:  # noqa: BLE001 - re-raised, never contained
+        raise ReplayError(f"{type(err).__name__}: {err}") from err
+    if repeated != [changed for _, changed in journal]:
+        raise ReplayError("the replay's change flags differ from the "
+                          "journal's")
+    return module
 
 
 class SandboxedPassManager(PassManager):
     """A :class:`PassManager` where every pass runs in a sandbox.
 
     On a pass exception or a post-pass verification failure the module
-    is rolled back to the pre-pass snapshot, the pass is quarantined
+    is rolled back to its pre-pass state, the pass is quarantined
     (skipped for the rest of this manager's lifetime), a diagnostic is
     recorded, and — when ``reproducer_dir`` is set — a reproducer
     bundle is written.  The pipeline itself never raises for a
     quarantined pass; callers inspect :attr:`diagnostics` and
     :attr:`quarantined`.
 
-    Snapshots come through the shared
-    :class:`~repro.ir.passes.PassInstrumentation` hooks: an
-    :class:`~repro.obs.passes.IRSnapshotInstrumentation` captures the
-    printed pre-pass IR in ``before_pass`` (alongside any tracing or
-    op-count instruments the caller attached), and rollback re-parses
-    its ``last`` capture — there is no private snapshotting path.
+    The pre-pass state is rebuilt, not kept: :meth:`run` prints the
+    module once on entry (the checkpoint) and journals every invocation
+    that ran and verified.  Only a failure pays for a rollback (parse
+    the checkpoint, re-run the journal) and for the one further print
+    the reproducer needs.  Passes are deterministic, so the rebuilt
+    module prints byte-identically to the one the failing pass was
+    given; a replay that does not repeat raises :class:`ReplayError`
+    instead of quarantining a second pass.
     """
 
     def __init__(self, passes: Optional[List[Pass]] = None,
@@ -101,24 +132,35 @@ class SandboxedPassManager(PassManager):
         self.quarantined: Set[str] = set()
         self.diagnostics: List[Diagnostic] = []
         self.reproducers: List[pathlib.Path] = []
-        self._snapshots = IRSnapshotInstrumentation()
-        self.add_instrumentation(self._snapshots)
+        #: names of the passes rollbacks re-ran, in order
+        self.replayed_passes: List[str] = []
 
     # -- sandboxed execution -----------------------------------------------------
 
     def _quarantine(self, pass_: Pass, position: int, error: BaseException,
-                    snapshot: str, stage: str) -> None:
+                    stage: str, module: Module, checkpoint: str,
+                    journal: List[Tuple[Pass, bool]]) -> None:
+        """Roll ``module`` back in place to what the journal left of the
+        checkpoint, then quarantine ``pass_`` and leave the evidence."""
+        restored = _replay(checkpoint, journal)
+        module.body = restored.body
+        module.attributes = dict(restored.attributes)
+        replayed = [ran.name for ran, _ in journal]
+        self.replayed_passes.extend(replayed)
+        _metrics.counter("sandbox_replays_total",
+                         "sandbox rollbacks replayed from the checkpoint"
+                         ).inc()
         self.quarantined.add(pass_.name)
         bundle: Optional[pathlib.Path] = None
         if self.reproducer_dir is not None:
             bundle = write_reproducer(self.reproducer_dir, pass_.name,
-                                      snapshot, error, position)
+                                      print_module(module), error, position)
             self.reproducers.append(bundle)
         self.diagnostics.append(log_diagnostic(Diagnostic.from_exception(
             stage=stage, component=pass_.name, exc=error,
             severity=Severity.WARNING,
             reproducer=str(bundle) if bundle else None,
-            pipeline_position=position)))
+            pipeline_position=position, replayed_passes=replayed)))
         _metrics.counter("pass_quarantines_total",
                          "passes quarantined by the sandbox").inc()
         # black-box the lead-up next to the IR reproducer bundle (or
@@ -127,11 +169,26 @@ class SandboxedPassManager(PassManager):
         _flight.dump("pass_quarantine", directory=self.reproducer_dir,
                      extra={"pass": pass_.name, "position": position,
                             "stage": stage,
-                            "reproducer": str(bundle) if bundle else None})
+                            "reproducer": str(bundle) if bundle else None,
+                            "replayed_passes": replayed})
 
     def run(self, module: Module, fixed_point: bool = False) -> bool:
         """Run the pipeline with per-pass rollback; never raises for a
         quarantined pass (the module is always left verifying)."""
+        with _trace.span("sandbox") as span:
+            checkpoint = print_module(module)
+            journal: List[Tuple[Pass, bool]] = []
+            contained = len(self.diagnostics)
+            try:
+                return self._run(module, fixed_point, checkpoint, journal)
+            finally:
+                replays = len(self.diagnostics) - contained
+                span.annotate(checkpoint_bytes=len(checkpoint),
+                              invocations=len(journal) + replays,
+                              replays=replays)
+
+    def _run(self, module: Module, fixed_point: bool, checkpoint: str,
+             journal: List[Tuple[Pass, bool]]) -> bool:
         any_change = False
         for _ in range(self.max_iterations if fixed_point else 1):
             round_change = False
@@ -141,7 +198,6 @@ class SandboxedPassManager(PassManager):
                 stats = self.statistics.setdefault(pass_.name,
                                                    PassStatistics())
                 self._notify_before(pass_, module)
-                snapshot = self._snapshots.last
                 start = time.perf_counter()
                 try:
                     changed = pass_.run(module)
@@ -149,8 +205,8 @@ class SandboxedPassManager(PassManager):
                     seconds = time.perf_counter() - start
                     stats.seconds += seconds
                     stats.runs += 1
-                    _rollback(module, snapshot)
-                    self._quarantine(pass_, position, err, snapshot, "pass")
+                    self._quarantine(pass_, position, err, "pass", module,
+                                     checkpoint, journal)
                     self._notify_error(pass_, module, err, seconds)
                     continue
                 seconds = time.perf_counter() - start
@@ -159,11 +215,11 @@ class SandboxedPassManager(PassManager):
                 try:
                     verify_module(module)
                 except VerificationError as err:
-                    _rollback(module, snapshot)
-                    self._quarantine(pass_, position, err, snapshot,
-                                     "verify")
+                    self._quarantine(pass_, position, err, "verify", module,
+                                     checkpoint, journal)
                     self._notify_error(pass_, module, err, seconds)
                     continue
+                journal.append((pass_, bool(changed)))
                 if changed:
                     stats.changed += 1
                     round_change = True

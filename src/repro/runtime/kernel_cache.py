@@ -354,19 +354,27 @@ class KernelCache:
                 self._memory[key] = payload
 
     def _evict(self) -> None:
+        """Drop the oldest entries beyond ``max_entries``; the caller
+        (:meth:`store`) holds the cache lock, so the eviction count is
+        added under it — taking the lock again here would wait out the
+        whole timeout on this process's own descriptor."""
         entries = sorted((p for p in self.root.glob("*.json")
                           if p.name != "stats.json"),
                          key=lambda p: p.stat().st_mtime)
         excess = len(entries) - self.max_entries
+        evicted = 0
         for path in entries[:max(excess, 0)]:
             try:
                 path.unlink()
             except OSError:
                 continue
-            self.stats.evictions += 1
-            self._bump("evictions")
+            evicted += 1
+        if evicted:
+            self.stats.evictions += evicted
+            self._add("evictions", evicted)
             _metrics.counter("kernel_cache_evictions_total",
-                             "persistent kernel-cache LRU evictions").inc()
+                             "persistent kernel-cache LRU evictions"
+                             ).inc(evicted)
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
@@ -407,20 +415,24 @@ class KernelCache:
         """
         if self._memory is not None or self._read_only:
             return
+        with file_lock(self._lock_path()):
+            self._add(counter, 1)
+
+    def _add(self, counter: str, amount: int) -> None:
+        """The read-modify-write itself; the caller holds the lock."""
         path = self._stats_path()
         tmp = path.with_name(
             f"stats.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            with file_lock(self._lock_path()):
-                try:
-                    data = json.loads(path.read_text())
-                    if not isinstance(data, dict):
-                        data = {}
-                except (OSError, ValueError):
+            try:
+                data = json.loads(path.read_text())
+                if not isinstance(data, dict):
                     data = {}
-                data[counter] = int(data.get(counter, 0)) + 1
-                tmp.write_text(json.dumps(data))
-                os.replace(tmp, path)
+            except (OSError, ValueError):
+                data = {}
+            data[counter] = int(data.get(counter, 0)) + amount
+            tmp.write_text(json.dumps(data))
+            os.replace(tmp, path)
         except OSError:
             try:
                 tmp.unlink()

@@ -225,6 +225,34 @@ class TestKernelCache:
         assert len(entries) == 2
         assert cache.stats.evictions >= 1
 
+    def test_eviction_does_not_wait_on_its_own_lock(self, tmp_path,
+                                                    monkeypatch):
+        # store() holds the cache lock while it evicts; counting the
+        # eviction must not open a second descriptor on the lock file
+        # (that waited out the 10 s timeout, then wrote stats unlocked)
+        import contextlib
+        import time
+        from repro.runtime import kernel_cache as kc
+        file_lock = kc.file_lock
+        yielded = []
+
+        @contextlib.contextmanager
+        def recording_lock(path, *args, **kwargs):
+            with file_lock(path, *args, **kwargs) as held:
+                yielded.append(held)
+                yield held
+
+        monkeypatch.setattr(kc, "file_lock", recording_lock)
+        cache = KernelCache(tmp_path, max_entries=2)
+        start = time.perf_counter()
+        for key in ("a" * 64, "b" * 64, "c" * 64):
+            cache.store(key, "def k(): pass", "vector", 8, [], "k",
+                        fused=True, arena=False)
+        assert time.perf_counter() - start < 1.0
+        assert yielded and all(yielded)
+        assert cache.stats.evictions == 1
+        assert cache.persistent_stats().evictions == 1
+
     def test_persistent_stats_across_instances(self, tmp_path):
         cache_a = KernelCache(tmp_path)
         make_runner("Plonsey", cache=cache_a)        # miss
