@@ -9,6 +9,9 @@ manifest entry and reports exactly which dimension drifted:
 * ``corrupt``        — the entry fails its sha256 checksum; the file is
   **quarantined** (moved to ``<root>/quarantine/``, same machinery as
   the kernel cache's corrupt-entry handling) so it can never be served;
+* ``format_drift``   — the entry was keyed under another
+  ``CACHE_FORMAT_VERSION``: no key of that format can be asked for any
+  more, so this is the entry's only finding and the cure is a rebuild;
 * ``pipeline_drift`` — recorded pass-pipeline fingerprint differs from
   the current default pipeline's;
 * ``lowering_drift`` — recorded ``LOWERING_VERSION`` differs;
@@ -17,9 +20,10 @@ manifest entry and reports exactly which dimension drifted:
 * ``tuning_drift``   — a tuned entry whose recorded winner is no
   longer the tuning DB's winner for its workload (or the record is
   gone);
-* ``key_mismatch``   — deep re-derivation: regenerating the kernel IR
-  and recomputing the kernel-cache key no longer reproduces the
-  entry's key (catches code-generator changes the fast checks cannot).
+* ``key_mismatch``   — deep re-derivation: recomputing the kernel-cache
+  key from a fresh ``generate`` call no longer reproduces the entry's
+  key (a ``GENERATOR_VERSION`` bump, a changed default layout or
+  function name — what the fast checks cannot see).
 
 Every stale finding increments ``artifact_stale_total``; corrupt ones
 increment ``artifact_corrupt_total``.  The CLI exits non-zero when any
@@ -34,7 +38,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..obs import metrics as _metrics
-from ..runtime.kernel_cache import payload_checksum
+from ..runtime.kernel_cache import CACHE_FORMAT_VERSION, payload_checksum
 from ..runtime.resolve import toolchain_identity
 from .bundle import (BUNDLE_FORMAT_VERSION, QUARANTINE_DIR,
                      ArtifactStore)
@@ -47,8 +51,9 @@ class AuditFinding:
     key: str
     model: str
     variant: str
-    kind: str          # missing|corrupt|pipeline_drift|lowering_drift|
-    #                  # source_drift|tuning_drift|key_mismatch
+    kind: str          # missing|corrupt|format_drift|pipeline_drift|
+    #                  # lowering_drift|source_drift|tuning_drift|
+    #                  # key_mismatch
     detail: str = ""
 
     def describe(self) -> str:
@@ -122,7 +127,7 @@ def _quarantine_entry(root: pathlib.Path, path: pathlib.Path,
 
 
 def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
-    """Regenerate the entry's kernel IR and recompute its cache key."""
+    """Generate the entry's kernel again and recompute its cache key."""
     from ..codegen import generate
     from ..models import load_model
     from ..runtime.kernel_cache import kernel_cache_key
@@ -149,9 +154,9 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
 
     ``db`` is the tuning database to check tuned entries against
     (default: the process tuning DB).  ``deep=True`` additionally
-    re-derives every clean entry's kernel-cache key from freshly
-    generated IR — the authoritative check, at the cost of one codegen
-    per entry; ``deep=False`` keeps only the recorded-provenance
+    re-derives every clean entry's kernel-cache key from a fresh
+    ``generate`` call (cheap: the key reads the request, no IR is
+    built); ``deep=False`` keeps only the recorded-provenance
     comparisons (still sufficient for pipeline/lowering/source/tuning
     drift).
     """
@@ -201,6 +206,14 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
 
         flagged = False
         prov = entry.get("provenance", {})
+        if prov.get("cache_format_version") != CACHE_FORMAT_VERSION:
+            report.findings.append(AuditFinding(
+                key=key, model=model, variant=variant, kind="format_drift",
+                detail=(f"keyed under cache format "
+                        f"v{prov.get('cache_format_version')}, current "
+                        f"v{CACHE_FORMAT_VERSION}; rebuild the bundle")))
+            _count_stale()
+            continue
         if prov.get("pipeline_fingerprint") != current_fp:
             report.findings.append(AuditFinding(
                 key=key, model=model, variant=variant,

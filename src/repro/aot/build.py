@@ -116,7 +116,9 @@ def _read_manifest(root: pathlib.Path) -> Dict:
     except (OSError, ValueError):
         return _fresh_manifest()
     if not isinstance(data, dict) \
-            or data.get("format") != BUNDLE_FORMAT_VERSION:
+            or data.get("format") != BUNDLE_FORMAT_VERSION \
+            or data.get("cache_format_version") != CACHE_FORMAT_VERSION:
+        # nothing keyed under another cache format can be reused
         return _fresh_manifest()
     for field_name in ("entries", "spec_index", "models"):
         if not isinstance(data.get(field_name), dict):

@@ -43,7 +43,7 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import dataclass, field, replace
+from dataclasses import replace
 from typing import Dict, Optional, Union
 
 from ..codegen import backend_for
@@ -81,9 +81,9 @@ def spec_fingerprint(model: str, backend: str, width: int,
     """Content address of a kernel's *logical coordinates*.
 
     Unlike :func:`~repro.runtime.kernel_cache.kernel_cache_key` this
-    never looks at generated IR, so the runtime can compute it without
-    running code generation — the whole point of the cold-start fast
-    path.  It embeds the pipeline fingerprint and lowering version, so
+    needs neither a parsed model nor a ``generate`` call, so the runtime
+    can compute it from a model *name* — the whole point of the
+    cold-start fast path.  It embeds the pipeline fingerprint and lowering version, so
     a drifted toolchain misses structurally; the model *source* drift
     is checked separately against the manifest's recorded hash (the
     source is an input we can hash cheaply, not a derived coordinate).
@@ -115,7 +115,6 @@ def spec_fingerprint(model: str, backend: str, width: int,
     return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
-@dataclass
 class ArtifactKernel(GeneratedKernel):
     """A bundled kernel standing in for a freshly generated one.
 
@@ -128,12 +127,16 @@ class ArtifactKernel(GeneratedKernel):
     module.
     """
 
-    key: str = ""
-    payload: Dict = field(default_factory=dict)
-    #: did the post-pipeline module contain an ``omp.parallel`` region?
-    omp_parallel: bool = False
-    backend: str = ""
-    variant: str = "default"
+    def __init__(self, module=None, spec=None, layout=None, key: str = "",
+                 payload: Optional[Dict] = None, omp_parallel: bool = False,
+                 backend: str = "", variant: str = "default"):
+        super().__init__(module, spec, layout)
+        self.key = key
+        self.payload = payload or {}
+        #: did the post-pipeline module contain an ``omp.parallel`` region?
+        self.omp_parallel = omp_parallel
+        self.backend = backend
+        self.variant = variant
 
 
 def layout_from_dict(data: Dict) -> Layout:

@@ -970,8 +970,7 @@ def cmd_metrics(prom: bool) -> int:
     model = load_model("Plonsey")
     with tempfile.TemporaryDirectory() as tmp:
         cache = KernelCache(tmp)
-        # fresh generation per runner: the cache key hashes the
-        # pre-pipeline module, so the second build is a pure hit
+        # same model text, same request: the second build is a pure hit
         KernelRunner(generate_limpet_mlir(model), cache=cache)
         runner = KernelRunner(generate_limpet_mlir(model), cache=cache)
         runner.run(runner.make_state(64), 20, 0.01)

@@ -1,4 +1,5 @@
-"""The named code generators: validate, build the spec, call the emitter.
+"""The named code generators: validate, build the spec and the request;
+the emitter runs when the module is first read.
 
 * ``baseline`` — the limpetC++ analog openCARP ships (Listing 2): one
   cell per iteration, AoS state, scalar LUT interpolation;
@@ -25,7 +26,8 @@ from __future__ import annotations
 from typing import Iterable, Optional
 
 from ..frontend.model import IonicModel
-from .common import GeneratedKernel, KernelSpec, UnsupportedModelError
+from .common import (CompileRequest, GeneratedKernel, KernelSpec,
+                     UnsupportedModelError)
 from .emitter import (BASELINE, DEFAULT_BLOCK_SIZE, DEFAULT_GRID_SIZE, GPU,
                       ICC_SIMD, LIMPET_MLIR, PLUGIN, Target, emit_kernel)
 from .layout import Layout, LayoutKind, aos, aosoa, soa
@@ -34,6 +36,7 @@ from .layout import Layout, LayoutKind, aos, aosoa, soa
 def _kernel(target: Target, model: IonicModel, width: int, layout: Layout,
             use_lut: bool, lut_interpolation: str = "linear",
             function_name: Optional[str] = None, **launch) -> GeneratedKernel:
+    """Spec and request now, IR on the first read of ``.module``."""
     if lut_interpolation not in ("linear", "spline"):
         raise ValueError(f"unknown LUT interpolation {lut_interpolation!r}")
     spec = KernelSpec(model=model, mode=target.mode, width=width,
@@ -41,7 +44,15 @@ def _kernel(target: Target, model: IonicModel, width: int, layout: Layout,
                       lut_interpolation=lut_interpolation,
                       function_name=function_name
                       or f"{target.symbol}_{model.name}")
-    return emit_kernel(spec, target, **launch)
+    request = CompileRequest(
+        source_digest=model.source_digest,
+        promoted_params=tuple(model.promoted_params), target=target.name,
+        width=width, layout=str(layout), use_lut=use_lut,
+        lut_interpolation=lut_interpolation,
+        function_name=spec.function_name,
+        launch=tuple(sorted(launch.items())))
+    return GeneratedKernel(lambda: emit_kernel(spec, target, **launch),
+                           spec, layout, request)
 
 
 def _refuse(model: IonicModel, names: Iterable[str], reason: str) -> None:

@@ -13,8 +13,8 @@
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional
+from dataclasses import dataclass, field
+from typing import Dict, List, Optional, Tuple
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
                                 Unary)
@@ -72,13 +72,71 @@ class KernelSpec:
         return names
 
 
-@dataclass
-class GeneratedKernel:
-    """A generated IR module plus the metadata the runtime needs."""
+#: the generators' own version, part of every kernel-cache key.  Bump it
+#: whenever the printed pre-pipeline IR of any kernel moves:
+#: ``tools/ir_fingerprints.py --check`` fails until the bump is made and
+#: ``--write`` refuses to re-record moved cells under an unchanged version.
+GENERATOR_VERSION = 1
 
-    module: "object"               # repro.ir.Module
-    spec: KernelSpec
-    layout: Layout
+
+@dataclass(frozen=True)
+class CompileRequest:
+    """What a ``generate*`` call asked for, known before any IR exists.
+
+    The generators are deterministic in these fields (and in their own
+    code, which :data:`GENERATOR_VERSION` stands for), so the stores key
+    a compiled kernel by them instead of by its printed module.
+    """
+
+    #: sha256 of the EasyML text the model was parsed from
+    source_digest: str
+    promoted_params: Tuple[str, ...]
+    target: str                     # the emitter ``Target.name``
+    width: int
+    layout: str
+    use_lut: bool
+    lut_interpolation: str
+    function_name: str
+    #: the loop shell's keyword arguments (GPU grid / block), sorted
+    launch: Tuple[Tuple[str, object], ...] = ()
+    generator_version: int = field(
+        default_factory=lambda: GENERATOR_VERSION)
+
+    def key_lines(self) -> List[str]:
+        """One ``name=value`` line per field, for a store key to hash."""
+        if not self.source_digest:
+            raise ValueError(
+                "the model carries no source digest (it was not parsed "
+                "from EasyML text), so its kernel has no store key")
+        return [f"{name}={value}" for name, value in vars(self).items()]
+
+
+class GeneratedKernel:
+    """A generated kernel: its spec, its request, and its IR module.
+
+    ``module`` is either the module (or ``None``: a bundled kernel has
+    no IR) or the zero-argument emitter that builds it; the emitter runs
+    on the first read of :attr:`module`, so a kernel served from a store
+    never pays for IR nobody reads.
+    """
+
+    def __init__(self, module, spec: KernelSpec, layout: Layout,
+                 request: Optional[CompileRequest] = None):
+        self._module = module
+        self.spec = spec
+        self.layout = layout
+        self.request = request
+
+    @property
+    def module(self):
+        """The ``repro.ir.Module``, emitted on first use."""
+        if callable(self._module):
+            self._module = self._module()
+        return self._module
+
+    @module.setter
+    def module(self, module) -> None:
+        self._module = module
 
 
 class ExprEmitter:

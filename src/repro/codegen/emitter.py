@@ -19,9 +19,11 @@ once; a :class:`Target` row holds what differs:
   ``parent_*`` arguments);
 * the LUT call shape — scalar, vector, or ``icc_simd``'s lane-serialised.
 
-The printed *pre-pipeline* module is a contract: ``kernel_cache_key``
-hashes it, so every cache key, bundle entry and tuning record hangs on
-its bytes (``tools/ir_fingerprints.py --check`` holds them).
+The printed *pre-pipeline* module is a contract: the stores key a kernel
+by its :class:`~repro.codegen.common.CompileRequest`, not by this text,
+which is only sound while the same request always prints the same bytes.
+``tools/ir_fingerprints.py --check`` holds them; a change that moves any
+bumps :data:`~repro.codegen.common.GENERATOR_VERSION`.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ from ..ir.dialects import (arith, func as func_dialect, gpu, memref, omp,
                            scf, vector as vector_dialect)
 from ..ir.types import IRType, f64, i1, index, memref_of
 from ..obs import trace as _trace
-from .common import BackendMode, ExprEmitter, GeneratedKernel, KernelSpec
+from .common import BackendMode, ExprEmitter, KernelSpec
 from .integrators import emit_state_updates
 from .layout import LayoutKind
 from .lut import (LUT_MEMREF, SCALAR_LUT, SERIALIZED_LUT, VECTOR_LUT,
@@ -312,8 +314,7 @@ PLUGIN = Target("plugin", BackendMode.LIMPET_MLIR, "compute_plugin",
 # -- the emitter ---------------------------------------------------------------------
 
 
-def emit_kernel(spec: KernelSpec, target: Target,
-                **launch) -> GeneratedKernel:
+def emit_kernel(spec: KernelSpec, target: Target, **launch) -> Module:
     """Emit ``spec``'s compute kernel for ``target``; ``launch`` goes to
     the loop shell (the GPU launch geometry)."""
     model = spec.model
@@ -379,7 +380,7 @@ def emit_kernel(spec: KernelSpec, target: Target,
             for slot, name in enumerate(model.states):
                 state.store(b, new_values[name], sv, at(slot))
         func_dialect.ret(b)
-    return GeneratedKernel(module=module, spec=spec, layout=spec.layout)
+    return module
 
 
 def _declare_foreign_functions(module: Module, model: IonicModel) -> None:

@@ -192,6 +192,9 @@ class ModelAST:
 
     name: str
     statements: Tuple[Stmt, ...]
+    #: sha256 of the source text these statements were parsed from; what
+    #: the stores key a compiled kernel by (empty: not parsed from text)
+    source_digest: str = ""
 
     def assignments(self) -> List[Assign]:
         """All top-level and nested assignments in source order."""

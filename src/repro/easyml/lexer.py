@@ -10,9 +10,8 @@ naming conventions handled later by the frontend.
 from __future__ import annotations
 
 import re
-from dataclasses import dataclass
 from enum import Enum, auto
-from typing import Iterator, List
+from typing import Iterator, List, NamedTuple
 
 from .errors import LexerError
 
@@ -66,16 +65,13 @@ KEYWORDS = {
     "not": TokenKind.NOT,
 }
 
-_TWO_CHAR = {
+_OPERATORS = {
     "==": TokenKind.EQ,
     "!=": TokenKind.NE,
     "<=": TokenKind.LE,
     ">=": TokenKind.GE,
     "&&": TokenKind.AND,
     "||": TokenKind.OR,
-}
-
-_ONE_CHAR = {
     "+": TokenKind.PLUS,
     "-": TokenKind.MINUS,
     "*": TokenKind.STAR,
@@ -99,13 +95,31 @@ _ONE_CHAR = {
     "!": TokenKind.NOT,
 }
 
-# Numbers: 1, 1.5, .5, 1., 1e-3, 2.5E+4, 1.e2
-_NUMBER_RE = re.compile(r"(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?")
-_IDENT_RE = re.compile(r"[A-Za-z_]\w*")
+# One alternative per lexeme class, tried in this order at every offset:
+# numbers (1, 1.5, .5, 1., 1e-3, 2.5E+4, 1.e2) before ``.`` the operator,
+# comments before ``/``, two-character operators before their prefixes.
+# An opener whose closer never comes and a character no token starts with
+# match too, so that the scan never skips one: they are the errors.
+_MASTER_RE = re.compile(r"""
+    (?P<SPACE>[ \t\r\n]+)
+  | (?P<LINE_COMMENT>(?://|\#)[^\n]*)
+  | (?P<BLOCK_COMMENT>/\*.*?\*/)
+  | (?P<OPEN_COMMENT>/\*)
+  | (?P<NUMBER>(?:\d+\.?\d*|\.\d+)(?:[eE][+-]?\d+)?)
+  | (?P<IDENT>[A-Za-z_]\w*)
+  | (?P<STRING>"[^"]*")
+  | (?P<OPEN_STRING>")
+  | (?P<OPERATOR>==|!=|<=|>=|&&|\|\||[-+*/%^(){}\[\],;.=?:<>!])
+  | (?P<STRAY>.)
+""", re.VERBOSE | re.DOTALL)
+#: the lexeme classes that can span lines
+_MULTILINE = frozenset({"SPACE", "BLOCK_COMMENT", "STRING"})
+_ERRORS = {"OPEN_COMMENT": "unterminated block comment",
+           "OPEN_STRING": "unterminated string literal",
+           "STRAY": "unexpected character {!r}"}
 
 
-@dataclass(frozen=True)
-class Token:
+class Token(NamedTuple):
     kind: TokenKind
     text: str
     line: int
@@ -127,81 +141,29 @@ class Lexer:
     def __init__(self, source: str, filename: str = "<model>"):
         self.source = source
         self.filename = filename
-        self.pos = 0
-        self.line = 1
-        self.column = 1
-
-    def _error(self, message: str) -> LexerError:
-        return LexerError(message, self.line, self.column, self.filename)
-
-    def _advance(self, count: int) -> None:
-        for ch in self.source[self.pos:self.pos + count]:
-            if ch == "\n":
-                self.line += 1
-                self.column = 1
-            else:
-                self.column += 1
-        self.pos += count
-
-    def _skip_trivia(self) -> None:
-        while self.pos < len(self.source):
-            ch = self.source[self.pos]
-            if ch in " \t\r\n":
-                self._advance(1)
-            elif self.source.startswith("//", self.pos) or ch == "#":
-                end = self.source.find("\n", self.pos)
-                self._advance((end if end != -1 else len(self.source)) - self.pos)
-            elif self.source.startswith("/*", self.pos):
-                end = self.source.find("*/", self.pos + 2)
-                if end == -1:
-                    raise self._error("unterminated block comment")
-                self._advance(end + 2 - self.pos)
-            else:
-                return
 
     def tokens(self) -> Iterator[Token]:
-        while True:
-            self._skip_trivia()
-            if self.pos >= len(self.source):
-                yield Token(TokenKind.EOF, "", self.line, self.column)
-                return
-            start_line, start_col = self.line, self.column
-            text = self.source[self.pos:]
-            two = text[:2]
-            if two in _TWO_CHAR:
-                self._advance(2)
-                yield Token(_TWO_CHAR[two], two, start_line, start_col)
-                continue
-            ch = text[0]
-            if ch.isdigit() or (ch == "." and len(text) > 1
-                                and text[1].isdigit()):
-                match = _NUMBER_RE.match(text)
-                assert match is not None
-                self._advance(match.end())
-                yield Token(TokenKind.NUMBER, match.group(),
-                            start_line, start_col)
-                continue
-            if ch.isalpha() or ch == "_":
-                match = _IDENT_RE.match(text)
-                assert match is not None
-                word = match.group()
-                self._advance(match.end())
-                kind = KEYWORDS.get(word, TokenKind.IDENT)
-                yield Token(kind, word, start_line, start_col)
-                continue
-            if ch == '"':
-                end = text.find('"', 1)
-                if end == -1:
-                    raise self._error("unterminated string literal")
-                self._advance(end + 1)
-                yield Token(TokenKind.STRING, text[1:end],
-                            start_line, start_col)
-                continue
-            if ch in _ONE_CHAR:
-                self._advance(1)
-                yield Token(_ONE_CHAR[ch], ch, start_line, start_col)
-                continue
-            raise self._error(f"unexpected character {ch!r}")
+        line, line_start = 1, 0
+        for match in _MASTER_RE.finditer(self.source):
+            group, text = match.lastgroup, match.group()
+            column = match.start() - line_start + 1
+            if group == "IDENT":
+                yield Token(KEYWORDS.get(text, TokenKind.IDENT), text,
+                            line, column)
+            elif group == "OPERATOR":
+                yield Token(_OPERATORS[text], text, line, column)
+            elif group == "NUMBER":
+                yield Token(TokenKind.NUMBER, text, line, column)
+            elif group == "STRING":
+                yield Token(TokenKind.STRING, text[1:-1], line, column)
+            elif group in _ERRORS:
+                raise LexerError(_ERRORS[group].format(text), line, column,
+                                 self.filename)
+            if group in _MULTILINE and "\n" in text:
+                line += text.count("\n")
+                line_start = match.start() + text.rfind("\n") + 1
+        yield Token(TokenKind.EOF, "", line,
+                    len(self.source) - line_start + 1)
 
 
 def tokenize(source: str, filename: str = "<model>") -> List[Token]:

@@ -21,6 +21,7 @@ declaration/assignment, matching usage like
 
 from __future__ import annotations
 
+import hashlib
 from typing import List, Optional, Tuple, Union
 
 from .ast_nodes import (Assign, Binary, Call, Declare, Expr, Group, If,
@@ -29,35 +30,50 @@ from .errors import SyntaxErrorEasyML
 from .lexer import Token, TokenKind, tokenize
 
 
+#: binary operators, all left-associative: kind -> (precedence, spelling)
+_BINARY = {
+    TokenKind.OR: (1, "or"),
+    TokenKind.AND: (2, "and"),
+    TokenKind.EQ: (3, "=="), TokenKind.NE: (3, "!="),
+    TokenKind.LT: (4, "<"), TokenKind.LE: (4, "<="),
+    TokenKind.GT: (4, ">"), TokenKind.GE: (4, ">="),
+    TokenKind.PLUS: (5, "+"), TokenKind.MINUS: (5, "-"),
+    TokenKind.STAR: (6, "*"), TokenKind.SLASH: (6, "/"),
+    TokenKind.PERCENT: (6, "%"),
+}
+_NONE = (0, "")
+#: prefix operators: kind -> spelling (unary plus leaves no node)
+_PREFIX = {TokenKind.MINUS: "-", TokenKind.PLUS: "", TokenKind.NOT: "!"}
+
+
 class Parser:
     def __init__(self, source: str, name: str = "model",
                  filename: str = "<model>"):
         self.tokens = tokenize(source, filename)
         self.pos = 0
+        self.source_digest = hashlib.sha256(source.encode()).hexdigest()
         self.name = name
         self.filename = filename
 
     # -- token helpers ---------------------------------------------------------
 
-    def _peek(self, offset: int = 0) -> Token:
-        return self.tokens[min(self.pos + offset, len(self.tokens) - 1)]
-
     def _next(self) -> Token:
-        token = self._peek()
+        """Consume one token; the trailing EOF is never stepped past."""
+        token = self.tokens[self.pos]
         if token.kind is not TokenKind.EOF:
             self.pos += 1
         return token
 
     def _check(self, kind: TokenKind) -> bool:
-        return self._peek().kind is kind
+        return self.tokens[self.pos].kind is kind
 
     def _accept(self, kind: TokenKind) -> Optional[Token]:
-        if self._check(kind):
+        if self.tokens[self.pos].kind is kind:
             return self._next()
         return None
 
     def _expect(self, kind: TokenKind, what: str = "") -> Token:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind is not kind:
             wanted = what or kind.name
             raise SyntaxErrorEasyML(
@@ -71,7 +87,7 @@ class Parser:
         statements: List[Stmt] = []
         while not self._check(TokenKind.EOF):
             statements.append(self.parse_stmt())
-        return ModelAST(self.name, tuple(statements))
+        return ModelAST(self.name, tuple(statements), self.source_digest)
 
     # -- statements ----------------------------------------------------------------
 
@@ -175,7 +191,7 @@ class Parser:
         return self.parse_ternary()
 
     def parse_ternary(self) -> Expr:
-        cond = self.parse_or()
+        cond = self.parse_binary(1)
         if self._accept(TokenKind.QUESTION):
             then = self.parse_expr()
             self._expect(TokenKind.COLON)
@@ -183,67 +199,23 @@ class Parser:
             return Ternary(cond, then, otherwise)
         return cond
 
-    def parse_or(self) -> Expr:
-        expr = self.parse_and()
-        while self._accept(TokenKind.OR):
-            expr = Binary("or", expr, self.parse_and())
-        return expr
-
-    def parse_and(self) -> Expr:
-        expr = self.parse_equality()
-        while self._accept(TokenKind.AND):
-            expr = Binary("and", expr, self.parse_equality())
-        return expr
-
-    def parse_equality(self) -> Expr:
-        expr = self.parse_relational()
-        while True:
-            if self._accept(TokenKind.EQ):
-                expr = Binary("==", expr, self.parse_relational())
-            elif self._accept(TokenKind.NE):
-                expr = Binary("!=", expr, self.parse_relational())
-            else:
-                return expr
-
-    def parse_relational(self) -> Expr:
-        expr = self.parse_additive()
-        mapping = {TokenKind.LT: "<", TokenKind.LE: "<=",
-                   TokenKind.GT: ">", TokenKind.GE: ">="}
-        while self._peek().kind in mapping:
-            op = mapping[self._next().kind]
-            expr = Binary(op, expr, self.parse_additive())
-        return expr
-
-    def parse_additive(self) -> Expr:
-        expr = self.parse_multiplicative()
-        while True:
-            if self._accept(TokenKind.PLUS):
-                expr = Binary("+", expr, self.parse_multiplicative())
-            elif self._accept(TokenKind.MINUS):
-                expr = Binary("-", expr, self.parse_multiplicative())
-            else:
-                return expr
-
-    def parse_multiplicative(self) -> Expr:
+    def parse_binary(self, min_precedence: int) -> Expr:
+        """Left-associative binary operators at or above a precedence."""
         expr = self.parse_unary()
         while True:
-            if self._accept(TokenKind.STAR):
-                expr = Binary("*", expr, self.parse_unary())
-            elif self._accept(TokenKind.SLASH):
-                expr = Binary("/", expr, self.parse_unary())
-            elif self._accept(TokenKind.PERCENT):
-                expr = Binary("%", expr, self.parse_unary())
-            else:
+            precedence, op = _BINARY.get(self.tokens[self.pos].kind, _NONE)
+            if precedence < min_precedence:
                 return expr
+            self.pos += 1
+            expr = Binary(op, expr, self.parse_binary(precedence + 1))
 
     def parse_unary(self) -> Expr:
-        if self._accept(TokenKind.MINUS):
-            return Unary("-", self.parse_unary())
-        if self._accept(TokenKind.PLUS):
-            return self.parse_unary()
-        if self._accept(TokenKind.NOT):
-            return Unary("!", self.parse_unary())
-        return self.parse_power()
+        kind = self.tokens[self.pos].kind
+        if kind not in _PREFIX:
+            return self.parse_power()
+        self.pos += 1
+        operand = self.parse_unary()
+        return Unary(_PREFIX[kind], operand) if _PREFIX[kind] else operand
 
     def parse_power(self) -> Expr:
         base = self.parse_primary()
@@ -254,12 +226,12 @@ class Parser:
         return base
 
     def parse_primary(self) -> Expr:
-        token = self._peek()
+        token = self.tokens[self.pos]
         if token.kind is TokenKind.NUMBER:
-            self._next()
+            self.pos += 1
             return Number(token.number_value)
         if token.kind is TokenKind.IDENT:
-            self._next()
+            self.pos += 1
             if self._accept(TokenKind.LPAREN):
                 args: List[Expr] = []
                 while not self._check(TokenKind.RPAREN):

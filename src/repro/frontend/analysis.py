@@ -132,6 +132,7 @@ class _Analyzer:
             init_param_uses=init_param_uses,
             foreign_functions=set(self.foreign),
             warnings=self.warnings,
+            source_digest=self.ast.source_digest,
         )
 
     # -- declarations ---------------------------------------------------------------

@@ -110,6 +110,9 @@ class IonicModel:
     foreign_functions: Set[str] = field(default_factory=set)
     #: analysis warnings (kept, not printed, so tools can surface them)
     warnings: List[str] = field(default_factory=list)
+    #: sha256 of the EasyML text this model was analyzed from
+    #: (:attr:`ModelAST.source_digest`): the model's part of every store key
+    source_digest: str = ""
 
     # -- derived views ---------------------------------------------------------
 

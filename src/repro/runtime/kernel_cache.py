@@ -7,9 +7,11 @@ lowering — per kernel, on every process.  For sweep workloads over the
 module caches the *product* of that work (the lowered Python source
 plus its metadata) under a content address combining:
 
-* the generated module's printed IR (pre-pipeline) — any change to the
-  model source or code generator changes the text;
-* the kernel spec (backend mode, width, layout, LUT options);
+* the compile request (:class:`~repro.codegen.common.CompileRequest`):
+  sha256 of the model text, promoted parameters, emitter target, width,
+  layout, LUT options, function name, launch geometry and
+  ``GENERATOR_VERSION`` — everything the generated IR is a function of,
+  known before any IR is built;
 * the pass pipeline fingerprint
   (:meth:`~repro.ir.passes.pass_manager.PassManager.fingerprint`);
 * the lowering version (:data:`~repro.runtime.lowering.LOWERING_VERSION`)
@@ -52,13 +54,13 @@ import threading
 from dataclasses import asdict, dataclass
 from typing import Dict, List, Optional
 
-from ..ir.printer import print_module
 from ..obs import metrics as _metrics
 from .locking import file_lock
 
 #: bump to invalidate every existing cache entry at once
-#: (v2: entries carry a payload checksum, verified on read)
-CACHE_FORMAT_VERSION = 2
+#: (v2: entries carry a payload checksum, verified on read;
+#: v3: keyed by the compile request instead of the printed module)
+CACHE_FORMAT_VERSION = 3
 
 _ENV_DIR = "LIMPET_CACHE_DIR"
 _ENV_DISABLE = "LIMPET_KERNEL_CACHE"
@@ -85,38 +87,35 @@ class CacheStats:
 def kernel_cache_key(generated, pipeline_fingerprint: str,
                      fuse: bool, arena: bool, verify: bool,
                      population: str = "") -> str:
-    """Content address for one (module, spec, pipeline, lowering) point.
+    """Content address for one (request, pipeline, lowering) point.
 
-    ``generated`` is a :class:`~repro.codegen.common.GeneratedKernel`
-    whose module has NOT been run through the pipeline yet — the
-    pipeline's effect is captured by its fingerprint instead, so the
-    key can be computed before any optimization work happens.
+    ``generated`` is a :class:`~repro.codegen.common.GeneratedKernel`;
+    only its :class:`~repro.codegen.common.CompileRequest` is read, never
+    its module, so the key costs a hash of a few lines whether or not
+    any IR exists yet.  The pipeline's effect is captured by its
+    fingerprint, the generators' by ``GENERATOR_VERSION`` (in the
+    request).  A kernel without a request, or whose model carries no
+    source digest, has no key: ``ValueError``.
 
     ``population`` is the population-shape fingerprint (promoted
     parameter names + instance count, never the swept values): sweeps
     of the same shape share one compiled kernel.  The line is only
-    added when set, so pre-population keys are unchanged.
+    added when set.
     """
     from .lowering import LOWERING_VERSION
-    spec = generated.spec
+    if generated.request is None:
+        raise ValueError("kernel has no compile request to key it by")
     lines = [
         f"format={CACHE_FORMAT_VERSION}",
-        f"model={spec.model.name}",
-        f"mode={spec.mode.value}",
-        f"width={spec.width}",
-        f"layout={generated.layout}",
-        f"use_lut={spec.use_lut}",
-        f"lut_interpolation={spec.lut_interpolation}",
-        f"function={spec.function_name}",
+        f"model={generated.spec.model.name}",
         f"pipeline={pipeline_fingerprint}",
         f"lowering=v{LOWERING_VERSION};fuse={fuse};arena={arena}",
         f"verify={verify}",
     ]
     if population:
         lines.append(f"population={population}")
-    lines += ["module:", print_module(generated.module)]
-    material = "\n".join(lines)
-    return hashlib.sha256(material.encode()).hexdigest()
+    lines += ["request:", *generated.request.key_lines()]
+    return hashlib.sha256("\n".join(lines).encode()).hexdigest()
 
 
 def payload_checksum(payload: Dict) -> str:

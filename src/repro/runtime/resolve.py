@@ -82,7 +82,7 @@ def resolve_kernel(generated, optimize: bool = True,
                                   tuned_config)
 
     payload = getattr(generated, "payload", None)
-    if payload and generated.module is None:
+    if payload:
         # an ArtifactKernel: the payload IS the finished JIT product
         return resolved(_exec_payload(payload), "bundle",
                         getattr(generated, "key", "") or None)
@@ -103,6 +103,7 @@ def resolve_kernel(generated, optimize: bool = True,
             look.annotate(hit=payload is not None)
         if payload is not None:
             return resolved(_exec_payload(payload), source, key)
+    module = generated.module       # every store missed: the IR is needed
     if pipeline is not None:
         tracer = _trace.active_tracer()
         if tracer is not None:
@@ -112,13 +113,12 @@ def resolve_kernel(generated, optimize: bool = True,
                 pipeline.add_instrumentation(
                     TracePassInstrumentation(tracer))
         with _trace.span("passes", model=model, pipeline=fingerprint):
-            pipeline.run(generated.module, fixed_point=True)
+            pipeline.run(module, fixed_point=True)
     with _trace.span("verify", model=model):
-        verify_module(generated.module)
+        verify_module(module)
     with _trace.span("lowering", model=model, fuse=fuse, arena=arena,
                      profile=profile):
-        kernel = lower_function(generated.module,
-                                generated.spec.function_name,
+        kernel = lower_function(module, generated.spec.function_name,
                                 fuse=fuse, arena=arena, profile=profile)
     if cache is not None and not getattr(pipeline, "quarantined", None):
         # a sandboxed pipeline that quarantined passes produced a module

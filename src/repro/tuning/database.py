@@ -6,7 +6,9 @@ predicted-vs-measured ranking evidence behind it).  The key follows
 the kernel cache's discipline (``repro.runtime.kernel_cache``): it
 hashes everything that could change the *answer* —
 
-* the model's **source file bytes** (any edit retunes),
+* the sha256 of the model's **EasyML text** — the digest the kernel
+  cache keys by (any edit retunes; a same-named model with other text
+  has its own record),
 * the integrator summary (per-state integration methods),
 * the run shape (``n_cells``, ``dt``) and machine name,
 * the **pass-pipeline fingerprint** and the **lowering version**
@@ -51,8 +53,9 @@ from ..runtime.resolve import toolchain_identity
 from .space import TuningConfig, Workload
 
 #: bump to invalidate every tuning decision at once
-#: (v2: records carry a checksum, verified on read)
-TUNE_DB_VERSION = 2
+#: (v2: records carry a checksum, verified on read;
+#: v3: the source line is the workload's own text digest)
+TUNE_DB_VERSION = 3
 
 _ENV_DB = "LIMPET_TUNE_DB"
 
@@ -69,14 +72,15 @@ def tuning_db_key(workload: Workload,
     """Content address of one workload's tuning decision.
 
     ``pipeline_fingerprint`` defaults to the default pass pipeline's;
-    ``source_hash`` to the registry file's hash (override both in
-    tests to prove invalidation).
+    ``source_hash`` to the digest of the text the workload's model was
+    parsed from, or the registry file's for a workload that only names
+    its model (override both in tests to prove invalidation).
     """
     default_fingerprint, lowering_version = toolchain_identity()
     if pipeline_fingerprint is None:
         pipeline_fingerprint = default_fingerprint
     if source_hash is None:
-        source_hash = model_source_hash(workload.model)
+        source_hash = workload.source or model_source_hash(workload.model)
     lines = [
         f"format={TUNE_DB_VERSION}",
         f"model={workload.model}",
@@ -88,8 +92,7 @@ def tuning_db_key(workload: Workload,
         f"pipeline={pipeline_fingerprint}",
         f"lowering=v{lowering_version}",
     ]
-    # population-shape line only when present: pre-population keys (and
-    # every existing DB record) are unchanged
+    # population-shape line only when present
     if getattr(workload, "population", ""):
         lines.append(f"population={workload.population}")
     material = "\n".join(lines)

@@ -106,6 +106,9 @@ class Workload:
     #: population-shape fingerprint ("params=GKr;n=16") — empty for
     #: ordinary single-instance workloads, so old DB records stay valid
     population: str = ""
+    #: sha256 of the model's EasyML text (``IonicModel.source_digest``);
+    #: empty means the registry file of that name
+    source: str = ""
 
     @classmethod
     def from_model(cls, model: IonicModel, n_cells: int, dt: float,
@@ -113,7 +116,7 @@ class Workload:
                    population: str = "") -> "Workload":
         return cls(model=model.name, n_cells=n_cells, dt=dt,
                    integrator=integrator_summary(model), machine=machine,
-                   population=population)
+                   population=population, source=model.source_digest)
 
     def describe(self) -> str:
         text = (f"{self.model}[{self.integrator}] x {self.n_cells} cells, "

@@ -249,6 +249,27 @@ class TestAudit:
         report = audit_bundle(bundle)
         assert not report.ok and self._kinds(report) == {"pipeline_drift"}
 
+    def test_bundle_of_another_cache_format_is_format_drift(self, bundle):
+        """A bundle built before a ``CACHE_FORMAT_VERSION`` bump: one
+        ``format_drift`` per entry (not a ``key_mismatch``), no hit at
+        run time, and a rebuild in place starts over and audits clean."""
+        from repro.runtime.kernel_cache import CACHE_FORMAT_VERSION
+        old_key = self._key(bundle)
+        _tamper(bundle, old_key, lambda e: e["provenance"].__setitem__(
+            "cache_format_version", CACHE_FORMAT_VERSION - 1))
+        manifest_path = bundle / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["cache_format_version"] = CACHE_FORMAT_VERSION - 1
+        manifest_path.write_text(json.dumps(manifest))
+        report = audit_bundle(bundle)
+        assert not report.ok and report.checked == 1
+        assert [f.kind for f in report.findings] == ["format_drift"]
+        assert "rebuild the bundle" in report.findings[0].detail
+        rebuilt = build_bundle(bundle, models=["Plonsey"], width=8,
+                               include_tuned=False)
+        assert rebuilt.built == 1
+        assert audit_bundle(bundle).ok
+
     def test_lowering_drift(self, bundle, monkeypatch):
         monkeypatch.setattr("repro.runtime.lowering.LOWERING_VERSION", 99)
         report = audit_bundle(bundle)

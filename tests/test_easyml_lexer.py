@@ -102,6 +102,26 @@ class TestPositions:
             tokenize("x\n  $")
         assert "2:3" in str(err.value)
 
+    def test_non_ascii_letter_is_a_positioned_lexer_error(self):
+        # 'é'.isalpha() holds but no identifier starts with it
+        with pytest.raises(LexerError) as err:
+            tokenize("é = 1;")
+        assert str(err.value) == "<model>:1:1: unexpected character 'é'"
+        with pytest.raises(LexerError) as err:
+            tokenize("a = 1;\nb = ²;", "m.model")
+        assert str(err.value) == "m.model:2:5: unexpected character '²'"
+
+    def test_a_tab_is_one_column(self):
+        with pytest.raises(LexerError) as err:
+            tokenize("a = 1;\n\t\tb = 2 @ 3;")
+        assert (err.value.line, err.value.column) == (2, 9)
+        assert tokenize("\tx")[0].column == 2
+
+    def test_multiline_comment_and_string_advance_the_line(self):
+        tokens = tokenize('/* a\nb\n*/ x "s\nt" y')
+        assert [(t.text, t.line, t.column) for t in tokens] == [
+            ("x", 3, 4), ("s\nt", 3, 6), ("y", 4, 4), ("", 4, 5)]
+
 
 class TestStrings:
     def test_string_literal(self):

@@ -500,12 +500,31 @@ class TestEndToEndTrace:
         tracer = Tracer()
         previous = obs_trace.activate(tracer)
         try:
-            build(model)
+            generated = build(model)
+            assert tracer.roots == []       # no IR until somebody reads it
+            module = generated.module
+            assert generated.module is module and generated.module is module
         finally:
             obs_trace.deactivate(previous)
         assert [(r.name, r.args) for r in tracer.roots] == [
             ("irgen", {"model": "LuoRudy91", "backend": backend,
                        "width": width})]
+
+    def test_warm_runner_emits_no_ir(self, no_tracer, tmp_path):
+        from repro.runtime import KernelCache
+        cache = KernelCache(tmp_path / "kc")
+        model = load_model("LuoRudy91")
+        cold = KernelRunner(codegen.generate(model), cache=cache)
+        tracer = Tracer()
+        previous = obs_trace.activate(tracer)
+        try:
+            warm = KernelRunner(codegen.generate(model), cache=cache)
+        finally:
+            obs_trace.deactivate(previous)
+        assert warm.cache_hit and warm.cache_key == cold.cache_key
+        # no irgen / passes / verify / lowering span: the lookup is all
+        assert [(r.name, r.args["hit"]) for r in tracer.roots] == [
+            ("cache_lookup", True)]
 
     def test_disabled_tracing_leaves_runner_untouched(self, no_tracer):
         runner = make_runner("Plonsey")

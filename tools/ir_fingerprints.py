@@ -1,21 +1,29 @@
 #!/usr/bin/env python3
 """Byte-identity matrix of the kernel generators' printed IR.
 
-Every generated kernel's identity downstream (kernel-cache key, bundle
-entry, tuning record, benchmark golden) hangs on the *pre-pipeline*
-printed module plus the spec coordinates ``kernel_cache_key`` hashes.
-This tool records one sha256 per ``model/variant`` over exactly that
-text, for 47 models x {baseline x lut linear/spline/off; limpet_mlir x
-w 2/4/8 x aosoa/aos/soa x lut linear/spline/off; icc_simd w8; gpu;
-plugin w8} plus the promoted-parameter variants (Courtemanche ``GKr``),
-and a refusal (``UnsupportedModelError`` for the foreign models) as the
-exception's type name.
+The stores key a compiled kernel by its compile request (model text
+digest, target, width, layout, ... and ``GENERATOR_VERSION``), not by its
+IR.  That is sound only while one request always generates one module, so
+this tool records one sha256 per ``model/variant`` over the spec
+coordinates plus the *pre-pipeline* printed module, for 47 models x
+{baseline x lut linear/spline/off; limpet_mlir x w 2/4/8 x aosoa/aos/soa x
+lut linear/spline/off; icc_simd w8; gpu; plugin w8} plus the
+promoted-parameter variants (Courtemanche ``GKr``), and a refusal
+(``UnsupportedModelError`` for the foreign models) as the exception's type
+name — together with the ``GENERATOR_VERSION`` they were recorded under.
 
-    python tools/ir_fingerprints.py --write   # re-record (a deliberate IR change)
     python tools/ir_fingerprints.py --check   # full matrix against the record
+    python tools/ir_fingerprints.py --write   # re-record (a deliberate IR change)
+
+The rule both modes enforce: **a cell that moved needs a new
+GENERATOR_VERSION** (``src/repro/codegen/common.py``), or every cache
+entry stored under the old one is served for IR it was not built from.
+``--check`` says so, ``--write`` refuses to re-record moved cells under
+the recorded version.
 
 Tier-1 (``tests/test_ir_fingerprints.py``) checks :func:`entries` with
-``subset=True``; CI runs the full ``--check``.
+``subset=True`` and that the record's version is the code's; CI runs the
+full ``--check`` and a drill of the rule.
 """
 
 from __future__ import annotations
@@ -30,6 +38,7 @@ from typing import Callable, Dict, Iterator, Tuple
 from repro.codegen import (UnsupportedModelError, generate_baseline,
                            generate_gpu, generate_icc_simd,
                            generate_limpet_mlir, generate_plugin)
+from repro.codegen.common import GENERATOR_VERSION
 from repro.ir.printer import print_module
 from repro.models import all_model_files, load_model
 from repro.population.runner import load_promoted_model
@@ -85,7 +94,7 @@ def entries(subset: bool = False) -> Iterator[Tuple[str, Callable[[], object]]]:
 
 
 def fingerprint(thunk: Callable[[], object]) -> str:
-    """sha256 of everything ``kernel_cache_key`` reads off the kernel."""
+    """sha256 of the kernel's spec coordinates and printed module."""
     try:
         generated = thunk()
     except UnsupportedModelError as err:
@@ -100,15 +109,35 @@ def fingerprint(thunk: Callable[[], object]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
+def read_record() -> Tuple[int, Dict[str, str]]:
+    """``(generator_version, cells)`` as recorded."""
+    record = json.loads(RECORD.read_text())
+    return record["generator_version"], record["cells"]
+
+
 def mismatches(subset: bool = False) -> Dict[str, Tuple[str, str]]:
     """``key -> (recorded, now)`` for every cell that moved."""
-    recorded = json.loads(RECORD.read_text())
+    _, recorded = read_record()
     moved = {}
     for key, thunk in entries(subset):
         now = fingerprint(thunk)
         if recorded.get(key) != now:
             moved[key] = (recorded.get(key, "<unrecorded>"), now)
     return moved
+
+
+def verdict(moved: int, recorded_version: int) -> str:
+    """What the rule says about ``moved`` cells; empty when all is well."""
+    if moved and recorded_version == GENERATOR_VERSION:
+        return (f"{moved} cell(s) moved under GENERATOR_VERSION = "
+                f"{GENERATOR_VERSION}: the same compile request now "
+                f"generates other IR, so bump GENERATOR_VERSION in "
+                f"src/repro/codegen/common.py (stale kernel-cache entries "
+                f"would be served otherwise), then re-record with --write")
+    if recorded_version != GENERATOR_VERSION:
+        return (f"the record is for GENERATOR_VERSION {recorded_version}, "
+                f"the code says {GENERATOR_VERSION}: re-record with --write")
+    return ""
 
 
 def main(argv=None) -> int:
@@ -119,20 +148,32 @@ def main(argv=None) -> int:
     mode.add_argument("--check", action="store_true",
                       help="compare the full matrix against the record")
     args = parser.parse_args(argv)
+    recorded_version, recorded = read_record() if RECORD.exists() \
+        else (None, {})
     if args.write:
-        record = {key: fingerprint(thunk) for key, thunk in entries()}
+        cells = {key: fingerprint(thunk) for key, thunk in entries()}
+        moved = sum(recorded[key] != now for key, now in cells.items()
+                    if key in recorded)
+        if moved and recorded_version == GENERATOR_VERSION:
+            print("refusing to write: " + verdict(moved, recorded_version))
+            return 1
         RECORD.parent.mkdir(parents=True, exist_ok=True)
-        RECORD.write_text(json.dumps(record, indent=0, sort_keys=True)
-                          + "\n")
-        refused = sum(v.startswith("refused:") for v in record.values())
-        print(f"wrote {len(record) - refused} module digests and "
-              f"{refused} refusals to {RECORD}")
+        RECORD.write_text(json.dumps(
+            {"generator_version": GENERATOR_VERSION, "cells": cells},
+            indent=0, sort_keys=True) + "\n")
+        refused = sum(v.startswith("refused:") for v in cells.values())
+        print(f"wrote {len(cells) - refused} module digests and "
+              f"{refused} refusals to {RECORD} under GENERATOR_VERSION = "
+              f"{GENERATOR_VERSION}")
         return 0
     moved = mismatches()
     for key, (was, now) in sorted(moved.items()):
         print(f"MOVED {key}: {was[:16]} -> {now[:16]}")
     print(f"{len(moved)} of {sum(1 for _ in entries())} cells moved")
-    return 1 if moved else 0
+    problem = verdict(len(moved), recorded_version)
+    if problem:
+        print(problem)
+    return 1 if problem else 0
 
 
 if __name__ == "__main__":
