@@ -26,9 +26,7 @@ The package layers, bottom-up:
 * :mod:`repro.models` — the 43-model suite;
 * :mod:`repro.bench` — the bench harness regenerating every figure;
 * :mod:`repro.resilience` — backend fallback chain, sandboxed passes,
-  numerical watchdog, fault injection;
-* :mod:`repro.tuning` — the cost-model-guided kernel autotuner with a
-  persistent tuning database.
+  numerical watchdog, fault injection.
 """
 
 from .easyml import parse_model, parse_model_file
@@ -47,8 +45,6 @@ from .machine import (AVX2, AVX512, CASCADE_LAKE, SSE, CostModel,
                       profile_kernel)
 from .models import ALL_MODELS, SIZE_CLASS, list_models, load_model
 from .bench import ModeledBench, geomean, run_measured
-from .tuning import (TuningConfig, TuningDB, TuningResult, autotune,
-                     tuned_runner)
 
 __version__ = "1.0.0"
 
@@ -65,6 +61,5 @@ __all__ = [
     "run_measured", "TrajectoryComparison", "Diagnostic", "FaultInjector",
     "FaultPlan", "HealthReport", "NumericalDivergenceError",
     "ResilientCompileError", "ResilientKernel", "WatchdogConfig",
-    "compile_resilient", "TuningConfig", "TuningDB", "TuningResult",
-    "autotune", "tuned_runner", "__version__",
+    "compile_resilient", "__version__",
 ]

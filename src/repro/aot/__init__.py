@@ -15,14 +15,13 @@ from .bundle import (BUNDLE_FORMAT_VERSION, MANIFEST_NAME,
                      ArtifactKernel, ArtifactStore,
                      default_artifact_dir, default_store,
                      kernel_from_entry, resolve_store,
-                     runner_from_store, spec_fingerprint,
-                     tuned_variant_name)
+                     runner_from_store, spec_fingerprint)
 from .build import BuildReport, BuiltEntry, build_bundle
 from .audit import AuditFinding, AuditReport, audit_bundle
 
 __all__ = ["BUNDLE_FORMAT_VERSION", "MANIFEST_NAME", "ArtifactKernel",
            "ArtifactStore", "default_artifact_dir", "default_store",
            "kernel_from_entry", "resolve_store", "runner_from_store",
-           "spec_fingerprint", "tuned_variant_name",
+           "spec_fingerprint",
            "BuildReport", "BuiltEntry", "build_bundle",
            "AuditFinding", "AuditReport", "audit_bundle"]

@@ -2,7 +2,7 @@
 
 A bundle is immutable at runtime, but the *inputs* it was derived from
 keep moving: pass pipelines grow, ``LOWERING_VERSION`` bumps, models
-get edited, the tuning DB learns new winners.  The audit walks every
+get edited.  The audit walks every
 manifest entry and reports exactly which dimension drifted:
 
 * ``missing``        — the manifest names an entry file that is gone;
@@ -17,9 +17,6 @@ manifest entry and reports exactly which dimension drifted:
 * ``lowering_drift`` — recorded ``LOWERING_VERSION`` differs;
 * ``source_drift``   — recorded model source hash differs from the
   registry file's current bytes;
-* ``tuning_drift``   — a tuned entry whose recorded winner is no
-  longer the tuning DB's winner for its workload (or the record is
-  gone);
 * ``key_mismatch``   — deep re-derivation: recomputing the kernel-cache
   key from a fresh ``generate`` call no longer reproduces the entry's
   key (a ``GENERATOR_VERSION`` bump, a changed default layout or
@@ -37,6 +34,7 @@ import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
+from ..models import model_source_hash
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import CACHE_FORMAT_VERSION, payload_checksum
 from ..runtime.resolve import toolchain_identity
@@ -50,14 +48,12 @@ class AuditFinding:
 
     key: str
     model: str
-    variant: str
     kind: str          # missing|corrupt|format_drift|pipeline_drift|
-    #                  # lowering_drift|source_drift|tuning_drift|
-    #                  # key_mismatch
+    #                  # lowering_drift|source_drift|key_mismatch
     detail: str = ""
 
     def describe(self) -> str:
-        return (f"{self.kind}: {self.model} [{self.variant}] "
+        return (f"{self.kind}: {self.model} "
                 f"{self.key[:12]}… {self.detail}".rstrip())
 
 
@@ -90,8 +86,7 @@ class AuditReport:
         return {"root": self.root, "checked": self.checked,
                 "ok": self.ok,
                 "findings": [{"key": f.key, "model": f.model,
-                              "variant": f.variant, "kind": f.kind,
-                              "detail": f.detail}
+                              "kind": f.kind, "detail": f.detail}
                              for f in self.findings]}
 
 
@@ -132,59 +127,41 @@ def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
     from ..models import load_model
     from ..runtime.kernel_cache import kernel_cache_key
     spec = entry["spec"]
-    model = load_model(spec["model"])
-    tuning = entry.get("tuning")
-    if tuning is not None:
-        from ..tuning import generate_for
-        from ..tuning.space import TuningConfig
-        config = TuningConfig.from_dict(tuning)
-        generated = generate_for(model, config)
-        fuse, arena = config.fuse, config.arena
-    else:
-        fuse, arena = True, False
-        generated = generate(
-            model, spec["backend"], spec["width"], use_lut=spec["use_lut"],
-            lut_interpolation=spec["lut_interpolation"])
-    return kernel_cache_key(generated, fingerprint, fuse, arena, True)
+    generated = generate(
+        load_model(spec["model"]), spec["backend"], spec["width"],
+        use_lut=spec["use_lut"],
+        lut_interpolation=spec["lut_interpolation"])
+    return kernel_cache_key(generated, fingerprint, True, False, True)
 
 
-def audit_bundle(root: Union[str, pathlib.Path], db=None,
+def audit_bundle(root: Union[str, pathlib.Path],
                  deep: bool = True) -> AuditReport:
     """Audit every manifest entry of the bundle at ``root``.
 
-    ``db`` is the tuning database to check tuned entries against
-    (default: the process tuning DB).  ``deep=True`` additionally
-    re-derives every clean entry's kernel-cache key from a fresh
-    ``generate`` call (cheap: the key reads the request, no IR is
-    built); ``deep=False`` keeps only the recorded-provenance
-    comparisons (still sufficient for pipeline/lowering/source/tuning
-    drift).
+    ``deep=True`` additionally re-derives every clean entry's
+    kernel-cache key from a fresh ``generate`` call (cheap: the key
+    reads the request, no IR is built); ``deep=False`` keeps only the
+    recorded-provenance comparisons (still sufficient for
+    pipeline/lowering/source drift).
     """
-    from ..tuning.database import model_source_hash, tuning_db_key
-    from ..tuning.space import Workload
-
     root = pathlib.Path(root)
     store = ArtifactStore(root)
     report = AuditReport(root=str(root))
     manifest = store.manifest()
     if manifest is None:
         report.findings.append(AuditFinding(
-            key="", model="", variant="",
-            kind="missing", detail=f"no readable manifest in {root}"))
+            key="", model="", kind="missing",
+            detail=f"no readable manifest in {root}"))
         return report
     current_fp, lowering_version = toolchain_identity()
-    if db is None:
-        from ..tuning.database import TuningDB
-        db = TuningDB()
 
     for key, ment in sorted(manifest.get("entries", {}).items()):
         report.checked += 1
         model = ment.get("model", "?")
-        variant = ment.get("variant", "default")
         path = store.entry_path(key)
         if not path.exists():
             report.findings.append(AuditFinding(
-                key=key, model=model, variant=variant, kind="missing",
+                key=key, model=model, kind="missing",
                 detail=f"entry file {path.name} does not exist"))
             _count_stale()
             continue
@@ -199,7 +176,7 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
         if not valid:
             target = _quarantine_entry(root, path, "checksum mismatch")
             report.findings.append(AuditFinding(
-                key=key, model=model, variant=variant, kind="corrupt",
+                key=key, model=model, kind="corrupt",
                 detail=("quarantined to "
                         f"{target}" if target else "quarantine failed")))
             continue
@@ -208,7 +185,7 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
         prov = entry.get("provenance", {})
         if prov.get("cache_format_version") != CACHE_FORMAT_VERSION:
             report.findings.append(AuditFinding(
-                key=key, model=model, variant=variant, kind="format_drift",
+                key=key, model=model, kind="format_drift",
                 detail=(f"keyed under cache format "
                         f"v{prov.get('cache_format_version')}, current "
                         f"v{CACHE_FORMAT_VERSION}; rebuild the bundle")))
@@ -216,16 +193,14 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
             continue
         if prov.get("pipeline_fingerprint") != current_fp:
             report.findings.append(AuditFinding(
-                key=key, model=model, variant=variant,
-                kind="pipeline_drift",
+                key=key, model=model, kind="pipeline_drift",
                 detail=(f"built with {prov.get('pipeline_fingerprint')!r},"
                         f" current {current_fp!r}")))
             _count_stale()
             flagged = True
         if prov.get("lowering_version") != lowering_version:
             report.findings.append(AuditFinding(
-                key=key, model=model, variant=variant,
-                kind="lowering_drift",
+                key=key, model=model, kind="lowering_drift",
                 detail=(f"built at v{prov.get('lowering_version')}, "
                         f"current v{lowering_version}")))
             _count_stale()
@@ -236,19 +211,10 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
             current_hash = None
         if prov.get("model_source_hash") != current_hash:
             report.findings.append(AuditFinding(
-                key=key, model=model, variant=variant,
-                kind="source_drift",
+                key=key, model=model, kind="source_drift",
                 detail="model source bytes changed since build"))
             _count_stale()
             flagged = True
-        if entry.get("tuning") is not None:
-            drift = _tuning_drift(entry, db, tuning_db_key, Workload)
-            if drift:
-                report.findings.append(AuditFinding(
-                    key=key, model=model, variant=variant,
-                    kind="tuning_drift", detail=drift))
-                _count_stale()
-                flagged = True
         if deep and not flagged:
             try:
                 rederived = _rederive_key(entry, current_fp)
@@ -260,32 +226,7 @@ def audit_bundle(root: Union[str, pathlib.Path], db=None,
                           f"{(rederived or '?')[:12]}…")
             if rederived != key:
                 report.findings.append(AuditFinding(
-                    key=key, model=model, variant=variant,
-                    kind="key_mismatch", detail=detail))
+                    key=key, model=model, kind="key_mismatch",
+                    detail=detail))
                 _count_stale()
     return report
-
-
-def _tuning_drift(entry: Dict, db, tuning_db_key, workload_cls
-                  ) -> Optional[str]:
-    """Why this tuned entry no longer matches the DB, or None."""
-    workload_d = entry.get("tuning_workload")
-    if not isinstance(workload_d, dict):
-        return "no recorded workload to re-check against"
-    try:
-        workload = workload_cls(
-            model=workload_d["model"],
-            n_cells=int(workload_d["n_cells"]),
-            dt=float(workload_d["dt"]),
-            integrator=workload_d.get("integrator", ""),
-            machine=workload_d.get("machine", "python-numpy"),
-            population=workload_d.get("population", ""))
-        current = db.get_config(tuning_db_key(workload))
-    except Exception as err:  # noqa: BLE001 - audit boundary
-        return f"workload re-check failed: {type(err).__name__}"
-    if current is None:
-        return "tuning DB no longer records a winner for this workload"
-    if current.as_dict() != entry["tuning"]:
-        return (f"DB winner is now {current.describe()}, entry was "
-                f"built for a different config")
-    return None

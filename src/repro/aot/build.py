@@ -3,10 +3,10 @@
 One build pass walks every requested model (default: all 47 shipped
 model files), generates its default kernel — limpetMLIR where legal,
 the baseline generator for the 4 foreign-function models, recorded as
-ordinary baseline-tier entries rather than errors — plus one kernel
-per recorded tuning-DB winner, runs the full pipeline + verification +
-lowering once, and persists the result as a checksummed bundle entry
-keyed by the exact kernel-cache key a runtime JIT would compute.
+ordinary baseline-tier entries rather than errors — runs the full
+pipeline + verification + lowering once, and persists the result as a
+checksummed bundle entry keyed by the exact kernel-cache key a runtime
+JIT would compute.
 
 The build is **idempotent**: an entry whose key is already in the
 manifest and whose file passes its checksum is reused untouched, and
@@ -25,14 +25,13 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Union
 
 from ..codegen import backend_for, generate
-from ..models import all_model_files, load_model
+from ..models import all_model_files, load_model, model_source_hash
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
                                     kernel_cache_key, payload_checksum)
 from ..runtime.locking import file_lock
 from .bundle import (BUNDLE_FORMAT_VERSION, MANIFEST_NAME, MODELS_DIR,
-                     layout_to_dict, spec_fingerprint,
-                     tuned_variant_name)
+                     layout_to_dict, spec_fingerprint)
 
 
 @dataclass
@@ -42,7 +41,6 @@ class BuiltEntry:
     key: str
     model: str
     backend: str
-    variant: str
     action: str                    # "built" | "reused" | "failed"
     seconds: float = 0.0
     error: Optional[str] = None
@@ -80,8 +78,7 @@ class BuildReport:
                    else " (manifest unchanged)"))
         lines = [head]
         for entry in self.failed:
-            lines.append(f"  FAILED {entry.model} [{entry.variant}]: "
-                         f"{entry.error}")
+            lines.append(f"  FAILED {entry.model}: {entry.error}")
         return "\n".join(lines)
 
     def as_dict(self) -> Dict:
@@ -90,7 +87,7 @@ class BuildReport:
                 "failed": [e.model for e in self.failed],
                 "manifest_written": self.manifest_written,
                 "entries": [{"key": e.key, "model": e.model,
-                             "backend": e.backend, "variant": e.variant,
+                             "backend": e.backend,
                              "action": e.action, "seconds": e.seconds,
                              "error": e.error}
                             for e in self.entries]}
@@ -132,60 +129,25 @@ def _atomic_write(path: pathlib.Path, payload: Dict) -> None:
     os.replace(tmp, path)
 
 
-def _tuned_configs(db, model_name: str) -> List:
-    """Recorded tuning winners for ``model_name`` (deduplicated).
-
-    Multi-shard winners are skipped — they need a ShardedRunner whose
-    kernel is the single-shard one anyway (same IR, thread-split at
-    run time), so the default entry already covers them.
-    """
-    from ..tuning.space import TuningConfig
-    configs = []
-    seen = set()
-    for record in db.entries().values():
-        workload = record.get("workload")
-        if not isinstance(workload, dict) \
-                or workload.get("model") != model_name:
-            continue
-        try:
-            config = TuningConfig.from_dict(record["config"])
-        except (KeyError, TypeError, ValueError):
-            continue
-        if config.shards > 1:
-            continue
-        name = tuned_variant_name(config)
-        if name in seen:
-            continue
-        seen.add(name)
-        configs.append((config, workload))
-    return configs
-
-
 def build_bundle(dest: Union[str, pathlib.Path],
                  models: Optional[Sequence[str]] = None,
-                 db=None, width: int = 8, use_lut: bool = True,
-                 include_tuned: bool = True,
+                 width: int = 8, use_lut: bool = True,
+                 include_tuned: bool = False,
                  built_at: Optional[float] = None) -> BuildReport:
     """AOT-compile ``models`` (default: all 47) into the bundle ``dest``.
 
-    ``db`` is the tuning database whose recorded winners get tuned
-    variants bundled alongside the defaults (default: the process
-    tuning DB); ``built_at`` is the provenance timestamp recorded on
-    newly built entries (default: now).  Idempotent — see the module
-    docstring.
+    ``built_at`` is the provenance timestamp recorded on newly built
+    entries (default: now).  ``include_tuned`` is accepted and ignored:
+    ``benchmarks/e2e/workloads.py:306`` passes it.  Idempotent — see
+    the module docstring.
     """
     from ..obs import trace as _trace
     from ..runtime.resolve import resolve_kernel, toolchain_identity
-    from ..runtime.sharded import _module_has_omp
-    from ..tuning.database import model_source_hash
 
     root = pathlib.Path(dest)
     root.mkdir(parents=True, exist_ok=True)
     if built_at is None:
         built_at = time.time()
-    if db is None and include_tuned:
-        from ..tuning.database import TuningDB
-        db = TuningDB()
     names = list(models) if models else all_model_files()
     fingerprint, lowering_version = toolchain_identity()
     tools = _tool_versions()
@@ -196,87 +158,64 @@ def build_bundle(dest: Union[str, pathlib.Path],
         "artifact_build_seconds",
         "wall seconds to AOT-build one bundle entry")
 
+    def failed(name: str, err: Exception, key: str = "",
+               backend: str = "") -> None:
+        report.entries.append(BuiltEntry(
+            key=key, model=name, backend=backend, action="failed",
+            error=f"{type(err).__name__}: {err}"))
+
     for name in names:
         try:
             model = load_model(name)
         except Exception as err:  # noqa: BLE001 - per-model boundary
-            report.entries.append(BuiltEntry(
-                key="", model=name, backend="", variant="default",
-                action="failed", error=f"{type(err).__name__}: {err}"))
+            failed(name, err)
             continue
-        if _write_model_blob(root, manifest, name, model,
-                             model_source_hash(name)):
+        source_hash = model_source_hash(name)
+        if _write_model_blob(root, manifest, name, model, source_hash):
             changed = True
-        variants = [("default", None, None)]
-        if include_tuned and db is not None:
-            for config, workload in _tuned_configs(db, name):
-                variants.append((tuned_variant_name(config), config,
-                                 workload))
-        for variant, config, workload in variants:
-            start = time.perf_counter()
-            try:
-                if config is not None:
-                    from ..tuning import generate_for
-                    generated = generate_for(model, config)
-                    fuse, arena = config.fuse, config.arena
-                else:
-                    fuse, arena = True, False
-                    # the 4 foreign-function models: first-class
-                    # baseline-tier entries, not build errors
-                    generated = generate(
-                        model, backend_for("limpet_mlir", width,
-                                           bool(model.foreign_functions)),
-                        width=width, use_lut=use_lut)
-                key = kernel_cache_key(generated, fingerprint, fuse,
-                                       arena, True)
-            except Exception as err:  # noqa: BLE001 - per-model boundary
-                report.entries.append(BuiltEntry(
-                    key="", model=name, backend="", variant=variant,
-                    action="failed",
-                    error=f"{type(err).__name__}: {err}"))
-                continue
-            backend = generated.spec.mode.value
-            existing = manifest["entries"].get(key)
-            if existing is not None and _entry_file_valid(root, key):
-                report.entries.append(BuiltEntry(
-                    key=key, model=name, backend=backend,
-                    variant=variant, action="reused"))
-                continue
-            try:
-                with _trace.span("artifact_build", model=name,
-                                 variant=variant):
-                    kernel, _ = resolve_kernel(generated, fuse=fuse,
-                                               arena=arena)
-                    omp = _module_has_omp(
-                        generated.module,
-                        generated.spec.function_name)
-                    entry = _make_entry(
-                        key, generated, kernel, fuse, arena,
-                        variant, config, workload, omp, fingerprint,
-                        lowering_version, model_source_hash(name),
-                        built_at, tools)
-                with file_lock(root / ".lock"):
-                    _atomic_write(root / f"{key}.json", entry)
-            except Exception as err:  # noqa: BLE001 - per-model boundary
-                report.entries.append(BuiltEntry(
-                    key=key, model=name, backend=backend,
-                    variant=variant, action="failed",
-                    error=f"{type(err).__name__}: {err}"))
-                continue
-            seconds = time.perf_counter() - start
-            build_hist.observe(seconds)
-            manifest["entries"][key] = {
-                "model": name, "backend": backend,
-                "width": generated.spec.width, "variant": variant,
-                "file": f"{key}.json", "checksum": entry["checksum"],
-                "source_hash": entry["provenance"]["model_source_hash"],
-                "spec_fingerprint": entry["spec_fingerprint"],
-            }
-            manifest["spec_index"][entry["spec_fingerprint"]] = key
-            changed = True
+        start = time.perf_counter()
+        try:
+            # the 4 foreign-function models: first-class baseline-tier
+            # entries, not build errors
+            generated = generate(
+                model, backend_for("limpet_mlir", width,
+                                   bool(model.foreign_functions)),
+                width=width, use_lut=use_lut)
+            key = kernel_cache_key(generated, fingerprint, True, False,
+                                   True)
+        except Exception as err:  # noqa: BLE001 - per-model boundary
+            failed(name, err)
+            continue
+        backend = generated.spec.mode.value
+        if key in manifest["entries"] and _entry_file_valid(root, key):
             report.entries.append(BuiltEntry(
-                key=key, model=name, backend=backend, variant=variant,
-                action="built", seconds=seconds))
+                key=key, model=name, backend=backend, action="reused"))
+            continue
+        try:
+            with _trace.span("artifact_build", model=name):
+                kernel, _ = resolve_kernel(generated)
+                entry = _make_entry(key, generated, kernel, fingerprint,
+                                    lowering_version, source_hash,
+                                    built_at, tools)
+            with file_lock(root / ".lock"):
+                _atomic_write(root / f"{key}.json", entry)
+        except Exception as err:  # noqa: BLE001 - per-model boundary
+            failed(name, err, key, backend)
+            continue
+        seconds = time.perf_counter() - start
+        build_hist.observe(seconds)
+        manifest["entries"][key] = {
+            "model": name, "backend": backend,
+            "width": generated.spec.width,
+            "file": f"{key}.json", "checksum": entry["checksum"],
+            "source_hash": source_hash,
+            "spec_fingerprint": entry["spec_fingerprint"],
+        }
+        manifest["spec_index"][entry["spec_fingerprint"]] = key
+        changed = True
+        report.entries.append(BuiltEntry(
+            key=key, model=name, backend=backend, action="built",
+            seconds=seconds))
 
     if changed or manifest.get("pipeline_fingerprint") != fingerprint \
             or manifest.get("lowering_version") != lowering_version:
@@ -334,16 +273,13 @@ def _entry_file_valid(root: pathlib.Path, key: str) -> bool:
         and entry.get("checksum") == payload_checksum(entry)
 
 
-def _make_entry(key: str, generated, kernel, fuse: bool, arena: bool,
-                variant: str, config, workload, omp: bool,
-                fingerprint: str, lowering_version: int,
-                source_hash: str, built_at: float,
+def _make_entry(key: str, generated, kernel, fingerprint: str,
+                lowering_version: int, source_hash: str, built_at: float,
                 tools: Dict) -> Dict:
     spec = generated.spec
     entry = {
         "format": BUNDLE_FORMAT_VERSION,
         "key": key,
-        "variant": variant,
         "spec": {
             "model": spec.model.name,
             "backend": spec.mode.value,
@@ -362,13 +298,9 @@ def _make_entry(key: str, generated, kernel, fuse: bool, arena: bool,
             "fused": kernel.fused,
             "arena": kernel.arena is not None,
         },
-        "tuning": config.as_dict() if config is not None else None,
-        "tuning_workload": dict(workload) if workload else None,
-        "omp_parallel": omp,
         "spec_fingerprint": spec_fingerprint(
             spec.model.name, spec.mode.value, spec.width, spec.use_lut,
-            spec.lut_interpolation, fuse, arena, True, "", variant,
-            pipeline_fingerprint=fingerprint),
+            spec.lut_interpolation, pipeline_fingerprint=fingerprint),
         "provenance": {
             "model_source_hash": source_hash,
             "pipeline_fingerprint": fingerprint,

@@ -4,8 +4,8 @@ The paper's openCARP workflow ahead-of-time compiles every ionic model
 once and ships the binaries into the tissue simulator; this package
 reproduces that fleet shape.  ``limpet-bench build-all``
 (:mod:`repro.aot.build`) compiles the whole model zoo into a **bundle
-directory**: one JSON entry per kernel (lowered source + spec + tuning
-decision + provenance + sha256 checksum) plus a bundle-level
+directory**: one JSON entry per kernel (lowered source + spec +
+provenance + sha256 checksum) plus a bundle-level
 ``manifest.json``.  A bundle is immutable at runtime — processes mount
 it read-only via ``$LIMPET_ARTIFACT_DIR`` and the
 :class:`ArtifactStore` tier serves entries with **zero compile work**:
@@ -17,11 +17,10 @@ Two lookup paths exist, layered under the per-user kernel cache:
 * **key lookup** — :class:`~repro.runtime.executor.KernelRunner`
   computes its content-addressed kernel-cache key as usual and, on an
   in-memory + per-user-cache miss, asks the store for that exact key.
-  Covers every runner (sharded, supervised, population) but still pays
-  IR generation to compute the key.
+  Covers every runner (supervised, population included).
 * **spec lookup** (:func:`runner_from_store`) — resolves a kernel by
   its *logical coordinates* (model, backend, width, LUT/fuse/arena
-  flags, tuned variant) through the manifest's ``spec_index``, checking
+  flags) through the manifest's ``spec_index``, checking
   the model source hash, pipeline fingerprint and lowering version
   instead of re-deriving the key.  Skips IR generation entirely, and
   even the model *parse*: the bundle ships each parsed
@@ -43,10 +42,8 @@ import hashlib
 import json
 import os
 import pathlib
-from dataclasses import replace
 from typing import Dict, Optional, Union
 
-from ..codegen import backend_for
 from ..codegen.common import BackendMode, GeneratedKernel, KernelSpec
 from ..codegen.layout import Layout, LayoutKind
 from ..obs import metrics as _metrics
@@ -66,17 +63,11 @@ _ENV_DIR = "LIMPET_ARTIFACT_DIR"
 _ENV_DISABLE = "LIMPET_ARTIFACTS"
 
 
-def tuned_variant_name(config) -> str:
-    """The stable variant label of one tuned configuration."""
-    return "tuned:" + json.dumps(config.as_dict(), sort_keys=True)
-
-
 def spec_fingerprint(model: str, backend: str, width: int,
                      use_lut: bool = True,
                      lut_interpolation: str = "linear",
                      fuse: bool = True, arena: bool = False,
                      verify: bool = True, population: str = "",
-                     variant: str = "default",
                      pipeline_fingerprint: Optional[str] = None) -> str:
     """Content address of a kernel's *logical coordinates*.
 
@@ -108,7 +99,7 @@ def spec_fingerprint(model: str, backend: str, width: int,
         f"arena={arena}",
         f"verify={verify}",
         f"population={population}",
-        f"variant={variant}",
+        "variant=default",      # byte-stable with format-1 bundles
         f"pipeline={pipeline_fingerprint}",
         f"lowering=v{lowering_version}",
     ]
@@ -122,21 +113,15 @@ class ArtifactKernel(GeneratedKernel):
     ``payload`` goes straight to
     :func:`~repro.runtime.lowering.compile_kernel_source`.
     :func:`~repro.runtime.resolve.resolve_kernel` recognizes this type
-    and skips passes/verify/lowering entirely; the sharded runner reads
-    the recorded ``omp_parallel`` flag instead of walking the (absent)
-    module.
+    and skips passes/verify/lowering entirely.
     """
 
     def __init__(self, module=None, spec=None, layout=None, key: str = "",
-                 payload: Optional[Dict] = None, omp_parallel: bool = False,
-                 backend: str = "", variant: str = "default"):
+                 payload: Optional[Dict] = None, backend: str = ""):
         super().__init__(module, spec, layout)
         self.key = key
         self.payload = payload or {}
-        #: did the post-pipeline module contain an ``omp.parallel`` region?
-        self.omp_parallel = omp_parallel
         self.backend = backend
-        self.variant = variant
 
 
 def layout_from_dict(data: Dict) -> Layout:
@@ -170,10 +155,7 @@ def kernel_from_entry(entry: Dict, model=None) -> ArtifactKernel:
                       function_name=spec_d["function_name"])
     return ArtifactKernel(module=None, spec=spec, layout=layout,
                           key=entry["key"], payload=entry["kernel"],
-                          omp_parallel=bool(entry.get("omp_parallel",
-                                                      False)),
-                          backend=spec_d["backend"],
-                          variant=entry.get("variant", "default"))
+                          backend=spec_d["backend"])
 
 
 def _log_artifact_diagnostic(message: str, severity=None, **data) -> None:
@@ -382,8 +364,6 @@ def runner_from_store(model, backend: str = "limpet_mlir",
                       lut_interpolation: str = "linear",
                       fuse: bool = True, arena: bool = False,
                       population: str = "",
-                      tune: bool = False, tune_cells: int = 512,
-                      tune_dt: float = 0.01, tune_db=None,
                       store: Optional[ArtifactStore] = None,
                       **runner_kwargs):
     """The zero-compile cold-start path: a runner straight from a bundle.
@@ -394,11 +374,8 @@ def runner_from_store(model, backend: str = "limpet_mlir",
     (no bundle, unknown spec, drifted model source, corrupt entry) so
     callers fall back to the ordinary JIT path.
 
-    ``tune=True`` resolves the tuning-DB winner for the
-    ``tune_cells``/``tune_dt`` workload *first* and looks up that tuned
-    variant's artifact, mirroring ``KernelRunner(tune=True)``; the
-    returned runner carries ``tuned_config``.  ``runner_kwargs`` go to
-    :func:`~repro.runtime.tiers.make_runner` (``workers=`` included).
+    ``runner_kwargs`` go to :func:`~repro.runtime.tiers.make_runner`
+    (``workers=`` included).
     """
     store = store if store is not None else default_store()
     if store is None:
@@ -407,32 +384,16 @@ def runner_from_store(model, backend: str = "limpet_mlir",
     if manifest is None:
         return None
     name = model if isinstance(model, str) else model.name
-
-    variant = "default"
-    config = None
-    if tune:
-        from ..tuning import tuned_config_for
-        config = tuned_config_for(model, tune_cells, tune_dt, tune_db,
-                                  population=population)
-        if config is not None:
-            variant = tuned_variant_name(config)
-            backend = backend_for(backend, config.width)
-            width = config.width
-            use_lut = config.use_lut
-            lut_interpolation = config.lut_interpolation
-            fuse = config.fuse
-            arena = config.arena
-
     fp = spec_fingerprint(name, backend, width, use_lut,
                           lut_interpolation, fuse, arena, True,
-                          population, variant)
+                          population)
     key = manifest.get("spec_index", {}).get(fp)
     ment = manifest.get("entries", {}).get(key) if key else None
     if ment is None:
         _count_miss()
         return None
     try:
-        from ..tuning.database import model_source_hash
+        from ..models import model_source_hash
         current_hash = model_source_hash(name)
     except Exception:
         _count_miss()
@@ -467,11 +428,8 @@ def runner_from_store(model, backend: str = "limpet_mlir",
     from ..runtime.tiers import make_runner
     runner = make_runner(kernel, fuse=fuse, arena=arena, artifacts=False,
                          **runner_kwargs)
-    if config is not None:
-        runner.resolution = replace(runner.resolution, tuned_config=config)
     _count_hit()
     from ..obs import ledger as _ledger
     _ledger.record_event("artifact_load", model=name, backend=backend,
-                         key=key, cache="artifact", variant=variant,
-                         disposition="ok")
+                         key=key, cache="artifact", disposition="ok")
     return runner

@@ -2,8 +2,7 @@
 
 The perf record (:mod:`repro.bench.record`) and the regression gate
 (:mod:`repro.bench.regress`) are imported by name, not re-exported
-here: the gate pulls in :mod:`repro.tuning`, which itself imports
-:mod:`repro.bench.timing`.
+here.
 """
 
 from .harness import (PAPER_CELLS, PAPER_DT, PAPER_STEPS, VARIANTS,
@@ -21,8 +20,8 @@ from .report import (THREAD_SWEEP, figure_isa_sweep, figure_roofline,
                      format_perf_table, format_scaling_table,
                      format_speedup_table, format_sweep_report,
                      sweep_average_geomean)
-from .timing import (TimingStats, geomean, interleaved_steady_state,
-                     measure, steady_state, trimmed_mean)
+from .timing import (TimingStats, geomean, measure, steady_state,
+                     trimmed_mean)
 
 __all__ = ["PAPER_CELLS", "PAPER_DT", "PAPER_STEPS", "VARIANTS",
            "BenchConfig", "MeasuredRun", "ModeledBench", "ModeledRun",
@@ -39,4 +38,4 @@ __all__ = ["PAPER_CELLS", "PAPER_DT", "PAPER_STEPS", "VARIANTS",
            "format_perf_table", "format_scaling_table",
            "format_speedup_table",
            "sweep_average_geomean", "geomean", "measure", "trimmed_mean",
-           "TimingStats", "steady_state", "interleaved_steady_state"]
+           "TimingStats", "steady_state"]

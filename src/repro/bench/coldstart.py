@@ -186,7 +186,7 @@ def coldstart_report(models: Sequence[str] = REPRESENTATIVE,
             bundle = str(workdir / "bundle")
             t0 = time.perf_counter()
             report = build_bundle(bundle, models=list(models),
-                                  include_tuned=False, width=width)
+                                  width=width)
             build_seconds = time.perf_counter() - t0
             failed = report.failed
             if failed:

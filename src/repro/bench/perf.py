@@ -2,7 +2,7 @@
 population sweep-vs-loop benchmark (the ``perf`` and ``sweep`` sections
 of the perf record, :mod:`repro.bench.record`).
 
-``perf_report`` times five variants of the same simulation on the same
+``perf_report`` times four variants of the same simulation on the same
 machine:
 
 * ``baseline``       — unfused lowering, no cache (the pre-PR hot path);
@@ -11,13 +11,11 @@ machine:
   kernel cache (construction skips passes/verify/lowering);
 * ``fused_artifact`` — fused lowering served by the read-only AOT
   artifact tier (:mod:`repro.aot`): construction skips passes, verify
-  and lowering, reading the prebuilt bundle entry instead;
-* ``sharded``        — fused lowering executed by a
-  :class:`~repro.runtime.sharded.ShardedRunner` on N threads.
+  and lowering, reading the prebuilt bundle entry instead.
 
 Each variant reports construction time (pipeline + verify + lowering,
 or a cache hit) and run time (the paper's 5-run drop-extrema protocol)
-separately, because the cache helps the former and fusion/sharding the
+separately, because the cache helps the former and fusion the
 latter.  Speedups compare **total** time — a sweep over many models
 pays both — plus a run-only column for the compute-stage story.
 
@@ -33,8 +31,8 @@ from typing import Dict, List, Optional
 
 from ..codegen import generate_limpet_mlir
 from ..models import load_model
-from ..runtime import (KernelCache, KernelRunner, ShardedRunner,
-                       available_cpus, compare_trajectories)
+from ..runtime import (KernelCache, KernelRunner, available_cpus,
+                       compare_trajectories)
 from .record import make_section
 from .timing import TimingStats, steady_state
 
@@ -58,7 +56,6 @@ class PerfVariant:
     steps_per_second: float
     cell_steps_per_second: float
     cache_hit: bool = False
-    threads: int = 1
     run_seconds_iqr: float = 0.0
     compute_seconds: Optional[float] = None
     overhead_seconds: Optional[float] = None
@@ -131,7 +128,6 @@ def perf_report(model_name: str = CANONICAL_MODEL,
                 n_cells: int = CANONICAL_CELLS,
                 n_steps: int = CANONICAL_STEPS,
                 dt: float = CANONICAL_DT,
-                threads: int = 0,
                 cache: Optional[KernelCache] = None,
                 runs: int = 5,
                 check_steps: int = 40,
@@ -142,11 +138,9 @@ def perf_report(model_name: str = CANONICAL_MODEL,
     ``cache`` defaults to the process default cache; pass a dedicated
     :class:`KernelCache` to keep benchmark entries out of it.
     ``width`` is the SIMD width of the generated kernels (the CLI's
-    ``--width`` override; the canonical config uses 8); ``threads=0``
-    shards over every available CPU, never more.
+    ``--width`` override; the canonical config uses 8).
     """
     model = load_model(model_name)
-    threads = threads or available_cpus()
 
     def gen():
         return generate_limpet_mlir(load_model(model_name), width=width)
@@ -156,15 +150,11 @@ def perf_report(model_name: str = CANONICAL_MODEL,
                                                    dt).state
     fused_state = KernelRunner(gen()).simulate(check_cells, check_steps,
                                                dt).state
-    with ShardedRunner(gen(), n_threads=threads) as sharded_check:
-        sharded_state = sharded_check.simulate(check_cells, check_steps,
-                                               dt).state
-    for label, state in (("fused", fused_state), ("sharded", sharded_state)):
-        verdict = compare_trajectories(ref, state)
-        if not verdict:
-            raise AssertionError(
-                f"{label} lowering diverged from unfused baseline on "
-                f"{model_name}: {verdict.describe()}")
+    verdict = compare_trajectories(ref, fused_state)
+    if not verdict:
+        raise AssertionError(
+            f"fused lowering diverged from unfused baseline on "
+            f"{model_name}: {verdict.describe()}")
 
     # -- baseline: unfused, uncached
     runner, construct = _timed_construct(
@@ -194,8 +184,7 @@ def perf_report(model_name: str = CANONICAL_MODEL,
 
     from ..aot import ArtifactStore, build_bundle
     with tempfile.TemporaryDirectory() as tmp:
-        build_bundle(tmp, models=[model_name], include_tuned=False,
-                     width=width)
+        build_bundle(tmp, models=[model_name], width=width)
         store = ArtifactStore(tmp)
         art_check = KernelRunner(gen(), cache=None, artifacts=store)
         art_state = art_check.simulate(check_cells, check_steps, dt).state
@@ -211,30 +200,17 @@ def perf_report(model_name: str = CANONICAL_MODEL,
         fused_artifact.construct_seconds = construct
         fused_artifact.artifact_hit = runner.artifact_hit
 
-    # -- sharded (fused, N threads)
-    runner, construct = _timed_construct(
-        lambda: ShardedRunner(gen(), n_threads=threads))
-    try:
-        sharded = _timed_run(runner, n_cells, n_steps, dt, runs)
-    finally:
-        runner.close()
-    sharded.name = "sharded"
-    sharded.construct_seconds = construct
-    sharded.threads = threads
-
-    variants = [baseline, fused, fused_cached, fused_artifact, sharded]
+    variants = [baseline, fused, fused_cached, fused_artifact]
     ratios = {}
     for v in variants[1:]:
         ratios[f"{v.name}.total"] = (baseline.total_seconds
                                      / max(v.total_seconds, 1e-12))
         ratios[f"{v.name}.run"] = (baseline.run_seconds
                                    / max(v.run_seconds, 1e-12))
-    ratios["sharded.vs_fused_run"] = (
-        fused.run_seconds / max(sharded.run_seconds, 1e-12))
     return make_section(
         config={"model_name": model_name, "n_cells": n_cells,
-                "n_steps": n_steps, "dt": dt, "threads": threads,
-                "runs": runs, "width": width},
+                "n_steps": n_steps, "dt": dt, "runs": runs,
+                "width": width},
         variants=[v.as_dict() for v in variants],
         ratios=ratios,
         evidence={"differential": "all variants match unfused baseline "
@@ -398,8 +374,7 @@ def check_report(section: Dict) -> List[str]:
     These are invariants, not speed bars: a fused kernel slower than
     the unfused one, a store that did not serve the kernel, or a
     store-served build slower than the full pipeline is a bug on any
-    machine.  How fast the thread tier is stays a ratio
-    (``sharded.vs_fused_run``) for the baseline gate to judge.
+    machine.
     """
     failures = []
     ratios = section["ratios"]

@@ -1,7 +1,7 @@
 """The one perf record: ``{schema, machine, sections}``.
 
 Every measured report of this repository — ``perf``, ``sweep``,
-``coldstart``, ``tune --report`` — is one *section* of the same shape::
+``coldstart`` — is one *section* of the same shape::
 
     {"config":   the keyword arguments of the section's measurer,
      "variants": [{"name": ..., timed numbers ...}, ...],
@@ -10,7 +10,7 @@ Every measured report of this repository — ``perf``, ``sweep``,
 
 and a record is any set of named sections stamped with the machine that
 measured them.  ``BENCH.json`` at the repository root is the committed
-record holding all four; a single command's ``--json`` output is a
+record holding all three; a single command's ``--json`` output is a
 record holding one.  The gate (:mod:`repro.bench.regress`) reads nothing
 but this shape.
 

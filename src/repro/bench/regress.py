@@ -12,8 +12,8 @@ Two classes of metric fall out of the section shape, gated differently:
 
 * every entry of a section's ``ratios`` (speedups: artifact-vs-JIT
   time-to-first-step, fused-vs-baseline run time, batched-vs-loop
-  sweeps, tuned-vs-default) is dimensionless and survives a machine
-  change — always gated;
+  sweeps) is dimensionless and survives a machine change — always
+  gated;
 * ``steps_per_second`` and ``time_to_first_step`` of every variant are
   **absolute** and only mean something on the machine that recorded
   the baseline — gated when the two records' machine identities match
@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from ..tuning.report import tuning_report
 from .coldstart import coldstart_report
 from .perf import perf_report, sweep_report
 from .record import load_record, make_record, same_machine
@@ -44,7 +43,7 @@ __all__ = ["MEASURE", "GateRow", "extract_metrics", "measure_record",
 #: measurer's keyword arguments
 MEASURE: Dict[str, Callable[..., Dict]] = {
     "perf": perf_report, "sweep": sweep_report,
-    "coldstart": coldstart_report, "tune": tuning_report}
+    "coldstart": coldstart_report}
 
 #: the absolute per-variant metrics: (key, higher is better)
 ABSOLUTE = (("steps_per_second", True), ("time_to_first_step", False))

@@ -186,10 +186,7 @@ def format_perf_table(section: Dict) -> str:
     ratios = section["ratios"]
     lines = [
         f"perf — {cfg['model_name']}: {cfg['n_cells']} cells x "
-        f"{cfg['n_steps']} steps, dt={cfg['dt']}, "
-        f"{cfg['threads']} threads "
-        f"({section['evidence'].get('available_cpus', '?')} cpus "
-        f"available)",
+        f"{cfg['n_steps']} steps, dt={cfg['dt']}",
         f"{'variant':<14} {'construct':>11} {'ttfs':>11} {'run':>11} "
         f"{'compute':>11} {'overhead':>11} {'total':>11} "
         f"{'Mcell-steps/s':>14} {'speedup':>8}",
@@ -215,9 +212,6 @@ def format_perf_table(section: Dict) -> str:
             f"{millis(v['construct_seconds'] + v['run_seconds'])} "
             f"{v['cell_steps_per_second'] / 1e6:>14.2f} "
             f"{ratios.get(v['name'] + '.total', 1.0):>7.2f}x")
-    lines.append(f"sharded vs fused (run only): "
-                 f"{ratios['sharded.vs_fused_run']:.2f}x "
-                 f"at {cfg['threads']} threads")
     return "\n".join(lines)
 
 

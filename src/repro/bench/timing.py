@@ -5,14 +5,12 @@ Two measurement disciplines live here:
 * the paper's protocol (§4) — "Execution times were measured by running
   the models five times, eliminating the two extrema, and averaging the
   remaining three" (:func:`measure`/:func:`trimmed_mean`);
-* a steady-state harness (:func:`steady_state`,
-  :func:`interleaved_steady_state`) for intra-process comparisons —
-  warmup iterations first, then N repeats each taking the **min of
-  ``inner`` back-to-back timings** (min rejects preemption noise;
-  repeats capture drift), summarized as median + IQR over the repeats.
-  All clocks are ``time.perf_counter`` (monotonic).  The kernel
-  autotuner and ``limpet-bench perf`` both measure with this harness so
-  their numbers no longer depend on ad-hoc single-shot timing.
+* a steady-state harness (:func:`steady_state`) for intra-process
+  comparisons — warmup iterations first, then N repeats each taking the
+  **min of ``inner`` back-to-back timings** (min rejects preemption
+  noise; repeats capture drift), summarized as median + IQR over the
+  repeats.  All clocks are ``time.perf_counter`` (monotonic);
+  ``limpet-bench perf`` measures with this harness.
 """
 
 from __future__ import annotations
@@ -25,8 +23,7 @@ from typing import Callable, List, Sequence
 DEFAULT_RUNS = 5
 DEFAULT_TRIMMED = 3
 
-#: steady-state defaults: enough repeats for a meaningful IQR without
-#: making a 70-candidate tuning sweep take minutes
+#: steady-state defaults
 DEFAULT_WARMUP = 2
 DEFAULT_REPEATS = 5
 DEFAULT_INNER = 1
@@ -100,37 +97,6 @@ def steady_state(fn: Callable[[], object],
             best = min(best, time.perf_counter() - start)
         stats.samples.append(best)
     return stats
-
-
-def interleaved_steady_state(fns: Sequence[Callable[[], object]],
-                             warmup: int = DEFAULT_WARMUP,
-                             repeats: int = DEFAULT_REPEATS,
-                             inner: int = DEFAULT_INNER
-                             ) -> List[TimingStats]:
-    """Steady-state timing of several competitors, round-robin.
-
-    Candidates being *compared* must not be timed back-to-back in
-    separate blocks: thermal/frequency drift would then bias whichever
-    ran first.  This variant warms every candidate up front and then
-    interleaves the repeat rounds (A B C, A B C, ...), so slow drift
-    hits all candidates equally.  Returns one :class:`TimingStats` per
-    candidate, in order.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    for fn in fns:
-        for _ in range(warmup):
-            fn()
-    all_stats = [TimingStats() for _ in fns]
-    for _ in range(repeats):
-        for fn, stats in zip(fns, all_stats):
-            best = math.inf
-            for _ in range(max(inner, 1)):
-                start = time.perf_counter()
-                fn()
-                best = min(best, time.perf_counter() - start)
-            stats.samples.append(best)
-    return all_stats
 
 
 def trimmed_mean(samples: Sequence[float],

@@ -14,20 +14,17 @@ Subcommands:
 * ``figure {fig2,fig3,fig4,fig5,fig6}`` — regenerate a paper figure's
   data from the modeled Cascade Lake bench;
 * ``perf`` — measured performance-layer comparison (baseline / fused /
-  fused+cached / sharded) with the steady-state harness;
-* ``tune`` — the cost-model-guided kernel autotuner: tune one workload
-  (``--model``), run the tuned-vs-default ablation (``--report``), or
-  clear the persistent tuning DB (``--clear``);
+  fused+cached / fused+artifact) with the steady-state harness;
 * ``sweep MODEL --param NAME=lo:hi:N`` — population-batched parameter
   sweep: one kernel advances all N parameter-perturbed instances,
   timed against the loop-of-N shape it replaces, with a bitwise
   differential gate between the two;
-* ``build-all`` — AOT-compile the whole model zoo (plus tuned variants
-  recorded in the tuning DB) into a versioned artifact bundle; any
-  process pointed at it via ``$LIMPET_ARTIFACT_DIR`` cold-starts with
-  zero compile work (see :mod:`repro.aot` and DESIGN.md §12);
+* ``build-all`` — AOT-compile the whole model zoo into a versioned
+  artifact bundle; any process pointed at it via
+  ``$LIMPET_ARTIFACT_DIR`` cold-starts with zero compile work (see
+  :mod:`repro.aot` and DESIGN.md §12);
 * ``artifacts {audit,list}`` — staleness audit of a bundle (re-derives
-  keys, flags pipeline/lowering/tuning/source drift, quarantines
+  keys, flags pipeline/lowering/source drift, quarantines
   corrupt entries; nonzero exit when anything drifted) / manifest
   listing;
 * ``coldstart`` — JIT vs artifact-bundle time-to-first-step in fresh
@@ -51,9 +48,9 @@ Subcommands:
   of recent spans/metrics written on worker death, degradation,
   quarantine or unhandled exception).
 
-``perf``, ``sweep``, ``coldstart`` and ``tune --report`` each measure
-one section of the perf record (:mod:`repro.bench.record`); ``--json``
-writes it as a one-section record.  ``perf --baseline BENCH.json``
+``perf``, ``sweep`` and ``coldstart`` each measure one section of the
+perf record (:mod:`repro.bench.record`); ``--json`` writes it as a
+one-section record.  ``perf --baseline BENCH.json``
 switches ``perf`` into the regression gate: re-measure every section
 the record holds with its recorded configuration and exit non-zero
 when a tracked metric regressed beyond ``--tolerance``
@@ -210,7 +207,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     perf = sub.add_parser(
         "perf", help="measured performance-layer comparison "
-                     "(baseline / fused / fused+cached / sharded)")
+                     "(baseline / fused / fused+cached / "
+                     "fused+artifact)")
     perf.add_argument("--model", default=None, metavar="MODEL",
                       choices=ALL_MODELS,
                       help="model to benchmark (default: the canonical "
@@ -222,9 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
                       choices=(2, 4, 8),
                       help="vector width for the limpetMLIR variants "
                            "(default: the canonical width, 8)")
-    perf.add_argument("--threads", type=_positive_int, default=0,
-                      help="shard count for the sharded variant "
-                           "(default: every available CPU)")
     perf.add_argument("--runs", type=_positive_int, default=None,
                       help="timing runs per variant (default: the paper "
                            "protocol's 5; --baseline mode: the record's)")
@@ -247,48 +242,9 @@ def build_parser() -> argparse.ArgumentParser:
                            "degrade every current metric by FACTOR so "
                            "the gate demonstrably trips")
     perf.set_defaults(func=lambda args: cmd_perf(
-        args.model, args.cells, args.steps, args.dt, args.threads,
-        args.runs, args.json, args.check, args.width, args.baseline,
-        args.tolerance, args.slowdown))
-
-    tune = sub.add_parser(
-        "tune", help="cost-model-guided kernel autotuner "
-                     "(enumerate / rank / measure / persist)")
-    tune.add_argument("--model", default=None, metavar="MODEL",
-                      choices=ALL_MODELS,
-                      help="workload model to tune (omit with --report "
-                           "or --clear)")
-    tune.add_argument("--cells", type=_positive_int, default=None,
-                      help="workload cell count (default: 512; "
-                           "--report: 4096)")
-    tune.add_argument("--steps", type=_positive_int, default=None,
-                      help="steps per timed sample (default: 20; "
-                           "--report: 10)")
-    tune.add_argument("--dt", type=_positive_float, default=0.01)
-    tune.add_argument("--top-k", type=_positive_int, default=5,
-                      help="cost-model candidates to measure-refine")
-    tune.add_argument("--repeats", type=_positive_int, default=5,
-                      help="timed samples per candidate")
-    tune.add_argument("--db", default=None, metavar="PATH",
-                      help="tuning DB path (default: $LIMPET_TUNE_DB or "
-                           "~/.cache/limpet-repro/tuning.json)")
-    tune.add_argument("--json", default=None, metavar="PATH",
-                      help="also write the result as JSON "
-                           "(--report: a perf record)")
-    tune.add_argument("--force", action="store_true",
-                      help="re-measure even on a tuning-DB hit")
-    tune.add_argument("--clear", action="store_true",
-                      help="delete all tuning-DB records first")
-    tune.add_argument("--report", action="store_true",
-                      help="tuned-vs-default ablation over the five "
-                           "representative models")
-    tune.add_argument("--check", action="store_true",
-                      help="fail (exit 1) unless the acceptance "
-                           "criteria hold")
-    tune.set_defaults(func=lambda args: cmd_tune(
-        args.model, args.cells, args.steps, args.dt, args.top_k,
-        args.repeats, args.db, args.json, args.force, args.clear,
-        args.report, args.check))
+        args.model, args.cells, args.steps, args.dt, args.runs, args.json,
+        args.check, args.width, args.baseline, args.tolerance,
+        args.slowdown))
 
     sweep_cmd = sub.add_parser(
         "sweep", help="population-batched parameter sweep: one kernel "
@@ -332,14 +288,8 @@ def build_parser() -> argparse.ArgumentParser:
                            help="subset to build (default: all models)")
     build_all.add_argument("--width", type=int, default=8,
                            choices=(2, 4, 8))
-    build_all.add_argument("--no-tuned", action="store_true",
-                           help="skip tuned variants recorded in the "
-                                "tuning DB")
-    build_all.add_argument("--db", default=None, metavar="PATH",
-                           help="tuning DB path (default: "
-                                "$LIMPET_TUNE_DB)")
     build_all.set_defaults(func=lambda args: cmd_build_all(
-        args.dest, args.models, args.width, args.no_tuned, args.db))
+        args.dest, args.models, args.width))
 
     artifacts = sub.add_parser(
         "artifacts", help="inspect / audit an AOT artifact bundle")
@@ -347,15 +297,13 @@ def build_parser() -> argparse.ArgumentParser:
     artifacts.add_argument("--dir", default=None, metavar="DIR",
                            help="bundle directory (default: "
                                 "$LIMPET_ARTIFACT_DIR)")
-    artifacts.add_argument("--db", default=None, metavar="PATH",
-                           help="tuning DB path for tuning-drift checks")
     artifacts.add_argument("--no-deep", action="store_true",
                            help="audit: skip key re-derivation "
                                 "(metadata checks only)")
     artifacts.add_argument("--json", default=None, metavar="PATH",
                            help="also write the report as JSON")
     artifacts.set_defaults(func=lambda args: cmd_artifacts(
-        args.action, args.dir, args.db, args.no_deep, args.json))
+        args.action, args.dir, args.no_deep, args.json))
 
     coldstart = sub.add_parser(
         "coldstart", help="JIT vs AOT-bundle cold start in fresh child "
@@ -654,7 +602,7 @@ def _emit_record(record, table: str, json_path: Optional[str],
 
 
 def cmd_perf(model: Optional[str], cells: Optional[int],
-             steps: Optional[int], dt: Optional[float], threads: int,
+             steps: Optional[int], dt: Optional[float],
              runs: Optional[int], json_path: Optional[str], check: bool,
              width: Optional[int] = None,
              baseline: Optional[str] = None, tolerance: float = 0.15,
@@ -666,7 +614,7 @@ def cmd_perf(model: Optional[str], cells: Optional[int],
     given = {"model_name": model, "n_cells": cells, "n_steps": steps,
              "dt": dt, "runs": runs, "width": width}
     # what the command line left out is the canonical config's
-    section = perf_report(threads=threads, **{
+    section = perf_report(**{
         key: value for key, value in given.items() if value is not None})
     return _emit_record(
         make_record({"perf": section}), format_perf_table(section),
@@ -734,83 +682,22 @@ def cmd_sweep(model: str, param_specs: Optional[List[str]],
         "same-shape sweeps")
 
 
-def cmd_tune(model: Optional[str], cells: Optional[int],
-             steps: Optional[int], dt: float, top_k: int, repeats: int,
-             db_path: Optional[str], json_path: Optional[str],
-             force: bool, clear: bool, report: bool,
-             check: bool) -> int:
-    import json as _json
-
-    from .tuning import (SLOWDOWN_TOLERANCE, TuningDB, autotune,
-                         check_tuning_report, format_tuning_table,
-                         tuning_report)
-    db = TuningDB(path=db_path)
-    if clear:
-        removed = db.clear()
-        print(f"cleared {removed} tuning record(s) from {db.path}")
-        if model is None and not report:
-            return EXIT_OK
-    if report:
-        section = tuning_report(n_cells=cells or 4096, n_steps=steps or 10,
-                                dt=dt, top_k=top_k, repeats=repeats, db=db)
-        return _emit_record(
-            make_record({"tune": section}), format_tuning_table(section),
-            json_path, check_tuning_report(section) if check else None,
-            "checks passed: tuned never slower than default; speedup "
-            "and cost-model agreement bars met")
-    if model is None:
-        print("tune: --model is required (or use --report / --clear)",
-              file=sys.stderr)
-        return EXIT_USAGE
-    result = autotune(model, n_cells=cells or 512, dt=dt,
-                      n_steps=steps or 20, top_k=top_k, repeats=repeats,
-                      db=db, force=force)
-    print(result.describe())
-    measured = sorted((c for c in result.candidates
-                       if c.measured_seconds is not None),
-                      key=lambda c: c.measured_seconds)
-    for c in measured:
-        marker = " (default)" if c.is_default else ""
-        print(f"  {c.measured_seconds * 1e3:8.2f} ms  "
-              f"predicted #{c.predicted_rank + 1:<3} "
-              f"{c.config.describe()}{marker}")
-    if json_path:
-        with open(json_path, "w") as fh:
-            _json.dump(result.as_dict(), fh, indent=2)
-        print(f"result written to {json_path}")
-    if check and not result.from_db:
-        speedup = result.speedup_vs_default
-        if speedup is not None and speedup < 1.0 - SLOWDOWN_TOLERANCE:
-            print(f"CHECK FAILED: tuned config {1 / speedup:.3f}x "
-                  f"slower than default", file=sys.stderr)
-            return EXIT_FAILURE
-    return EXIT_OK
-
-
 def cmd_build_all(dest: Optional[str], models: Optional[List[str]],
-                  width: int, no_tuned: bool,
-                  db_path: Optional[str]) -> int:
+                  width: int) -> int:
     from .aot import build_bundle, default_artifact_dir
     target = dest or default_artifact_dir()
     if target is None:
         print("build-all: no destination — pass --dest or set "
               "$LIMPET_ARTIFACT_DIR", file=sys.stderr)
         return EXIT_USAGE
-    db = None
-    if not no_tuned:
-        from .tuning import TuningDB
-        db = TuningDB(path=db_path)
-    report = build_bundle(target, models=models, db=db, width=width,
-                          include_tuned=not no_tuned)
+    report = build_bundle(target, models=models, width=width)
     print(report.describe())
     for entry in report.failed:
-        print(f"FAILED {entry.model} [{entry.variant}]: {entry.error}",
-              file=sys.stderr)
+        print(f"FAILED {entry.model}: {entry.error}", file=sys.stderr)
     return EXIT_OK if report.ok else EXIT_COMPILE_FAILED
 
 
-def cmd_artifacts(action: str, bundle_dir: Optional[str],
-                  db_path: Optional[str], no_deep: bool,
+def cmd_artifacts(action: str, bundle_dir: Optional[str], no_deep: bool,
                   json_path: Optional[str]) -> int:
     import json as _json
 
@@ -835,22 +722,13 @@ def cmd_artifacts(action: str, bundle_dir: Optional[str],
         print(f"bundle {root}: {len(entries)} kernel(s), pipeline "
               f"{manifest.get('pipeline_fingerprint', '?')[:12]}, "
               f"built {built or '?'}")
-        print(f"{'model':<24} {'backend':<12} {'width':>5} "
-              f"{'variant':<28} {'key':<12}")
+        print(f"{'model':<24} {'backend':<12} {'width':>5} {'key':<12}")
         for key, meta in sorted(entries.items(),
-                                key=lambda kv: (kv[1]['model'],
-                                                kv[1]['variant'])):
-            variant = meta["variant"]
-            if len(variant) > 28:
-                variant = variant[:25] + "..."
+                                key=lambda kv: kv[1]['model']):
             print(f"{meta['model']:<24} {meta['backend']:<12} "
-                  f"{meta['width']:>5} {variant:<28} {key[:12]}")
+                  f"{meta['width']:>5} {key[:12]}")
         return EXIT_OK
-    db = None
-    if db_path is not None:
-        from .tuning import TuningDB
-        db = TuningDB(path=db_path)
-    report = audit_bundle(root, db=db, deep=not no_deep)
+    report = audit_bundle(root, deep=not no_deep)
     print(report.describe())
     if json_path:
         with open(json_path, "w") as fh:
@@ -958,12 +836,13 @@ def cmd_trace(model_name: Optional[str], backend: str, width: int,
 
 
 def cmd_metrics(prom: bool) -> int:
-    """Exercise cache / sharding / run paths, then dump the registry."""
+    """Exercise cache / artifact / supervised run paths, then dump the
+    registry."""
     import json as _json
 
     from .codegen import generate_limpet_mlir
     from .obs import metrics as _metrics
-    from .runtime import (KernelRunner, ShardedRunner, SupervisedRunner,
+    from .runtime import (KernelRunner, SupervisedRunner,
                           multiprocess_supported)
     from .runtime.kernel_cache import KernelCache
     _metrics.reset()
@@ -977,15 +856,12 @@ def cmd_metrics(prom: bool) -> int:
     with tempfile.TemporaryDirectory() as tmp:
         # artifact tier: one build, one hit, one miss
         from .aot import ArtifactStore, build_bundle
-        build_bundle(tmp, models=["Plonsey"], include_tuned=False)
+        build_bundle(tmp, models=["Plonsey"])
         store = ArtifactStore(tmp)
         KernelRunner(generate_limpet_mlir(model), cache=None,
                      artifacts=store)
         KernelRunner(generate_limpet_mlir(load_model("FitzHughNagumo")),
                      cache=None, artifacts=store)
-    with ShardedRunner(generate_limpet_mlir(model),
-                       n_threads=2) as sharded:
-        sharded.run(sharded.make_state(64), 10, 0.01)
     if multiprocess_supported():
         with SupervisedRunner(generate_limpet_mlir(model),
                               n_workers=2) as supervised:
@@ -1233,11 +1109,13 @@ def _drill_worker_stall() -> str:
 
 
 def _drill_degradation() -> str:
-    """Exhausted supervision retries must degrade down the tier ladder,
-    not fail the run."""
+    """Exhausted supervision retries must degrade to the single tier,
+    once, and finish with the bits of an inline run."""
+    import numpy as np
+
     from .codegen import generate_limpet_mlir
-    from .runtime import (SupervisedRunner, SupervisionConfig,
-                          multiprocess_supported)
+    from .runtime import (KernelRunner, SupervisedRunner,
+                          SupervisionConfig, multiprocess_supported)
     if not multiprocess_supported():    # pragma: no cover - POSIX CI
         return "degradation: skipped (no fork/shared_memory)"
     plan = FaultPlan(kill_worker=0, kill_worker_at_task=1)
@@ -1248,12 +1126,18 @@ def _drill_degradation() -> str:
         state = sup.make_state(24)
         result = sup.run(state, 40, 0.01)
         assert result.n_steps == 40
-        assert sup.tier == "threads", f"expected threads, got {sup.tier}"
+        assert sup.tier == "single", f"expected single, got {sup.tier}"
         downgrades = [d for d in sup.diagnostics
                       if "degrading" in d.message]
-        assert downgrades, "no degradation diagnostic recorded"
-    return ("degradation: retry budget exhausted -> thread tier, run "
-            "completed with a diagnostic trail")
+        assert len(downgrades) == 1, \
+            f"{len(downgrades)} degradation diagnostics, expected 1"
+    inline = KernelRunner(generate_limpet_mlir(load_model("Plonsey")))
+    reference = inline.make_state(24)
+    inline.run(reference, 40, 0.01)
+    assert np.array_equal(state.sv, reference.sv), \
+        "degraded run differs from the inline run"
+    return ("degradation: retry budget exhausted -> single tier, run "
+            "completed bitwise equal to inline, one diagnostic")
 
 
 def _drill_cache_corruption() -> str:

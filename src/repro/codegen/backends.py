@@ -6,9 +6,9 @@ the emitter runs when the module is first read.
 * ``limpet_mlir`` — the paper's contribution (§3.3–§3.4): SIMD as an
   intrinsic feature, ``vector<Wxf64>`` values one cell per lane, state
   through the layout's accessor (AoSoA by default, §3.4.1; AoS for the
-  §4.4 ablation; SoA for the autotuner's layout axis — its slot stride
-  is the ``end`` argument, so it must run over the whole allocation and
-  the ShardedRunner refuses it), vectorized LUT rows (§3.4.2);
+  §4.4 ablation; SoA as a third choice — its slot stride is the
+  ``end`` argument, so it must run over the whole allocation and the
+  ShardedRunner refuses it), vectorized LUT rows (§3.4.2);
 * ``icc_simd`` — the icc ``#pragma omp simd`` comparator of §5: vector
   arithmetic and math, but AoS layout and serialized scalar LUT calls;
 * ``gpu`` — the §7 heterogeneous extension: a ``gpu.launch`` grid-stride
@@ -88,7 +88,7 @@ def generate_limpet_mlir(model: IonicModel, width: int = 8,
     8 = AVX-512).  ``data_layout_opt`` toggles the AoS -> AoSoA
     transformation (§3.4.1), exposed "through a compiler flag" in the
     paper.  ``layout`` overrides it with an explicit choice
-    (``"aos"``/``"soa"``/``"aosoa"``) — the autotuner's layout axis.
+    (``"aos"``/``"soa"``/``"aosoa"``).
     """
     if layout is None:
         layout = "aosoa" if data_layout_opt else "aos"

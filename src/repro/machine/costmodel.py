@@ -214,175 +214,3 @@ def isa_for_width(width: int) -> VectorISA:
         if isa.width == width:
             return isa
     raise ValueError(f"no ISA with width {width} (choose 2, 4 or 8)")
-
-
-class PythonRuntimeCostModel(CostModel):
-    """Cost model of the *executing* NumPy runtime, for the autotuner.
-
-    The base :class:`CostModel` models the paper's Cascade Lake — real
-    SIMD units, caches, SVML.  But this repository's kernels execute as
-    flattened NumPy statements (``repro.runtime.lowering``): every IR
-    op in the cell loop runs **once per step over all cells**, so the
-    real costs are (a) per-statement interpreter/ufunc dispatch and
-    (b) per-element ufunc work — a completely different balance (LUT
-    gathers lose to recomputed ``exp``; fusion saves dispatch, not
-    flops).  This subclass keeps the :meth:`step_time` contract but
-    prices that runtime, so the tuner's predicted ranking matches what
-    measurement will see.
-
-    Two keyword-only extensions price lowering flags that do not change
-    the IR: ``fuse`` (fewer statements after expression fusion) and
-    ``arena`` (a measured *penalty* — ``out=`` reuse into long-lived
-    buffers defeats NumPy's temp-buffer cache here).  ``threads``
-    models :class:`~repro.runtime.sharded.ShardedRunner` shards: element
-    work parallelizes (ufuncs release the GIL), dispatch does not, and
-    each step pays a pool-submission cost per shard.
-
-    Memory accesses are priced by the addressing mode the lowering
-    gives them (DESIGN.md §6.2), read off the profile's layout: a
-    ``vector.load`` / ``vector.store`` is a *unit-stride* slice copy —
-    one flat loop under SoA and for externals, one inner loop per block
-    row under AoSoA (``EL_ROW_NS``); a ``vector.gather`` /
-    ``vector.scatter`` is a *strided* slice copy under AoS and an
-    *indexed* access (index array + fancy gather, masked multimodel
-    kernels) under every other layout.  Index arithmetic and broadcasts
-    of loop invariants cost nothing: sliced accesses never materialise
-    them.
-
-    Constants were calibrated against measured ``steady_state`` runs of
-    representative models on CPython 3.11 + NumPy (see EXPERIMENTS.md,
-    tuner ablation); they need to *rank* configurations, not predict
-    absolute seconds.
-    """
-
-    #: per-statement cost of one lowered NumPy statement (ufunc dispatch,
-    #: temporary allocation, name binding)
-    DISPATCH_US = 0.6
-    #: extra dispatch for transcendental statements (libm setup)
-    DISPATCH_EXP_US = 1.9
-    #: statement-count ratio after fused expression lowering
-    FUSED_STATEMENT_RATIO = 0.55
-    #: buffer-arena penalties — measured: ``out=`` reuse into long-lived
-    #: arena buffers defeats NumPy's temporary-buffer reuse and costs
-    #: more than the allocations it saves on this runtime
-    ARENA_DISPATCH_RATIO = 1.35
-    ARENA_ELEMENT_RATIO = 1.1
-    #: per-element costs (nanoseconds) by operation class, calibrated in
-    #: the throughput regime (arrays of thousands of cells)
-    EL_SIMPLE_NS = 0.5
-    EL_DIV_NS = 2.0
-    EL_EXP_NS = 3.5
-    EL_POW_NS = 6.0
-    EL_MOVE_NS = 0.35         # unit-stride access (flat slice copy)
-    EL_GATHER_NS = 1.25       # strided access (AoS: stride n_states)
-    EL_INDEXED_NS = 2.6       # indexed access (fancy gather/scatter)
-    #: per live column: two contiguous-row gathers (values, slopes) and
-    #: an in-place multiply-add (3.1-3.5 measured over OHara,
-    #: Courtemanche, LuoRudy91, TenTusscherPanfilov at 4096 cells)
-    EL_LUT_COLUMN_NS = 3.3
-    #: per-block cost of an access that cannot run as one flat loop: a
-    #: unit-stride access under AoSoA copies one W-element row per block
-    #: (rows are n_states*W apart), an indexed access builds one index
-    #: row per block — so wider kernels pay it less often (this is what
-    #: separates width 8 from width 4 at runtime)
-    EL_ROW_NS = 6.0
-    #: statements per live LUT column: a call costs ~15 us of index
-    #: arithmetic and gathers however many columns it returns, plus
-    #: ~0.5 us per column (view, unpack); spread over the 15-27 live
-    #: columns of the tuner's representative models (2.7-4.2 measured)
-    LUT_COLUMN_STATEMENTS = 3.6
-    #: per-op per-cell cost of the scalar baseline's Python loop
-    PY_SCALAR_OP_NS = 60.0
-    #: per-shard pool submission cost per step, and thread efficiency
-    POOL_SUBMIT_US = 60.0
-    THREAD_EFFICIENCY = 0.85
-
-    def __init__(self, machine: Machine = CASCADE_LAKE,
-                 host_cpus: Optional[int] = None):
-        super().__init__(machine)
-        import os
-        self.host_cpus = host_cpus or (os.cpu_count() or 1)
-
-    def step_time(self, profile: KernelProfile, isa: VectorISA,
-                  threads: int, n_cells: int,
-                  mode: BackendMode = BackendMode.LIMPET_MLIR,
-                  state_bytes_per_cell: Optional[float] = None, *,
-                  fuse: bool = True, arena: bool = False) -> TimePoint:
-        """Modeled wall time of one compute step on the NumPy runtime."""
-        p = profile
-        if p.width == 1:
-            return self._scalar_step(p, n_cells)
-        # statements executed per step (flattened: one per IR op)
-        statements = (p.simple_fp + p.div_fp + p.exp_class + p.pow_class
-                      + p.contiguous_loads + p.contiguous_stores
-                      + p.gathers + p.scatters + p.inserts_extracts
-                      + p.lut_columns_live * self.LUT_COLUMN_STATEMENTS
-                      + p.lut_columns_scalar * self.LUT_COLUMN_STATEMENTS)
-        if fuse:
-            statements *= self.FUSED_STATEMENT_RATIO
-        if p.layout == "soa":
-            # every slot is its own region of the buffer, so each state
-            # binds its own block view where the interleaved layouts
-            # share one
-            statements += p.contiguous_stores
-        dispatch_us = self.DISPATCH_US
-        if arena:
-            dispatch_us *= self.ARENA_DISPATCH_RATIO
-        # transcendental statements survive fusion (each exp/pow is one
-        # libm-backed ufunc call regardless) and pay extra setup
-        t_dispatch = (statements * dispatch_us
-                      + (p.exp_class + p.pow_class)
-                      * self.DISPATCH_EXP_US) * 1e-6
-
-        unit = p.contiguous_loads + p.contiguous_stores
-        gathers = p.gathers + p.scatters
-        aosoa = p.layout.startswith("aosoa")
-        aos = _is_aos(p.layout)
-        per_el_ns = (p.simple_fp * self.EL_SIMPLE_NS
-                     + p.div_fp * self.EL_DIV_NS
-                     + p.exp_class * self.EL_EXP_NS
-                     + p.pow_class * self.EL_POW_NS
-                     + unit * self.EL_MOVE_NS
-                     + gathers * (self.EL_GATHER_NS if aos
-                                  else self.EL_INDEXED_NS)
-                     + (p.lut_columns_live + p.lut_columns_scalar)
-                     * self.EL_LUT_COLUMN_NS)
-        row_accesses = (unit if aosoa else 0.0) + (0.0 if aos else gathers)
-        n_blocks = n_cells / max(p.width, 1)
-        t_element = (n_cells * per_el_ns
-                     + row_accesses * n_blocks * self.EL_ROW_NS) * 1e-9
-        if arena:
-            t_element *= self.ARENA_ELEMENT_RATIO
-
-        t_pool = 0.0
-        eff_threads = max(1, min(threads, self.host_cpus))
-        if threads > 1:
-            t_pool = threads * self.POOL_SUBMIT_US * 1e-6
-            t_element /= 1.0 + (eff_threads - 1) * self.THREAD_EFFICIENCY
-        seconds = t_dispatch + t_element + t_pool
-        flops_cell = p.flops_per_cell
-        return TimePoint(seconds=seconds, compute_seconds=t_element,
-                         memory_seconds=0.0,
-                         overhead_seconds=t_dispatch + t_pool,
-                         cycles_per_cell=0.0,
-                         bytes_per_cell=p.bytes_per_cell,
-                         flops_per_cell=flops_cell,
-                         flops_total=flops_cell * n_cells)
-
-    def _scalar_step(self, p: KernelProfile, n_cells: int) -> TimePoint:
-        """The baseline per-cell Python interpreter loop."""
-        ops = (p.simple_fp + p.div_fp + p.exp_class + p.pow_class
-               + p.int_ops
-               + p.scalar_loads + p.scalar_stores
-               + p.lut_calls_scalar * 4.0
-               + p.lut_columns_scalar * 2.0
-               + p.other_calls * 2.0)
-        t_compute = ops * n_cells * self.PY_SCALAR_OP_NS * 1e-9
-        seconds = t_compute + 2e-6          # loop setup
-        flops_cell = p.flops_per_cell
-        return TimePoint(seconds=seconds, compute_seconds=t_compute,
-                         memory_seconds=0.0, overhead_seconds=2e-6,
-                         cycles_per_cell=0.0,
-                         bytes_per_cell=p.bytes_per_cell,
-                         flops_per_cell=flops_cell,
-                         flops_total=flops_cell * n_cells)

@@ -3,9 +3,10 @@
 from .registry import (ALL_MODELS, HAND_WRITTEN, LARGE_MODELS, MEDIUM_MODELS,
                        MODEL_DIR, SIZE_CLASS, SMALL_MODELS,
                        UNSUPPORTED_MODELS, ModelEntry, all_model_files,
-                       list_models, load_model, model_entry, verify_registry)
+                       list_models, load_model, model_entry,
+                       model_source_hash, verify_registry)
 
 __all__ = ["ALL_MODELS", "HAND_WRITTEN", "LARGE_MODELS", "MEDIUM_MODELS",
            "MODEL_DIR", "SIZE_CLASS", "SMALL_MODELS", "UNSUPPORTED_MODELS",
            "ModelEntry", "all_model_files", "list_models", "load_model",
-           "model_entry", "verify_registry"]
+           "model_entry", "model_source_hash", "verify_registry"]

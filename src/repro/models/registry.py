@@ -9,6 +9,7 @@ physiology ... the most relevant ones for many practical applications").
 
 from __future__ import annotations
 
+import hashlib
 import pathlib
 from dataclasses import dataclass
 from functools import lru_cache
@@ -119,6 +120,12 @@ def model_entry(name: str) -> ModelEntry:
     return ModelEntry(name=name, size_class=SIZE_CLASS[name],
                       path=MODEL_DIR / f"{name}.model",
                       hand_written=name in HAND_WRITTEN)
+
+
+def model_source_hash(model_name: str) -> str:
+    """sha256 of the model's EasyML source file bytes."""
+    return hashlib.sha256(
+        model_entry(model_name).path.read_bytes()).hexdigest()
 
 
 def list_models(size_class: Optional[str] = None) -> List[ModelEntry]:

@@ -23,8 +23,7 @@ bare gauges).  The canonical set, wired in this PR:
                                 checkpoint
 ``watchdog_nan_events_total``   NaN/Inf detections by the watchdog
 ``watchdog_retries_total``      checkpoint rollbacks (dt halving)
-``tuner_measurements_total``    timed samples taken by the autotuner
-``shard_count``                 gauge: shards of the last sharded run
+``shard_count``                 gauge: shards of the latest shard plan
 ``shard_imbalance_ratio``       gauge: max/mean shard size
 ``pass_seconds``                histogram: per-pass wall time
 ``worker_restarts_total``       supervised workers killed + respawned
@@ -32,7 +31,6 @@ bare gauges).  The canonical set, wired in this PR:
 ``degradations_total``          execution-tier downgrades taken
 ``supervised_workers``          gauge: live supervised worker processes
 ``kernel_cache_corrupt_total``  corrupt cache entries quarantined
-``tuning_db_corrupt_total``     corrupt tuning records/files quarantined
 ``cache_memory_fallbacks_total`` persistent tiers degraded to in-memory
 ``population_instances``        gauge: instances per kernel call of the
                                 latest population run
@@ -43,7 +41,7 @@ bare gauges).  The canonical set, wired in this PR:
                                 to JIT compilation
 ``artifact_stale_total``        bundle entries rejected/flagged because
                                 an input drifted (source, pipeline,
-                                lowering, tuning)
+                                lowering)
 ``artifact_corrupt_total``      bundle entries failing their checksum
                                 (audit quarantines them)
 ``artifact_build_seconds``      histogram: per-kernel ``build-all``

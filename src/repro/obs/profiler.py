@@ -14,10 +14,8 @@ This module turns those raw counters into:
 
 * :class:`KernelProfileReport` — per-op measured seconds, top-N hot
   table (``hot_table``), per-IR-op and per-cost-class aggregation;
-* :func:`measured_op_costs` / :func:`calibrated_cost_model` — feed the
-  *measured* per-element costs back into
-  :class:`~repro.machine.costmodel.PythonRuntimeCostModel`, replacing
-  its hand-calibrated constants for this workload;
+* :func:`measured_op_costs` — *measured* per-element nanoseconds by
+  operation class for this workload;
 * :func:`measured_roofline_point` — a
   :class:`~repro.machine.roofline.RooflinePoint` whose GFlops/s come
   from measured wall time instead of the modeled bench.
@@ -29,13 +27,12 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional
 
 from ..machine.arch import CASCADE_LAKE, Machine
-from ..machine.costmodel import PythonRuntimeCostModel
 from ..machine.instrument import (_EXP_CLASS, _INT_OPS, _POW_CLASS,
                                   _SIMPLE_FP, KernelProfile)
 from ..machine.roofline import RooflinePoint, machine_ceilings
 
 __all__ = ["OpCost", "KernelProfileReport", "classify_op",
-           "measured_op_costs", "calibrated_cost_model",
+           "measured_op_costs",
            "measured_roofline_point"]
 
 #: cost-model element classes a profiled statement can attribute to
@@ -222,21 +219,8 @@ class KernelProfileReport:
 
 
 # ---------------------------------------------------------------------------
-# Feeding measured costs back into costmodel / roofline
+# Measured per-class costs and roofline placement
 # ---------------------------------------------------------------------------
-
-#: element-class -> PythonRuntimeCostModel constant name
-_CLASS_TO_CONSTANT = {
-    "simple": "EL_SIMPLE_NS",
-    "div": "EL_DIV_NS",
-    "exp": "EL_EXP_NS",
-    "pow": "EL_POW_NS",
-    "move": "EL_MOVE_NS",
-    "gather": "EL_GATHER_NS",
-    "indexed": "EL_INDEXED_NS",
-    "lut": "EL_LUT_COLUMN_NS",
-}
-
 
 def measured_op_costs(report: KernelProfileReport, n_cells: int,
                       invocations: Optional[int] = None
@@ -247,8 +231,7 @@ def measured_op_costs(report: KernelProfileReport, n_cells: int,
     statements produced (one per statement, one per live column of a
     LUT call; × cells × invocations).  The
     numbers include per-statement dispatch, so they are *effective*
-    per-element costs at this cell count — exactly what the runtime
-    cost model wants for ranking at the same workload shape.
+    per-element costs at this cell count.
     """
     invocations = invocations or report.invocations or 1
     seconds = report.by_class()
@@ -260,21 +243,6 @@ def measured_op_costs(report: KernelProfileReport, n_cells: int,
         if elements:
             costs[cls_] = secs / elements * 1e9
     return costs
-
-
-def calibrated_cost_model(report: KernelProfileReport, n_cells: int,
-                          invocations: Optional[int] = None,
-                          machine: Machine = CASCADE_LAKE
-                          ) -> PythonRuntimeCostModel:
-    """A :class:`PythonRuntimeCostModel` whose per-element constants
-    are replaced by this report's measured values (classes the profile
-    never exercised keep the hand-calibrated defaults)."""
-    model = PythonRuntimeCostModel(machine)
-    for cls_, ns in measured_op_costs(report, n_cells, invocations).items():
-        constant = _CLASS_TO_CONSTANT.get(cls_)
-        if constant is not None and ns > 0.0:
-            setattr(model, constant, ns)
-    return model
 
 
 def measured_roofline_point(model_name: str, profile: KernelProfile,

@@ -30,7 +30,7 @@ from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..runtime.executor import KernelRunner, RunResult, Stimulus
 from ..runtime.state import SimulationState
-from ..runtime.tiers import choose_tier, make_runner
+from ..runtime.tiers import make_runner
 from .spec import PopulationSpec
 
 
@@ -173,19 +173,17 @@ class PopulationRunner:
     cover the spec.  Foreign models are never an error: they batch
     through the scalar baseline kernel instead of the vectorized one.
 
-    ``n_threads`` > 1 shards the flattened (instance × cell) axis on a
-    thread pool; ``shard_axis="instances"`` aligns shard bounds to
-    instance boundaries when the geometry allows (falling back to cell
-    sharding otherwise).  ``n_workers`` > 1 runs shards in supervised
-    worker processes (crash isolation); the tier is chosen by
-    :func:`~repro.runtime.tiers.make_runner`.
+    ``n_workers`` > 1 shards the flattened (instance × cell) axis over
+    supervised worker processes (crash isolation; the tier is chosen by
+    :func:`~repro.runtime.tiers.make_runner`); ``shard_axis="instances"``
+    aligns shard bounds to instance boundaries when the geometry allows
+    (falling back to cell sharding otherwise).
     """
 
     def __init__(self, model, spec: PopulationSpec,
                  width: int = 8, layout: Optional[str] = None,
-                 use_lut: bool = True, n_threads: int = 1,
-                 n_workers: int = 0, shard_axis: str = "cells",
-                 cache=None, **runner_kwargs):
+                 use_lut: bool = True, n_workers: int = 0,
+                 shard_axis: str = "cells", cache=None, **runner_kwargs):
         if shard_axis not in ("cells", "instances"):
             raise ValueError(f"shard_axis must be 'cells' or "
                              f"'instances', got {shard_axis!r}")
@@ -195,7 +193,6 @@ class PopulationRunner:
         if not report.vectorizable:
             raise ValueError(report.describe())
         self.legality = report
-        self.n_threads = n_threads
         self.n_workers = n_workers
         self.shard_axis = shard_axis
         self._runner_kwargs = dict(runner_kwargs)
@@ -235,19 +232,18 @@ class PopulationRunner:
                 self._runner_cells == cells_per_instance:
             return self._runner
         self.close()
-        _, n_shards = choose_tier(self.n_threads, self.n_workers)
         self._runner = make_runner(
-            self.generated, threads=self.n_threads, workers=self.n_workers,
-            shard_plan=self._shard_plan(cells_per_instance, n_shards),
+            self.generated, workers=self.n_workers,
+            shard_plan=self._shard_plan(cells_per_instance),
             population=self.spec.fingerprint(), **self._runner_kwargs)
         self._runner_cells = cells_per_instance
         return self._runner
 
-    def _shard_plan(self, cells_per_instance: int, n_shards: int):
+    def _shard_plan(self, cells_per_instance: int):
         if self.shard_axis != "instances":
             return None
         return instance_shard_plan(self.spec.n_instances,
-                                   cells_per_instance, n_shards,
+                                   cells_per_instance, self.n_workers,
                                    self.width)
 
     @property

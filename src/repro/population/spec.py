@@ -4,8 +4,8 @@ A :class:`PopulationSpec` maps promoted parameter names to length-N
 value arrays — instance ``i`` of the population runs with
 ``values[name][i]`` in place of the model's declared constant.  The
 *shape* of a population (parameter names + N, never the values) is
-what keys compilation and tuning: every sweep of the same shape reuses
-one compiled kernel and one tuning record.
+what keys compilation: every sweep of the same shape reuses one
+compiled kernel.
 """
 
 from __future__ import annotations
@@ -59,8 +59,8 @@ class PopulationSpec:
         """The population *shape*: sorted names + N, never the values.
 
         Two sweeps with the same fingerprint share one compiled kernel
-        and one tuning record — that is the whole point of promoting
-        the parameters instead of baking them in.
+        — that is the whole point of promoting the parameters instead
+        of baking them in.
         """
         return f"params={','.join(sorted(self.values))};" \
                f"n={self.n_instances}"

@@ -67,9 +67,7 @@ def compile_resilient(model: Union[str, IonicModel],
                       width: int = 8, use_lut: bool = True,
                       strict: bool = False, sandbox: bool = True,
                       reproducer_dir: Optional[pathlib.Path] = None,
-                      inject=None, tune: bool = False,
-                      tune_cells: int = 512, tune_dt: float = 0.01,
-                      tune_db=None, artifacts=None, workers: int = 0,
+                      inject=None, artifacts=None, workers: int = 0,
                       supervision=None) -> ResilientKernel:
     """Compile ``model`` down the backend fallback chain.
 
@@ -81,11 +79,6 @@ def compile_resilient(model: Union[str, IonicModel],
     re-raised instead (no fallback).  ``inject`` is an optional
     :class:`~repro.resilience.faultinject.FaultInjector` consulted per
     tier (testing hook).
-
-    ``tune=True`` forwards the tuning-DB lookup to the winning tier's
-    runner (see ``KernelRunner(tune=True)``): a recorded winner for the
-    ``tune_cells``/``tune_dt`` workload silently replaces the tier's
-    default variant, and a miss changes nothing.
 
     ``workers`` / ``supervision`` go to ``make_runner``, so the kernel
     is resolved once, by the runner that will execute it (supervised
@@ -99,9 +92,7 @@ def compile_resilient(model: Union[str, IonicModel],
     fall-back to ordinary JIT compilation.  Fault-injection runs
     (``inject=``) always JIT so drills exercise the real pipeline.
     """
-    runner_kwargs = dict(tune=tune, tune_cells=tune_cells,
-                         tune_dt=tune_dt, tune_db=tune_db,
-                         workers=workers, supervision=supervision,
+    runner_kwargs = dict(workers=workers, supervision=supervision,
                          fault_plan=getattr(inject, "plan", None))
     if isinstance(model, str):
         model = load_model(model)

@@ -12,7 +12,7 @@ from .sharded import ShardedRunner, available_cpus, shard_bounds
 from .supervised import (SupervisedExecutionError, SupervisedRunner,
                          SupervisionConfig, close_all_runners,
                          multiprocess_supported)
-from .tiers import choose_tier, make_runner
+from .tiers import make_runner
 from .locking import file_lock, locking_available
 from .shutdown import (install_signal_handlers, register_cleanup,
                        run_cleanups, unregister_cleanup)
@@ -26,7 +26,7 @@ from .interpreter import Interpreter, InterpreterError, interpret_kernel
 
 __all__ = ["KernelRunner", "RunResult", "Stimulus", "TrajectoryComparison",
            "compare_trajectories", "Resolution", "resolve_kernel",
-           "available_cpus", "choose_tier", "make_runner",
+           "available_cpus", "make_runner",
            "CompiledKernel", "LoweringError", "lower_function",
            "LOWERING_VERSION", "BufferArena", "compile_kernel_source",
            "CacheStats", "KernelCache", "default_cache",

@@ -146,25 +146,15 @@ class KernelRunner:
 
     ``fuse`` enables fused expression lowering (single-use SSA values
     inlined into compound expressions); ``arena`` additionally reuses
-    preallocated ``out=`` scratch buffers for vector statements (not
-    thread-safe — never combined with :class:`ShardedRunner`).
+    preallocated ``out=`` scratch buffers for vector statements (slots
+    alias across shards — never combined with :class:`ShardedRunner`).
 
     ``cache`` wires in the persistent kernel cache: pass a
     :class:`~repro.runtime.kernel_cache.KernelCache`, or ``True`` for
     the process-default cache dir.  The kernel comes from
     :func:`~repro.runtime.resolve.resolve_kernel`; ``self.resolution``
     records which source served it, and ``cache_hit``, ``artifact_hit``,
-    ``cache_key``, ``compile_seconds`` and ``tuned_config`` view it.
-
-    ``tune`` consults the persistent tuning database
-    (:mod:`repro.tuning`) for this model at the ``tune_cells`` /
-    ``tune_dt`` workload shape: on a hit the runner silently swaps in
-    the recorded winning variant (width/layout/LUT regeneration plus
-    the ``fuse``/``arena`` flags).  It never measures at construction
-    time (run ``limpet-bench tune`` or :func:`repro.tuning.autotune` to
-    populate the DB) and falls back to the passed-in kernel when there
-    is no record, the record needs sharding, or the model is not
-    registered.
+    ``cache_key`` and ``compile_seconds`` view it.
 
     ``profile`` lowers the kernel with per-statement clock bracketing
     (see :mod:`repro.obs.profiler`): every compute statement's wall
@@ -179,23 +169,10 @@ class KernelRunner:
     def __init__(self, generated: GeneratedKernel, optimize: bool = True,
                  pipeline: Optional[PassManager] = None,
                  fuse: bool = True, arena: bool = False,
-                 cache=None, tune: bool = False, tune_cells: int = 512,
-                 tune_dt: float = 0.01, tune_db=None,
-                 profile: bool = False,
+                 cache=None, profile: bool = False,
                  population: Optional[str] = None,
                  artifacts=None):
         self.population = population
-        config = None
-        if tune:
-            from ..tuning import generate_for, tuned_config_for
-            config = tuned_config_for(generated.spec.model, tune_cells,
-                                      tune_dt, tune_db)
-        if config is not None:
-            try:
-                generated = generate_for(generated.spec.model, config)
-                fuse, arena = config.fuse, config.arena
-            except Exception:       # regeneration failed: keep the kernel
-                config = None
         self.generated = generated
         self.spec = generated.spec
         self.model: IonicModel = generated.spec.model
@@ -214,7 +191,7 @@ class KernelRunner:
         self.kernel, self.resolution = resolve_kernel(
             generated, optimize=optimize, pipeline=pipeline, fuse=fuse,
             arena=arena, cache=self.cache, artifacts=store,
-            profile=profile, population=population, tuned_config=config)
+            profile=profile, population=population)
         #: run-time Diagnostics (worker restarts, tier degradations)
         self.diagnostics: List = []
         # LUTs include dt-dependent Rush-Larsen columns: built lazily
@@ -244,17 +221,13 @@ class KernelRunner:
         return self.resolution.seconds
 
     @property
-    def tuned_config(self):
-        return self.resolution.tuned_config
-
-    @property
     def active_tier(self) -> str:
-        """``single``, ``threads`` or ``supervised``: the tier in effect
-        (a supervised runner steps down when supervision gives up)."""
+        """``single`` or ``supervised``: the tier in effect (a
+        supervised runner steps down when supervision gives up)."""
         return self._tier
 
     def close(self) -> None:
-        """Release pools, workers, shared memory; none held inline."""
+        """Release workers and shared memory; none held inline."""
 
     def __enter__(self):
         return self

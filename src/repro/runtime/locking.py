@@ -1,9 +1,9 @@
-"""Advisory file locking for cross-process cache and DB mutation.
+"""Advisory file locking for cross-process store mutation.
 
-The kernel cache (``repro.runtime.kernel_cache``) and the tuning DB
-(``repro.tuning.database``) are shared by every process of a sweep —
-and, with the supervised multiprocess tier, by worker processes too.
-Their writes were already *atomic* (tmp file + ``os.replace``), which
+The kernel cache (``repro.runtime.kernel_cache``) and a bundle under
+construction (``repro.aot.build``) are shared by every process of a
+sweep — and, with the supervised multiprocess tier, by worker processes
+too.  Their writes were already *atomic* (tmp file + ``os.replace``), which
 keeps every reader seeing a valid file, but atomicity alone cannot
 stop two concurrent read-modify-write cycles from dropping each
 other's updates (last writer wins).  This module adds the missing

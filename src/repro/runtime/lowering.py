@@ -62,8 +62,8 @@ class BufferArena:
     dtype changes (i.e. on the first step, or when the cell count
     changes between runs).
 
-    Not thread-safe by design: slots alias across concurrent calls, so
-    the ShardedRunner always uses arena-free kernels.
+    Slots alias across concurrent calls, so a sharded runner always
+    uses arena-free kernels.
     """
 
     __slots__ = ("_slots", "hits", "allocs")
@@ -843,9 +843,9 @@ class _FunctionLowering:
                 self.line("return")
             return
         if name == "omp.parallel":
-            # Worksharing itself is the ShardedRunner's job (it calls
-            # the kernel on per-thread cell ranges); lowering executes
-            # the region body directly.
+            # Worksharing is the supervised tier's job (its workers
+            # call the kernel on per-shard cell ranges); lowering
+            # executes the region body directly.
             self._flush_pending()
             for inner in op.regions[0].entry.ops:
                 if inner.name != "omp.terminator":

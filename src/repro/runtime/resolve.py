@@ -23,7 +23,7 @@ from .lowering import (CompiledKernel, compile_kernel_source,
 def toolchain_identity() -> Tuple[str, int]:
     """``(default pass-pipeline fingerprint, LOWERING_VERSION)``: the
     toolchain coordinates every content address embeds (kernel-cache
-    key, tuning-DB key, bundle fingerprints and provenance)."""
+    key, bundle fingerprints and provenance)."""
     from . import lowering          # read at call time: tests bump it
     return (default_pipeline(verify_each=False).fingerprint(),
             lowering.LOWERING_VERSION)
@@ -41,8 +41,6 @@ class Resolution:
     #: wall seconds of the walk (a JIT build's passes + verify +
     #: lowering, or little more than the source exec on a hit)
     seconds: float
-    #: the tuning-DB winner swapped in before resolving, if any
-    tuned_config: Optional[object] = None
 
     @property
     def cache_outcome(self) -> str:
@@ -66,20 +64,19 @@ def resolve_kernel(generated, optimize: bool = True,
                    fuse: bool = True, arena: bool = False,
                    cache: Optional[KernelCache] = None, artifacts=None,
                    profile: bool = False,
-                   population: Optional[str] = None, tuned_config=None
+                   population: Optional[str] = None
                    ) -> Tuple[CompiledKernel, Resolution]:
     """``generated``'s compiled kernel, from the cheapest source.
 
     ``cache`` / ``artifacts`` are the stores to consult (``None`` =
     skip); ``optimize=False`` skips the pass pipeline (the differential
-    tests' unoptimised reference), ``pipeline`` replaces the default
-    one, and ``tuned_config`` is only recorded on the result."""
+    tests' unoptimised reference) and ``pipeline`` replaces the
+    default one."""
     start = _time.perf_counter()
 
     def resolved(kernel, source, key):
         return kernel, Resolution(source, key,
-                                  _time.perf_counter() - start,
-                                  tuned_config)
+                                  _time.perf_counter() - start)
 
     payload = getattr(generated, "payload", None)
     if payload:

@@ -1,22 +1,18 @@
-"""Real multi-thread execution: shard cells across a thread pool.
+"""The shard plan: how a cell range splits into width-aligned shards.
 
-The generated kernels wrap their cell loop in ``omp.parallel`` —
-openCARP's compute stage is embarrassingly parallel over cells — but
-until this layer that region was merely simulated (executed inline on
-one thread).  :class:`ShardedRunner` honors it for real: the allocated
-cell range ``[0, n_alloc)`` is split into per-thread, width-aligned
-contiguous shards and each compute step submits one kernel call per
-shard to a :class:`~concurrent.futures.ThreadPoolExecutor`.
+The generated kernels wrap their cell loop in ``omp.parallel`` — the
+compute stage is embarrassingly parallel over cells — and every model
+is cell-local, so ``[0, n_alloc)`` can be cut into disjoint contiguous
+shards that are stepped independently.  :class:`ShardedRunner` holds
+that decomposition (DESIGN.md §10.1) and nothing else: it steps like a
+:class:`KernelRunner`; the supervised tier
+(:class:`~repro.runtime.supervised.SupervisedRunner`, its subclass)
+hands each shard to a worker process.
 
-Why threads work here despite the GIL: the lowered vector kernels
-spend their time inside NumPy ufunc inner loops, which release the
-GIL, so shards genuinely overlap (the paper's Figs. 3–4 scaling,
-reproduced with wall clocks rather than a model).
+Invariants the plan guarantees:
 
-Correctness invariants:
-
-* shards are disjoint cell ranges and every model is cell-local, so
-  sharded trajectories are **bitwise identical** for 1 vs N shards;
+* shards are disjoint cell ranges, so trajectories are **bitwise
+  identical** for 1 vs N shards;
 * shard bounds are multiples of the SIMD width so vector kernels see
   whole blocks;
 * the buffer arena is refused — arena slots are per-kernel scratch and
@@ -26,35 +22,17 @@ Correctness invariants:
 from __future__ import annotations
 
 import os
-from concurrent.futures import ThreadPoolExecutor
 from typing import List, Optional, Tuple
 
 from ..codegen.common import GeneratedKernel
-from ..ir.core import Module, Operation
 from ..obs import metrics as _metrics
 from .executor import KernelRunner
 from .state import SimulationState
 
 
 def available_cpus() -> int:
-    """CPUs on this machine: the default width of both parallel tiers."""
+    """CPUs on this machine: the parallel tier's default worker count."""
     return os.cpu_count() or 1
-
-
-def _module_has_omp(module: Module, sym_name: str) -> bool:
-    """True when the kernel function contains an ``omp.parallel`` region."""
-
-    def walk(op: Operation) -> bool:
-        if op.name == "omp.parallel":
-            return True
-        return any(walk(inner) for region in op.regions
-                   for block in region.blocks for inner in block.ops)
-
-    for op in module.ops:
-        if op.name == "func.func" and \
-                op.attributes.get("sym_name") == sym_name:
-            return walk(op)
-    return False
 
 
 def shard_bounds(n_alloc: int, n_shards: int, width: int
@@ -83,14 +61,11 @@ def shard_bounds(n_alloc: int, n_shards: int, width: int
 
 
 class ShardedRunner(KernelRunner):
-    """A :class:`KernelRunner` that executes compute steps on N threads.
+    """A :class:`KernelRunner` that knows its shard decomposition.
 
-    ``n_threads`` defaults to the machine's CPU count.  Use as a
-    context manager (or call :meth:`close`) to shut the pool down
-    promptly; an unclosed pool is reclaimed at interpreter exit.
+    ``n_threads`` is the shard count (default: the machine's CPU
+    count); the name is what ``benchmarks/e2e/workloads.py:190`` passes.
     """
-
-    _tier = "threads"
 
     def __init__(self, generated: GeneratedKernel, n_threads: int = 0,
                  shard_plan: Optional[List[Tuple[int, int]]] = None,
@@ -120,32 +95,7 @@ class ShardedRunner(KernelRunner):
                 "ShardedRunner cannot shard SoA kernels: their slot "
                 "stride is the `end` argument, so they are only valid "
                 "over the whole allocation (end == n_alloc)")
-        if generated.module is None:
-            # an AOT ArtifactKernel: no module to walk — the bundle
-            # entry recorded whether the kernel was omp-marked
-            self.parallel_marked = bool(
-                getattr(generated, "omp_parallel", False))
-        else:
-            self.parallel_marked = _module_has_omp(
-                generated.module, generated.spec.function_name)
-        self._pool: Optional[ThreadPoolExecutor] = None
         self._shards: Optional[Tuple[int, List[Tuple[int, int]]]] = None
-
-    # -- pool lifecycle ------------------------------------------------------------
-
-    def _ensure_pool(self) -> ThreadPoolExecutor:
-        if self._pool is None:
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_threads,
-                thread_name_prefix="limpet-shard")
-        return self._pool
-
-    def close(self) -> None:
-        if self._pool is not None:
-            self._pool.shutdown(wait=True)
-            self._pool = None
-
-    # -- sharded compute stage -----------------------------------------------------
 
     def shards_for(self, state: SimulationState) -> List[Tuple[int, int]]:
         cached = self._shards
@@ -173,19 +123,3 @@ class ShardedRunner(KernelRunner):
                            "largest shard / mean shard size"
                            ).set(max(sizes) / mean if mean else 1.0)
         return bounds
-
-    def compute_step(self, state: SimulationState, dt: float) -> None:
-        """One compute-stage invocation, fanned out over cell shards."""
-        shards = self.shards_for(state)
-        args = self._bind_args(state, dt)
-        args[3] = state.time
-        if len(shards) <= 1:
-            self.kernel.fn(*args)
-            return
-        fn = self.kernel.fn
-        tail = args[2:]
-        pool = self._ensure_pool()
-        futures = [pool.submit(fn, start, end, *tail)
-                   for start, end in shards]
-        for future in futures:
-            future.result()     # propagate the first kernel exception

@@ -1,11 +1,11 @@
 """Supervised multiprocess execution: crash-isolated worker shards.
 
-The thread tier (:class:`~repro.runtime.sharded.ShardedRunner`) shares
-one address space, so a crash anywhere — a segfaulting foreign
-function, an OOM kill, a wedged extension — takes the whole sweep with
-it.  This tier puts each width-aligned cell shard in its **own worker
-process** over :mod:`multiprocessing.shared_memory`-backed state
-arrays, supervised by the parent:
+An inline run shares one address space, so a crash anywhere — a
+segfaulting foreign function, an OOM kill, a wedged extension — takes
+the whole sweep with it.  This tier puts each width-aligned cell shard
+(the plan of :class:`~repro.runtime.sharded.ShardedRunner`) in its
+**own worker process** over :mod:`multiprocessing.shared_memory`-backed
+state arrays, supervised by the parent:
 
 * **fork + inherited views** — workers are forked *after* the state is
   moved into shared memory, so they inherit the parent's numpy views
@@ -20,11 +20,10 @@ arrays, supervised by the parent:
   the worker is respawned, and the task re-dispatched with exponential
   backoff, up to ``max_retries`` times;
 * **graceful degradation** — when supervision itself gives up
-  (:class:`SupervisedExecutionError`), the run restarts from its
-  initial checkpoint one tier down the ladder
-  (supervised-multiprocess → thread-sharded → single-process), each
-  step recorded as a :class:`~repro.resilience.diagnostics.Diagnostic`
-  and counted in ``degradations_total``.
+  (:class:`SupervisedExecutionError`) or fails unexpectedly, the run
+  restarts from its initial checkpoint on the single-process tier,
+  recorded as one :class:`~repro.resilience.diagnostics.Diagnostic`,
+  one ``degradations_total`` increment and one flight dump.
 
 Correctness invariant: shards are disjoint width-aligned cell ranges
 of a cell-local model, workers run the *same compiled kernel* the
@@ -32,9 +31,11 @@ parent would (fork-inherited) and rebuild LUTs deterministically per
 quantized dt, so supervised trajectories are **bitwise identical** to
 single-process runs (proven by the differential tests).
 
-Deliberately *not* a throughput feature on small machines: process
-supervision buys crash isolation; the paper's scaling story stays with
-the thread tier.
+Deliberately *not* a throughput feature: process supervision buys
+crash isolation.  The paper parallelises inside the generated code —
+``omp.parallel`` around the cell loop, lowered by the openmp dialect
+(PAPER.md §1, Figs. 3–4) — which is where a native lowering target puts
+it (ROADMAP item 1), not in a Python-side tier.
 """
 
 from __future__ import annotations
@@ -65,7 +66,7 @@ except ImportError:         # pragma: no cover - exotic platform
     _shm_mod = None
 
 #: the degradation ladder, most to least isolated
-TIERS = ("supervised", "threads", "single")
+TIERS = ("supervised", "single")
 
 
 def multiprocess_supported() -> bool:
@@ -77,9 +78,8 @@ def multiprocess_supported() -> bool:
 class SupervisedExecutionError(RuntimeError):
     """Supervision gave up on a shard: retries exhausted.
 
-    ``run`` treats this as the signal to degrade one tier down the
-    ladder; it only escapes to the caller when degradation is disabled
-    or already exhausted.
+    ``run`` treats this as the signal to degrade to the single tier;
+    it only escapes to the caller when degradation is disabled.
     """
 
     def __init__(self, message: str, slot: int = -1, attempts: int = 0,
@@ -104,7 +104,7 @@ class SupervisionConfig:
     max_retries: int = 2
     #: base seconds of the exponential retry backoff
     retry_backoff: float = 0.05
-    #: degrade down the tier ladder instead of raising
+    #: degrade to the single tier instead of raising
     degrade: bool = True
 
     def __post_init__(self) -> None:
@@ -248,7 +248,7 @@ _register_cleanup(close_all_runners, "supervised-runners")
 
 class SupervisedRunner(ShardedRunner):
     """A runner that executes compute steps in supervised worker
-    processes, degrading down the tier ladder on supervision failure.
+    processes, degrading to the single tier on supervision failure.
 
     ``n_workers`` bounds the process count (shards are width-aligned,
     so fewer may run for small cell counts); ``fault_plan`` arms
@@ -288,22 +288,23 @@ class SupervisedRunner(ShardedRunner):
         _metrics.gauge("supervised_workers",
                        "live worker processes of the supervised tier")
         if not multiprocess_supported():    # pragma: no cover - POSIX CI
-            self._record_degradation(
-                TIERS[1], RuntimeError(
-                    "platform lacks fork/shared_memory"))
+            self._record_degradation(RuntimeError(
+                "platform lacks fork/shared_memory"))
         _ACTIVE_RUNNERS.add(self)
 
     @property
     def tier(self) -> str:
-        """``active_tier`` as ``benchmarks/e2e`` reads it; a runner
-        without a ``tier`` is, to it, one that cannot degrade."""
+        """``active_tier`` as ``benchmarks/e2e/workloads.py:231`` reads
+        it; a runner without a ``tier`` is, to it, one that cannot
+        degrade."""
         return self._tier
 
     # -- the degradation ladder ----------------------------------------------------
 
-    def _record_degradation(self, target: str, error: BaseException) -> None:
+    def _record_degradation(self, error: BaseException) -> None:
         from ..resilience.diagnostics import (Diagnostic, Severity,
                                               log_diagnostic)
+        target = TIERS[1]
         # which shard failed at which step, when supervision knows
         slot = getattr(error, "slot", None)
         step = getattr(error, "step", None)
@@ -333,13 +334,6 @@ class SupervisedRunner(ShardedRunner):
                              disposition="degraded", slot=slot,
                              step=step, attempts=attempts)
 
-    def _degrade(self, target: str, error: BaseException):
-        """Step down to ``target``, or re-raise when already there."""
-        if not self.config.degrade or \
-                TIERS.index(target) <= TIERS.index(self._tier):
-            raise error
-        self._record_degradation(target, error)
-
     # -- run: attach state, supervise, degrade on failure --------------------------
 
     def run(self, state: SimulationState, n_steps: int, dt: float = 0.01,
@@ -348,29 +342,26 @@ class SupervisedRunner(ShardedRunner):
         from ..resilience.watchdog import NumericalDivergenceError
         args = (state, n_steps, dt, stimulus, record_vm, watchdog,
                 step_hook, time_breakdown)
-        if self._tier != "supervised":
-            return super().run(*args)
-        initial = state.checkpoint()
-        while True:
+        if self._tier == "supervised":
+            initial = state.checkpoint()
             try:
-                if self._tier == "supervised":
-                    self._attach_state(state)
-                    try:
-                        self._ensure_workers(state)
-                        return super().run(*args)
-                    finally:
-                        self._detach_state()
-                return super().run(*args)
+                self._attach_state(state)
+                try:
+                    self._ensure_workers(state)
+                    return super().run(*args)
+                finally:
+                    self._detach_state()
             except NumericalDivergenceError:
                 raise           # a watchdog verdict, not an infra failure
-            except SupervisedExecutionError as err:
-                self._shutdown_workers()
-                state.restore(initial)
-                self._degrade("threads", err)
             except Exception as err:
+                # supervision gave up (SupervisedExecutionError) or
+                # broke: restart from the checkpoint on the single tier
                 self._shutdown_workers()
                 state.restore(initial)
-                self._degrade("single", err)
+                if not self.config.degrade:
+                    raise
+                self._record_degradation(err)
+        return super().run(*args)
 
     # -- compute-step dispatch -----------------------------------------------------
 
@@ -378,8 +369,6 @@ class SupervisedRunner(ShardedRunner):
         if self._tier == "supervised" and self._procs \
                 and state is self._attached:
             self._supervised_step(state, dt)
-        elif self._tier == "threads":
-            ShardedRunner.compute_step(self, state, dt)
         else:
             KernelRunner.compute_step(self, state, dt)
 

@@ -49,8 +49,7 @@ def _tamper(root, key, mutate):
 def bundle(tmp_path):
     """A built single-model bundle (Plonsey, width 8) + its store."""
     root = tmp_path / "bundle"
-    report = build_bundle(root, models=["Plonsey"], include_tuned=False,
-                          width=8)
+    report = build_bundle(root, models=["Plonsey"], width=8)
     assert report.built == 1 and not report.failed
     return root
 
@@ -78,16 +77,14 @@ class TestBuildBundle:
         manifest_path = bundle / "manifest.json"
         before_bytes = manifest_path.read_bytes()
         before_mtime = manifest_path.stat().st_mtime_ns
-        report = build_bundle(bundle, models=["Plonsey"],
-                              include_tuned=False, width=8)
+        report = build_bundle(bundle, models=["Plonsey"], width=8)
         assert report.built == 0 and report.reused == 1
         assert "(manifest unchanged)" in report.describe()
         assert manifest_path.read_bytes() == before_bytes
         assert manifest_path.stat().st_mtime_ns == before_mtime
 
     def test_foreign_model_gets_baseline_entry(self, tmp_path):
-        report = build_bundle(tmp_path, models=["ARPF"],
-                              include_tuned=False, width=8)
+        report = build_bundle(tmp_path, models=["ARPF"], width=8)
         assert report.built == 1 and not report.failed
         manifest = json.loads((tmp_path / "manifest.json").read_text())
         (key,) = manifest["entries"]
@@ -265,8 +262,7 @@ class TestAudit:
         assert not report.ok and report.checked == 1
         assert [f.kind for f in report.findings] == ["format_drift"]
         assert "rebuild the bundle" in report.findings[0].detail
-        rebuilt = build_bundle(bundle, models=["Plonsey"], width=8,
-                               include_tuned=False)
+        rebuilt = build_bundle(bundle, models=["Plonsey"], width=8)
         assert rebuilt.built == 1
         assert audit_bundle(bundle).ok
 
@@ -310,31 +306,15 @@ class TestAudit:
         audit_bundle(bundle)
         assert _metric("artifact_stale_total") == stale + 1
 
-    def test_tuning_drift(self, tmp_path):
-        from repro.tuning.database import TuningDB, tuning_db_key
-        from repro.tuning.space import TuningConfig, Workload
-
-        model = load_model("Plonsey")
-        workload = Workload.from_model(model, 64, 0.01)
-        config = TuningConfig(width=4, layout="soa")
-        db = TuningDB(tmp_path / "tune.json")
-        db.put(tuning_db_key(workload), {
-            "workload": {"model": workload.model,
-                         "n_cells": workload.n_cells,
-                         "dt": workload.dt,
-                         "integrator": workload.integrator,
-                         "machine": workload.machine},
-            "config": config.as_dict()})
-
-        root = tmp_path / "bundle"
-        report = build_bundle(root, models=["Plonsey"], db=db, width=8)
-        assert report.built == 2, "default + tuned variant expected"
-        assert audit_bundle(root, db=db).ok
-
-        db.clear()
-        drifted = audit_bundle(root, db=db)
-        assert not drifted.ok
-        assert self._kinds(drifted) == {"tuning_drift"}
+    def test_entry_with_the_parents_extra_fields_still_serves(self, bundle):
+        """Bundles built before PR 23 carry three more entry fields."""
+        def add_fields(entry):
+            entry.update(tuning=None, tuning_workload=None,
+                         omp_parallel=True, variant="default")
+        _tamper(bundle, self._key(bundle), add_fields)
+        assert audit_bundle(bundle).ok
+        runner = runner_from_store("Plonsey", store=ArtifactStore(bundle))
+        assert runner is not None and runner.artifact_hit
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +414,7 @@ class TestArtifactCLI:
     def test_build_all_then_list_then_audit(self, tmp_path, capsys):
         dest = str(tmp_path / "bundle")
         code, out = self.run_cli(capsys, "build-all", "--dest", dest,
-                                 "--models", "Plonsey", "--no-tuned")
+                                 "--models", "Plonsey")
         assert code == 0 and "1 built" in out
         code, out = self.run_cli(capsys, "artifacts", "list",
                                  "--dir", dest)
@@ -445,7 +425,7 @@ class TestArtifactCLI:
 
     def test_audit_fails_loud_on_drift(self, tmp_path, capsys):
         dest = tmp_path / "bundle"
-        build_bundle(dest, models=["Plonsey"], include_tuned=False)
+        build_bundle(dest, models=["Plonsey"])
         manifest = json.loads((dest / "manifest.json").read_text())
         (key,) = manifest["entries"]
         _tamper(dest, key, lambda e: e["provenance"]

@@ -19,10 +19,10 @@ BENCH = REPO / "BENCH.json"
 
 
 class TestCommittedRecord:
-    def test_loads_with_all_four_sections_and_one_machine(self):
+    def test_loads_with_every_section_and_one_machine(self):
         record = load_record(BENCH)
         assert set(record["sections"]) == set(MEASURE) \
-            == {"perf", "sweep", "coldstart", "tune"}
+            == {"perf", "sweep", "coldstart"}
         assert set(IDENTITY_KEYS) <= set(record["machine"])
         for section in record["sections"].values():
             assert section["variants"] and section["ratios"]

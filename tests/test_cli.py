@@ -154,48 +154,7 @@ class TestFaultsCommand:
         assert any((b / "meta.json").exists() for b in bundles)
 
 
-class TestTuneCommand:
-    def test_tune_writes_db_and_hits_on_rerun(self, capsys, tmp_path):
-        db = str(tmp_path / "tune.json")
-        code, out = run_cli(capsys, "tune", "--model", "FitzHughNagumo",
-                            "--cells", "48", "--steps", "3",
-                            "--repeats", "2", "--top-k", "2",
-                            "--db", db, "--check")
-        assert code == 0
-        assert "measured" in out and "(default)" in out
-        code, out = run_cli(capsys, "tune", "--model", "FitzHughNagumo",
-                            "--cells", "48", "--steps", "3",
-                            "--repeats", "2", "--top-k", "2", "--db", db)
-        assert code == 0
-        assert "tuning DB hit, 0 measurements" in out
-
-    def test_tune_json_output(self, capsys, tmp_path):
-        import json
-        db = str(tmp_path / "tune.json")
-        out_path = tmp_path / "result.json"
-        code, _ = run_cli(capsys, "tune", "--model", "FitzHughNagumo",
-                          "--cells", "48", "--steps", "3",
-                          "--repeats", "2", "--top-k", "2",
-                          "--db", db, "--json", str(out_path))
-        assert code == 0
-        data = json.loads(out_path.read_text())
-        assert data["workload"]["model"] == "FitzHughNagumo"
-        assert data["speedup_vs_default"] >= 1.0
-        assert data["candidates"]
-
-    def test_tune_clear(self, capsys, tmp_path):
-        db = str(tmp_path / "tune.json")
-        run_cli(capsys, "tune", "--model", "FitzHughNagumo",
-                "--cells", "48", "--steps", "3", "--repeats", "2",
-                "--top-k", "1", "--db", db)
-        code, out = run_cli(capsys, "tune", "--clear", "--db", db)
-        assert code == 0
-        assert "cleared 1 tuning record(s)" in out
-
-    def test_tune_requires_model_or_mode(self, capsys):
-        code = main(["tune"])
-        assert code == 2
-
+class TestPerfCommand:
     def test_perf_width_flag(self, capsys, tmp_path):
         out_path = tmp_path / "perf.json"
         code, out = run_cli(capsys, "perf", "--model", "FitzHughNagumo",
@@ -204,15 +163,11 @@ class TestTuneCommand:
                             "--json", str(out_path))
         assert code == 0
         assert "perf — FitzHughNagumo" in out
-        # no --threads: the sharded variant gets every CPU, never more;
-        # no --runs beyond the flag's: the config is what was measured
+        # the config is what was measured
         from repro.bench.record import load_record
-        from repro.runtime import available_cpus
         config = load_record(out_path)["sections"]["perf"]["config"]
         assert config == {"model_name": "FitzHughNagumo", "n_cells": 48,
-                          "n_steps": 5, "dt": 0.01,
-                          "threads": available_cpus(), "runs": 2,
-                          "width": 4}
+                          "n_steps": 5, "dt": 0.01, "runs": 2, "width": 4}
 
 
 class TestSweep:

@@ -16,11 +16,10 @@ from repro.codegen import backends, common
 from repro.easyml import SemanticError
 from repro.frontend import load_model as load_source
 from repro.ir.passes import default_pipeline
-from repro.models import all_model_files, load_model, model_entry
+from repro.models import (all_model_files, load_model, model_entry,
+                          model_source_hash)
 from repro.resilience import compile_resilient
 from repro.runtime import KernelCache, KernelRunner, kernel_cache_key
-from repro.tuning import (TuningConfig, TuningDB, Workload, model_source_hash,
-                          tuned_config_for, tuning_db_key)
 
 FP = default_pipeline(verify_each=False).fingerprint()
 TEXT = model_entry("LuoRudy91").path.read_text()
@@ -101,8 +100,8 @@ class TestKeySensitivity:
         KernelRunner(codegen.generate(model), artifacts=False)
 
     def test_registry_digest_is_the_file_hash(self):
-        """``tuning_db_key`` of a workload that only names its model and
-        the bundle's source-drift check hash the file; same bytes."""
+        """The bundle's source-drift check hashes the file; same bytes
+        as the digest the kernel-cache key carries."""
         for name in all_model_files():
             assert load_model(name).source_digest == model_source_hash(name)
 
@@ -138,21 +137,6 @@ class TestSameNameOtherText:
         again = KernelRunner(codegen.generate(luo_rudy(self.OTHER)),
                              cache=cache)
         assert again.cache_hit and again.kernel.source == b.kernel.source
-
-    def test_own_tuning_record(self, tmp_path):
-        registry, other = luo_rudy(), luo_rudy(self.OTHER)
-        w_registry = Workload.from_model(registry, 64, 0.01)
-        w_other = Workload.from_model(other, 64, 0.01)
-        assert tuning_db_key(w_registry) != tuning_db_key(w_other)
-        # a workload that only names the model means the registry's text
-        named = Workload(model="LuoRudy91", n_cells=64, dt=0.01,
-                         integrator=w_registry.integrator)
-        assert tuning_db_key(named) == tuning_db_key(w_registry)
-        db = TuningDB(tmp_path / "tune.json")
-        winner = TuningConfig(width=4, layout="soa")
-        db.put(tuning_db_key(w_other), {"config": winner.as_dict()})
-        assert tuned_config_for(other, 64, 0.01, db) == winner
-        assert tuned_config_for(registry, 64, 0.01, db) is None
 
 
 class TestOldFormatEntries:

@@ -1,9 +1,8 @@
-"""Crash-safe persistent tiers: checksummed kernel-cache entries and
-tuning records, corruption quarantine, advisory locking, concurrent
-mutation from threads and processes, in-memory fallbacks, and the
-watchdog's bounded-retry abort policy."""
+"""Crash-safe persistent tiers: checksummed kernel-cache entries,
+corruption quarantine, advisory locking, concurrent mutation from
+threads and processes, in-memory fallbacks, and the watchdog's
+bounded-retry abort policy."""
 
-import json
 import multiprocessing as mp
 import threading
 
@@ -13,7 +12,6 @@ import pytest
 from repro.resilience import WatchdogConfig, corrupt_cache_entry
 from repro.runtime import KernelCache, file_lock, locking_available
 from repro.runtime.kernel_cache import payload_checksum
-from repro.tuning.database import TuningDB, record_checksum
 
 pytestmark = pytest.mark.skipif(not locking_available(),
                                 reason="platform lacks fcntl locking")
@@ -203,94 +201,6 @@ class TestKernelCacheConcurrency:
             t.join()
         assert results == [None] * 6
         assert cache.load("k1") is None
-
-
-# ---------------------------------------------------------------------------
-# Tuning DB: checksums, quarantine, fallback, concurrency
-# ---------------------------------------------------------------------------
-
-
-class TestTuningDBCrashSafety:
-    def test_record_round_trip(self, tmp_path):
-        db = TuningDB(tmp_path / "tuning.json")
-        db.put("key1", {"config": {"width": 8}, "score": 1.5})
-        record = db.get("key1")
-        assert record["score"] == 1.5
-        assert record["checksum"] == record_checksum(record)
-
-    def test_tampered_record_quarantined(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        db = TuningDB(path)
-        db.put("key1", {"config": {"width": 8}, "score": 1.5})
-        db.put("key2", {"config": {"width": 4}, "score": 2.5})
-        data = json.loads(path.read_text())
-        data["entries"]["key1"]["score"] = 99.0    # bit rot
-        path.write_text(json.dumps(data))
-        assert db.get("key1") is None
-        assert db.get("key2") is not None          # others untouched
-        # removed from the DB, preserved in the sidecar
-        assert "key1" not in db.entries()
-        sidecar = json.loads(db._quarantine_path().read_text())
-        assert sidecar["key1"]["reason"] == "checksum mismatch"
-        assert sidecar["key1"]["record"]["score"] == 99.0
-
-    def test_unparsable_file_quarantined(self, tmp_path):
-        path = tmp_path / "tuning.json"
-        db = TuningDB(path)
-        db.put("key1", {"config": {}, "score": 1.0})
-        path.write_text('{"format": 2, "entries": {"key1"')   # torn write
-        assert db.get("key1") is None
-        assert len(db) == 0                        # restarted empty
-        corpses = list(tmp_path.glob("tuning.json.corrupt-*"))
-        assert len(corpses) == 1
-        db.put("key2", {"config": {}, "score": 2.0})  # usable again
-        assert db.get("key2") is not None
-
-    def test_unwritable_path_falls_back_to_memory(self, tmp_path):
-        blocker = tmp_path / "blocker"
-        blocker.write_text("")
-        db = TuningDB(blocker / "tuning.json")
-        db.put("key1", {"config": {}, "score": 1.0})
-        assert db.in_memory
-        assert db.get("key1")["score"] == 1.0
-
-    def test_concurrent_thread_puts_lose_nothing(self, tmp_path):
-        db_path = tmp_path / "tuning.json"
-
-        def put_many(worker):
-            db = TuningDB(db_path)
-            for i in range(6):
-                db.put(f"w{worker}-{i}", {"config": {}, "score": float(i)})
-
-        threads = [threading.Thread(target=put_many, args=(w,))
-                   for w in range(4)]
-        for t in threads:
-            t.start()
-        for t in threads:
-            t.join()
-        assert len(TuningDB(db_path)) == 24
-
-    def test_concurrent_process_puts_lose_nothing(self, tmp_path):
-        db_path = tmp_path / "tuning.json"
-        ctx = mp.get_context("fork")
-        procs = [ctx.Process(target=_db_put_many, args=(db_path, w))
-                 for w in range(4)]
-        for p in procs:
-            p.start()
-        for p in procs:
-            p.join()
-            assert p.exitcode == 0
-        db = TuningDB(db_path)
-        assert len(db) == 24
-        for w in range(4):
-            for i in range(6):
-                assert db.get(f"w{w}-{i}")["score"] == float(i)
-
-
-def _db_put_many(db_path, worker):
-    db = TuningDB(db_path)
-    for i in range(6):
-        db.put(f"w{worker}-{i}", {"config": {}, "score": float(i)})
 
 
 # ---------------------------------------------------------------------------

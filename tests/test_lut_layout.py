@@ -6,7 +6,6 @@ column-major runtime, and every kernel lowered against it, must
 reproduce them bit for bit.
 """
 
-import dataclasses
 import re
 import sys
 import threading
@@ -20,12 +19,11 @@ from hypothesis import strategies as st
 from repro.bench.harness import kernel_profile
 from repro.codegen import generate_limpet_mlir
 from repro.frontend import load_model as load_source
-from repro.machine import AVX512, PythonRuntimeCostModel
 from repro.models import ALL_MODELS, load_model
 from repro.obs.profiler import measured_op_costs
 from repro.population import (PopulationRunner, PopulationSpec,
                               load_promoted_model)
-from repro.runtime import KernelRunner, ShardedRunner
+from repro.runtime import KernelRunner
 from repro.runtime.lut_runtime import (LUTData, build_all_luts,
                                        lut_interp_row,
                                        lut_interp_row_spline_vec,
@@ -291,15 +289,6 @@ class TestLoweredKernels:
                                   256, kernel=runner.kernel)
         assert all(same_bits(a, b) for a, b in zip(ours, theirs))
 
-    def test_fresh_sharded_runner_matches_single(self):
-        """Two threads share one LUTData and meet its first use."""
-        generated = generate_limpet_mlir(load_model("OHara"), 8)
-        single = KernelRunner(generated)
-        expected = final_arrays(single, single.kernel.fn, 4096, steps=10)
-        with ShardedRunner(generated, n_threads=2) as sharded:
-            got = final_arrays(sharded, sharded.kernel.fn, 4096, steps=10)
-        assert all(same_bits(a, b) for a, b in zip(got, expected))
-
     def test_kernel_with_no_live_lut_result_lowers_and_runs(self):
         generated = generate_limpet_mlir(load_source(GATE_SOURCE, "Gate"), 8)
         calls = [op for op in generated.module.walk()
@@ -326,15 +315,6 @@ class TestCostModelFollowsKernel:
         profile = kernel_profile("OHara", "limpet_mlir", 8)
         assert (profile.lut_columns_live, profile.lut_columns_vector) \
             == (27, 42)
-        # the runtime model prices the live columns, nothing else of the call
-        model = PythonRuntimeCostModel()
-        seconds = model.step_time(profile, AVX512, 1, 4096).seconds
-        dead = dataclasses.replace(profile, lut_columns_live=0.0)
-        saved = seconds - model.step_time(dead, AVX512, 1, 4096).seconds
-        assert saved == pytest.approx(
-            27 * (4096 * model.EL_LUT_COLUMN_NS * 1e-9
-                  + model.LUT_COLUMN_STATEMENTS
-                  * model.FUSED_STATEMENT_RATIO * model.DISPATCH_US * 1e-6))
 
     def test_profile_detail_and_measured_cost_are_per_live_column(self):
         runner = KernelRunner(generate_limpet_mlir(load_model("OHara"), 8),

@@ -349,40 +349,23 @@ class TestShardedRunner:
         assert shard_bounds(8, 4, 8) == [(0, 8)]
         assert shard_bounds(0, 4, 8) == []
 
-    @pytest.mark.parametrize("name", ["LuoRudy91", "OHara"])
-    def test_sharded_matches_single_bitwise(self, name):
-        single = make_runner(name)
-        a = single.simulate(37, 60, 0.01).state
-        with ShardedRunner(generate_limpet_mlir(load_model(name)),
-                           n_threads=4) as sharded:
-            assert len(sharded.shards_for(a)) > 1
-            b = sharded.simulate(37, 60, 0.01).state
-        assert compare_trajectories(a, b, rtol=0, atol=0)
-
-    def test_honors_omp_parallel_marker(self):
-        with ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
-                           n_threads=2) as runner:
-            assert runner.parallel_marked
-
     def test_rejects_arena(self):
         with pytest.raises(ValueError, match="arena"):
             ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
                           n_threads=2, arena=True)
 
-    def test_single_shard_needs_no_pool(self):
-        with ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
-                           n_threads=1) as runner:
-            runner.simulate(8, 5, 0.01)
-            assert runner._pool is None
-
-    def test_kernel_exceptions_propagate(self):
-        with ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
-                           n_threads=2) as runner:
-            state = runner.make_state(64)
-            assert len(runner.shards_for(state)) == 2
-            state.sv = np.zeros(1)      # kernels fail inside the pool
-            with pytest.raises((IndexError, ValueError)):
-                runner.compute_step(state, 0.01)
+    def test_shard_plan_must_align_and_cover(self):
+        def runner(plan):
+            return ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
+                                 n_threads=2, shard_plan=plan)
+        with pytest.raises(ValueError, match="not aligned"):
+            runner([(0, 12), (12, 32)])
+        with pytest.raises(ValueError, match="is empty"):
+            runner([(0, 16), (16, 16)])
+        good = runner([(0, 16), (16, 32)])
+        assert good.shards_for(good.make_state(32)) == [(0, 16), (16, 32)]
+        with pytest.raises(ValueError, match="covers"):
+            good.shards_for(good.make_state(64))
 
 
 # ---------------------------------------------------------------------------
@@ -390,33 +373,29 @@ class TestShardedRunner:
 # ---------------------------------------------------------------------------
 
 
-def _synthetic_report(fused_run=0.5, cached_construct=0.01,
-                      sharded_run=0.3):
+def _synthetic_report(fused_run=0.5, cached_construct=0.01):
     """A ``perf`` section with plausible numbers."""
-    def variant(name, construct, run, threads=1, **hits):
+    def variant(name, construct, run, **hits):
         return {"name": name, "construct_seconds": construct,
                 "run_seconds": run, "total_seconds": construct + run,
                 "steps_per_second": 100 / run,
                 "cell_steps_per_second": 100 * 4096 / run,
-                "cache_hit": False, "artifact_hit": False,
-                "threads": threads, **hits}
+                "cache_hit": False, "artifact_hit": False, **hits}
 
     variants = [variant("baseline", 0.1, 1.0),
                 variant("fused", 0.08, fused_run),
                 variant("fused_cached", cached_construct, fused_run,
                         cache_hit=True),
                 variant("fused_artifact", cached_construct, fused_run,
-                        artifact_hit=True),
-                variant("sharded", 0.08, sharded_run, threads=4)]
+                        artifact_hit=True)]
     base_total, base_run = 1.1, 1.0
     ratios = {}
     for v in variants[1:]:
         ratios[f"{v['name']}.total"] = base_total / v["total_seconds"]
         ratios[f"{v['name']}.run"] = base_run / v["run_seconds"]
-    ratios["sharded.vs_fused_run"] = fused_run / sharded_run
     return {"config": {"model_name": "OHara", "n_cells": 4096,
-                       "n_steps": 100, "dt": 0.01, "threads": 4,
-                       "runs": 5, "width": 8},
+                       "n_steps": 100, "dt": 0.01, "runs": 5,
+                       "width": 8},
             "variants": variants, "ratios": ratios,
             "evidence": {"n_states": 41, "available_cpus": 4}}
 
@@ -443,19 +422,6 @@ class TestPerfReportPlumbing:
         assert any("not faster than full pipeline" in f
                    for f in check_report(slow))
 
-    def test_check_report_leaves_sharded_to_the_gate(self):
-        """The thread tier's speed is no invariant (ROADMAP 3a): a
-        sharded variant slower than fused passes ``--check`` and is a
-        ratio the baseline gate compares like any other."""
-        from repro.bench.perf import check_report
-        from repro.bench.regress import extract_metrics
-        slow = _synthetic_report(sharded_run=0.9)
-        assert slow["ratios"]["sharded.vs_fused_run"] < 1.0
-        assert check_report(slow) == []
-        gated = {m["name"]: m for m in
-                 extract_metrics({"sections": {"perf": slow}})}
-        assert not gated["perf.sharded.vs_fused_run"]["absolute"]
-
     def test_format_perf_table(self):
         from repro.bench.report import format_perf_table
         text = format_perf_table(_synthetic_report())
@@ -471,4 +437,4 @@ class TestPerfReportPlumbing:
         loaded = load_record(path)
         assert loaded["schema"] == SCHEMA
         assert loaded["machine"] == machine_identity()
-        assert len(loaded["sections"]["perf"]["variants"]) == 5
+        assert len(loaded["sections"]["perf"]["variants"]) == 4

@@ -1,5 +1,5 @@
 """Population-batched execution: bitwise differential vs loop-of-N,
-cache/tuning-DB keying on the population shape, throughput accounting,
+cache keying on the population shape, throughput accounting,
 spec validation, legality findings, foreign fallback, sharding plans."""
 
 import tempfile
@@ -20,8 +20,6 @@ from repro.population import (PopulationRunner, PopulationSpec,
 from repro.runtime import (KernelCache, KernelRunner, ShardedRunner,
                            kernel_cache_key, multiprocess_supported)
 from repro.runtime.executor import RunResult
-from repro.tuning import TuningConfig, Workload, enumerate_space
-from repro.tuning.database import tuning_db_key
 
 needs_mp = pytest.mark.skipif(not multiprocess_supported(),
                               reason="platform lacks fork/shared_memory")
@@ -250,25 +248,29 @@ class TestBitwiseDifferential:
         assert not np.array_equal(result.instance_state_matrix(0),
                                   result.instance_state_matrix(2))
 
+    @needs_mp
     def test_sharded_instance_axis(self):
         model = promoted()
         spec = make_spec(model)
-        pop = PopulationRunner(model, spec, width=4, n_threads=3,
+        pop = PopulationRunner(model, spec, width=4, n_workers=2,
                                shard_axis="instances")
         result = pop.simulate(cells_per_instance=8, n_steps=8)
-        assert isinstance(pop.runner_for(8), ShardedRunner)
+        runner = pop.runner_for(8)
+        assert isinstance(runner, ShardedRunner)
+        assert runner.shard_plan == [(0, 16), (16, 24)]
         loop = loop_of_n(pop.generated, spec, 8, 8)
         for i in range(spec.n_instances):
             assert np.array_equal(result.instance_state_matrix(i), loop[i])
         pop.close()
 
+    @needs_mp
     def test_sharded_ragged_falls_back_to_cell_axis(self):
         model = promoted()
         spec = make_spec(model)
         # 23 % 4 != 0: no instance-aligned plan exists — must still run
-        pop = PopulationRunner(model, spec, width=4, n_threads=2,
+        pop = PopulationRunner(model, spec, width=4, n_workers=2,
                                shard_axis="instances")
-        assert pop._shard_plan(23, 2) is None
+        assert pop._shard_plan(23) is None
         result = pop.simulate(cells_per_instance=23, n_steps=6)
         loop = loop_of_n(pop.generated, spec, 23, 6)
         for i in range(spec.n_instances):
@@ -370,7 +372,7 @@ class TestPopulationResult:
 
 
 # ---------------------------------------------------------------------------
-# Cache + tuning-DB keying on the population shape
+# Cache keying on the population shape
 # ---------------------------------------------------------------------------
 
 
@@ -415,32 +417,6 @@ class TestPopulationKeys:
             pop.runner_for(8)
             assert not pop.cache_hit
             assert pop.cache_key != key_a
-
-    def test_tuning_db_key_gains_population_line(self):
-        model = load_model(MODEL)
-        plain = tuning_db_key(Workload.from_model(model, 64, 0.01))
-        keyed = tuning_db_key(Workload.from_model(
-            model, 64, 0.01, population="params=GK;n=4"))
-        other = tuning_db_key(Workload.from_model(
-            model, 64, 0.01, population="params=GK;n=8"))
-        assert len({plain, keyed, other}) == 3
-        # no population: byte-identical to the legacy key (no format bump)
-        again = tuning_db_key(Workload.from_model(model, 64, 0.01))
-        assert plain == again
-
-    def test_tuning_space_gains_instance_axis(self):
-        model = load_model(MODEL)
-        space = enumerate_space(model, shard_counts=(1, 2),
-                                population_instances=4)
-        axes = {c.shard_axis for c in space}
-        assert axes == {"cells", "instances"}
-        # without a population there is nothing to shard by instance
-        plain = enumerate_space(model, shard_counts=(1, 2))
-        assert {c.shard_axis for c in plain} == {"cells"}
-
-    def test_tuning_config_validates_shard_axis(self):
-        with pytest.raises(ValueError):
-            TuningConfig(shard_axis="diagonal")
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.codegen import generate_baseline, generate_limpet_mlir
+from repro.codegen.layout import LayoutKind
 from repro.frontend import load_model
 from repro.ir.builder import IRBuilder
 from repro.ir.core import Module
@@ -31,9 +32,10 @@ from repro.runtime import (KernelRunner, compare_trajectories,
                            lower_function)
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.lowering import analyze_accesses
-from repro.tuning import LAYOUTS
 
 from tests.conftest import GATE_SOURCE
+
+LAYOUTS = [kind.value for kind in LayoutKind]
 
 #: ragged cell counts: one remainder lane, half a block, block-1
 _RAGGED = {2: 7, 4: 13, 8: 13}

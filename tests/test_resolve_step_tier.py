@@ -16,7 +16,7 @@ from repro.models import all_model_files, load_model
 from repro.population import PopulationRunner, PopulationSpec
 from repro.resilience import WatchdogConfig
 from repro.runtime import (KernelCache, KernelRunner, Stimulus,
-                           choose_tier, compare_trajectories,
+                           compare_trajectories, make_runner,
                            multiprocess_supported, resolve_kernel)
 
 needs_fork = pytest.mark.skipif(
@@ -41,8 +41,7 @@ class TestResolve:
     @pytest.mark.parametrize("name", all_model_files())
     def test_same_source_from_every_store(self, name, tmp_path):
         cache = KernelCache(tmp_path / "cache")
-        build_bundle(tmp_path / "bundle", models=[name],
-                     include_tuned=False)
+        build_bundle(tmp_path / "bundle", models=[name])
         store = ArtifactStore(tmp_path / "bundle")
 
         jit, how = resolve_kernel(default_kernel(name), cache=cache)
@@ -77,7 +76,6 @@ class TestResolve:
         assert (runner.cache_hit, runner.artifact_hit) == (True, False)
         assert runner.cache_key == how.key
         assert runner.compile_seconds == how.seconds
-        assert runner.tuned_config is how.tuned_config is None
         with pytest.raises(AttributeError):
             runner.cache_hit = False
 
@@ -188,12 +186,11 @@ def _population(workers, tmp_path):
 
 @needs_fork
 class TestTier:
-    def test_choose_tier_is_the_rule(self):
+    def test_make_runner_is_the_rule(self):
         for workers, tier in EXPECTED_TIER.items():
-            assert choose_tier(workers=workers)[0] == tier
-        assert choose_tier(threads=1) == ("single", 1)
-        assert choose_tier(threads=2) == ("threads", 2)
-        assert choose_tier(threads=4, workers=2) == ("supervised", 2)
+            with make_runner(default_kernel("Plonsey"),
+                             workers=workers) as runner:
+                assert runner.active_tier == tier
 
     @pytest.mark.parametrize("workers", sorted(EXPECTED_TIER))
     @pytest.mark.parametrize("entry", [_cli_run, _cli_trace,

@@ -209,16 +209,21 @@ class TestDegradationLadder:
                              n_workers=2, fault_plan=plan, config=config,
                              **kwargs)
 
-    def test_degrades_to_threads_and_completes(self):
+    def test_degrades_to_single_and_completes(self):
+        from repro.obs import metrics
         expected = run_single("FitzHughNagumo", 19, 60)
         with self._always_dying() as sup:
             state = sup.make_state(19)
+            before = metrics.counter("degradations_total").value
             result = sup.run(state, 60, 0.01)
-            assert sup.tier == "threads"
+            assert sup.tier == "single"
             assert result.n_steps == 60
-            assert any("degrading supervised -> threads" in d.message
-                       for d in sup.diagnostics)
-        # the thread tier restarted from the initial checkpoint, so the
+            assert [d.message.split(":")[0] for d in sup.diagnostics
+                    if "degrading" in d.message] \
+                == ["degrading supervised -> single"]
+            assert metrics.counter("degradations_total").value \
+                == before + 1
+        # the single tier restarted from the initial checkpoint, so the
         # result is still bitwise identical to single-process
         assert compare_trajectories(expected, state, rtol=0, atol=0)
 
@@ -226,9 +231,9 @@ class TestDegradationLadder:
         with self._always_dying() as sup:
             state = sup.make_state(19)
             sup.run(state, 10, 0.01)
-            assert sup.tier == "threads"
+            assert sup.tier == "single"
             sup.run(sup.make_state(19), 10, 0.01)
-            assert sup.tier == "threads"
+            assert sup.tier == "single"
             # no new degradation diagnostics from the second run
             degradations = [d for d in sup.diagnostics
                             if "degrading" in d.message]
@@ -273,13 +278,13 @@ class TestDegradationLadder:
             assert sup.tier == "supervised"
         assert compare_trajectories(expected, got, rtol=0, atol=0)
 
-    def test_unsupported_platform_constructs_on_thread_tier(self,
+    def test_unsupported_platform_constructs_on_single_tier(self,
                                                             monkeypatch):
         import repro.runtime.supervised as supervised_mod
         monkeypatch.setattr(supervised_mod, "_shm_mod", None)
         sup = SupervisedRunner(make_generated("Plonsey"), n_workers=2)
         try:
-            assert sup.tier == "threads"
+            assert sup.tier == "single"
             state = sup.make_state(8)
             assert sup.run(state, 5, 0.01).n_steps == 5
         finally:
@@ -287,7 +292,7 @@ class TestDegradationLadder:
 
 
 # ---------------------------------------------------------------------------
-# Construction refusals inherited from the thread tier
+# Construction refusals inherited from the shard plan
 # ---------------------------------------------------------------------------
 
 
