@@ -18,12 +18,12 @@ from typing import Dict, List, Optional, Tuple
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
                                 Unary)
+from ..easyml.builtins import BUILTINS
 from ..easyml.errors import SemanticError
 from ..frontend.model import IonicModel
 from ..ir.builder import IRBuilder
 from ..ir.core import Value
 from ..ir.dialects import arith, math as math_dialect
-from ..ir.dialects.math import EASYML_FUNCTIONS
 from ..ir.types import broadcast_type, f64, i1
 from .layout import Layout
 
@@ -259,23 +259,34 @@ class ExprEmitter:
         name = expr.callee
         if name in self.foreign:
             return self._emit_foreign_call(expr)
-        if name == "square":
-            value = self.emit(expr.args[0])
-            return arith.mulf(self.b, value, value)
-        if name == "cube":
-            value = self.emit(expr.args[0])
-            return arith.mulf(self.b, arith.mulf(self.b, value, value), value)
-        if name in ("min", "max"):
-            fn = arith.minimumf if name == "min" else arith.maximumf
-            return fn(self.b, self.emit(expr.args[0]),
-                      self.emit(expr.args[1]))
-        if name == "pow":
-            return self._emit_pow(expr)
-        op_name = EASYML_FUNCTIONS.get(name)
-        if op_name is None:
+        builtin = BUILTINS.get(name)
+        if builtin is None:
             raise SemanticError(f"codegen: unknown function {name!r}")
+        if len(expr.args) != builtin.arity:
+            raise SemanticError(
+                f"codegen: {name}() takes {builtin.arity} argument(s), "
+                f"got {len(expr.args)}")
+        if builtin.op is None:
+            return getattr(self, f"_expand_{name}")(expr)
         args = [self.emit(a) for a in expr.args]
-        return self.b.create(op_name, args, [args[0].type]).result
+        return self.b.create(f"math.{builtin.op}", args,
+                             [args[0].type]).result
+
+    # -- the builtins without an op of their own (easyml/builtins.py) ----------
+
+    def _expand_square(self, expr: Call) -> Value:
+        return self._pow_chain(self.emit(expr.args[0]), 2)
+
+    def _expand_cube(self, expr: Call) -> Value:
+        return self._pow_chain(self.emit(expr.args[0]), 3)
+
+    def _expand_min(self, expr: Call) -> Value:
+        return arith.minimumf(self.b, self.emit(expr.args[0]),
+                              self.emit(expr.args[1]))
+
+    def _expand_max(self, expr: Call) -> Value:
+        return arith.maximumf(self.b, self.emit(expr.args[0]),
+                              self.emit(expr.args[1]))
 
     @staticmethod
     def _constant_exponent(exp_expr: Expr) -> Optional[float]:
@@ -299,7 +310,7 @@ class ExprEmitter:
                                  [f64])
         return call.results[0]
 
-    def _emit_pow(self, expr: Call) -> Value:
+    def _expand_pow(self, expr: Call) -> Value:
         base_expr, exp_expr = expr.args
         exponent = self._constant_exponent(exp_expr)
         if exponent is not None:

@@ -20,11 +20,8 @@ from dataclasses import dataclass, field
 from typing import List
 
 from ..easyml.ast_nodes import Call, Name, Ternary, walk_expr
+from ..easyml.builtins import BUILTINS
 from ..frontend.model import IonicModel
-from ..ir.dialects.math import EASYML_FUNCTIONS
-
-_BUILTIN_CALLS = set(EASYML_FUNCTIONS) | {"square", "cube", "min", "max",
-                                          "pow"}
 
 #: fraction of select-guarded work above which masked execution starts
 #: to hurt ("may lead to performance degradation in large portions of
@@ -156,7 +153,7 @@ def _check_expressible(model: IonicModel, report: LegalityReport) -> None:
     for expr in _all_exprs(model):
         for node in walk_expr(expr):
             if isinstance(node, Call) and \
-                    node.callee not in _BUILTIN_CALLS and \
+                    node.callee not in BUILTINS and \
                     node.callee not in model.foreign_functions:
                 report.findings.append(Finding(
                     criterion="expressible", severity="blocker",

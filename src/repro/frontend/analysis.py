@@ -16,6 +16,7 @@ from typing import Dict, List, Sequence, Set
 from ..easyml.ast_nodes import (Assign, Binary, Call, Expr,
                                 If, Markup, ModelAST, Name, Number, Stmt,
                                 Ternary, Unary, free_names)
+from ..easyml.builtins import BUILTINS
 from ..easyml.errors import SemanticError
 from .model import Computation, GateInfo, IonicModel, LUTTable
 from .preprocessor import Preprocessor
@@ -25,14 +26,14 @@ from .symbols import (LookupSpec, Method, Variable, VarKind, diff_target,
 _KNOWN_MARKUPS = {"external", "nodal", "param", "lookup", "method", "units",
                   "regional", "store", "trace", "foreign"}
 
-#: math-call or division anywhere in the tree makes an expression "costly"
-#: and therefore worth tabulating in a LUT (openCARP's heuristic).
-_CHEAP_CALLS = {"square", "cube", "min", "max", "fabs", "abs"}
-
 
 def _is_costly(expr: Expr) -> bool:
-    if isinstance(expr, Call) and expr.callee not in _CHEAP_CALLS:
-        return True
+    """A math call or a division anywhere in the tree makes an expression
+    worth tabulating in a LUT (openCARP's heuristic)."""
+    if isinstance(expr, Call):
+        builtin = BUILTINS.get(expr.callee)
+        if builtin is None or builtin.costly:
+            return True
     if isinstance(expr, Binary) and expr.op == "/":
         return True
     return any(_is_costly(child) for child in expr.children())

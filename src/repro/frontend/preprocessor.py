@@ -16,41 +16,8 @@ from typing import Dict, Optional
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
                                 Unary)
+from ..easyml.builtins import BUILTINS
 from ..easyml.errors import SemanticError
-
-# EasyML's convenience functions (square/cube appear in the paper's
-# Listing 1) on top of the libm-equivalent set.
-_FUNCTIONS = {
-    "exp": math.exp,
-    "expm1": math.expm1,
-    "log": math.log,
-    "ln": math.log,
-    "log10": math.log10,
-    "log2": math.log2,
-    "log1p": math.log1p,
-    "sqrt": math.sqrt,
-    "cbrt": lambda x: math.copysign(abs(x) ** (1.0 / 3.0), x),
-    "sin": math.sin,
-    "cos": math.cos,
-    "tan": math.tan,
-    "asin": math.asin,
-    "acos": math.acos,
-    "atan": math.atan,
-    "sinh": math.sinh,
-    "cosh": math.cosh,
-    "tanh": math.tanh,
-    "fabs": abs,
-    "abs": abs,
-    "floor": math.floor,
-    "ceil": math.ceil,
-    "erf": math.erf,
-    "pow": math.pow,
-    "atan2": math.atan2,
-    "square": lambda x: x * x,
-    "cube": lambda x: x * x * x,
-    "min": min,
-    "max": max,
-}
 
 _BINARY = {
     "+": lambda a, b: a + b,
@@ -147,10 +114,10 @@ class Preprocessor:
         if isinstance(expr, Call):
             if expr.callee in self.foreign:
                 raise _NotConstant(expr.callee)
-            fn = _FUNCTIONS.get(expr.callee)
-            if fn is None:
+            builtin = BUILTINS.get(expr.callee)
+            if builtin is None:
                 raise SemanticError(f"unknown function {expr.callee!r}")
-            return float(fn(*(self._eval(a) for a in expr.args)))
+            return float(builtin.fold(*(self._eval(a) for a in expr.args)))
         raise SemanticError(f"unsupported expression node {expr!r}")
 
 

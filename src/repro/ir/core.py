@@ -106,6 +106,14 @@ class OpInfo:
     ``fold`` maps constant operand python values to constant results (or
     returns None when not foldable).  ``py_eval`` executes the op on
     concrete python/numpy operand values, used by the interpreter.
+
+    An elementwise op's row also carries what every later stage needs
+    of it (DESIGN.md §3.2): ``numpy`` and ``scalar`` are its source
+    spellings over operand texts ``{0}``, ``{1}`` in the vector and the
+    scalar engine (:mod:`repro.runtime.lowering`), ``cost`` its
+    machine-model class — ``simple`` / ``div`` / ``exp`` / ``pow`` /
+    ``int`` / ``none`` (:mod:`repro.machine.instrument`).  Ops with a
+    bespoke lowering leave the spellings empty.
     """
 
     name: str
@@ -115,6 +123,9 @@ class OpInfo:
     verify: Optional[Callable[["Operation"], None]] = None
     fold: Optional[Callable[["Operation", Sequence[Any]], Optional[Sequence[Any]]]] = None
     py_eval: Optional[Callable[..., Any]] = None
+    numpy: str = ""
+    scalar: str = ""
+    cost: str = ""
 
 
 _OP_REGISTRY: Dict[str, OpInfo] = {}

@@ -2,7 +2,10 @@
 
 Every op registers a ``py_eval`` implemented with NumPy so a single
 definition serves both scalar interpretation and vector (lane-per-cell)
-execution.
+execution.  An elementwise op's registration also carries its source
+spellings and cost class (DESIGN.md §3.2); the binary ones are rows of
+:data:`_BINARY`, which their registration and builder functions are
+derived from.
 """
 
 from __future__ import annotations
@@ -58,15 +61,6 @@ def _binary_fold(fn):
     return fold
 
 
-def _register_binary(name: str, fn, verify, commutative: bool = False) -> None:
-    register_op(OpInfo(name=name, pure=True, commutative=commutative,
-                       verify=verify, fold=_binary_fold(fn), py_eval=fn))
-
-
-with np.errstate(all="ignore"):
-    pass  # numpy error-state is managed by the executor, not at import time
-
-
 def _divf(a, b):
     with np.errstate(divide="ignore", invalid="ignore"):
         if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
@@ -117,29 +111,38 @@ def trunc_rem(a, b):
     return a - trunc_div(a, b) * b
 
 
-_register_binary("arith.addf", operator.add, _require_float, commutative=True)
-_register_binary("arith.subf", operator.sub, _require_float)
-_register_binary("arith.mulf", operator.mul, _require_float, commutative=True)
-_register_binary("arith.divf", _divf, _require_float)
-_register_binary("arith.remf", _remf, _require_float)
-_register_binary("arith.maximumf", np.maximum, _require_float, commutative=True)
-_register_binary("arith.minimumf", np.minimum, _require_float, commutative=True)
-_register_binary("arith.addi", operator.add, _require_int, commutative=True)
-_register_binary("arith.subi", operator.sub, _require_int)
-_register_binary("arith.muli", operator.mul, _require_int, commutative=True)
-_register_binary("arith.divsi", trunc_div, _require_int)
-_register_binary("arith.remsi", trunc_rem, _require_int)
-_register_binary("arith.andi", operator.and_, _require_int, commutative=True)
-_register_binary("arith.ori", operator.or_, _require_int, commutative=True)
-_register_binary("arith.xori", operator.xor, _require_int, commutative=True)
+#  op                fn            verify   commutative  numpy                   scalar                cost
+_BINARY = (
+    ("arith.addf",     operator.add,  _require_float, True,  "({0} + {1})",           "({0} + {1})",       "simple"),
+    ("arith.subf",     operator.sub,  _require_float, False, "({0} - {1})",           "({0} - {1})",       "simple"),
+    ("arith.mulf",     operator.mul,  _require_float, True,  "({0} * {1})",           "({0} * {1})",       "simple"),
+    ("arith.divf",     _divf,         _require_float, False, "({0} / {1})",           "_g_div({0}, {1})",  "div"),
+    ("arith.remf",     _remf,         _require_float, False, "np.fmod({0}, {1})",     "_g_fmod({0}, {1})", "div"),
+    ("arith.maximumf", np.maximum,    _require_float, True,  "np.maximum({0}, {1})",  "max({0}, {1})",     "simple"),
+    ("arith.minimumf", np.minimum,    _require_float, True,  "np.minimum({0}, {1})",  "min({0}, {1})",     "simple"),
+    ("arith.addi",     operator.add,  _require_int,   True,  "({0} + {1})",           "({0} + {1})",       "int"),
+    ("arith.subi",     operator.sub,  _require_int,   False, "({0} - {1})",           "({0} - {1})",       "int"),
+    ("arith.muli",     operator.mul,  _require_int,   True,  "({0} * {1})",           "({0} * {1})",       "int"),
+    ("arith.divsi",    trunc_div,     _require_int,   False, "_idiv({0}, {1})",       "_idiv({0}, {1})",   "int"),
+    ("arith.remsi",    trunc_rem,     _require_int,   False, "_irem({0}, {1})",       "_irem({0}, {1})",   "int"),
+    ("arith.andi",     operator.and_, _require_int,   True,  "({0} & {1})",           "({0} & {1})",       "int"),
+    ("arith.ori",      operator.or_,  _require_int,   True,  "({0} | {1})",           "({0} | {1})",       "int"),
+    ("arith.xori",     operator.xor,  _require_int,   True,  "({0} ^ {1})",           "({0} ^ {1})",       "int"),
+)
+
+for _name, _fn, _verify, _commutative, _numpy, _scalar, _cost in _BINARY:
+    register_op(OpInfo(name=_name, pure=True, commutative=_commutative,
+                       verify=_verify, fold=_binary_fold(_fn), py_eval=_fn,
+                       numpy=_numpy, scalar=_scalar, cost=_cost))
 
 register_op(OpInfo(name="arith.negf", pure=True, verify=_require_float,
                    fold=lambda op, xs: None if xs[0] is None else [-xs[0]],
-                   py_eval=operator.neg))
+                   py_eval=operator.neg,
+                   numpy="(-{0})", scalar="(-{0})", cost="simple"))
 
 register_op(OpInfo(name="arith.constant", pure=True,
                    fold=lambda op, xs: [op.attributes["value"]],
-                   py_eval=None))
+                   py_eval=None, cost="none"))
 
 
 def _verify_cmp(predicates):
@@ -155,9 +158,10 @@ def _cmp_eval(op: Operation, lhs, rhs):
     return _CMP_FN[op.attributes["predicate"]](lhs, rhs)
 
 
-register_op(OpInfo(name="arith.cmpf", pure=True,
+# cmpf / cmpi / select lower through ``_lower_special``: a cost class only
+register_op(OpInfo(name="arith.cmpf", pure=True, cost="simple",
                    verify=_verify_cmp(CMPF_PREDICATES), py_eval=_cmp_eval))
-register_op(OpInfo(name="arith.cmpi", pure=True,
+register_op(OpInfo(name="arith.cmpi", pure=True, cost="int",
                    verify=_verify_cmp(CMPI_PREDICATES), py_eval=_cmp_eval))
 
 
@@ -168,20 +172,25 @@ def _select_eval(cond, true_val, false_val):
 
 
 register_op(OpInfo(name="arith.select", pure=True, py_eval=_select_eval,
+                   cost="simple",
                    fold=lambda op, xs: None if xs[0] is None
                    else ([xs[1]] if (xs[1] is not None and xs[0])
                          else ([xs[2]] if (xs[2] is not None and not xs[0])
                                else None))))
 
+
 register_op(OpInfo(name="arith.index_cast", pure=True,
                    fold=lambda op, xs: None if xs[0] is None else [int(xs[0])],
-                   py_eval=lambda x: x if isinstance(x, np.ndarray) else int(x)))
+                   py_eval=lambda x: x if isinstance(x, np.ndarray) else int(x),
+                   numpy="{0}", scalar="{0}", cost="int"))
 register_op(OpInfo(name="arith.sitofp", pure=True,
                    fold=lambda op, xs: None if xs[0] is None else [float(xs[0])],
-                   py_eval=lambda x: x.astype(np.float64) if isinstance(x, np.ndarray) else float(x)))
+                   py_eval=lambda x: x.astype(np.float64) if isinstance(x, np.ndarray) else float(x),
+                   numpy="_f64({0})", scalar="float({0})", cost="int"))
 register_op(OpInfo(name="arith.fptosi", pure=True,
                    fold=lambda op, xs: None if xs[0] is None else [int(xs[0])],
-                   py_eval=lambda x: np.trunc(x).astype(np.int64) if isinstance(x, np.ndarray) else int(x)))
+                   py_eval=lambda x: np.trunc(x).astype(np.int64) if isinstance(x, np.ndarray) else int(x),
+                   numpy="_i64({0})", scalar="int({0})", cost="int"))
 
 
 # ---------------------------------------------------------------------------
@@ -194,70 +203,22 @@ def constant(b: IRBuilder, value: Any, ty: IRType = f64) -> Value:
     return b.constant(value, ty)
 
 
-def _binary(b: IRBuilder, name: str, lhs: Value, rhs: Value) -> Value:
-    if str(lhs.type) != str(rhs.type):
-        raise IRError(f"{name}: type mismatch {lhs.type} vs {rhs.type}")
-    return b.create(name, [lhs, rhs], [lhs.type]).result
+def _binary_builder(name: str):
+    def build(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
+        if str(lhs.type) != str(rhs.type):
+            raise IRError(f"{name}: type mismatch {lhs.type} vs {rhs.type}")
+        return b.create(name, [lhs, rhs], [lhs.type]).result
+    build.__name__ = name.split(".", 1)[1]
+    build.__doc__ = f"``{name}`` on two values of one type."
+    return build
 
 
-def addf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.addf", lhs, rhs)
-
-
-def subf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.subf", lhs, rhs)
-
-
-def mulf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.mulf", lhs, rhs)
-
-
-def divf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.divf", lhs, rhs)
-
-
-def remf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.remf", lhs, rhs)
-
-
-def maximumf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.maximumf", lhs, rhs)
-
-
-def minimumf(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.minimumf", lhs, rhs)
+for _row in _BINARY:
+    globals()[_row[0].split(".", 1)[1]] = _binary_builder(_row[0])
 
 
 def negf(b: IRBuilder, operand: Value) -> Value:
     return b.create("arith.negf", [operand], [operand.type]).result
-
-
-def addi(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.addi", lhs, rhs)
-
-
-def subi(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.subi", lhs, rhs)
-
-
-def muli(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.muli", lhs, rhs)
-
-
-def divsi(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.divsi", lhs, rhs)
-
-
-def remsi(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.remsi", lhs, rhs)
-
-
-def andi(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.andi", lhs, rhs)
-
-
-def ori(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-    return _binary(b, "arith.ori", lhs, rhs)
 
 
 def cmpf(b: IRBuilder, predicate: str, lhs: Value, rhs: Value) -> Value:

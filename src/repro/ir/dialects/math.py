@@ -1,8 +1,17 @@
-"""The ``math`` dialect: transcendental functions.
+"""The ``math`` dialect: transcendental functions, one table row per op.
 
-These are the calls that Intel's SVML vectorizes in the paper; the
-machine model charges them their (much higher) per-ISA costs, and the
-runtime maps them to NumPy ufuncs (our SVML stand-in).
+These are the calls that Intel's SVML vectorizes in the paper — "we rely
+on Intel's SVML library for the vectorization of mathematical functions"
+(§4.1 footnote) — and that it credits for the outsized speedups of
+math-heavy models like ISAC_Hu.  In this reproduction NumPy's
+C-implemented ufuncs play SVML's role: one call evaluates a
+transcendental over every lane.
+
+:data:`_OPS` is the only place a ``math`` op is spelled.  Registration
+and the builder functions (``exp(b, x)``, ``powf(b, x, y)``, ...) are
+derived from it, the lowering embeds the ``numpy`` / ``scalar`` columns
+into the generated kernels, and the machine model prices the ``cost``
+column with per-ISA SVML throughput classes (:mod:`repro.machine.arch`).
 """
 
 from __future__ import annotations
@@ -37,56 +46,22 @@ def _verify_float_binary(op: Operation) -> None:
             raise IRError(f"{op.name}: expects float operands")
 
 
-def _unary_fold(fn):
+def _fold(fn):
     def fold(op: Operation, xs: Sequence) -> Optional[Sequence]:
-        if xs[0] is None:
+        if None in xs:
             return None
         try:
-            return [float(fn(xs[0]))]
+            return [float(fn(*xs))]
         except (ValueError, OverflowError):
             return None
     return fold
 
 
-# name -> (numpy ufunc, arity).  ``flops`` cost lives in the machine model.
-UNARY_OPS = {
-    "math.exp": np.exp,
-    "math.expm1": np.expm1,
-    "math.log": np.log,
-    "math.log10": np.log10,
-    "math.log2": np.log2,
-    "math.log1p": np.log1p,
-    "math.sqrt": np.sqrt,
-    "math.cbrt": np.cbrt,
-    "math.sin": np.sin,
-    "math.cos": np.cos,
-    "math.tan": np.tan,
-    "math.asin": np.arcsin,
-    "math.acos": np.arccos,
-    "math.atan": np.arctan,
-    "math.sinh": np.sinh,
-    "math.cosh": np.cosh,
-    "math.tanh": np.tanh,
-    "math.absf": np.abs,
-    "math.floor": np.floor,
-    "math.ceil": np.ceil,
-    "math.erf": None,  # filled below (scipy-free implementation)
-    "math.round": np.round,
-    "math.trunc": np.trunc,
-}
-
-BINARY_OPS = {
-    "math.powf": np.power,
-    "math.atan2": np.arctan2,
-    "math.copysign": np.copysign,
-    "math.fmod": np.fmod,
-}
-
-
-def _erf(x):
+def np_erf(x):
+    """``erf`` without SciPy: libm on a scalar, on an array the
+    vectorized Abramowitz & Stegun 7.1.26 rational approximation (max
+    abs error 1.5e-7, ample for an interpolation substrate)."""
     if isinstance(x, np.ndarray):
-        # Vectorized Abramowitz & Stegun 7.1.26 rational approximation;
-        # max abs error 1.5e-7, ample for an interpolation substrate.
         sign = np.sign(x)
         ax = np.abs(x)
         t = 1.0 / (1.0 + 0.3275911 * ax)
@@ -96,86 +71,59 @@ def _erf(x):
     return math.erf(x)
 
 
-UNARY_OPS["math.erf"] = _erf
+# The ``scalar`` spellings name the lowering's guarded helpers (``_g_*``:
+# IEEE results where Python's ``math`` raises); ``absf`` / ``floor`` /
+# ``ceil`` sit in the ``exp`` class and ``tan`` / ``atan`` in ``pow`` as
+# SVML prices them.
+#  op               ufunc         numpy                     scalar                     cost
+_OPS = (
+    ("math.exp",      np.exp,       "np.exp({0})",            "_g_exp({0})",             "exp"),
+    ("math.expm1",    np.expm1,     "np.expm1({0})",          "_g_expm1({0})",           "exp"),
+    ("math.log",      np.log,       "np.log({0})",            "_g_log({0})",             "exp"),
+    ("math.log10",    np.log10,     "np.log10({0})",          "_g_log10({0})",           "exp"),
+    ("math.log2",     np.log2,      "np.log2({0})",           "_g_log2({0})",            "exp"),
+    ("math.log1p",    np.log1p,     "np.log1p({0})",          "_g_log1p({0})",           "exp"),
+    ("math.sqrt",     np.sqrt,      "np.sqrt({0})",           "_g_sqrt({0})",            "exp"),
+    ("math.cbrt",     np.cbrt,      "np.cbrt({0})",           "_cbrt({0})",              "exp"),
+    ("math.sin",      np.sin,       "np.sin({0})",            "_g_sin({0})",             "exp"),
+    ("math.cos",      np.cos,       "np.cos({0})",            "_g_cos({0})",             "exp"),
+    ("math.tan",      np.tan,       "np.tan({0})",            "_g_tan({0})",             "pow"),
+    ("math.asin",     np.arcsin,    "np.arcsin({0})",         "_g_asin({0})",            "pow"),
+    ("math.acos",     np.arccos,    "np.arccos({0})",         "_g_acos({0})",            "pow"),
+    ("math.atan",     np.arctan,    "np.arctan({0})",         "math.atan({0})",          "pow"),
+    ("math.sinh",     np.sinh,      "np.sinh({0})",           "_g_sinh({0})",            "exp"),
+    ("math.cosh",     np.cosh,      "np.cosh({0})",           "_g_cosh({0})",            "exp"),
+    ("math.tanh",     np.tanh,      "np.tanh({0})",           "math.tanh({0})",          "exp"),
+    ("math.absf",     np.abs,       "np.abs({0})",            "abs({0})",                "exp"),
+    ("math.floor",    np.floor,     "np.floor({0})",          "_g_floor({0})",           "exp"),
+    ("math.ceil",     np.ceil,      "np.ceil({0})",           "_g_ceil({0})",            "exp"),
+    ("math.erf",      np_erf,       "_np_erf({0})",           "math.erf({0})",           "exp"),
+    ("math.round",    np.round,     "np.round({0})",          "_g_round({0})",           "exp"),
+    ("math.trunc",    np.trunc,     "np.trunc({0})",          "_g_trunc({0})",           "exp"),
+    ("math.powf",     np.power,     "np.power({0}, {1})",     "_g_pow({0}, {1})",        "pow"),
+    ("math.atan2",    np.arctan2,   "np.arctan2({0}, {1})",   "math.atan2({0}, {1})",    "pow"),
+    ("math.copysign", np.copysign,  "np.copysign({0}, {1})",  "math.copysign({0}, {1})", "simple"),
+    ("math.fmod",     np.fmod,      "np.fmod({0}, {1})",      "_g_fmod({0}, {1})",       "div"),
+)
 
-for _name, _fn in UNARY_OPS.items():
-    register_op(OpInfo(name=_name, pure=True, verify=_verify_float_unary,
-                       fold=_unary_fold(_fn), py_eval=_guarded(_fn)))
 
-for _name, _fn in BINARY_OPS.items():
-    register_op(OpInfo(
-        name=_name, pure=True, verify=_verify_float_binary,
-        fold=lambda op, xs, fn=_fn: (None if None in xs
-                                     else [float(fn(xs[0], xs[1]))]),
-        py_eval=_guarded(_fn)))
-
-
-def _make_unary(name: str):
-    def build(b: IRBuilder, operand: Value) -> Value:
-        return b.create(name, [operand], [operand.type]).result
-    build.__name__ = name.split(".", 1)[1]
-    build.__doc__ = f"``{name}`` on a scalar or vector float value."
-    return build
-
-
-def _make_binary(name: str):
-    def build(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-        return b.create(name, [lhs, rhs], [lhs.type]).result
+def _builder(name: str, binary: bool):
+    if binary:
+        def build(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
+            return b.create(name, [lhs, rhs], [lhs.type]).result
+    else:
+        def build(b: IRBuilder, operand: Value) -> Value:
+            return b.create(name, [operand], [operand.type]).result
     build.__name__ = name.split(".", 1)[1]
     build.__doc__ = f"``{name}`` on scalar or vector float values."
     return build
 
 
-exp = _make_unary("math.exp")
-expm1 = _make_unary("math.expm1")
-log = _make_unary("math.log")
-log10 = _make_unary("math.log10")
-log2 = _make_unary("math.log2")
-log1p = _make_unary("math.log1p")
-sqrt = _make_unary("math.sqrt")
-cbrt = _make_unary("math.cbrt")
-sin = _make_unary("math.sin")
-cos = _make_unary("math.cos")
-tan = _make_unary("math.tan")
-asin = _make_unary("math.asin")
-acos = _make_unary("math.acos")
-atan = _make_unary("math.atan")
-sinh = _make_unary("math.sinh")
-cosh = _make_unary("math.cosh")
-tanh = _make_unary("math.tanh")
-absf = _make_unary("math.absf")
-floor = _make_unary("math.floor")
-ceil = _make_unary("math.ceil")
-erf = _make_unary("math.erf")
-powf = _make_binary("math.powf")
-atan2 = _make_binary("math.atan2")
-copysign = _make_binary("math.copysign")
-
-#: Function names accepted in EasyML source -> math dialect op.
-EASYML_FUNCTIONS = {
-    "exp": "math.exp",
-    "expm1": "math.expm1",
-    "log": "math.log",
-    "ln": "math.log",
-    "log10": "math.log10",
-    "log2": "math.log2",
-    "log1p": "math.log1p",
-    "sqrt": "math.sqrt",
-    "cbrt": "math.cbrt",
-    "sin": "math.sin",
-    "cos": "math.cos",
-    "tan": "math.tan",
-    "asin": "math.asin",
-    "acos": "math.acos",
-    "atan": "math.atan",
-    "sinh": "math.sinh",
-    "cosh": "math.cosh",
-    "tanh": "math.tanh",
-    "fabs": "math.absf",
-    "abs": "math.absf",
-    "floor": "math.floor",
-    "ceil": "math.ceil",
-    "erf": "math.erf",
-    "pow": "math.powf",
-    "atan2": "math.atan2",
-}
+for _name, _fn, _numpy, _scalar, _cost in _OPS:
+    _binary = "{1}" in _numpy
+    register_op(OpInfo(
+        name=_name, pure=True,
+        verify=_verify_float_binary if _binary else _verify_float_unary,
+        fold=_fold(_fn), py_eval=_guarded(_fn),
+        numpy=_numpy, scalar=_scalar, cost=_cost))
+    globals()[_name.split(".", 1)[1]] = _builder(_name, _binary)

@@ -12,26 +12,17 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from typing import Dict
 
-from ..ir.core import Module, Operation
+from ..ir.core import Module, Operation, op_info
 
 #: flop equivalents of the transcendental classes, as performance
 #: counters would retire them (SVML polynomial evaluations)
-FLOPS_EXP_CLASS = 16.0
-FLOPS_POW_CLASS = 32.0
+EXP_CLASS_FLOPS = 16.0
+POW_CLASS_FLOPS = 32.0
 
-_SIMPLE_FP = {"arith.addf", "arith.subf", "arith.mulf", "arith.negf",
-              "arith.maximumf", "arith.minimumf", "arith.select",
-              "arith.cmpf"}
-_INT_OPS = {"arith.addi", "arith.subi", "arith.muli", "arith.divsi",
-            "arith.remsi", "arith.andi", "arith.ori", "arith.xori",
-            "arith.index_cast", "arith.cmpi"}
-_EXP_CLASS = {"math.exp", "math.expm1", "math.log", "math.log10",
-              "math.log2", "math.log1p", "math.sqrt", "math.sin",
-              "math.cos", "math.tanh", "math.sinh", "math.cosh",
-              "math.erf", "math.absf", "math.floor", "math.ceil",
-              "math.cbrt"}
-_POW_CLASS = {"math.powf", "math.tan", "math.atan", "math.atan2",
-              "math.asin", "math.acos"}
+#: an op row's ``cost`` class -> the counter it feeds (``none`` feeds
+#: no counter; ops with a bespoke lowering are branches of ``_count_op``)
+_COST_COUNTER = {"simple": "simple_fp", "div": "div_fp", "exp": "exp_class",
+                 "pow": "pow_class", "int": "int_ops"}
 
 #: default trip count assumed for loops with non-constant bounds
 _DEFAULT_TRIP = 4.0
@@ -93,8 +84,8 @@ class KernelProfile:
                               + self.lut_calls_scalar)
         per_iter = (self.simple_fp * lanes
                     + self.div_fp * lanes
-                    + self.exp_class * lanes * FLOPS_EXP_CLASS
-                    + self.pow_class * lanes * FLOPS_POW_CLASS
+                    + self.exp_class * lanes * EXP_CLASS_FLOPS
+                    + self.pow_class * lanes * POW_CLASS_FLOPS
                     + lut_column_elements * 4.0        # interp mul/add
                     + lut_index_elements * 4.0)        # index computation
         return per_iter / lanes
@@ -193,21 +184,12 @@ def _trip_count(op: Operation) -> float:
 
 def _count_op(op: Operation, profile: KernelProfile, m: float) -> None:
     name = op.name
-    if name in ("scf.yield", "omp.terminator", "func.return",
-                "arith.constant"):
-        return
-    if name == "arith.divf" or name == "arith.remf":
-        profile.div_fp += m
-    elif name in _SIMPLE_FP:
-        profile.simple_fp += m
+    info = op_info(name)
+    counter = _COST_COUNTER.get(info.cost) if info is not None else None
+    if counter is not None:
+        setattr(profile, counter, getattr(profile, counter) + m)
         if name == "arith.select":
             profile.selects += m
-    elif name in _EXP_CLASS:
-        profile.exp_class += m
-    elif name in _POW_CLASS:
-        profile.pow_class += m
-    elif name in _INT_OPS or name in ("arith.sitofp", "arith.fptosi"):
-        profile.int_ops += m
     elif name == "memref.load":
         profile.scalar_loads += m
     elif name == "memref.store":

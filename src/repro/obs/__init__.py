@@ -8,12 +8,10 @@ The unified measurement layer of the reproduction (DESIGN.md §8):
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
   with JSON and Prometheus exports (``limpet-bench metrics``);
 * :mod:`repro.obs.passes` — concrete
-  :class:`~repro.ir.passes.PassInstrumentation` hooks (op-count
-  deltas, per-pass spans, ``--print-ir-after-all`` dumps, pre-pass
-  IR snapshots);
+  :class:`~repro.ir.passes.PassInstrumentation` hooks (per-pass spans
+  with op-count deltas, pre-pass IR snapshots);
 * :mod:`repro.obs.profiler` — measured per-op kernel costs from
-  profile-mode lowering, feeding hot tables, the runtime cost model
-  and the roofline.
+  profile-mode lowering: hot tables by op, dialect and cost class.
 
 The fleet-telemetry additions (DESIGN.md §13):
 

@@ -25,7 +25,6 @@ bare gauges).  The canonical set, wired in this PR:
 ``watchdog_retries_total``      checkpoint rollbacks (dt halving)
 ``shard_count``                 gauge: shards of the latest shard plan
 ``shard_imbalance_ratio``       gauge: max/mean shard size
-``pass_seconds``                histogram: per-pass wall time
 ``worker_restarts_total``       supervised workers killed + respawned
 ``shard_retries_total``         shard tasks re-dispatched after failure
 ``degradations_total``          execution-tier downgrades taken

@@ -1,38 +1,28 @@
 """Concrete :class:`~repro.ir.passes.PassInstrumentation` implementations.
 
 The hook API lives in :mod:`repro.ir.passes.pass_manager` (so the IR
-layer stays observability-free); this module provides the standard
-instruments, mirroring upstream MLIR's tooling:
+layer stays observability-free); this module provides the instruments
+with a reader:
 
-* :class:`OpCountInstrumentation` — per-pass op-count deltas by
-  dialect (the ``-mlir-print-op-stats`` analog);
 * :class:`TracePassInstrumentation` — one child span per pass on a
   :class:`~repro.obs.trace.Tracer`, carrying the change flag and the
-  non-zero dialect deltas (``-mlir-timing``);
-* :class:`PrintIRInstrumentation` — IR dumps after every pass or only
-  after changing passes (``-print-ir-after-all`` /
-  ``-print-ir-after-change``);
+  non-zero dialect deltas (``-mlir-timing``; what ``limpet-bench
+  trace`` prints);
 * :class:`IRSnapshotInstrumentation` — captures the printed pre-pass
-  IR (what a sandbox reproducer's ``module.ir`` must equal);
-* :class:`MetricsPassInstrumentation` — per-pass wall time into the
-  ``pass_seconds`` histogram of the metrics registry.
+  IR (what a sandbox reproducer's ``module.ir`` must equal).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import Dict, List, Optional, Tuple
 
 from ..ir.core import Module
 from ..ir.passes.pass_manager import Pass, PassInstrumentation
 from ..ir.printer import print_module
-from . import metrics as _metrics
 from .trace import Span, Tracer
 
-__all__ = ["count_ops_by_dialect", "op_count_delta", "PassOpCounts",
-           "OpCountInstrumentation", "TracePassInstrumentation",
-           "PrintIRInstrumentation", "IRSnapshotInstrumentation",
-           "MetricsPassInstrumentation"]
+__all__ = ["count_ops_by_dialect", "op_count_delta",
+           "TracePassInstrumentation", "IRSnapshotInstrumentation"]
 
 
 def count_ops_by_dialect(module: Module) -> Dict[str, int]:
@@ -53,62 +43,6 @@ def op_count_delta(before: Dict[str, int],
         if diff:
             delta[dialect] = diff
     return delta
-
-
-@dataclass
-class PassOpCounts:
-    """One pass execution's op-count record."""
-
-    pass_name: str
-    changed: bool
-    seconds: float
-    before: Dict[str, int] = field(default_factory=dict)
-    after: Dict[str, int] = field(default_factory=dict)
-
-    @property
-    def delta(self) -> Dict[str, int]:
-        return op_count_delta(self.before, self.after)
-
-    @property
-    def total_delta(self) -> int:
-        return sum(self.after.values()) - sum(self.before.values())
-
-
-class OpCountInstrumentation(PassInstrumentation):
-    """Records per-pass op-count deltas by dialect, in execution order."""
-
-    def __init__(self):
-        self.records: List[PassOpCounts] = []
-        self._before: Optional[Dict[str, int]] = None
-
-    def before_pass(self, pass_: Pass, module: Module) -> None:
-        self._before = count_ops_by_dialect(module)
-
-    def after_pass(self, pass_: Pass, module: Module, changed: bool,
-                   seconds: float) -> None:
-        self.records.append(PassOpCounts(
-            pass_name=pass_.name, changed=changed, seconds=seconds,
-            before=self._before or {},
-            after=count_ops_by_dialect(module)))
-        self._before = None
-
-    def on_pass_error(self, pass_: Pass, module: Module,
-                      error: BaseException, seconds: float) -> None:
-        # the module was rolled back: before == after by construction
-        before = self._before or {}
-        self.records.append(PassOpCounts(
-            pass_name=pass_.name, changed=False, seconds=seconds,
-            before=before, after=dict(before)))
-        self._before = None
-
-    def summary(self) -> str:
-        lines = [f"{'pass':<16} {'changed':<8} {'Δops':>6}  delta"]
-        for rec in self.records:
-            inner = ",".join(f"{d}{n:+d}"
-                             for d, n in sorted(rec.delta.items()))
-            lines.append(f"{rec.pass_name:<16} {str(rec.changed):<8} "
-                         f"{rec.total_delta:>+6d}  [{inner}]")
-        return "\n".join(lines)
 
 
 class TracePassInstrumentation(PassInstrumentation):
@@ -145,32 +79,6 @@ class TracePassInstrumentation(PassInstrumentation):
         self.tracer.end(span, changed=False, error=type(error).__name__)
 
 
-class PrintIRInstrumentation(PassInstrumentation):
-    """IR dumps after passes, à la ``-print-ir-after-all``.
-
-    ``after_all=False`` restricts dumps to passes that reported a
-    change (``-print-ir-after-change``).  ``sink`` receives each dump
-    (default: collect on :attr:`dumps`).
-    """
-
-    def __init__(self, after_all: bool = True,
-                 sink: Optional[Callable[[str], None]] = None):
-        self.after_all = after_all
-        self.dumps: List[Tuple[str, str]] = []
-        self._sink = sink
-
-    def after_pass(self, pass_: Pass, module: Module, changed: bool,
-                   seconds: float) -> None:
-        if not (self.after_all or changed):
-            return
-        text = (f"// -----// IR dump after {pass_.name} "
-                f"(changed={changed}) //----- //\n"
-                + print_module(module))
-        self.dumps.append((pass_.name, text))
-        if self._sink is not None:
-            self._sink(text)
-
-
 class IRSnapshotInstrumentation(PassInstrumentation):
     """Captures the printed IR immediately before each pass.
 
@@ -192,17 +100,3 @@ class IRSnapshotInstrumentation(PassInstrumentation):
         self.last = print_module(module)
         if self.keep_history:
             self.history.append((pass_.name, self.last))
-
-
-class MetricsPassInstrumentation(PassInstrumentation):
-    """Feeds per-pass wall time into the process metrics registry."""
-
-    def __init__(self, registry=None):
-        self._registry = registry or _metrics.default_registry()
-
-    def after_pass(self, pass_: Pass, module: Module, changed: bool,
-                   seconds: float) -> None:
-        self._registry.counter(
-            "pass_runs_total", "pass executions").inc()
-        self._registry.histogram(
-            "pass_seconds", "per-pass wall time (s)").observe(seconds)

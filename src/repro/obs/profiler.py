@@ -1,4 +1,4 @@
-"""Measured per-op kernel profiling: hot tables + cost-model feedback.
+"""Measured per-op kernel profiling: hot tables by op, dialect and class.
 
 The lowering (``repro.runtime.lowering``) can emit kernels in
 **profile mode**: every op-emitting statement is bracketed by a pair
@@ -10,15 +10,9 @@ statements themselves are textually unchanged, so a profiled run is
 **bitwise identical** to an unprofiled one — the clock reads happen
 between statements, never inside an expression.
 
-This module turns those raw counters into:
-
-* :class:`KernelProfileReport` — per-op measured seconds, top-N hot
-  table (``hot_table``), per-IR-op and per-cost-class aggregation;
-* :func:`measured_op_costs` — *measured* per-element nanoseconds by
-  operation class for this workload;
-* :func:`measured_roofline_point` — a
-  :class:`~repro.machine.roofline.RooflinePoint` whose GFlops/s come
-  from measured wall time instead of the modeled bench.
+:class:`KernelProfileReport` turns those raw counters into per-op
+measured seconds, a top-N hot table (``hot_table``) and per-IR-op,
+per-dialect and per-cost-class aggregations.
 """
 
 from __future__ import annotations
@@ -26,19 +20,14 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional
 
-from ..machine.arch import CASCADE_LAKE, Machine
-from ..machine.instrument import (_EXP_CLASS, _INT_OPS, _POW_CLASS,
-                                  _SIMPLE_FP, KernelProfile)
-from ..machine.roofline import RooflinePoint, machine_ceilings
+from ..ir.core import op_info
 
-__all__ = ["OpCost", "KernelProfileReport", "classify_op",
-           "measured_op_costs",
-           "measured_roofline_point"]
+__all__ = ["OpCost", "KernelProfileReport", "classify_op"]
 
-#: cost-model element classes a profiled statement can attribute to
+#: cost-model element classes of the memory ops (an elementwise op's
+#: class is its row's ``cost`` column)
 _MOVE_OPS = {"memref.load", "memref.store", "vector.load", "vector.store"}
 _GATHER_OPS = {"vector.gather", "vector.scatter"}
-_DIV_OPS = {"arith.divf", "arith.remf"}
 #: a vector access's class is the addressing mode the lowering gave it
 #: (its provenance ``detail``), not the op that asked for it
 _ADDRESSING_CLASS = {"unit": "move", "strided": "gather",
@@ -54,20 +43,13 @@ def classify_op(op_name: str, detail: Optional[str] = None) -> str:
         return "other"
     if detail in _ADDRESSING_CLASS and op_name.startswith("vector."):
         return _ADDRESSING_CLASS[detail]
-    if op_name in _DIV_OPS:
-        return "div"
-    if op_name in _SIMPLE_FP:
-        return "simple"
-    if op_name in _EXP_CLASS:
-        return "exp"
-    if op_name in _POW_CLASS:
-        return "pow"
+    info = op_info(op_name)
+    if info is not None and info.cost not in ("", "none"):
+        return info.cost
     if op_name in _MOVE_OPS:
         return "move"
     if op_name in _GATHER_OPS:
         return "gather"
-    if op_name in _INT_OPS:
-        return "int"
     return "other"
 
 
@@ -89,14 +71,6 @@ class OpCost:
     @property
     def element_class(self) -> str:
         return classify_op(self.op, self.detail)
-
-    @property
-    def elements_per_cell(self) -> int:
-        """Values the statement produces per cell: the live columns of
-        a LUT call (what ``EL_LUT_COLUMN_NS`` prices), else one."""
-        if self.element_class == "lut":
-            return int(self.detail.split("/", 1)[0])
-        return 1
 
 
 class KernelProfileReport:
@@ -151,14 +125,6 @@ class KernelProfileReport:
             cls_ = entry.element_class
             totals[cls_] = totals.get(cls_, 0.0) + entry.seconds
         return dict(sorted(totals.items(), key=lambda kv: -kv[1]))
-
-    def class_element_counts(self) -> Dict[str, int]:
-        """Values produced per cell per kernel call, by class."""
-        counts: Dict[str, int] = {}
-        for entry in self.entries:
-            cls_ = entry.element_class
-            counts[cls_] = counts.get(cls_, 0) + entry.elements_per_cell
-        return counts
 
     def attributed_fraction(self, measured_compute_seconds: float) -> float:
         """Share of an externally measured compute time the per-op
@@ -216,55 +182,3 @@ class KernelProfileReport:
                              "source": e.source, "snippet": e.snippet,
                              "detail": e.detail}
                             for e in self.entries]}
-
-
-# ---------------------------------------------------------------------------
-# Measured per-class costs and roofline placement
-# ---------------------------------------------------------------------------
-
-def measured_op_costs(report: KernelProfileReport, n_cells: int,
-                      invocations: Optional[int] = None
-                      ) -> Dict[str, float]:
-    """Measured per-element nanoseconds by cost-model class.
-
-    Each class's attributed seconds are divided by the elements its
-    statements produced (one per statement, one per live column of a
-    LUT call; × cells × invocations).  The
-    numbers include per-statement dispatch, so they are *effective*
-    per-element costs at this cell count.
-    """
-    invocations = invocations or report.invocations or 1
-    seconds = report.by_class()
-    per_cell = report.class_element_counts()
-    costs: Dict[str, float] = {}
-    for cls_, secs in seconds.items():
-        elements = (per_cell.get(cls_, 0) * max(n_cells, 1)
-                    * max(invocations, 1))
-        if elements:
-            costs[cls_] = secs / elements * 1e9
-    return costs
-
-
-def measured_roofline_point(model_name: str, profile: KernelProfile,
-                            compute_seconds: float, n_cells: int,
-                            n_steps: int, machine: Machine = CASCADE_LAKE,
-                            size_class: str = "") -> RooflinePoint:
-    """A roofline placement from *measured* wall time.
-
-    ``profile`` supplies the per-cell flop/byte counts (static IR
-    instrumentation, as in the paper §4.5); ``compute_seconds`` is the
-    measured compute-stage time over ``n_steps`` steps of ``n_cells``
-    cells — e.g. ``RunResult.compute_seconds`` from a
-    ``time_breakdown`` run, or a profile report's ``total_seconds``.
-    """
-    flops_total = profile.flops_per_cell * n_cells * n_steps
-    bytes_per_cell = profile.bytes_per_cell
-    intensity = (profile.flops_per_cell / bytes_per_cell
-                 if bytes_per_cell else float("inf"))
-    gflops = flops_total / max(compute_seconds, 1e-12) / 1e9
-    ceilings = machine_ceilings(machine)
-    return RooflinePoint(model=model_name,
-                         operational_intensity=intensity,
-                         gflops=gflops,
-                         memory_bound=intensity < ceilings.ridge_point,
-                         size_class=size_class)

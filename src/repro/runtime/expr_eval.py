@@ -8,57 +8,22 @@ evaluator.
 
 from __future__ import annotations
 
-import math
 from typing import Dict, Mapping, Union
 
 import numpy as np
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
                                 Unary)
+from ..easyml.builtins import BUILTINS
 from ..easyml.errors import SemanticError
+from ..ir.core import op_info
 
 ArrayLike = Union[float, np.ndarray]
 
-_FUNCTIONS = {
-    "exp": np.exp,
-    "expm1": np.expm1,
-    "log": np.log,
-    "ln": np.log,
-    "log10": np.log10,
-    "log2": np.log2,
-    "log1p": np.log1p,
-    "sqrt": np.sqrt,
-    "cbrt": np.cbrt,
-    "sin": np.sin,
-    "cos": np.cos,
-    "tan": np.tan,
-    "asin": np.arcsin,
-    "acos": np.arccos,
-    "atan": np.arctan,
-    "sinh": np.sinh,
-    "cosh": np.cosh,
-    "tanh": np.tanh,
-    "fabs": np.abs,
-    "abs": np.abs,
-    "floor": np.floor,
-    "ceil": np.ceil,
-    "pow": np.power,
-    "atan2": np.arctan2,
-    "square": lambda x: x * x,
-    "cube": lambda x: x * x * x,
-    "min": np.minimum,
-    "max": np.maximum,
-}
-
-
-def _erf(x: ArrayLike) -> ArrayLike:
-    if isinstance(x, np.ndarray):
-        from ..ir.dialects.math import _erf as vec_erf
-        return vec_erf(x)
-    return math.erf(x)
-
-
-_FUNCTIONS["erf"] = _erf
+#: builtin -> elementwise NumPy function: its op row's ufunc (the five
+#: builtins without an op carry their own)
+_FUNCTIONS = {name: builtin.expand or op_info(f"math.{builtin.op}").py_eval
+              for name, builtin in BUILTINS.items()}
 
 
 def eval_expr(expr: Expr, env: Mapping[str, ArrayLike]) -> ArrayLike:

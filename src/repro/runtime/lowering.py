@@ -32,8 +32,9 @@ from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 import numpy as np
 
 from ..ir.core import (Block, IRError, Module, Operation, OpResult, Value,
-                       is_defined_in)
+                       is_defined_in, registered_ops)
 from ..ir.dialects.arith import trunc_div, trunc_rem
+from ..ir.dialects.math import np_erf
 from ..ir.types import VectorType
 from .lut_runtime import (lut_interp_row, lut_interp_row_spline,
                           lut_interp_row_spline_vec, lut_interp_row_vec)
@@ -265,6 +266,28 @@ def _g_sinh(x):
         return math.copysign(math.inf, x)
 
 
+def _nan_outside_domain(fn):
+    def guarded(x):
+        try:
+            return fn(x)
+        except ValueError:      # +-inf
+            return math.nan
+    return guarded
+
+
+def _integral(fn):
+    def guarded(x):
+        # copysign: a float again, and IEEE's -0.0 for ceil(-0.5)
+        return math.copysign(fn(x), x) if math.isfinite(x) else x
+    return guarded
+
+
+_g_sin, _g_cos, _g_tan = map(_nan_outside_domain,
+                             (math.sin, math.cos, math.tan))
+_g_floor, _g_ceil, _g_trunc, _g_round = map(
+    _integral, (math.floor, math.ceil, math.trunc, round))
+
+
 def _cbrt(x):
     return math.copysign(abs(x) ** (1.0 / 3.0), x)
 
@@ -292,92 +315,23 @@ _HELPER_GLOBALS = {
     "np": np, "math": math,
     "_vb": _vb, "_vstore": _vstore, "_vgather": _vgather,
     "_vscatter": _vscatter, "_vinsert": _vinsert, "_f64": _f64,
-    "_i64": _i64, "_g_exp": _g_exp, "_g_log": _g_log, "_g_log10": _g_log10,
-    "_g_log2": _g_log2, "_g_log1p": _g_log1p, "_g_sqrt": _g_sqrt,
-    "_g_pow": _g_pow, "_g_div": _g_div, "_g_fmod": _g_fmod,
-    "_g_expm1": _g_expm1, "_g_asin": _g_asin, "_g_acos": _g_acos,
-    "_g_cosh": _g_cosh, "_g_sinh": _g_sinh, "_cbrt": _cbrt,
+    "_i64": _i64, "_cbrt": _cbrt, "_np_erf": np_erf,
     "_idiv": trunc_div, "_irem": trunc_rem,
     "_lut_scalar": _lut_any, "_lut_vec": lut_interp_row_vec,
     "_lut_spline_scalar": _lut_spline_any,
     "_lut_spline_vec": lut_interp_row_spline_vec,
+    **{name: fn for name, fn in globals().items()
+       if name.startswith("_g_")},
 }
 
-# op -> python expression template per mode.  {0}, {1}... are operands.
-_SCALAR_EXPR = {
-    "arith.addf": "({0} + {1})",
-    "arith.subf": "({0} - {1})",
-    "arith.mulf": "({0} * {1})",
-    "arith.divf": "_g_div({0}, {1})",
-    "arith.remf": "_g_fmod({0}, {1})",
-    "arith.negf": "(-{0})",
-    "arith.maximumf": "max({0}, {1})",
-    "arith.minimumf": "min({0}, {1})",
-    "arith.addi": "({0} + {1})",
-    "arith.subi": "({0} - {1})",
-    "arith.muli": "({0} * {1})",
-    "arith.divsi": "_idiv({0}, {1})",
-    "arith.remsi": "_irem({0}, {1})",
-    "arith.andi": "({0} & {1})",
-    "arith.ori": "({0} | {1})",
-    "arith.xori": "({0} ^ {1})",
-    "arith.index_cast": "{0}",
-    "arith.sitofp": "float({0})",
-    "arith.fptosi": "int({0})",
-    "math.exp": "_g_exp({0})",
-    "math.expm1": "_g_expm1({0})",
-    "math.log": "_g_log({0})",
-    "math.log10": "_g_log10({0})",
-    "math.log2": "_g_log2({0})",
-    "math.log1p": "_g_log1p({0})",
-    "math.sqrt": "_g_sqrt({0})",
-    "math.cbrt": "_cbrt({0})",
-    "math.sin": "math.sin({0})",
-    "math.cos": "math.cos({0})",
-    "math.tan": "math.tan({0})",
-    "math.asin": "_g_asin({0})",
-    "math.acos": "_g_acos({0})",
-    "math.atan": "math.atan({0})",
-    "math.sinh": "_g_sinh({0})",
-    "math.cosh": "_g_cosh({0})",
-    "math.tanh": "math.tanh({0})",
-    "math.absf": "abs({0})",
-    "math.floor": "math.floor({0})",
-    "math.ceil": "math.ceil({0})",
-    "math.erf": "math.erf({0})",
-    "math.round": "round({0})",
-    "math.trunc": "math.trunc({0})",
-    "math.powf": "_g_pow({0}, {1})",
-    "math.atan2": "math.atan2({0}, {1})",
-    "math.copysign": "math.copysign({0}, {1})",
-    "math.fmod": "_g_fmod({0}, {1})",
-}
-
-from .svml import VECTOR_MATH_TEMPLATES
-
-_VECTOR_EXPR = {
-    "arith.addf": "({0} + {1})",
-    "arith.subf": "({0} - {1})",
-    "arith.mulf": "({0} * {1})",
-    "arith.divf": "({0} / {1})",
-    "arith.remf": "np.fmod({0}, {1})",
-    "arith.negf": "(-{0})",
-    "arith.maximumf": "np.maximum({0}, {1})",
-    "arith.minimumf": "np.minimum({0}, {1})",
-    "arith.addi": "({0} + {1})",
-    "arith.subi": "({0} - {1})",
-    "arith.muli": "({0} * {1})",
-    "arith.divsi": "_idiv({0}, {1})",
-    "arith.remsi": "_irem({0}, {1})",
-    "arith.andi": "({0} & {1})",
-    "arith.ori": "({0} | {1})",
-    "arith.xori": "({0} ^ {1})",
-    "arith.index_cast": "{0}",
-    "arith.sitofp": "_f64({0})",
-    "arith.fptosi": "_i64({0})",
-}
-# math ops come from the SVML analog (repro.runtime.svml)
-_VECTOR_EXPR.update(VECTOR_MATH_TEMPLATES)
+# op -> python expression template per engine ({0}, {1}... are operand
+# texts): the ``scalar`` / ``numpy`` columns of the op rows (DESIGN.md
+# §3.2; the math ops' NumPy spellings are the SVML analog)
+_OP_ROWS = registered_ops()
+_SCALAR_SPELLING = {name: info.scalar
+                    for name, info in _OP_ROWS.items() if info.scalar}
+_NUMPY_SPELLING = {name: info.numpy
+                   for name, info in _OP_ROWS.items() if info.numpy}
 
 _CMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
            "oge": ">=", "ueq": "==", "une": "!=", "eq": "==", "ne": "!=",
@@ -387,21 +341,22 @@ _CMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
 # Vector ops backed by a real NumPy ufunc can write into a preallocated
 # scratch buffer via ``out=`` instead of allocating a temporary.
 
+_OPERATOR_UFUNCS = {"({0} + {1})": "np.add", "({0} - {1})": "np.subtract",
+                    "({0} * {1})": "np.multiply",
+                    "({0} / {1})": "np.true_divide", "(-{0})": "np.negative"}
+
+
+def _ufunc_of(spelling: str) -> Optional[str]:
+    """The ufunc behind a NumPy spelling: ``np.X({0})`` / ``np.X({0},
+    {1})`` name theirs, an operator expression has one."""
+    call = re.fullmatch(r"(np\.\w+)\(\{0\}(, \{1\})?\)", spelling)
+    return call.group(1) if call else _OPERATOR_UFUNCS.get(spelling)
+
+
+#: float ops only: integer statements are address arithmetic
 _ARENA_UFUNCS: Dict[str, str] = {
-    "arith.addf": "np.add",
-    "arith.subf": "np.subtract",
-    "arith.mulf": "np.multiply",
-    "arith.divf": "np.true_divide",
-    "arith.remf": "np.fmod",
-    "arith.negf": "np.negative",
-    "arith.maximumf": "np.maximum",
-    "arith.minimumf": "np.minimum",
-}
-# every "np.X({0})" / "np.X({0}, {1})" SVML template is ufunc-backed
-for _op, _tpl in VECTOR_MATH_TEMPLATES.items():
-    _m = re.fullmatch(r"np\.(\w+)\(\{0\}(, \{1\})?\)", _tpl)
-    if _m:
-        _ARENA_UFUNCS.setdefault(_op, f"np.{_m.group(1)}")
+    name: ufunc for name, info in _OP_ROWS.items()
+    if info.cost != "int" and (ufunc := _ufunc_of(info.numpy))}
 
 #: operand texts safe to mention twice (once as input, once for the
 #: arena's shape/dtype probe): bare names and numeric literals (a
@@ -606,7 +561,8 @@ class _FunctionLowering:
         self.loop_depth = 0
         # simt kernels flatten scalar per-thread code over NumPy arrays,
         # so they share the vector op table
-        self.expr_table = _SCALAR_EXPR if mode == "scalar" else _VECTOR_EXPR
+        self.expr_table = _SCALAR_SPELLING if mode == "scalar" \
+            else _NUMPY_SPELLING
         #: id(op) -> addressing mode of each vector memory access
         self.access: Dict[int, Access] = {}
         #: ids of ops whose results only ever feed a sliced address
@@ -1159,11 +1115,6 @@ def _sanitize(name: Optional[str]) -> Optional[str]:
     return cleaned
 
 
-def _np_erf(x):
-    from ..ir.dialects.math import _erf
-    return _erf(x)
-
-
 def _kernel_mode(func_op: Operation) -> tuple[str, int]:
     """Infer (mode, width) from the cell loop's attributes."""
     for op in func_op.walk():
@@ -1188,7 +1139,6 @@ def compile_kernel_source(sym_name: str, source: str, mode: str, width: int,
     """
     arena_obj = BufferArena() if arena else None
     namespace = dict(_HELPER_GLOBALS)
-    namespace["_np_erf"] = _np_erf
     if arena_obj is not None:
         namespace["_arena"] = arena_obj
     from .foreign import registered_foreign

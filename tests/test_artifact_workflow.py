@@ -101,18 +101,3 @@ class TestSimulationStateDetails:
         from repro.codegen.layout import unpack_state
         full = unpack_state(state.sv, state.layout, state.n_alloc)
         assert full[7, 0] == 4.0  # padding mirrors the last real cell
-
-
-class TestSVMLModule:
-    def test_templates_cover_math_dialect(self):
-        from repro.ir.dialects.math import BINARY_OPS, UNARY_OPS
-        from repro.runtime.svml import VECTOR_MATH_TEMPLATES
-        for op in list(UNARY_OPS) + list(BINARY_OPS):
-            assert op in VECTOR_MATH_TEMPLATES, op
-
-    def test_ufunc_lookup(self):
-        import numpy as np
-        from repro.runtime.svml import vector_math_ufunc
-        assert vector_math_ufunc("math.exp") is np.exp
-        with pytest.raises(KeyError):
-            vector_math_ufunc("math.mystery")

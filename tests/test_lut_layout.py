@@ -20,7 +20,6 @@ from repro.bench.harness import kernel_profile
 from repro.codegen import generate_limpet_mlir
 from repro.frontend import load_model as load_source
 from repro.models import ALL_MODELS, load_model
-from repro.obs.profiler import measured_op_costs
 from repro.population import (PopulationRunner, PopulationSpec,
                               load_promoted_model)
 from repro.runtime import KernelRunner
@@ -316,15 +315,11 @@ class TestCostModelFollowsKernel:
         assert (profile.lut_columns_live, profile.lut_columns_vector) \
             == (27, 42)
 
-    def test_profile_detail_and_measured_cost_are_per_live_column(self):
+    def test_profile_detail_is_per_live_column(self):
         runner = KernelRunner(generate_limpet_mlir(load_model("OHara"), 8),
                               profile=True)
         runner.run(runner.make_state(128), 4, 0.01)
         report = runner.profile_report(invocations=4)
         (call,) = [e for e in report.entries if e.element_class == "lut"]
         assert call.detail.startswith("27/42 LUT_interpRow_n_elements_vec")
-        assert call.elements_per_cell == 27
         assert " 27/42 LUT_ " in report.hot_table(len(report.entries))
-        costs = measured_op_costs(report, n_cells=128)
-        assert costs["lut"] == pytest.approx(
-            call.seconds / (27 * 128 * 4) * 1e9)

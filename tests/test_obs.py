@@ -16,11 +16,9 @@ from repro.obs import metrics as obs_metrics
 from repro.obs import trace as obs_trace
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.passes import (IRSnapshotInstrumentation,
-                              OpCountInstrumentation,
-                              PrintIRInstrumentation, count_ops_by_dialect,
-                              op_count_delta)
-from repro.obs.profiler import (KernelProfileReport, classify_op,
-                                measured_op_costs)
+                              TracePassInstrumentation,
+                              count_ops_by_dialect, op_count_delta)
+from repro.obs.profiler import KernelProfileReport, classify_op
 from repro.obs.trace import Tracer
 from repro.runtime import KernelRunner, ShardedRunner, SupervisedRunner
 
@@ -153,23 +151,24 @@ class TestPassInstrumentation:
         module = generate_limpet_mlir(load_model("Plonsey")).module
         baseline = count_ops_by_dialect(module)
         assert baseline.get("arith", 0) > 0
-        instr = OpCountInstrumentation()
+        tracer = Tracer()
         pipeline = default_pipeline(verify_each=False)
-        assert pipeline.add_instrumentation(instr) is pipeline
+        assert pipeline.add_instrumentation(
+            TracePassInstrumentation(tracer)) is pipeline
         pipeline.run(module, fixed_point=True)
-        assert instr.records, "no per-pass records collected"
-        names = {rec.pass_name for rec in instr.records}
-        assert {"canonicalize", "cse", "dce"} <= names
-        # optimization shrinks the module overall
-        net = sum(rec.total_delta for rec in instr.records)
+        spans = [r for r in tracer.roots if r.name.startswith("pass:")]
+        assert spans, "no per-pass spans collected"
+        assert {"pass:canonicalize", "pass:cse", "pass:dce"} \
+            <= {s.name for s in spans}
+        # optimization shrinks the module overall, and the spans account
+        # for every op that went
+        net = sum(sum(s.args["op_delta"].values()) for s in spans)
         assert net < 0
-        # the records chain: each pass's 'after' is the next's 'before'
-        for prev, cur in zip(instr.records, instr.records[1:]):
-            assert prev.after == cur.before
-        # and an unchanged pass reports an empty delta
-        unchanged = [r for r in instr.records if not r.changed]
-        assert unchanged and all(r.delta == {} for r in unchanged)
-        assert "canonicalize" in instr.summary()
+        assert sum(baseline.values()) + net == spans[-1].args["ops_after"] \
+            == sum(count_ops_by_dialect(module).values())
+        # an unchanged pass reports an empty delta
+        unchanged = [s for s in spans if not s.args["changed"]]
+        assert unchanged and all(s.args["op_delta"] == {} for s in unchanged)
 
     def test_instrumented_run_matches_uninstrumented(self):
         from repro.ir.printer import print_module
@@ -178,21 +177,10 @@ class TestPassInstrumentation:
             load_model("HodgkinHuxley")).module
         default_pipeline(verify_each=False).run(plain, fixed_point=True)
         pipeline = default_pipeline(verify_each=False)
-        pipeline.add_instrumentation(OpCountInstrumentation())
+        pipeline.add_instrumentation(TracePassInstrumentation(Tracer()))
         pipeline.add_instrumentation(IRSnapshotInstrumentation())
         pipeline.run(instrumented, fixed_point=True)
         assert print_module(plain) == print_module(instrumented)
-
-    def test_print_ir_after_change_only(self):
-        module = generate_limpet_mlir(load_model("Plonsey")).module
-        instr = PrintIRInstrumentation(after_all=False)
-        pipeline = default_pipeline(verify_each=False)
-        pipeline.add_instrumentation(instr)
-        pipeline.run(module, fixed_point=True)
-        assert instr.dumps
-        assert all("IR dump after" in text for _, text in instr.dumps)
-        # the fixed-point tail (no-change iteration) must not dump
-        assert len(instr.dumps) < 2 * len(pipeline.passes)
 
     def test_error_hook_fires(self):
         class Boom(Exception):
@@ -435,14 +423,6 @@ class TestKernelProfiler:
         assert by_dialect and all(v >= 0 for v in by_dialect.values())
         data = report.as_dict()
         assert data["entries"] and "by_class" in data
-
-    def test_measured_costs_feed_cost_model(self):
-        profiled = make_runner("LuoRudy91", profile=True)
-        profiled.run(profiled.make_state(128), 20, 0.01)
-        report = profiled.profile_report(invocations=20)
-        costs = measured_op_costs(report, n_cells=128)
-        assert costs and all(ns > 0 for ns in costs.values())
-        assert "simple" in costs
 
     def test_profile_mode_bypasses_cache(self, tmp_path):
         from repro.runtime import KernelCache

@@ -72,10 +72,10 @@ class TestTruncatedIntegerOps:
             np.array([0, 1]))
 
     def test_lowering_emits_integer_helpers(self):
-        from repro.runtime.lowering import _SCALAR_EXPR, _VECTOR_EXPR
-        for table in (_SCALAR_EXPR, _VECTOR_EXPR):
-            assert "_idiv" in table["arith.divsi"]
-            assert "_irem" in table["arith.remsi"]
+        from repro.ir.core import op_info
+        for spelling in ("scalar", "numpy"):
+            assert "_idiv" in getattr(op_info("arith.divsi"), spelling)
+            assert "_irem" in getattr(op_info("arith.remsi"), spelling)
 
 
 # ---------------------------------------------------------------------------

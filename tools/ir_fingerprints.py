@@ -1,5 +1,5 @@
 #!/usr/bin/env python3
-"""Byte-identity matrix of the kernel generators' printed IR.
+"""Byte-identity matrix of the generators' printed IR and the lowered source.
 
 The stores key a compiled kernel by its compile request (model text
 digest, target, width, layout, ... and ``GENERATOR_VERSION``), not by its
@@ -21,9 +21,18 @@ entry stored under the old one is served for IR it was not built from.
 ``--check`` says so, ``--write`` refuses to re-record moved cells under
 the recorded version.
 
+The same key embeds ``LOWERING_VERSION``, so the lowered NumPy source is
+pinned the same way: one sha256 of ``lower_function(...).source`` after
+the default pipeline for both ``TIER1_VARIANTS`` of every model, every
+variant of the ``TIER1_FULL`` models and ``fuse=False`` / ``arena=True``
+/ ``profile=True`` of those five's default kernel, recorded with the
+``LOWERING_VERSION`` (``src/repro/runtime/lowering.py``) they were lowered
+under.  A digest that moves under the recorded version needs it bumped.
+
 Tier-1 (``tests/test_ir_fingerprints.py``) checks :func:`entries` with
-``subset=True`` and that the record's version is the code's; CI runs the
-full ``--check`` and a drill of the rule.
+``subset=True``, the ``TIER1_FULL`` models' default kernels of
+:func:`source_entries` and that the record's versions are the code's; CI
+runs the full ``--check`` and a drill of each rule.
 """
 
 from __future__ import annotations
@@ -33,15 +42,17 @@ import hashlib
 import json
 import pathlib
 import sys
-from typing import Callable, Dict, Iterator, Tuple
+from typing import Callable, Dict, Iterator, NamedTuple, Tuple
 
 from repro.codegen import (UnsupportedModelError, generate_baseline,
                            generate_gpu, generate_icc_simd,
                            generate_limpet_mlir, generate_plugin)
 from repro.codegen.common import GENERATOR_VERSION
+from repro.ir.passes import default_pipeline
 from repro.ir.printer import print_module
 from repro.models import all_model_files, load_model
 from repro.population.runner import load_promoted_model
+from repro.runtime import lowering
 
 RECORD = (pathlib.Path(__file__).resolve().parents[1]
           / "tests" / "data" / "ir_fingerprints.json")
@@ -109,34 +120,97 @@ def fingerprint(thunk: Callable[[], object]) -> str:
     return hashlib.sha256(text.encode()).hexdigest()
 
 
-def read_record() -> Tuple[int, Dict[str, str]]:
-    """``(generator_version, cells)`` as recorded."""
-    record = json.loads(RECORD.read_text())
-    return record["generator_version"], record["cells"]
+#: non-default ``lower_function`` options, pinned on the ``TIER1_FULL``
+#: models' default kernel
+LOWERINGS = {"fuse=False": dict(fuse=False), "arena=True": dict(arena=True),
+             "profile=True": dict(profile=True)}
 
 
-def mismatches(subset: bool = False) -> Dict[str, Tuple[str, str]]:
-    """``key -> (recorded, now)`` for every cell that moved."""
-    _, recorded = read_record()
+def source_fingerprint(thunk: Callable[[], object], **options) -> str:
+    """sha256 of the kernel's lowered source after the default pipeline."""
+    try:
+        generated = thunk()
+    except UnsupportedModelError as err:
+        return f"refused:{type(err).__name__}"
+    module = generated.module
+    default_pipeline(verify_each=False).run(module, fixed_point=True)
+    kernel = lowering.lower_function(module, generated.spec.function_name,
+                                     **options)
+    return hashlib.sha256(kernel.source.encode()).hexdigest()
+
+
+def source_entries(subset: bool = False
+                   ) -> Iterator[Tuple[str, Callable[[], str]]]:
+    """``(key, thunk)`` per pinned lowering; the thunk returns the digest."""
+    for key, thunk in entries(subset=True):
+        model, variant = key.split("/", 1)
+        if subset and (model not in TIER1_FULL
+                       or variant not in TIER1_VARIANTS):
+            continue
+        yield key, lambda t=thunk: source_fingerprint(t)
+        if model in TIER1_FULL and variant == TIER1_VARIANTS[1] \
+                and not subset:
+            for name, options in LOWERINGS.items():
+                yield (f"{key}+{name}",
+                       lambda t=thunk, o=options: source_fingerprint(t, **o))
+
+
+class Pin(NamedTuple):
+    """One pinned artefact and the version constant that moves with it."""
+
+    section: str                      # record key of the digests
+    version_key: str                  # ... and of the version they are for
+    constant: str                     # the constant's name and file
+    where: str
+    noun: str
+    moved_means: str
+    #: read at call time: tests and the CI drills change all three
+    version: Callable[[], int]
+    entries: Callable[[bool], Iterator[Tuple[str, Callable[[], object]]]]
+    digest: Callable[[Callable[[], object]], str]
+
+
+IR = Pin("cells", "generator_version", "GENERATOR_VERSION",
+         "src/repro/codegen/common.py", "cell",
+         "the same compile request now generates other IR",
+         lambda: GENERATOR_VERSION, lambda subset: entries(subset),
+         lambda thunk: fingerprint(thunk))
+SOURCE = Pin("sources", "lowering_version", "LOWERING_VERSION",
+             "src/repro/runtime/lowering.py", "lowered source",
+             "the same module now lowers to other source",
+             lambda: lowering.LOWERING_VERSION,
+             lambda subset: source_entries(subset), lambda thunk: thunk())
+
+
+def read_record(pin: Pin = IR) -> Tuple[int, Dict[str, str]]:
+    """``(version, digests)`` of one pinned artefact as recorded."""
+    record = json.loads(RECORD.read_text()) if RECORD.exists() else {}
+    return record.get(pin.version_key), record.get(pin.section, {})
+
+
+def mismatches(subset: bool = False,
+               pin: Pin = IR) -> Dict[str, Tuple[str, str]]:
+    """``key -> (recorded, now)`` for every digest that moved."""
+    _, recorded = read_record(pin)
     moved = {}
-    for key, thunk in entries(subset):
-        now = fingerprint(thunk)
+    for key, thunk in pin.entries(subset):
+        now = pin.digest(thunk)
         if recorded.get(key) != now:
             moved[key] = (recorded.get(key, "<unrecorded>"), now)
     return moved
 
 
-def verdict(moved: int, recorded_version: int) -> str:
-    """What the rule says about ``moved`` cells; empty when all is well."""
-    if moved and recorded_version == GENERATOR_VERSION:
-        return (f"{moved} cell(s) moved under GENERATOR_VERSION = "
-                f"{GENERATOR_VERSION}: the same compile request now "
-                f"generates other IR, so bump GENERATOR_VERSION in "
-                f"src/repro/codegen/common.py (stale kernel-cache entries "
+def verdict(moved: int, recorded_version: int, pin: Pin = IR) -> str:
+    """What the rule says about ``moved`` digests; empty when all is well."""
+    version = pin.version()
+    if moved and recorded_version == version:
+        return (f"{moved} {pin.noun}(s) moved under {pin.constant} = "
+                f"{version}: {pin.moved_means}, so bump {pin.constant} in "
+                f"{pin.where} (stale kernel-cache entries "
                 f"would be served otherwise), then re-record with --write")
-    if recorded_version != GENERATOR_VERSION:
-        return (f"the record is for GENERATOR_VERSION {recorded_version}, "
-                f"the code says {GENERATOR_VERSION}: re-record with --write")
+    if recorded_version != version:
+        return (f"the record is for {pin.constant} {recorded_version}, "
+                f"the code says {version}: re-record with --write")
     return ""
 
 
@@ -144,36 +218,45 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true",
-                      help=f"record the full matrix into {RECORD.name}")
+                      help=f"record both matrices into {RECORD.name}")
     mode.add_argument("--check", action="store_true",
-                      help="compare the full matrix against the record")
+                      help="compare both matrices against the record")
     args = parser.parse_args(argv)
-    recorded_version, recorded = read_record() if RECORD.exists() \
-        else (None, {})
     if args.write:
-        cells = {key: fingerprint(thunk) for key, thunk in entries()}
-        moved = sum(recorded[key] != now for key, now in cells.items()
-                    if key in recorded)
-        if moved and recorded_version == GENERATOR_VERSION:
-            print("refusing to write: " + verdict(moved, recorded_version))
-            return 1
+        record = {}
+        for pin in (IR, SOURCE):
+            recorded_version, recorded = read_record(pin)
+            digests = {key: pin.digest(thunk)
+                       for key, thunk in pin.entries(False)}
+            moved = sum(recorded[key] != now for key, now in digests.items()
+                        if key in recorded)
+            if moved and recorded_version == pin.version():
+                print("refusing to write: "
+                      + verdict(moved, recorded_version, pin))
+                return 1
+            record[pin.version_key] = pin.version()
+            record[pin.section] = digests
         RECORD.parent.mkdir(parents=True, exist_ok=True)
-        RECORD.write_text(json.dumps(
-            {"generator_version": GENERATOR_VERSION, "cells": cells},
-            indent=0, sort_keys=True) + "\n")
-        refused = sum(v.startswith("refused:") for v in cells.values())
-        print(f"wrote {len(cells) - refused} module digests and "
-              f"{refused} refusals to {RECORD} under GENERATOR_VERSION = "
-              f"{GENERATOR_VERSION}")
+        RECORD.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n")
+        for pin in (IR, SOURCE):
+            digests = record[pin.section]
+            refused = sum(v.startswith("refused:") for v in digests.values())
+            print(f"wrote {len(digests) - refused} {pin.noun} digests and "
+                  f"{refused} refusals to {RECORD} under {pin.constant} = "
+                  f"{pin.version()}")
         return 0
-    moved = mismatches()
-    for key, (was, now) in sorted(moved.items()):
-        print(f"MOVED {key}: {was[:16]} -> {now[:16]}")
-    print(f"{len(moved)} of {sum(1 for _ in entries())} cells moved")
-    problem = verdict(len(moved), recorded_version)
-    if problem:
-        print(problem)
-    return 1 if problem else 0
+    status = 0
+    for pin in (IR, SOURCE):
+        moved = mismatches(pin=pin)
+        for key, (was, now) in sorted(moved.items()):
+            print(f"MOVED {pin.noun} {key}: {was[:16]} -> {now[:16]}")
+        print(f"{len(moved)} of {sum(1 for _ in pin.entries(False))} "
+              f"{pin.noun}s moved")
+        problem = verdict(len(moved), read_record(pin)[0], pin)
+        if problem:
+            print(problem)
+            status = 1
+    return status
 
 
 if __name__ == "__main__":
