@@ -30,6 +30,7 @@ from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
                                     kernel_cache_key, payload_checksum)
 from ..runtime.locking import file_lock
+from ..runtime.lowering import pack_code
 from .bundle import (BUNDLE_FORMAT_VERSION, MANIFEST_NAME, MODELS_DIR,
                      layout_to_dict, spec_fingerprint)
 
@@ -292,6 +293,7 @@ def _make_entry(key: str, generated, kernel, fingerprint: str,
         "kernel": {
             "function_name": kernel.name,
             "source": kernel.source,
+            "code": pack_code(kernel.code),
             "mode": kernel.mode,
             "width": kernel.width,
             "arg_names": list(kernel.arg_names),

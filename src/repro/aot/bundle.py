@@ -4,7 +4,7 @@ The paper's openCARP workflow ahead-of-time compiles every ionic model
 once and ships the binaries into the tissue simulator; this package
 reproduces that fleet shape.  ``limpet-bench build-all``
 (:mod:`repro.aot.build`) compiles the whole model zoo into a **bundle
-directory**: one JSON entry per kernel (lowered source + spec +
+directory**: one JSON entry per kernel (lowered source + its marshalled code object + spec +
 provenance + sha256 checksum) plus a bundle-level
 ``manifest.json``.  A bundle is immutable at runtime — processes mount
 it read-only via ``$LIMPET_ARTIFACT_DIR`` and the
@@ -109,8 +109,8 @@ def spec_fingerprint(model: str, backend: str, width: int,
 class ArtifactKernel(GeneratedKernel):
     """A bundled kernel standing in for a freshly generated one.
 
-    ``module`` is ``None`` — there is no IR; the lowered source in
-    ``payload`` goes straight to
+    ``module`` is ``None`` — there is no IR; ``payload`` (the lowered
+    source and its packed code object) goes straight to
     :func:`~repro.runtime.lowering.compile_kernel_source`.
     :func:`~repro.runtime.resolve.resolve_kernel` recognizes this type
     and skips passes/verify/lowering entirely.

@@ -20,8 +20,7 @@ from .report import (THREAD_SWEEP, figure_isa_sweep, figure_roofline,
                      format_perf_table, format_scaling_table,
                      format_speedup_table, format_sweep_report,
                      sweep_average_geomean)
-from .timing import (TimingStats, geomean, measure, steady_state,
-                     trimmed_mean)
+from .timing import TimingStats, geomean, measure, trimmed_mean
 
 __all__ = ["PAPER_CELLS", "PAPER_DT", "PAPER_STEPS", "VARIANTS",
            "BenchConfig", "MeasuredRun", "ModeledBench", "ModeledRun",
@@ -38,4 +37,4 @@ __all__ = ["PAPER_CELLS", "PAPER_DT", "PAPER_STEPS", "VARIANTS",
            "format_perf_table", "format_scaling_table",
            "format_speedup_table",
            "sweep_average_geomean", "geomean", "measure", "trimmed_mean",
-           "TimingStats", "steady_state"]
+           "TimingStats"]

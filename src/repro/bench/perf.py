@@ -27,14 +27,14 @@ number for a kernel that diverges is worthless.
 from __future__ import annotations
 
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..codegen import generate_limpet_mlir
 from ..models import load_model
 from ..runtime import (KernelCache, KernelRunner, available_cpus,
                        compare_trajectories)
 from .record import make_section
-from .timing import TimingStats, steady_state
+from .timing import TimingStats
 
 #: the canonical benchmark config (CI and README numbers use these).
 #: OHara is the paper's flagship Markov/backward-Euler model and the
@@ -89,39 +89,54 @@ def _timed_construct(factory):
     return runner, time.perf_counter() - start
 
 
-def _timed_run(runner, n_cells: int, n_steps: int, dt: float,
-               runs: int = 5) -> PerfVariant:
-    """Time ``runner`` with the steady-state harness (median + IQR).
+def _round_robin(factories: Dict[str, Callable[[], KernelRunner]],
+                 n_cells: int, n_steps: int, dt: float,
+                 runs: int = 5) -> List[PerfVariant]:
+    """Time every variant once per repeat, interleaved.
 
-    Each sample runs a fresh state (so every sample walks the same
-    trajectory); allocation happens outside the timed region — the
-    summarized samples are the runner's own ``elapsed_seconds``, which
-    cover only the stepped loop.  After timing, one extra
-    ``time_breakdown`` run attributes the median to kernel vs overhead
-    (the breakdown's clock reads perturb timing, so it never feeds the
+    Each repeat visits the variants in turn: construct a fresh runner
+    (timed), take its cold first run (``time_to_first_step``, which
+    doubles as the warmup), then one timed run on a fresh state (the
+    runner's own ``elapsed_seconds``, which covers only the stepped
+    loop).  Interleaving spreads a slow host phase over all variants
+    instead of landing it on whichever one it coincides with, and the
+    one-shot quantities — construction and first-step time — report
+    the best of ``runs`` fresh runners; run time is the median + IQR of
+    the ``runs`` samples.  After timing, one extra ``time_breakdown``
+    run per variant attributes the median to kernel vs overhead (the
+    breakdown's clock reads perturb timing, so it never feeds the
     headline number).
     """
-    results: list = []
-
-    def sample():
-        state = runner.make_state(n_cells)
-        results.append(runner.run(state, n_steps, dt))
-
-    steady_state(sample, warmup=1, repeats=runs)
-    first = results[0]              # the untimed warmup: a cold first step
-    stats = TimingStats(samples=[r.elapsed_seconds for r in results[1:]])
-    seconds = stats.median
-    breakdown = runner.run(runner.make_state(n_cells), n_steps, dt,
-                           time_breakdown=True)
-    return PerfVariant(
-        name="", construct_seconds=0.0, run_seconds=seconds,
-        steps_per_second=n_steps / max(seconds, 1e-12),
-        cell_steps_per_second=n_steps * n_cells / max(seconds, 1e-12),
-        run_seconds_iqr=stats.iqr,
-        compute_seconds=breakdown.compute_seconds,
-        overhead_seconds=breakdown.overhead_seconds,
-        time_to_first_step=first.time_to_first_step,
-        compile_seconds=first.compile_seconds)
+    rows: Dict[str, List[tuple]] = {name: [] for name in factories}
+    runners: Dict[str, KernelRunner] = {}
+    for _ in range(max(1, runs)):
+        for name, factory in factories.items():
+            runner, construct = _timed_construct(factory)
+            first = runner.run(runner.make_state(n_cells), n_steps, dt)
+            timed = runner.run(runner.make_state(n_cells), n_steps, dt)
+            rows[name].append((construct, first, timed.elapsed_seconds,
+                               runner.cache_hit, runner.artifact_hit))
+            runners[name] = runner
+    variants = []
+    for name, taken in rows.items():
+        constructs, firsts, elapsed, cache_hits, artifact_hits = zip(*taken)
+        stats = TimingStats(samples=list(elapsed))
+        seconds = stats.median
+        runner = runners[name]
+        breakdown = runner.run(runner.make_state(n_cells), n_steps, dt,
+                               time_breakdown=True)
+        variants.append(PerfVariant(
+            name=name, construct_seconds=min(constructs),
+            run_seconds=seconds,
+            steps_per_second=n_steps / max(seconds, 1e-12),
+            cell_steps_per_second=n_steps * n_cells / max(seconds, 1e-12),
+            run_seconds_iqr=stats.iqr,
+            compute_seconds=breakdown.compute_seconds,
+            overhead_seconds=breakdown.overhead_seconds,
+            cache_hit=all(cache_hits), artifact_hit=all(artifact_hits),
+            time_to_first_step=min(f.time_to_first_step for f in firsts),
+            compile_seconds=min(f.compile_seconds for f in firsts)))
+    return variants
 
 
 def perf_report(model_name: str = CANONICAL_MODEL,
@@ -156,28 +171,8 @@ def perf_report(model_name: str = CANONICAL_MODEL,
             f"fused lowering diverged from unfused baseline on "
             f"{model_name}: {verdict.describe()}")
 
-    # -- baseline: unfused, uncached
-    runner, construct = _timed_construct(
-        lambda: KernelRunner(gen(), fuse=False))
-    baseline = _timed_run(runner, n_cells, n_steps, dt, runs)
-    baseline.name = "baseline"
-    baseline.construct_seconds = construct
-
-    # -- fused
-    runner, construct = _timed_construct(lambda: KernelRunner(gen()))
-    fused = _timed_run(runner, n_cells, n_steps, dt, runs)
-    fused.name = "fused"
-    fused.construct_seconds = construct
-
-    # -- fused + warm persistent cache
     the_cache = cache if cache is not None else True
     KernelRunner(gen(), cache=the_cache)          # warm the entry
-    runner, construct = _timed_construct(
-        lambda: KernelRunner(gen(), cache=the_cache))
-    fused_cached = _timed_run(runner, n_cells, n_steps, dt, runs)
-    fused_cached.name = "fused_cached"
-    fused_cached.construct_seconds = construct
-    fused_cached.cache_hit = runner.cache_hit
 
     # -- fused + AOT artifact bundle (zero-compile construction)
     import tempfile
@@ -193,14 +188,15 @@ def perf_report(model_name: str = CANONICAL_MODEL,
             raise AssertionError(
                 f"fused_artifact lowering diverged from unfused baseline "
                 f"on {model_name}: {verdict.describe()}")
-        runner, construct = _timed_construct(
-            lambda: KernelRunner(gen(), cache=None, artifacts=store))
-        fused_artifact = _timed_run(runner, n_cells, n_steps, dt, runs)
-        fused_artifact.name = "fused_artifact"
-        fused_artifact.construct_seconds = construct
-        fused_artifact.artifact_hit = runner.artifact_hit
+        variants = _round_robin({
+            "baseline": lambda: KernelRunner(gen(), fuse=False),
+            "fused": lambda: KernelRunner(gen()),
+            "fused_cached": lambda: KernelRunner(gen(), cache=the_cache),
+            "fused_artifact": lambda: KernelRunner(gen(), cache=None,
+                                                   artifacts=store),
+        }, n_cells, n_steps, dt, runs)
 
-    variants = [baseline, fused, fused_cached, fused_artifact]
+    baseline = variants[0]
     ratios = {}
     for v in variants[1:]:
         ratios[f"{v.name}.total"] = (baseline.total_seconds
@@ -269,8 +265,11 @@ def sweep_report(model_name: str, params: Dict[str, str],
                 f"batched instance {i} of {model_name} diverged bitwise "
                 f"from its single-instance run")
 
-    # -- timed: loop of N single-instance runs (warm kernel) ----------------------
+    # -- timed, interleaved: a loop of N single-instance runs (warm kernel)
+    # vs one batched run over all instances, alternating per repeat so a
+    # slow host phase lands on both sides of the ratio -------------------------
     loop_samples: list = []
+    batched_samples: list = []
 
     def loop_sample():
         elapsed = 0.0
@@ -278,33 +277,26 @@ def sweep_report(model_name: str, params: Dict[str, str],
             elapsed += runner.run(state, n_steps, dt).elapsed_seconds
         loop_samples.append(elapsed)
 
-    steady_state(loop_sample, warmup=1, repeats=runs)
-    loop_stats = TimingStats(samples=loop_samples[1:])
-    loop = PerfVariant(
-        name="loop", construct_seconds=0.0,
-        run_seconds=loop_stats.median,
-        steps_per_second=n_steps / max(loop_stats.median, 1e-12),
-        cell_steps_per_second=(n_steps * n * cells_per_instance
-                               / max(loop_stats.median, 1e-12)),
-        run_seconds_iqr=loop_stats.iqr, instances=1)
-
-    # -- timed: one batched run over all instances --------------------------------
-    batched_samples: list = []
-
     def batched_sample():
         state = pop.make_state(cells_per_instance)
         batched_samples.append(
             pop.run(state, n_steps, dt).elapsed_seconds)
 
-    steady_state(batched_sample, warmup=1, repeats=runs)
-    batched_stats = TimingStats(samples=batched_samples[1:])
-    batched = PerfVariant(
-        name="batched", construct_seconds=0.0,
-        run_seconds=batched_stats.median,
-        steps_per_second=n_steps / max(batched_stats.median, 1e-12),
-        cell_steps_per_second=(n_steps * n * cells_per_instance
-                               / max(batched_stats.median, 1e-12)),
-        run_seconds_iqr=batched_stats.iqr, instances=n)
+    for _ in range(1 + max(1, runs)):        # the first pair is warmup
+        loop_sample()
+        batched_sample()
+
+    def variant(name: str, samples: list, instances: int) -> PerfVariant:
+        stats = TimingStats(samples=samples[1:])
+        return PerfVariant(
+            name=name, construct_seconds=0.0, run_seconds=stats.median,
+            steps_per_second=n_steps / max(stats.median, 1e-12),
+            cell_steps_per_second=(n_steps * n * cells_per_instance
+                                   / max(stats.median, 1e-12)),
+            run_seconds_iqr=stats.iqr, instances=instances)
+
+    loop = variant("loop", loop_samples, 1)
+    batched = variant("batched", batched_samples, n)
 
     # -- compile reuse: same shape -> kernel-cache hit ----------------------------
     from ..runtime import KernelCache

@@ -25,12 +25,13 @@ from __future__ import annotations
 import json
 import os
 import platform
-from typing import Dict
+from typing import Dict, List
 
 import numpy as np
 
 __all__ = ["SCHEMA", "IDENTITY_KEYS", "machine_identity", "same_machine",
-           "make_section", "make_record", "load_record", "write_record"]
+           "make_section", "make_record", "median_record", "load_record",
+           "write_record"]
 
 SCHEMA = "limpet-bench-record/1"
 
@@ -84,6 +85,37 @@ def make_record(sections: Dict[str, Dict]) -> Dict:
     """Stamp ``sections`` with the schema and this machine."""
     return {"schema": SCHEMA, "machine": machine_identity(),
             "sections": sections}
+
+
+def median_record(records: List[Dict]) -> Dict:
+    """One record whose every number is the median over ``records``.
+
+    ``records`` are re-measurements of one set of sections on one
+    machine (same variants, same ratio names).  A single measurement on
+    a shared host lands in a fast or a slow phase; a baseline holding
+    the median is what the machine typically does, so a gate against it
+    trips on a regression, not on the phase the baseline caught.
+    Non-numeric fields (configs, evidence, names) come from the first.
+    """
+    first = records[0]
+    sections = {}
+    for name, section in first["sections"].items():
+        others = [r["sections"][name] for r in records]
+        variants = []
+        for i, variant in enumerate(section["variants"]):
+            variants.append({
+                key: (float(np.median([o["variants"][i][key]
+                                       for o in others]))
+                      if _is_number(value) else value)
+                for key, value in variant.items()})
+        ratios = {key: float(np.median([o["ratios"][key] for o in others]))
+                  for key in section["ratios"]}
+        sections[name] = {**section, "variants": variants, "ratios": ratios}
+    return {**first, "sections": sections}
+
+
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
 
 
 def load_record(path) -> Dict:

@@ -1,16 +1,11 @@
-"""Timing protocols: the paper's trimmed mean and a steady-state harness.
-
-Two measurement disciplines live here:
+"""Timing protocols: the paper's trimmed mean and a sample summary.
 
 * the paper's protocol (§4) — "Execution times were measured by running
   the models five times, eliminating the two extrema, and averaging the
   remaining three" (:func:`measure`/:func:`trimmed_mean`);
-* a steady-state harness (:func:`steady_state`) for intra-process
-  comparisons — warmup iterations first, then N repeats each taking the
-  **min of ``inner`` back-to-back timings** (min rejects preemption
-  noise; repeats capture drift), summarized as median + IQR over the
-  repeats.  All clocks are ``time.perf_counter`` (monotonic);
-  ``limpet-bench perf`` measures with this harness.
+* :class:`TimingStats`, the median + IQR summary ``limpet-bench perf``
+  reports over its interleaved samples.  All clocks are
+  ``time.perf_counter`` (monotonic).
 """
 
 from __future__ import annotations
@@ -23,15 +18,10 @@ from typing import Callable, List, Sequence
 DEFAULT_RUNS = 5
 DEFAULT_TRIMMED = 3
 
-#: steady-state defaults
-DEFAULT_WARMUP = 2
-DEFAULT_REPEATS = 5
-DEFAULT_INNER = 1
-
 
 @dataclass
 class TimingStats:
-    """Summary of one steady-state measurement (seconds per repeat)."""
+    """Summary of one set of timing samples (seconds per repeat)."""
 
     samples: List[float] = field(default_factory=list)
 
@@ -72,31 +62,6 @@ class TimingStats:
     def as_dict(self) -> dict:
         return {"median": self.median, "best": self.best, "iqr": self.iqr,
                 "samples": list(self.samples)}
-
-
-def steady_state(fn: Callable[[], object],
-                 warmup: int = DEFAULT_WARMUP,
-                 repeats: int = DEFAULT_REPEATS,
-                 inner: int = DEFAULT_INNER) -> TimingStats:
-    """Steady-state timing of ``fn``: warmup, then median-of-min repeats.
-
-    ``warmup`` untimed calls bring caches, allocators, and (for NumPy
-    kernels) ufunc dispatch into steady state.  Each of the ``repeats``
-    samples is the minimum over ``inner`` back-to-back timed calls.
-    """
-    if repeats < 1:
-        raise ValueError("repeats must be >= 1")
-    for _ in range(warmup):
-        fn()
-    stats = TimingStats()
-    for _ in range(repeats):
-        best = math.inf
-        for _ in range(max(inner, 1)):
-            start = time.perf_counter()
-            fn()
-            best = min(best, time.perf_counter() - start)
-        stats.samples.append(best)
-    return stats
 
 
 def trimmed_mean(samples: Sequence[float],

@@ -92,15 +92,24 @@ class Ternary(Expr):
 
 def walk_expr(expr: Expr):
     """Yield ``expr`` and all sub-expressions, pre-order."""
-    yield expr
-    for child in expr.children():
-        yield from walk_expr(child)
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        yield node
+        stack.extend(reversed(node.children()))
 
 
 def free_names(expr: Expr) -> set:
     """Identifiers referenced anywhere inside ``expr``."""
-    return {node.identifier for node in walk_expr(expr)
-            if isinstance(node, Name)}
+    names = set()
+    stack = [expr]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Name):
+            names.add(node.identifier)
+        else:
+            stack.extend(node.children())
+    return names
 
 
 # ---------------------------------------------------------------------------

@@ -346,11 +346,10 @@ class _Analyzer:
         diffs: Dict[str, Expr] = {}
         outputs: List[str] = []
         for assign in ordered:
-            expr = pre.fold(assign.expr)
+            expr, value = pre.fold_value(assign.expr)
             state = diff_target(assign.target)
             var = self.variables.get(assign.target)
             is_external_write = var is not None and var.kind is VarKind.EXTERNAL
-            value = pre.try_eval(expr)
             if value is not None and state is None and not is_external_write:
                 pre.define(assign.target, value)
                 folded[assign.target] = value

@@ -12,7 +12,7 @@ time, so the code generator never emits them.
 from __future__ import annotations
 
 import math
-from typing import Dict, Optional
+from typing import Dict, Optional, Tuple
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
                                 Unary)
@@ -34,6 +34,10 @@ _BINARY = {
     "and": lambda a, b: float(bool(a) and bool(b)),
     "or": lambda a, b: float(bool(a) or bool(b)),
 }
+
+
+#: what a failing constant operation raises (``1/0``, ``log(0)``, ...)
+_EVAL_ERRORS = (ValueError, OverflowError, ZeroDivisionError)
 
 
 class Preprocessor:
@@ -59,7 +63,7 @@ class Preprocessor:
             return self._eval(expr)
         except _NotConstant:
             return None
-        except (ValueError, OverflowError, ZeroDivisionError) as err:
+        except _EVAL_ERRORS as err:
             raise SemanticError(
                 f"constant expression {expr} fails to evaluate: {err}")
 
@@ -72,26 +76,78 @@ class Preprocessor:
 
     def fold(self, expr: Expr) -> Expr:
         """Return ``expr`` with every constant subtree replaced by a Number."""
-        value = self.try_eval(expr)
-        if value is not None:
-            return Number(value)
-        if isinstance(expr, Unary):
-            return Unary(expr.op, self.fold(expr.operand))
-        if isinstance(expr, Binary):
-            return Binary(expr.op, self.fold(expr.lhs), self.fold(expr.rhs))
-        if isinstance(expr, Call):
-            return Call(expr.callee, tuple(self.fold(a) for a in expr.args))
-        if isinstance(expr, Ternary):
-            cond_value = self.try_eval(expr.cond)
-            if cond_value is not None:
-                # Conditions with constant predicates collapse to a branch.
-                chosen = expr.then if cond_value else expr.otherwise
-                return self.fold(chosen)
-            return Ternary(self.fold(expr.cond), self.fold(expr.then),
-                           self.fold(expr.otherwise))
-        return expr
+        return self.fold_value(expr)[0]
+
+    def fold_value(self, expr: Expr) -> Tuple[Expr, Optional[float]]:
+        """``(fold(expr), try_eval(expr))`` from one walk of ``expr``."""
+        try:
+            folded, value = self._walk(expr)
+        except _EVAL_ERRORS as err:
+            raise SemanticError(
+                f"constant expression {expr} fails to evaluate: {err}")
+        return (folded if value is None else Number(value)), value
 
     # -- internals -----------------------------------------------------------
+
+    def _walk(self, expr: Expr) -> Tuple[Optional[Expr], Optional[float]]:
+        """Post-order fold: ``(folded, None)`` for a runtime subtree,
+        ``(None, value)`` for a constant one.
+
+        Children are visited in :meth:`_eval`'s order and with its short
+        circuits, so a constant error escapes raw from exactly the
+        subtrees whose evaluation would raise it; the nearest runtime
+        ancestor folds that child through :meth:`fold_value`, which names
+        it — the outermost subtree ``try_eval`` fails on, as the
+        top-down fold reported.  An untaken constant branch is never
+        visited.
+        """
+        if isinstance(expr, Number):
+            return None, expr.value
+        if isinstance(expr, Name):
+            value = self.constants.get(expr.identifier)
+            return (expr if value is None else None), value
+        if isinstance(expr, Unary):
+            operand, value = self._walk(expr.operand)
+            if value is None:
+                return Unary(expr.op, operand), None
+            return None, (-value if expr.op == "-" else float(not value))
+        if isinstance(expr, Binary):
+            fn = _BINARY.get(expr.op)
+            if fn is None:
+                raise SemanticError(f"unknown binary operator {expr.op!r}")
+            lhs, a = self._walk(expr.lhs)
+            if a is None:
+                return Binary(expr.op, lhs,
+                              self.fold_value(expr.rhs)[0]), None
+            rhs, b = self._walk(expr.rhs)
+            if b is None:
+                return Binary(expr.op, Number(a), rhs), None
+            return None, fn(a, b)
+        if isinstance(expr, Ternary):
+            cond, c = self._walk(expr.cond)
+            if c is None:
+                return Ternary(cond, self.fold_value(expr.then)[0],
+                               self.fold_value(expr.otherwise)[0]), None
+            # a constant predicate collapses to its branch
+            return self._walk(expr.then if c else expr.otherwise)
+        if isinstance(expr, Call):
+            if expr.callee in self.foreign:
+                return Call(expr.callee, tuple(
+                    self.fold_value(a)[0] for a in expr.args)), None
+            builtin = BUILTINS.get(expr.callee)
+            if builtin is None:
+                raise SemanticError(f"unknown function {expr.callee!r}")
+            values = []
+            for i, arg in enumerate(expr.args):
+                folded, value = self._walk(arg)
+                if value is None:
+                    return Call(expr.callee, (
+                        *(Number(v) for v in values), folded,
+                        *(self.fold_value(a)[0]
+                          for a in expr.args[i + 1:]))), None
+                values.append(value)
+            return None, float(builtin.fold(*values))
+        raise SemanticError(f"unsupported expression node {expr!r}")
 
     def _eval(self, expr: Expr) -> float:
         if isinstance(expr, Number):

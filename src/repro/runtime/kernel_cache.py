@@ -4,8 +4,8 @@ Constructing a :class:`~repro.runtime.executor.KernelRunner` normally
 pays for a full fixed-point pass pipeline, module verification, and
 lowering — per kernel, on every process.  For sweep workloads over the
 47-model suite that construction cost dominates short runs, so this
-module caches the *product* of that work (the lowered Python source
-plus its metadata) under a content address combining:
+module caches the *product* of that work (the lowered Python source,
+its marshalled code object and their metadata) under a content address combining:
 
 * the compile request (:class:`~repro.codegen.common.CompileRequest`):
   sha256 of the model text, promoted parameters, emitter target, width,
@@ -17,8 +17,10 @@ plus its metadata) under a content address combining:
 * the lowering version (:data:`~repro.runtime.lowering.LOWERING_VERSION`)
   and the fuse/arena lowering flags.
 
-A hit skips passes, verification and lowering entirely: the cached
-source is exec'd directly.  Hit/miss/eviction counters persist in the
+A hit skips passes, verification and lowering entirely, and compiles
+nothing: the cached code object is unmarshalled and exec'd (the source
+is compiled instead only for another interpreter's bytecode or an entry
+written without it).  Hit/miss/eviction counters persist in the
 cache directory (``stats.json``) so ``limpet-bench cache-stats`` can
 report across processes.
 
@@ -56,6 +58,7 @@ from typing import Dict, List, Optional
 
 from ..obs import metrics as _metrics
 from .locking import file_lock
+from .lowering import pack_code
 
 #: bump to invalidate every existing cache entry at once
 #: (v2: entries carry a payload checksum, verified on read;
@@ -129,7 +132,7 @@ class KernelCache:
     """A directory of content-addressed lowered-kernel entries.
 
     Each entry is one JSON file ``<key>.json`` holding the lowered
-    source and the metadata :func:`~repro.runtime.lowering.compile_kernel_source`
+    source, its packed code object and the metadata :func:`~repro.runtime.lowering.compile_kernel_source`
     needs.  The cache is LRU-bounded by entry count (file mtime is the
     recency signal), checksum-verified on read (corrupt entries are
     quarantined, not served), flock-serialized on write, and falls
@@ -316,7 +319,9 @@ class KernelCache:
 
     def store(self, key: str, source: str, mode: str, width: int,
               arg_names: List[str], function_name: str,
-              fused: bool, arena: bool) -> None:
+              fused: bool, arena: bool, code=None) -> None:
+        """Write one entry; ``code`` is the kernel's compiled code
+        object (omitted, the entry is served by compiling ``source``)."""
         payload = {
             "format": CACHE_FORMAT_VERSION,
             "function_name": function_name,
@@ -327,6 +332,8 @@ class KernelCache:
             "fused": fused,
             "arena": arena,
         }
+        if code is not None:
+            payload["code"] = pack_code(code)
         payload["checksum"] = payload_checksum(payload)
         if self._memory is not None:
             self._memory[key] = payload

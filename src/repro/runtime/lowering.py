@@ -23,10 +23,14 @@ inspection and tests.
 
 from __future__ import annotations
 
+import base64
+import marshal
 import math
 import re
 import time as _time
 from dataclasses import dataclass, replace
+from importlib.util import MAGIC_NUMBER
+from types import CodeType
 from typing import Any, Callable, Dict, List, Optional, Set, Tuple
 
 import numpy as np
@@ -118,6 +122,9 @@ class CompiledKernel:
     #: per-statement provenance records (profile mode only): dicts with
     #: ``index``/``op``/``dialect``/``source``/``text``/``detail``
     provenance: Optional[List[Dict[str, Any]]] = None
+    #: the module code object ``source`` compiled (or unmarshalled) to;
+    #: the stores write it as the payload's ``code`` (:func:`pack_code`)
+    code: Optional[CodeType] = None
 
     def __call__(self, *args, **kwargs):
         return self.fn(*args, **kwargs)
@@ -1126,16 +1133,30 @@ def _kernel_mode(func_op: Operation) -> tuple[str, int]:
     return "scalar", 1
 
 
+def pack_code(code: CodeType) -> str:
+    """``code`` as a payload's ``code`` field: base64 of this
+    interpreter's ``MAGIC_NUMBER`` followed by the marshalled object,
+    which is what a ``.pyc`` holds.  Marshal version 2 writes no
+    back-references (whether version 3 writes one depends on reference
+    counts), so one source packs to the same bytes in every process."""
+    return base64.b64encode(MAGIC_NUMBER + marshal.dumps(code, 2)).decode()
+
+
 def compile_kernel_source(sym_name: str, source: str, mode: str, width: int,
                           arg_names: List[str], fused: bool = False,
                           arena: bool = False,
-                          extra_globals: Optional[Dict] = None
-                          ) -> CompiledKernel:
+                          extra_globals: Optional[Dict] = None,
+                          code: Optional[str] = None) -> CompiledKernel:
     """Exec lowered Python source into an executable kernel.
 
     The tail of :func:`lower_function`, exposed separately so the
-    persistent kernel cache can rebuild a kernel from cached source
-    without re-running passes, verification, or the lowering itself.
+    persistent stores can rebuild a kernel from a payload without
+    re-running passes, verification, or the lowering itself.  ``code``
+    is the payload's :func:`pack_code` field: when its tag is this
+    interpreter's magic number the code object is unmarshalled and
+    CPython's compiler never runs; a foreign tag or no ``code`` (an
+    entry written before bytecode was stored, a hand-built payload)
+    compiles ``source``.  Callers pass only checksum-verified payloads.
     """
     arena_obj = BufferArena() if arena else None
     namespace = dict(_HELPER_GLOBALS)
@@ -1145,11 +1166,16 @@ def compile_kernel_source(sym_name: str, source: str, mode: str, width: int,
     for fname, fn in registered_foreign().items():
         namespace[f"foreign_{_sanitize(fname)}"] = fn
     namespace.update(extra_globals or {})
-    code = compile(source, f"<lowered:{sym_name}>", "exec")
-    exec(code, namespace)
+    packed = base64.b64decode(code) if code else b""
+    if packed[:len(MAGIC_NUMBER)] == MAGIC_NUMBER:
+        obj = marshal.loads(packed[len(MAGIC_NUMBER):])
+    else:
+        obj = compile(source, f"<lowered:{sym_name}>", "exec")
+    exec(obj, namespace)
     return CompiledKernel(name=sym_name, fn=namespace[sym_name],
                           source=source, mode=mode, width=width,
-                          arg_names=arg_names, fused=fused, arena=arena_obj)
+                          arg_names=arg_names, fused=fused, arena=arena_obj,
+                          code=obj)
 
 
 def lower_function(module: Module, sym_name: str,

@@ -56,7 +56,7 @@ def _exec_payload(payload: Dict) -> CompiledKernel:
     return compile_kernel_source(
         payload["function_name"], payload["source"], payload["mode"],
         payload["width"], payload["arg_names"], fused=payload["fused"],
-        arena=payload["arena"])
+        arena=payload["arena"], code=payload.get("code"))
 
 
 def resolve_kernel(generated, optimize: bool = True,
@@ -123,5 +123,5 @@ def resolve_kernel(generated, optimize: bool = True,
         # full-pipeline key would poison every later consumer
         cache.store(key, kernel.source, kernel.mode, kernel.width,
                     kernel.arg_names, kernel.name, fused=kernel.fused,
-                    arena=kernel.arena is not None)
+                    arena=kernel.arena is not None, code=kernel.code)
     return resolved(kernel, "jit", key)
