@@ -88,27 +88,32 @@ def make_record(sections: Dict[str, Dict]) -> Dict:
 
 
 def median_record(records: List[Dict]) -> Dict:
-    """One record whose every number is the median over ``records``.
+    """One record holding, per number, the median over ``records``.
 
-    ``records`` are re-measurements of one set of sections on one
-    machine (same variants, same ratio names).  A single measurement on
-    a shared host lands in a fast or a slow phase; a baseline holding
-    the median is what the machine typically does, so a gate against it
-    trips on a regression, not on the phase the baseline caught.
-    Non-numeric fields (configs, evidence, names) come from the first.
+    ``records`` are measurements of the same sections on one machine
+    (same variants in the same order, same ratio names).  One
+    measurement on a shared host lands in a fast or a slow phase; a
+    baseline at the median is what the machine typically does.  A
+    number equal in every record (``instances``, a count) is kept as
+    it is; the others are medians taken one field at a time, so a
+    variant's ``total_seconds`` need not equal the sum of its parts.
+    Everything else (configs, evidence, names) comes from the first.
     """
+    def median(values: List):
+        if all(v == values[0] for v in values):
+            return values[0]
+        return float(np.median(values))
+
     first = records[0]
     sections = {}
     for name, section in first["sections"].items():
-        others = [r["sections"][name] for r in records]
-        variants = []
-        for i, variant in enumerate(section["variants"]):
-            variants.append({
-                key: (float(np.median([o["variants"][i][key]
-                                       for o in others]))
-                      if _is_number(value) else value)
-                for key, value in variant.items()})
-        ratios = {key: float(np.median([o["ratios"][key] for o in others]))
+        each = [record["sections"][name] for record in records]
+        variants = [
+            {key: (median([s["variants"][i][key] for s in each])
+                   if _is_number(value) else value)
+             for key, value in variant.items()}
+            for i, variant in enumerate(section["variants"])]
+        ratios = {key: median([s["ratios"][key] for s in each])
                   for key in section["ratios"]}
         sections[name] = {**section, "variants": variants, "ratios": ratios}
     return {**first, "sections": sections}

@@ -22,10 +22,9 @@ Two classes of metric fall out of the section shape, gated differently:
 
 A regression is ``current < baseline * (1 - tolerance)`` for
 higher-is-better metrics and ``current > baseline * (1 + tolerance)``
-for lower-is-better ones, and it must hold in a second measurement of
-its section before it fails the gate.  ``slowdown`` synthetically
-degrades every current metric by the given factor — the self-test
-proving the gate actually trips (``perf --baseline ... --inject-slowdown 4``).
+for lower-is-better ones.  ``slowdown`` synthetically degrades every
+current metric by the given factor — the self-test proving the gate
+actually trips (``perf --baseline ... --inject-slowdown 4``).
 """
 
 from __future__ import annotations
@@ -155,38 +154,21 @@ def perf_gate(baseline_path, tolerance: float = 0.15,
 
     Returns ``(rows, failures, current_record)`` — ``failures`` is the
     list of human-readable regression lines (empty = gate passes).
-    A row that trips is confirmed before it counts: the sections holding
-    tripped rows are measured once more, and a row stays a regression
-    only if it trips again (a slow host phase moves one measurement, a
-    regression moves both).  ``measure`` overrides the re-measurement
-    (tests inject cheap fakes); ``slowdown`` synthetically degrades the
-    current metrics.
+    ``measure`` overrides the re-measurement (tests inject cheap
+    fakes); ``slowdown`` synthetically degrades the current metrics.
     """
     baseline = load_record(baseline_path)
-    if measure is None:
-        def measure(record):
-            return measure_record(record, runs=runs)
-    base_metrics = extract_metrics(baseline)
-
-    def compare(current: Dict) -> List[GateRow]:
-        cur_metrics = extract_metrics(current)
-        if slowdown:
-            cur_metrics = _inject_slowdown(cur_metrics, slowdown)
-        return compare_metrics(
-            base_metrics, cur_metrics, tolerance,
-            gate_absolute=same_machine(baseline["machine"],
-                                       current["machine"]))
-
-    current = measure(baseline)
-    rows = compare(current)
-    tripped = {row.name.split(".", 1)[0] for row in rows if row.failed}
-    if tripped:
-        again = {row.name: row for row in compare(measure({
-            **baseline, "sections": {name: section for name, section
-                                     in baseline["sections"].items()
-                                     if name in tripped}}))}
-        rows = [again[row.name] if row.failed and row.name in again
-                and not again[row.name].failed else row for row in rows]
+    if measure is not None:
+        current = measure(baseline)
+    else:
+        current = measure_record(baseline, runs=runs)
+    cur_metrics = extract_metrics(current)
+    if slowdown:
+        cur_metrics = _inject_slowdown(cur_metrics, slowdown)
+    rows = compare_metrics(
+        extract_metrics(baseline), cur_metrics, tolerance,
+        gate_absolute=same_machine(baseline["machine"],
+                                   current["machine"]))
     failures = []
     for row in rows:
         if row.failed:

@@ -106,3 +106,58 @@ class TestGateCommand:
         odd.write_text(json.dumps(record))
         assert main(["perf", "--baseline", str(odd)]) == EXIT_USAGE
         assert "warp" in capsys.readouterr().err
+
+
+class TestReRecord:
+    @staticmethod
+    def _section(ttfs, ratio):
+        return {"config": {"repeats": 2},
+                "variants": [{"name": "A.jit", "instances": 16,
+                              "bitwise": True, "time_to_first_step": ttfs}],
+                "ratios": {"A.artifact_vs_jit": ratio},
+                "evidence": {"bitwise_identical": {"A": True}}}
+
+    def test_median_record_takes_medians_and_keeps_constants(self):
+        from repro.bench.record import make_record, median_record
+        records = [make_record({"coldstart": self._section(t, r)})
+                   for t, r in ((0.3, 9.0), (0.1, 11.0), (0.2, 10.0))]
+        median = median_record(records)
+        (variant,) = median["sections"]["coldstart"]["variants"]
+        assert variant == {"name": "A.jit", "instances": 16,
+                           "bitwise": True, "time_to_first_step": 0.2}
+        assert type(variant["instances"]) is int
+        assert median["sections"]["coldstart"]["ratios"] == {
+            "A.artifact_vs_jit": 10.0}
+        assert median["machine"] is records[0]["machine"]
+
+    def test_writing_over_the_baseline_records_the_median(
+            self, tmp_path, monkeypatch):
+        """``perf --baseline P --json P`` measures RECORD_MEASUREMENTS
+        times and writes the median; any other ``--json`` path gets the
+        gate's one measurement."""
+        from repro.bench import regress
+        from repro.bench.record import make_record
+        from repro.cli import RECORD_MEASUREMENTS
+        path = tmp_path / "bench.json"
+        path.write_text(json.dumps(make_record(
+            {"coldstart": self._section(0.2, 10.0)})))
+        times = iter([0.5, 0.1, 0.2, 0.9, 0.3, 0.4])
+        calls = []
+
+        def measure(**config):
+            calls.append(config)
+            return self._section(next(times), 10.0)
+
+        monkeypatch.setattr(regress, "MEASURE", {"coldstart": measure})
+        assert main(["perf", "--baseline", str(path), "--tolerance", "9",
+                     "--json", str(path)]) == EXIT_OK
+        assert len(calls) == RECORD_MEASUREMENTS
+        (variant,) = load_record(path)["sections"]["coldstart"]["variants"]
+        assert variant["time_to_first_step"] == 0.3   # median of the first 5
+
+        other = tmp_path / "current.json"
+        assert main(["perf", "--baseline", str(path), "--tolerance", "9",
+                     "--json", str(other)]) == EXIT_OK
+        assert len(calls) == RECORD_MEASUREMENTS + 1
+        (variant,) = load_record(other)["sections"]["coldstart"]["variants"]
+        assert variant["time_to_first_step"] == 0.4

@@ -417,30 +417,6 @@ class TestPerfGate:
         assert len(failures) == 1
         assert "coldstart.A.artifact_vs_jit" in failures[0]
 
-    def test_a_tripped_row_is_confirmed_by_remeasuring(self, tmp_path):
-        """A row fails only if it trips twice; the second measurement
-        covers only the sections that tripped."""
-        from repro.bench.regress import perf_gate
-        path = self._write(tmp_path, self.BASELINE)
-        slow = _copy(self.BASELINE, cpu_model="Another CPU")
-        slow["sections"]["coldstart"]["ratios"]["A.artifact_vs_jit"] = 5.0
-        fine = _copy(self.BASELINE, cpu_model="Another CPU")
-        asked = []
-
-        def measure(record):
-            asked.append(sorted(record["sections"]))
-            return slow if len(asked) == 1 else fine
-
-        rows, failures, current = perf_gate(path, measure=measure)
-        assert failures == [] and current is slow
-        assert asked == [["coldstart"], ["coldstart"]]
-        assert {r.name: r.status for r in rows}[
-            "coldstart.A.artifact_vs_jit"] == "ok"
-        asked.clear()
-        _, clean, _ = perf_gate(path, measure=lambda b: (
-            asked.append(b) or fine))
-        assert clean == [] and len(asked) == 1
-
     def test_injected_slowdown_trips_the_gate(self, tmp_path):
         from repro.bench.regress import perf_gate
         path = self._write(tmp_path, self.BASELINE)
