@@ -18,13 +18,14 @@ from typing import Dict, List, Optional, Tuple
 
 from ..easyml.ast_nodes import (Binary, Call, Expr, Name, Number, Ternary,
                                 Unary)
-from ..easyml.builtins import BUILTINS
+from ..easyml.builtins import BUILTINS, OPERATORS, Operator
 from ..easyml.errors import SemanticError
 from ..frontend.model import IonicModel
+from ..frontend.preprocessor import Preprocessor
 from ..ir.builder import IRBuilder
 from ..ir.core import Value
 from ..ir.dialects import arith, math as math_dialect
-from ..ir.types import broadcast_type, f64, i1
+from ..ir.types import f64, i1
 from .layout import Layout
 
 
@@ -157,44 +158,29 @@ class ExprEmitter:
         self.env = env
         self.width = width
         self.foreign = frozenset(foreign)
-        self._value_type = broadcast_type(f64, width)
-        self._bool_type = broadcast_type(i1, width)
 
     # -- public ------------------------------------------------------------------
 
     def emit(self, expr: Expr) -> Value:
         """Emit ``expr`` as an f64(-vector) value."""
-        if self._is_boolean(expr):
-            cond = self.emit_bool(expr)
-            one = self._const(1.0)
-            zero = self._const(0.0)
-            return arith.select(self.b, cond, one, zero)
+        if self._truth_row(expr) is not None:
+            return arith.select(self.b, self.emit_bool(expr),
+                                self._const(1.0), self._const(0.0))
         return self._emit_numeric(expr)
 
     def emit_bool(self, expr: Expr) -> Value:
         """Emit ``expr`` as an i1(-vector) condition."""
-        if isinstance(expr, Binary):
-            if expr.op in ("<", "<=", ">", ">=", "==", "!="):
-                pred = {"<": "olt", "<=": "ole", ">": "ogt", ">=": "oge",
-                        "==": "oeq", "!=": "one"}[expr.op]
-                return arith.cmpf(self.b, pred, self.emit(expr.lhs),
-                                  self.emit(expr.rhs))
-            if expr.op == "and":
-                return arith.andi(self.b, self.emit_bool(expr.lhs),
-                                  self.emit_bool(expr.rhs))
-            if expr.op == "or":
-                return arith.ori(self.b, self.emit_bool(expr.lhs),
-                                 self.emit_bool(expr.rhs))
-        if isinstance(expr, Unary) and expr.op == "!":
-            inner = self.emit_bool(expr.operand)
-            true_const = self.b.constant(True, self._bool_type) \
-                if self.width == 1 else self._bool_const(True)
-            return self.b.create("arith.xori", [inner, true_const],
-                                 [inner.type]).result
-        # numeric used as condition: x != 0.0
-        value = self._emit_numeric(expr) if not self._is_boolean(expr) \
-            else self.emit(expr)
-        return arith.cmpf(self.b, "one", value, self._const(0.0))
+        row = self._truth_row(expr)
+        if row is None:         # numeric used as condition: x != 0.0
+            return arith.cmpf(self.b, OPERATORS["!=", 2].ir,
+                              self._emit_numeric(expr), self._const(0.0))
+        if row.ir in arith.CMPF_PREDICATES:
+            return arith.cmpf(self.b, row.ir, self.emit(expr.lhs),
+                              self.emit(expr.rhs))
+        operands = [self.emit_bool(c) for c in expr.children()]
+        if len(operands) == 1:  # ``!`` is ``xori`` with true
+            operands.append(self._bool_const(True))
+        return self._op(row.ir, operands)
 
     # -- helpers ----------------------------------------------------------------
 
@@ -214,10 +200,18 @@ class ExprEmitter:
         return vector_dialect.broadcast(self.b, scalar, self.width)
 
     @staticmethod
-    def _is_boolean(expr: Expr) -> bool:
-        if isinstance(expr, Binary):
-            return expr.op in ("<", "<=", ">", ">=", "==", "!=", "and", "or")
-        return isinstance(expr, Unary) and expr.op == "!"
+    def _truth_row(expr: Expr) -> Optional[Operator]:
+        """The operator row of a truth-valued Unary / Binary, else None."""
+        if not isinstance(expr, (Unary, Binary)):
+            return None
+        row = OPERATORS.get((expr.op, len(expr.children())))
+        if row is None:
+            raise SemanticError(f"codegen: unknown operator {expr.op!r}")
+        return row if row.truth else None
+
+    def _op(self, name: str, operands: List[Value]) -> Value:
+        """``name`` over ``operands``, typed like its first operand."""
+        return self.b.create(name, operands, [operands[0].type]).result
 
     # -- numeric ------------------------------------------------------------------
 
@@ -230,13 +224,9 @@ class ExprEmitter:
                 raise SemanticError(
                     f"codegen: no value bound for {expr.identifier!r}")
             return value
-        if isinstance(expr, Unary):
-            if expr.op == "-":
-                return arith.negf(self.b, self.emit(expr.operand))
-            # '!' handled by the boolean path in emit()
-            raise SemanticError(f"codegen: unexpected unary {expr.op!r}")
-        if isinstance(expr, Binary):
-            return self._emit_binary(expr)
+        if isinstance(expr, (Unary, Binary)):   # emit() checked the op
+            operands = [self.emit(c) for c in expr.children()]
+            return self._op(OPERATORS[expr.op, len(operands)].ir, operands)
         if isinstance(expr, Ternary):
             cond = self.emit_bool(expr.cond)
             return arith.select(self.b, cond, self.emit(expr.then),
@@ -244,16 +234,6 @@ class ExprEmitter:
         if isinstance(expr, Call):
             return self._emit_call(expr)
         raise SemanticError(f"codegen: unsupported expression {expr!r}")
-
-    def _emit_binary(self, expr: Binary) -> Value:
-        lhs = self.emit(expr.lhs)
-        rhs = self.emit(expr.rhs)
-        ops = {"+": arith.addf, "-": arith.subf, "*": arith.mulf,
-               "/": arith.divf, "%": arith.remf}
-        fn = ops.get(expr.op)
-        if fn is None:
-            raise SemanticError(f"codegen: unknown operator {expr.op!r}")
-        return fn(self.b, lhs, rhs)
 
     def _emit_call(self, expr: Call) -> Value:
         name = expr.callee
@@ -268,9 +248,8 @@ class ExprEmitter:
                 f"got {len(expr.args)}")
         if builtin.op is None:
             return getattr(self, f"_expand_{name}")(expr)
-        args = [self.emit(a) for a in expr.args]
-        return self.b.create(f"math.{builtin.op}", args,
-                             [args[0].type]).result
+        return self._op(f"math.{builtin.op}",
+                        [self.emit(a) for a in expr.args])
 
     # -- the builtins without an op of their own (easyml/builtins.py) ----------
 
@@ -288,15 +267,6 @@ class ExprEmitter:
         return arith.maximumf(self.b, self.emit(expr.args[0]),
                               self.emit(expr.args[1]))
 
-    @staticmethod
-    def _constant_exponent(exp_expr: Expr) -> Optional[float]:
-        if isinstance(exp_expr, Number):
-            return exp_expr.value
-        if isinstance(exp_expr, Unary) and exp_expr.op == "-" and \
-                isinstance(exp_expr.operand, Number):
-            return -exp_expr.operand.value
-        return None
-
     def _emit_foreign_call(self, expr: Call) -> Value:
         """An opaque external C call: scalar passthrough only."""
         if self.width != 1:
@@ -312,7 +282,7 @@ class ExprEmitter:
 
     def _expand_pow(self, expr: Call) -> Value:
         base_expr, exp_expr = expr.args
-        exponent = self._constant_exponent(exp_expr)
+        exponent = Preprocessor(foreign=self.foreign).try_eval(exp_expr)
         if exponent is not None:
             if exponent == int(exponent) and \
                     0 < abs(int(exponent)) <= self._MAX_POW_EXPAND:

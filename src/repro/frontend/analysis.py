@@ -13,9 +13,9 @@ from __future__ import annotations
 
 from typing import Dict, List, Sequence, Set
 
-from ..easyml.ast_nodes import (Assign, Binary, Call, Expr,
-                                If, Markup, ModelAST, Name, Number, Stmt,
-                                Ternary, Unary, free_names)
+from ..easyml.ast_nodes import (Assign, Binary, Call, Expr, If, Markup,
+                                ModelAST, Name, Stmt, Ternary, Unary,
+                                free_names, walk_expr)
 from ..easyml.builtins import BUILTINS
 from ..easyml.errors import SemanticError
 from .model import Computation, GateInfo, IonicModel, LUTTable
@@ -147,8 +147,7 @@ class _Analyzer:
                 self.variables[decl.name] = var
             self._apply_markups(var, decl.markups)
             if decl.init is not None:
-                pre = Preprocessor()
-                value = pre.try_eval(decl.init)
+                value = Preprocessor().try_eval(decl.init)
                 if value is None:
                     raise self._error(
                         f"declaration initializer of {decl.name} must be "
@@ -501,7 +500,6 @@ def _calls_foreign(expr: Expr, foreign: Set[str]) -> bool:
     """True when any Call in ``expr`` targets a foreign function."""
     if not foreign:
         return False
-    from ..easyml.ast_nodes import walk_expr
     return any(isinstance(node, Call) and node.callee in foreign
                for node in walk_expr(expr))
 
@@ -512,16 +510,5 @@ def _rename_expr(expr: Expr, renames: Dict[str, str]) -> Expr:
         return expr
     if isinstance(expr, Name):
         return Name(renames.get(expr.identifier, expr.identifier))
-    if isinstance(expr, Unary):
-        return Unary(expr.op, _rename_expr(expr.operand, renames))
-    if isinstance(expr, Binary):
-        return Binary(expr.op, _rename_expr(expr.lhs, renames),
-                      _rename_expr(expr.rhs, renames))
-    if isinstance(expr, Call):
-        return Call(expr.callee,
-                    tuple(_rename_expr(a, renames) for a in expr.args))
-    if isinstance(expr, Ternary):
-        return Ternary(_rename_expr(expr.cond, renames),
-                       _rename_expr(expr.then, renames),
-                       _rename_expr(expr.otherwise, renames))
-    return expr
+    return expr.with_children(
+        [_rename_expr(child, renames) for child in expr.children()])

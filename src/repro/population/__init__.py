@@ -1,5 +1,5 @@
 """Population-batched execution: one kernel, N parameter-perturbed
-instances (ROADMAP item 3(b) — the batch-axis throughput lever).
+instances (the batch-axis throughput lever).
 
 * :class:`PopulationSpec` — which params vary, per-instance values;
 * :class:`PopulationRunner` — compile once (params promoted to

@@ -19,7 +19,7 @@ from .shutdown import (install_signal_handlers, register_cleanup,
 from .lut_runtime import (LUTData, build_all_luts, build_lut,
                           lut_interp_row, lut_interp_row_vec)
 from .state import SimulationState, StateCheckpoint, allocate_state
-from .expr_eval import eval_expr, evaluate_plan
+from .expr_eval import eval_expr
 from .hierarchy import HierarchicalSimulation, PluginInstance
 from .foreign import foreign_function, register_foreign, registered_foreign
 from .interpreter import Interpreter, InterpreterError, interpret_kernel
@@ -40,7 +40,7 @@ __all__ = ["KernelRunner", "RunResult", "Stimulus", "TrajectoryComparison",
            "build_all_luts", "build_lut", "lut_interp_row",
            "lut_interp_row_vec", "SimulationState", "StateCheckpoint",
            "allocate_state",
-           "eval_expr", "evaluate_plan", "HierarchicalSimulation",
+           "eval_expr", "HierarchicalSimulation",
            "PluginInstance", "foreign_function", "register_foreign",
            "registered_foreign", "Interpreter", "InterpreterError",
            "interpret_kernel"]

@@ -34,8 +34,8 @@ single-process runs (proven by the differential tests).
 Deliberately *not* a throughput feature: process supervision buys
 crash isolation.  The paper parallelises inside the generated code —
 ``omp.parallel`` around the cell loop, lowered by the openmp dialect
-(PAPER.md §1, Figs. 3–4) — which is where a native lowering target puts
-it (ROADMAP item 1), not in a Python-side tier.
+(PAPER.md §1, Figs. 3–4) — which is where a native lowering target
+(C from the post-pipeline IR) would put it, not in a Python-side tier.
 """
 
 from __future__ import annotations

@@ -1,1 +1,1 @@
-"""The tuner was removed in PR 23 (DESIGN.md §7); see ``database``."""
+"""The tuner was removed (DESIGN.md §7); see ``database``."""

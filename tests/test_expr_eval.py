@@ -7,8 +7,7 @@ import pytest
 
 from repro.easyml import parse_model
 from repro.easyml.errors import SemanticError
-from repro.frontend.model import Computation
-from repro.runtime.expr_eval import eval_expr, evaluate_plan
+from repro.runtime.expr_eval import eval_expr
 
 
 def expr_of(text):
@@ -93,13 +92,6 @@ class TestArrayEvaluation:
 
 
 class TestEvaluatePlan:
-    def test_sequential_extension(self):
-        plan = [Computation("a", expr_of("x + 1")),
-                Computation("b", expr_of("a * 2"))]
-        env = {"x": 3.0}
-        evaluate_plan(plan, env)
-        assert env["a"] == 4.0 and env["b"] == 8.0
-
     def test_matches_kernel_for_model_computations(self, gate_model):
         """Reference evaluator reproduces one compute step exactly."""
         from repro.codegen import generate_baseline
@@ -111,7 +103,8 @@ class TestEvaluatePlan:
         env["Vm"] = state.externals["Vm"][0]
         env.update(gate_model.params)
         env.update(gate_model.folded_constants)
-        evaluate_plan(gate_model.computations, env)
+        for comp in gate_model.computations:
+            env[comp.target] = eval_expr(comp.expr, env)
         runner.compute_step(state, 0.01)
         assert state.externals["Iion"][0] == pytest.approx(env["Iion"],
                                                            rel=1e-12)

@@ -1,17 +1,21 @@
 """Constant folding is pinned: folded trees, values and error messages.
 
-``tests/data/fold_corpus.json`` was written with the top-down folder the
-single post-order walk replaced (``fold`` re-evaluating every subtree):
+``tests/data/fold_corpus.json`` holds what the evaluators produced before
+``repro.easyml.ast_nodes.evaluate`` replaced them.  The first three keys
+were written with the top-down folder (``fold`` re-evaluating every
+subtree), ``inits`` and ``luts`` with the separate fold, ``try_eval`` and
+NumPy walkers:
 
-* per zoo model (and Courtemanche with ``GKr`` promoted), sha256 of
-  ``repr(IonicModel)``;
-* 600 seeded random expressions over constants, runtime names, a foreign
-  call and every way a constant can fail (``1/0``, ``log(0)``,
-  ``exp(1000)``, ``acos(2)``, ``fmod(x, 0)``), each with ``repr`` of its
-  fold and the folded value, or the error's class and message;
-* small models whose constant errors reach ``analyze``, with the message
-  it raises (which subtree a "fails to evaluate" names, and which errors
-  an untaken constant branch keeps silent);
+* ``zoo``: per zoo model (and Courtemanche with ``GKr`` promoted),
+  sha256 of ``repr(IonicModel)``;
+* ``expressions``: 600 seeded random expressions over constants, runtime
+  names, a foreign call and every way a constant can fail (``1/0``,
+  ``log(0)``, ``exp(1000)``, ``acos(2)``, ``fmod(x, 0)``), each with
+  ``repr`` of its fold and the folded value, or the error's class and
+  message;
+* ``models``: small models whose constant errors reach ``analyze``, with
+  the message it raises (which subtree a "fails to evaluate" names, and
+  which errors an untaken constant branch keeps silent);
 * ``inits``: small models whose ``_init`` assignment or declaration
   initializer takes ``try_eval``'s path (the whole initializer is named,
   and a runtime leaf met first makes it "not constant"), with the message

@@ -1,10 +1,11 @@
 """One op table (DESIGN.md §3.2): every consumer reads the registry row.
 
-Parametrised from ``registered_ops()`` and ``BUILTINS``, so a new op or
-builtin is covered by registering it.
+Parametrised from ``registered_ops()``, ``BUILTINS`` and ``OPERATORS``,
+so a new op, builtin or operator is covered by registering it.
 """
 
 import dataclasses
+import itertools
 import json
 import math
 import pathlib
@@ -15,8 +16,8 @@ import pytest
 from repro.bench.harness import kernel_profile
 from repro.codegen import generate_baseline, generate_limpet_mlir
 from repro.codegen.common import ExprEmitter
-from repro.easyml.ast_nodes import Call, Name, Number
-from repro.easyml.builtins import BUILTINS
+from repro.easyml.ast_nodes import Binary, Call, Name, Number, Unary
+from repro.easyml.builtins import BUILTINS, OPERATORS
 from repro.easyml.errors import SemanticError
 from repro.frontend import load_model as load_source
 from repro.frontend.preprocessor import Preprocessor
@@ -173,48 +174,69 @@ Iion = {fn}(x);
 
 
 # ---------------------------------------------------------------------------
-# the EasyML builtins
+# the EasyML builtins and operators
 # ---------------------------------------------------------------------------
 
 FINITE = (0.3, 0.75)
+#: operands the truth-valued rows (comparison, logical, ``!``) also see
+SPECIAL = (math.nan, math.inf, -math.inf, 0.0)
+#: operator rows by test id: ``op2<``, ``op1-``, ...
+OPERATOR_IDS = {f"op{arity}{symbol}": row
+                for (symbol, arity), row in OPERATORS.items()}
 
 
-def _emit_and_interpret(call: Call, width: int, values):
-    """Emit ``call`` over function arguments and run the interpreter."""
+def _case(name: str):
+    """``(arity, node over its operands, operand tuples)`` of builtin or
+    operator row ``name``."""
+    row = OPERATOR_IDS.get(name)
+    if row is None:
+        arity = BUILTINS[name].arity
+        return arity, lambda args: Call(name, args), [FINITE[:arity]]
+    operands = (itertools.product(FINITE + SPECIAL, repeat=row.arity)
+                if row.truth else [FINITE[:row.arity]])
+    node = Unary if row.arity == 1 else Binary
+    return (row.arity, lambda args: node(row.symbol, *args),
+            list(operands))
+
+
+def _emitted(expr, names, width: int):
+    """Emit ``expr`` over function arguments ``names``; the returned
+    function runs it in the interpreter."""
     ty = broadcast_type(f64, width)
-    names = [arg.identifier for arg in call.args]
     module, _ = build_module()
     fn = func_dialect.func(module, "f", [ty] * len(names), [ty], names)
     b = IRBuilder(fn.entry)
-    result = ExprEmitter(b, dict(zip(names, fn.args)), width=width).emit(call)
+    result = ExprEmitter(b, dict(zip(names, fn.args)), width=width).emit(expr)
     func_dialect.ret(b, [result])
-    args = [np.full(width, v) if width > 1 else v for v in values]
-    return Interpreter(module).call("f", *args)
+    interpreter = Interpreter(module)
+    return lambda values: interpreter.call("f", *(
+        np.full(width, v) if width > 1 else v for v in values))
 
 
-@pytest.mark.parametrize("name", sorted(BUILTINS))
+@pytest.mark.parametrize("name", sorted(BUILTINS) + sorted(OPERATOR_IDS))
 def test_every_builtin_folds_evaluates_and_emits(name):
-    builtin = BUILTINS[name]
-    values = FINITE[:builtin.arity]
-    folded = Preprocessor().eval(
-        Call(name, tuple(Number(v) for v in values)))
-    assert math.isfinite(folded)
-    call = Call(name, tuple(Name(f"x{i}") for i in range(builtin.arity)))
-    env = {f"x{i}": v for i, v in enumerate(values)}
-    scalar = eval_expr(call, env)
-    array = eval_expr(call, {k: np.full(3, v) for k, v in env.items()})
-    assert array.shape == (3,)
-    for got in (scalar, array[0], _emit_and_interpret(call, 1, values),
-                _emit_and_interpret(call, 8, values)[0]):
-        # erf on an array is the 1.5e-7 rational approximation
-        assert float(got) == pytest.approx(
-            folded, rel=1e-12, abs=2e-7 if name == "erf" else 0)
+    arity, node, operand_tuples = _case(name)
+    names = [f"x{i}" for i in range(arity)]
+    expr = node(tuple(map(Name, names)))
+    scalar_ir, vector_ir = _emitted(expr, names, 1), _emitted(expr, names, 8)
+    for values in operand_tuples:
+        folded = Preprocessor().eval(node(tuple(map(Number, values))))
+        assert math.isfinite(folded)
+        env = dict(zip(names, values))
+        scalar = eval_expr(expr, env)
+        array = eval_expr(expr, {k: np.full(3, v) for k, v in env.items()})
+        assert array.shape == (3,)
+        for got in (scalar, array[0], scalar_ir(values),
+                    vector_ir(values)[0]):
+            # erf on an array is the 1.5e-7 rational approximation
+            assert float(got) == pytest.approx(
+                folded, rel=1e-12, abs=2e-7 if name == "erf" else 0), values
 
 
 def test_builtin_with_the_wrong_arity_is_a_semantic_error():
     with pytest.raises(SemanticError, match=r"max\(\) takes 2"):
-        _emit_and_interpret(Call("max", (Name("a"), Name("b"), Name("c"))),
-                            1, (1.0, 2.0, 3.0))
+        _emitted(Call("max", (Name("a"), Name("b"), Name("c"))),
+                 ["a", "b", "c"], 1)
 
 
 def test_every_builtin_names_a_math_op_or_an_expansion():
