@@ -70,7 +70,7 @@ class IRBuilder:
     def constant(self, value: Any, ty: IRType) -> Value:
         """Create (or reuse) an ``arith.constant`` in the current block."""
         cache = self._constant_cache.setdefault(id(self.block), {})
-        key = (repr(value), str(ty))
+        key = (repr(value), ty)
         cached = cache.get(key)
         if cached is not None and self._value_visible(cached):
             return cached

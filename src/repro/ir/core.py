@@ -158,11 +158,13 @@ class Operation:
     """A generic operation: the single concrete IR node class.
 
     Dialects construct Operations through builder helpers; semantics are
-    resolved through the :class:`OpInfo` registry keyed by ``name``.
+    resolved through the :class:`OpInfo` registry keyed by ``name``, once:
+    ``info`` is looked up when the op is built (None when unregistered),
+    so an op's name is fixed for its lifetime, as in MLIR.
     """
 
     __slots__ = ("name", "operands", "attributes", "results", "regions",
-                 "parent", "uid")
+                 "parent", "uid", "info")
 
     def __init__(self, name: str, operands: Sequence[Value] = (),
                  result_types: Sequence[IRType] = (),
@@ -170,6 +172,7 @@ class Operation:
                  regions: Sequence["Region"] = (),
                  result_hints: Sequence[Optional[str]] = ()):
         self.name = name
+        self.info: Optional[OpInfo] = _OP_REGISTRY.get(name)
         self.uid = next(_op_counter)
         self.operands: List[Value] = []
         self.attributes: Dict[str, Any] = dict(attributes or {})
@@ -226,18 +229,12 @@ class Operation:
         return self.results[0]
 
     @property
-    def info(self) -> Optional[OpInfo]:
-        return op_info(self.name)
-
-    @property
     def is_pure(self) -> bool:
-        info = self.info
-        return bool(info and info.pure)
+        return self.info is not None and self.info.pure
 
     @property
     def is_terminator(self) -> bool:
-        info = self.info
-        return bool(info and info.terminator)
+        return self.info is not None and self.info.terminator
 
     @property
     def dialect(self) -> str:

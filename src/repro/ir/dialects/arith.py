@@ -33,23 +33,26 @@ _CMP_FN = {
 
 
 def _same_type(op: Operation) -> None:
-    tys = {str(v.type) for v in op.operands}
-    if len(tys) > 1:
-        raise IRError(f"{op.name}: mismatched operand types {sorted(tys)}")
+    # types are uniqued: identity is equality, and only a mismatch is spelled
+    operands = op.operands
+    for v in operands[1:]:
+        if v.type is not operands[0].type:
+            tys = sorted({str(v.type) for v in operands})
+            raise IRError(f"{op.name}: mismatched operand types {tys}")
 
 
 def _require_float(op: Operation) -> None:
-    _same_type(op)
-    for v in op.operands:
-        if not v.type.is_float:
-            raise IRError(f"{op.name}: expected float operand, got {v.type}")
+    _same_type(op)          # so the first operand's type is every operand's
+    if op.operands and not op.operands[0].type.is_float:
+        raise IRError(f"{op.name}: expected float operand, "
+                      f"got {op.operands[0].type}")
 
 
 def _require_int(op: Operation) -> None:
     _same_type(op)
-    for v in op.operands:
-        if not v.type.is_integer:
-            raise IRError(f"{op.name}: expected integer operand, got {v.type}")
+    if op.operands and not op.operands[0].type.is_integer:
+        raise IRError(f"{op.name}: expected integer operand, "
+                      f"got {op.operands[0].type}")
 
 
 def _binary_fold(fn):
@@ -205,7 +208,7 @@ def constant(b: IRBuilder, value: Any, ty: IRType = f64) -> Value:
 
 def _binary_builder(name: str):
     def build(b: IRBuilder, lhs: Value, rhs: Value) -> Value:
-        if str(lhs.type) != str(rhs.type):
+        if lhs.type is not rhs.type:
             raise IRError(f"{name}: type mismatch {lhs.type} vs {rhs.type}")
         return b.create(name, [lhs, rhs], [lhs.type]).result
     build.__name__ = name.split(".", 1)[1]
@@ -234,7 +237,7 @@ def cmpi(b: IRBuilder, predicate: str, lhs: Value, rhs: Value) -> Value:
 
 
 def select(b: IRBuilder, cond: Value, true_val: Value, false_val: Value) -> Value:
-    if str(true_val.type) != str(false_val.type):
+    if true_val.type is not false_val.type:
         raise IRError("arith.select: branch type mismatch")
     return b.create("arith.select", [cond, true_val, false_val],
                     [true_val.type]).result

@@ -41,9 +41,10 @@ def _verify_float_unary(op: Operation) -> None:
 def _verify_float_binary(op: Operation) -> None:
     if len(op.operands) != 2:
         raise IRError(f"{op.name}: expects two operands")
-    for v in op.operands:
-        if not v.type.is_float:
-            raise IRError(f"{op.name}: expects float operands")
+    lhs, rhs = op.operands
+    if not lhs.type.is_float or (rhs.type is not lhs.type
+                                 and not rhs.type.is_float):
+        raise IRError(f"{op.name}: expects float operands")
 
 
 def _fold(fn):

@@ -19,7 +19,7 @@ from ..types import (MemRefType, VectorType, element_type, index,
 def _verify_broadcast(op: Operation) -> None:
     if not isinstance(op.result.type, VectorType):
         raise IRError("vector.broadcast: result must be a vector")
-    if str(op.operands[0].type) != str(op.result.type.element):
+    if op.operands[0].type is not op.result.type.element:
         raise IRError("vector.broadcast: operand must match element type")
 
 

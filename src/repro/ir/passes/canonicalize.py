@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..core import Block, Module, Operation, Value, op_info
+from ..core import Block, Module, Operation, Value
 from ..builder import IRBuilder
 from .pass_manager import Pass
 
@@ -76,7 +76,7 @@ class Canonicalize(Pass):
         return True
 
     def _try_fold(self, op: Operation, builder: IRBuilder) -> bool:
-        info = op_info(op.name)
+        info = op.info
         if (info is None or info.fold is None or not info.pure
                 or op.name == "arith.constant" or op.regions):
             return False

@@ -12,18 +12,20 @@ from __future__ import annotations
 
 from typing import Dict, Tuple
 
-from ..core import Block, Module, Operation, op_info
+from ..core import Block, Module, Operation
 from .pass_manager import Pass
 
 
 def _op_key(op: Operation) -> Tuple:
-    """A hashable identity for value-numbering pure ops."""
-    operand_ids: Tuple = tuple(id(v) for v in op.operands)
-    info = op_info(op.name)
-    if info is not None and info.commutative and len(op.operands) == 2:
+    """A hashable identity for value-numbering pure ops.
+
+    Result types are uniqued, so they key as themselves; attribute values
+    key by ``repr``, which keeps ``0.0`` and ``-0.0`` apart."""
+    operand_ids: Tuple = tuple(map(id, op.operands))
+    if op.info.commutative and len(operand_ids) == 2:
         operand_ids = tuple(sorted(operand_ids))
-    attrs = tuple(sorted((k, repr(v)) for k, v in op.attributes.items()))
-    result_tys = tuple(str(r.type) for r in op.results)
+    attrs = tuple(sorted([(k, repr(v)) for k, v in op.attributes.items()]))
+    result_tys = tuple([r.type for r in op.results])
     return (op.name, operand_ids, attrs, result_tys)
 
 

@@ -3,118 +3,139 @@
 The paper's code generation only needs a small slice of MLIR's type
 system: scalar floats and integers, ``index``, fixed-shape vectors of
 doubles (the SIMD lanes, one cell per lane), and memrefs for the cell
-state arrays.  Types are immutable and interned so they can be compared
-with ``is`` or ``==`` interchangeably.
+state arrays.
+
+Types are immutable and uniqued, as in an ``MLIRContext``: building a
+type from the same arguments — a constructor call, :func:`vector_of`,
+:func:`broadcast_type`, :func:`memref_of`, :func:`parse_type` — returns
+one canonical instance, so ``is`` and ``==`` agree.  The class's
+metaclass looks the arguments up before anything else runs; only the
+first build of a value runs the dataclass ``__init__`` and its checks,
+and it computes the printed text and the hash once, which ``str`` and
+``hash`` then return.  ``hash`` and ``repr`` are the frozen dataclass
+values they always were.
+
+Interning survives ``pickle``, ``copy.copy`` and ``copy.deepcopy``:
+:meth:`IRType.__reduce__` rebuilds a type by calling its class with its
+field values, which is a lookup, so none of them makes a second
+instance (the default reduction would make one with ``cls.__new__``
+and then write its state into it).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import ClassVar, Optional, Tuple
+from dataclasses import dataclass, fields
+from typing import Dict, Optional, Tuple
+
+#: (class, *field values) -> the canonical instance of that type
+_UNIQUED: Dict[tuple, "IRType"] = {}
 
 
-class IRType:
+class _Uniqued(type):
+    """Metaclass of the IR types: one shared instance per value."""
+
+    def __call__(cls, *args, **kwargs):
+        if not kwargs:
+            ty = _UNIQUED.get((cls, *args))
+            if ty is not None:
+                return ty
+        ty = super().__call__(*args, **kwargs)
+        values = tuple(getattr(ty, f.name) for f in fields(ty))
+        object.__setattr__(ty, "_values", values)
+        object.__setattr__(ty, "_hash", hash(values))
+        object.__setattr__(ty, "_text", ty._format())
+        # a value built by keyword, or on two threads at once, still ends
+        # up with the one instance that got there first
+        return _UNIQUED.setdefault((cls, *values), ty)
+
+
+class IRType(metaclass=_Uniqued):
     """Base class for all IR types."""
 
-    def __str__(self) -> str:  # pragma: no cover - abstract
+    is_float = False
+    is_integer = False
+    is_vector = False
+
+    def _format(self) -> str:  # pragma: no cover - abstract
         raise NotImplementedError
+
+    def __str__(self) -> str:
+        return self._text
 
     def __repr__(self) -> str:
         return f"<{self.__class__.__name__} {self}>"
 
-    @property
-    def is_float(self) -> bool:
-        return False
+    def __hash__(self) -> int:
+        return self._hash
 
-    @property
-    def is_integer(self) -> bool:
-        return False
-
-    @property
-    def is_vector(self) -> bool:
-        return False
+    def __reduce__(self):
+        return type(self), self._values
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FloatType(IRType):
     """An IEEE float type (f32 or f64)."""
 
     width: int
 
-    _cache: ClassVar[dict] = {}
+    is_float = True
 
     def __post_init__(self) -> None:
         if self.width not in (32, 64):
             raise ValueError(f"unsupported float width: {self.width}")
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return f"f{self.width}"
 
-    @property
-    def is_float(self) -> bool:
-        return True
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IntegerType(IRType):
     """A signless integer type (i1, i32, i64...)."""
 
     width: int
 
+    is_integer = True
+
     def __post_init__(self) -> None:
         if self.width not in (1, 8, 16, 32, 64):
             raise ValueError(f"unsupported integer width: {self.width}")
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return f"i{self.width}"
 
-    @property
-    def is_integer(self) -> bool:
-        return True
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class IndexType(IRType):
     """Target-width integer used for loop counters and memory indexing."""
 
-    def __str__(self) -> str:
+    is_integer = True
+
+    def _format(self) -> str:
         return "index"
 
-    @property
-    def is_integer(self) -> bool:
-        return True
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class VectorType(IRType):
     """A fixed-width 1-D vector, e.g. ``vector<8xf64>``."""
 
     width: int
     element: IRType
 
+    is_vector = True
+
     def __post_init__(self) -> None:
         if self.width < 1:
             raise ValueError(f"vector width must be >= 1, got {self.width}")
         if isinstance(self.element, (VectorType, MemRefType)):
             raise ValueError("vectors of vectors/memrefs are not supported")
+        object.__setattr__(self, "is_float", self.element.is_float)
+        object.__setattr__(self, "is_integer", self.element.is_integer)
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return f"vector<{self.width}x{self.element}>"
 
-    @property
-    def is_vector(self) -> bool:
-        return True
 
-    @property
-    def is_float(self) -> bool:
-        return self.element.is_float
-
-    @property
-    def is_integer(self) -> bool:
-        return self.element.is_integer
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class MemRefType(IRType):
     """A shaped buffer reference, e.g. ``memref<?xf64>``.
 
@@ -125,7 +146,7 @@ class MemRefType(IRType):
     shape: Tuple[Optional[int], ...]
     element: IRType
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         dims = "x".join("?" if d is None else str(d) for d in self.shape)
         if dims:
             return f"memref<{dims}x{self.element}>"
@@ -136,14 +157,14 @@ class MemRefType(IRType):
         return len(self.shape)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class FunctionType(IRType):
     """A function signature type."""
 
     inputs: Tuple[IRType, ...]
     results: Tuple[IRType, ...]
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         ins = ", ".join(str(t) for t in self.inputs)
         outs = ", ".join(str(t) for t in self.results)
         if len(self.results) == 1:
@@ -151,15 +172,15 @@ class FunctionType(IRType):
         return f"({ins}) -> ({outs})"
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class NoneType(IRType):
     """The unit type for ops with no meaningful result."""
 
-    def __str__(self) -> str:
+    def _format(self) -> str:
         return "none"
 
 
-# Interned singletons used throughout the code base.
+# Singletons used throughout the code base.
 f32 = FloatType(32)
 f64 = FloatType(64)
 i1 = IntegerType(1)
@@ -168,6 +189,8 @@ i32 = IntegerType(32)
 i64 = IntegerType(64)
 index = IndexType()
 none = NoneType()
+
+_SCALARS = {str(ty): ty for ty in (f32, f64, i1, i8, i32, i64, index, none)}
 
 
 def vector_of(width: int, element: IRType = f64) -> VectorType:
@@ -218,18 +241,9 @@ def parse_type(text: str) -> IRType:
     function types are handled by the full IR parser instead.
     """
     text = text.strip()
-    simple = {
-        "f32": f32,
-        "f64": f64,
-        "i1": i1,
-        "i8": i8,
-        "i32": i32,
-        "i64": i64,
-        "index": index,
-        "none": none,
-    }
-    if text in simple:
-        return simple[text]
+    scalar = _SCALARS.get(text)
+    if scalar is not None:
+        return scalar
     if text.startswith("vector<") and text.endswith(">"):
         body = text[len("vector<"):-1]
         width_str, _, elem_str = body.partition("x")

@@ -4,14 +4,19 @@ Checks the invariants MLIR's verifier would: registered ops only,
 per-op invariants via :class:`OpInfo.verify`, terminators at block
 ends, and define-before-use visibility (values are visible in the block
 that defines them after their definition, and in any nested region).
+
+Visibility is one scope per module: a dict of the values visible at
+the current op, in the order they became visible.  A block adds its
+arguments and its ops' results, and takes them out again (newest first)
+when it is left, so a nested block sees its ancestors' values and no
+sibling's, without a copy of the set per block.
 """
 
 from __future__ import annotations
 
-from typing import Set
+from typing import Dict
 
-from .core import (Block, IRError, Module, Operation,
-                   op_info)
+from .core import Block, IRError, Module, Operation, Value
 
 
 class VerificationError(IRError):
@@ -20,20 +25,20 @@ class VerificationError(IRError):
 
 def verify_module(module: Module, allow_unregistered: bool = False) -> None:
     """Verify ``module``; raises :class:`VerificationError` on failure."""
-    visible: Set[int] = set()
+    visible: Dict[Value, None] = {}
     for op in module.ops:
         _verify_op(op, visible, allow_unregistered)
 
 
-def _verify_op(op: Operation, visible: Set[int],
+def _verify_op(op: Operation, visible: Dict[Value, None],
                allow_unregistered: bool) -> None:
-    info = op_info(op.name)
+    info = op.info
     if info is None and not allow_unregistered:
         raise VerificationError(f"unregistered operation: {op.name}")
-    for i, operand in enumerate(op.operands):
-        if id(operand) not in visible:
+    for operand in op.operands:
+        if operand not in visible:
             raise VerificationError(
-                f"{op.name}: operand #{i} "
+                f"{op.name}: operand #{op.operands.index(operand)} "
                 f"(%{operand.name_hint or '?'}: {operand.type}) is not "
                 f"visible at its use (define-before-use violation)")
     if info is not None and info.verify is not None:
@@ -45,24 +50,27 @@ def _verify_op(op: Operation, visible: Set[int],
             raise VerificationError(str(err)) from err
     for region in op.regions:
         for block in region.blocks:
-            _verify_block(block, set(visible), allow_unregistered)
+            _verify_block(block, visible, allow_unregistered)
     for result in op.results:
-        visible.add(id(result))
+        visible[result] = None
 
 
-def _verify_block(block: Block, visible: Set[int],
+def _verify_block(block: Block, visible: Dict[Value, None],
                   allow_unregistered: bool) -> None:
+    outer = len(visible)
     for arg in block.args:
-        visible.add(id(arg))
+        visible[arg] = None
+    last = len(block.ops) - 1
     for i, op in enumerate(block.ops):
-        if op.is_terminator and i != len(block.ops) - 1:
+        if op.info is not None and op.info.terminator and i != last:
             raise VerificationError(
                 f"{op.name}: terminator is not the last op in its block")
         _verify_op(op, visible, allow_unregistered)
+    while len(visible) > outer:
+        visible.popitem()
 
 
 def verify_op_isolated(op: Operation) -> None:
     """Verify a single op's own invariants (not SSA visibility)."""
-    info = op_info(op.name)
-    if info is not None and info.verify is not None:
-        info.verify(op)
+    if op.info is not None and op.info.verify is not None:
+        op.info.verify(op)

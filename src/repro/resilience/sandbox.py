@@ -176,19 +176,24 @@ class SandboxedPassManager(PassManager):
         """Run the pipeline with per-pass rollback; never raises for a
         quarantined pass (the module is always left verifying)."""
         with _trace.span("sandbox") as span:
+            start = time.perf_counter()
             checkpoint = print_module(module)
+            spent = {"checkpoint_s": time.perf_counter() - start,
+                     "verify_s": 0.0}
             journal: List[Tuple[Pass, bool]] = []
             contained = len(self.diagnostics)
             try:
-                return self._run(module, fixed_point, checkpoint, journal)
+                return self._run(module, fixed_point, checkpoint, journal,
+                                 spent)
             finally:
                 replays = len(self.diagnostics) - contained
                 span.annotate(checkpoint_bytes=len(checkpoint),
                               invocations=len(journal) + replays,
-                              replays=replays)
+                              replays=replays, **spent)
 
     def _run(self, module: Module, fixed_point: bool, checkpoint: str,
-             journal: List[Tuple[Pass, bool]]) -> bool:
+             journal: List[Tuple[Pass, bool]],
+             spent: Dict[str, float]) -> bool:
         any_change = False
         for _ in range(self.max_iterations if fixed_point else 1):
             round_change = False
@@ -212,12 +217,17 @@ class SandboxedPassManager(PassManager):
                 seconds = time.perf_counter() - start
                 stats.seconds += seconds
                 stats.runs += 1
+                start = time.perf_counter()
                 try:
                     verify_module(module)
+                    rejected = None
                 except VerificationError as err:
-                    self._quarantine(pass_, position, err, "verify", module,
-                                     checkpoint, journal)
-                    self._notify_error(pass_, module, err, seconds)
+                    rejected = err
+                spent["verify_s"] += time.perf_counter() - start
+                if rejected is not None:
+                    self._quarantine(pass_, position, rejected, "verify",
+                                     module, checkpoint, journal)
+                    self._notify_error(pass_, module, rejected, seconds)
                     continue
                 journal.append((pass_, bool(changed)))
                 if changed:

@@ -1,11 +1,81 @@
 """Unit tests for the IR type system."""
 
+import copy
+import dataclasses
+import pickle
+
 import pytest
 
-from repro.ir.types import (FloatType, FunctionType, IntegerType, MemRefType,
-                            VectorType, broadcast_type, element_type, f32,
-                            f64, i1, i32, i64, index, memref_of, parse_type,
-                            vector_of, vector_width)
+from repro.ir import build_module, parse_module, print_module
+from repro.ir.dialects import func
+from repro.ir.types import (FloatType, FunctionType, IndexType, IntegerType,
+                            MemRefType, NoneType, VectorType, broadcast_type,
+                            element_type, f32, f64, i1, i32, i64, index,
+                            memref_of, none, parse_type, vector_of,
+                            vector_width)
+
+#: one builder per type kind, with the text it prints as
+KINDS = {
+    "f64": lambda: FloatType(64),
+    "i32": lambda: IntegerType(32),
+    "index": lambda: IndexType(),
+    "none": lambda: NoneType(),
+    "vector<8xf64>": lambda: vector_of(8),
+    "vector<4xi1>": lambda: broadcast_type(i1, 4),
+    "memref<?xf64>": lambda: memref_of(f64),
+    "memref<4x?xi32>": lambda: MemRefType((4, None), IntegerType(32)),
+    "(f64, index) -> f64": lambda: FunctionType((f64, index), (f64,)),
+    "() -> (f64, f64)": lambda: FunctionType((), (f64, f64)),
+}
+
+
+class TestUniquing:
+    def test_vector_of_is_one_instance(self):
+        assert vector_of(8) is vector_of(8)
+
+    @pytest.mark.parametrize("text", sorted(KINDS))
+    def test_every_way_of_making_a_type_gives_one_object(self, text):
+        ty = KINDS[text]()
+        assert KINDS[text]() is ty
+        assert pickle.loads(pickle.dumps(ty)) is ty
+        assert copy.copy(ty) is ty
+        assert copy.deepcopy(ty) is ty
+        values = {f.name: getattr(ty, f.name)
+                  for f in dataclasses.fields(ty)}
+        assert type(ty)(**values) is ty
+        assert dataclasses.replace(ty) is ty
+        if isinstance(ty, FunctionType):
+            module, _ = build_module()
+            func.func(module, "f", ty.inputs, ty.results, declaration=True)
+            reparsed = parse_module(print_module(module))
+            assert reparsed.ops[0].attributes["function_type"] is ty
+        else:
+            assert parse_type(str(ty)) is ty
+
+    @pytest.mark.parametrize("text", sorted(KINDS))
+    def test_str_hash_and_eq_are_the_dataclass_values(self, text):
+        ty = KINDS[text]()
+        assert str(ty) == text and f"{ty}" == text
+        # a frozen dataclass hashes the tuple of its fields
+        assert hash(ty) == hash(tuple(getattr(ty, f.name)
+                                      for f in dataclasses.fields(ty)))
+        others = [KINDS[t]() for t in KINDS if t != text]
+        assert ty == KINDS[text]() and not ty != KINDS[text]()
+        assert all(ty != other for other in others)
+
+    def test_kinds_with_equal_hashes_stay_unequal(self):
+        assert hash(index) == hash(none)
+        assert index != none and len({index, none}) == 2
+
+    def test_keyword_construction_is_the_positional_instance(self):
+        assert VectorType(width=8, element=f64) is vector_of(8)
+        assert FloatType(width=64) is f64
+
+    def test_invalid_types_are_not_interned(self):
+        with pytest.raises(ValueError):
+            VectorType(0, f64)
+        with pytest.raises(ValueError):
+            VectorType(0, f64)
 
 
 class TestScalarTypes:

@@ -461,6 +461,26 @@ class TestEndToEndTrace:
         assert any(e.get("args", {}).get("op_delta") is not None
                    for e in events)
 
+    def test_sandbox_span_says_where_its_time_went(self, no_tracer):
+        from repro.resilience import compile_resilient
+        tracer = Tracer()
+        previous = obs_trace.activate(tracer)
+        try:
+            compile_resilient("LuoRudy91", artifacts=False)
+        finally:
+            obs_trace.deactivate(previous)
+        spans, stack = [], list(tracer.roots)
+        while stack:
+            span = stack.pop()
+            spans.append(span)
+            stack += span.children
+        [sandbox] = [s for s in spans if s.name == "sandbox"]
+        checkpoint, verify = (sandbox.args["checkpoint_s"],
+                              sandbox.args["verify_s"])
+        assert isinstance(checkpoint, float) and isinstance(verify, float)
+        assert 0.0 < checkpoint and 0.0 < verify
+        assert checkpoint + verify < sandbox.duration
+
     @pytest.mark.parametrize("backend, width, build", [
         ("baseline", 1, codegen.generate_baseline),
         ("limpet_mlir", 4, lambda m: codegen.generate_limpet_mlir(m, 4)),

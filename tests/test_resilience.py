@@ -7,7 +7,7 @@ import pytest
 
 from repro.codegen import UnsupportedModelError, generate_limpet_mlir
 from repro.frontend import load_model as load_model_source
-from repro.models import UNSUPPORTED_MODELS
+from repro.models import UNSUPPORTED_MODELS, all_model_files
 from repro.resilience import (DEFAULT_CHAIN, Diagnostic, FaultInjector,
                               FaultPlan, InjectedFault,
                               NumericalDivergenceError, NumericalWatchdog,
@@ -170,6 +170,26 @@ class TestSandbox:
         default_pipeline(verify_each=False).run(kernel_b.module,
                                                 fixed_point=True)
         assert print_module(kernel_a.module) == print_module(kernel_b.module)
+
+    def test_every_invocation_is_verified(self, monkeypatch):
+        # one verify after every pass invocation, a no-change one included,
+        # plus the resolve's final one: cheaper verifies, never fewer
+        from repro.resilience import sandbox
+        from repro.runtime import resolve
+        calls = []
+
+        def counting(module, *args, **kwargs):
+            calls.append(module)
+            return verify_module(module, *args, **kwargs)
+
+        monkeypatch.setattr(sandbox, "verify_module", counting)
+        monkeypatch.setattr(resolve, "verify_module", counting)
+        for name in all_model_files():
+            calls.clear()
+            compiled = compile_resilient(name, artifacts=False)
+            invocations = sum(s.runs for s in
+                              compiled.sandbox.statistics.values())
+            assert len(calls) == invocations + 1 == 9, name
 
 
 # ---------------------------------------------------------------------------
