@@ -14,7 +14,8 @@ numerical watchdog are all testable:
 * **backend failures** — a compile tier raises, forcing the chain to
   fall through (how the bench exercises full-sweep survival);
 * **process faults** — a supervised worker dies (``os._exit``) or
-  stalls its heartbeat mid-shard, exercising the restart/retry path of
+  stalls its heartbeat at a chosen step of its run segment, exercising
+  the restart/retry path of
   :class:`~repro.runtime.supervised.SupervisedRunner`;
 * **on-disk corruption** — :func:`corrupt_cache_entry` scrambles a
   persisted cache entry so the checksum-quarantine path is provable.
@@ -55,13 +56,16 @@ class FaultPlan:
     nan_cells: Tuple[int, ...] = (0,)
     #: the poison value (NaN by default; use np.inf for overflow-style)
     nan_value: float = float("nan")
-    #: supervised worker slot that crashes (``os._exit``) mid-shard
+    #: supervised worker slot that crashes (``os._exit``) mid-segment
     kill_worker: Optional[int] = None
-    #: ... on this (1-based) task dispatched to that worker
+    #: ... as it begins this (1-based) step of its first life.  Despite
+    #: the name it counts steps, not tasks: a task is a run segment of
+    #: many steps, so the fault still fires mid-run in a one-segment run
     kill_worker_at_task: int = 1
-    #: supervised worker slot whose heartbeat (and task) stalls
+    #: supervised worker slot whose heartbeat (and segment) stalls
     stall_worker: Optional[int] = None
-    #: ... on this (1-based) task dispatched to that worker
+    #: ... as it begins this (1-based) step of its first life (steps,
+    #: like ``kill_worker_at_task``)
     stall_worker_at_task: int = 1
     #: how long the stalled worker sleeps (parent should give up first)
     stall_worker_seconds: float = 30.0

@@ -141,6 +141,24 @@ def advance(state: SimulationState, n_steps: int, dt: float,
     return done
 
 
+class ClockedCompute:
+    """The compute stage of a ``time_breakdown`` run: calls ``kernel``
+    and sums the wall time of the calls in ``seconds``.  A tier that
+    runs whole segments out of process adds each segment's wall time
+    to ``seconds`` instead of calling it."""
+
+    __slots__ = ("kernel", "seconds")
+
+    def __init__(self, kernel: Callable[[SimulationState, float], None]):
+        self.kernel = kernel
+        self.seconds = 0.0
+
+    def __call__(self, state: SimulationState, dt: float) -> None:
+        t0 = _time.perf_counter()
+        self.kernel(state, dt)
+        self.seconds += _time.perf_counter() - t0
+
+
 class KernelRunner:
     """Owns one compiled kernel and runs simulations with it.
 
@@ -316,6 +334,17 @@ class KernelRunner:
         vm = state.externals["Vm"]
         vm -= dt * (state.externals["Iion"] + istim)
 
+    def _advance(self, state: SimulationState, n_steps: int, dt: float,
+                 compute: Callable[[SimulationState, float], None],
+                 stimulus: Optional[Stimulus],
+                 hook: Optional[Callable[[SimulationState], None]],
+                 until: float) -> int:
+        """One run segment: :func:`advance` with this runner's solver
+        stage.  The supervised tier overrides it to run the segment's
+        steps in its workers."""
+        return advance(state, n_steps, dt, compute, self.solver_step,
+                       stimulus, hook, until)
+
     def run(self, state: SimulationState, n_steps: int, dt: float = 0.01,
             stimulus: Optional[Stimulus] = None,
             record_vm: bool = False, watchdog=None,
@@ -333,7 +362,10 @@ class KernelRunner:
         so the result carries ``compute_seconds``/``overhead_seconds``.
         The two extra clock reads per step perturb the total, so timed
         benchmarks take their headline number from a plain run and use
-        a separate breakdown run only for attribution.
+        a separate breakdown run only for attribution.  On the
+        supervised tier, whose workers run the solver stage too,
+        ``compute_seconds`` is the summed wall time of the segments
+        dispatched to them, solver stage included.
         """
         with _trace.span("run", model=self.model.name,
                          n_cells=state.n_cells, n_steps=n_steps, dt=dt,
@@ -378,19 +410,13 @@ class KernelRunner:
              stimulus: Optional[Stimulus], record_vm: bool, watchdog,
              step_hook: Optional[Callable[[SimulationState], None]],
              time_breakdown: bool) -> RunResult:
-        """Every run mode is :func:`advance` plus wrappers: the time
+        """Every run mode is :meth:`_advance` plus wrappers: the time
         breakdown clocks ``compute``, the Vm trace is a step hook, the
         first step is taken alone so it can be timed, and the watchdog
         advances in ``check_interval`` segments."""
         clock = _time.perf_counter
-        compute = self.compute_step
-        compute_seconds = 0.0 if time_breakdown else None
-        if time_breakdown:
-            def compute(st, cur_dt, kernel=self.compute_step):
-                nonlocal compute_seconds
-                t0 = clock()
-                kernel(st, cur_dt)
-                compute_seconds += clock() - t0
+        compute = ClockedCompute(self.compute_step) if time_breakdown \
+            else self.compute_step
         trace: Optional[List[float]] = None
         hook = step_hook
         if record_vm and "Vm" in state.externals:
@@ -408,12 +434,12 @@ class KernelRunner:
             nonlocal first_step
             done = 0
             if first_step is None and n > 0:
-                done = advance(state, 1, cur_dt, compute, self.solver_step,
-                               stimulus, hook, until)
+                done = self._advance(state, 1, cur_dt, compute, stimulus,
+                                     hook, until)
                 if done:
                     first_step = clock() - start
-            return done + advance(state, n - done, cur_dt, compute,
-                                  self.solver_step, stimulus, hook, until)
+            return done + self._advance(state, n - done, cur_dt, compute,
+                                        stimulus, hook, until)
 
         health = None
         if watchdog is None:
@@ -426,7 +452,7 @@ class KernelRunner:
             state=state, n_steps=n_steps, dt=dt, elapsed_seconds=elapsed,
             vm_trace=None if trace is None else np.asarray(trace, float),
             health=health,
-            compute_seconds=compute_seconds,
+            compute_seconds=compute.seconds if time_breakdown else None,
             compile_seconds=self.compile_seconds,
             time_to_first_step=None if first_step is None
             else self.compile_seconds + first_step)

@@ -12,13 +12,23 @@ state arrays, supervised by the parent:
   of the segment (``MAP_SHARED``: child writes are visible to the
   parent with no re-attach by name, and a killed child can never leave
   the resource tracker confused about segment ownership);
-* **heartbeats** — each worker beats a slot of a shared float64 array
-  from a daemon thread; the parent treats a stale beat, a dead
-  process, or a blown task deadline identically (restart + retry);
-* **bounded retry** — a failed shard is restored from the pre-step
-  backup (shards are disjoint, so only the failed slice is touched),
-  the worker is respawned, and the task re-dispatched with exponential
-  backoff, up to ``max_retries`` times;
+* **segments** — a task is a run segment of k steps: the worker runs
+  the compute *and* the solver stage over its own ``[start, end)``
+  slice k times, through :func:`~repro.runtime.executor.advance`, and
+  replies once with the steps taken and the final time, which the
+  parent adopts.  k comes from the run's own structure: the first step
+  alone, then the rest; one watchdog ``check_interval`` stretch; 1
+  under a per-step hook, which runs in the parent after each step;
+* **heartbeats and progress** — each worker beats a slot of a shared
+  float64 array from a daemon thread and publishes the steps it has
+  completed of its segment in a progress slot beside it; the parent
+  treats a stale beat, a dead process, or a step that overruns
+  ``task_timeout`` (the deadline restarts whenever the progress count
+  moves) identically (restart + retry);
+* **bounded retry** — a failed shard is restored from the
+  segment-start backup (shards are disjoint, so only the failed slice
+  is touched), the worker is respawned, and the whole segment
+  re-dispatched with exponential backoff, up to ``max_retries`` times;
 * **graceful degradation** — when supervision itself gives up
   (:class:`SupervisedExecutionError`) or fails unexpectedly, the run
   restarts from its initial checkpoint on the single-process tier,
@@ -27,15 +37,20 @@ state arrays, supervised by the parent:
 
 Correctness invariant: shards are disjoint width-aligned cell ranges
 of a cell-local model, workers run the *same compiled kernel* the
-parent would (fork-inherited) and rebuild LUTs deterministically per
-quantized dt, so supervised trajectories are **bitwise identical** to
+parent would (fork-inherited), rebuild LUTs deterministically per
+quantized dt, and apply the solver stage's elementwise update to their
+slice, so supervised trajectories are **bitwise identical** to
 single-process runs (proven by the differential tests).
 
-Deliberately *not* a throughput feature: process supervision buys
-crash isolation.  The paper parallelises inside the generated code —
-``omp.parallel`` around the cell loop, lowered by the openmp dialect
-(PAPER.md §1, Figs. 3–4) — which is where a native lowering target
-(C from the post-pipeline IR) would put it, not in a Python-side tier.
+Crash isolation is what the tier is for; a task per step also made it
+slow.  One pipe round-trip, one full ``sv`` backup and a parent-side
+solver stage per step held it to ~1.1× of inline (OHara, 4096 cells,
+two workers), where two independent processes reach ~1.8×; a segment
+pays them once per k steps.  The paper
+parallelises inside the generated code — ``omp.parallel`` around the
+cell loop, lowered by the openmp dialect (PAPER.md §1, Figs. 3–4) —
+which is where a native lowering target (C from the post-pipeline IR)
+would put it, with no pipe at all.
 """
 
 from __future__ import annotations
@@ -47,6 +62,7 @@ import threading
 import time
 import weakref
 from dataclasses import dataclass
+from math import inf
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -56,7 +72,7 @@ from ..obs import flight as _flight
 from ..obs import ledger as _ledger
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
-from .executor import KernelRunner
+from .executor import ClockedCompute, advance
 from .sharded import ShardedRunner, available_cpus
 from .state import SimulationState
 
@@ -98,9 +114,10 @@ class SupervisionConfig:
     heartbeat_interval: float = 0.05
     #: a beat older than this marks the worker as stalled
     heartbeat_timeout: float = 5.0
-    #: wall-clock budget for one dispatched shard task
+    #: wall-clock budget for one step of a dispatched segment (the
+    #: deadline restarts whenever the worker's progress count moves)
     task_timeout: float = 30.0
-    #: per-shard retry budget within one compute step
+    #: retry budget per shard per segment
     max_retries: int = 2
     #: base seconds of the exponential retry backoff
     retry_backoff: float = 0.05
@@ -122,32 +139,67 @@ class SupervisionConfig:
 
 @dataclass
 class _WorkerFault:
-    """Injected process-level fault, armed for one worker's first life."""
+    """Injected process-level fault, armed for one worker's first life;
+    the ``*_at_step`` fields count the steps that life has begun."""
 
-    kill_at_task: Optional[int] = None
-    stall_at_task: Optional[int] = None
+    kill_at_step: Optional[int] = None
+    stall_at_step: Optional[int] = None
     stall_seconds: float = 30.0
+
+
+@dataclass
+class _Shard:
+    """What the two-stage loop touches of one shard in its worker: the
+    clock, the step count, and the externals sliced to ``[start, end)``
+    for the solver stage (the kernel binds the whole buffers)."""
+
+    externals: Dict[str, np.ndarray]
+    time: float
+    steps_done: int = 0
+
+
+@dataclass
+class _Task:
+    """One segment dispatched to one worker, as the parent tracks it."""
+
+    slot: int
+    seq: int
+    start: int
+    end: int
+    deadline: float
+    #: completed steps last read from the worker's progress slot
+    progress: int = 0
+    #: ``(steps taken, final time)`` once the worker replied ``ok``
+    outcome: Optional[Tuple[int, float]] = None
+
+
+def _solved_in_workers(state, dt, stimulus) -> None:
+    """The parent's solver stage for a segment: the workers ran it."""
 
 
 def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
                   slot: int, conn, heartbeats: np.ndarray,
-                  config: SupervisionConfig,
+                  progress: np.ndarray, config: SupervisionConfig,
                   fault: Optional[_WorkerFault],
                   trace_ctx: Optional[_trace.TraceContext] = None
                   ) -> None:
     """Worker main loop (runs in the forked child).
 
     Everything it needs — the compiled kernel, the shm-backed state
-    views, its heartbeat slot — arrived via fork, not pickling.  It
-    only ever touches its dispatched ``[start, end)`` slice, so
-    concurrent workers never alias.
+    views, its heartbeat and progress slots — arrived via fork, not
+    pickling.  A task ``("run", seq, start, end, n_steps, dt, now,
+    until, stimulus)`` advances only the ``[start, end)`` slice, from
+    the parent's clock ``now``, so concurrent workers never alias; the
+    worker publishes each completed step in its progress slot and
+    replies ``("ok", seq, steps taken, final time)``.
 
     With a ``trace_ctx`` the worker runs its own :class:`Tracer` under
     the parent's trace id and timebase (fork shares CLOCK_MONOTONIC),
-    wraps each task in a ``shard_task`` span, and **streams** finished
-    spans back piggybacked on every reply — the parent merges them as
-    foreign events, so a worker killed mid-run has already delivered
-    the spans of every task it completed.
+    wraps each task in a ``shard_task`` span whose ``steps`` arg counts
+    the steps it began, and **streams** finished spans back piggybacked
+    on every reply — the parent merges them as foreign events, so a
+    worker killed mid-run has already delivered the spans of every
+    task it completed.
     """
     stop = threading.Event()
     stalled = threading.Event()
@@ -170,20 +222,31 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
     threading.Thread(target=beat, daemon=True,
                      name=f"limpet-heartbeat-{slot}").start()
     fn = runner.kernel.fn
-    tasks_done = 0
+    args: list = []             # the current task's kernel arguments
+    life_steps = 0              # steps begun in this life: faults count them
+
+    def compute(shard: _Shard, cur_dt: float) -> None:
+        nonlocal life_steps
+        life_steps += 1
+        if fault is not None:
+            if fault.kill_at_step == life_steps:
+                os._exit(1)                 # simulated crash mid-segment
+            if fault.stall_at_step == life_steps:
+                stalled.set()               # heartbeat goes quiet...
+                time.sleep(fault.stall_seconds)     # ...and so do we
+        args[3] = shard.time
+        fn(*args)
+
+    def publish(shard: _Shard) -> None:
+        progress[slot] = shard.steps_done
+
     try:
         while True:
             msg = conn.recv()
             if msg[0] == "stop":
                 break
-            _, seq, start, end, dt, now = msg
-            tasks_done += 1
-            if fault is not None:
-                if fault.kill_at_task == tasks_done:
-                    os._exit(1)         # simulated crash mid-shard
-                if fault.stall_at_task == tasks_done:
-                    stalled.set()       # heartbeat goes quiet...
-                    time.sleep(fault.stall_seconds)   # ...and so do we
+            _, seq, start, end, n_steps, dt, now, until, stimulus = msg
+            begun = life_steps
             task_span = _trace.span("shard_task", slot=slot, seq=seq,
                                     start=start, end=end)
             try:
@@ -193,16 +256,20 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
                     # arrays (exact copies, never in the segment), LUTs
                     # rebuilt deterministically per quantized dt
                     args = runner._bind_args(state, dt)
-                    args[0], args[1], args[3] = start, end, now
-                    fn(*args)
+                    args[0], args[1] = start, end
+                    shard = _Shard({name: array[start:end] for name, array
+                                    in state.externals.items()}, now)
+                    try:
+                        advance(shard, n_steps, dt, compute,
+                                runner.solver_step, stimulus, publish, until)
+                    finally:
+                        task_span.annotate(steps=life_steps - begun)
+                reply = ("ok", seq, shard.steps_done, shard.time)
             except Exception as err:
                 task_span.annotate(error=f"{type(err).__name__}: {err}")
-                events = tracer.drain_events() if tracer else []
-                conn.send(("err", seq, type(err).__name__, str(err),
-                           events))
-            else:
-                events = tracer.drain_events() if tracer else []
-                conn.send(("ok", seq, events))
+                reply = ("err", seq, type(err).__name__, str(err))
+            events = tracer.drain_events() if tracer else []
+            conn.send(reply + (events,))
     except (EOFError, OSError, KeyboardInterrupt):
         pass                            # parent went away: just exit
     finally:
@@ -247,7 +314,7 @@ _register_cleanup(close_all_runners, "supervised-runners")
 
 
 class SupervisedRunner(ShardedRunner):
-    """A runner that executes compute steps in supervised worker
+    """A runner that executes run segments in supervised worker
     processes, degrading to the single tier on supervision failure.
 
     ``n_workers`` bounds the process count (shards are width-aligned,
@@ -274,6 +341,7 @@ class SupervisedRunner(ShardedRunner):
         self._spawns: List[int] = []
         self._hb_shm = None
         self._hb_view: Optional[np.ndarray] = None
+        self._progress: Optional[np.ndarray] = None
         self._state_shm = None
         self._attached: Optional[SimulationState] = None
         self._orig_arrays: Optional[tuple] = None
@@ -363,43 +431,55 @@ class SupervisedRunner(ShardedRunner):
                 self._record_degradation(err)
         return super().run(*args)
 
-    # -- compute-step dispatch -----------------------------------------------------
+    # -- segment dispatch ----------------------------------------------------------
 
-    def compute_step(self, state: SimulationState, dt: float) -> None:
-        if self._tier == "supervised" and self._procs \
-                and state is self._attached:
-            self._supervised_step(state, dt)
-        else:
-            KernelRunner.compute_step(self, state, dt)
+    def _advance(self, state: SimulationState, n_steps: int, dt: float,
+                 compute, stimulus, hook, until: float) -> int:
+        """The segment runs in the workers while they hold ``state``,
+        inline otherwise (a single shard, or a degraded runner)."""
+        if not (self._procs and state is self._attached):
+            return super()._advance(state, n_steps, dt, compute, stimulus,
+                                    hook, until)
+        if n_steps <= 0 or state.time >= until:
+            return 0
+        if hook is not None:
+            # k = 1: the hook sees every step, in the parent, as inline
+            def one_step(st: SimulationState, cur_dt: float) -> None:
+                self._segment(st, 1, cur_dt, stimulus, inf, compute)
+            return advance(state, n_steps, dt, one_step, _solved_in_workers,
+                           None, hook, until)
+        done, state.time = self._segment(state, n_steps, dt, stimulus,
+                                         until, compute)
+        state.steps_done += done
+        return done
 
-    def _supervised_step(self, state: SimulationState, dt: float) -> None:
-        shards = self.shards_for(state)
-        if len(shards) <= 1:
-            KernelRunner.compute_step(self, state, dt)
-            return
-        # pre-step backup: a failed shard restores only its own slice
-        # before re-dispatch, so retried kernels re-run from identical
-        # inputs (idempotent re-execution)
+    def _segment(self, state: SimulationState, n_steps: int, dt: float,
+                 stimulus, until: float, compute) -> Tuple[int, float]:
+        """Advance every shard up to ``n_steps`` steps in its worker;
+        return the steps taken and the final time, on which all shards
+        must agree."""
+        started = time.perf_counter()
+        # segment-start backup: a failed shard restores only its own
+        # slice before its respawned worker re-runs the whole segment
+        # from identical inputs (deterministic, so still bitwise)
         backup_sv = state.sv.copy()
         backup_ext = {k: v.copy() for k, v in state.externals.items()}
-        now = state.time
-        pending: Dict[int, Tuple[int, int, int]] = {}
-        deadlines: Dict[int, float] = {}
-        attempts: Dict[int, int] = {}
-        for slot, (start, end) in enumerate(shards):
-            pending[slot] = (self._dispatch(slot, start, end, dt, now),
-                             start, end)
-            deadlines[slot] = time.monotonic() + self.config.task_timeout
-            attempts[slot] = 0
+        segment = (n_steps, dt, state.time, until, stimulus)
+        pending: Dict[int, _Task] = {
+            slot: self._dispatch(slot, start, end, segment)
+            for slot, (start, end) in enumerate(self.shards_for(state))}
+        attempts = dict.fromkeys(pending, 0)
+        outcomes = set()
         while pending:
-            for slot in list(pending):
-                seq, start, end = pending[slot]
-                failure = self._poll_slot(slot, seq, deadlines[slot])
+            for slot, task in list(pending.items()):
+                failure = self._poll_slot(task)
                 if failure == "pending":
                     continue
                 if failure is None:
+                    outcomes.add(task.outcome)
                     del pending[slot]
                     continue
+                step = state.steps_done + int(self._progress[slot])
                 attempts[slot] += 1
                 _metrics.counter(
                     "shard_retries_total",
@@ -412,41 +492,44 @@ class SupervisedRunner(ShardedRunner):
                         shard=str(slot), reason=kind).inc()
                 _trace.instant("shard_failure", slot=slot,
                                attempt=attempts[slot], reason=failure)
-                _flight.record("worker_failure", slot=slot,
-                               step=state.steps_done, reason=kind,
-                               detail=failure,
+                _flight.record("worker_failure", slot=slot, step=step,
+                               reason=kind, detail=failure,
                                heartbeat_age=self._heartbeat_age(slot),
                                attempt=attempts[slot])
                 if attempts[slot] > self.config.max_retries:
                     raise SupervisedExecutionError(
-                        f"shard {slot} [{start}, {end}) failed "
-                        f"{attempts[slot]} times at step "
-                        f"{state.steps_done} ({failure})",
-                        slot=slot, attempts=attempts[slot],
-                        step=state.steps_done)
-                self._restart_worker(slot, failure,
-                                     step=state.steps_done)
+                        f"shard {slot} [{task.start}, {task.end}) failed "
+                        f"{attempts[slot]} times at step {step} "
+                        f"({failure})",
+                        slot=slot, attempts=attempts[slot], step=step)
+                self._restart_worker(slot, failure, step=step)
                 self._restore_shard(state, backup_sv, backup_ext,
-                                    start, end)
+                                    task.start, task.end)
                 time.sleep(self.config.retry_backoff
                            * (2 ** (attempts[slot] - 1)))
-                pending[slot] = (self._dispatch(slot, start, end, dt,
-                                                now), start, end)
-                deadlines[slot] = (time.monotonic()
-                                   + self.config.task_timeout)
+                pending[slot] = self._dispatch(slot, task.start, task.end,
+                                               segment)
+        if len(outcomes) != 1:
+            raise SupervisedExecutionError(
+                f"shards disagree on (steps, time) at the end of a "
+                f"segment: {sorted(outcomes)}", step=state.steps_done)
+        if isinstance(compute, ClockedCompute):
+            compute.seconds += time.perf_counter() - started
+        return outcomes.pop()
 
-    def _poll_slot(self, slot: int, seq: int,
-                   deadline: float) -> Optional[str]:
-        """None = task done; "pending" = keep waiting; else the
-        failure reason."""
+    def _poll_slot(self, task: _Task) -> Optional[str]:
+        """None = segment done (``task.outcome`` set); "pending" = keep
+        waiting; else the failure reason."""
+        slot = task.slot
         conn = self._conns[slot]
         try:
             while conn.poll(0.01):
                 reply = conn.recv()
                 self._harvest_events(reply)
-                if reply[1] != seq:
+                if reply[1] != task.seq:
                     continue            # stale reply from a pre-retry task
                 if reply[0] == "ok":
+                    task.outcome = (reply[2], reply[3])
                     return None
                 return f"worker exception {reply[2]}: {reply[3]}"
         except (EOFError, OSError):
@@ -455,17 +538,24 @@ class SupervisedRunner(ShardedRunner):
         if proc is None or not proc.is_alive():
             code = proc.exitcode if proc is not None else None
             return f"worker died (exit code {code})"
-        age = time.monotonic() - float(self._hb_view[slot])
+        now = time.monotonic()
+        age = now - float(self._hb_view[slot])
         if age > self.config.heartbeat_timeout:
             return f"heartbeat stalled ({age:.2f}s old)"
-        if time.monotonic() > deadline:
-            return "task deadline exceeded"
+        progress = int(self._progress[slot])
+        if progress != task.progress:
+            # a step finished: the next one gets a whole task_timeout
+            task.progress = progress
+            task.deadline = now + self.config.task_timeout
+        elif now > task.deadline:
+            return (f"task deadline exceeded (no step finished in "
+                    f"{self.config.task_timeout:g}s)")
         return "pending"
 
     def _restore_shard(self, state: SimulationState,
                        backup_sv: np.ndarray, backup_ext: Dict,
                        start: int, end: int) -> None:
-        """Roll one shard's slice back to the pre-step backup.
+        """Roll one shard's slice back to the segment-start backup.
 
         Shard bounds are width-aligned, so for AoS and AoSoA the cell
         range ``[start, end)`` is exactly the flat sv slice
@@ -478,15 +568,18 @@ class SupervisedRunner(ShardedRunner):
         for name, saved in backup_ext.items():
             state.externals[name][start:end] = saved[start:end]
 
-    def _dispatch(self, slot: int, start: int, end: int, dt: float,
-                  now: float) -> int:
+    def _dispatch(self, slot: int, start: int, end: int,
+                  segment: tuple) -> _Task:
+        """Send ``("run", seq, start, end) + segment`` to one worker;
+        ``segment`` is ``(n_steps, dt, now, until, stimulus)``."""
         self._seq += 1
+        self._progress[slot] = 0    # before the send: the worker counts up
         try:
-            self._conns[slot].send(("step", self._seq, start, end, dt,
-                                    now))
+            self._conns[slot].send(("run", self._seq, start, end) + segment)
         except (OSError, BrokenPipeError):
             pass    # the poll path will see the dead worker and retry
-        return self._seq
+        return _Task(slot, self._seq, start, end,
+                     deadline=time.monotonic() + self.config.task_timeout)
 
     # -- worker lifecycle ----------------------------------------------------------
 
@@ -497,11 +590,15 @@ class SupervisedRunner(ShardedRunner):
         if len(shards) <= 1:
             return                      # nothing to supervise: inline
         n = len(shards)
-        self._hb_shm = _shm_mod.SharedMemory(create=True,
-                                             size=max(8 * n, 8))
+        # per worker: a float64 heartbeat, and an int64 progress count
+        # (completed steps of its current segment) after all the beats
+        self._hb_shm = _shm_mod.SharedMemory(create=True, size=16 * n)
         self._hb_view = np.ndarray((n,), dtype=np.float64,
                                    buffer=self._hb_shm.buf)
+        self._progress = np.ndarray((n,), dtype=np.int64,
+                                    buffer=self._hb_shm.buf, offset=8 * n)
         self._hb_view[:] = time.monotonic()
+        self._progress[:] = 0
         self._procs = [None] * n
         self._conns = [None] * n
         self._spawns = [0] * n
@@ -523,7 +620,7 @@ class SupervisedRunner(ShardedRunner):
         if kill_at is None and stall_at is None:
             return None
         return _WorkerFault(
-            kill_at_task=kill_at, stall_at_task=stall_at,
+            kill_at_step=kill_at, stall_at_step=stall_at,
             stall_seconds=getattr(plan, "stall_worker_seconds", 30.0))
 
     def _spawn_worker(self, ctx, slot: int) -> None:
@@ -537,7 +634,7 @@ class SupervisedRunner(ShardedRunner):
         proc = ctx.Process(
             target=_worker_entry,
             args=(self, self._attached, slot, child_conn, self._hb_view,
-                  self.config, fault, trace_ctx),
+                  self._progress, self.config, fault, trace_ctx),
             daemon=True, name=f"limpet-worker-{slot}")
         proc.start()
         child_conn.close()
@@ -636,7 +733,7 @@ class SupervisedRunner(ShardedRunner):
         self._conns = []
         self._spawns = []
         if self._hb_shm is not None:
-            self._hb_view = None
+            self._hb_view = self._progress = None
             try:
                 self._hb_shm.close()
             except BufferError:         # pragma: no cover - exported view

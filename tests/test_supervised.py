@@ -112,6 +112,26 @@ class TestBitwiseDifferential:
             sup.run(state, 40, 0.01)
         assert compare_trajectories(expected, state, rtol=0, atol=0)
 
+    def test_population_instance_axis_matches_inline_bitwise(self):
+        from repro.population import (PopulationRunner, PopulationSpec,
+                                      load_promoted_model)
+        model = load_promoted_model("LuoRudy91", ("GK",))
+        spec = PopulationSpec.from_ranges(model, {"GK": "0.5:1.5:3"})
+
+        def run(n_workers):
+            with PopulationRunner(model, spec, width=4, n_workers=n_workers,
+                                  shard_axis="instances") as pop:
+                result = pop.simulate(cells_per_instance=8, n_steps=30)
+                runner = pop.runner_for(8)
+            return result.flat.state, runner
+
+        expected, inline = run(1)
+        assert inline.active_tier == "single"
+        got, sup = run(2)
+        assert sup.active_tier == "supervised"
+        assert sup.shard_plan == [(0, 16), (16, 24)]
+        assert compare_trajectories(expected, got, rtol=0, atol=0)
+
     def test_state_arrays_restored_after_run(self):
         # the run moves state into shared memory; afterwards the state
         # must be rebound to ordinary heap arrays and the segment gone
@@ -122,6 +142,149 @@ class TestBitwiseDifferential:
             sup.run(state, 10, 0.01)
             assert sup._state_shm is None
             assert state.sv is sv_before
+
+
+# ---------------------------------------------------------------------------
+# Run segments: one task per shard per segment, bitwise equal to inline
+# ---------------------------------------------------------------------------
+
+
+def _split(runner, state):
+    runner.run(state, 1, 0.01)
+    return runner.run(state, 59, 0.01).n_steps
+
+
+def _record_vm(runner, state):
+    return list(runner.run(state, 60, 0.01, record_vm=True).vm_trace)
+
+
+def _step_hook(runner, state):
+    seen = []
+    runner.run(state, 60, 0.01,
+               step_hook=lambda s: seen.append((s.steps_done, s.time)))
+    return seen
+
+
+def _pulse(runner, state):
+    # the pulse switches on and off inside the 59-step segment
+    from repro.runtime import Stimulus
+    stimulus = Stimulus(amplitude=-30.0, duration=0.25, period=0.4,
+                        start=0.13)
+    return runner.run(state, 60, 0.01, stimulus=stimulus).n_steps
+
+
+def _halve_dt(runner, state):
+    # FitzHughNagumo diverges at dt 5 on its own: no hook, so the
+    # watchdog's check_interval stretches are the segments
+    from repro.resilience import WatchdogConfig
+    with np.errstate(over="ignore", invalid="ignore"):
+        health = runner.run(state, 100, 5.0,
+                            watchdog=WatchdogConfig(check_interval=10)).health
+    assert health.ok and health.retries >= 1
+    return health.retries, health.final_dt, state.time
+
+
+#: scenario -> (model, ragged cell count, segment sizes it must dispatch)
+SEGMENT_CASES = {
+    "split_run": (_split, "LuoRudy91", 29, [1, 1, 58]),
+    "record_vm": (_record_vm, "LuoRudy91", 29, [1] * 60),
+    "step_hook": (_step_hook, "LuoRudy91", 29, [1] * 60),
+    "pulse_edge_in_segment": (_pulse, "LuoRudy91", 29, [1, 59]),
+    "watchdog_halve_dt": (_halve_dt, "FitzHughNagumo", 21, None),
+}
+
+
+@needs_mp
+class TestSegments:
+    @pytest.mark.parametrize("case", sorted(SEGMENT_CASES))
+    def test_segments_match_inline_bitwise(self, case):
+        scenario, name, n_cells, sizes = SEGMENT_CASES[case]
+        inline = KernelRunner(make_generated(name))
+        expected = inline.make_state(n_cells)
+        expected_out = scenario(inline, expected)
+        with SupervisedRunner(make_generated(name), n_workers=3) as sup:
+            dispatched = []
+            segment = sup._segment
+
+            def spy(state, n_steps, *args):
+                dispatched.append(n_steps)
+                return segment(state, n_steps, *args)
+
+            sup._segment = spy
+            state = sup.make_state(n_cells)
+            assert scenario(sup, state) == expected_out
+            assert sup.tier == "supervised"
+        if sizes is not None:
+            assert dispatched == sizes
+        else:                           # one segment per check_interval
+            assert max(dispatched) == 10
+        assert (state.time, state.steps_done) == \
+            (expected.time, expected.steps_done)
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
+
+    def test_time_breakdown_sums_segment_wall_time(self):
+        with SupervisedRunner(make_generated("LuoRudy91"),
+                              n_workers=2) as sup:
+            state = sup.make_state(29)
+            result = sup.run(state, 30, 0.01, time_breakdown=True)
+        assert isinstance(result.compute_seconds, float)
+        assert 0.0 < result.compute_seconds <= result.elapsed_seconds
+
+    def test_kill_mid_segment_restores_and_reports_step(self):
+        # run(41) is segments [1, 40]; the worker's 6th step is the 5th
+        # of the 40-step segment, i.e. step 5 of the run (0-based)
+        expected = run_single("FitzHughNagumo", 37, 41)
+        plan = FaultPlan(kill_worker=1, kill_worker_at_task=6)
+        with SupervisedRunner(make_generated("FitzHughNagumo"),
+                              n_workers=3, fault_plan=plan,
+                              config=SupervisionConfig(**FAST)) as sup:
+            state = sup.make_state(37)
+            sup.run(state, 41, 0.01)
+            assert sup.tier == "supervised"
+            restart, = [d for d in sup.diagnostics
+                        if "restarted worker 1" in d.message]
+        assert restart.data["step"] == 5
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
+
+    def test_hung_step_caught_by_per_step_deadline(self, tmp_path):
+        # until the hang every step takes >= 4 ms, so the 149 steps
+        # before it outlast task_timeout=0.5 and must not trip it; then
+        # one step of shard 0 hangs 5 s while the heartbeat thread keeps
+        # beating, and only the per-step deadline (restarted by
+        # progress) can catch that
+        import dataclasses
+        expected = run_single("LuoRudy91", 29, 201)
+        config = SupervisionConfig(task_timeout=0.5, retry_backoff=0.01)
+        with SupervisedRunner(make_generated("LuoRudy91"), n_workers=2,
+                              config=config) as sup:
+            kernel, calls, hung = sup.kernel.fn, [0], tmp_path / "hung"
+
+            def slow_then_hang_once(*args):
+                if not hung.exists():
+                    time.sleep(0.004)
+                    if args[0] == 0:
+                        calls[0] += 1   # counted per process (fork)
+                        if calls[0] == 150:
+                            hung.write_text(repr(time.monotonic()))
+                            time.sleep(5.0)
+                return kernel(*args)
+
+            restarts, restart = [], sup._restart_worker
+
+            def spy(slot, reason, step=-1):
+                restarts.append((time.monotonic(), slot, reason, step))
+                restart(slot, reason, step=step)
+
+            sup.kernel = dataclasses.replace(sup.kernel,
+                                             fn=slow_then_hang_once)
+            sup._restart_worker = spy
+            state = sup.make_state(29)
+            sup.run(state, 201, 0.01)
+            assert sup.tier == "supervised"
+        (detected, slot, reason, step), = restarts
+        assert (slot, step) == (0, 149) and "task deadline" in reason
+        assert detected - float(hung.read_text()) < 3.0
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -183,6 +346,7 @@ class TestCrashRecovery:
                 sup.run(state, 10, 0.01)
             assert excinfo.value.slot == 0
             assert excinfo.value.attempts == 1
+            assert excinfo.value.step == 0
 
 
 # ---------------------------------------------------------------------------

@@ -291,7 +291,8 @@ class TestSupervisedTelemetry:
         assert len(pids) >= 3
         shard_tasks = [e for e in span_events
                        if e["name"] == "shard_task"]
-        assert len(shard_tasks) >= 30
+        # a task is a run segment: its steps arg says how many it ran
+        assert sum(e["args"]["steps"] for e in shard_tasks) >= 2 * 30
         respawns = [e for e in events
                     if e["ph"] == "i" and e["name"] == "worker_respawn"]
         assert len(respawns) == 1
