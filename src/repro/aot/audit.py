@@ -7,8 +7,9 @@ manifest entry and reports exactly which dimension drifted:
 
 * ``missing``        — the manifest names an entry file that is gone;
 * ``corrupt``        — the entry fails its sha256 checksum; the file is
-  **quarantined** (moved to ``<root>/quarantine/``, same machinery as
-  the kernel cache's corrupt-entry handling) so it can never be served;
+  **quarantined** (moved to ``<root>/quarantine/`` by the kernel cache's
+  own :func:`~repro.runtime.kernel_cache.quarantine_entry`) so it can
+  never be served;
 * ``format_drift``   — the entry was keyed under another
   ``CACHE_FORMAT_VERSION``: no key of that format can be asked for any
   more, so this is the entry's only finding and the cure is a rebuild;
@@ -29,17 +30,16 @@ finding survives, naming the drifted entries.
 
 from __future__ import annotations
 
-import os
 import pathlib
 from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..models import model_source_hash
 from ..obs import metrics as _metrics
-from ..runtime.kernel_cache import CACHE_FORMAT_VERSION, payload_checksum
+from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION, quarantine_entry,
+                                    read_entry)
 from ..runtime.resolve import toolchain_identity
-from .bundle import (BUNDLE_FORMAT_VERSION, QUARANTINE_DIR,
-                     ArtifactStore)
+from .bundle import BUNDLE_FORMAT_VERSION, ArtifactStore, corrupt_counter
 
 
 @dataclass
@@ -96,31 +96,6 @@ def _count_stale() -> None:
         "AOT artifact entries found stale (drifted inputs)").inc()
 
 
-def _quarantine_entry(root: pathlib.Path, path: pathlib.Path,
-                      reason: str) -> Optional[pathlib.Path]:
-    """Move a corrupt entry aside (the kernel cache's machinery)."""
-    target = None
-    try:
-        qdir = root / QUARANTINE_DIR
-        qdir.mkdir(parents=True, exist_ok=True)
-        target = qdir / path.name
-        os.replace(path, target)
-    except OSError:
-        target = None
-    from ..resilience.diagnostics import (Diagnostic, Severity,
-                                          log_diagnostic)
-    log_diagnostic(Diagnostic(
-        stage="cache", component="artifacts",
-        message=f"quarantined corrupt artifact {path.name}: {reason}",
-        severity=Severity.WARNING,
-        data={"entry": path.name,
-              "quarantined_to": str(target) if target else None}))
-    _metrics.counter(
-        "artifact_corrupt_total",
-        "corrupt AOT artifact entries/manifests detected").inc()
-    return target
-
-
 def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
     """Generate the entry's kernel again and recompute its cache key."""
     from ..codegen import generate
@@ -165,16 +140,12 @@ def audit_bundle(root: Union[str, pathlib.Path],
                 detail=f"entry file {path.name} does not exist"))
             _count_stale()
             continue
-        try:
-            import json
-            entry = json.loads(path.read_text())
-            valid = isinstance(entry, dict) \
-                and entry.get("format") == BUNDLE_FORMAT_VERSION \
-                and entry.get("checksum") == payload_checksum(entry)
-        except (OSError, ValueError):
-            entry, valid = None, False
-        if not valid:
-            target = _quarantine_entry(root, path, "checksum mismatch")
+        entry, corrupt = read_entry(path, BUNDLE_FORMAT_VERSION)
+        if entry is None:
+            target = quarantine_entry(
+                root, path,
+                corrupt or f"not a format-{BUNDLE_FORMAT_VERSION} entry",
+                "artifacts", corrupt_counter())
             report.findings.append(AuditFinding(
                 key=key, model=model, kind="corrupt",
                 detail=("quarantined to "

@@ -16,9 +16,10 @@ second ``build-all`` over an up-to-date bundle is a byte-level no-op.
 
 from __future__ import annotations
 
+import hashlib
 import json
-import os
 import pathlib
+import pickle
 import platform
 import time
 from dataclasses import dataclass, field
@@ -28,9 +29,10 @@ from ..codegen import backend_for, generate
 from ..models import all_model_files, load_model, model_source_hash
 from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
-                                    kernel_cache_key, payload_checksum)
+                                    kernel_cache_key, payload_checksum,
+                                    read_entry, write_atomic)
 from ..runtime.locking import file_lock
-from ..runtime.lowering import pack_code
+from ..runtime.lowering import kernel_payload
 from .bundle import (BUNDLE_FORMAT_VERSION, MANIFEST_NAME, MODELS_DIR,
                      layout_to_dict, spec_fingerprint)
 
@@ -124,10 +126,10 @@ def _read_manifest(root: pathlib.Path) -> Dict:
     return data
 
 
-def _atomic_write(path: pathlib.Path, payload: Dict) -> None:
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
-    tmp.write_text(json.dumps(payload, indent=2, sort_keys=True) + "\n")
-    os.replace(tmp, path)
+def _write_json(root: pathlib.Path, name: str, data: Dict) -> None:
+    with file_lock(root / ".lock"):
+        write_atomic(root / name,
+                     json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
 def build_bundle(dest: Union[str, pathlib.Path],
@@ -188,7 +190,8 @@ def build_bundle(dest: Union[str, pathlib.Path],
             failed(name, err)
             continue
         backend = generated.spec.mode.value
-        if key in manifest["entries"] and _entry_file_valid(root, key):
+        if key in manifest["entries"] and read_entry(
+                root / f"{key}.json", BUNDLE_FORMAT_VERSION)[0] is not None:
             report.entries.append(BuiltEntry(
                 key=key, model=name, backend=backend, action="reused"))
             continue
@@ -198,8 +201,7 @@ def build_bundle(dest: Union[str, pathlib.Path],
                 entry = _make_entry(key, generated, kernel, fingerprint,
                                     lowering_version, source_hash,
                                     built_at, tools)
-            with file_lock(root / ".lock"):
-                _atomic_write(root / f"{key}.json", entry)
+            _write_json(root, f"{key}.json", entry)
         except Exception as err:  # noqa: BLE001 - per-model boundary
             failed(name, err, key, backend)
             continue
@@ -224,8 +226,7 @@ def build_bundle(dest: Union[str, pathlib.Path],
         manifest["pipeline_fingerprint"] = fingerprint
         manifest["lowering_version"] = lowering_version
         manifest["tool_versions"] = tools
-        with file_lock(root / ".lock"):
-            _atomic_write(root / MANIFEST_NAME, manifest)
+        _write_json(root, MANIFEST_NAME, manifest)
         report.manifest_written = True
     return report
 
@@ -239,8 +240,6 @@ def _write_model_blob(root: pathlib.Path, manifest: Dict, name: str,
     recorded source hash still matches and the file verifies, so a
     second build stays a byte-level no-op.
     """
-    import hashlib
-    import pickle
     models = manifest.setdefault("models", {})
     record = models.get(name)
     path = root / MODELS_DIR / f"{name}.pkl"
@@ -254,24 +253,12 @@ def _write_model_blob(root: pathlib.Path, manifest: Dict, name: str,
             pass
     blob = pickle.dumps(model, protocol=pickle.HIGHEST_PROTOCOL)
     path.parent.mkdir(parents=True, exist_ok=True)
-    tmp = path.with_suffix(f".{os.getpid()}.tmp")
     with file_lock(root / ".lock"):
-        tmp.write_bytes(blob)
-        os.replace(tmp, path)
+        write_atomic(path, blob)
     models[name] = {"file": f"{MODELS_DIR}/{name}.pkl",
                     "checksum": hashlib.sha256(blob).hexdigest(),
                     "source_hash": source_hash}
     return True
-
-
-def _entry_file_valid(root: pathlib.Path, key: str) -> bool:
-    try:
-        entry = json.loads((root / f"{key}.json").read_text())
-    except (OSError, ValueError):
-        return False
-    return isinstance(entry, dict) \
-        and entry.get("format") == BUNDLE_FORMAT_VERSION \
-        and entry.get("checksum") == payload_checksum(entry)
 
 
 def _make_entry(key: str, generated, kernel, fingerprint: str,
@@ -290,16 +277,7 @@ def _make_entry(key: str, generated, kernel, fingerprint: str,
             "lut_interpolation": spec.lut_interpolation,
             "function_name": spec.function_name,
         },
-        "kernel": {
-            "function_name": kernel.name,
-            "source": kernel.source,
-            "code": pack_code(kernel.code),
-            "mode": kernel.mode,
-            "width": kernel.width,
-            "arg_names": list(kernel.arg_names),
-            "fused": kernel.fused,
-            "arena": kernel.arena is not None,
-        },
+        "kernel": kernel_payload(kernel),
         "spec_fingerprint": spec_fingerprint(
             spec.model.name, spec.mode.value, spec.width, spec.use_lut,
             spec.lut_interpolation, pipeline_fingerprint=fingerprint),

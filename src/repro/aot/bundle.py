@@ -19,8 +19,8 @@ Two lookup paths exist, layered under the per-user kernel cache:
   in-memory + per-user-cache miss, asks the store for that exact key.
   Covers every runner (supervised, population included).
 * **spec lookup** (:func:`runner_from_store`) — resolves a kernel by
-  its *logical coordinates* (model, backend, width, LUT/fuse/arena
-  flags) through the manifest's ``spec_index``, checking
+  its *logical coordinates* (model, backend, width, LUT/fuse flags)
+  through the manifest's ``spec_index``, checking
   the model source hash, pipeline fingerprint and lowering version
   instead of re-deriving the key.  Skips IR generation entirely, and
   even the model *parse*: the bundle ships each parsed
@@ -47,14 +47,13 @@ from typing import Dict, Optional, Union
 from ..codegen.common import BackendMode, GeneratedKernel, KernelSpec
 from ..codegen.layout import Layout, LayoutKind
 from ..obs import metrics as _metrics
+from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION, quarantine_entry,
+                                    read_entry)
 
 #: bump to invalidate every existing bundle at once
 BUNDLE_FORMAT_VERSION = 1
 
 MANIFEST_NAME = "manifest.json"
-
-#: subdirectory the audit moves corrupt entries into
-QUARANTINE_DIR = "quarantine"
 
 #: subdirectory holding pickled pre-parsed models (one per model)
 MODELS_DIR = "models"
@@ -82,7 +81,6 @@ def spec_fingerprint(model: str, backend: str, width: int,
     The layout is deliberately absent: it is derived by the backend
     from (mode, width) and reconstructed from the entry payload.
     """
-    from ..runtime.kernel_cache import CACHE_FORMAT_VERSION
     from ..runtime.resolve import toolchain_identity
     default_fingerprint, lowering_version = toolchain_identity()
     if pipeline_fingerprint is None:
@@ -109,9 +107,9 @@ def spec_fingerprint(model: str, backend: str, width: int,
 class ArtifactKernel(GeneratedKernel):
     """A bundled kernel standing in for a freshly generated one.
 
-    ``module`` is ``None`` — there is no IR; ``payload`` (the lowered
-    source and its packed code object) goes straight to
-    :func:`~repro.runtime.lowering.compile_kernel_source`.
+    ``module`` is ``None`` — there is no IR; ``payload`` (the stored
+    kernel, :func:`~repro.runtime.lowering.kernel_payload`) goes straight
+    to :func:`~repro.runtime.lowering.kernel_from_payload`.
     :func:`~repro.runtime.resolve.resolve_kernel` recognizes this type
     and skips passes/verify/lowering entirely.
     """
@@ -164,6 +162,14 @@ def _log_artifact_diagnostic(message: str, severity=None, **data) -> None:
     log_diagnostic(Diagnostic(
         stage="cache", component="artifacts", message=message,
         severity=severity or Severity.WARNING, data=dict(data)))
+
+
+def corrupt_counter():
+    """``artifact_corrupt_total``: corrupt bundle entries, blobs and
+    manifests, counted by the runtime store and the audit alike."""
+    return _metrics.counter(
+        "artifact_corrupt_total",
+        "corrupt AOT artifact entries/manifests detected")
 
 
 def _count_hit() -> None:
@@ -260,9 +266,7 @@ class ArtifactStore:
             _log_artifact_diagnostic(
                 f"unreadable bundle manifest {path}: "
                 f"{type(err).__name__}", root=str(self.root))
-            _metrics.counter(
-                "artifact_corrupt_total",
-                "corrupt AOT artifact entries/manifests detected").inc()
+            corrupt_counter().inc()
             return None
         if not isinstance(data, dict) \
                 or data.get("format") != BUNDLE_FORMAT_VERSION:
@@ -277,31 +281,15 @@ class ArtifactStore:
         Does not count hit/miss metrics — callers (the runner tier,
         :func:`runner_from_store`) count at their own granularity.
         """
-        from ..runtime.kernel_cache import payload_checksum
         path = self.entry_path(key)
-        try:
-            entry = json.loads(path.read_text())
-        except FileNotFoundError:
-            return None
-        except (OSError, ValueError) as err:
-            self._note_corrupt(path, f"unreadable ({type(err).__name__})")
-            return None
-        if not isinstance(entry, dict) \
-                or entry.get("format") != BUNDLE_FORMAT_VERSION:
-            return None
-        if entry.get("checksum") != payload_checksum(entry):
-            self._note_corrupt(path, "checksum mismatch")
-            return None
+        entry, corrupt = read_entry(path, BUNDLE_FORMAT_VERSION)
+        if corrupt is not None:
+            self._note_corrupt(path, corrupt)
         return entry
 
     def _note_corrupt(self, path: pathlib.Path, reason: str) -> None:
-        _log_artifact_diagnostic(
-            f"corrupt artifact entry {path.name} left in place "
-            f"(read-only tier): {reason}", entry=path.name,
-            root=str(self.root))
-        _metrics.counter(
-            "artifact_corrupt_total",
-            "corrupt AOT artifact entries/manifests detected").inc()
+        quarantine_entry(self.root, path, reason, "artifacts",
+                         corrupt_counter(), move=False)
 
     def lookup_kernel(self, key: str) -> Optional[Dict]:
         """The runtime tier: the ``kernel`` payload for ``key``.
@@ -362,8 +350,7 @@ def resolve_store(artifacts) -> Optional[ArtifactStore]:
 def runner_from_store(model, backend: str = "limpet_mlir",
                       width: int = 8, use_lut: bool = True,
                       lut_interpolation: str = "linear",
-                      fuse: bool = True, arena: bool = False,
-                      population: str = "",
+                      fuse: bool = True, population: str = "",
                       store: Optional[ArtifactStore] = None,
                       **runner_kwargs):
     """The zero-compile cold-start path: a runner straight from a bundle.
@@ -385,7 +372,7 @@ def runner_from_store(model, backend: str = "limpet_mlir",
         return None
     name = model if isinstance(model, str) else model.name
     fp = spec_fingerprint(name, backend, width, use_lut,
-                          lut_interpolation, fuse, arena, True,
+                          lut_interpolation, fuse, False, True,
                           population)
     key = manifest.get("spec_index", {}).get(fp)
     ment = manifest.get("entries", {}).get(key) if key else None
@@ -426,7 +413,7 @@ def runner_from_store(model, backend: str = "limpet_mlir",
         _count_miss()
         return None
     from ..runtime.tiers import make_runner
-    runner = make_runner(kernel, fuse=fuse, arena=arena, artifacts=False,
+    runner = make_runner(kernel, fuse=fuse, artifacts=False,
                          **runner_kwargs)
     _count_hit()
     from ..obs import ledger as _ledger

@@ -784,20 +784,6 @@ def cmd_cache_stats(cache_dir: Optional[str], clear: bool) -> int:
     print(f"  hits:      {stats.hits}")
     print(f"  misses:    {stats.misses}")
     print(f"  evictions: {stats.evictions}")
-    # The LUT cache is per-runner and dt-keyed; show what one runner
-    # holds after a representative build so its footprint is visible.
-    from .codegen import generate_limpet_mlir
-    from .runtime import KernelRunner
-    runner = KernelRunner(generate_limpet_mlir(load_model("LuoRudy91")))
-    runner.luts_for(0.01)
-    lut = runner.lut_cache_stats()
-    print("LUT cache (per-runner, dt-keyed; shown for LuoRudy91 @ "
-          "dt=0.01)")
-    print(f"  entries:   {lut['entries']}")
-    print(f"  bytes:     {lut['bytes']}")
-    print(f"  hits:      {lut['hits']}")
-    print(f"  misses:    {lut['misses']}")
-    print(f"  evictions: {lut['evictions']}")
     return EXIT_OK
 
 

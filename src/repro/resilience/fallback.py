@@ -85,38 +85,51 @@ def compile_resilient(model: Union[str, IonicModel],
     when the count is parallel, armed with ``inject``'s process faults).
 
     When an AOT artifact bundle is mounted (``$LIMPET_ARTIFACT_DIR``,
-    or an explicit ``artifacts=`` store), each tier first tries the
-    bundle's zero-compile path — on a hit the kernel is exec'd straight
-    from the bundle with no passes, verification or lowering at all;
-    on a miss (or a stale/corrupt entry) a Diagnostic records the
+    or an explicit ``artifacts=`` store), the runner each tier builds
+    asks the bundle for its kernel-cache key before any pass runs: on a
+    hit the kernel is exec'd straight from the bundle with no passes,
+    verification or lowering at all; on a miss a Diagnostic records the
     fall-back to ordinary JIT compilation.  Fault-injection runs
     (``inject=``) always JIT so drills exercise the real pipeline.
     """
+    from ..aot.bundle import resolve_store
+    store = None if inject is not None else resolve_store(artifacts)
     runner_kwargs = dict(workers=workers, supervision=supervision,
-                         fault_plan=getattr(inject, "plan", None))
+                         fault_plan=getattr(inject, "plan", None),
+                         artifacts=store if store is not None else False)
     if isinstance(model, str):
         model = load_model(model)
     if not chain:
         raise ValueError("empty fallback chain")
-    from ..aot.bundle import resolve_store, runner_from_store
-    store = None if inject is not None else resolve_store(artifacts)
     diagnostics: List[Diagnostic] = []
     for tier, backend in enumerate(chain):
         pipeline: Optional[SandboxedPassManager] = None
-        runner = None
-        if store is not None:
-            try:
-                runner = runner_from_store(
-                    model, backend=backend,
-                    width=1 if backend == "baseline" else width,
-                    use_lut=use_lut, store=store, **runner_kwargs)
-            except Exception as err:  # noqa: BLE001 - tier boundary
-                diagnostics.append(log_diagnostic(Diagnostic.from_exception(
-                    stage="compile", component="artifacts", exc=err,
-                    severity=Severity.WARNING, with_traceback=False,
-                    tier=tier, model=model.name)))
-        if runner is not None:
-            kernel = runner.generated
+        try:
+            with _trace.span("compile_tier", model=model.name,
+                             backend=backend, tier=tier):
+                if inject is not None:
+                    inject.maybe_fail_backend(backend)
+                kernel = generate(model, backend, width, use_lut=use_lut)
+                if sandbox:
+                    pipeline = sandboxed_pipeline(reproducer_dir)
+                    if inject is not None:
+                        inject.wrap_pipeline(pipeline)
+                runner = make_runner(kernel, pipeline=pipeline,
+                                     **runner_kwargs)
+        except Exception as err:  # noqa: BLE001 - tier boundary
+            if strict:
+                raise
+            severity = (Severity.WARNING if isinstance(
+                err, UnsupportedModelError) else Severity.ERROR)
+            diagnostics.append(log_diagnostic(Diagnostic.from_exception(
+                stage="compile", component=backend, exc=err,
+                severity=severity, with_traceback=not isinstance(
+                    err, UnsupportedModelError),
+                tier=tier, model=model.name)))
+            _metrics.counter("fallback_tier_skips_total",
+                             "backend tiers skipped by the chain").inc()
+            continue
+        if runner.artifact_hit:
             outcome = (f"loaded {model.name} from AOT artifact bundle via "
                        f"{backend!r} (zero compile)")
         else:
@@ -127,32 +140,6 @@ def compile_resilient(model: Union[str, IonicModel],
                     message=(f"no usable AOT artifact for {model.name} "
                              f"via {backend!r}; falling back to JIT"),
                     data={"tier": tier, "model": model.name})))
-            try:
-                with _trace.span("compile_tier", model=model.name,
-                                 backend=backend, tier=tier):
-                    if inject is not None:
-                        inject.maybe_fail_backend(backend)
-                    kernel = generate(model, backend, width,
-                                      use_lut=use_lut)
-                    if sandbox:
-                        pipeline = sandboxed_pipeline(reproducer_dir)
-                        if inject is not None:
-                            inject.wrap_pipeline(pipeline)
-                    runner = make_runner(kernel, pipeline=pipeline,
-                                         **runner_kwargs)
-            except Exception as err:  # noqa: BLE001 - tier boundary
-                if strict:
-                    raise
-                severity = (Severity.WARNING if isinstance(
-                    err, UnsupportedModelError) else Severity.ERROR)
-                diagnostics.append(log_diagnostic(Diagnostic.from_exception(
-                    stage="compile", component=backend, exc=err,
-                    severity=severity, with_traceback=not isinstance(
-                        err, UnsupportedModelError),
-                    tier=tier, model=model.name)))
-                _metrics.counter("fallback_tier_skips_total",
-                                 "backend tiers skipped by the chain").inc()
-                continue
             outcome = (f"compiled {model.name} via {backend!r}"
                        + (f" after {tier} skipped tier(s)" if tier else ""))
         quarantined = sorted(pipeline.quarantined) if pipeline else []

@@ -3,9 +3,8 @@
 from .executor import (KernelRunner, RunResult, Stimulus,
                        TrajectoryComparison, compare_trajectories)
 from .resolve import Resolution, resolve_kernel
-from .lowering import (LOWERING_VERSION, BufferArena, CompiledKernel,
-                       LoweringError, compile_kernel_source,
-                       lower_function)
+from .lowering import (LOWERING_VERSION, CompiledKernel, LoweringError,
+                       kernel_from_payload, kernel_payload, lower_function)
 from .kernel_cache import (CacheStats, KernelCache, default_cache,
                            default_cache_dir, kernel_cache_key)
 from .sharded import ShardedRunner, available_cpus, shard_bounds
@@ -28,7 +27,7 @@ __all__ = ["KernelRunner", "RunResult", "Stimulus", "TrajectoryComparison",
            "compare_trajectories", "Resolution", "resolve_kernel",
            "available_cpus", "make_runner",
            "CompiledKernel", "LoweringError", "lower_function",
-           "LOWERING_VERSION", "BufferArena", "compile_kernel_source",
+           "LOWERING_VERSION", "kernel_payload", "kernel_from_payload",
            "CacheStats", "KernelCache", "default_cache",
            "default_cache_dir", "kernel_cache_key",
            "ShardedRunner", "shard_bounds",

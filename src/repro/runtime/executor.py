@@ -163,9 +163,7 @@ class KernelRunner:
     """Owns one compiled kernel and runs simulations with it.
 
     ``fuse`` enables fused expression lowering (single-use SSA values
-    inlined into compound expressions); ``arena`` additionally reuses
-    preallocated ``out=`` scratch buffers for vector statements (slots
-    alias across shards — never combined with :class:`ShardedRunner`).
+    inlined into compound expressions).
 
     ``cache`` wires in the persistent kernel cache: pass a
     :class:`~repro.runtime.kernel_cache.KernelCache`, or ``True`` for
@@ -186,8 +184,7 @@ class KernelRunner:
 
     def __init__(self, generated: GeneratedKernel, optimize: bool = True,
                  pipeline: Optional[PassManager] = None,
-                 fuse: bool = True, arena: bool = False,
-                 cache=None, profile: bool = False,
+                 fuse: bool = True, cache=None, profile: bool = False,
                  population: Optional[str] = None,
                  artifacts=None):
         self.population = population
@@ -197,7 +194,6 @@ class KernelRunner:
         self.layout = generated.layout
         self.pipeline = pipeline
         self.fuse = fuse
-        self.arena = arena
         # a profiled kernel's source differs from the cacheable form:
         # it bypasses the kernel cache and the artifact tier
         self.cache: Optional[KernelCache] = None
@@ -208,7 +204,7 @@ class KernelRunner:
             store = resolve_store(artifacts)
         self.kernel, self.resolution = resolve_kernel(
             generated, optimize=optimize, pipeline=pipeline, fuse=fuse,
-            arena=arena, cache=self.cache, artifacts=store,
+            cache=self.cache, artifacts=store,
             profile=profile, population=population)
         #: run-time Diagnostics (worker restarts, tier degradations)
         self.diagnostics: List = []

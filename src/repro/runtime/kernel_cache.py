@@ -15,12 +15,15 @@ its marshalled code object and their metadata) under a content address combining
 * the pass pipeline fingerprint
   (:meth:`~repro.ir.passes.pass_manager.PassManager.fingerprint`);
 * the lowering version (:data:`~repro.runtime.lowering.LOWERING_VERSION`)
-  and the fuse/arena lowering flags.
+  and the fuse flag (plus an ``arena`` flag that is always false, kept
+  so existing keys do not move).
 
 A hit skips passes, verification and lowering entirely, and compiles
 nothing: the cached code object is unmarshalled and exec'd (the source
 is compiled instead only for another interpreter's bytecode or an entry
-written without it).  Hit/miss/eviction counters persist in the
+written without it).  Both stores share this module's entry check
+(:func:`read_entry`), quarantine (:func:`quarantine_entry`) and write
+(:func:`write_atomic`).  Hit/miss/eviction counters persist in the
 cache directory (``stats.json``) so ``limpet-bench cache-stats`` can
 report across processes.
 
@@ -54,11 +57,11 @@ import os
 import pathlib
 import threading
 from dataclasses import asdict, dataclass
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import metrics as _metrics
 from .locking import file_lock
-from .lowering import pack_code
+from .lowering import CompiledKernel, kernel_payload
 
 #: bump to invalidate every existing cache entry at once
 #: (v2: entries carry a payload checksum, verified on read;
@@ -128,15 +131,96 @@ def payload_checksum(payload: Dict) -> str:
         json.dumps(material, sort_keys=True).encode()).hexdigest()
 
 
+def read_entry(path: pathlib.Path,
+               fmt: int) -> Tuple[Optional[Dict], Optional[str]]:
+    """One stored entry of either store, read and checked.
+
+    ``(entry, None)`` for a JSON object of format ``fmt`` whose
+    ``checksum`` matches :func:`payload_checksum`; ``(None, reason)``
+    for a corrupt one; ``(None, None)`` for a missing entry or one of
+    another format, which is a plain miss.
+    """
+    try:
+        entry = json.loads(path.read_text())
+    except FileNotFoundError:
+        return None, None
+    except (OSError, ValueError) as err:
+        return None, f"unreadable ({type(err).__name__})"
+    if not isinstance(entry, dict):
+        return None, "payload is not an object"
+    if entry.get("format") != fmt:
+        return None, None
+    if entry.get("checksum") != payload_checksum(entry):
+        return None, "checksum mismatch"
+    return entry, None
+
+
+def quarantine_entry(root: pathlib.Path, path: pathlib.Path, reason: str,
+                     component: str, counter,
+                     move: bool = True) -> Optional[pathlib.Path]:
+    """Move a corrupt entry into ``<root>/quarantine/`` so it cannot
+    poison later reads (dropped when the move fails), log a Diagnostic
+    and bump ``counter``.  Returns where the entry went, if anywhere.
+
+    With ``move=False`` (a read-only root) the entry is left in place
+    and only the Diagnostic and the count are recorded.
+    """
+    target = None
+    if move:
+        try:
+            qdir = root / QUARANTINE_DIR
+            qdir.mkdir(parents=True, exist_ok=True)
+            target = qdir / path.name
+            os.replace(path, target)
+        except OSError:
+            target = None
+            try:
+                path.unlink()
+            except OSError:
+                pass
+    from ..resilience.diagnostics import (Diagnostic, Severity,
+                                          log_diagnostic)
+    verb = "quarantined" if move else "left in place (read-only)"
+    log_diagnostic(Diagnostic(
+        stage="cache", component=component,
+        message=f"corrupt entry {path.name} {verb}: {reason}",
+        severity=Severity.WARNING,
+        data={"entry": path.name, "root": str(root),
+              "quarantined_to": str(target) if target else None}))
+    counter.inc()
+    return target
+
+
+def write_atomic(path: pathlib.Path, data: Union[str, bytes]) -> None:
+    """Replace ``path`` by ``data`` through a tmp file and ``os.replace``:
+    a reader sees the old file or the new one, never a torn write.  A
+    failed write removes its tmp file and raises."""
+    tmp = path.with_name(
+        f"{path.name}.{os.getpid()}.{threading.get_ident()}.tmp")
+    try:
+        if isinstance(data, bytes):
+            tmp.write_bytes(data)
+        else:
+            tmp.write_text(data)
+        os.replace(tmp, path)
+    except OSError:
+        try:
+            tmp.unlink()
+        except OSError:
+            pass
+        raise
+
+
 class KernelCache:
     """A directory of content-addressed lowered-kernel entries.
 
-    Each entry is one JSON file ``<key>.json`` holding the lowered
-    source, its packed code object and the metadata :func:`~repro.runtime.lowering.compile_kernel_source`
-    needs.  The cache is LRU-bounded by entry count (file mtime is the
-    recency signal), checksum-verified on read (corrupt entries are
-    quarantined, not served), flock-serialized on write, and falls
-    back to an in-memory dict when the directory is unwritable.
+    Each entry is one JSON file ``<key>.json``: a kernel's payload
+    (:func:`~repro.runtime.lowering.kernel_payload`) plus ``format``
+    and ``checksum``.  The cache is LRU-bounded by entry count (file
+    mtime is the recency signal), checksum-verified on read (corrupt
+    entries are quarantined, not served), flock-serialized on write,
+    and falls back to an in-memory dict when the directory is
+    unwritable.
     """
 
     def __init__(self, root, max_entries: int = 512,
@@ -222,39 +306,6 @@ class KernelCache:
     def _lock_path(self) -> pathlib.Path:
         return self.root / ".lock"
 
-    def _quarantine(self, path: pathlib.Path, reason: str,
-                    move: bool = True) -> None:
-        """Move a corrupt entry aside so it cannot poison later reads.
-
-        With ``move=False`` (the read-only cache mode) the entry is
-        left in place — we must not mutate a shared read-only mount —
-        and only the diagnostic and counters are recorded.
-        """
-        self.stats.corrupt += 1
-        target = None
-        if move:
-            try:
-                qdir = self.root / QUARANTINE_DIR
-                qdir.mkdir(parents=True, exist_ok=True)
-                target = qdir / path.name
-                os.replace(path, target)
-            except OSError:
-                try:                    # quarantine failed: drop instead
-                    path.unlink()
-                except OSError:
-                    pass
-        from ..resilience.diagnostics import (Diagnostic, Severity,
-                                              log_diagnostic)
-        verb = "quarantined" if move else "left in place (read-only)"
-        log_diagnostic(Diagnostic(
-            stage="cache", component="kernel_cache",
-            message=f"corrupt entry {path.name} {verb}: {reason}",
-            severity=Severity.WARNING,
-            data={"entry": path.name,
-                  "quarantined_to": str(target) if target else None}))
-        _metrics.counter("kernel_cache_corrupt_total",
-                         "corrupt kernel-cache entries quarantined").inc()
-
     def load(self, key: str) -> Optional[Dict]:
         """The cached payload for ``key``, or None (counts hit/miss).
 
@@ -279,26 +330,14 @@ class KernelCache:
                              "persistent kernel-cache hits").inc()
             return self._overlay[key]
         path = self._path(key)
-        payload = None
-        corrupt_reason = None
-        try:
-            payload = json.loads(path.read_text())
-            if not isinstance(payload, dict):
-                corrupt_reason = "payload is not an object"
-            elif payload.get("format") != CACHE_FORMAT_VERSION:
-                corrupt_reason = None       # stale format: silent miss
-                payload = None
-            elif payload.get("checksum") != payload_checksum(payload):
-                corrupt_reason = "checksum mismatch"
-        except FileNotFoundError:
-            pass
-        except (OSError, ValueError) as err:
-            if path.exists():
-                corrupt_reason = f"unreadable ({type(err).__name__})"
-        if corrupt_reason is not None:
-            self._quarantine(path, corrupt_reason,
-                             move=not self._read_only)
-            payload = None
+        payload, corrupt = read_entry(path, CACHE_FORMAT_VERSION)
+        if corrupt is not None:
+            self.stats.corrupt += 1
+            quarantine_entry(
+                self.root, path, corrupt, "kernel_cache",
+                _metrics.counter("kernel_cache_corrupt_total",
+                                 "corrupt kernel-cache entries quarantined"),
+                move=not self._read_only)
         if payload is None:
             self.stats.misses += 1
             if not self._read_only:
@@ -319,21 +358,22 @@ class KernelCache:
 
     def store(self, key: str, source: str, mode: str, width: int,
               arg_names: List[str], function_name: str,
-              fused: bool, arena: bool, code=None) -> None:
-        """Write one entry; ``code`` is the kernel's compiled code
-        object (omitted, the entry is served by compiling ``source``)."""
-        payload = {
-            "format": CACHE_FORMAT_VERSION,
-            "function_name": function_name,
-            "source": source,
-            "mode": mode,
-            "width": width,
-            "arg_names": list(arg_names),
-            "fused": fused,
-            "arena": arena,
-        }
-        if code is not None:
-            payload["code"] = pack_code(code)
+              fused: bool, arena: bool = False, code=None) -> None:
+        """Write one entry from a kernel's fields; ``code`` is its
+        compiled code object (omitted, the entry is served by compiling
+        ``source``).  ``arena`` must be ``False``:
+        ``benchmarks/e2e/layers.py:279`` passes a loaded payload's."""
+        if arena:
+            raise ValueError("KernelCache.store: the buffer arena was "
+                             "removed; arena must be False")
+        self.store_kernel(key, CompiledKernel(
+            name=function_name, fn=None, source=source, mode=mode,
+            width=width, arg_names=arg_names, fused=fused, code=code))
+
+    def store_kernel(self, key: str, kernel: CompiledKernel) -> None:
+        """Write ``kernel``'s payload
+        (:func:`~repro.runtime.lowering.kernel_payload`) under ``key``."""
+        payload = {"format": CACHE_FORMAT_VERSION, **kernel_payload(kernel)}
         payload["checksum"] = payload_checksum(payload)
         if self._memory is not None:
             self._memory[key] = payload
@@ -341,17 +381,11 @@ class KernelCache:
         if self._read_only:
             self._overlay[key] = payload
             return
-        tmp = self._path(key).with_suffix(".tmp")
         try:
             with file_lock(self._lock_path()):
-                tmp.write_text(json.dumps(payload))
-                os.replace(tmp, self._path(key))
+                write_atomic(self._path(key), json.dumps(payload))
                 self._evict()
         except OSError as err:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
             if self.root.is_dir() and os.access(self.root, os.R_OK):
                 self._fall_back_to_read_only(err)
                 self._overlay[key] = payload
@@ -427,23 +461,17 @@ class KernelCache:
     def _add(self, counter: str, amount: int) -> None:
         """The read-modify-write itself; the caller holds the lock."""
         path = self._stats_path()
-        tmp = path.with_name(
-            f"stats.{os.getpid()}.{threading.get_ident()}.tmp")
         try:
-            try:
-                data = json.loads(path.read_text())
-                if not isinstance(data, dict):
-                    data = {}
-            except (OSError, ValueError):
+            data = json.loads(path.read_text())
+            if not isinstance(data, dict):
                 data = {}
-            data[counter] = int(data.get(counter, 0)) + amount
-            tmp.write_text(json.dumps(data))
-            os.replace(tmp, path)
+        except (OSError, ValueError):
+            data = {}
+        data[counter] = int(data.get(counter, 0)) + amount
+        try:
+            write_atomic(path, json.dumps(data))
         except OSError:
-            try:
-                tmp.unlink()
-            except OSError:
-                pass
+            pass
 
     def persistent_stats(self) -> CacheStats:
         """Counters accumulated across every process using this dir."""

@@ -26,7 +26,6 @@ from __future__ import annotations
 import base64
 import marshal
 import math
-import re
 import time as _time
 from dataclasses import dataclass, replace
 from importlib.util import MAGIC_NUMBER
@@ -57,47 +56,6 @@ class LoweringError(IRError):
     """Raised when an op has no lowering in the requested mode."""
 
 
-class BufferArena:
-    """Preallocated ``out=`` scratch buffers, reused across steps.
-
-    Each statement-emitted ufunc in an arena-enabled kernel owns one
-    slot; on every kernel invocation the op writes its result into the
-    slot's buffer instead of allocating a fresh NumPy temporary.  The
-    buffer is (re)allocated only when the operands' broadcast shape or
-    dtype changes (i.e. on the first step, or when the cell count
-    changes between runs).
-
-    Slots alias across concurrent calls, so a sharded runner always
-    uses arena-free kernels.
-    """
-
-    __slots__ = ("_slots", "hits", "allocs")
-
-    def __init__(self):
-        self._slots: Dict[int, np.ndarray] = {}
-        self.hits = 0
-        self.allocs = 0
-
-    def out(self, slot: int, *operands) -> np.ndarray:
-        shape = np.broadcast_shapes(*(np.shape(o) for o in operands))
-        dtype = np.result_type(*operands)
-        buf = self._slots.get(slot)
-        if buf is not None and buf.shape == shape and buf.dtype == dtype:
-            self.hits += 1
-            return buf
-        buf = np.empty(shape, dtype=dtype)
-        self._slots[slot] = buf
-        self.allocs += 1
-        return buf
-
-    @property
-    def nbytes(self) -> int:
-        return sum(buf.nbytes for buf in self._slots.values())
-
-    def __len__(self) -> int:
-        return len(self._slots)
-
-
 @dataclass
 class CompiledKernel:
     """An executable kernel lowered from IR."""
@@ -111,8 +69,6 @@ class CompiledKernel:
     #: True when single-use SSA values were inlined into compound
     #: expressions (the PR2 fused lowering)
     fused: bool = False
-    #: the kernel's scratch-buffer arena (None unless arena mode)
-    arena: Optional[BufferArena] = None
     #: per-statement accumulated seconds (profile mode only); indexed
     #: by the matching entry in :attr:`provenance`.  A plain list —
     #: scalar ``list[i] += x`` is several times cheaper than a NumPy
@@ -344,33 +300,6 @@ _CMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
            "oge": ">=", "ueq": "==", "une": "!=", "eq": "==", "ne": "!=",
            "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
 
-# -- buffer-arena support ----------------------------------------------------
-# Vector ops backed by a real NumPy ufunc can write into a preallocated
-# scratch buffer via ``out=`` instead of allocating a temporary.
-
-_OPERATOR_UFUNCS = {"({0} + {1})": "np.add", "({0} - {1})": "np.subtract",
-                    "({0} * {1})": "np.multiply",
-                    "({0} / {1})": "np.true_divide", "(-{0})": "np.negative"}
-
-
-def _ufunc_of(spelling: str) -> Optional[str]:
-    """The ufunc behind a NumPy spelling: ``np.X({0})`` / ``np.X({0},
-    {1})`` name theirs, an operator expression has one."""
-    call = re.fullmatch(r"(np\.\w+)\(\{0\}(, \{1\})?\)", spelling)
-    return call.group(1) if call else _OPERATOR_UFUNCS.get(spelling)
-
-
-#: float ops only: integer statements are address arithmetic
-_ARENA_UFUNCS: Dict[str, str] = {
-    name: ufunc for name, info in _OP_ROWS.items()
-    if info.cost != "int" and (ufunc := _ufunc_of(info.numpy))}
-
-#: operand texts safe to mention twice (once as input, once for the
-#: arena's shape/dtype probe): bare names and numeric literals (a
-#: negative literal arrives parenthesised, see ``_lower_constant``)
-_NUMBER = r"[-+]?\d+(\.\d+)?(e[-+]?\d+)?"
-_SIMPLE_OPERAND = re.compile(rf"[A-Za-z_]\w*|{_NUMBER}|\({_NUMBER}\)")
-
 # -- addressing modes (DESIGN.md §6.2) ---------------------------------------
 # A vector memory access in the flattened cell loop touches, for block k
 # and lane l, the address ``a*(lb + k*S) + sym + b + c*l``.  When the
@@ -531,10 +460,6 @@ class _FunctionLowering:
     Pending values are flushed (materialized as assignments) before any
     region op so fusion never moves work across control flow.
 
-    With ``arena`` set to a :class:`BufferArena`, statement-emitted
-    vector ufuncs additionally write their results into preallocated
-    per-slot scratch buffers (``out=``) reused across steps.
-
     With ``profile`` enabled, every compute statement is bracketed by
     two monotonic-clock reads whose difference accumulates into a
     preallocated per-statement counter array (``_prof``), and a
@@ -545,13 +470,11 @@ class _FunctionLowering:
     """
 
     def __init__(self, op: Operation, mode: str, width: int,
-                 fuse: bool = True, arena: bool = False,
-                 profile: bool = False):
+                 fuse: bool = True, profile: bool = False):
         self.op = op
         self.mode = mode
         self.width = width
         self.fuse = fuse
-        self.arena = arena and mode != "scalar"
         self.profile = profile
         #: per-statement attribution records, in emission order
         self.provenance: List[Dict[str, Any]] = []
@@ -562,10 +485,6 @@ class _FunctionLowering:
         #: value id -> (expression text, nesting depth, defining op),
         #: in def order
         self.pending: Dict[int, Tuple[str, int, Operation]] = {}
-        self.arena_slots = 0
-        #: > 0 while emitting inside a *Python* ``for`` body, where
-        #: arena slots would alias across iterations
-        self.loop_depth = 0
         # simt kernels flatten scalar per-thread code over NumPy arrays,
         # so they share the vector op table
         self.expr_table = _SCALAR_SPELLING if mode == "scalar" \
@@ -861,22 +780,7 @@ class _FunctionLowering:
             raise LoweringError(f"no {self.mode} lowering for {name}")
         depth = 1 + max((self._depth_of(v) for v in op.operands), default=0)
         operands = [self.use(v) for v in op.operands]
-        result = op.results[0]
-        if self.fuse and result.num_uses == 1 and depth <= MAX_FUSE_DEPTH:
-            self.pending[id(result)] = (template.format(*operands), depth,
-                                        op)
-            return
-        if self.arena and self.loop_depth == 0 \
-                and name in _ARENA_UFUNCS \
-                and all(_SIMPLE_OPERAND.fullmatch(o) for o in operands):
-            slot = self.arena_slots
-            self.arena_slots += 1
-            args = ", ".join(operands)
-            self._emit_stmt(f"{self.fresh(result)} = {_ARENA_UFUNCS[name]}"
-                            f"({args}, out=_arena.out({slot}, {args}))", op)
-            return
-        self._emit_stmt(f"{self.fresh(result)} = "
-                        f"{template.format(*operands)}", op)
+        self._defer_or_assign(op, template.format(*operands), depth)
 
     # -- leaf ops -----------------------------------------------------------------
 
@@ -1028,12 +932,10 @@ class _FunctionLowering:
             return
         self.line(f"for {iv_name} in range({lb}, {ub}, {step}):")
         self.indent += 1
-        self.loop_depth += 1
         mark = len(self.lines)
         self._lower_block_body(body, acc_names)
         if len(self.lines) == mark:
             self.line("pass")      # everything fused away or inlined
-        self.loop_depth -= 1
         self.indent -= 1
         for result, acc in zip(op.results, acc_names):
             self.names[id(result)] = acc
@@ -1088,7 +990,6 @@ class _FunctionLowering:
         result_names = [self.fresh(r) for r in op.results]
         self.line(f"if {cond}:")
         self.indent += 1
-        self.loop_depth += 1       # branch bodies run conditionally
         self._lower_branch(op.regions[0].entry, result_names)
         self.indent -= 1
         if len(op.regions) > 1:
@@ -1096,7 +997,6 @@ class _FunctionLowering:
             self.indent += 1
             self._lower_branch(op.regions[1].entry, result_names)
             self.indent -= 1
-        self.loop_depth -= 1
 
     def _lower_branch(self, block: Block, result_names: List[str]) -> None:
         mark = len(self.lines)
@@ -1142,40 +1042,60 @@ def pack_code(code: CodeType) -> str:
     return base64.b64encode(MAGIC_NUMBER + marshal.dumps(code, 2)).decode()
 
 
-def compile_kernel_source(sym_name: str, source: str, mode: str, width: int,
-                          arg_names: List[str], fused: bool = False,
-                          arena: bool = False,
-                          extra_globals: Optional[Dict] = None,
-                          code: Optional[str] = None) -> CompiledKernel:
-    """Exec lowered Python source into an executable kernel.
+def kernel_payload(kernel: CompiledKernel) -> Dict[str, Any]:
+    """``kernel`` as a stored payload: the one place its fields are named.
 
-    The tail of :func:`lower_function`, exposed separately so the
-    persistent stores can rebuild a kernel from a payload without
-    re-running passes, verification, or the lowering itself.  ``code``
-    is the payload's :func:`pack_code` field: when its tag is this
-    interpreter's magic number the code object is unmarshalled and
-    CPython's compiler never runs; a foreign tag or no ``code`` (an
-    entry written before bytecode was stored, a hand-built payload)
-    compiles ``source``.  Callers pass only checksum-verified payloads.
+    Both stores write this dict (the kernel cache as the entry itself,
+    the bundle as its ``kernel`` field) and :func:`kernel_from_payload`
+    reads it back.  ``code`` is :func:`pack_code` of the kernel's code
+    object, written when it has one.  ``arena`` is always ``False``: it
+    names a lowering mode that no longer exists and stays so that every
+    stored checksum keeps matching.
     """
-    arena_obj = BufferArena() if arena else None
+    payload = {"function_name": kernel.name, "source": kernel.source,
+               "mode": kernel.mode, "width": kernel.width,
+               "arg_names": list(kernel.arg_names), "fused": kernel.fused,
+               "arena": False}
+    if kernel.code is not None:
+        payload["code"] = pack_code(kernel.code)
+    return payload
+
+
+def kernel_from_payload(payload: Dict[str, Any]) -> CompiledKernel:
+    """The executable kernel a :func:`kernel_payload` dict stores.
+
+    When ``code`` is tagged with this interpreter's magic number the
+    code object is unmarshalled and CPython's compiler never runs; a
+    foreign tag or no ``code`` (an entry written before bytecode was
+    stored, a hand-built payload) compiles ``source``.  Callers pass
+    only checksum-verified payloads.
+    """
+    packed = base64.b64decode(payload["code"]) if payload.get("code") \
+        else b""
+    code = None
+    if packed[:len(MAGIC_NUMBER)] == MAGIC_NUMBER:
+        code = marshal.loads(packed[len(MAGIC_NUMBER):])
+    return _link(CompiledKernel(
+        name=payload["function_name"], fn=None, source=payload["source"],
+        mode=payload["mode"], width=payload["width"],
+        arg_names=payload["arg_names"], fused=payload["fused"], code=code))
+
+
+def _link(kernel: CompiledKernel,
+          extra_globals: Optional[Dict] = None) -> CompiledKernel:
+    """Exec ``kernel``'s code object (compiled from its source when it
+    has none) among the runtime helpers and bind ``kernel.fn``."""
     namespace = dict(_HELPER_GLOBALS)
-    if arena_obj is not None:
-        namespace["_arena"] = arena_obj
     from .foreign import registered_foreign
     for fname, fn in registered_foreign().items():
         namespace[f"foreign_{_sanitize(fname)}"] = fn
     namespace.update(extra_globals or {})
-    packed = base64.b64decode(code) if code else b""
-    if packed[:len(MAGIC_NUMBER)] == MAGIC_NUMBER:
-        obj = marshal.loads(packed[len(MAGIC_NUMBER):])
-    else:
-        obj = compile(source, f"<lowered:{sym_name}>", "exec")
-    exec(obj, namespace)
-    return CompiledKernel(name=sym_name, fn=namespace[sym_name],
-                          source=source, mode=mode, width=width,
-                          arg_names=arg_names, fused=fused, arena=arena_obj,
-                          code=obj)
+    if kernel.code is None:
+        kernel.code = compile(kernel.source, f"<lowered:{kernel.name}>",
+                              "exec")
+    exec(kernel.code, namespace)
+    kernel.fn = namespace[kernel.name]
+    return kernel
 
 
 def lower_function(module: Module, sym_name: str,
@@ -1186,34 +1106,34 @@ def lower_function(module: Module, sym_name: str,
     """Lower one function of ``module`` to an executable Python kernel.
 
     ``fuse`` inlines single-use SSA values into compound expressions
-    (bit-identical results, far fewer temporaries); ``arena`` opts the
-    kernel into the preallocated ``out=`` scratch-buffer mode for
-    multi-use vector values (see :class:`BufferArena` for the
-    single-thread restriction); ``profile`` brackets every compute
-    statement with clock reads accumulating into the kernel's
-    :attr:`~CompiledKernel.profile_counters` (see
-    :mod:`repro.obs.profiler` for reporting).
+    (bit-identical results, far fewer temporaries); ``profile`` brackets
+    every compute statement with clock reads accumulating into the
+    kernel's :attr:`~CompiledKernel.profile_counters` (see
+    :mod:`repro.obs.profiler` for reporting).  ``arena`` must be
+    ``False``: ``benchmarks/e2e/layers.py:102`` still passes it.
     """
+    if arena:
+        raise ValueError("lower_function: the buffer arena was removed; "
+                         "arena must be False")
     func_op = module.lookup_func(sym_name)
     if func_op is None:
         raise LoweringError(f"no function @{sym_name} in module")
     inferred_mode, width = _kernel_mode(func_op)
     mode = mode or inferred_mode
     lowering = _FunctionLowering(func_op, mode, width, fuse=fuse,
-                                 arena=arena, profile=profile)
+                                 profile=profile)
     source = lowering.lower()
     entry = func_op.regions[0].entry
     arg_names = [a.name_hint or f"arg{i}" for i, a in enumerate(entry.args)]
-    use_arena = arena and mode != "scalar" and lowering.arena_slots > 0
     extra = dict(extra_globals or {})
     counters = None
     if profile:
         counters = [0.0] * len(lowering.provenance)
         extra["_prof"] = counters
         extra["_clock"] = _time.perf_counter
-    kernel = compile_kernel_source(sym_name, source, mode, width, arg_names,
-                                   fused=fuse, arena=use_arena,
-                                   extra_globals=extra)
+    kernel = _link(CompiledKernel(name=sym_name, fn=None, source=source,
+                                  mode=mode, width=width,
+                                  arg_names=arg_names, fused=fuse), extra)
     if profile:
         kernel.profile_counters = counters
         kernel.provenance = lowering.provenance

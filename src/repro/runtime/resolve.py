@@ -9,15 +9,14 @@ from __future__ import annotations
 
 import time as _time
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional, Tuple
 
 from ..ir.passes import default_pipeline
 from ..ir.passes.pass_manager import PassManager
 from ..ir.verifier import verify_module
 from ..obs import trace as _trace
 from .kernel_cache import KernelCache, kernel_cache_key
-from .lowering import (CompiledKernel, compile_kernel_source,
-                       lower_function)
+from .lowering import CompiledKernel, kernel_from_payload, lower_function
 
 
 def toolchain_identity() -> Tuple[str, int]:
@@ -52,16 +51,9 @@ class Resolution:
         return "miss" if self.key else "off"
 
 
-def _exec_payload(payload: Dict) -> CompiledKernel:
-    return compile_kernel_source(
-        payload["function_name"], payload["source"], payload["mode"],
-        payload["width"], payload["arg_names"], fused=payload["fused"],
-        arena=payload["arena"], code=payload.get("code"))
-
-
 def resolve_kernel(generated, optimize: bool = True,
                    pipeline: Optional[PassManager] = None,
-                   fuse: bool = True, arena: bool = False,
+                   fuse: bool = True,
                    cache: Optional[KernelCache] = None, artifacts=None,
                    profile: bool = False,
                    population: Optional[str] = None
@@ -81,7 +73,7 @@ def resolve_kernel(generated, optimize: bool = True,
     payload = getattr(generated, "payload", None)
     if payload:
         # an ArtifactKernel: the payload IS the finished JIT product
-        return resolved(_exec_payload(payload), "bundle",
+        return resolved(kernel_from_payload(payload), "bundle",
                         getattr(generated, "key", "") or None)
     if pipeline is None and optimize:
         pipeline = default_pipeline(verify_each=False)
@@ -91,7 +83,7 @@ def resolve_kernel(generated, optimize: bool = True,
         lookups.append(("cache", cache.load))
     if artifacts is not None:
         lookups.append(("artifact", artifacts.lookup_kernel))
-    key = kernel_cache_key(generated, fingerprint, fuse, arena, True,
+    key = kernel_cache_key(generated, fingerprint, fuse, False, True,
                            population=population) if lookups else None
     model = generated.spec.model.name
     for source, load in lookups:
@@ -99,7 +91,7 @@ def resolve_kernel(generated, optimize: bool = True,
             payload = load(key)
             look.annotate(hit=payload is not None)
         if payload is not None:
-            return resolved(_exec_payload(payload), source, key)
+            return resolved(kernel_from_payload(payload), source, key)
     module = generated.module       # every store missed: the IR is needed
     if pipeline is not None:
         tracer = _trace.active_tracer()
@@ -113,15 +105,12 @@ def resolve_kernel(generated, optimize: bool = True,
             pipeline.run(module, fixed_point=True)
     with _trace.span("verify", model=model):
         verify_module(module)
-    with _trace.span("lowering", model=model, fuse=fuse, arena=arena,
-                     profile=profile):
+    with _trace.span("lowering", model=model, fuse=fuse, profile=profile):
         kernel = lower_function(module, generated.spec.function_name,
-                                fuse=fuse, arena=arena, profile=profile)
+                                fuse=fuse, profile=profile)
     if cache is not None and not getattr(pipeline, "quarantined", None):
         # a sandboxed pipeline that quarantined passes produced a module
         # the full pipeline would not have: storing it under the
         # full-pipeline key would poison every later consumer
-        cache.store(key, kernel.source, kernel.mode, kernel.width,
-                    kernel.arg_names, kernel.name, fused=kernel.fused,
-                    arena=kernel.arena is not None, code=kernel.code)
+        cache.store_kernel(key, kernel)
     return resolved(kernel, "jit", key)

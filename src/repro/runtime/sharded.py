@@ -14,9 +14,7 @@ Invariants the plan guarantees:
 * shards are disjoint cell ranges, so trajectories are **bitwise
   identical** for 1 vs N shards;
 * shard bounds are multiples of the SIMD width so vector kernels see
-  whole blocks;
-* the buffer arena is refused — arena slots are per-kernel scratch and
-  would alias across concurrently running shards.
+  whole blocks.
 """
 
 from __future__ import annotations
@@ -70,10 +68,6 @@ class ShardedRunner(KernelRunner):
     def __init__(self, generated: GeneratedKernel, n_threads: int = 0,
                  shard_plan: Optional[List[Tuple[int, int]]] = None,
                  **kwargs):
-        if kwargs.get("arena"):
-            raise ValueError("ShardedRunner cannot use the buffer arena: "
-                             "arena slots would alias across shards")
-        kwargs["arena"] = False
         super().__init__(generated, **kwargs)
         self.n_threads = n_threads or available_cpus()
         # an explicit decomposition (e.g. the population layer sharding

@@ -222,6 +222,72 @@ class TestArtifactTier:
 
 
 # ---------------------------------------------------------------------------
+# compile_resilient: one bundle lookup, by the runner it builds
+# ---------------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def resilient_bundle(tmp_path_factory):
+    """OHara (limpetMLIR) and ARPF (foreign: baseline) in one bundle."""
+    root = tmp_path_factory.mktemp("resilient") / "bundle"
+    report = build_bundle(root, models=["OHara", "ARPF"], width=8)
+    assert report.built == 2 and not report.failed
+    return root
+
+
+def _resilient(name, store, **kwargs):
+    """``compile_resilient`` traced: (result, span names, hits, misses)."""
+    from repro.resilience import compile_resilient
+    hits = _metric("artifact_hits_total")
+    misses = _metric("artifact_misses_total")
+    tracer = Tracer()
+    previous = obs_trace.activate(tracer)
+    try:
+        compiled = compile_resilient(name, artifacts=store, **kwargs)
+    finally:
+        obs_trace.deactivate(previous)
+    return (compiled, _span_names(tracer),
+            _metric("artifact_hits_total") - hits,
+            _metric("artifact_misses_total") - misses)
+
+
+class TestResilientLookup:
+    def test_supported_model_hits_by_key_with_zero_compile(
+            self, resilient_bundle):
+        compiled, spans, hits, misses = _resilient(
+            "OHara", ArtifactStore(resilient_bundle))
+        assert compiled.backend == "limpet_mlir"
+        assert compiled.runner.resolution.source == "artifact"
+        assert not (COMPILE_SPANS & spans)
+        assert (hits, misses) == (1, 0)
+        assert any("zero compile" in d.message
+                   for d in compiled.diagnostics)
+
+    def test_foreign_model_counts_no_miss_for_skipped_tiers(
+            self, resilient_bundle):
+        """limpet_mlir and icc_simd refuse ARPF before any lookup; the
+        baseline tier's one lookup hits."""
+        compiled, spans, hits, misses = _resilient(
+            "ARPF", ArtifactStore(resilient_bundle))
+        assert compiled.backend == "baseline"
+        assert compiled.runner.resolution.source == "artifact"
+        assert not (COMPILE_SPANS & spans)
+        assert (hits, misses) == (1, 0)
+        assert not any("no usable AOT artifact" in d.message
+                       for d in compiled.diagnostics)
+
+    def test_fault_injection_jits_without_a_lookup(self, resilient_bundle):
+        from repro.resilience import FaultInjector, FaultPlan
+        compiled, spans, hits, misses = _resilient(
+            "OHara", ArtifactStore(resilient_bundle),
+            inject=FaultInjector(FaultPlan()))
+        assert compiled.runner.resolution.source == "jit"
+        assert COMPILE_SPANS <= spans
+        assert (hits, misses) == (0, 0)
+        assert "artifact_lookup" not in spans
+
+
+# ---------------------------------------------------------------------------
 # the audit: every drift axis, independently
 # ---------------------------------------------------------------------------
 

@@ -2,7 +2,7 @@
 slice of the matrix.
 
 ``tools/ir_fingerprints.py --check`` (CI) covers all 47 models x every
-variant and 266 lowerings; here every variant of five representative
+variant and 261 lowerings; here every variant of five representative
 models plus the two default kernels of the other 42, and the lowered
 source of those five's two default kernels.
 """
@@ -94,8 +94,8 @@ def test_record_covers_the_full_matrix(tool):
     _, sources = tool.read_record(tool.SOURCE)
     assert set(sources) == {key for key, _ in tool.source_entries()}
     # both default kernels of all 47 (+ the promoted model), the other
-    # 31 variants and three lowering options of the five
-    assert len(sources) == 2 * 48 + 5 * 31 + 5 * 3
+    # 31 variants and two lowering options of the five
+    assert len(sources) == 2 * 48 + 5 * 31 + 5 * 2
 
 
 def test_fingerprint_sees_spec_and_module_changes(tool):

@@ -1,4 +1,4 @@
-"""PR2 performance layer: fusion, buffer arena, kernel cache, sharding."""
+"""PR2 performance layer: fusion, kernel cache, sharding."""
 
 import json
 
@@ -79,7 +79,7 @@ class TestTruncatedIntegerOps:
 
 
 # ---------------------------------------------------------------------------
-# Tentpole 1: fused lowering + buffer arena
+# Tentpole 1: fused lowering
 # ---------------------------------------------------------------------------
 
 
@@ -91,14 +91,6 @@ class TestFusedLowering:
         assert fused.kernel.fused and not unfused.kernel.fused
         a = unfused.simulate(13, 60, 0.01).state
         b = fused.simulate(13, 60, 0.01).state
-        assert compare_trajectories(a, b, rtol=0, atol=0)
-
-    @pytest.mark.parametrize("name", DIFF_MODELS)
-    def test_arena_matches_fused_bitwise(self, name):
-        fused = make_runner(name)
-        arena = make_runner(name, arena=True)
-        a = fused.simulate(13, 60, 0.01).state
-        b = arena.simulate(13, 60, 0.01).state
         assert compare_trajectories(a, b, rtol=0, atol=0)
 
     @pytest.mark.parametrize("name", ["Plonsey", "HodgkinHuxley", "OHara"])
@@ -120,17 +112,18 @@ class TestFusedLowering:
         assert len(fused.kernel.source.splitlines()) < \
             0.6 * len(unfused.kernel.source.splitlines())
 
-    def test_arena_reuses_buffers_across_steps(self):
-        runner = make_runner("LuoRudy91", arena=True)
-        arena = runner.kernel.arena
-        assert arena is not None
-        runner.simulate(16, 10, 0.01)
-        first_allocs = arena.allocs
-        assert first_allocs > 0
-        runner.simulate(16, 10, 0.01)   # same shapes: all slots reused
-        assert arena.allocs == first_allocs
-        assert arena.hits > 0
-        assert arena.nbytes > 0
+    def test_arena_parameters_only_accept_false(self, tmp_path):
+        """``lower_function`` and ``KernelCache.store`` keep an ``arena``
+        parameter for old callers; the mode itself is gone."""
+        from repro.runtime.lowering import lower_function
+        generated = generate_limpet_mlir(load_model("Plonsey"))
+        with pytest.raises(ValueError, match="arena"):
+            lower_function(generated.module, generated.spec.function_name,
+                           arena=True)
+        with pytest.raises(ValueError, match="arena"):
+            KernelCache(tmp_path).store("a" * 64, "def k(): pass",
+                                        "vector", 8, [], "k", fused=True,
+                                        arena=True)
 
 
 # ---------------------------------------------------------------------------
@@ -348,11 +341,6 @@ class TestShardedRunner:
     def test_shard_bounds_small_n(self):
         assert shard_bounds(8, 4, 8) == [(0, 8)]
         assert shard_bounds(0, 4, 8) == []
-
-    def test_rejects_arena(self):
-        with pytest.raises(ValueError, match="arena"):
-            ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
-                          n_threads=2, arena=True)
 
     def test_shard_plan_must_align_and_cover(self):
         def runner(plan):

@@ -24,8 +24,8 @@ the recorded version.
 The same key embeds ``LOWERING_VERSION``, so the lowered NumPy source is
 pinned the same way: one sha256 of ``lower_function(...).source`` after
 the default pipeline for both ``TIER1_VARIANTS`` of every model, every
-variant of the ``TIER1_FULL`` models and ``fuse=False`` / ``arena=True``
-/ ``profile=True`` of those five's default kernel, recorded with the
+variant of the ``TIER1_FULL`` models and ``fuse=False`` /
+``profile=True`` of those five's default kernel, recorded with the
 ``LOWERING_VERSION`` (``src/repro/runtime/lowering.py``) they were lowered
 under.  A digest that moves under the recorded version needs it bumped.
 
@@ -122,7 +122,7 @@ def fingerprint(thunk: Callable[[], object]) -> str:
 
 #: non-default ``lower_function`` options, pinned on the ``TIER1_FULL``
 #: models' default kernel
-LOWERINGS = {"fuse=False": dict(fuse=False), "arena=True": dict(arena=True),
+LOWERINGS = {"fuse=False": dict(fuse=False),
              "profile=True": dict(profile=True)}
 
 
