@@ -32,6 +32,10 @@ def test_lowered_source_subset_matches_the_record(tool):
     assert tool.mismatches(subset=True, pin=tool.SOURCE) == {}
 
 
+def test_provenance_matches_the_record(tool):
+    assert tool.mismatches(subset=True, pin=tool.PROVENANCE) == {}
+
+
 def test_record_is_for_this_generator_version(tool):
     """Cells that move need a bump, and a bump needs a re-record."""
     version, _ = tool.read_record()
@@ -57,7 +61,7 @@ def test_write_refuses_moved_cells_under_the_recorded_version(
     record = tmp_path / "record.json"
     stale = {"generator_version": version, "cells": {key: "0" * 64},
              "lowering_version": lowering_version,
-             "sources": {key: sources[key]}}
+             "sources": {key: sources[key]}, "provenances": {}}
     record.write_text(json.dumps(stale))
     monkeypatch.setattr(tool, "RECORD", record)
     monkeypatch.setattr(tool, "entries", lambda subset=False: [
@@ -96,6 +100,9 @@ def test_record_covers_the_full_matrix(tool):
     # both default kernels of all 47 (+ the promoted model), the other
     # 31 variants and two lowering options of the five
     assert len(sources) == 2 * 48 + 5 * 31 + 5 * 2
+    _, provenances = tool.read_record(tool.PROVENANCE)
+    assert set(provenances) == {key for key, _ in tool.provenance_entries()}
+    assert len(provenances) == 5
 
 
 def test_fingerprint_sees_spec_and_module_changes(tool):

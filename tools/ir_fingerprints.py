@@ -28,11 +28,16 @@ variant of the ``TIER1_FULL`` models and ``fuse=False`` /
 ``profile=True`` of those five's default kernel, recorded with the
 ``LOWERING_VERSION`` (``src/repro/runtime/lowering.py``) they were lowered
 under.  A digest that moves under the recorded version needs it bumped.
+The third pin, versioned by the same constant, is the profiled kernel's
+``provenance``: one sha256 of the canonical JSON of its records (without
+``source``) for the ``TIER1_FULL`` models' ``profile=True`` default
+kernel.
 
 Tier-1 (``tests/test_ir_fingerprints.py``) checks :func:`entries` with
-``subset=True``, the ``TIER1_FULL`` models' default kernels of
-:func:`source_entries` and that the record's versions are the code's; CI
-runs the full ``--check`` and a drill of each rule.
+``subset=True``, the ``TIER1_FULL`` models' default and ``gpu`` kernels
+and non-default lowerings of :func:`source_entries`, every provenance
+digest and that the record's versions are the code's; CI runs the full
+``--check`` and a drill of each rule.
 """
 
 from __future__ import annotations
@@ -126,8 +131,10 @@ LOWERINGS = {"fuse=False": dict(fuse=False),
              "profile=True": dict(profile=True)}
 
 
-def source_fingerprint(thunk: Callable[[], object], **options) -> str:
-    """sha256 of the kernel's lowered source after the default pipeline."""
+def _lowered_digest(thunk: Callable[[], object],
+                    text: Callable[[object], str], **options) -> str:
+    """sha256 of ``text(kernel)`` for the kernel lowered with ``options``
+    after the default pipeline."""
     try:
         generated = thunk()
     except UnsupportedModelError as err:
@@ -136,23 +143,56 @@ def source_fingerprint(thunk: Callable[[], object], **options) -> str:
     default_pipeline(verify_each=False).run(module, fixed_point=True)
     kernel = lowering.lower_function(module, generated.spec.function_name,
                                      **options)
-    return hashlib.sha256(kernel.source.encode()).hexdigest()
+    return hashlib.sha256(text(kernel).encode()).hexdigest()
+
+
+def source_fingerprint(thunk: Callable[[], object], **options) -> str:
+    """sha256 of the kernel's lowered source after the default pipeline."""
+    return _lowered_digest(thunk, lambda kernel: kernel.source, **options)
+
+
+def provenance_fingerprint(thunk: Callable[[], object]) -> str:
+    """sha256 of the canonical JSON of the profiled kernel's provenance
+    records, without their ``source`` key."""
+    def records(kernel) -> str:
+        return json.dumps([{k: v for k, v in entry.items() if k != "source"}
+                           for entry in kernel.provenance],
+                          sort_keys=True, separators=(",", ":"))
+    return _lowered_digest(thunk, records, profile=True)
+
+
+def _profiled_kernel(key: str) -> bool:
+    """True for a ``TIER1_FULL`` model's default vector kernel: the one
+    the non-default lowerings and the provenance pin cover."""
+    model, variant = key.split("/", 1)
+    return model in TIER1_FULL and variant == TIER1_VARIANTS[1]
 
 
 def source_entries(subset: bool = False
                    ) -> Iterator[Tuple[str, Callable[[], str]]]:
-    """``(key, thunk)`` per pinned lowering; the thunk returns the digest."""
+    """``(key, thunk)`` per pinned lowering; the thunk returns the digest.
+
+    The subset is the ``TIER1_FULL`` models' default and ``gpu`` kernels
+    and the non-default lowerings of their default vector kernel."""
     for key, thunk in entries(subset=True):
         model, variant = key.split("/", 1)
         if subset and (model not in TIER1_FULL
-                       or variant not in TIER1_VARIANTS):
+                       or variant not in TIER1_VARIANTS + ("gpu",)):
             continue
         yield key, lambda t=thunk: source_fingerprint(t)
-        if model in TIER1_FULL and variant == TIER1_VARIANTS[1] \
-                and not subset:
+        if _profiled_kernel(key):
             for name, options in LOWERINGS.items():
                 yield (f"{key}+{name}",
                        lambda t=thunk, o=options: source_fingerprint(t, **o))
+
+
+def provenance_entries(subset: bool = False
+                       ) -> Iterator[Tuple[str, Callable[[], str]]]:
+    """``(key, thunk)`` per pinned provenance (tier-1 checks them all)."""
+    for key, thunk in entries(subset=True):
+        if _profiled_kernel(key):
+            yield (f"{key}+profile=True",
+                   lambda t=thunk: provenance_fingerprint(t))
 
 
 class Pin(NamedTuple):
@@ -180,6 +220,13 @@ SOURCE = Pin("sources", "lowering_version", "LOWERING_VERSION",
              "the same module now lowers to other source",
              lambda: lowering.LOWERING_VERSION,
              lambda subset: source_entries(subset), lambda thunk: thunk())
+PROVENANCE = Pin("provenances", "lowering_version", "LOWERING_VERSION",
+                 "src/repro/runtime/lowering.py", "provenance",
+                 "the same module now profiles to other records",
+                 lambda: lowering.LOWERING_VERSION,
+                 lambda subset: provenance_entries(subset),
+                 lambda thunk: thunk())
+PINS = (IR, SOURCE, PROVENANCE)
 
 
 def read_record(pin: Pin = IR) -> Tuple[int, Dict[str, str]]:
@@ -218,13 +265,13 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     mode = parser.add_mutually_exclusive_group(required=True)
     mode.add_argument("--write", action="store_true",
-                      help=f"record both matrices into {RECORD.name}")
+                      help=f"record every pin into {RECORD.name}")
     mode.add_argument("--check", action="store_true",
-                      help="compare both matrices against the record")
+                      help="compare every pin against the record")
     args = parser.parse_args(argv)
     if args.write:
         record = {}
-        for pin in (IR, SOURCE):
+        for pin in PINS:
             recorded_version, recorded = read_record(pin)
             digests = {key: pin.digest(thunk)
                        for key, thunk in pin.entries(False)}
@@ -238,7 +285,7 @@ def main(argv=None) -> int:
             record[pin.section] = digests
         RECORD.parent.mkdir(parents=True, exist_ok=True)
         RECORD.write_text(json.dumps(record, indent=0, sort_keys=True) + "\n")
-        for pin in (IR, SOURCE):
+        for pin in PINS:
             digests = record[pin.section]
             refused = sum(v.startswith("refused:") for v in digests.values())
             print(f"wrote {len(digests) - refused} {pin.noun} digests and "
@@ -246,7 +293,7 @@ def main(argv=None) -> int:
                   f"{pin.version()}")
         return 0
     status = 0
-    for pin in (IR, SOURCE):
+    for pin in PINS:
         moved = mismatches(pin=pin)
         for key, (was, now) in sorted(moved.items()):
             print(f"MOVED {pin.noun} {key}: {was[:16]} -> {now[:16]}")
