@@ -1,14 +1,14 @@
 """Measured per-op kernel profiling: hot tables by op, dialect and class.
 
-The lowering (``repro.runtime.lowering``) can emit kernels in
-**profile mode**: every op-emitting statement is bracketed by a pair
-of ``perf_counter`` reads accumulating into a per-statement slot of a
-preallocated counter array, with a *provenance* record mapping each
-slot back to the IR operation (and, through the op's result name hint,
-the EasyML source name) it was lowered from.  Crucially the compute
-statements themselves are textually unchanged, so a profiled run is
-**bitwise identical** to an unprofiled one — the clock reads happen
-between statements, never inside an expression.
+The lowering (``repro.runtime.lowering``) can print kernels in
+**profile mode**: every compute statement of the kernel's schedule is
+bracketed by a pair of ``perf_counter`` reads accumulating into a
+per-statement slot of a preallocated counter array, with a
+*provenance* record mapping each slot back to the IR operation it was
+lowered from.  Crucially the compute statements themselves are
+textually unchanged, so a profiled run is **bitwise identical** to an
+unprofiled one — the clock reads happen between statements, never
+inside an expression.
 
 :class:`KernelProfileReport` turns those raw counters into per-op
 measured seconds, a top-N hot table (``hot_table``) and per-IR-op,
@@ -61,7 +61,6 @@ class OpCost:
     op: str                        # IR operation name (e.g. math.exp)
     dialect: str
     seconds: float
-    source: Optional[str] = None   # EasyML name via the result hint
     snippet: str = ""              # the lowered statement text
     #: callee for func.call statements, ``live/total callee`` columns
     #: for a LUT call; addressing mode (``unit`` / ``strided`` /
@@ -96,7 +95,6 @@ class KernelProfileReport:
             OpCost(index=entry["index"], op=entry["op"],
                    dialect=entry["dialect"],
                    seconds=float(kernel.profile_counters[entry["index"]]),
-                   source=entry.get("source"),
                    snippet=entry.get("text", ""),
                    detail=entry.get("detail"))
             for entry in kernel.provenance]
@@ -137,14 +135,14 @@ class KernelProfileReport:
 
     def hot_table(self, top_n: int = 10) -> str:
         """The top-N hot-op table: seconds, share, op, its detail (a
-        call's callee, an access's addressing mode), source name."""
+        call's callee, an access's addressing mode), statement."""
         head = f"hot ops — {self.model}" if self.model else "hot ops"
         if self.invocations:
             head += f" ({self.invocations} kernel calls)"
         head += f", {self.total_seconds * 1e3:.2f} ms attributed"
         lines = [head,
                  f"{'seconds':>10} {'share':>7} {'cum':>7} "
-                 f"{'op':<18} {'detail':<10} {'source':<16} statement"]
+                 f"{'op':<18} {'detail':<27} statement"]
         total = max(self.total_seconds, 1e-12)
 
         def row(entry: OpCost, cumulative: str) -> str:
@@ -153,8 +151,7 @@ class KernelProfileReport:
                 snippet = snippet[:45] + "..."
             return (f"{entry.seconds:>10.6f} {entry.seconds / total:>6.1%} "
                     f"{cumulative:>6} {entry.op:<18} "
-                    f"{(entry.detail or '-')[:10]:<10} "
-                    f"{(entry.source or '-'):<16} {snippet}")
+                    f"{(entry.detail or '-')[:27]:<27} {snippet}")
 
         cumulative = 0.0
         for entry in self.entries[:top_n]:
@@ -164,7 +161,7 @@ class KernelProfileReport:
         if remaining > 0:
             rest = sum(e.seconds for e in self.entries[top_n:])
             lines.append(f"{rest:>10.6f} {rest / total:>6.1%} "
-                         f"{'100.0%':>7} (+{remaining} more)")
+                         f"{'100.0%':>6} (+{remaining} more)")
         # an access the lowering could not slice gets a line of its own
         # wherever it ranks
         lines += [row(entry, "") for entry in self.entries[top_n:]
@@ -179,6 +176,5 @@ class KernelProfileReport:
                 "by_class": self.by_class(),
                 "entries": [{"index": e.index, "op": e.op,
                              "dialect": e.dialect, "seconds": e.seconds,
-                             "source": e.source, "snippet": e.snippet,
-                             "detail": e.detail}
+                             "snippet": e.snippet, "detail": e.detail}
                             for e in self.entries]}

@@ -17,8 +17,10 @@ This plays the role of MLIR's lowering to LLVM and JIT execution:
   per-memref block view (*unit* / *strided* addressing); only the rest
   build an index array (*indexed* addressing) — DESIGN.md §6.2.
 
-The generated source is kept on the :class:`CompiledKernel` for
-inspection and tests.
+A kernel is lowered in two steps: :mod:`repro.runtime.schedule` decides
+statements, names, fusion and addressing, and :class:`_NumPyPrinter`
+spells them; profile mode prints the same schedule clock-bracketed.
+The generated source is kept on the :class:`CompiledKernel`.
 """
 
 from __future__ import annotations
@@ -27,33 +29,24 @@ import base64
 import marshal
 import math
 import time as _time
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from importlib.util import MAGIC_NUMBER
 from types import CodeType
-from typing import Any, Callable, Dict, List, Optional, Set, Tuple
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-from ..ir.core import (Block, IRError, Module, Operation, OpResult, Value,
-                       is_defined_in, registered_ops)
+from ..ir.core import Module, Operation, Value, registered_ops
 from ..ir.dialects.arith import trunc_div, trunc_rem
 from ..ir.dialects.math import np_erf
-from ..ir.types import VectorType
 from .lut_runtime import (lut_interp_row, lut_interp_row_spline,
                           lut_interp_row_spline_vec, lut_interp_row_vec)
+from .schedule import (ACCESS_INDEX_OPERAND, Access, LoweringError, Schedule,
+                       Stmt, sanitize)
 
 #: bump whenever generated source semantics change — part of the
 #: persistent kernel cache key (repro.runtime.kernel_cache)
 LOWERING_VERSION = 4
-
-#: fused expressions deeper than this are materialized into a named
-#: temporary so generated lines stay readable and CPython's parser
-#: never sees pathologically nested expressions
-MAX_FUSE_DEPTH = 40
-
-
-class LoweringError(IRError):
-    """Raised when an op has no lowering in the requested mode."""
 
 
 @dataclass
@@ -76,7 +69,7 @@ class CompiledKernel:
     #: bracket, so keeping it cheap keeps attribution high.
     profile_counters: Optional[List[float]] = None
     #: per-statement provenance records (profile mode only): dicts with
-    #: ``index``/``op``/``dialect``/``source``/``text``/``detail``
+    #: ``index``/``op``/``dialect``/``text``/``detail``
     provenance: Optional[List[Dict[str, Any]]] = None
     #: the module code object ``source`` compiled (or unmarshalled) to;
     #: the stores write it as the payload's ``code`` (:func:`pack_code`)
@@ -299,727 +292,190 @@ _NUMPY_SPELLING = {name: info.numpy
 _CMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
            "oge": ">=", "ueq": "==", "une": "!=", "eq": "==", "ne": "!=",
            "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-
-# -- addressing modes (DESIGN.md §6.2) ---------------------------------------
-# A vector memory access in the flattened cell loop touches, for block k
-# and lane l, the address ``a*(lb + k*S) + sym + b + c*l``.  When the
-# analysis proves that form the access is a strided slice of a
-# ``(n_blocks, a*S)`` view of the memref; otherwise it builds the index
-# array.
-
-#: op -> position of its index operand
-_ACCESS_INDEX_OPERAND = {"vector.load": 1, "vector.store": 2,
-                         "vector.gather": 1, "vector.scatter": 2}
-#: ops that compute nothing but addresses when every use is one
-_ADDRESS_OPS = {"arith.addi", "arith.subi", "arith.muli",
-                "arith.index_cast", "vector.broadcast", "vector.step"}
+#: ops spelled alike in every mode: the lane ids, a SIMT grid of one
+#: thread, typed views of the runtime's flat NumPy buffers
+_KERNEL_SPELLING = {"vector.step": "_lanes", "gpu.global_id": "0",
+                    "gpu.grid_dim": "1", "memref.cast": "{0}",
+                    "memref.view": "{0}[{1}:]"}
 
 
-@dataclass(frozen=True)
-class _Affine:
-    """An index value as ``a*iv + sym + b + c*lane`` over one cell loop."""
+class _NumPyPrinter:
+    """Spells a :class:`~repro.runtime.schedule.Schedule` as Python over
+    NumPy arrays (vector and simt mode) or floats (scalar mode)."""
 
-    a: int = 0                     # coefficient of the induction variable
-    b: int = 0                     # compile-time constant
-    c: int = 0                     # coefficient of the lane id
-    sym: Optional[Value] = None    # loop-invariant runtime scalar
+    def __init__(self, schedule: Schedule):
+        self.s = schedule
+        #: the schedule's names, and the text of each inlined value
+        self.names = dict(schedule.names)
+        # simt kernels flatten scalar per-thread code over NumPy arrays,
+        # so they share the vector op table
+        self.table = {**(_SCALAR_SPELLING if schedule.mode == "scalar"
+                         else _NUMPY_SPELLING), **_KERNEL_SPELLING}
 
-    @property
-    def invariant(self) -> bool:
-        return self.a == 0 and self.c == 0
+    def source(self,
+               wrap: Optional[Callable[[Stmt, str], Tuple[str, ...]]] = None
+               ) -> str:
+        """The kernel's source; ``wrap(stmt, text)`` may surround each
+        compute statement with lines of its own."""
+        s = self.s
+        lines = [f"def {s.func_op.attributes['sym_name']}"
+                 f"({', '.join(s.args)}):"]
+        if s.uses_lanes:
+            lines.append(f"    _lanes = np.arange({s.width})")
+        for stmt in s.stmts:
+            text = self.stmt(stmt)
+            lines += ["    " * stmt.depth + line for line in (
+                wrap(stmt, text) if wrap and stmt.compute else (text,))]
+        if len(lines) == 1:
+            lines.append("    pass")
+        return "\n".join(lines)
 
-    @property
-    def constant(self) -> bool:
-        return self.invariant and self.sym is None
+    def expr(self, value: Value) -> str:
+        """``value`` at a use: its name, or its fused definition."""
+        name = self.names.get(id(value))
+        if name is not None:
+            return name
+        text = self.spell(value.op)
+        if text[0] == "-" and value.op.name == "arith.constant":
+            text = f"({text})"      # survives template interpolation
+        # a constant (or its broadcast) is spelled once for all its uses
+        self.names[id(value)] = text
+        return text
 
-
-@dataclass(frozen=True)
-class Access:
-    """The addressing mode of one vector memory access."""
-
-    #: ``unit`` (lanes adjacent), ``strided`` (lanes a constant stride
-    #: apart) or ``indexed`` (nothing proven: an index array)
-    mode: str
-    mem: Value
-    loop: Operation
-    #: the address including the lane term; ``None`` when indexed
-    form: Optional[_Affine] = None
-    #: the loop's constant step (cells per block)
-    step: int = 0
-
-
-class _AffineAnalysis:
-    """Derives :class:`_Affine` forms for index values of one cell loop."""
-
-    def __init__(self, loop: Operation):
-        self.loop = loop
-        self.iv = loop.regions[0].entry.args[0]
-        self.forms: Dict[int, Optional[_Affine]] = {}
-
-    def form(self, value: Value) -> Optional[_Affine]:
-        key = id(value)
-        if key not in self.forms:
-            self.forms[key] = self._derive(value)
-        return self.forms[key]
-
-    def _derive(self, value: Value) -> Optional[_Affine]:
-        if value is self.iv:
-            return _Affine(a=1)
-        if not value.type.is_integer:
-            return None
-        unvaried = not is_defined_in(value, self.loop)
-        if isinstance(value, OpResult):
-            operands = [self.form(v) for v in value.op.operands]
-            if all(f is not None for f in operands):
-                form = self._combine(value.op, operands)
-                if form is not None:
-                    return form
-                unvaried = unvaried or (
-                    value.op.is_pure and bool(operands)
-                    and all(f.invariant for f in operands))
-        if unvaried and not isinstance(value.type, VectorType):
-            return _Affine(sym=value)       # a runtime scalar symbol
-        return None
-
-    @staticmethod
-    def _combine(op: Operation,
-                 operands: List[_Affine]) -> Optional[_Affine]:
+    def spell(self, op: Operation) -> str:
+        """The expression a pure op computes."""
+        args = [self.names.get(id(v)) or self.expr(v) for v in op.operands]
+        template = self.table.get(op.name)
+        if template is not None:
+            return template.format(*args)
         name = op.name
         if name == "arith.constant":
             value = op.attributes["value"]
-            is_int = isinstance(value, int) and not isinstance(value, bool)
-            return _Affine(b=value) if is_int else None
-        if name == "vector.step":
-            return _Affine(c=1)
-        if name in ("vector.broadcast", "arith.index_cast"):
-            return operands[0]
-        if name in ("arith.addi", "arith.subi"):
-            x, y = operands
-            if name == "arith.subi":
-                if y.sym is not None:
-                    return None
-                y = _Affine(-y.a, -y.b, -y.c)
-            if x.sym is not None and y.sym is not None:
-                return None
-            return _Affine(x.a + y.a, x.b + y.b, x.c + y.c,
-                           x.sym if x.sym is not None else y.sym)
-        if name == "arith.muli":
-            x, k = operands
-            if not k.constant:
-                x, k = k, x
-            if not k.constant or x.sym is not None:
-                return None
-            return _Affine(x.a * k.b, x.b * k.b, x.c * k.b)
-        return None
+            return str(value) if isinstance(value, int) else repr(float(value))
+        if name in ("arith.cmpf", "arith.cmpi"):
+            return f"({args[0]} {_CMP_PY[op.attributes['predicate']]} " \
+                   f"{args[1]})"
+        if name == "arith.select":
+            cond, tval, fval = args
+            if self.s.mode == "scalar":
+                return f"({tval} if {cond} else {fval})"
+            return f"np.where({cond}, {tval}, {fval})"
+        if name == "vector.broadcast":
+            return f"_vb({args[0]})" if id(op) in self.s.per_block \
+                else args[0]
+        if name == "vector.extract":
+            return (f"({args[0]}[..., {op.attributes['position']}] "
+                    f"if isinstance({args[0]}, np.ndarray) else {args[0]})")
+        if name == "vector.insert":
+            return (f"_vinsert({args[1]}, {args[0]}, "
+                    f"{op.attributes['position']}, "
+                    f"{op.results[0].type.width})")
+        if name == "memref.dim":
+            return f"{args[0]}.shape[{op.attributes.get('index', 0)}]"
+        raise LoweringError(f"no {self.s.mode} lowering for {name}")
 
-    def classify(self, op: Operation) -> Access:
-        """The cheapest addressing mode ``op``'s index proves."""
-        position = _ACCESS_INDEX_OPERAND[op.name]
-        indexed = Access("indexed", op.operands[position - 1], self.loop)
-        index = op.operands[position:]      # a mask makes it longer
-        step = self.form(self.loop.operands[2])
-        form = self.form(index[0]) if len(index) == 1 else None
-        if form is None or step is None or not step.constant:
-            return indexed
-        if op.name in ("vector.load", "vector.store"):
-            form = replace(form, c=form.c + 1)     # the implicit lane id
-            vec = op.results[0] if op.results else op.operands[0]
-        else:
-            vec = index[0]
-        last_lane = form.b + form.c * (vec.type.width - 1)
-        if form.a < 1 or form.c < 1 or form.b < 0 \
-                or last_lane >= form.a * step.b:
-            return indexed
-        return replace(indexed, mode="unit" if form.c == 1 else "strided",
-                       form=form, step=step.b)
+    def stmt(self, stmt: Stmt) -> str:
+        """One statement's text."""
+        op, kind, targets = stmt.op, stmt.kind, stmt.targets
+        if kind == "value":
+            return f"{targets[0]} = {self.expr(stmt.value)}"
+        if kind in ("else", "pass"):
+            return "else:" if kind == "else" else "pass"
+        if kind == "view":
+            return f"{targets[0]} = {self.view(stmt.access)}"
+        name = op.name
+        if name == "scf.for":
+            bounds = ", ".join(self.expr(v) for v in op.operands[:3])
+            if kind == "arange":
+                return f"{targets[0]} = np.arange({bounds}, dtype=np.int64)"
+            if kind == "blocks":
+                return f"{targets[0]} = len(range({bounds}))"
+            return f"for {targets[0]} in range({bounds}):"
+        if name in ACCESS_INDEX_OPERAND:
+            return self.access(op, targets)
+        if name == "func.call":
+            return self.call(op, targets)
+        if name not in ("scf.if", "func.return", "memref.load",
+                        "memref.store"):
+            text = self.spell(op)       # a value, bound to its name
+            return f"{targets[0]} = {text}"
+        args = [self.expr(v) for v in op.operands]
+        if name == "scf.if":
+            return f"if {args[0]}:"
+        if name == "func.return":
+            return f"return {', '.join(args)}" if args else "return"
+        if name == "memref.load":
+            return f"{targets[0]} = {args[0]}[{', '.join(args[1:])}]"
+        return f"{args[1]}[{', '.join(args[2:])}] = {args[0]}"
 
-
-def analyze_accesses(func_op: Operation) -> Dict[int, Access]:
-    """``id(op)`` -> :class:`Access` for every vector memory access
-    inside a cell loop of ``func_op`` (masked accesses are indexed)."""
-    accesses: Dict[int, Access] = {}
-    for loop in func_op.walk():
-        if loop.name == "scf.for" and loop.attributes.get("cell_loop"):
-            analysis = _AffineAnalysis(loop)
-            for op in loop.walk():
-                if op.name in _ACCESS_INDEX_OPERAND:
-                    accesses[id(op)] = analysis.classify(op)
-    return accesses
-
-
-class _FunctionLowering:
-    """Lowers one func.func definition to Python source.
-
-    With ``fuse`` enabled (the default), the result of a pure op whose
-    value has exactly one use is not assigned to a temporary: its
-    expression text is held *pending* and inlined at the single use
-    site.  Because every value has one definition and the deferred ops
-    are side-effect free, textual inlining preserves bit-identical
-    semantics while collapsing hundreds of one-line NumPy statements
-    (one vector temporary each) into a few compound expressions.
-    Pending values are flushed (materialized as assignments) before any
-    region op so fusion never moves work across control flow.
-
-    With ``profile`` enabled, every compute statement is bracketed by
-    two monotonic-clock reads whose difference accumulates into a
-    preallocated per-statement counter array (``_prof``), and a
-    provenance record maps each counter back to the defining IR op and
-    its EasyML source name.  The bracketing is purely additive — the
-    compute statements themselves are byte-identical to the unprofiled
-    lowering — so profiled runs stay bitwise identical.
-    """
-
-    def __init__(self, op: Operation, mode: str, width: int,
-                 fuse: bool = True, profile: bool = False):
-        self.op = op
-        self.mode = mode
-        self.width = width
-        self.fuse = fuse
-        self.profile = profile
-        #: per-statement attribution records, in emission order
-        self.provenance: List[Dict[str, Any]] = []
-        self.lines: List[str] = []
-        self.indent = 1
-        self.names: Dict[int, str] = {}
-        self.counter = 0
-        #: value id -> (expression text, nesting depth, defining op),
-        #: in def order
-        self.pending: Dict[int, Tuple[str, int, Operation]] = {}
-        # simt kernels flatten scalar per-thread code over NumPy arrays,
-        # so they share the vector op table
-        self.expr_table = _SCALAR_SPELLING if mode == "scalar" \
-            else _NUMPY_SPELLING
-        #: id(op) -> addressing mode of each vector memory access
-        self.access: Dict[int, Access] = {}
-        #: ids of ops whose results only ever feed a sliced address
-        self.address_only: Set[int] = set()
-        #: (loop, memref, a, sym) -> name of the hoisted block view
-        self.views: Dict[Tuple[int, int, int, int], str] = {}
-        #: id(cell loop) -> name of its block count
-        self.block_counts: Dict[int, str] = {}
-        #: cell loops lowered flattened so far
-        self.flat_loops: List[Operation] = []
-        #: True once a statement mentions ``_lanes``
-        self.uses_lanes = False
-
-    # -- naming ------------------------------------------------------------------
-
-    def name_of(self, value: Value) -> str:
-        name = self.names.get(id(value))
-        if name is None:
-            raise LoweringError(
-                f"lowering: value %{value.name_hint or '?'} used before "
-                f"definition")
-        return name
-
-    def use(self, value: Value) -> str:
-        """Expression text for one use of ``value`` (consumes pending)."""
-        entry = self.pending.pop(id(value), None)
-        if entry is not None:
-            return entry[0]
-        return self.name_of(value)
-
-    def use_name(self, value: Value) -> str:
-        """Like :meth:`use`, but always yields a bare name (for
-        templates that mention an operand more than once)."""
-        entry = self.pending.pop(id(value), None)
-        if entry is not None:
-            name = self.fresh(value)
-            self._emit_stmt(f"{name} = {entry[0]}", entry[2])
-            return name
-        return self.name_of(value)
-
-    def _depth_of(self, value: Value) -> int:
-        entry = self.pending.get(id(value))
-        return entry[1] if entry is not None else 0
-
-    def fresh(self, value: Value, hint: Optional[str] = None) -> str:
-        name = hint or f"v{self.counter}"
-        self.counter += 1
-        self.names[id(value)] = name
-        return name
-
-    def line(self, text: str) -> None:
-        self.lines.append("    " * self.indent + text)
-
-    def _emit_stmt(self, text: str, op: Operation,
-                   detail: Optional[str] = None) -> None:
-        """Emit one compute statement, clock-bracketed in profile mode.
-
-        The timer reads sit *between* statements, never inside an
-        expression, so the statement text (and hence the numerics) is
-        unchanged from the unprofiled lowering.
-        """
-        if not self.profile:
-            self.line(text)
-            return
-        idx = len(self.provenance)
-        source = op.results[0].name_hint if op.results else None
-        self.provenance.append({
-            "index": idx, "op": op.name, "dialect": op.dialect,
-            "source": source, "text": text.strip(), "detail": detail,
-        })
-        self.line("_pt = _clock()")
-        self.line(text)
-        self.line(f"_prof[{idx}] += _clock() - _pt")
-
-    # -- fusion ------------------------------------------------------------------
-
-    def _flush_pending(self) -> None:
-        """Materialize every pending expression as an assignment.
-
-        Called before region ops (loops, branches, parallel regions):
-        pending values defined here may be used inside the region, and
-        inlining across the boundary would re-evaluate them per
-        iteration (or skip LICM's work).  Definition order is emission
-        order, so operands are always bound first.
-        """
-        for value_id, (text, _, owner) in list(self.pending.items()):
-            name = f"v{self.counter}"
-            self.counter += 1
-            self.names[value_id] = name
-            self._emit_stmt(f"{name} = {text}", owner)
-        self.pending.clear()
-
-    def _defer_or_assign(self, op: Operation, text: str,
-                         depth: int) -> None:
-        """Defer a pure op's result for inlining, or assign it."""
-        result = op.results[0]
-        if self.fuse and result.num_uses == 1 and depth <= MAX_FUSE_DEPTH:
-            self.pending[id(result)] = (text, depth, op)
-            return
-        self._emit_stmt(f"{self.fresh(result)} = {text}", op)
-
-    # -- entry --------------------------------------------------------------------
-
-    def lower(self) -> str:
-        sym = self.op.attributes["sym_name"]
-        entry = self.op.regions[0].entry
-        arg_names = []
-        for arg in entry.args:
-            name = self.fresh(arg, _sanitize(arg.name_hint))
-            arg_names.append(name)
-        header = f"def {sym}({', '.join(arg_names)}):"
-        self.lines.append(header)
-        if self.mode == "vector":
-            self._plan_addressing()
-        self._lower_block_ops(entry)
-        if self.uses_lanes:
-            self.lines.insert(1, f"    _lanes = np.arange({self.width})")
-        if len(self.lines) == 1:
-            self.line("pass")
-        return "\n".join(self.lines)
-
-    # -- addressing ---------------------------------------------------------------
-
-    def _plan_addressing(self) -> None:
-        """Classify every vector access, then find the index arithmetic
-        that only sliced accesses consume: it is never materialised."""
-        self.access = analyze_accesses(self.op)
-        live = {id(a.form.sym) for a in self.access.values()
-                if a.form is not None and a.form.sym is not None}
-        # users come after definitions, so one reverse walk settles it
-        for op in reversed(list(self.op.walk())):
-            if op.name in _ADDRESS_OPS and id(op.results[0]) not in live \
-                    and self._feeds_only_slices(op.results[0]):
-                self.address_only.add(id(op))
-
-    def _feeds_only_slices(self, value: Value) -> bool:
-        for user, position in value.uses:
-            if id(user) in self.address_only:
-                continue
-            access = self.access.get(id(user))
-            if access is None or access.form is None \
-                    or position != _ACCESS_INDEX_OPERAND[user.name]:
-                return False        # a use that needs the value itself
-        return True
-
-    @staticmethod
-    def _view_key(access: Access) -> Tuple[int, int, int, int]:
-        return (id(access.loop), id(access.mem), access.form.a,
-                id(access.form.sym))
-
-    def _block_view(self, access: Access) -> str:
+    def view(self, access: Access) -> str:
         """The ``(n_blocks, a*step)`` view of the memref whose row k
         holds every address block k of ``access`` may touch.  A slice
         clipped by the end of the buffer cannot be reshaped, so an
         out-of-range block raises instead of reading or writing past
         the memref."""
-        hoisted = self.views.get(self._view_key(access))
-        if hoisted is not None:
-            return hoisted
         form = access.form
-        lo = self.name_of(access.loop.operands[0])
+        lo = self.expr(access.loop.operands[0])
         if form.a != 1:
             lo = f"{form.a}*{lo}"
         if form.sym is not None:
-            lo = f"{self.use_name(form.sym)} + {lo}"
-        n_blocks = self.block_counts[id(access.loop)]
+            lo = f"{self.expr(form.sym)} + {lo}"
+        n_blocks = self.s.block_counts[id(access.loop)]
         row = form.a * access.step
-        return (f"{self.use_name(access.mem)}[{lo}:{lo} + {n_blocks}*{row}]"
+        return (f"{self.expr(access.mem)}[{lo}:{lo} + {n_blocks}*{row}]"
                 f".reshape({n_blocks}, {row})")
 
-    @staticmethod
-    def _lane_columns(access: Access, width: int) -> str:
-        """The column slice selecting ``access``'s ``width`` lanes from a
-        row of its block view ('' when they are the whole row)."""
-        form = access.form
-        stop = form.b + form.c * (width - 1) + 1
-        if form.b == 0 and stop == form.a * access.step:
-            return ""
-        stride = "" if form.c == 1 else f":{form.c}"
-        return f"[:, {form.b}:{stop}{stride}]"
-
-    def _lower_access(self, op: Operation) -> None:
-        """vector.load / store / gather / scatter, one emitter per
+    def access(self, op: Operation, targets: Tuple[str, ...]) -> str:
+        """vector.load / store / gather / scatter, one spelling per
         addressing mode: sliced (unit or strided) and indexed."""
-        n = self.use
-        position = _ACCESS_INDEX_OPERAND[op.name]
+        n = self.expr
+        position = ACCESS_INDEX_OPERAND[op.name]
         mem, index = op.operands[position - 1:position + 1]
         stores = not op.results
-        value = op.operands[0] if stores else None
-        access = self.access.get(id(op))
+        access = self.s.access.get(id(op))
         if access is not None and access.form is not None:
-            vec = value if stores else op.results[0]
-            view = self._block_view(access)
-            columns = self._lane_columns(access, vec.type.width)
+            vec = op.operands[0] if stores else op.results[0]
+            view = self.s.views.get(access.view_key) or self.view(access)
+            # the lanes' column slice ('' when they are the whole row)
+            form = access.form
+            stop = form.b + form.c * (vec.type.width - 1) + 1
+            columns = "" if form.b == 0 and stop == form.a * access.step \
+                else f"[:, {form.b}:{stop}" \
+                     f"{'' if form.c == 1 else f':{form.c}'}]"
             if stores:
-                text = f"{view}{columns or '[:]'} = {n(value)}"
-            else:
-                # a copy: later stores must not show through, and every
-                # consumer ufunc gets a contiguous operand
-                text = f"{self.fresh(op.results[0])} = {view}{columns}.copy()"
-        elif op.name in ("vector.load", "vector.store"):
-            self.uses_lanes = True
+                return f"{view}{columns or '[:]'} = {n(op.operands[0])}"
+            # a copy: later stores must not show through, and every
+            # consumer ufunc gets a contiguous operand
+            return f"{targets[0]} = {view}{columns}.copy()"
+        if op.name in ("vector.load", "vector.store"):
             where = f"_vb({n(index)}) + _lanes"
             if stores:
-                text = f"_vstore({n(mem)}, {where}, {n(value)})"
-            else:
-                text = f"{self.fresh(op.results[0])} = {n(mem)}[{where}]"
-        else:
-            extra = "".join(f", {n(v)}" for v in op.operands[position + 1:])
-            if stores:
-                text = (f"_vscatter({n(mem)}, {n(index)}, {n(value)}"
-                        f"{extra})")
-            else:
-                text = (f"{self.fresh(op.results[0])} = _vgather({n(mem)}, "
-                        f"{n(index)}{extra})")
-        self._emit_stmt(text, op,
-                        detail=access.mode if access else "indexed")
+                return f"_vstore({n(mem)}, {where}, {n(op.operands[0])})"
+            return f"{targets[0]} = {n(mem)}[{where}]"
+        extra = "".join(f", {n(v)}" for v in op.operands[position + 1:])
+        if stores:
+            return (f"_vscatter({n(mem)}, {n(index)}, {n(op.operands[0])}"
+                    f"{extra})")
+        return f"{targets[0]} = _vgather({n(mem)}, {n(index)}{extra})"
 
-    # -- structure ----------------------------------------------------------------
-
-    def _lower_block_ops(self, block: Block) -> None:
-        for op in block.ops:
-            self._lower_op(op)
-
-    def _lower_op(self, op: Operation) -> None:
-        name = op.name
-        if id(op) in self.address_only:
-            return
-        if name == "func.return":
-            if op.operands:
-                values = ", ".join(self.use(v) for v in op.operands)
-                self.line(f"return {values}")
-            else:
-                self.line("return")
-            return
-        if name == "omp.parallel":
-            # Worksharing is the supervised tier's job (its workers
-            # call the kernel on per-shard cell ranges); lowering
-            # executes the region body directly.
-            self._flush_pending()
-            for inner in op.regions[0].entry.ops:
-                if inner.name != "omp.terminator":
-                    self._lower_op(inner)
-            return
-        if name == "gpu.launch":
-            # The grid-stride decomposition is an execution detail: with
-            # global_id=0 / grid_dim=1 the stride loop enumerates every
-            # cell exactly once, and the flattened cell loop runs them
-            # all as one NumPy pass (the SIMT analog of lane-flattening).
-            self._flush_pending()
-            for inner in op.regions[0].entry.ops:
-                if inner.name != "gpu.terminator":
-                    self._lower_op(inner)
-            return
-        if name == "gpu.global_id":
-            self._defer_or_assign(op, "0", 0)
-            return
-        if name == "gpu.grid_dim":
-            self._defer_or_assign(op, "1", 0)
-            return
-        if name == "scf.for":
-            self._flush_pending()
-            self._lower_for(op)
-            return
-        if name == "scf.if":
-            self._flush_pending()
-            self._lower_if(op)
-            return
-        if name == "scf.yield" or name == "omp.terminator":
-            raise LoweringError(f"{name} outside its parent's lowering")
-        if name == "arith.constant":
-            self._lower_constant(op)
-            return
-        if name == "func.call":
-            self._lower_call(op)
-            return
-        if name in _ACCESS_INDEX_OPERAND:
-            self._lower_access(op)
-            return
-        if name in ("memref.load", "memref.store",
-                    "vector.broadcast", "vector.extract", "vector.insert",
-                    "vector.step", "memref.cast", "memref.view",
-                    "memref.dim", "arith.select", "arith.cmpf",
-                    "arith.cmpi"):
-            self._lower_special(op)
-            return
-        template = self.expr_table.get(name)
-        if template is None:
-            raise LoweringError(f"no {self.mode} lowering for {name}")
-        depth = 1 + max((self._depth_of(v) for v in op.operands), default=0)
-        operands = [self.use(v) for v in op.operands]
-        self._defer_or_assign(op, template.format(*operands), depth)
-
-    # -- leaf ops -----------------------------------------------------------------
-
-    def _lower_constant(self, op: Operation) -> None:
-        value = op.attributes["value"]
-        if isinstance(value, bool) or isinstance(value, int):
-            text = str(value)
-        else:
-            text = repr(float(value))
-        if self.fuse:
-            # constants inline everywhere (even multi-use: a literal is
-            # cheaper than a name lookup); negatives get parentheses so
-            # they survive template interpolation
-            if text.startswith("-"):
-                text = f"({text})"
-            self.names[id(op.results[0])] = text
-            return
-        self.line(f"{self.fresh(op.results[0])} = {text}")
-
-    def _lower_call(self, op: Operation) -> None:
+    def call(self, op: Operation, targets: Tuple[str, ...]) -> str:
         callee = op.attributes["callee"]
-        operands = ", ".join(self.use(v) for v in op.operands)
-        results = list(op.results)
-        detail = callee
-        is_lut = callee.startswith("LUT_interpRow")
-        if is_lut:
-            if "_n_elements_vec" in callee:
-                # a vector call returns only the columns something
-                # reads: the runtime gathers from a table of just those
-                live = tuple(i for i, r in enumerate(results) if r.num_uses)
-                results = [results[i] for i in live]
+        operands = ", ".join(self.expr(v) for v in op.operands)
+        bound = ", ".join(targets)
+        if callee.startswith("LUT_interpRow"):
+            live = self.s.columns.get(id(op))
+            kind = "_spline" if callee.startswith("LUT_interpRowSpline") \
+                else ""
+            kind += "_scalar" if live is None else "_vec"
+            if live is not None:
                 operands += f", {live}"
-            detail = f"{len(results)}/{len(op.results)} {callee}"
-        if callee.startswith("LUT_interpRowSpline_n_elements_vec"):
-            call = f"_lut_spline_vec({operands})"
-        elif callee.startswith("LUT_interpRowSpline"):
-            call = f"_lut_spline_scalar({operands})"
-        elif callee.startswith("LUT_interpRow_n_elements_vec"):
-            call = f"_lut_vec({operands})"
-        elif is_lut:
-            call = f"_lut_scalar({operands})"
-        else:       # foreign_* and module-local functions alike
-            call = f"{_sanitize(callee)}({operands})"
-        if not results:
-            self._emit_stmt(call, op, detail=detail)
-            return
-        targets = ", ".join(self.fresh(r) for r in results)
-        if is_lut:
+            call = f"_lut{kind}({operands})"
             # the LUT runtime returns a tuple of columns even for a
             # single-column table: force sequence unpacking
-            targets += ","
-        self._emit_stmt(f"{targets} = {call}", op, detail=detail)
-
-    def _lower_special(self, op: Operation) -> None:
-        n = self.use
-        name = op.name
-        if name == "arith.cmpf" or name == "arith.cmpi":
-            pred = _CMP_PY[op.attributes["predicate"]]
-            depth = 1 + max(self._depth_of(op.operands[0]),
-                            self._depth_of(op.operands[1]))
-            self._defer_or_assign(op, f"({n(op.operands[0])} {pred} "
-                                      f"{n(op.operands[1])})", depth)
-        elif name == "arith.select":
-            depth = 1 + max(self._depth_of(v) for v in op.operands)
-            cond, tval, fval = (n(v) for v in op.operands)
-            if self.mode == "scalar":
-                self._defer_or_assign(op, f"({tval} if {cond} else {fval})",
-                                      depth)
-            else:
-                self._defer_or_assign(op, f"np.where({cond}, {tval}, "
-                                          f"{fval})", depth)
-        elif name == "memref.load":
-            base, *idx = op.operands
-            indices = ", ".join(n(v) for v in idx)
-            result = self.fresh(op.results[0])
-            self._emit_stmt(f"{result} = {n(base)}[{indices}]", op)
-        elif name == "memref.store":
-            value, base, *idx = op.operands
-            text = n(value)
-            indices = ", ".join(n(v) for v in idx)
-            self._emit_stmt(f"{n(base)}[{indices}] = {text}", op)
-        elif name == "vector.broadcast":
-            src = op.operands[0]
-            depth = self._depth_of(src)
-            if self._per_block(src):
-                self._defer_or_assign(op, f"_vb({n(src)})", 1 + depth)
-            elif self.fuse and id(src) in self.names:
-                # a scalar the cell loop does not vary broadcasts itself
-                self.names[id(op.results[0])] = self.names[id(src)]
-            else:
-                self._defer_or_assign(op, n(src), depth)
-        elif name == "vector.extract":
-            pos = op.attributes["position"]
-            # the template mentions the source twice: force a bare name
-            src = self.use_name(op.operands[0])
-            self._defer_or_assign(op, f"({src}[..., {pos}] "
-                                      f"if isinstance({src}, np.ndarray) "
-                                      f"else {src})", 1)
-        elif name == "vector.insert":
-            scalar, vec = op.operands
-            depth = 1 + max(self._depth_of(scalar), self._depth_of(vec))
-            width = op.results[0].type.width
-            self._defer_or_assign(
-                op, f"_vinsert({n(vec)}, {n(scalar)}, "
-                    f"{op.attributes['position']}, {width})", depth)
-        elif name == "vector.step":
-            self.uses_lanes = True
-            self._defer_or_assign(op, "_lanes", 0)
-        elif name in ("memref.cast", "memref.view"):
-            # Typed reinterpretation: runtime buffers are already flat
-            # NumPy arrays; a view with an element shift slices.
-            result = self.fresh(op.results[0])
-            if name == "memref.view":
-                self.line(f"{result} = {n(op.operands[0])}"
-                          f"[{n(op.operands[1])}:]")
-            else:
-                self.line(f"{result} = {n(op.operands[0])}")
-        elif name == "memref.dim":
-            result = self.fresh(op.results[0])
-            dim = op.attributes.get("index", 0)
-            self.line(f"{result} = {n(op.operands[0])}.shape[{dim}]")
-
-    # -- control flow -------------------------------------------------------------------
-
-    def _lower_for(self, op: Operation) -> None:
-        lb, ub, step = (self.name_of(v) for v in op.operands[:3])
-        inits = [self.name_of(v) for v in op.operands[3:]]
-        body = op.regions[0].entry
-        is_cell_loop = bool(op.attributes.get("cell_loop"))
-        iv_name = self.fresh(body.args[0], _sanitize(body.args[0].name_hint))
-        acc_names = []
-        for arg, init in zip(body.args[1:], inits):
-            acc = self.fresh(arg, _sanitize(arg.name_hint))
-            acc_names.append(acc)
-            self.line(f"{acc} = {init}")
-        if is_cell_loop and self.mode in ("vector", "simt"):
-            if inits:
-                raise LoweringError(
-                    "vector cell loop cannot carry iter_args")
-            # Flatten: all blocks execute at once; the induction variable
-            # becomes the array of block start indices — built only when
-            # something other than a sliced address reads it.
-            self.flat_loops.append(op)
-            if not self._feeds_only_slices(body.args[0]):
-                self._emit_stmt(f"{iv_name} = np.arange({lb}, {ub}, {step}, "
-                                f"dtype=np.int64)", op)
-            self._hoist_block_views(op, f"range({lb}, {ub}, {step})")
-            self._lower_block_body(body, acc_names)
-            return
-        self.line(f"for {iv_name} in range({lb}, {ub}, {step}):")
-        self.indent += 1
-        mark = len(self.lines)
-        self._lower_block_body(body, acc_names)
-        if len(self.lines) == mark:
-            self.line("pass")      # everything fused away or inlined
-        self.indent -= 1
-        for result, acc in zip(op.results, acc_names):
-            self.names[id(result)] = acc
-
-    def _hoist_block_views(self, loop: Operation, blocks: str) -> None:
-        """Bind the loop's block count and, once per (memref, row shape)
-        whose ingredients exist before the loop, the block view every
-        sliced access of that memref shares."""
-        sliced = [access for access in self.access.values()
-                  if access.loop is loop and access.form is not None]
-        if not sliced:
-            return
-        n_blocks = f"_nb{len(self.block_counts) or ''}"
-        self.block_counts[id(loop)] = n_blocks
-        self._emit_stmt(f"{n_blocks} = len({blocks})", loop)
-        for access in sliced:
-            key = self._view_key(access)
-            if key in self.views or is_defined_in(access.mem, loop) or (
-                    access.form.sym is not None
-                    and is_defined_in(access.form.sym, loop)):
-                continue
-            text = self._block_view(access)
-            self.views[key] = (f"_{self.name_of(access.mem)}"
-                               f"_b{len(self.views)}")
-            self._emit_stmt(f"{self.views[key]} = {text}", loop)
-
-    def _per_block(self, value: Value) -> bool:
-        """True when ``value`` may hold one scalar per cell block (an
-        array once the loop is flattened) rather than one scalar."""
-        if isinstance(value, OpResult) and value.op.name == "arith.constant":
-            return False
-        return any(is_defined_in(value, loop) for loop in self.flat_loops)
-
-    def _lower_block_body(self, body: Block, acc_names: List[str]) -> None:
-        for inner in body.ops:
-            if inner.name == "scf.yield":
-                for acc, value in zip(acc_names, inner.operands):
-                    # attribute the assignment to the pending defining
-                    # op when the yielded expression was fused into it
-                    entry = self.pending.get(id(value))
-                    owner = entry[2] if entry is not None else inner
-                    self._emit_stmt(f"{acc} = {self.use(value)}", owner)
-                continue
-            self._lower_op(inner)
-
-    def _lower_if(self, op: Operation) -> None:
-        if self.mode == "vector":
-            raise LoweringError(
-                "scf.if has no vector lowering; use arith.select "
-                "(if-conversion happens in the frontend)")
-        cond = self.use(op.operands[0])
-        result_names = [self.fresh(r) for r in op.results]
-        self.line(f"if {cond}:")
-        self.indent += 1
-        self._lower_branch(op.regions[0].entry, result_names)
-        self.indent -= 1
-        if len(op.regions) > 1:
-            self.line("else:")
-            self.indent += 1
-            self._lower_branch(op.regions[1].entry, result_names)
-            self.indent -= 1
-
-    def _lower_branch(self, block: Block, result_names: List[str]) -> None:
-        mark = len(self.lines)
-        for inner in block.ops:
-            if inner.name == "scf.yield":
-                for name, value in zip(result_names, inner.operands):
-                    entry = self.pending.get(id(value))
-                    owner = entry[2] if entry is not None else inner
-                    self._emit_stmt(f"{name} = {self.use(value)}", owner)
-                continue
-            self._lower_op(inner)
-        if len(self.lines) == mark:
-            self.line("pass")
-
-
-def _sanitize(name: Optional[str]) -> Optional[str]:
-    if name is None:
-        return None
-    cleaned = "".join(ch if ch.isalnum() or ch == "_" else "_"
-                      for ch in name)
-    if not cleaned or cleaned[0].isdigit():
-        cleaned = "_" + cleaned
-    return cleaned
+            bound += ","
+        else:       # foreign_* and module-local functions alike
+            call = f"{sanitize(callee)}({operands})"
+        return f"{bound} = {call}" if targets else call
 
 
 def _kernel_mode(func_op: Operation) -> tuple[str, int]:
@@ -1088,7 +544,7 @@ def _link(kernel: CompiledKernel,
     namespace = dict(_HELPER_GLOBALS)
     from .foreign import registered_foreign
     for fname, fn in registered_foreign().items():
-        namespace[f"foreign_{_sanitize(fname)}"] = fn
+        namespace[f"foreign_{sanitize(fname)}"] = fn
     namespace.update(extra_globals or {})
     if kernel.code is None:
         kernel.code = compile(kernel.source, f"<lowered:{kernel.name}>",
@@ -1098,12 +554,34 @@ def _link(kernel: CompiledKernel,
     return kernel
 
 
+def _profiled(kernel: CompiledKernel, printer: _NumPyPrinter
+              ) -> CompiledKernel:
+    """Print with every compute statement bracketed by two clock reads
+    whose difference accumulates into its slot of ``_prof``, and one
+    provenance record per slot.  The reads sit *between* statements, so
+    the statements, and the numerics, are the plain kernel's."""
+    provenance: List[Dict[str, Any]] = []
+
+    def bracket(stmt: Stmt, text: str) -> Tuple[str, ...]:
+        index = len(provenance)
+        provenance.append({"index": index, "op": stmt.op.name,
+                           "dialect": stmt.op.dialect, "text": text,
+                           "detail": stmt.detail})
+        return "_pt = _clock()", text, f"_prof[{index}] += _clock() - _pt"
+
+    kernel.source = printer.source(bracket)
+    kernel.provenance = provenance
+    kernel.profile_counters = [0.0] * len(provenance)
+    return _link(kernel, {"_prof": kernel.profile_counters,
+                          "_clock": _time.perf_counter})
+
+
 def lower_function(module: Module, sym_name: str,
-                   mode: Optional[str] = None,
-                   extra_globals: Optional[Dict] = None,
-                   fuse: bool = True, arena: bool = False,
+                   mode: Optional[str] = None, fuse: bool = True,
+                   arena: bool = False,
                    profile: bool = False) -> CompiledKernel:
-    """Lower one function of ``module`` to an executable Python kernel.
+    """Lower one function of ``module`` to an executable Python kernel:
+    a :class:`~repro.runtime.schedule.Schedule` of it, spelled in NumPy.
 
     ``fuse`` inlines single-use SSA values into compound expressions
     (bit-identical results, far fewer temporaries); ``profile`` brackets
@@ -1120,21 +598,13 @@ def lower_function(module: Module, sym_name: str,
         raise LoweringError(f"no function @{sym_name} in module")
     inferred_mode, width = _kernel_mode(func_op)
     mode = mode or inferred_mode
-    lowering = _FunctionLowering(func_op, mode, width, fuse=fuse,
-                                 profile=profile)
-    source = lowering.lower()
+    printer = _NumPyPrinter(Schedule(func_op, mode, width, fuse=fuse))
     entry = func_op.regions[0].entry
-    arg_names = [a.name_hint or f"arg{i}" for i, a in enumerate(entry.args)]
-    extra = dict(extra_globals or {})
-    counters = None
+    kernel = CompiledKernel(
+        name=sym_name, fn=None, source="", mode=mode, width=width,
+        arg_names=[a.name_hint or f"arg{i}"
+                   for i, a in enumerate(entry.args)], fused=fuse)
     if profile:
-        counters = [0.0] * len(lowering.provenance)
-        extra["_prof"] = counters
-        extra["_clock"] = _time.perf_counter
-    kernel = _link(CompiledKernel(name=sym_name, fn=None, source=source,
-                                  mode=mode, width=width,
-                                  arg_names=arg_names, fused=fuse), extra)
-    if profile:
-        kernel.profile_counters = counters
-        kernel.provenance = lowering.provenance
-    return kernel
+        return _profiled(kernel, printer)
+    kernel.source = printer.source()
+    return _link(kernel)

@@ -31,7 +31,7 @@ from repro.models.registry import load_model as load_registry_model
 from repro.runtime import (KernelRunner, compare_trajectories,
                            lower_function)
 from repro.runtime.interpreter import Interpreter
-from repro.runtime.lowering import analyze_accesses
+from repro.runtime.schedule import analyze_accesses
 
 from tests.conftest import GATE_SOURCE
 
