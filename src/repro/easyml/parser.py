@@ -17,6 +17,11 @@ The grammar (paper §2.2 plus the openCARP EasyML reference):
 A trailing markup clause attaches to the immediately preceding
 declaration/assignment, matching usage like
 ``Vm; .external(); .nodal(); .lookup(-100,100,0.05);``.
+
+The parser reads the lexer's flat kind and text lists and asks for a
+line only where a statement or an error needs one.  Nesting is bounded
+by :data:`MAX_DEPTH`, so no later tree walk (fold, IR generation,
+printing, lowering) can run out of Python stack on a parsed model.
 """
 
 from __future__ import annotations
@@ -27,29 +32,33 @@ from typing import List, Optional, Tuple, Union
 from .ast_nodes import (Assign, Binary, Call, Declare, Expr, Group, If,
                         Markup, ModelAST, Name, Number, Stmt, Ternary, Unary)
 from .errors import SyntaxErrorEasyML
-from .lexer import Token, TokenKind, tokenize
+from .lexer import Scan, TokenKind
 
+#: the deepest a model may nest: an expression's height, counting every
+#: operator, call, ternary, sign and pair of parentheses as one level and
+#: a statement under ``if`` as one level below it (the zoo reaches 39)
+MAX_DEPTH = 100
 
 #: binary operators, all left-associative: kind -> (precedence, spelling)
 _BINARY = {
-    TokenKind.OR: (1, "or"),
-    TokenKind.AND: (2, "and"),
-    TokenKind.EQ: (3, "=="), TokenKind.NE: (3, "!="),
-    TokenKind.LT: (4, "<"), TokenKind.LE: (4, "<="),
-    TokenKind.GT: (4, ">"), TokenKind.GE: (4, ">="),
-    TokenKind.PLUS: (5, "+"), TokenKind.MINUS: (5, "-"),
-    TokenKind.STAR: (6, "*"), TokenKind.SLASH: (6, "/"),
-    TokenKind.PERCENT: (6, "%"),
+    "or": (1, "or"),
+    "and": (2, "and"),
+    "==": (3, "=="), "!=": (3, "!="),
+    "<": (4, "<"), "<=": (4, "<="), ">": (4, ">"), ">=": (4, ">="),
+    "+": (5, "+"), "-": (5, "-"),
+    "*": (6, "*"), "/": (6, "/"), "%": (6, "%"),
 }
 _NONE = (0, "")
 #: prefix operators: kind -> spelling (unary plus leaves no node)
-_PREFIX = {TokenKind.MINUS: "-", TokenKind.PLUS: "", TokenKind.NOT: "!"}
+_PREFIX = {"-": "-", "+": "", "not": "!"}
 
 
 class Parser:
     def __init__(self, source: str, name: str = "model",
                  filename: str = "<model>"):
-        self.tokens = tokenize(source, filename)
+        self.scan = Scan(source, filename)
+        self.kinds = self.scan.kinds
+        self.texts = self.scan.texts
         self.pos = 0
         self.source_digest = hashlib.sha256(source.encode()).hexdigest()
         self.name = name
@@ -57,197 +66,227 @@ class Parser:
 
     # -- token helpers ---------------------------------------------------------
 
-    def _next(self) -> Token:
-        """Consume one token; the trailing EOF is never stepped past."""
-        token = self.tokens[self.pos]
-        if token.kind is not TokenKind.EOF:
+    def _accept(self, kind: str) -> bool:
+        if self.kinds[self.pos] == kind:
             self.pos += 1
-        return token
+            return True
+        return False
 
-    def _check(self, kind: TokenKind) -> bool:
-        return self.tokens[self.pos].kind is kind
+    def _expect(self, kind: str, what: str = "") -> int:
+        """Consume a ``kind`` token; its index."""
+        pos = self.pos
+        if self.kinds[pos] != kind:
+            wanted = what or TokenKind(kind).name
+            raise self._error(
+                f"expected {wanted}, got {self.scan.value(pos)!r}", pos)
+        self.pos = pos + 1
+        return pos
 
-    def _accept(self, kind: TokenKind) -> Optional[Token]:
-        if self.tokens[self.pos].kind is kind:
-            return self._next()
-        return None
+    def _error(self, message: str, pos: int) -> SyntaxErrorEasyML:
+        return SyntaxErrorEasyML(message, *self.scan.position(pos),
+                                 self.filename)
 
-    def _expect(self, kind: TokenKind, what: str = "") -> Token:
-        token = self.tokens[self.pos]
-        if token.kind is not kind:
-            wanted = what or kind.name
-            raise SyntaxErrorEasyML(
-                f"expected {wanted}, got {token.text!r}",
-                token.line, token.column, self.filename)
-        return self._next()
+    def _too_deep(self, pos: int) -> SyntaxErrorEasyML:
+        return self._error(f"nesting deeper than {MAX_DEPTH} levels", pos)
 
     # -- entry ------------------------------------------------------------------
 
     def parse_model(self) -> ModelAST:
         statements: List[Stmt] = []
-        while not self._check(TokenKind.EOF):
-            statements.append(self.parse_stmt())
+        while self.kinds[self.pos] != "EOF":
+            statements.append(self.parse_stmt(0))
         return ModelAST(self.name, tuple(statements), self.source_digest)
 
     # -- statements ----------------------------------------------------------------
+    # ``depth``: how many levels sit above the statement being parsed
 
-    def parse_stmt(self) -> Stmt:
-        if self._check(TokenKind.GROUP):
+    def parse_stmt(self, depth: int) -> Stmt:
+        kind = self.kinds[self.pos]
+        if kind == "group":
             return self.parse_group()
-        if self._check(TokenKind.IF):
-            return self.parse_if()
-        return self.parse_simple()
+        if kind == "if":
+            return self.parse_if(depth)
+        return self.parse_simple(depth)
 
     def parse_group(self) -> Group:
-        start = self._expect(TokenKind.GROUP)
-        self._expect(TokenKind.LBRACE)
+        line = self.scan.line(self._expect("group"))
+        self._expect("{")
         members: List[Declare] = []
-        while not self._accept(TokenKind.RBRACE):
-            name_tok = self._expect(TokenKind.IDENT, "group member name")
-            init: Optional[Expr] = None
-            if self._accept(TokenKind.ASSIGN):
-                init = self.parse_expr()
-            self._expect(TokenKind.SEMI)
-            members.append(Declare(name_tok.text, (), init, name_tok.line))
-        markups = self.parse_markup_clauses(inline=True)
-        self._expect(TokenKind.SEMI)
-        return Group(tuple(members), tuple(markups), start.line)
+        while not self._accept("}"):
+            at = self._expect("IDENT", "group member name")
+            member_line = self.scan.line(at)
+            init = self.parse_expr(0) if self._accept("=") else None
+            self._expect(";")
+            members.append(Declare(self.texts[at], (), init, member_line))
+        markups = self.parse_markup_clauses()
+        self._expect(";")
+        return Group(tuple(members), tuple(markups), line)
 
-    def parse_if(self) -> If:
-        start = self._expect(TokenKind.IF)
-        self._expect(TokenKind.LPAREN)
-        cond = self.parse_expr()
-        self._expect(TokenKind.RPAREN)
-        then_body = self.parse_block()
+    def parse_if(self, depth: int) -> If:
+        line = self.scan.line(self._expect("if"))
+        self._expect("(")
+        cond = self.parse_expr(depth + 1)
+        self._expect(")")
+        then_body = self.parse_block(depth + 1)
         else_body: Tuple[Stmt, ...] = ()
-        if self._accept(TokenKind.ELSE):
-            if self._check(TokenKind.IF):
-                else_body = (self.parse_if(),)
+        if self._accept("else"):
+            if self.kinds[self.pos] == "if":
+                else_body = (self.parse_if(depth + 1),)
             else:
-                else_body = self.parse_block()
-        return If(cond, then_body, else_body, start.line)
+                else_body = self.parse_block(depth + 1)
+        return If(cond, then_body, else_body, line)
 
-    def parse_block(self) -> Tuple[Stmt, ...]:
-        if self._accept(TokenKind.LBRACE):
+    def parse_block(self, depth: int) -> Tuple[Stmt, ...]:
+        if self._accept("{"):
             body: List[Stmt] = []
-            while not self._accept(TokenKind.RBRACE):
-                body.append(self.parse_stmt())
+            while not self._accept("}"):
+                body.append(self.parse_stmt(depth))
             return tuple(body)
-        return (self.parse_stmt(),)
+        return (self.parse_stmt(depth),)
 
-    def parse_simple(self) -> Stmt:
-        name_tok = self._expect(TokenKind.IDENT, "variable name")
-        init: Optional[Expr] = None
-        if self._accept(TokenKind.ASSIGN):
-            init = self.parse_expr()
-        self._expect(TokenKind.SEMI)
+    def parse_simple(self, depth: int) -> Stmt:
+        at = self._expect("IDENT", "variable name")
+        line = self.scan.line(at)
+        init = self.parse_expr(depth) if self._accept("=") else None
+        self._expect(";")
         markups = self.parse_trailing_markups()
         if markups or init is None:
-            return Declare(name_tok.text, tuple(markups), init, name_tok.line)
-        return Assign(name_tok.text, init, name_tok.line)
+            return Declare(self.texts[at], tuple(markups), init, line)
+        return Assign(self.texts[at], init, line)
 
     def parse_trailing_markups(self) -> List[Markup]:
         """Zero or more ``.markup(args);`` clauses after a statement."""
         markups: List[Markup] = []
-        while self._check(TokenKind.DOT):
+        while self.kinds[self.pos] == ".":
             markups.append(self.parse_markup())
-            self._expect(TokenKind.SEMI)
+            self._expect(";")
         return markups
 
-    def parse_markup_clauses(self, inline: bool) -> List[Markup]:
+    def parse_markup_clauses(self) -> List[Markup]:
         """Markups glued to a group: ``}.nodal().param();`` style."""
         markups: List[Markup] = []
-        while self._check(TokenKind.DOT):
+        while self.kinds[self.pos] == ".":
             markups.append(self.parse_markup())
         return markups
 
     def parse_markup(self) -> Markup:
-        self._expect(TokenKind.DOT)
-        name_tok = self._expect(TokenKind.IDENT, "markup name")
+        self._expect(".")
+        name = self.texts[self._expect("IDENT", "markup name")]
         args: List[Union[float, str]] = []
-        self._expect(TokenKind.LPAREN)
-        while not self._check(TokenKind.RPAREN):
+        self._expect("(")
+        while self.kinds[self.pos] != ")":
             args.append(self.parse_markup_arg())
-            if not self._accept(TokenKind.COMMA):
+            if not self._accept(","):
                 break
-        self._expect(TokenKind.RPAREN)
-        return Markup(name_tok.text, tuple(args))
+        self._expect(")")
+        return Markup(name, tuple(args))
 
     def parse_markup_arg(self) -> Union[float, str]:
-        negative = bool(self._accept(TokenKind.MINUS))
-        token = self._next()
-        if token.kind is TokenKind.NUMBER:
-            value = token.number_value
+        negative = self._accept("-")
+        pos = self.pos
+        kind = self.kinds[pos]
+        if kind == "NUMBER":
+            self.pos = pos + 1
+            value = float(self.texts[pos])
             return -value if negative else value
-        if token.kind in (TokenKind.IDENT, TokenKind.STRING) and not negative:
-            return token.text
-        raise SyntaxErrorEasyML(
-            f"bad markup argument {token.text!r}",
-            token.line, token.column, self.filename)
+        if kind in ("IDENT", "STRING") and not negative:
+            self.pos = pos + 1
+            return self.scan.value(pos)
+        raise self._error(
+            f"bad markup argument {self.scan.value(pos)!r}", pos)
 
     # -- expressions: C precedence climbing -------------------------------------------
+    # Each returns the node and its height; ``depth`` counts the levels
+    # above it.  A node whose first operand was parsed before the node
+    # was seen (an operator's lhs, a ternary's condition, a power's
+    # base) checks ``depth + height`` when it is built; every other
+    # level is refused on the way down, before it can recurse.
 
-    def parse_expr(self) -> Expr:
-        return self.parse_ternary()
+    def parse_expr(self, depth: int = 0) -> Expr:
+        return self._ternary(depth)[0]
 
-    def parse_ternary(self) -> Expr:
-        cond = self.parse_binary(1)
-        if self._accept(TokenKind.QUESTION):
-            then = self.parse_expr()
-            self._expect(TokenKind.COLON)
-            otherwise = self.parse_ternary()
-            return Ternary(cond, then, otherwise)
-        return cond
+    def _ternary(self, depth: int) -> Tuple[Expr, int]:
+        cond, height = self._binary(1, depth)
+        if self.kinds[self.pos] != "?":
+            return cond, height
+        at = self.pos
+        self.pos = at + 1
+        then, then_height = self._ternary(depth + 1)
+        self._expect(":")
+        otherwise, else_height = self._ternary(depth + 1)
+        height = 1 + max(height, then_height, else_height)
+        if depth + height > MAX_DEPTH:
+            raise self._too_deep(at)
+        return Ternary(cond, then, otherwise), height
 
-    def parse_binary(self, min_precedence: int) -> Expr:
+    def _binary(self, min_precedence: int, depth: int) -> Tuple[Expr, int]:
         """Left-associative binary operators at or above a precedence."""
-        expr = self.parse_unary()
+        expr, height = self._operand(depth)
+        kinds = self.kinds
         while True:
-            precedence, op = _BINARY.get(self.tokens[self.pos].kind, _NONE)
+            precedence, op = _BINARY.get(kinds[self.pos], _NONE)
             if precedence < min_precedence:
-                return expr
-            self.pos += 1
-            expr = Binary(op, expr, self.parse_binary(precedence + 1))
+                return expr, height
+            at = self.pos
+            self.pos = at + 1
+            rhs, rhs_height = self._binary(precedence + 1, depth + 1)
+            height = 1 + (height if height > rhs_height else rhs_height)
+            if depth + height > MAX_DEPTH:
+                raise self._too_deep(at)
+            expr = Binary(op, expr, rhs)
 
-    def parse_unary(self) -> Expr:
-        kind = self.tokens[self.pos].kind
-        if kind not in _PREFIX:
-            return self.parse_power()
+    def _operand(self, depth: int) -> Tuple[Expr, int]:
+        """Prefix operators over a primary and its ``^`` exponent."""
+        pos = self.pos
+        if depth >= MAX_DEPTH:
+            raise self._too_deep(pos)
+        kind = self.kinds[pos]
+        if kind in _PREFIX:
+            self.pos = pos + 1
+            operand, height = self._operand(depth + 1)
+            op = _PREFIX[kind]
+            return (Unary(op, operand) if op else operand), height + 1
+        if kind == "NUMBER":
+            self.pos = pos + 1
+            expr, height = Number(float(self.texts[pos])), 1
+        elif kind == "IDENT":
+            self.pos = pos + 1
+            if self.kinds[pos + 1] == "(":
+                expr, height = self._call(self.texts[pos], depth)
+            else:
+                expr, height = Name(self.texts[pos]), 1
+        elif kind == "(":
+            self.pos = pos + 1
+            expr, height = self._ternary(depth + 1)
+            self._expect(")")
+            height += 1
+        else:
+            raise self._error(f"unexpected token {self.scan.value(pos)!r} "
+                              f"in expression", pos)
+        if self.kinds[self.pos] != "^":
+            return expr, height
+        # right associative, binds tighter than unary minus on the left
+        at = self.pos
+        self.pos = at + 1
+        exponent, exponent_height = self._operand(depth + 1)
+        height = 1 + max(height, exponent_height)
+        if depth + height > MAX_DEPTH:
+            raise self._too_deep(at)
+        return Call("pow", (expr, exponent)), height
+
+    def _call(self, callee: str, depth: int) -> Tuple[Expr, int]:
+        """``callee(args)`` from its ``(``."""
         self.pos += 1
-        operand = self.parse_unary()
-        return Unary(_PREFIX[kind], operand) if _PREFIX[kind] else operand
-
-    def parse_power(self) -> Expr:
-        base = self.parse_primary()
-        if self._accept(TokenKind.CARET):
-            # right associative, binds tighter than unary minus on the left
-            exponent = self.parse_unary()
-            return Call("pow", (base, exponent))
-        return base
-
-    def parse_primary(self) -> Expr:
-        token = self.tokens[self.pos]
-        if token.kind is TokenKind.NUMBER:
-            self.pos += 1
-            return Number(token.number_value)
-        if token.kind is TokenKind.IDENT:
-            self.pos += 1
-            if self._accept(TokenKind.LPAREN):
-                args: List[Expr] = []
-                while not self._check(TokenKind.RPAREN):
-                    args.append(self.parse_expr())
-                    if not self._accept(TokenKind.COMMA):
-                        break
-                self._expect(TokenKind.RPAREN)
-                return Call(token.text, tuple(args))
-            return Name(token.text)
-        if self._accept(TokenKind.LPAREN):
-            expr = self.parse_expr()
-            self._expect(TokenKind.RPAREN)
-            return expr
-        raise SyntaxErrorEasyML(
-            f"unexpected token {token.text!r} in expression",
-            token.line, token.column, self.filename)
+        args: List[Expr] = []
+        height = 0
+        while self.kinds[self.pos] != ")":
+            arg, arg_height = self._ternary(depth + 1)
+            args.append(arg)
+            height = max(height, arg_height)
+            if not self._accept(","):
+                break
+        self._expect(")")
+        return Call(callee, tuple(args)), height + 1
 
 
 def parse_model(source: str, name: str = "model",

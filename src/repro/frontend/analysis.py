@@ -11,7 +11,7 @@ lookup-table columns.
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Set
+from typing import Dict, FrozenSet, List, Sequence, Set
 
 from ..easyml.ast_nodes import (Assign, Binary, Call, Expr, If, Markup,
                                 ModelAST, Name, Stmt, Ternary, Unary,
@@ -85,16 +85,19 @@ class _Analyzer:
         # starting state.  Record which promoted params feed inits so
         # legality can surface the approximation.
         init_param_uses = {
-            p for a in assigns if init_target(a.target) is not None
+            p for a in assigns if self.promote_params
+            and init_target(a.target) is not None
             for p in free_names(a.expr) & set(self.promote_params)}
         init_values, external_init, body = self._split_inits(assigns, params)
-        ordered = self._topo_sort(body)
+        reads = {a.target: frozenset(free_names(a.expr)) for a in body}
+        ordered = self._topo_sort(body, reads)
         # Promoted params are withheld from the folding constant set;
         # they (and everything derived from them) stay runtime names.
         runtime_constants = {k: v for k, v in params.items()
                              if k not in self.promote_params}
         pre = Preprocessor(runtime_constants, foreign=self.foreign)
-        computations, folded, diffs, outputs = self._fold(ordered, pre)
+        computations, folded, diffs, outputs = self._fold(ordered, pre,
+                                                          reads)
         states = self._resolve_states(diffs, init_values)
         gates = self._detect_gates(states, computations, folded)
         methods = self._resolve_methods(states, gates)
@@ -287,8 +290,10 @@ class _Analyzer:
 
     # -- ordering ---------------------------------------------------------------------
 
-    def _topo_sort(self, body: Sequence[Assign]) -> List[Assign]:
-        """Order assignments by data dependence (EasyML is order-free)."""
+    def _topo_sort(self, body: Sequence[Assign],
+                   reads: Dict[str, FrozenSet[str]]) -> List[Assign]:
+        """Order assignments by data dependence (EasyML is order-free);
+        ``reads`` maps each target to the names its expression reads."""
         by_target = {a.target: a for a in body}
         indegree: Dict[str, int] = {}
         dependents: Dict[str, List[str]] = {}
@@ -296,7 +301,7 @@ class _Analyzer:
                        if diff_target(a.target)}
         for assign in body:
             count = 0
-            for dep in free_names(assign.expr):
+            for dep in reads[assign.target]:
                 if dep in by_target and dep != assign.target:
                     dependents.setdefault(dep, []).append(assign.target)
                     count += 1
@@ -339,7 +344,8 @@ class _Analyzer:
                 params[name] = var.init
         return params
 
-    def _fold(self, ordered: Sequence[Assign], pre: Preprocessor):
+    def _fold(self, ordered: Sequence[Assign], pre: Preprocessor,
+              reads: Dict[str, FrozenSet[str]]):
         computations: List[Computation] = []
         folded: Dict[str, float] = {}
         diffs: Dict[str, Expr] = {}
@@ -353,7 +359,10 @@ class _Analyzer:
                 pre.define(assign.target, value)
                 folded[assign.target] = value
                 continue
-            computations.append(Computation(assign.target, expr))
+            # a tree the fold left as it was reads what it read
+            computations.append(Computation(
+                assign.target, expr,
+                reads[assign.target] if expr is assign.expr else None))
             if state is not None:
                 diffs[state] = expr
             if is_external_write:
@@ -363,7 +372,7 @@ class _Analyzer:
         # unless another computation reads the diff_X name.
         read_names: Set[str] = set()
         for comp in computations:
-            read_names.update(free_names(comp.expr))
+            read_names.update(comp.reads)
         kept = [c for c in computations
                 if diff_target(c.target) is None or c.target in read_names]
         return kept, folded, diffs, outputs
@@ -449,11 +458,11 @@ class _Analyzer:
                 if comp.target in self.variables and \
                         self.variables[comp.target].kind is VarKind.EXTERNAL:
                     continue
-                deps = free_names(comp.expr)
-                allowed = {name} | constant_names | column_names
                 if _calls_foreign(comp.expr, self.foreign):
                     continue  # opaque calls cannot be tabulated
-                if deps <= allowed and _is_costly(comp.expr):
+                if comp.reads.difference(constant_names,
+                                         column_names) <= {name} \
+                        and _is_costly(comp.expr):
                     table.columns.append(comp)
                     column_names.add(comp.target)
             if table.columns:

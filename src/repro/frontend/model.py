@@ -10,7 +10,7 @@ limpetMLIR (Figure 1 of the paper).
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Set
+from typing import Dict, FrozenSet, List, Optional, Set
 
 from ..easyml.ast_nodes import Expr, free_names
 from .symbols import LookupSpec, Method, Variable
@@ -22,6 +22,13 @@ class Computation:
 
     target: str
     expr: Expr
+    #: the names ``expr`` reads (:func:`free_names`), found once, when
+    #: the computation is built; the analyzer passes what it knows
+    reads: FrozenSet[str] = field(default=None, repr=False, compare=False)
+
+    def __post_init__(self) -> None:
+        if self.reads is None:
+            self.reads = frozenset(free_names(self.expr))
 
     def __str__(self) -> str:
         return f"{self.target} = {self.expr}"
@@ -151,7 +158,7 @@ class IonicModel:
             comp = by_name.get(name)
             if comp is None:
                 continue
-            for dep in free_names(comp.expr):
+            for dep in comp.reads:
                 if dep not in seen:
                     seen.add(dep)
                     frontier.append(dep)
@@ -172,15 +179,14 @@ class IonicModel:
         # depend on `state` and feed the diff expression.
         depends_on_state: Set[str] = {state}
         for comp in self.computations:
-            deps = free_names(comp.expr)
-            if deps & depends_on_state:
+            if not comp.reads.isdisjoint(depends_on_state):
                 depends_on_state.add(comp.target)
         # Now collect, in order, computations that feed diff and depend
         # on the state.
         feeds_diff: Set[str] = set(diff_deps)
         for comp in reversed(self.computations):
             if comp.target in feeds_diff:
-                feeds_diff.update(free_names(comp.expr))
+                feeds_diff.update(comp.reads)
         for comp in self.computations:
             if comp.target in feeds_diff and comp.target in depends_on_state:
                 needed.append(comp)

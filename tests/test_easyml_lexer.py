@@ -111,6 +111,22 @@ class TestPositions:
             tokenize("a = 1;\nb = ²;", "m.model")
         assert str(err.value) == "m.model:2:5: unexpected character '²'"
 
+    @pytest.mark.parametrize("source,column", [
+        ("a = x\u00b2;", 6), ("a = x\u00e9;", 6),
+        ("a = \u0663;", 5), ("a = 1\u0663;", 6)])
+    def test_identifiers_and_numbers_are_ascii(self, source, column):
+        # Unicode \w and \d would read x², xé as names and ٣ as 3.0
+        with pytest.raises(LexerError) as err:
+            tokenize(source)
+        assert str(err.value) == (f"<model>:1:{column}: unexpected "
+                                  f"character {source[column - 1]!r}")
+
+    def test_comments_and_strings_keep_any_character(self):
+        tokens = tokenize('x; // \u00a7 \u00b2\n.units("\u00b5A/\u00b5F");'
+                          ' /* \u0663 */ # \u00e9')
+        assert [t.text for t in tokens] == [
+            "x", ";", ".", "units", "(", "\u00b5A/\u00b5F", ")", ";", ""]
+
     def test_a_tab_is_one_column(self):
         with pytest.raises(LexerError) as err:
             tokenize("a = 1;\n\t\tb = 2 @ 3;")

@@ -2,9 +2,9 @@
 
 import pytest
 
-from repro.easyml import (Assign, Binary, Call, Declare, Group, If, Markup,
-                          Name, Number, SyntaxErrorEasyML, Ternary, Unary,
-                          free_names, parse_model)
+from repro.easyml import (MAX_DEPTH, Assign, Binary, Call, Declare, Group,
+                          If, Markup, Name, Number, SyntaxErrorEasyML,
+                          Ternary, Unary, free_names, parse_model)
 
 
 def parse_one(source):
@@ -159,6 +159,84 @@ class TestErrors:
         with pytest.raises(SyntaxErrorEasyML) as err:
             parse_model("x = ;")
         assert "1:" in str(err.value)
+
+
+def _nested_ifs(levels):
+    body = "t = Vm;"
+    for i in reversed(range(levels)):
+        body = f"if (Vm > {i}) {{ {body} }} else {{ t = 2; }}"
+    return body
+
+
+#: statements that nest exactly ``depth`` levels, one per shape; the
+#: depth counts every operator, call, ternary, sign and parenthesis pair
+#: and one level per enclosing ``if``
+DEEP = {
+    "left_chain": lambda depth: "t = " + " - ".join(["Vm"] * depth) + ";",
+    "parentheses": lambda depth: (
+        "t = " + "(" * (depth - 1) + "Vm" + ")" * (depth - 1) + ";"),
+    "calls": lambda depth: (
+        "t = " + "tanh(" * (depth - 1) + "Vm" + ")" * (depth - 1) + ";"),
+    "signs": lambda depth: "t = " + ("-+" * depth)[:depth - 1] + "Vm;",
+    "powers": lambda depth: "t = " + "^".join(["m"] * depth) + ";",
+    "ternaries": lambda depth: "t = " + "".join(
+        f"Vm > {i} ? {i} : " for i in range(depth - 2)) + "Vm;",
+    # an ``if`` at depth d compares at d + 1 (two levels: ``Vm > i``)
+    "ifs": lambda depth: _nested_ifs(depth - 2),
+}
+
+_DEEP_MODEL = """
+Vm; .external(); .nodal(); .lookup(-100, 100, 0.05);
+Iion; .external(); .nodal();
+g = 0.5; .param();
+Vm_init = -80.0;
+diff_m = -m*g; m_init = 0.1;
+{body}
+Iion = g*m*Vm + 1e-3*t;
+"""
+
+
+class TestDepthLimit:
+    """One bound on nesting, so no later tree walk overflows the stack."""
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_the_limit_parses_and_compiles(self, shape):
+        from repro.frontend import load_model
+        from repro.resilience.fallback import compile_resilient
+        model = load_model(_DEEP_MODEL.format(body=DEEP[shape](MAX_DEPTH)))
+        assert all(str(c) for c in model.computations)
+        compiled = compile_resilient(model, strict=True)
+        result = compiled.runner.simulate(8, 2)
+        assert result.n_steps == 2
+
+    @pytest.mark.parametrize("shape", sorted(DEEP))
+    def test_one_past_the_limit_is_a_positioned_syntax_error(self, shape):
+        source = DEEP[shape](MAX_DEPTH + 1)
+        with pytest.raises(SyntaxErrorEasyML) as err:
+            parse_model(source, "deep", "deep.model")
+        assert f"nesting deeper than {MAX_DEPTH} levels" in str(err.value)
+        assert err.value.line == 1 and err.value.column > 1
+        parse_model(DEEP[shape](MAX_DEPTH))
+
+    def test_the_error_names_the_token_that_went_too_deep(self):
+        with pytest.raises(SyntaxErrorEasyML) as err:
+            parse_model("a = 1;\nb = " + "(" * 300 + "x" + ")" * 300 + ";")
+        assert (err.value.line, err.value.column) == (2, 5 + MAX_DEPTH)
+        chain = "a = " + " - ".join(["Vm"] * 1000) + ";"
+        with pytest.raises(SyntaxErrorEasyML) as err:
+            parse_model(chain)
+        # the operator that makes the chain MAX_DEPTH + 1 high
+        assert chain[err.value.column - 1] == "-"
+        assert chain[:err.value.column].count("-") == MAX_DEPTH
+
+    def test_the_zoo_stays_well_inside(self):
+        """The deepest zoo model nests 40 levels."""
+        from repro.easyml import parser
+        from repro.models import all_model_files, model_entry
+        assert MAX_DEPTH >= 2 * 40
+        for name in all_model_files():
+            parse_model(model_entry(name).path.read_text(), name)
+        assert parser.MAX_DEPTH == MAX_DEPTH
 
 
 class TestHelpers:

@@ -9,11 +9,15 @@ language change) with ``python -m tests.test_easyml_streams``.
 
 The zoo does not spell every construct the grammar has, so the record
 also holds a seeded corpus of generated statements (:func:`corpus`,
-written with the Token-tuple lexer and the ``TokenKind`` parser): every
-precedence level, ``^`` under unary minus, prefix chains, keyword
-operators, nested ternaries, ``else if`` chains, group and trailing
-markups with every argument form, every number spelling and all three
-comment forms, each with its token-stream and AST digests.
+written with the Token-tuple lexer and the ``TokenKind`` parser the
+flat-list scan and parser replaced): every precedence level, ``^`` under
+unary minus, prefix chains, keyword operators, nested ternaries, ``else
+if`` chains, group and trailing markups with every argument form, every
+number spelling and all three comment forms, each with its token-stream
+and AST digests.  The last seven malformed inputs (non-ASCII lexemes,
+nesting past ``MAX_DEPTH``) were recorded with the scan that rejects
+them; the lexer before it read them as names and numbers, or overflowed
+the stack.
 """
 
 import hashlib
@@ -43,6 +47,15 @@ MALFORMED = {
     "else_without_if": "else { a = 1; }",
     "dangling_ternary": "a = b ? c;",
     "number_then_letter": "a = 1.5.2;",
+    # identifiers and numbers are ASCII; comments and strings are not
+    "superscript_after_identifier": "a = x\u00b2;",
+    "accent_after_identifier": "a = x\u00e9;",
+    "arabic_indic_digit": "a = \u0663;",
+    "arabic_indic_digit_after_digit": "a = 1\u0663;",
+    # one past MAX_DEPTH, and the shapes that used to overflow the stack
+    "parens_past_the_limit": "a = " + "(" * 101 + "Vm" + ")" * 101 + ";",
+    "parens_200_deep": "a = " + "(" * 200 + "Vm" + ")" * 200 + ";",
+    "chain_of_1000_terms": "a = " + " - ".join(["Vm"] * 1000) + ";",
 }
 
 
