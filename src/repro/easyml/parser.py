@@ -36,19 +36,19 @@ from .lexer import Scan, TokenKind
 
 #: the deepest a model may nest: an expression's height, counting every
 #: operator, call, ternary, sign and pair of parentheses as one level and
-#: a statement under ``if`` as one level below it (the zoo reaches 39)
+#: a statement under ``if`` as one level below it (the zoo reaches 40)
 MAX_DEPTH = 100
 
-#: binary operators, all left-associative: kind -> (precedence, spelling)
+#: binary operators, all left-associative: kind (= the node's spelling)
+#: -> precedence
 _BINARY = {
-    "or": (1, "or"),
-    "and": (2, "and"),
-    "==": (3, "=="), "!=": (3, "!="),
-    "<": (4, "<"), "<=": (4, "<="), ">": (4, ">"), ">=": (4, ">="),
-    "+": (5, "+"), "-": (5, "-"),
-    "*": (6, "*"), "/": (6, "/"), "%": (6, "%"),
+    "or": 1,
+    "and": 2,
+    "==": 3, "!=": 3,
+    "<": 4, "<=": 4, ">": 4, ">=": 4,
+    "+": 5, "-": 5,
+    "*": 6, "/": 6, "%": 6,
 }
-_NONE = (0, "")
 #: prefix operators: kind -> spelling (unary plus leaves no node)
 _PREFIX = {"-": "-", "+": "", "not": "!"}
 
@@ -224,7 +224,8 @@ class Parser:
         expr, height = self._operand(depth)
         kinds = self.kinds
         while True:
-            precedence, op = _BINARY.get(kinds[self.pos], _NONE)
+            op = kinds[self.pos]
+            precedence = _BINARY.get(op, 0)
             if precedence < min_precedence:
                 return expr, height
             at = self.pos
