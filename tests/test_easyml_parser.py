@@ -216,27 +216,6 @@ class TestDepthLimit:
             parse_model(source, "deep", "deep.model")
         assert f"nesting deeper than {MAX_DEPTH} levels" in str(err.value)
         assert err.value.line == 1 and err.value.column > 1
-        parse_model(DEEP[shape](MAX_DEPTH))
-
-    def test_the_error_names_the_token_that_went_too_deep(self):
-        with pytest.raises(SyntaxErrorEasyML) as err:
-            parse_model("a = 1;\nb = " + "(" * 300 + "x" + ")" * 300 + ";")
-        assert (err.value.line, err.value.column) == (2, 5 + MAX_DEPTH)
-        chain = "a = " + " - ".join(["Vm"] * 1000) + ";"
-        with pytest.raises(SyntaxErrorEasyML) as err:
-            parse_model(chain)
-        # the operator that makes the chain MAX_DEPTH + 1 high
-        assert chain[err.value.column - 1] == "-"
-        assert chain[:err.value.column].count("-") == MAX_DEPTH
-
-    def test_the_zoo_stays_well_inside(self):
-        """The deepest zoo model nests 40 levels."""
-        from repro.easyml import parser
-        from repro.models import all_model_files, model_entry
-        assert MAX_DEPTH >= 2 * 40
-        for name in all_model_files():
-            parse_model(model_entry(name).path.read_text(), name)
-        assert parser.MAX_DEPTH == MAX_DEPTH
 
 
 class TestHelpers:
