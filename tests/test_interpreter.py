@@ -90,12 +90,30 @@ class TestDifferentialExecution:
         else:
             generated = generate_gpu(gate_model)
         fast, slow = self._run_both(generated)
-        assert compare_trajectories(fast, slow, rtol=1e-12)
+        assert compare_trajectories(fast, slow, rtol=0, atol=0)
 
     def test_interpreter_matches_on_registry_model(self, luo_rudy):
         generated = generate_limpet_mlir(luo_rudy, 8)
         fast, slow = self._run_both(generated, n_cells=8, n_steps=3)
-        assert compare_trajectories(fast, slow, rtol=1e-12)
+        assert compare_trajectories(fast, slow, rtol=0, atol=0)
+
+    @pytest.mark.parametrize("width", [4, 8])
+    @pytest.mark.parametrize("name", ["FitzHughNagumo", "LuoRudy91",
+                                      "Courtemanche", "OHara",
+                                      "TenTusscherPanfilov"])
+    def test_optimized_vector_kernel_matches_bit_for_bit(self, name, width):
+        """The tier contract is bitwise: the post-pipeline vector kernel
+        and the interpreter agree to the last bit on registry models."""
+        from repro.models import load_model
+        generated = generate_limpet_mlir(load_model(name), width)
+        runner = KernelRunner(generated, artifacts=False)
+        fast = runner.make_state(width, perturbation=0.01)
+        slow = runner.make_state(width, perturbation=0.01)
+        luts = runner.luts_for(0.01)
+        for _ in range(2):
+            runner.compute_step(fast, 0.01)
+            interpret_kernel(generated, slow, luts, 0.01)
+        assert compare_trajectories(fast, slow, rtol=0, atol=0)
 
     def test_interpreter_matches_optimized_ir(self, gate_model):
         """Passes must not change what the interpreter computes either."""
@@ -106,10 +124,10 @@ class TestDifferentialExecution:
         default_pipeline(verify_each=False).run(optimized.module,
                                                 fixed_point=True)
         opt_fast, opt_slow = self._run_both(optimized)
-        assert compare_trajectories(raw_slow, opt_slow, rtol=1e-12)
+        assert compare_trajectories(raw_slow, opt_slow, rtol=0, atol=0)
 
     def test_interpreter_runs_foreign_models(self):
         from repro.models import load_model
         generated = generate_baseline(load_model("Campbell"))
         fast, slow = self._run_both(generated, n_cells=4, n_steps=4)
-        assert compare_trajectories(fast, slow, rtol=1e-12)
+        assert compare_trajectories(fast, slow, rtol=0, atol=0)
