@@ -4,8 +4,9 @@
 count, the sha256 of the final ``state.snapshot()`` after ``STEPS``
 steps of ``KernelRunner.run`` (compute stage and solver stage) from a
 seeded perturbed state.  The cell counts are 37, which is no whole
-number of vector blocks, so padding lanes are stepped too, and 64.
-The corpus covers:
+number of vector blocks, so padding lanes are stepped too, 64, and 600,
+a mesh large enough that a kernel takes the paths it takes for large
+meshes.  The corpus covers:
 
 * every zoo model's default kernel (limpetMLIR at width 8, the
   baseline for the four foreign models);
@@ -45,7 +46,7 @@ RECORD = pathlib.Path(__file__).parent / "data" / "kernel_state_corpus.json"
 #: one model per size class, the population model and a foreign one
 TIER1 = ("FitzHughNagumo", "LuoRudy91", "Courtemanche", "OHara",
          "Campbell")
-CELLS = (37, 64)
+CELLS = (37, 64, 600)
 STEPS = 20
 DT = 0.01
 SEED = 20231
