@@ -41,12 +41,16 @@ from ..ir.dialects.arith import trunc_div, trunc_rem
 from ..ir.dialects.math import np_erf
 from .lut_runtime import (lut_interp_row, lut_interp_row_spline,
                           lut_interp_row_spline_vec, lut_interp_row_vec)
-from .schedule import (ACCESS_INDEX_OPERAND, Access, LoweringError, Schedule,
-                       Stmt, sanitize)
+from .schedule import (ACCESS_INDEX_OPERAND, Access, LoweringError, Pack,
+                       Schedule, Stmt, sanitize)
 
 #: bump whenever generated source semantics change — part of the
 #: persistent kernel cache key (repro.runtime.kernel_cache)
 LOWERING_VERSION = 4
+
+#: the largest array a kernel's packs may make (lanes x blocks x W
+#: float64s) for them to run packed; above it each member runs alone
+_PACK_BYTES = 64 * 1024
 
 
 @dataclass
@@ -122,6 +126,13 @@ def _vinsert(vec, scalar, pos, width):
     out[...] = base if base.ndim else base[()]
     out[..., pos] = scalar
     return out
+
+
+def _column(values):
+    """A read-only ``(G, 1, 1)`` column: one constant per pack lane."""
+    column = np.array(values, dtype=np.float64).reshape(-1, 1, 1)
+    column.flags.writeable = False
+    return column
 
 
 def _f64(x):
@@ -270,8 +281,8 @@ def _lut_any(lut, x):
 _HELPER_GLOBALS = {
     "np": np, "math": math,
     "_vb": _vb, "_vstore": _vstore, "_vgather": _vgather,
-    "_vscatter": _vscatter, "_vinsert": _vinsert, "_f64": _f64,
-    "_i64": _i64, "_cbrt": _cbrt, "_np_erf": np_erf,
+    "_vscatter": _vscatter, "_vinsert": _vinsert, "_column": _column,
+    "_f64": _f64, "_i64": _i64, "_cbrt": _cbrt, "_np_erf": np_erf,
     "_idiv": trunc_div, "_irem": trunc_rem,
     "_lut_scalar": _lut_any, "_lut_vec": lut_interp_row_vec,
     "_lut_spline_scalar": _lut_spline_any,
@@ -318,17 +329,21 @@ class _NumPyPrinter:
         """The kernel's source; ``wrap(stmt, text)`` may surround each
         compute statement with lines of its own."""
         s = self.s
+        #: module-level lines: the packs' constant columns
+        self.columns: List[str] = []
         lines = [f"def {s.func_op.attributes['sym_name']}"
                  f"({', '.join(s.args)}):"]
         if s.uses_lanes:
             lines.append(f"    _lanes = np.arange({s.width})")
         for stmt in s.stmts:
             text = self.stmt(stmt)
-            lines += ["    " * stmt.depth + line for line in (
-                wrap(stmt, text) if wrap and stmt.compute else (text,))]
+            lines += ["    " * stmt.depth + line
+                      for chunk in (wrap(stmt, text) if wrap
+                                    and stmt.compute else (text,))
+                      for line in chunk.split("\n")]
         if len(lines) == 1:
             lines.append("    pass")
-        return "\n".join(lines)
+        return "\n".join(self.columns + lines)
 
     def expr(self, value: Value) -> str:
         """``value`` at a use: its name, or its fused definition."""
@@ -344,7 +359,11 @@ class _NumPyPrinter:
 
     def spell(self, op: Operation) -> str:
         """The expression a pure op computes."""
-        args = [self.names.get(id(v)) or self.expr(v) for v in op.operands]
+        return self.apply(op, [self.names.get(id(v)) or self.expr(v)
+                               for v in op.operands])
+
+    def apply(self, op: Operation, args: List[str]) -> str:
+        """The expression a pure op computes from its operands' texts."""
         template = self.table.get(op.name)
         if template is not None:
             return template.format(*args)
@@ -383,13 +402,22 @@ class _NumPyPrinter:
             return "else:" if kind == "else" else "pass"
         if kind == "view":
             return f"{targets[0]} = {self.view(stmt.access)}"
+        if kind == "pack":
+            return self.pack(stmt.pack)
         name = op.name
         if name == "scf.for":
             bounds = ", ".join(self.expr(v) for v in op.operands[:3])
             if kind == "arange":
                 return f"{targets[0]} = np.arange({bounds}, dtype=np.int64)"
             if kind == "blocks":
-                return f"{targets[0]} = len(range({bounds}))"
+                text = f"{targets[0]} = len(range({bounds}))"
+                if not self.s.packs:
+                    return text
+                # packed while no pack array outgrows _PACK_BYTES: past
+                # that, fresh allocations cost more than the calls saved
+                widest = max(len(p.members) for p in self.s.packs)
+                limit = _PACK_BYTES // (widest * self.s.width * 8)
+                return f"{text}\n_packed = {targets[0]} <= {limit}"
             return f"for {targets[0]} in range({bounds}):"
         if name in ACCESS_INDEX_OPERAND:
             return self.access(op, targets)
@@ -434,19 +462,11 @@ class _NumPyPrinter:
         stores = not op.results
         access = self.s.access.get(id(op))
         if access is not None and access.form is not None:
-            vec = op.operands[0] if stores else op.results[0]
-            view = self.s.views.get(access.view_key) or self.view(access)
-            # the lanes' column slice ('' when they are the whole row)
-            form = access.form
-            stop = form.b + form.c * (vec.type.width - 1) + 1
-            columns = "" if form.b == 0 and stop == form.a * access.step \
-                else f"[:, {form.b}:{stop}" \
-                     f"{'' if form.c == 1 else f':{form.c}'}]"
             if stores:
-                return f"{view}{columns or '[:]'} = {n(op.operands[0])}"
+                return f"{self.sliced(op)} = {n(op.operands[0])}"
             # a copy: later stores must not show through, and every
             # consumer ufunc gets a contiguous operand
-            return f"{targets[0]} = {view}{columns}.copy()"
+            return f"{targets[0]} = {self.sliced(op)}.copy()"
         if op.name in ("vector.load", "vector.store"):
             where = f"_vb({n(index)}) + _lanes"
             if stores:
@@ -457,6 +477,100 @@ class _NumPyPrinter:
             return (f"_vscatter({n(mem)}, {n(index)}, {n(op.operands[0])}"
                     f"{extra})")
         return f"{targets[0]} = _vgather({n(mem)}, {n(index)}{extra})"
+
+    def sliced(self, op: Operation) -> str:
+        """A sliced access's block view and its lanes' column slice (none
+        when they are the whole row, ``[:]`` for a store's target)."""
+        stores = not op.results
+        access = self.s.access[id(op)]
+        vec = op.operands[0] if stores else op.results[0]
+        view = self.s.views.get(access.view_key) or self.view(access)
+        form = access.form
+        stop = form.b + form.c * (vec.type.width - 1) + 1
+        if form.b == 0 and stop == form.a * access.step:
+            return f"{view}[:]" if stores else view
+        return f"{view}[:, {form.b}:{stop}" \
+               f"{'' if form.c == 1 else f':{form.c}'}]"
+
+    def pack(self, pack: Pack) -> str:
+        """One statement for all lanes while the pack's arrays are small
+        (``_packed``), else a loop that runs the members lane by lane;
+        then the lanes read by name are bound (lane k is ``pack[k]``:
+        a contiguous view, or the k-th member's array)."""
+        op = pack.members[0].op
+        slots = self.slots(pack) if op.name in ACCESS_INDEX_OPERAND else ""
+        if not op.results:                      # a store
+            packed = [f"{slots}[...] = "
+                      f"{self.operand(pack, op.operands[0], op, 0)}"]
+            lanes = [f"for _k, _to in enumerate({slots}):",
+                     f"    _to[...] = "
+                     f"{self.operand(pack, op.operands[0], op, 0, '_k')}"]
+        elif slots:                             # a load
+            packed = [f"{pack.name} = {slots}.copy()"]
+            lanes = [f"{pack.name} = [_to.copy() for _to in {slots}]"]
+        else:
+            packed = [f"{pack.name} = {self.tree(pack, op)}"]
+            lanes = [f"{pack.name} = []",
+                     f"for _k in range({len(pack.members)}):",
+                     f"    {pack.name}.append({self.tree(pack, op, '_k')})"]
+        lines = ["if _packed:", *("    " + line for line in packed),
+                 "else:", *("    " + line for line in lanes)]
+        if any(pack.lanes):
+            lines.append(f"{', '.join(name or '_' for name in pack.lanes)}"
+                         f", = {pack.name}")
+        return "\n".join(lines)
+
+    def tree(self, pack: Pack, op: Operation,
+             lane: Optional[str] = None) -> str:
+        """``op`` of ``pack``'s first member's tree, spelled for all lanes
+        or, given the name of a ``lane`` index, for that lane alone."""
+        return self.apply(op, [self.operand(pack, v, op, i, lane)
+                               for i, v in enumerate(op.operands)])
+
+    def operand(self, pack: Pack, value: Value, user: Operation,
+                index: int, lane: Optional[str] = None) -> str:
+        """Operand ``index`` of ``user`` in ``pack``'s first member's
+        tree, spelled as :meth:`tree` does."""
+        leaf = pack.leaves.get((id(user), index))
+        if leaf is None:                        # an op of the tree
+            return self.tree(pack, value.op, lane)
+        if leaf.kind == "shared":
+            value = leaf.values[0]
+            return self.names.get(id(value)) or self.expr(value)
+        if leaf.kind == "column":
+            columns = [other for other in pack.leaves.values()
+                       if other.kind == "column"]
+            name = f"{pack.name}_c{columns.index(leaf)}"
+            if lane is None:
+                values = ", ".join(repr(float(v.op.attributes["value"]))
+                                   for v in leaf.values)
+                self.columns.append(f"{name} = _column(({values}))")
+                return name
+            return f"{name}[{lane}]"
+        source, stop = leaf.source, leaf.start + len(pack.members)
+        if lane is not None:
+            return f"{source.name}[{leaf.start} + {lane}]" if leaf.start \
+                else f"{source.name}[{lane}]"
+        if leaf.start == 0 and stop == len(source.members):
+            return source.name
+        return f"{source.name}[{leaf.start}:{stop}]"
+
+    def slots(self, pack: Pack) -> str:
+        """The ``(G, n_blocks, W)`` view of the state slots ``pack``'s
+        lanes load or store, transposed out of its members' block view."""
+        op = pack.members[0].op
+        access = self.s.access[id(op)]
+        view = self.s.views[access.view_key]
+        n_blocks = self.s.block_counts[id(access.loop)]
+        lo, hi = pack.slot, pack.slot + len(pack.members)
+        form = access.form
+        width = (op.results[0] if op.results else op.operands[0]).type.width
+        if form.c == 1:
+            return (f"{view}.reshape({n_blocks}, "
+                    f"{form.a * access.step // width}, {width})"
+                    f"[:, {lo}:{hi}].transpose(1, 0, 2)")
+        return (f"{view}.reshape({n_blocks}, {width}, {form.c})"
+                f"[:, :, {lo}:{hi}].transpose(2, 0, 1)")
 
     def call(self, op: Operation, targets: Tuple[str, ...]) -> str:
         callee = op.attributes["callee"]
