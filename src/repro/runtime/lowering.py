@@ -46,10 +46,10 @@ from .schedule import (ACCESS_INDEX_OPERAND, Access, LoweringError, Pack,
 
 #: bump whenever generated source semantics change — part of the
 #: persistent kernel cache key (repro.runtime.kernel_cache)
-LOWERING_VERSION = 4
+LOWERING_VERSION = 5
 
 #: the largest array a kernel's packs may make (lanes x blocks x W
-#: float64s) for them to run packed; above it each member runs alone
+#: float64s) for them to run packed; above it they run lane by lane
 _PACK_BYTES = 64 * 1024
 
 
