@@ -71,8 +71,9 @@ class TestInterpreterBasics:
 class TestDifferentialExecution:
     """The headline: interpreter == lowered kernels, per backend."""
 
-    def _run_both(self, generated, n_cells=8, n_steps=5, dt=0.01):
-        lowered = KernelRunner(generated, optimize=False)
+    def _run_both(self, generated, n_cells=8, n_steps=5, dt=0.01,
+                  optimize=False):
+        lowered = KernelRunner(generated, optimize=optimize)
         state_fast = lowered.make_state(n_cells, perturbation=0.01)
         state_slow = lowered.make_state(n_cells, perturbation=0.01)
         luts = lowered.luts_for(dt)
@@ -105,14 +106,9 @@ class TestDifferentialExecution:
         """The tier contract is bitwise: the post-pipeline vector kernel
         and the interpreter agree to the last bit on registry models."""
         from repro.models import load_model
-        generated = generate_limpet_mlir(load_model(name), width)
-        runner = KernelRunner(generated, artifacts=False)
-        fast = runner.make_state(width, perturbation=0.01)
-        slow = runner.make_state(width, perturbation=0.01)
-        luts = runner.luts_for(0.01)
-        for _ in range(2):
-            runner.compute_step(fast, 0.01)
-            interpret_kernel(generated, slow, luts, 0.01)
+        fast, slow = self._run_both(
+            generate_limpet_mlir(load_model(name), width), n_cells=width,
+            n_steps=2, optimize=True)
         assert compare_trajectories(fast, slow, rtol=0, atol=0)
 
     def test_interpreter_matches_optimized_ir(self, gate_model):

@@ -114,9 +114,9 @@ def final_states(build, population):
     return digests
 
 
-def record(tier1_only=False):
+def record():
     return {key: final_states(build, population)
-            for key, build, population in kernels(tier1_only)}
+            for key, build, population in kernels()}
 
 
 @functools.lru_cache(maxsize=None)
