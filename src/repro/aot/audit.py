@@ -69,10 +69,6 @@ class AuditReport:
     def ok(self) -> bool:
         return not self.findings
 
-    @property
-    def stale_keys(self) -> List[str]:
-        return sorted({f.key for f in self.findings})
-
     def describe(self) -> str:
         if self.ok:
             return (f"bundle {self.root}: {self.checked} entries "

@@ -221,8 +221,7 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
                     strict: bool = False,
                     reproducer_dir: Optional[pathlib.Path] = None,
                     inject_factory: Optional[Callable[[str], object]] = None,
-                    workers: int = 0, supervision=None
-                    ) -> List[SweepRecord]:
+                    workers: int = 0) -> List[SweepRecord]:
     """Run every model through the resilient compile-and-run pipeline.
 
     This is what keeps a full figure sweep alive: each model compiles
@@ -233,10 +232,9 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
     :class:`~repro.resilience.FaultInjector` per model (fault drills).
 
     A parallel ``workers`` count (``make_runner``'s rule) executes each
-    model on the supervised multiprocess tier, configured by
-    ``supervision``: worker crashes are retried and supervision
-    failures degrade down the tier ladder, so the sweep completes under
-    injected process faults too.  The injector's
+    model on the supervised multiprocess tier: worker crashes are
+    retried and supervision failures degrade down the tier ladder, so
+    the sweep completes under injected process faults too.  The injector's
     :class:`~repro.resilience.FaultPlan` process-fault fields
     (``kill_worker``/``stall_worker``) are honored per model.
     """
@@ -252,7 +250,7 @@ def resilient_sweep(model_names: Optional[Sequence[str]] = None,
             compiled = compile_resilient(
                 name, width=width, strict=strict,
                 reproducer_dir=reproducer_dir, inject=inject,
-                workers=workers, supervision=supervision)
+                workers=workers)
         except Exception as err:  # noqa: BLE001 - sweep survives anything
             record.diagnostics.extend(getattr(err, "diagnostics", []))
             record.diagnostics.append(Diagnostic.from_exception(

@@ -45,6 +45,11 @@ CANONICAL_STEPS = 100
 CANONICAL_DT = 0.01
 CANONICAL_WIDTH = 8
 
+#: the differential gates run this many steps over this many cells
+#: before anything is timed
+CHECK_STEPS = 40
+CHECK_CELLS = 16
+
 
 @dataclass
 class PerfVariant:
@@ -145,8 +150,6 @@ def perf_report(model_name: str = CANONICAL_MODEL,
                 dt: float = CANONICAL_DT,
                 cache: Optional[KernelCache] = None,
                 runs: int = 5,
-                check_steps: int = 40,
-                check_cells: int = 16,
                 width: int = CANONICAL_WIDTH) -> Dict:
     """Build the ``perf`` section for one model/config.
 
@@ -161,9 +164,9 @@ def perf_report(model_name: str = CANONICAL_MODEL,
         return generate_limpet_mlir(load_model(model_name), width=width)
 
     # -- differential gate: all variants must agree before we time anything
-    ref = KernelRunner(gen(), fuse=False).simulate(check_cells, check_steps,
+    ref = KernelRunner(gen(), fuse=False).simulate(CHECK_CELLS, CHECK_STEPS,
                                                    dt).state
-    fused_state = KernelRunner(gen()).simulate(check_cells, check_steps,
+    fused_state = KernelRunner(gen()).simulate(CHECK_CELLS, CHECK_STEPS,
                                                dt).state
     verdict = compare_trajectories(ref, fused_state)
     if not verdict:
@@ -182,7 +185,7 @@ def perf_report(model_name: str = CANONICAL_MODEL,
         build_bundle(tmp, models=[model_name], width=width)
         store = ArtifactStore(tmp)
         art_check = KernelRunner(gen(), cache=None, artifacts=store)
-        art_state = art_check.simulate(check_cells, check_steps, dt).state
+        art_state = art_check.simulate(CHECK_CELLS, CHECK_STEPS, dt).state
         verdict = compare_trajectories(ref, art_state)
         if not verdict:
             raise AssertionError(
@@ -219,8 +222,7 @@ def sweep_report(model_name: str, params: Dict[str, str],
                  cells_per_instance: int = 256,
                  n_steps: int = 50, dt: float = CANONICAL_DT,
                  runs: int = 5, width: int = CANONICAL_WIDTH,
-                 absolute: bool = False,
-                 check_steps: int = 40) -> Dict:
+                 absolute: bool = False) -> Dict:
     """Batched-sweep vs loop-of-N benchmark (the ``sweep`` section).
 
     Times the same N-instance parameter sweep two ways with the *same*
@@ -256,9 +258,9 @@ def sweep_report(model_name: str, params: Dict[str, str],
             for i in range(n)]
 
     # -- bitwise differential gate ------------------------------------------------
-    check = pop.simulate(cells_per_instance, check_steps, dt)
+    check = pop.simulate(cells_per_instance, CHECK_STEPS, dt)
     for i, state in enumerate(loop_states()):
-        runner.run(state, check_steps, dt)
+        runner.run(state, CHECK_STEPS, dt)
         if not np.array_equal(check.instance_state_matrix(i),
                               state.state_matrix()):
             raise AssertionError(

@@ -94,10 +94,10 @@ from .ir.passes import default_pipeline
 from .machine import format_roofline_table
 from .models import (ALL_MODELS, UNSUPPORTED_MODELS,
                      all_model_files, list_models, load_model)
-from .resilience import (FaultInjector, FaultPlan, NumericalDivergenceError,
-                         ResilientCompileError, WatchdogConfig,
-                         compile_resilient, format_trail, load_reproducer,
-                         sandboxed_pipeline)
+from .resilience import (DEFAULT_CHAIN, FaultInjector, FaultPlan,
+                         NumericalDivergenceError, ResilientCompileError,
+                         WatchdogConfig, compile_resilient, format_trail,
+                         load_reproducer, sandboxed_pipeline)
 from .runtime import Stimulus, compare_trajectories
 
 #: structured exit codes (documented above; mapped from Diagnostics)
@@ -111,13 +111,6 @@ EXIT_FAULTS = 6
 
 #: measurements whose median ``perf --baseline X --json X`` records as X
 RECORD_MEASUREMENTS = 5
-
-#: chain starting points: requesting a tier tries it, then weaker tiers
-_CHAINS = {
-    "limpet_mlir": ("limpet_mlir", "icc_simd", "baseline"),
-    "icc_simd": ("icc_simd", "baseline"),
-    "baseline": ("baseline",),
-}
 
 
 def _positive_int(text: str) -> int:
@@ -487,7 +480,8 @@ def cmd_ir(model_name: str, backend: str, width: int, pretty: bool,
 def cmd_run(model_name: str, backend: str, width: int, cells: int,
             steps: int, dt: float, strict: bool = False,
             watchdog: str = "off", workers: Optional[int] = None) -> int:
-    chain = _CHAINS[backend]
+    # requesting a tier tries it, then the weaker tiers after it
+    chain = DEFAULT_CHAIN[DEFAULT_CHAIN.index(backend):]
     try:
         compiled = compile_resilient(model_name, chain=chain, width=width,
                                      strict=strict, workers=workers or 0)
@@ -1223,6 +1217,12 @@ def main(argv: Optional[List[str]] = None) -> int:
         # handler before KeyboardInterrupt was raised
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
+    except BrokenPipeError:
+        # downstream pager/head closed the pipe; not an error (caught
+        # before ``Exception``, which would otherwise take it)
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        return EXIT_OK
     except Exception as err:
         # land the last seconds of telemetry next to the crash
         # ('limpet-bench flight show' replays them), then re-raise for
@@ -1232,11 +1232,6 @@ def main(argv: Optional[List[str]] = None) -> int:
                      extra={"command": args.command,
                             "error": f"{type(err).__name__}: {err}"})
         raise
-    except BrokenPipeError:
-        # downstream pager/head closed the pipe; not an error
-        devnull = os.open(os.devnull, os.O_WRONLY)
-        os.dup2(devnull, sys.stdout.fileno())
-        return EXIT_OK
     finally:
         if tracer is not None:
             from .obs import trace as _trace

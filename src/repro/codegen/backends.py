@@ -77,7 +77,7 @@ _NOT_VECTORIZABLE = ("calls foreign function(s) {} that cannot be vectorized "
 
 
 def generate_limpet_mlir(model: IonicModel, width: int = 8,
-                         data_layout_opt: bool = True, use_lut: bool = True,
+                         use_lut: bool = True,
                          lut_interpolation: str = "linear",
                          layout: Optional[str] = None,
                          function_name: Optional[str] = None
@@ -85,15 +85,13 @@ def generate_limpet_mlir(model: IonicModel, width: int = 8,
     """Generate the vectorized limpetMLIR kernel.
 
     ``width`` is the SIMD width in doubles (2 = SSE, 4 = AVX2,
-    8 = AVX-512).  ``data_layout_opt`` toggles the AoS -> AoSoA
-    transformation (§3.4.1), exposed "through a compiler flag" in the
-    paper.  ``layout`` overrides it with an explicit choice
-    (``"aos"``/``"soa"``/``"aosoa"``).
+    8 = AVX-512).  ``layout`` is the paper's data-layout flag
+    (§3.4.1): ``"aosoa"`` (the default, ``None``) applies the AoS ->
+    AoSoA transformation, ``"aos"`` leaves it off, ``"soa"`` is the
+    third choice.
     """
-    if layout is None:
-        layout = "aosoa" if data_layout_opt else "aos"
     try:
-        kind = LayoutKind(layout)
+        kind = LayoutKind("aosoa" if layout is None else layout)
     except ValueError:
         raise ValueError(f"unknown layout {layout!r}; "
                          f"one of 'aos', 'soa', 'aosoa'") from None

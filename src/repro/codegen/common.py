@@ -59,10 +59,6 @@ class KernelSpec:
     lut_interpolation: str = "linear"
     function_name: str = "compute"
 
-    @property
-    def is_vectorized(self) -> bool:
-        return self.mode is not BackendMode.BASELINE
-
     def argument_names(self) -> List[str]:
         """Kernel argument order shared by codegen and the runtime."""
         names = ["start", "end", "dt", "t", "sv"]

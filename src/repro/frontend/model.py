@@ -127,15 +127,6 @@ class IonicModel:
     def n_states(self) -> int:
         return len(self.states)
 
-    def method_of(self, state: str) -> Method:
-        return self.methods[state]
-
-    def lut_for(self, var: str) -> Optional[LUTTable]:
-        for table in self.lut_tables:
-            if table.var == var:
-                return table
-        return None
-
     @property
     def lut_column_names(self) -> Set[str]:
         names: Set[str] = set()

@@ -73,10 +73,6 @@ class FuncOp:
     def args(self) -> Sequence[Value]:
         return self.entry.args
 
-    @property
-    def is_declaration(self) -> bool:
-        return bool(self.op.attributes.get("declaration"))
-
 
 def func(module_or_builder, sym_name: str,
          inputs: Sequence[IRType], results: Sequence[IRType] = (),

@@ -51,10 +51,6 @@ class LaunchOp:
     def block_size(self) -> int:
         return self.op.attributes["block_size"]
 
-    @property
-    def total_threads(self) -> int:
-        return self.grid_size * self.block_size
-
 
 def launch(b: IRBuilder, grid_size: int, block_size: int) -> LaunchOp:
     """``gpu.launch grid(G) block(B) { ... gpu.terminator }``."""

@@ -72,14 +72,6 @@ class ForOp:
         return self.body.args[1:]
 
     @property
-    def lower_bound(self) -> Value:
-        return self.op.operands[0]
-
-    @property
-    def upper_bound(self) -> Value:
-        return self.op.operands[1]
-
-    @property
     def step(self) -> Value:
         return self.op.operands[2]
 

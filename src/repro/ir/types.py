@@ -229,11 +229,6 @@ def broadcast_type(ty: IRType, width: int) -> IRType:
     return VectorType(width, scalar)
 
 
-def same_shape(a: IRType, b: IRType) -> bool:
-    """True when two types have identical vector shape (ignoring element)."""
-    return vector_width(a) == vector_width(b)
-
-
 def parse_type(text: str) -> IRType:
     """Parse a type from its printed form (inverse of ``str``).
 

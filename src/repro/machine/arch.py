@@ -126,9 +126,5 @@ class Machine:
             return max(dram, cached)
         return dram
 
-    def core_peak_gflops(self, isa: VectorISA) -> float:
-        """Single-core peak for one ISA tier (2 FMA ports, FMA=2 flops)."""
-        return self.frequency_hz * isa.width * 4.0 / 1e9
-
 
 CASCADE_LAKE = Machine()

@@ -27,9 +27,6 @@ class RooflinePoint:
     memory_bound: bool
     size_class: str = ""
 
-    def bound_kind(self, machine: Machine = CASCADE_LAKE) -> str:
-        return "memory" if self.memory_bound else "compute"
-
 
 @dataclass(frozen=True)
 class RooflineCeilings:

@@ -345,10 +345,6 @@ class Tracer:
         with self._lock:
             self._foreign.extend(events)
 
-    def foreign_events(self) -> List[Dict[str, Any]]:
-        with self._lock:
-            return list(self._foreign)
-
     def drain_events(self) -> List[Dict[str, Any]]:
         """Pop every *finished* root span as Chrome events (streaming).
 

@@ -8,10 +8,9 @@ instances (the batch-axis throughput lever).
 """
 
 from .runner import (PopulationRunner, PopulationRunResult,
-                     instance_shard_plan, load_promoted_model)
+                     load_promoted_model)
 from .spec import PopulationSpec, parse_range
 from .sweep import sweep
 
 __all__ = ["PopulationSpec", "PopulationRunner", "PopulationRunResult",
-           "instance_shard_plan", "load_promoted_model", "parse_range",
-           "sweep"]
+           "load_promoted_model", "parse_range", "sweep"]

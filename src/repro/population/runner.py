@@ -20,7 +20,7 @@ ragged cell counts × execution tiers.
 from __future__ import annotations
 
 from functools import lru_cache
-from typing import List, Optional, Tuple
+from typing import Optional, Tuple
 
 import numpy as np
 
@@ -46,31 +46,6 @@ def load_promoted_model(name: str,
     from ..models.registry import model_entry
     return load_model_file(model_entry(name).path,
                            promote_params=promote_params)
-
-
-def instance_shard_plan(n_instances: int, cells_per_instance: int,
-                        n_shards: int, width: int
-                        ) -> Optional[List[Tuple[int, int]]]:
-    """Instance-aligned shard bounds over the flattened cell axis.
-
-    Returns ``None`` when instance boundaries don't land on vector
-    blocks (``cells_per_instance % width != 0``) — the caller falls
-    back to plain cell sharding, which is always legal.
-    """
-    if cells_per_instance % max(width, 1):
-        return None
-    n_shards = max(1, min(n_shards, n_instances))
-    base, extra = divmod(n_instances, n_shards)
-    plan: List[Tuple[int, int]] = []
-    inst = 0
-    for i in range(n_shards):
-        take = base + (1 if i < extra else 0)
-        if not take:
-            continue
-        plan.append((inst * cells_per_instance,
-                     (inst + take) * cells_per_instance))
-        inst += take
-    return plan
 
 
 class PopulationRunResult:
@@ -128,16 +103,6 @@ class PopulationRunResult:
         self._check_index(i)
         return self.vm_traces[:, i]
 
-    def instance_results(self) -> List[RunResult]:
-        """Carve one :class:`RunResult` per instance.
-
-        Each carries ``instances=n_instances`` so its
-        ``cell_steps_per_second`` reports the true kernel throughput
-        (the kernel advanced every instance's cells each step, not just
-        this one's).
-        """
-        return [self.instance_result(i) for i in range(self.n_instances)]
-
     def instance_result(self, i: int) -> RunResult:
         self._check_index(i)
         c = self.cells_per_instance
@@ -175,18 +140,16 @@ class PopulationRunner:
 
     ``n_workers`` > 1 shards the flattened (instance × cell) axis over
     supervised worker processes (crash isolation; the tier is chosen by
-    :func:`~repro.runtime.tiers.make_runner`); ``shard_axis="instances"``
-    aligns shard bounds to instance boundaries when the geometry allows
-    (falling back to cell sharding otherwise).
+    :func:`~repro.runtime.tiers.make_runner`).  The batch axis is just
+    more cells, so the shards are the plain width-aligned cell split
+    (:func:`~repro.runtime.sharded.shard_bounds`) and may cut through
+    an instance.
     """
 
     def __init__(self, model, spec: PopulationSpec,
                  width: int = 8, layout: Optional[str] = None,
                  use_lut: bool = True, n_workers: int = 0,
-                 shard_axis: str = "cells", cache=None, **runner_kwargs):
-        if shard_axis not in ("cells", "instances"):
-            raise ValueError(f"shard_axis must be 'cells' or "
-                             f"'instances', got {shard_axis!r}")
+                 cache=None, **runner_kwargs):
         self.spec = spec
         self.model = self._promoted_model(model, spec)
         report = check_population_legality(self.model, spec.param_names)
@@ -194,14 +157,12 @@ class PopulationRunner:
             raise ValueError(report.describe())
         self.legality = report
         self.n_workers = n_workers
-        self.shard_axis = shard_axis
         self._runner_kwargs = dict(runner_kwargs)
         self._runner_kwargs["cache"] = cache
         self.foreign = bool(self.model.foreign_functions)
         self.generated = generate(
             self.model, backend_for("limpet_mlir", width, self.foreign),
             width=width, layout=layout, use_lut=use_lut)
-        self.width = self.generated.spec.width
         self._runner: Optional[KernelRunner] = None
         self._runner_cells: Optional[int] = None
 
@@ -234,17 +195,9 @@ class PopulationRunner:
         self.close()
         self._runner = make_runner(
             self.generated, workers=self.n_workers,
-            shard_plan=self._shard_plan(cells_per_instance),
             population=self.spec.fingerprint(), **self._runner_kwargs)
         self._runner_cells = cells_per_instance
         return self._runner
-
-    def _shard_plan(self, cells_per_instance: int):
-        if self.shard_axis != "instances":
-            return None
-        return instance_shard_plan(self.spec.n_instances,
-                                   cells_per_instance, self.n_workers,
-                                   self.width)
 
     @property
     def cache_hit(self) -> bool:

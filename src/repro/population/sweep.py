@@ -22,7 +22,7 @@ from .spec import PopulationSpec
 def sweep(model: str, params: Mapping[str, str],
           cells_per_instance: int = 256, n_steps: int = 100,
           dt: float = 0.01, absolute: bool = False,
-          n_workers: int = 0, shard_axis: str = "cells", width: int = 8,
+          n_workers: int = 0, width: int = 8,
           layout: Optional[str] = None, cache=None,
           record_vm: bool = False, perturbation: float = 0.0,
           stimulus=None, **runner_kwargs) -> PopulationRunResult:
@@ -42,8 +42,7 @@ def sweep(model: str, params: Mapping[str, str],
                      instances=spec.n_instances,
                      params=",".join(spec.param_names)):
         pop = PopulationRunner(promoted, spec, width=width, layout=layout,
-                               n_workers=n_workers, shard_axis=shard_axis,
-                               cache=cache,
+                               n_workers=n_workers, cache=cache,
                                **runner_kwargs)
         try:
             state = pop.make_state(cells_per_instance,

@@ -24,9 +24,8 @@ from .faultinject import (FaultInjector, FaultPlan, InjectedFault,
                           corrupt_cache_entry, poison_state)
 from .sandbox import (SandboxedPassManager, load_reproducer,
                       sandboxed_pipeline, write_reproducer)
-from .watchdog import (EXHAUSTED_POLICIES, POLICIES,
-                       NumericalDivergenceError, NumericalWatchdog,
-                       WatchdogConfig)
+from .watchdog import (POLICIES, NumericalDivergenceError,
+                       NumericalWatchdog, WatchdogConfig)
 
 __all__ = [
     "LOGGER", "Diagnostic", "DivergenceEvent", "HealthReport", "Severity",
@@ -36,6 +35,6 @@ __all__ = [
     "InjectedFault", "corrupt_cache_entry", "poison_state",
     "SandboxedPassManager",
     "load_reproducer", "sandboxed_pipeline", "write_reproducer",
-    "POLICIES", "EXHAUSTED_POLICIES", "NumericalDivergenceError",
+    "POLICIES", "NumericalDivergenceError",
     "NumericalWatchdog", "WatchdogConfig",
 ]

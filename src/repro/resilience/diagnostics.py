@@ -144,10 +144,6 @@ class HealthReport:
     retries: int = 0
     ok: bool = True
     aborted: bool = False
-    #: the halve_dt retry budget (or dt floor) ran out; set when the
-    #: exhausted_policy terminated the run with this report instead of
-    #: raising (a persistently-NaN model ends structured, not looping)
-    budget_exhausted: bool = False
     events: List[DivergenceEvent] = field(default_factory=list)
     diverged_cells: List[int] = field(default_factory=list)
     diagnostics: List[Diagnostic] = field(default_factory=list)
@@ -161,7 +157,6 @@ class HealthReport:
                 "final_dt": self.final_dt, "checks": self.checks,
                 "retries": self.retries, "ok": self.ok,
                 "aborted": self.aborted,
-                "budget_exhausted": self.budget_exhausted,
                 "events": [e.to_dict() for e in self.events],
                 "diverged_cells": list(self.diverged_cells),
                 "diagnostics": [d.to_dict() for d in self.diagnostics]}
@@ -169,8 +164,6 @@ class HealthReport:
     def summary(self) -> str:
         status = "ok" if self.ok else ("aborted" if self.aborted
                                        else "diverged")
-        if self.budget_exhausted:
-            status += " (retry budget exhausted)"
         line = (f"health: {status} | policy={self.policy} "
                 f"checks={self.checks} nan_events={self.nan_events} "
                 f"retries={self.retries} dt {self.initial_dt:g}")

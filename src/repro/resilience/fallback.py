@@ -67,8 +67,8 @@ def compile_resilient(model: Union[str, IonicModel],
                       width: int = 8, use_lut: bool = True,
                       strict: bool = False, sandbox: bool = True,
                       reproducer_dir: Optional[pathlib.Path] = None,
-                      inject=None, artifacts=None, workers: int = 0,
-                      supervision=None) -> ResilientKernel:
+                      inject=None, artifacts=None,
+                      workers: int = 0) -> ResilientKernel:
     """Compile ``model`` down the backend fallback chain.
 
     Tries each tier in ``chain`` in order; a tier fails when code
@@ -80,9 +80,9 @@ def compile_resilient(model: Union[str, IonicModel],
     :class:`~repro.resilience.faultinject.FaultInjector` consulted per
     tier (testing hook).
 
-    ``workers`` / ``supervision`` go to ``make_runner``, so the kernel
-    is resolved once, by the runner that will execute it (supervised
-    when the count is parallel, armed with ``inject``'s process faults).
+    ``workers`` goes to ``make_runner``, so the kernel is resolved
+    once, by the runner that will execute it (supervised when the count
+    is parallel, armed with ``inject``'s process faults).
 
     When an AOT artifact bundle is mounted (``$LIMPET_ARTIFACT_DIR``,
     or an explicit ``artifacts=`` store), the runner each tier builds
@@ -94,7 +94,7 @@ def compile_resilient(model: Union[str, IonicModel],
     """
     from ..aot.bundle import resolve_store
     store = None if inject is not None else resolve_store(artifacts)
-    runner_kwargs = dict(workers=workers, supervision=supervision,
+    runner_kwargs = dict(workers=workers,
                          fault_plan=getattr(inject, "plan", None),
                          artifacts=store if store is not None else False)
     if isinstance(model, str):

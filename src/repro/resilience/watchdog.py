@@ -14,13 +14,10 @@ and applies a configurable policy on divergence:
   checkpoint, and report which cells diverged.
 
 The ``halve_dt`` backoff is doubly bounded — a per-run retry budget
-(``max_retries``) and a dt floor (``min_dt``) — and what happens when
-the budget runs out is itself a policy (``exhausted_policy``): ``raise``
-fails fast with :class:`NumericalDivergenceError`, while
-``abort_report`` terminates the run cleanly at the last healthy
-checkpoint with a structured report (``budget_exhausted`` set, the
-diverged cells listed), so a persistently-NaN model in a sweep or a
-supervised fleet ends with data instead of an unhandled exception.
+(``max_retries``) and a dt floor (``min_dt``) — and when either runs
+out the run fails with :class:`NumericalDivergenceError`, whose
+report counts the retries taken.  A run that must end with data
+instead of an exception uses ``abort_cell_report``.
 
 Every decision lands in a :class:`~repro.resilience.diagnostics
 .HealthReport` attached to the run's result.
@@ -37,9 +34,6 @@ from .diagnostics import HealthReport
 
 #: valid watchdog policies
 POLICIES = ("raise", "halve_dt", "abort_cell_report")
-
-#: valid actions when the halve_dt retry budget (or dt floor) runs out
-EXHAUSTED_POLICIES = ("raise", "abort_report")
 
 
 class NumericalDivergenceError(RuntimeError):
@@ -59,19 +53,11 @@ class WatchdogConfig:
     max_retries: int = 4            # per-run retry budget (rollbacks)
     dt_factor: float = 0.5          # dt multiplier per retry
     min_dt: float = 1e-9            # dt floor: never retry below this
-    #: what to do when the retry budget or dt floor is exhausted:
-    #: "raise" (fail fast) or "abort_report" (terminate at the last
-    #: healthy checkpoint with a structured HealthReport)
-    exhausted_policy: str = "raise"
 
     def __post_init__(self) -> None:
         if self.policy not in POLICIES:
             raise ValueError(f"unknown watchdog policy {self.policy!r}; "
                              f"one of {POLICIES}")
-        if self.exhausted_policy not in EXHAUSTED_POLICIES:
-            raise ValueError(
-                f"unknown exhausted_policy {self.exhausted_policy!r}; "
-                f"one of {EXHAUSTED_POLICIES}")
         if self.check_interval < 1:
             raise ValueError("check_interval must be >= 1")
         if not 0.0 < self.dt_factor < 1.0:

@@ -514,17 +514,6 @@ class KernelRunner:
             next_dt = cur_dt * config.dt_factor
             if report.retries >= config.max_retries or \
                     next_dt < config.min_dt:
-                if config.exhausted_policy == "abort_report":
-                    # terminate cleanly at the last healthy checkpoint
-                    # with a structured report (diverged cells listed)
-                    report.diverged_cells = guard.diverged_cells(state)
-                    state.restore(checkpoint)
-                    if trace is not None:
-                        del trace[trace_mark:]
-                    event.action = "aborted"
-                    report.aborted = True
-                    report.budget_exhausted = True
-                    break
                 report.final_dt = cur_dt
                 raise NumericalDivergenceError(
                     f"divergence persisted after {report.retries} "

@@ -66,23 +66,9 @@ class ShardedRunner(KernelRunner):
     """
 
     def __init__(self, generated: GeneratedKernel, n_threads: int = 0,
-                 shard_plan: Optional[List[Tuple[int, int]]] = None,
                  **kwargs):
         super().__init__(generated, **kwargs)
         self.n_threads = n_threads or available_cpus()
-        # an explicit decomposition (e.g. the population layer sharding
-        # along the instance axis) overrides the default cell split
-        if shard_plan is not None:
-            width = generated.spec.width
-            for start, end in shard_plan:
-                if start % width or (end % width and end != shard_plan[-1][1]):
-                    raise ValueError(
-                        f"shard_plan bound ({start}, {end}) is not "
-                        f"aligned to the kernel width {width}")
-                if end <= start:
-                    raise ValueError(
-                        f"shard_plan bound ({start}, {end}) is empty")
-        self.shard_plan = shard_plan
         from ..codegen.layout import LayoutKind
         if self.layout.kind is LayoutKind.SOA and self.n_threads > 1:
             raise ValueError(
@@ -95,17 +81,7 @@ class ShardedRunner(KernelRunner):
         cached = self._shards
         if cached is not None and cached[0] == state.n_alloc:
             return cached[1]
-        if self.shard_plan is not None:
-            if self.shard_plan[-1][1] != state.n_alloc or \
-                    self.shard_plan[0][0] != 0:
-                raise ValueError(
-                    f"shard_plan covers "
-                    f"[{self.shard_plan[0][0]}, {self.shard_plan[-1][1]})"
-                    f" but the allocation is [0, {state.n_alloc})")
-            bounds = list(self.shard_plan)
-        else:
-            bounds = shard_bounds(state.n_alloc, self.n_threads,
-                                  self.spec.width)
+        bounds = shard_bounds(state.n_alloc, self.n_threads, self.spec.width)
         self._shards = (state.n_alloc, bounds)
         sizes = [end - start for start, end in bounds]
         if sizes:

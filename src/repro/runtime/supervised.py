@@ -94,8 +94,10 @@ def multiprocess_supported() -> bool:
 class SupervisedExecutionError(RuntimeError):
     """Supervision gave up on a shard: retries exhausted.
 
-    ``run`` treats this as the signal to degrade to the single tier;
-    it only escapes to the caller when degradation is disabled.
+    ``run`` treats this as the signal to degrade to the single tier,
+    so it never escapes ``run``; its ``slot``, ``attempts`` and
+    ``step`` land on the degradation diagnostic, ledger row and flight
+    dump.
     """
 
     def __init__(self, message: str, slot: int = -1, attempts: int = 0,
@@ -121,8 +123,6 @@ class SupervisionConfig:
     max_retries: int = 2
     #: base seconds of the exponential retry backoff
     retry_backoff: float = 0.05
-    #: degrade to the single tier instead of raising
-    degrade: bool = True
 
     def __post_init__(self) -> None:
         if self.heartbeat_interval <= 0:
@@ -426,8 +426,6 @@ class SupervisedRunner(ShardedRunner):
                 # broke: restart from the checkpoint on the single tier
                 self._shutdown_workers()
                 state.restore(initial)
-                if not self.config.degrade:
-                    raise
                 self._record_degradation(err)
         return super().run(*args)
 

@@ -1,8 +1,15 @@
 """CLI tests: every subcommand runs and prints what it promises."""
 
+import os
+import pathlib
+import subprocess
+import sys
+
 import pytest
 
 from repro.cli import build_parser, main
+
+SRC = pathlib.Path(__file__).resolve().parent.parent / "src"
 
 
 def run_cli(capsys, *argv):
@@ -28,6 +35,27 @@ class TestList:
         assert code == 0 and "VECTORIZABLE" in out
         code, out = run_cli(capsys, "legality", "ARPF")
         assert code == 1 and "NOT VECTORIZABLE" in out
+
+
+class TestClosedPipe:
+    def test_reader_gone_is_not_a_crash(self, tmp_path):
+        """``limpet-bench ir OHara | <reader that exits>``: exit 0, no
+        traceback and no ``unhandled_exception`` flight dump."""
+        env = dict(os.environ, PYTHONPATH=str(SRC),
+                   LIMPET_FLIGHT_DIR=str(tmp_path))
+        env.pop("LIMPET_TRACE", None)
+        read_end, write_end = os.pipe()
+        os.close(read_end)          # nobody will ever read the output
+        try:
+            proc = subprocess.run(
+                [sys.executable, "-m", "repro.cli", "ir", "OHara"],
+                stdout=write_end, stderr=subprocess.PIPE, env=env,
+                timeout=120)
+        finally:
+            os.close(write_end)
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert b"Traceback" not in proc.stderr
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestDescribe:

@@ -86,7 +86,7 @@ class TestLimpetMLIRStructure:
         assert "vector.gather" not in names
 
     def test_aos_mode_uses_gather_scatter(self, gate_model):
-        kernel = generate_limpet_mlir(gate_model, 8, data_layout_opt=False)
+        kernel = generate_limpet_mlir(gate_model, 8, layout="aos")
         names = ops_of(kernel)
         assert "vector.gather" in names and "vector.scatter" in names
         assert str(kernel.layout) == "aos"

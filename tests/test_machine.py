@@ -16,7 +16,7 @@ def profiled(model, variant="mlir", width=8):
     elif variant == "icc":
         kernel = generate_icc_simd(model, width)
     elif variant == "aos":
-        kernel = generate_limpet_mlir(model, width, data_layout_opt=False)
+        kernel = generate_limpet_mlir(model, width, layout="aos")
     else:
         kernel = generate_limpet_mlir(model, width)
     default_pipeline(verify_each=False).run(kernel.module, fixed_point=True)

@@ -10,9 +10,8 @@ from repro.ir.dialects.arith import trunc_div, trunc_rem
 from repro.ir.passes import default_pipeline
 from repro.ir.passes.pass_manager import PassManager
 from repro.models import load_model
-from repro.runtime import (KernelCache, KernelRunner, ShardedRunner,
-                           compare_trajectories, kernel_cache_key,
-                           shard_bounds)
+from repro.runtime import (KernelCache, KernelRunner, compare_trajectories,
+                           kernel_cache_key, shard_bounds)
 from repro.runtime.interpreter import interpret_kernel
 
 #: differential suite: a trivial model, two LUT models, two Markov-BE
@@ -341,19 +340,6 @@ class TestShardedRunner:
     def test_shard_bounds_small_n(self):
         assert shard_bounds(8, 4, 8) == [(0, 8)]
         assert shard_bounds(0, 4, 8) == []
-
-    def test_shard_plan_must_align_and_cover(self):
-        def runner(plan):
-            return ShardedRunner(generate_limpet_mlir(load_model("Plonsey")),
-                                 n_threads=2, shard_plan=plan)
-        with pytest.raises(ValueError, match="not aligned"):
-            runner([(0, 12), (12, 32)])
-        with pytest.raises(ValueError, match="is empty"):
-            runner([(0, 16), (16, 16)])
-        good = runner([(0, 16), (16, 32)])
-        assert good.shards_for(good.make_state(32)) == [(0, 16), (16, 32)]
-        with pytest.raises(ValueError, match="covers"):
-            good.shards_for(good.make_state(64))
 
 
 # ---------------------------------------------------------------------------

@@ -15,10 +15,10 @@ from repro.frontend.analysis import SemanticError
 from repro.models import load_model
 from repro.obs import metrics as _metrics
 from repro.population import (PopulationRunner, PopulationSpec,
-                              instance_shard_plan, load_promoted_model,
-                              parse_range, sweep)
+                              load_promoted_model, parse_range, sweep)
 from repro.runtime import (KernelCache, KernelRunner, ShardedRunner,
-                           kernel_cache_key, multiprocess_supported)
+                           kernel_cache_key, multiprocess_supported,
+                           shard_bounds)
 from repro.runtime.executor import RunResult
 
 needs_mp = pytest.mark.skipif(not multiprocess_supported(),
@@ -187,33 +187,6 @@ class TestPopulationLegality:
 
 
 # ---------------------------------------------------------------------------
-# Instance-axis shard planning
-# ---------------------------------------------------------------------------
-
-
-class TestInstanceShardPlan:
-    def test_even_split(self):
-        assert instance_shard_plan(4, 8, 2, 4) == [(0, 16), (16, 32)]
-
-    def test_uneven_instances(self):
-        plan = instance_shard_plan(5, 8, 2, 4)
-        assert plan == [(0, 24), (24, 40)]
-
-    def test_ragged_cells_returns_none(self):
-        assert instance_shard_plan(4, 7, 2, 4) is None
-
-    def test_more_shards_than_instances_clamped(self):
-        plan = instance_shard_plan(2, 8, 16, 4)
-        assert plan == [(0, 8), (8, 16)]
-
-    def test_bounds_are_instance_aligned_and_cover(self):
-        plan = instance_shard_plan(7, 16, 3, 8)
-        assert plan[0][0] == 0 and plan[-1][1] == 7 * 16
-        for start, end in plan:
-            assert start % 16 == 0 and end % 16 == 0
-
-
-# ---------------------------------------------------------------------------
 # Bitwise differential: batched vs loop-of-N, same promoted kernel
 # ---------------------------------------------------------------------------
 
@@ -252,12 +225,13 @@ class TestBitwiseDifferential:
     def test_sharded_instance_axis(self):
         model = promoted()
         spec = make_spec(model)
-        pop = PopulationRunner(model, spec, width=4, n_workers=2,
-                               shard_axis="instances")
+        pop = PopulationRunner(model, spec, width=4, n_workers=2)
         result = pop.simulate(cells_per_instance=8, n_steps=8)
         runner = pop.runner_for(8)
         assert isinstance(runner, ShardedRunner)
-        assert runner.shard_plan == [(0, 16), (16, 24)]
+        # the flattened axis is cut like any cell range: through instance 1
+        assert runner.shards_for(result.flat.state) \
+            == shard_bounds(24, 2, 4) == [(0, 12), (12, 24)]
         loop = loop_of_n(pop.generated, spec, 8, 8)
         for i in range(spec.n_instances):
             assert np.array_equal(result.instance_state_matrix(i), loop[i])
@@ -267,10 +241,8 @@ class TestBitwiseDifferential:
     def test_sharded_ragged_falls_back_to_cell_axis(self):
         model = promoted()
         spec = make_spec(model)
-        # 23 % 4 != 0: no instance-aligned plan exists — must still run
-        pop = PopulationRunner(model, spec, width=4, n_workers=2,
-                               shard_axis="instances")
-        assert pop._shard_plan(23) is None
+        # 23 % 4 != 0: instance bounds are not on vector blocks
+        pop = PopulationRunner(model, spec, width=4, n_workers=2)
         result = pop.simulate(cells_per_instance=23, n_steps=6)
         loop = loop_of_n(pop.generated, spec, 23, 6)
         for i in range(spec.n_instances):

@@ -205,6 +205,10 @@ class TestWatchdog:
             WatchdogConfig(check_interval=0)
         with pytest.raises(ValueError):
             WatchdogConfig(dt_factor=1.5)
+        with pytest.raises(ValueError):
+            WatchdogConfig(max_retries=-1)
+        with pytest.raises(ValueError):
+            WatchdogConfig(min_dt=0.0)
 
     def test_clean_guarded_run_matches_unguarded(self, runner):
         r1 = runner.simulate(8, 60, perturbation=0.01)

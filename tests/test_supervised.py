@@ -14,10 +14,10 @@ import pytest
 from repro.codegen import generate_limpet_mlir
 from repro.models import load_model
 from repro.resilience import FaultPlan, NumericalDivergenceError
-from repro.runtime import (KernelRunner, SupervisedExecutionError,
-                           SupervisedRunner, SupervisionConfig,
-                           close_all_runners, compare_trajectories,
-                           multiprocess_supported)
+from repro.runtime import (KernelRunner, SupervisedRunner,
+                           SupervisionConfig, close_all_runners,
+                           compare_trajectories, multiprocess_supported,
+                           shard_bounds)
 from repro.runtime.shutdown import (register_cleanup, run_cleanups,
                                     unregister_cleanup)
 
@@ -119,8 +119,8 @@ class TestBitwiseDifferential:
         spec = PopulationSpec.from_ranges(model, {"GK": "0.5:1.5:3"})
 
         def run(n_workers):
-            with PopulationRunner(model, spec, width=4, n_workers=n_workers,
-                                  shard_axis="instances") as pop:
+            with PopulationRunner(model, spec, width=4,
+                                  n_workers=n_workers) as pop:
                 result = pop.simulate(cells_per_instance=8, n_steps=30)
                 runner = pop.runner_for(8)
             return result.flat.state, runner
@@ -129,7 +129,11 @@ class TestBitwiseDifferential:
         assert inline.active_tier == "single"
         got, sup = run(2)
         assert sup.active_tier == "supervised"
-        assert sup.shard_plan == [(0, 16), (16, 24)]
+        # the flattened (instance x cell) axis is cut like any other
+        # cell range: 24 cells over 2 workers, 4-wide blocks, so the
+        # cut at 12 lands inside instance 1
+        assert sup.shards_for(got) == shard_bounds(24, 2, 4) \
+            == [(0, 12), (12, 24)]
         assert compare_trajectories(expected, got, rtol=0, atol=0)
 
     def test_state_arrays_restored_after_run(self):
@@ -324,29 +328,6 @@ class TestCrashRecovery:
             # detection is bounded by the heartbeat timeout, not the
             # 30 s the worker would have slept
             assert elapsed < 15.0
-
-    def test_retries_exhausted_raises_when_degradation_off(self):
-        plan = FaultPlan(kill_worker=0, kill_worker_at_task=1)
-        config = SupervisionConfig(max_retries=0, degrade=False, **FAST)
-
-        class KillEveryLife(SupervisedRunner):
-            # re-arm the fault on every spawn so the retry also dies
-            def _fault_for_slot(self, slot):
-                spawns = self._spawns[slot]
-                self._spawns[slot] = 0
-                try:
-                    return super()._fault_for_slot(slot)
-                finally:
-                    self._spawns[slot] = spawns
-
-        with KillEveryLife(make_generated("Plonsey"), n_workers=2,
-                           fault_plan=plan, config=config) as sup:
-            state = sup.make_state(16)
-            with pytest.raises(SupervisedExecutionError) as excinfo:
-                sup.run(state, 10, 0.01)
-            assert excinfo.value.slot == 0
-            assert excinfo.value.attempts == 1
-            assert excinfo.value.step == 0
 
 
 # ---------------------------------------------------------------------------

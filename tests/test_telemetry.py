@@ -346,17 +346,25 @@ class TestSupervisedTelemetry:
             assert runner.active_tier == "single"
         finally:
             runner.close()
+        # supervision gave up on shard 0 after one attempt at step 0;
+        # the SupervisedExecutionError that said so never escapes run,
+        # so its fields must land on all three records
+        where = {"slot": 0, "attempts": 1, "step": 0}
+        [diag] = [d for d in runner.diagnostics
+                  if "degrading" in d.message]
+        assert diag.error_type == "SupervisedExecutionError"
+        assert {k: diag.data[k] for k in where} == where
         rows = ledger.RunLedger(
             tmp_path / "ledger.jsonl").read(event="degradation")
         assert len(rows) == 1, "one degradation, one ledger row"
         row = rows[-1]
         assert (row["from_tier"], row["tier"]) == ("supervised", "single")
         assert row["disposition"] == "degraded"
-        assert row["step"] >= 0
-        reasons = [p["reason"] for p in
-                   (flight.load_dump(d)
-                    for d in flight.list_dumps(tmp_path)) if p]
-        assert reasons.count("degradation") == 1
+        assert {k: row[k] for k in where} == where
+        dumps = [p for p in (flight.load_dump(d)
+                             for d in flight.list_dumps(tmp_path)) if p]
+        [dump] = [p for p in dumps if p["reason"] == "degradation"]
+        assert {k: dump["extra"][k] for k in where} == where
 
 
 # ---------------------------------------------------------------------------
