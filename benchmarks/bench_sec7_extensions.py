@@ -1,26 +1,18 @@
-"""§7 extensions — the paper's future-work items, implemented.
+"""§7 extension — one of the paper's future-work items, implemented.
 
-Two of the directions the conclusion lists are built and measured here:
-
-* "an efficient spline interpolation method to replace or complement
-  in some cases the currently used linear interpolation" — the
-  Catmull-Rom LUT mode, traded against table size and cycle cost;
-* "power consumption versus compute time performance evaluation" —
-  the per-op energy model, answering whether vectorization saves
-  energy as well as time.
+"An efficient spline interpolation method to replace or complement in
+some cases the currently used linear interpolation": the Catmull-Rom
+LUT mode, traded against table size and cycle cost.
 """
 
 import numpy as np
 import pytest
 
-from repro.bench import geomean, kernel_profile
-from repro.codegen import BackendMode, generate_limpet_mlir
+from repro.codegen import generate_limpet_mlir
 from repro.frontend import load_model
 from repro.ir.passes import default_pipeline
-from repro.machine import (AVX512, CostModel, EnergyModel, compare_energy,
-                           profile_kernel)
-from repro.models import LARGE_MODELS, SIZE_CLASS, load_model as load_reg
-from repro.runtime import KernelRunner
+from repro.machine import AVX512, CostModel, profile_kernel
+from repro.models import load_model as load_reg
 from repro.runtime.lut_runtime import (build_all_luts, lut_interp_row_vec,
                                        lut_interp_row_spline_vec)
 
@@ -80,45 +72,3 @@ def test_spline_cycle_overhead_bounded(gate_cycles=None):
     print(f"\nCourtemanche cycles/iter: linear {cycles['linear']:.0f}, "
           f"spline {cycles['spline']:.0f}")
     assert cycles["linear"] < cycles["spline"] < cycles["linear"] * 2.5
-
-
-@pytest.mark.figure("sec7-energy")
-def test_energy_report(benchmark, bench):
-    """Energy table per class: vectorization saves energy at 1T
-    everywhere and keeps an energy-delay win on large models at 32T."""
-    def table():
-        rows = {}
-        for name in ("Pathmanathan", "Courtemanche",
-                     "TenTusscherPanfilov", "OHara"):
-            pb = kernel_profile(name, "baseline", 1)
-            pv = kernel_profile(name, "limpet_mlir", 8)
-            base1, vec1 = compare_energy(pb, pv, AVX512, 1, 8192, 10_000)
-            base32, vec32 = compare_energy(pb, pv, AVX512, 32, 8192,
-                                           10_000)
-            rows[name] = (base1, vec1, base32, vec32)
-        return rows
-
-    rows = benchmark(table)
-    print("\n§7 energy (8192 cells x 10k steps, modeled):")
-    print(f"{'model':<22} {'base 1T':>10} {'mlir 1T':>10} "
-          f"{'base 32T':>10} {'mlir 32T':>10}   (joules)")
-    for name, (b1, v1, b32, v32) in rows.items():
-        print(f"{name:<22} {b1.joules:>9.1f}J {v1.joules:>9.1f}J "
-              f"{b32.joules:>9.1f}J {v32.joules:>9.1f}J")
-    for name, (b1, v1, b32, v32) in rows.items():
-        assert v1.joules < b1.joules, f"{name}: 1T energy must improve"
-        if SIZE_CLASS[name] == "large":
-            assert v32.energy_delay_product < b32.energy_delay_product
-
-
-@pytest.mark.figure("sec7-energy")
-def test_large_class_energy_savings_substantial(bench):
-    savings = []
-    for name in LARGE_MODELS[:6]:
-        pb = kernel_profile(name, "baseline", 1)
-        pv = kernel_profile(name, "limpet_mlir", 8)
-        base, vec = compare_energy(pb, pv, AVX512, 1, 8192, 1000)
-        savings.append(base.joules / vec.joules)
-    value = geomean(savings)
-    print(f"\nlarge-class 1T energy ratio (base/mlir): {value:.2f}x")
-    assert value > 2.0

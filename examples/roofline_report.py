@@ -51,30 +51,6 @@ def main() -> None:
     print(f"icc omp-simd sweep geomean : {icc:.2f}x vs limpetMLIR "
           f"{aosoa:.2f}x (paper 2.19x vs 3.37x)")
 
-    banner("§7 extensions: energy and CPU-vs-GPU (modeled)")
-    from repro.bench import kernel_profile
-    from repro.codegen import generate_gpu
-    from repro.ir.passes import default_pipeline
-    from repro.machine import (AVX512, CostModel, GPUCostModel,
-                               compare_energy, profile_kernel)
-    from repro.models import load_model as load_reg
-    cpu_cost, gpu_cost = CostModel(), GPUCostModel()
-    print(f"{'model':<22} {'E base 1T':>10} {'E mlir 1T':>10} "
-          f"{'CPU32T 1M cells':>16} {'GPU 1M cells':>13}")
-    for name in ("Plonsey", "Courtemanche", "OHara",
-                 "IyerMazhariWinslow"):
-        pb = kernel_profile(name, "baseline", 1)
-        pv = kernel_profile(name, "limpet_mlir", 8)
-        e_base, e_vec = compare_energy(pb, pv, AVX512, 1, 8192, 10_000)
-        kg = generate_gpu(load_reg(name))
-        default_pipeline(verify_each=False).run(kg.module,
-                                                fixed_point=True)
-        pg = profile_kernel(kg.module, kg.spec.function_name)
-        t_cpu = cpu_cost.total_time(pv, AVX512, 32, 1_000_000, 1000)
-        t_gpu = gpu_cost.total_time(pg, 1_000_000, 1000)
-        print(f"{name:<22} {e_base.joules:>9.1f}J {e_vec.joules:>9.1f}J "
-              f"{t_cpu:>15.1f}s {t_gpu:>12.1f}s")
-
 
 if __name__ == "__main__":
     main()

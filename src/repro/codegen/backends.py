@@ -11,9 +11,6 @@ the emitter runs when the module is first read.
   ShardedRunner refuses it), vectorized LUT rows (§3.4.2);
 * ``icc_simd`` — the icc ``#pragma omp simd`` comparator of §5: vector
   arithmetic and math, but AoS layout and serialized scalar LUT calls;
-* ``gpu`` — the §7 heterogeneous extension: a ``gpu.launch`` grid-stride
-  loop of scalar per-cell code over SoA state (the runtime flattens
-  threads to NumPy lanes; :mod:`repro.machine.gpu` prices the same IR);
 * ``plugin`` — multimodel offspring kernels (§3.3.2) whose externals go
   through a per-cell parent map.
 
@@ -28,14 +25,14 @@ from typing import Iterable, Optional
 from ..frontend.model import IonicModel
 from .common import (CompileRequest, GeneratedKernel, KernelSpec,
                      UnsupportedModelError)
-from .emitter import (BASELINE, DEFAULT_BLOCK_SIZE, DEFAULT_GRID_SIZE, GPU,
-                      ICC_SIMD, LIMPET_MLIR, PLUGIN, Target, emit_kernel)
-from .layout import Layout, LayoutKind, aos, aosoa, soa
+from .emitter import (BASELINE, ICC_SIMD, LIMPET_MLIR, PLUGIN, Target,
+                      emit_kernel)
+from .layout import Layout, LayoutKind, aos, aosoa
 
 
 def _kernel(target: Target, model: IonicModel, width: int, layout: Layout,
             use_lut: bool, lut_interpolation: str = "linear",
-            function_name: Optional[str] = None, **launch) -> GeneratedKernel:
+            function_name: Optional[str] = None) -> GeneratedKernel:
     """Spec and request now, IR on the first read of ``.module``."""
     if lut_interpolation not in ("linear", "spline"):
         raise ValueError(f"unknown LUT interpolation {lut_interpolation!r}")
@@ -49,10 +46,9 @@ def _kernel(target: Target, model: IonicModel, width: int, layout: Layout,
         promoted_params=tuple(model.promoted_params), target=target.name,
         width=width, layout=str(layout), use_lut=use_lut,
         lut_interpolation=lut_interpolation,
-        function_name=spec.function_name,
-        launch=tuple(sorted(launch.items())))
-    return GeneratedKernel(lambda: emit_kernel(spec, target, **launch),
-                           spec, layout, request)
+        function_name=spec.function_name)
+    return GeneratedKernel(lambda: emit_kernel(spec, target), spec, layout,
+                           request)
 
 
 def _refuse(model: IonicModel, names: Iterable[str], reason: str) -> None:
@@ -109,22 +105,6 @@ def generate_icc_simd(model: IonicModel, width: int = 8,
     _refuse(model, model.foreign_functions, _NOT_VECTORIZABLE)
     return _kernel(ICC_SIMD, model, width, aos(model.n_states), use_lut,
                    function_name=function_name)
-
-
-def generate_gpu(model: IonicModel, use_lut: bool = True,
-                 block_size: int = DEFAULT_BLOCK_SIZE,
-                 grid_size: int = DEFAULT_GRID_SIZE,
-                 function_name: Optional[str] = None) -> GeneratedKernel:
-    """Generate the SIMT compute kernel for ``model``."""
-    _refuse(model, model.foreign_functions,
-            "foreign function(s) {} have no device implementation; "
-            "GPU execution is unsupported")
-    _refuse(model, model.promoted_params,
-            "promoted parameter(s) {} are not supported by the GPU backend; "
-            "use the population layer's CPU kernels")
-    return _kernel(GPU, model, 1, soa(model.n_states), use_lut,
-                   function_name=function_name, grid_size=grid_size,
-                   block_size=block_size)
 
 
 def generate_plugin(model: IonicModel, width: int = 8,

@@ -94,18 +94,21 @@ class CompileRequest:
     use_lut: bool
     lut_interpolation: str
     function_name: str
-    #: the loop shell's keyword arguments (GPU grid / block), sorted
-    launch: Tuple[Tuple[str, object], ...] = ()
     generator_version: int = field(
         default_factory=lambda: GENERATOR_VERSION)
 
     def key_lines(self) -> List[str]:
-        """One ``name=value`` line per field, for a store key to hash."""
+        """One ``name=value`` line per field, for a store key to hash.
+
+        ``launch=()`` is a constant: the retired GPU target's launch
+        geometry held that place, and it stays so no key moves."""
         if not self.source_digest:
             raise ValueError(
                 "the model carries no source digest (it was not parsed "
                 "from EasyML text), so its kernel has no store key")
-        return [f"{name}={value}" for name, value in vars(self).items()]
+        lines = [f"{name}={value}" for name, value in vars(self).items()]
+        lines.insert(-1, "launch=()")
+        return lines
 
 
 class GeneratedKernel:

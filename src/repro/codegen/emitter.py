@@ -8,10 +8,9 @@ the LUT call shape.  :func:`emit_kernel` is that function, written
 once; a :class:`Target` row holds what differs:
 
 * the loop shell — ``scf.for`` step 1 (``baseline``), ``omp.parallel`` +
-  ``scf.for`` step W (``limpet_mlir``, ``icc_simd``, ``plugin``),
-  ``gpu.launch`` grid-stride (``gpu``);
+  ``scf.for`` step W (``limpet_mlir``, ``icc_simd``, ``plugin``);
 * element access — scalar ``memref`` or ``vector``; with the state
-  layout it selects the state accessor: scalar AoS / SoA, vector
+  layout it selects the state accessor: scalar AoS, vector
   AoS-gather / SoA / AoSoA (§3.4.1), each one address function serving
   both the load and the store side;
 * how externals are bound and outputs written back — plain, or the
@@ -37,8 +36,8 @@ from ..easyml.ast_nodes import Call, walk_expr
 from ..frontend.model import IonicModel
 from ..ir.builder import IRBuilder
 from ..ir.core import Module, Value
-from ..ir.dialects import (arith, func as func_dialect, gpu, memref, omp,
-                           scf, vector as vector_dialect)
+from ..ir.dialects import (arith, func as func_dialect, memref, omp, scf,
+                           vector as vector_dialect)
 from ..ir.types import IRType, f64, i1, index, memref_of
 from ..obs import trace as _trace
 from .common import BackendMode, ExprEmitter, KernelSpec
@@ -50,18 +49,12 @@ from .lut import (LUT_MEMREF, SCALAR_LUT, SERIALIZED_LUT, VECTOR_LUT,
 STATE_MEMREF = EXT_MEMREF = memref_of(f64)
 MAP_MEMREF = memref_of(index)
 
-#: CUDA-style launch geometry: enough resident threads to cover the
-#: paper's 8192-cell meshes in one stride
-DEFAULT_BLOCK_SIZE = 128
-DEFAULT_GRID_SIZE = 64
-
 
 class _Kernel:
     """One kernel under construction: what the table's functions share.
 
     The loop shell fills in ``i`` (the first cell of this iteration),
-    ``n_states`` (an index constant, CPU shells only) and ``dt`` (at the
-    working width)."""
+    ``n_states`` (an index constant) and ``dt`` (at the working width)."""
 
     def __init__(self, spec: KernelSpec, target: "Target", b: IRBuilder,
                  args: Dict[str, Value]):
@@ -80,12 +73,12 @@ class _Kernel:
 
 
 @contextmanager
-def _cell_loop(k: _Kernel, lower: Value, step: Value,
-               kind: str) -> Iterator[None]:
+def _cell_loop(k: _Kernel, lower: Value, step: Value) -> Iterator[None]:
     """The ``scf.for`` over cells, tagged for the passes and the lowering."""
     loop = scf.for_op(k.b, lower, k.end, step, iv_hint="i")
     loop.op.attributes.update({"cell_loop": True, "vector_width": k.width,
-                               "layout": str(k.spec.layout), kind: True})
+                               "layout": str(k.spec.layout),
+                               "parallel": True})
     k.i = loop.induction_var
     with k.b.at_end_of(loop.body):
         yield
@@ -99,7 +92,7 @@ def _scalar_for(k: _Kernel) -> Iterator[None]:
     one = k.b.constant(1, index)
     k.n_states = k.b.constant(k.model.n_states, index)
     k.dt = k.args["dt"]
-    with _cell_loop(k, k.args["start"], one, "parallel"):
+    with _cell_loop(k, k.args["start"], one):
         yield
 
 
@@ -114,24 +107,7 @@ def _omp_vector_for(k: _Kernel) -> Iterator[None]:
     par = omp.parallel(b, schedule="static")
     with b.at_end_of(par.body):
         b.set_insertion_point_before(par.body.terminator)
-        with _cell_loop(k, k.args["start"], step, "parallel"):
-            yield
-
-
-@contextmanager
-def _gpu_grid_stride(k: _Kernel, grid_size: int = DEFAULT_GRID_SIZE,
-                     block_size: int = DEFAULT_BLOCK_SIZE) -> Iterator[None]:
-    """SIMT (§7): each thread owns one cell per stride, scalar code —
-    ``for (i = start + tid; i < end; i += stride)``."""
-    b = k.b
-    k.dt = k.args["dt"]
-    launch = gpu.launch(b, grid_size, block_size)
-    with b.at_end_of(launch.body):
-        b.set_insertion_point_before(launch.body.terminator)
-        tid = gpu.global_id(b)
-        stride = gpu.grid_dim(b)
-        first = arith.addi(b, k.args["start"], tid)
-        with _cell_loop(k, first, stride, "simt"):
+        with _cell_loop(k, k.args["start"], step):
             yield
 
 
@@ -200,14 +176,6 @@ def _soa_vector(k: _Kernel) -> Callable[[int], Value]:
         b, arith.muli(b, k.end, b.constant(slot, index)), k.i)
 
 
-def _soa_scalar(k: _Kernel) -> Callable[[int], Value]:
-    """SoA per thread (coalescing wants consecutive threads on
-    consecutive cells of one variable — the GPU analog of §3.4.1)."""
-    b = k.b
-    return lambda slot: arith.addi(
-        b, arith.muli(b, b.constant(slot, index), k.end), k.i)
-
-
 class _StateAccess(NamedTuple):
     address: Callable[[_Kernel], Callable[[int], Value]]
     load: Callable[..., Value]
@@ -216,7 +184,6 @@ class _StateAccess(NamedTuple):
 
 _STATE_ACCESS = {
     (False, LayoutKind.AOS): _StateAccess(_blocked, _mload, _mstore),
-    (False, LayoutKind.SOA): _StateAccess(_soa_scalar, _mload, _mstore),
     (True, LayoutKind.AOS): _StateAccess(_aos_gather, _gather,
                                          vector_dialect.scatter),
     (True, LayoutKind.SOA): _StateAccess(_soa_vector, _vload, _vstore),
@@ -290,7 +257,7 @@ class Target:
     name: str                    # module suffix and ``irgen`` span backend
     mode: BackendMode            # what the cost models price it as
     symbol: str                  # default kernel name is <symbol>_<model>
-    shell: Callable[..., ContextManager[None]]
+    shell: Callable[[_Kernel], ContextManager[None]]
     vector: bool                 # element access: memref scalar / vector
     externals: Callable[[_Kernel], ContextManager[None]]
     lut: LutShape
@@ -304,8 +271,6 @@ LIMPET_MLIR = Target("limpet_mlir", BackendMode.LIMPET_MLIR, "compute",
                      _omp_vector_for, True, _plain_externals, VECTOR_LUT)
 ICC_SIMD = Target("icc_simd", BackendMode.ICC_SIMD, "compute",
                   _omp_vector_for, True, _plain_externals, SERIALIZED_LUT)
-GPU = Target("gpu", BackendMode.LIMPET_MLIR, "compute_gpu",
-             _gpu_grid_stride, False, _plain_externals, SCALAR_LUT)
 PLUGIN = Target("plugin", BackendMode.LIMPET_MLIR, "compute_plugin",
                 _omp_vector_for, True, _parent_externals, VECTOR_LUT,
                 _parent_args)
@@ -314,9 +279,8 @@ PLUGIN = Target("plugin", BackendMode.LIMPET_MLIR, "compute_plugin",
 # -- the emitter ---------------------------------------------------------------------
 
 
-def emit_kernel(spec: KernelSpec, target: Target, **launch) -> Module:
-    """Emit ``spec``'s compute kernel for ``target``; ``launch`` goes to
-    the loop shell (the GPU launch geometry)."""
+def emit_kernel(spec: KernelSpec, target: Target) -> Module:
+    """Emit ``spec``'s compute kernel for ``target``."""
     model = spec.model
     with _trace.span("irgen", model=model.name, backend=target.name,
                      width=spec.width):
@@ -340,7 +304,7 @@ def emit_kernel(spec: KernelSpec, target: Target, **launch) -> Module:
         env, sv, width = k.env, k.args["sv"], spec.width
         state = _STATE_ACCESS[target.vector, spec.layout.kind]
 
-        with target.shell(k, **launch), target.externals(k):
+        with target.shell(k), target.externals(k):
             # Promoted parameters are per-cell linear arrays too (the
             # population layer broadcasts instance values over cells).
             for pname in model.promoted_params:

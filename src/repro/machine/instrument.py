@@ -39,7 +39,6 @@ class KernelProfile:
     width: int = 1
     layout: str = "aos"
     parallel: bool = False
-    simt: bool = False
     function: str = ""
     # instruction counts (per cell-loop iteration)
     simple_fp: float = 0.0
@@ -135,16 +134,8 @@ def _count_block(block, profile: KernelProfile, multiplier: float,
             _count_block(op.regions[0].entry, profile, multiplier,
                          in_cell_loop)
             continue
-        if op.name == "gpu.launch":
-            profile.simt = True
-            profile.parallel = True
-            _count_block(op.regions[0].entry, profile, multiplier,
-                         in_cell_loop)
-            continue
         if op.name == "scf.for":
             if op.attributes.get("cell_loop"):
-                profile.simt = profile.simt or \
-                    bool(op.attributes.get("simt"))
                 profile.width = int(op.attributes.get("vector_width", 1))
                 profile.layout = str(op.attributes.get("layout", "aos"))
                 profile.parallel = profile.parallel or \
@@ -227,6 +218,5 @@ def _count_op(op: Operation, profile: KernelProfile, m: float) -> None:
             profile.lut_columns_scalar += m * len(op.results)
         else:
             profile.other_calls += m
-    elif name in ("memref.cast", "memref.view", "memref.dim",
-                  "gpu.global_id", "gpu.grid_dim"):
+    elif name in ("memref.cast", "memref.view", "memref.dim"):
         profile.int_ops += m

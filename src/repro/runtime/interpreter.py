@@ -69,18 +69,12 @@ class Interpreter:
             if not values:
                 return None
             return values[0] if len(values) == 1 else tuple(values)
-        if name in ("omp.parallel", "gpu.launch"):
+        if name == "omp.parallel":
             # one simulated worker interprets the whole region
             body = op.regions[0].entry
             for inner in body.ops:
-                if inner.name not in ("omp.terminator", "gpu.terminator"):
+                if inner.name != "omp.terminator":
                     self._run_op(inner, env)
-            return None
-        if name == "gpu.global_id":
-            env[id(op.result)] = 0
-            return None
-        if name == "gpu.grid_dim":
-            env[id(op.result)] = 1
             return None
         if name == "scf.for":
             self._run_for(op, env, values)

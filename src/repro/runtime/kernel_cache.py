@@ -9,8 +9,8 @@ its marshalled code object and their metadata) under a content address combining
 
 * the compile request (:class:`~repro.codegen.common.CompileRequest`):
   sha256 of the model text, promoted parameters, emitter target, width,
-  layout, LUT options, function name, launch geometry and
-  ``GENERATOR_VERSION`` — everything the generated IR is a function of,
+  layout, LUT options, function name, a constant ``launch=()`` line
+  and ``GENERATOR_VERSION`` — everything the generated IR is a function of,
   known before any IR is built;
 * the pass pipeline fingerprint
   (:meth:`~repro.ir.passes.pass_manager.PassManager.fingerprint`);

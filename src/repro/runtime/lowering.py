@@ -303,23 +303,20 @@ _NUMPY_SPELLING = {name: info.numpy
 _CMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
            "oge": ">=", "ueq": "==", "une": "!=", "eq": "==", "ne": "!=",
            "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-#: ops spelled alike in every mode: the lane ids, a SIMT grid of one
-#: thread, typed views of the runtime's flat NumPy buffers
-_KERNEL_SPELLING = {"vector.step": "_lanes", "gpu.global_id": "0",
-                    "gpu.grid_dim": "1", "memref.cast": "{0}",
+#: ops spelled alike in both modes: the lane ids, typed views of the
+#: runtime's flat NumPy buffers
+_KERNEL_SPELLING = {"vector.step": "_lanes", "memref.cast": "{0}",
                     "memref.view": "{0}[{1}:]"}
 
 
 class _NumPyPrinter:
     """Spells a :class:`~repro.runtime.schedule.Schedule` as Python over
-    NumPy arrays (vector and simt mode) or floats (scalar mode)."""
+    NumPy arrays (vector mode) or floats (scalar mode)."""
 
     def __init__(self, schedule: Schedule):
         self.s = schedule
         #: the schedule's names, and the text of each inlined value
         self.names = dict(schedule.names)
-        # simt kernels flatten scalar per-thread code over NumPy arrays,
-        # so they share the vector op table
         self.table = {**(_SCALAR_SPELLING if schedule.mode == "scalar"
                          else _NUMPY_SPELLING), **_KERNEL_SPELLING}
 
@@ -596,8 +593,6 @@ def _kernel_mode(func_op: Operation) -> tuple[str, int]:
     """Infer (mode, width) from the cell loop's attributes."""
     for op in func_op.walk():
         if op.name == "scf.for" and op.attributes.get("cell_loop"):
-            if op.attributes.get("simt"):
-                return "simt", 1
             width = int(op.attributes.get("vector_width", 1))
             return ("scalar" if width == 1 else "vector"), width
     return "scalar", 1

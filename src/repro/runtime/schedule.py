@@ -43,7 +43,7 @@ class LoweringError(IRError):
 ACCESS_INDEX_OPERAND = {"vector.load": 1, "vector.store": 2,
                         "vector.gather": 1, "vector.scatter": 2}
 #: ops the walk handles one by one; any other op is a pure expression
-_WALKED = {"omp.parallel", "gpu.launch", "scf.for", "scf.if", "scf.yield",
+_WALKED = {"omp.parallel", "scf.for", "scf.if", "scf.yield",
            "omp.terminator", "arith.constant", "func.call", "func.return",
            "memref.load", "memref.store", "memref.cast", "memref.view",
            "memref.dim", *ACCESS_INDEX_OPERAND}
@@ -478,9 +478,8 @@ class Schedule:
                 self._pure(op)
             else:
                 self._emit(op)
-        elif name in ("omp.parallel", "gpu.launch"):
-            # worksharing is the supervised tier's job, and a grid-stride
-            # loop at global_id=0 / grid_dim=1 visits every cell once
+        elif name == "omp.parallel":
+            # worksharing is the supervised tier's job
             self._flush()
             for inner in op.regions[0].entry.ops:
                 if not inner.is_terminator:
@@ -575,7 +574,7 @@ class Schedule:
         for arg, init in zip(body.args[1:], op.operands[3:]):
             accs.append(self._fresh(arg, sanitize(arg.name_hint)))
             self._emit(op, accs[-1], kind="value", value=init, compute=False)
-        if op.attributes.get("cell_loop") and self.mode in ("vector", "simt"):
+        if op.attributes.get("cell_loop") and self.mode == "vector":
             if accs:
                 raise LoweringError("vector cell loop cannot carry iter_args")
             # Flatten: all blocks execute at once; the induction variable

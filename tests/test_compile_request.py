@@ -61,17 +61,6 @@ class TestKeySensitivity:
         assert key_of(codegen.generate_baseline(model)) != key_of(
             codegen.generate_baseline(model, function_name="other"))
 
-    def test_gpu_launch_geometry(self):
-        model = luo_rudy()
-        keys = {key_of(codegen.generate_gpu(model)),
-                key_of(codegen.generate_gpu(model, block_size=64)),
-                key_of(codegen.generate_gpu(model, grid_size=32))}
-        assert len(keys) == 3
-        assert key_of(codegen.generate_gpu(model)) == key_of(
-            codegen.generate_gpu(
-                model, grid_size=codegen.backends.DEFAULT_GRID_SIZE,
-                block_size=codegen.backends.DEFAULT_BLOCK_SIZE))
-
     def test_generator_version(self, monkeypatch):
         before = key_of(codegen.generate(luo_rudy()))
         monkeypatch.setattr(common, "GENERATOR_VERSION",
@@ -162,10 +151,10 @@ class TestLazyEmissionErrors:
     def test_emission_error_falls_to_the_next_tier(self, monkeypatch):
         emit = backends.emit_kernel
 
-        def failing(spec, target, **launch):
+        def failing(spec, target):
             if target is backends.LIMPET_MLIR:
                 raise SemanticError("codegen: injected emission failure")
-            return emit(spec, target, **launch)
+            return emit(spec, target)
 
         monkeypatch.setattr(backends, "emit_kernel", failing)
         model = luo_rudy()

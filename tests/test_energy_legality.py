@@ -1,82 +1,8 @@
-"""Tests for the §7 energy model and the §5 legality analysis."""
+"""Tests for the §5 legality analysis."""
 
-import pytest
-
-from repro.codegen import (BackendMode, check_simd_legality,
-                           generate_baseline, generate_limpet_mlir)
+from repro.codegen import check_simd_legality, generate_limpet_mlir
 from repro.frontend import load_model
-from repro.ir.passes import default_pipeline
-from repro.machine import (AVX512, SSE, CostModel, EnergyModel,
-                           compare_energy, profile_kernel)
 from repro.models import load_model as load_registry_model
-
-
-def profiled(model, vectorized=True, width=8):
-    kernel = generate_limpet_mlir(model, width) if vectorized \
-        else generate_baseline(model)
-    default_pipeline(verify_each=False).run(kernel.module, fixed_point=True)
-    return profile_kernel(kernel.module, kernel.spec.function_name)
-
-
-@pytest.fixture(scope="module")
-def luo_profiles():
-    model = load_registry_model("LuoRudy91")
-    return profiled(model, vectorized=False), profiled(model)
-
-
-class TestEnergyModel:
-    def test_vectorization_saves_energy(self, luo_profiles):
-        """The §7 question: SIMD wins on energy, not just time."""
-        base, vec = compare_energy(*luo_profiles, AVX512, 1, 8192, 1000)
-        assert vec.joules < base.joules
-        assert vec.seconds < base.seconds
-
-    def test_energy_delay_product_improves_at_low_threads(self,
-                                                          luo_profiles):
-        for threads in (1, 8):
-            base, vec = compare_energy(*luo_profiles, AVX512, threads,
-                                       8192, 1000)
-            assert vec.energy_delay_product < base.energy_delay_product
-
-    def test_edp_improves_at_32t_for_large_models(self):
-        """At 32 threads only large models keep a clear win (the same
-        small/medium compression Fig. 3 shows carries over to energy)."""
-        model = load_registry_model("TenTusscherPanfilov")
-        base, vec = compare_energy(profiled(model, vectorized=False),
-                                   profiled(model), AVX512, 32, 8192,
-                                   1000)
-        assert vec.energy_delay_product < base.energy_delay_product
-
-    def test_components_sum(self, luo_profiles):
-        model = EnergyModel()
-        point = model.run_energy(luo_profiles[1], AVX512, 32, 8192, 1000)
-        assert point.joules == pytest.approx(
-            point.dynamic_joules + point.static_joules)
-
-    def test_average_power_within_package_envelope(self, luo_profiles):
-        model = EnergyModel()
-        point = model.run_energy(luo_profiles[0], AVX512, 32, 8192, 100,
-                                 BackendMode.BASELINE)
-        # a 2-socket Cascade Lake node draws ~100-400 W
-        assert 10.0 < point.average_watts < 500.0
-
-    def test_more_threads_trade_static_for_time(self, luo_profiles):
-        model = EnergyModel()
-        p1 = model.run_energy(luo_profiles[1], AVX512, 1, 8192, 1000)
-        p32 = model.run_energy(luo_profiles[1], AVX512, 32, 8192, 1000)
-        assert p32.seconds < p1.seconds
-        # dynamic energy is work-proportional: roughly thread-invariant
-        assert p32.dynamic_joules == pytest.approx(p1.dynamic_joules,
-                                                   rel=1e-6)
-
-    def test_wider_isa_lowers_energy(self):
-        model = load_registry_model("LuoRudy91")
-        energy = {}
-        for width, isa in ((2, SSE), (8, AVX512)):
-            profile = profiled(model, width=width)
-            energy[width] = EnergyModel().run_energy(
-                profile, isa, 1, 8192, 1000).joules
-        assert energy[8] < energy[2]
 
 
 class TestLegality:

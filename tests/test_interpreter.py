@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.codegen import (generate_baseline, generate_gpu,
-                           generate_limpet_mlir)
+from repro.codegen import generate_baseline, generate_limpet_mlir
 from repro.ir import IRBuilder, build_module
 from repro.ir.dialects import arith, func, memref, scf
 from repro.ir.types import f64, index, memref_of
@@ -82,14 +81,12 @@ class TestDifferentialExecution:
             interpret_kernel(generated, state_slow, luts, dt)
         return state_fast, state_slow
 
-    @pytest.mark.parametrize("backend", ["baseline", "vector", "gpu"])
+    @pytest.mark.parametrize("backend", ["baseline", "vector"])
     def test_interpreter_matches_lowering(self, gate_model, backend):
         if backend == "baseline":
             generated = generate_baseline(gate_model)
-        elif backend == "vector":
-            generated = generate_limpet_mlir(gate_model, 4)
         else:
-            generated = generate_gpu(gate_model)
+            generated = generate_limpet_mlir(gate_model, 4)
         fast, slow = self._run_both(generated)
         assert compare_trajectories(fast, slow, rtol=0, atol=0)
 

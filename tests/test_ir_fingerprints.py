@@ -2,7 +2,7 @@
 slice of the matrix.
 
 ``tools/ir_fingerprints.py --check`` (CI) covers all 47 models x every
-variant and 261 lowerings; here every variant of five representative
+variant and 256 lowerings; here every variant of five representative
 models plus the two default kernels of the other 42, and the lowered
 source of those five's two default kernels.
 """
@@ -88,18 +88,44 @@ def test_write_refuses_moved_cells_under_the_recorded_version(
     assert tool.main(["--check"]) == 0
 
 
+def test_check_fails_on_a_recorded_key_the_matrix_dropped(
+        tool, tmp_path, monkeypatch, capsys):
+    """A retired variant's pin checks nothing: --check says so and asks
+    for a --write, which drops it without a version bump."""
+    version, cells = tool.read_record()
+    lowering_version, sources = tool.read_record(tool.SOURCE)
+    key = "FitzHughNagumo/baseline/lut=linear"
+    retired = "FitzHughNagumo/retired"
+    record = tmp_path / "record.json"
+    record.write_text(json.dumps({
+        "generator_version": version,
+        "cells": {key: cells[key], retired: "0" * 64},
+        "lowering_version": lowering_version,
+        "sources": {key: sources[key]}, "provenances": {}}))
+    monkeypatch.setattr(tool, "RECORD", record)
+    monkeypatch.setattr(tool, "entries", lambda subset=False: [
+        (key, lambda: generate_baseline(load_model("FitzHughNagumo")))])
+    assert tool.main(["--check"]) == 1
+    out = capsys.readouterr().out
+    assert f"ORPHANED cell {retired}" in out and "--write" in out
+    assert "bump" not in out
+    assert tool.main(["--write"]) == 0
+    assert json.loads(record.read_text())["cells"] == {key: cells[key]}
+    assert tool.main(["--check"]) == 0
+
+
 def test_record_covers_the_full_matrix(tool):
     _, recorded = tool.read_record()
     assert set(recorded) == {key for key, _ in tool.entries()}
     refusals = {k for k, v in recorded.items() if v.startswith("refused:")}
-    assert len(recorded) == 47 * 33 + 2 and len(refusals) == 4 * 30
+    assert len(recorded) == 47 * 32 + 2 and len(refusals) == 4 * 29
     assert all(v == "refused:UnsupportedModelError"
                for k, v in recorded.items() if k in refusals)
     _, sources = tool.read_record(tool.SOURCE)
     assert set(sources) == {key for key, _ in tool.source_entries()}
     # both default kernels of all 47 (+ the promoted model), the other
-    # 31 variants and two lowering options of the five
-    assert len(sources) == 2 * 48 + 5 * 31 + 5 * 2
+    # 30 variants and two lowering options of the five
+    assert len(sources) == 2 * 48 + 5 * 30 + 5 * 2
     _, provenances = tool.read_record(tool.PROVENANCE)
     assert set(provenances) == {key for key, _ in tool.provenance_entries()}
     assert len(provenances) == 5

@@ -489,7 +489,6 @@ class TestEndToEndTrace:
         ("baseline", 1, codegen.generate_baseline),
         ("limpet_mlir", 4, lambda m: codegen.generate_limpet_mlir(m, 4)),
         ("icc_simd", 8, codegen.generate_icc_simd),
-        ("gpu", 1, codegen.generate_gpu),
         ("plugin", 8, codegen.generate_plugin)])
     def test_one_irgen_span_per_generated_kernel(self, no_tracer, backend,
                                                  width, build):

@@ -2,10 +2,10 @@
 
 Generates syntactically valid EasyML models with random expression
 structure, random gate/method assignments and random LUT usage, then
-asserts the repository's core guarantee on each: the scalar baseline,
-the vectorized limpetMLIR kernel and the GPU SIMT kernel all compute
-identical trajectories (NaNs included — instability must be *the same*
-instability everywhere).
+asserts the repository's core guarantee on each: the scalar baseline
+and the vectorized limpetMLIR kernel compute identical trajectories
+(NaNs included — instability must be *the same* instability
+everywhere).
 """
 
 import numpy as np
@@ -13,8 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.codegen import (generate_baseline, generate_gpu,
-                           generate_limpet_mlir)
+from repro.codegen import generate_baseline, generate_limpet_mlir
 from repro.frontend import load_model
 from repro.runtime import KernelRunner, compare_trajectories
 
@@ -110,12 +109,11 @@ def _assert_equivalent(reference, other, source,
 class TestRandomModelEquivalence:
     @given(random_model_source(), st.integers(0, 10_000))
     @settings(max_examples=15, deadline=None)
-    def test_three_backends_agree(self, source, seed):
+    def test_baseline_and_vector_agree(self, source, seed):
         model = load_model(source, "Random")
         runners = [
             KernelRunner(generate_baseline(model)),
             KernelRunner(generate_limpet_mlir(model, 4)),
-            KernelRunner(generate_gpu(model)),
         ]
         states = []
         for runner in runners:
@@ -124,7 +122,6 @@ class TestRandomModelEquivalence:
             runner.run(state, 40, 0.01)
             states.append(state)
         _assert_equivalent(states[0], states[1], source)
-        _assert_equivalent(states[0], states[2], source)
 
     @given(random_model_source())
     @settings(max_examples=15, deadline=None)

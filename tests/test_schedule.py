@@ -12,8 +12,7 @@ import re
 import numpy as np
 import pytest
 
-from repro.codegen import (generate_baseline, generate_gpu,
-                           generate_limpet_mlir)
+from repro.codegen import generate_baseline, generate_limpet_mlir
 from repro.ir import IRBuilder, build_module
 from repro.ir.dialects import arith, func, memref, scf, vector
 from repro.ir.dialects import math as math_dialect
@@ -24,8 +23,7 @@ from repro.runtime import lower_function
 from repro.runtime.schedule import Schedule
 
 GENERATORS = {"scalar": generate_baseline,
-              "vector": lambda m: generate_limpet_mlir(m, 8),
-              "simt": generate_gpu}
+              "vector": lambda m: generate_limpet_mlir(m, 8)}
 #: the five tier-1 models; Campbell calls a foreign function, so only
 #: its scalar kernel exists
 CASES = [(model, mode) for model in ("FitzHughNagumo", "LuoRudy91",

@@ -7,7 +7,7 @@ IR.  That is sound only while one request always generates one module, so
 this tool records one sha256 per ``model/variant`` over the spec
 coordinates plus the *pre-pipeline* printed module, for 47 models x
 {baseline x lut linear/spline/off; limpet_mlir x w 2/4/8 x aosoa/aos/soa x
-lut linear/spline/off; icc_simd w8; gpu; plugin w8} plus the
+lut linear/spline/off; icc_simd w8; plugin w8} plus the
 promoted-parameter variants (Courtemanche ``GKr``), and a refusal
 (``UnsupportedModelError`` for the foreign models) as the exception's type
 name — together with the ``GENERATOR_VERSION`` they were recorded under.
@@ -19,7 +19,10 @@ The rule both modes enforce: **a cell that moved needs a new
 GENERATOR_VERSION** (``src/repro/codegen/common.py``), or every cache
 entry stored under the old one is served for IR it was not built from.
 ``--check`` says so, ``--write`` refuses to re-record moved cells under
-the recorded version.
+the recorded version.  A recorded key the matrix no longer yields (a
+retired variant) pins nothing, so ``--check`` fails on it too and asks
+for a ``--write``, which drops it; no version moves, since no request
+generates that key any more.
 
 The same key embeds ``LOWERING_VERSION``, so the lowered NumPy source is
 pinned the same way: one sha256 of ``lower_function(...).source`` after
@@ -34,8 +37,8 @@ The third pin, versioned by the same constant, is the profiled kernel's
 kernel.
 
 Tier-1 (``tests/test_ir_fingerprints.py``) checks :func:`entries` with
-``subset=True``, the ``TIER1_FULL`` models' default and ``gpu`` kernels
-and non-default lowerings of :func:`source_entries`, every provenance
+``subset=True``, the ``TIER1_FULL`` models' default kernels and the
+non-default lowerings of :func:`source_entries`, every provenance
 digest and that the record's versions are the code's; CI runs the full
 ``--check`` and a drill of each rule.
 """
@@ -47,11 +50,11 @@ import hashlib
 import json
 import pathlib
 import sys
-from typing import Callable, Dict, Iterator, NamedTuple, Tuple
+from typing import Callable, Dict, Iterator, List, NamedTuple, Tuple
 
 from repro.codegen import (UnsupportedModelError, generate_baseline,
-                           generate_gpu, generate_icc_simd,
-                           generate_limpet_mlir, generate_plugin)
+                           generate_icc_simd, generate_limpet_mlir,
+                           generate_plugin)
 from repro.codegen.common import GENERATOR_VERSION
 from repro.ir.passes import default_pipeline
 from repro.ir.printer import print_module
@@ -88,7 +91,6 @@ def variants() -> Dict[str, Build]:
                     lambda m, w=width, l=layout, k=kwargs: \
                     generate_limpet_mlir(m, width=w, layout=l, **k)
     table["icc_simd/w8"] = lambda m: generate_icc_simd(m, 8)
-    table["gpu"] = generate_gpu
     table["plugin/w8"] = lambda m: generate_plugin(m, 8)
     return table
 
@@ -172,12 +174,12 @@ def source_entries(subset: bool = False
                    ) -> Iterator[Tuple[str, Callable[[], str]]]:
     """``(key, thunk)`` per pinned lowering; the thunk returns the digest.
 
-    The subset is the ``TIER1_FULL`` models' default and ``gpu`` kernels
-    and the non-default lowerings of their default vector kernel."""
+    The subset is the ``TIER1_FULL`` models' default kernels and the
+    non-default lowerings of their default vector kernel."""
     for key, thunk in entries(subset=True):
         model, variant = key.split("/", 1)
         if subset and (model not in TIER1_FULL
-                       or variant not in TIER1_VARIANTS + ("gpu",)):
+                       or variant not in TIER1_VARIANTS):
             continue
         yield key, lambda t=thunk: source_fingerprint(t)
         if _profiled_kernel(key):
@@ -247,6 +249,12 @@ def mismatches(subset: bool = False,
     return moved
 
 
+def orphans(pin: Pin = IR) -> List[str]:
+    """Recorded keys the full matrix no longer yields: pins nothing checks."""
+    _, recorded = read_record(pin)
+    return sorted(set(recorded) - {key for key, _ in pin.entries(False)})
+
+
 def verdict(moved: int, recorded_version: int, pin: Pin = IR) -> str:
     """What the rule says about ``moved`` digests; empty when all is well."""
     version = pin.version()
@@ -302,6 +310,13 @@ def main(argv=None) -> int:
         problem = verdict(len(moved), read_record(pin)[0], pin)
         if problem:
             print(problem)
+            status = 1
+        orphaned = orphans(pin)
+        for key in orphaned:
+            print(f"ORPHANED {pin.noun} {key}")
+        if orphaned:
+            print(f"{len(orphaned)} recorded {pin.noun}(s) no longer in the "
+                  f"matrix pin nothing: re-record with --write")
             status = 1
     return status
 
