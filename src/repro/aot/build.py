@@ -132,6 +132,14 @@ def _write_json(root: pathlib.Path, name: str, data: Dict) -> None:
                      json.dumps(data, indent=2, sort_keys=True) + "\n")
 
 
+def default_kernel(model, width: int = 8, use_lut: bool = True):
+    """The kernel ``build-all`` builds: limpetMLIR, or the baseline if
+    ``model`` calls foreign functions (a baseline-tier entry, no error)."""
+    return generate(model, backend_for("limpet_mlir", width,
+                                       bool(model.foreign_functions)),
+                    width=width, use_lut=use_lut)
+
+
 def build_bundle(dest: Union[str, pathlib.Path],
                  models: Optional[Sequence[str]] = None,
                  width: int = 8, use_lut: bool = True,
@@ -178,12 +186,7 @@ def build_bundle(dest: Union[str, pathlib.Path],
             changed = True
         start = time.perf_counter()
         try:
-            # the 4 foreign-function models: first-class baseline-tier
-            # entries, not build errors
-            generated = generate(
-                model, backend_for("limpet_mlir", width,
-                                   bool(model.foreign_functions)),
-                width=width, use_lut=use_lut)
+            generated = default_kernel(model, width, use_lut)
             key = kernel_cache_key(generated, fingerprint, True, False,
                                    True)
         except Exception as err:  # noqa: BLE001 - per-model boundary

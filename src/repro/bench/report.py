@@ -10,7 +10,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
-from ..codegen import BackendMode
 from ..machine import AVX512, ISAS, VectorISA, machine_ceilings, roofline_point
 from ..models import ALL_MODELS, SIZE_CLASS
 from .harness import ModeledBench, kernel_profile

@@ -70,9 +70,8 @@ class KernelSpec:
 
 
 #: the generators' own version, part of every kernel-cache key.  Bump it
-#: whenever the printed pre-pipeline IR of any kernel moves:
-#: ``tools/ir_fingerprints.py --check`` fails until the bump is made and
-#: ``--write`` refuses to re-record moved cells under an unchanged version.
+#: whenever the printed pre-pipeline IR of any kernel moves: ``python -m
+#: tests.pins --check`` says so and ``--write`` refuses until it moved.
 GENERATOR_VERSION = 1
 
 

@@ -21,7 +21,7 @@ once; a :class:`Target` row holds what differs:
 The printed *pre-pipeline* module is a contract: the stores key a kernel
 by its :class:`~repro.codegen.common.CompileRequest`, not by this text,
 which is only sound while the same request always prints the same bytes.
-``tools/ir_fingerprints.py --check`` holds them; a change that moves any
+``python -m tests.pins --check`` holds them; a change that moves any
 bumps :data:`~repro.codegen.common.GENERATOR_VERSION`.
 """
 

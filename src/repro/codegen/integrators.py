@@ -17,7 +17,6 @@ from __future__ import annotations
 from typing import Dict, Optional
 
 from ..easyml.ast_nodes import Expr
-from ..easyml.errors import SemanticError
 from ..frontend.model import GateInfo, IonicModel
 from ..frontend.symbols import Method
 from ..ir.builder import IRBuilder

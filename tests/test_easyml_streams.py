@@ -5,7 +5,8 @@ lexer and the eight-level descent parser the one-regex tokenizer and the
 precedence loop replaced: per model, sha256 of the ``(kind, text, line,
 column)`` stream and of ``repr(ast.statements)``, plus the class and
 message of every malformed input below.  Re-record (only for a deliberate
-language change) with ``python -m tests.test_easyml_streams``.
+language change) with
+``PYTHONPATH=src python -m tests.pins --write --only easyml_streams``.
 
 The zoo does not spell every construct the grammar has, so the record
 also holds a seeded corpus of generated statements (:func:`corpus`,
@@ -21,8 +22,6 @@ the stack.
 """
 
 import hashlib
-import json
-import pathlib
 import random
 
 import pytest
@@ -30,7 +29,7 @@ import pytest
 from repro.easyml import EasyMLError, parse_model, tokenize
 from repro.models import all_model_files, model_entry
 
-RECORD = pathlib.Path(__file__).parent / "data" / "easyml_streams.json"
+from . import pins
 
 MALFORMED = {
     "unterminated_comment": "a = 1;\n/* never closed\nb = 2;",
@@ -219,7 +218,7 @@ def record() -> dict:
 
 @pytest.fixture(scope="module")
 def recorded():
-    return json.loads(RECORD.read_text())
+    return pins.read("easyml_streams")
 
 
 def test_record_covers_the_zoo_and_every_malformed_input(recorded):
@@ -256,8 +255,3 @@ def test_corpus_token_streams_and_asts_match_the_record(recorded):
 @pytest.mark.parametrize("case", sorted(MALFORMED))
 def test_malformed_input_message_matches_the_record(recorded, case):
     assert malformed_message(MALFORMED[case]) == recorded["malformed"][case]
-
-
-if __name__ == "__main__":
-    RECORD.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {RECORD}")

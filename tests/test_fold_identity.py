@@ -25,13 +25,11 @@ NumPy walkers:
   evaluator's output.
 
 Re-record (only for a deliberate language change) with
-``python -m tests.test_fold_identity``.
+``PYTHONPATH=src python -m tests.pins --write --only fold_corpus``.
 """
 
 import functools
 import hashlib
-import json
-import pathlib
 import random
 
 import pytest
@@ -42,7 +40,7 @@ from repro.frontend.preprocessor import Preprocessor
 from repro.models import all_model_files, model_entry
 from repro.runtime.lut_runtime import build_all_luts
 
-RECORD = pathlib.Path(__file__).parent / "data" / "fold_corpus.json"
+from . import pins
 
 CONSTANTS = {"a": 2.0, "b": 0.0, "c": -1.0, "big": 1e308}
 FOREIGN = {"ext"}
@@ -195,7 +193,7 @@ def record() -> dict:
 
 @pytest.fixture(scope="module")
 def recorded():
-    return json.loads(RECORD.read_text())
+    return pins.read("fold_corpus")
 
 
 def test_record_exercises_errors_and_silence(recorded):
@@ -238,8 +236,3 @@ def test_initializer_outcome_matches_the_record(recorded, case):
 
 def test_zoo_lut_tables_match_the_record(recorded):
     assert lut_digests() == recorded["luts"]
-
-
-if __name__ == "__main__":
-    RECORD.write_text(json.dumps(record(), indent=1, sort_keys=True) + "\n")
-    print(f"wrote {RECORD}")

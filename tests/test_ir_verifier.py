@@ -5,18 +5,16 @@ seeded structural mutations of five representative zoo modules (see
 ``mutate``).  It was written with the verifier that copied its visible
 set for every nested block, so a scoped set that leaks or drops a value
 shows up as a changed or missing message.  Re-record (only for a
-deliberate change of a message) with ``python -m tests.test_ir_verifier``.
+deliberate change of a message) with
+``PYTHONPATH=src python -m tests.pins --write --only verifier_corpus``.
 """
 
 import functools
-import json
-import pathlib
 import random
 
 import pytest
 
-from repro.codegen import (UnsupportedModelError, generate_baseline,
-                           generate_limpet_mlir)
+from repro.aot.build import default_kernel
 from repro.ir import (IRBuilder, build_module, parse_module, print_module,
                       verify_module)
 from repro.ir.core import Block, Operation, OpResult, Region
@@ -24,6 +22,9 @@ from repro.ir.dialects import arith, func, scf
 from repro.ir.types import FunctionType, f64, i1, i64, index, vector_of
 from repro.ir.verifier import VerificationError, verify_op_isolated
 from repro.models import load_model
+
+from . import pins
+from .pins import TIER1_MODELS
 
 
 def empty_func(module, name="f", inputs=(), results=()):
@@ -180,22 +181,13 @@ class TestPerOpVerifiers:
 
 # -- the recorded corpus ----------------------------------------------------------
 
-CORPUS = pathlib.Path(__file__).parent / "data" / "verifier_corpus.json"
-#: small, mid, large, the largest, and one foreign model (baseline tier)
-CORPUS_MODELS = ("FitzHughNagumo", "LuoRudy91", "Courtemanche", "OHara",
-                 "Campbell")
 SEEDS = range(4)
 
 
 @functools.lru_cache(maxsize=None)
 def module_text(name: str) -> str:
     """The pre-pipeline IR of a zoo model, as the sandbox checkpoints it."""
-    model = load_model(name)
-    try:
-        generated = generate_limpet_mlir(model, 8)
-    except UnsupportedModelError:
-        generated = generate_baseline(model)
-    return print_module(generated.module)
+    return print_module(default_kernel(load_model(name)).module)
 
 
 def _body_blocks(module):
@@ -376,7 +368,7 @@ def mutate(model: str, kind: str, seed: int):
 
 
 def record() -> list:
-    cases = [mutate(model, kind, seed) for model in CORPUS_MODELS
+    cases = [mutate(model, kind, seed) for model in TIER1_MODELS
              for kind in MUTATIONS
              for seed in (SEEDS if kind != "intact" else (0,))]
     return [case for case in cases if case is not None]
@@ -384,11 +376,11 @@ def record() -> list:
 
 @pytest.fixture(scope="module")
 def corpus():
-    return json.loads(CORPUS.read_text())
+    return pins.read("verifier_corpus")
 
 
 def test_corpus_covers_every_mutation(corpus):
-    assert {case[0] for case in corpus} == set(CORPUS_MODELS)
+    assert {case[0] for case in corpus} == set(TIER1_MODELS)
     by_kind = {kind: [case[4] for case in corpus if case[1] == kind]
                for kind in MUTATIONS}
     assert all(by_kind.values())
@@ -402,12 +394,7 @@ def test_corpus_covers_every_mutation(corpus):
     assert "unregistered operation: limpet.bogus" in by_kind["unregistered"]
 
 
-@pytest.mark.parametrize("model", CORPUS_MODELS)
+@pytest.mark.parametrize("model", TIER1_MODELS)
 def test_corpus_replays_with_identical_messages(corpus, model):
     cases = [case for case in corpus if case[0] == model]
     assert [mutate(*case[:3]) for case in cases] == cases
-
-
-if __name__ == "__main__":
-    CORPUS.write_text(json.dumps(record(), indent=1) + "\n")
-    print(f"wrote {CORPUS}")

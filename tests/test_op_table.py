@@ -6,9 +6,7 @@ so a new op, builtin or operator is covered by registering it.
 
 import dataclasses
 import itertools
-import json
 import math
-import pathlib
 
 import numpy as np
 import pytest
@@ -30,6 +28,8 @@ from repro.runtime import KernelRunner
 from repro.runtime.expr_eval import eval_expr
 from repro.runtime.interpreter import Interpreter
 from repro.runtime.lowering import _HELPER_GLOBALS
+
+from . import pins
 
 COST_CLASSES = {"simple", "div", "exp", "pow", "int", "none"}
 #: lowered by ``_lower_special``: a cost class and no spelling
@@ -251,12 +251,12 @@ def test_every_builtin_names_a_math_op_or_an_expansion():
 # the cost column moved no count
 # ---------------------------------------------------------------------------
 
-PROFILES = pathlib.Path(__file__).parent / "data" / "kernel_profiles.json"
-
-
 def default_profiles():
     """``KernelProfile`` of every model's default kernel (the baseline
-    one for the four foreign models), as JSON."""
+    one for the four foreign models), as JSON: the record of
+    ``tests/data/kernel_profiles.json``, re-recorded (only for a
+    deliberate change of a count) with
+    ``PYTHONPATH=src python -m tests.pins --write --only kernel_profiles``."""
     record = {}
     for name in all_model_files():
         variant = "baseline" if load_model(name).foreign_functions \
@@ -267,6 +267,6 @@ def default_profiles():
 
 
 def test_kernel_profiles_equal_the_record_taken_before_the_cost_column():
-    recorded = json.loads(PROFILES.read_text())
+    recorded = pins.read("kernel_profiles")
     assert len(recorded) == 47
     assert default_profiles() == recorded

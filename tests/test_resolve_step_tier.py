@@ -10,8 +10,8 @@ import numpy as np
 import pytest
 
 from repro.aot import ArtifactStore, build_bundle, runner_from_store
-from repro.codegen import (UnsupportedModelError, generate_baseline,
-                           generate_limpet_mlir)
+from repro.aot.build import default_kernel
+from repro.codegen import generate_limpet_mlir
 from repro.models import all_model_files, load_model
 from repro.population import PopulationRunner, PopulationSpec
 from repro.resilience import WatchdogConfig
@@ -24,15 +24,6 @@ needs_fork = pytest.mark.skipif(
     reason="supervised tier needs the fork start method")
 
 
-def default_kernel(name: str):
-    """The zoo's default kernel for ``name``, as ``build-all`` picks it."""
-    model = load_model(name)
-    try:
-        return generate_limpet_mlir(model, 8)
-    except UnsupportedModelError:
-        return generate_baseline(model)
-
-
 # ---------------------------------------------------------------------------
 # Resolve: one walk, byte-identical source from every store
 # ---------------------------------------------------------------------------
@@ -43,12 +34,13 @@ class TestResolve:
         cache = KernelCache(tmp_path / "cache")
         build_bundle(tmp_path / "bundle", models=[name])
         store = ArtifactStore(tmp_path / "bundle")
+        model = load_model(name)
 
-        jit, how = resolve_kernel(default_kernel(name), cache=cache)
+        jit, how = resolve_kernel(default_kernel(model), cache=cache)
         assert how.source == "jit" and how.cache_outcome == "miss"
-        cached, hit = resolve_kernel(default_kernel(name), cache=cache)
+        cached, hit = resolve_kernel(default_kernel(model), cache=cache)
         assert hit.source == "cache" and hit.cache_outcome == "hit"
-        by_key, art = resolve_kernel(default_kernel(name), artifacts=store)
+        by_key, art = resolve_kernel(default_kernel(model), artifacts=store)
         assert art.source == "artifact"
         assert how.key == hit.key == art.key
         backend = "baseline" if jit.width == 1 else "limpet_mlir"
@@ -63,15 +55,16 @@ class TestResolve:
             assert kernel.source == jit.source
 
     def test_no_store_derives_no_key(self):
-        _, how = resolve_kernel(default_kernel("Plonsey"))
+        _, how = resolve_kernel(default_kernel(load_model("Plonsey")))
         assert how.source == "jit" and how.key is None
         assert how.cache_outcome == "off"
         assert how.seconds > 0.0
 
     def test_runner_attributes_are_views_of_the_record(self, tmp_path):
         cache = KernelCache(tmp_path)
-        KernelRunner(default_kernel("Plonsey"), cache=cache)
-        runner = KernelRunner(default_kernel("Plonsey"), cache=cache)
+        model = load_model("Plonsey")
+        KernelRunner(default_kernel(model), cache=cache)
+        runner = KernelRunner(default_kernel(model), cache=cache)
         how = runner.resolution
         assert (runner.cache_hit, runner.artifact_hit) == (True, False)
         assert runner.cache_key == how.key
@@ -188,7 +181,7 @@ def _population(workers, tmp_path):
 class TestTier:
     def test_make_runner_is_the_rule(self):
         for workers, tier in EXPECTED_TIER.items():
-            with make_runner(default_kernel("Plonsey"),
+            with make_runner(default_kernel(load_model("Plonsey")),
                              workers=workers) as runner:
                 assert runner.active_tier == tier
 

@@ -12,8 +12,7 @@ import json
 
 import pytest
 
-from repro.codegen import (UnsupportedModelError, generate_baseline,
-                           generate_limpet_mlir)
+from repro.aot.build import default_kernel
 from repro.ir import parse_module, print_module, verify_module
 from repro.ir.passes import PassManager, default_pipeline
 from repro.ir.passes.pass_manager import Pass, PassInstrumentation
@@ -27,18 +26,13 @@ from repro.resilience import (FaultInjector, FaultPlan, InjectedFault,
 from repro.resilience import sandbox as sandbox_module
 from repro.resilience.sandbox import ReplayError, SandboxedPassManager
 
-#: small, mid, large, the largest, and one foreign model (baseline tier)
-MODELS = ("FitzHughNagumo", "LuoRudy91", "Courtemanche", "OHara", "Campbell")
+from .pins import TIER1_MODELS
 
 
 def _reference(name):
     """(pre-pipeline text, [(pass, its 1-based invocation, pre-pass text)],
     post-pipeline text) of one model's uninterrupted default pipeline."""
-    model = load_model(name)
-    try:
-        generated = generate_limpet_mlir(model, 8)
-    except UnsupportedModelError:
-        generated = generate_baseline(model)
+    generated = default_kernel(load_model(name))
     text = print_module(generated.module)
     snapshots = IRSnapshotInstrumentation(keep_history=True)
     pipeline = default_pipeline().add_instrumentation(snapshots)
@@ -51,7 +45,7 @@ def _reference(name):
     return text, history, print_module(generated.module)
 
 
-@pytest.fixture(scope="module", params=MODELS)
+@pytest.fixture(scope="module", params=TIER1_MODELS)
 def reference(request):
     return _reference(request.param)
 

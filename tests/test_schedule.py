@@ -22,13 +22,14 @@ from repro.models import load_model
 from repro.runtime import lower_function
 from repro.runtime.schedule import Schedule
 
+from .pins import TIER1_MODELS
+
 GENERATORS = {"scalar": generate_baseline,
               "vector": lambda m: generate_limpet_mlir(m, 8)}
 #: the five tier-1 models; Campbell calls a foreign function, so only
 #: its scalar kernel exists
-CASES = [(model, mode) for model in ("FitzHughNagumo", "LuoRudy91",
-                                     "Courtemanche", "OHara")
-         for mode in GENERATORS] + [("Campbell", "scalar")]
+CASES = [(model, mode) for model in TIER1_MODELS for mode in GENERATORS
+         if (model, mode) != ("Campbell", "vector")]
 
 #: the two lines profiling adds around a statement (group 2: its slot)
 _BRACKET = re.compile(
