@@ -158,7 +158,7 @@ def check(pin: Pin) -> bool:
     """Print what moved in ``pin``; True when the record holds."""
     was, now = recorded(pin), pin.record()
     found = [d for d in differences(was, now)
-             if d.path[:1] not in [(key,) for key in pin.context]]
+             if not (d.path and d.path[0] in pin.context)]
     for d in found:
         print(f"{d.kind.upper()} {pin.name} {'/'.join(d.path)}"
               + (f": {d.was} -> {d.now}" if d.kind == "moved" else ""))
