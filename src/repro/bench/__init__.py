@@ -9,8 +9,6 @@ from .harness import (PAPER_CELLS, PAPER_DT, PAPER_STEPS, VARIANTS,
                       BenchConfig, MeasuredRun, ModeledBench, ModeledRun,
                       SweepRecord, format_sweep_table, generate_variant,
                       kernel_profile, resilient_sweep, run_measured)
-from .coldstart import (REPRESENTATIVE, check_coldstart_report,
-                        coldstart_report, format_coldstart_table)
 from .perf import (CANONICAL_CELLS, CANONICAL_DT, CANONICAL_MODEL,
                    CANONICAL_STEPS, CANONICAL_WIDTH, PerfVariant,
                    check_report, check_sweep_report, perf_report,
@@ -30,8 +28,6 @@ __all__ = ["PAPER_CELLS", "PAPER_DT", "PAPER_STEPS", "VARIANTS",
            "CANONICAL_STEPS", "CANONICAL_WIDTH", "PerfVariant",
            "check_report", "check_sweep_report",
            "perf_report", "sweep_report", "format_sweep_report",
-           "REPRESENTATIVE", "check_coldstart_report",
-           "coldstart_report", "format_coldstart_table",
            "THREAD_SWEEP", "figure_isa_sweep", "figure_roofline",
            "figure_scaling", "figure_speedups", "format_isa_sweep",
            "format_perf_table", "format_scaling_table",

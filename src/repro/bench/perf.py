@@ -17,7 +17,11 @@ Each variant reports construction time (pipeline + verify + lowering,
 or a cache hit) and run time (the paper's 5-run drop-extrema protocol)
 separately, because the cache helps the former and fusion the
 latter.  Speedups compare **total** time — a sweep over many models
-pays both — plus a run-only column for the compute-stage story.
+pays both — plus a run-only column for the compute-stage story.  One
+more ratio, ``fused_artifact.first_step``, is the cold-start bar: the
+``fused`` variant's time to first step over ``fused_artifact``'s, the
+same kernel built by the pipeline or served by the bundle, timed in
+this one process.
 
 ``perf_report`` additionally differential-checks every variant's
 trajectory against the baseline before timing anything: a performance
@@ -206,6 +210,10 @@ def perf_report(model_name: str = CANONICAL_MODEL,
                                      / max(v.total_seconds, 1e-12))
         ratios[f"{v.name}.run"] = (baseline.run_seconds
                                    / max(v.run_seconds, 1e-12))
+    by_name = {v.name: v for v in variants}
+    ratios["fused_artifact.first_step"] = (
+        by_name["fused"].time_to_first_step
+        / max(by_name["fused_artifact"].time_to_first_step, 1e-12))
     return make_section(
         config={"model_name": model_name, "n_cells": n_cells,
                 "n_steps": n_steps, "dt": dt, "runs": runs,

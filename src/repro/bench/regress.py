@@ -32,7 +32,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Tuple
 
-from .coldstart import coldstart_report
 from .perf import perf_report, sweep_report
 from .record import load_record, make_record, same_machine
 
@@ -42,8 +41,7 @@ __all__ = ["MEASURE", "GateRow", "extract_metrics", "measure_record",
 #: section name -> its measurer; a section's ``config`` is exactly the
 #: measurer's keyword arguments
 MEASURE: Dict[str, Callable[..., Dict]] = {
-    "perf": perf_report, "sweep": sweep_report,
-    "coldstart": coldstart_report}
+    "perf": perf_report, "sweep": sweep_report}
 
 #: the absolute per-variant metrics: (key, higher is better)
 ABSOLUTE = (("steps_per_second", True), ("time_to_first_step", False))

@@ -27,8 +27,6 @@ Subcommands:
   keys, flags pipeline/lowering/source drift, quarantines
   corrupt entries; nonzero exit when anything drifted) / manifest
   listing;
-* ``coldstart`` — JIT vs artifact-bundle time-to-first-step in fresh
-  child processes, with bitwise and zero-compile-span proof;
 * ``cache-stats`` — kernel-cache and LUT-cache statistics;
 * ``trace MODEL`` — compile + run one model under the tracer and emit
   the span tree (parse -> frontend -> irgen -> passes -> lowering ->
@@ -48,18 +46,18 @@ Subcommands:
   of recent spans/metrics written on worker death, degradation,
   quarantine or unhandled exception).
 
-``perf``, ``sweep`` and ``coldstart`` each measure one section of the
+``perf`` and ``sweep`` each measure one section of the
 perf record (:mod:`repro.bench.record`); ``--json`` writes it as a
 one-section record.  ``perf --baseline BENCH.json``
 switches ``perf`` into the regression gate: re-measure every section
 the record holds with its recorded configuration and exit non-zero
 when a tracked metric regressed beyond ``--tolerance``
 (``--inject-slowdown`` self-tests the trip wire); ``--json BENCH.json``
-on top re-records the baseline as the median of five measurements.
-``trace MODEL
---workers N`` runs on the supervised tier and merges worker spans into
-one multi-pid trace; ``trace --merge DIR`` stitches per-process
-``trace-*.json`` files offline.
+on top re-records the baseline as the median of five measurements;
+the flags that pick a config (``--model --cells --steps --dt --width``)
+and ``--check`` are usage errors there, as is ``--inject-slowdown``
+without ``--baseline``.  ``trace MODEL --workers N`` runs on the
+supervised tier and merges worker spans into one multi-pid trace.
 
 ``run --workers N`` executes on the supervised multiprocess tier
 (crash-isolated worker processes over shared memory; see
@@ -305,31 +303,6 @@ def build_parser() -> argparse.ArgumentParser:
     artifacts.set_defaults(func=lambda args: cmd_artifacts(
         args.action, args.dir, args.no_deep, args.json))
 
-    coldstart = sub.add_parser(
-        "coldstart", help="JIT vs AOT-bundle cold start in fresh child "
-                          "processes")
-    coldstart.add_argument("--models", nargs="+", default=None,
-                           metavar="MODEL", choices=ALL_MODELS,
-                           help="models to measure (default: the "
-                                "representative set)")
-    coldstart.add_argument("--bundle", default=None, metavar="DIR",
-                           help="existing bundle to mount (default: "
-                                "build a fresh one into a temp dir)")
-    coldstart.add_argument("--cells", type=_positive_int, default=64)
-    coldstart.add_argument("--steps", type=_positive_int, default=50)
-    coldstart.add_argument("--width", type=int, default=8,
-                           choices=(2, 4, 8))
-    coldstart.add_argument("--json", default=None, metavar="PATH",
-                           help="also write the measurement as a perf "
-                                "record")
-    coldstart.add_argument("--check", action="store_true",
-                           help="fail (exit 1) unless bitwise identity, "
-                                "zero compile spans, and >= 5x on >= 3 "
-                                "models hold")
-    coldstart.set_defaults(func=lambda args: cmd_coldstart(
-        args.models, args.bundle, args.cells, args.steps, args.width,
-        args.json, args.check))
-
     cache_stats = sub.add_parser(
         "cache-stats", help="kernel-cache and LUT-cache statistics")
     cache_stats.add_argument("--cache-dir", default=None,
@@ -344,10 +317,9 @@ def build_parser() -> argparse.ArgumentParser:
     trace_cmd = sub.add_parser(
         "trace", help="compile + run one model under the tracer; "
                       "emit the span tree and Chrome trace JSON")
-    trace_cmd.add_argument("model", nargs="?", default=None,
-                           choices=ALL_MODELS, metavar="MODEL",
+    trace_cmd.add_argument("model", choices=ALL_MODELS, metavar="MODEL",
                            help="ionic model name (see 'limpet-bench "
-                                "list'); optional with --merge")
+                                "list')")
     trace_cmd.add_argument("--backend", default="limpet_mlir",
                            choices=("baseline", "limpet_mlir", "icc_simd"))
     trace_cmd.add_argument("--width", type=int, default=8,
@@ -360,10 +332,6 @@ def build_parser() -> argparse.ArgumentParser:
                            help="run on the supervised tier with N "
                                 "forked workers; their spans stream "
                                 "back into one multi-pid trace")
-    trace_cmd.add_argument("--merge", default=None, metavar="DIR",
-                           help="instead of running: stitch every "
-                                "trace-*.json under DIR into one "
-                                "wall-clock-aligned trace (--out)")
     trace_cmd.add_argument("--out", default=None, metavar="PATH",
                            help="trace-event JSON output path "
                                 "(default: trace_MODEL.json)")
@@ -372,7 +340,7 @@ def build_parser() -> argparse.ArgumentParser:
                                 "measured per-op hot table")
     trace_cmd.set_defaults(func=lambda args: cmd_trace(
         args.model, args.backend, args.width, args.cells, args.steps,
-        args.dt, args.out, args.profile, args.workers, args.merge))
+        args.dt, args.out, args.profile, args.workers))
 
     metrics_cmd = sub.add_parser(
         "metrics", help="run a representative workload and dump the "
@@ -609,7 +577,20 @@ def cmd_perf(model: Optional[str], cells: Optional[int],
              baseline: Optional[str] = None, tolerance: float = 0.15,
              slowdown: Optional[float] = None) -> int:
     if baseline is not None:
+        # the gate re-measures each section with its recorded config
+        ignored = [flag for flag, value in (
+            ("--model", model), ("--cells", cells), ("--steps", steps),
+            ("--dt", dt), ("--width", width)) if value is not None]
+        ignored += ["--check"] if check else []
+        if ignored:
+            print(f"perf: --baseline re-measures with the record's own "
+                  f"config; {' '.join(ignored)} would be ignored",
+                  file=sys.stderr)
+            return EXIT_USAGE
         return _perf_gate(baseline, tolerance, slowdown, runs, json_path)
+    if slowdown is not None:
+        print("perf: --inject-slowdown needs --baseline", file=sys.stderr)
+        return EXIT_USAGE
     from .bench.perf import check_report, perf_report
     from .bench.report import format_perf_table
     given = {"model_name": model, "n_cells": cells, "n_steps": steps,
@@ -748,22 +729,6 @@ def cmd_artifacts(action: str, bundle_dir: Optional[str], no_deep: bool,
     return EXIT_OK if report.ok else EXIT_FAILURE
 
 
-def cmd_coldstart(models: Optional[List[str]], bundle: Optional[str],
-                  cells: int, steps: int, width: int,
-                  json_path: Optional[str], check: bool) -> int:
-    from .bench.coldstart import (REPRESENTATIVE, check_coldstart_report,
-                                  coldstart_report, format_coldstart_table)
-    section = coldstart_report(models=models or REPRESENTATIVE,
-                               bundle=bundle, n_cells=cells,
-                               n_steps=steps, width=width)
-    return _emit_record(
-        make_record({"coldstart": section}),
-        format_coldstart_table(section), json_path,
-        check_coldstart_report(section) if check else None,
-        "checks passed: bitwise identity, zero compile spans, "
-        "cold-start speedup bar met")
-
-
 def cmd_cache_stats(cache_dir: Optional[str], clear: bool) -> int:
     from .runtime.kernel_cache import KernelCache, default_cache_dir
     root = cache_dir or default_cache_dir()
@@ -781,27 +746,10 @@ def cmd_cache_stats(cache_dir: Optional[str], clear: bool) -> int:
     return EXIT_OK
 
 
-def cmd_trace(model_name: Optional[str], backend: str, width: int,
+def cmd_trace(model_name: str, backend: str, width: int,
               cells: int, steps: int, dt: float, out: Optional[str],
-              profile: bool, workers: int = 0,
-              merge: Optional[str] = None) -> int:
-    import glob as _glob
-
+              profile: bool, workers: int = 0) -> int:
     from .obs import trace as _trace
-    if merge is not None:
-        paths = sorted(_glob.glob(os.path.join(merge, "trace-*.json")))
-        if not paths:
-            print(f"trace: no trace-*.json files under {merge!r}",
-                  file=sys.stderr)
-            return EXIT_FAILURE
-        path = out or os.path.join(merge, "trace-merged.json")
-        _trace.merge_files(paths, out=path)
-        print(f"merged {len(paths)} trace file(s) into {path}")
-        return EXIT_OK
-    if model_name is None:
-        print("trace: a MODEL is required unless --merge is given",
-              file=sys.stderr)
-        return EXIT_USAGE
     from .runtime import make_runner
     # the model registry caches parsed models; re-parse so the trace
     # captures the parse/frontend spans too
@@ -928,13 +876,21 @@ def cmd_flight(action: str, directory: Optional[str], last: int,
     import json as _json
 
     from .obs import flight as _flight
+
+    def load(path):
+        """The dump at ``path``, or None when it is corrupt or foreign."""
+        try:
+            return _flight.load_dump(path)
+        except (OSError, ValueError):
+            return None
+
     if action == "list":
         dumps = _flight.list_dumps(directory)
         if not dumps:
             print("flight: no dumps recorded", file=sys.stderr)
             return EXIT_FAILURE
         for path in dumps:
-            payload = _flight.load_dump(path)
+            payload = load(path)
             reason = payload.get("reason", "?") if payload else "corrupt"
             n = len(payload.get("events", [])) if payload else 0
             print(f"{path}  reason={reason} events={n}")
@@ -943,7 +899,7 @@ def cmd_flight(action: str, directory: Optional[str], last: int,
     if latest is None:
         print("flight: no dumps recorded", file=sys.stderr)
         return EXIT_FAILURE
-    payload = _flight.load_dump(latest)
+    payload = load(latest)
     if payload is None:
         print(f"flight: {latest} is corrupt or not a flight dump",
               file=sys.stderr)

@@ -4,7 +4,8 @@ The unified measurement layer of the reproduction (DESIGN.md §8):
 
 * :mod:`repro.obs.trace` — nested wall-clock spans over the whole
   compile-and-run pipeline, exported as Chrome trace-event JSON and a
-  plain-text tree (``limpet-bench trace``, ``$LIMPET_TRACE``);
+  plain-text tree (``limpet-bench trace``, ``$LIMPET_TRACE``); forked
+  supervised workers stream their spans into the parent's one trace;
 * :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
   with JSON and Prometheus exports (``limpet-bench metrics``);
 * :mod:`repro.obs.passes` — concrete
@@ -35,11 +36,10 @@ submodules.
 from . import metrics, trace
 from . import flight, ledger
 from .metrics import MetricsRegistry, default_registry
-from .trace import (TraceContext, Tracer, activate, active_tracer,
-                    deactivate, merge_files)
+from .trace import TraceContext, Tracer, activate, active_tracer, deactivate
 
 flight.install()
 
 __all__ = ["metrics", "trace", "flight", "ledger", "MetricsRegistry",
            "default_registry", "TraceContext", "Tracer", "activate",
-           "active_tracer", "deactivate", "merge_files"]
+           "active_tracer", "deactivate"]

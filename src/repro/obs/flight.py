@@ -235,7 +235,7 @@ def latest_dump(directory=None) -> Optional[pathlib.Path]:
 def load_dump(path) -> Dict[str, Any]:
     with open(path) as fh:
         payload = json.load(fh)
-    if payload.get("format") != FORMAT:
+    if not isinstance(payload, dict) or payload.get("format") != FORMAT:
         raise ValueError(f"{path}: not a {FORMAT} dump")
     return payload
 

@@ -5,7 +5,7 @@ MLIR answers that with ``-mlir-timing`` (a nested timing tree per pass
 pipeline).  This module is our equivalent, generalized over the whole
 stack: a :class:`Tracer` records **nested spans** — parse → frontend →
 IR build → passes (one child span per pass) → lowering → cache lookup
-→ tune → run — and exports them
+→ run — and exports them
 
 * as Chrome/Perfetto trace-event JSON (``{"traceEvents": [...]}`` with
   ``ph: "X"`` complete events, microsecond timestamps) loadable in
@@ -18,11 +18,10 @@ single ``is None`` check returning a shared no-op context manager when
 no tracer is active — the disabled overhead is one function call per
 *stage* (never per step), far under the <2% budget.
 
-Traces also cross process boundaries (DESIGN.md §13):
+Traces also cross into forked workers (DESIGN.md §13):
 
-* a serializable :class:`TraceContext` (trace id + parent span id +
-  the parent's clock origins) travels into forked workers and spawned
-  child processes (``$LIMPET_TRACE_CONTEXT``);
+* a :class:`TraceContext` (trace id + parent span id + the parent's
+  clock origins) is handed to each supervised worker in memory;
 * a worker :class:`Tracer` built from a context adopts the parent's
   trace id *and* timebase — ``time.perf_counter`` is CLOCK_MONOTONIC
   on Linux, shared across ``fork``, so worker timestamps land on the
@@ -31,11 +30,7 @@ Traces also cross process boundaries (DESIGN.md §13):
   stream them back (the supervised tier piggybacks them on its pipe
   replies); the parent stores them via
   :meth:`Tracer.add_foreign_events` and :meth:`Tracer.to_chrome`
-  emits one merged trace with correct pid/tid lanes;
-* independently written trace files (e.g. ``$LIMPET_TRACE`` dumps from
-  ``runner_from_store`` child processes) are stitched by
-  :func:`merge_files`, wall-clock aligned via each file's recorded
-  ``trace_start_unix_s``.
+  emits one merged trace with correct pid/tid lanes.
 """
 
 from __future__ import annotations
@@ -45,24 +40,20 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence, Union
+from typing import Any, Callable, Dict, List, Optional, Sequence
 
 __all__ = ["Span", "TraceContext", "Tracer", "activate", "deactivate",
-           "active_tracer", "span", "instant", "annotate", "merge_files",
-           "add_listener", "remove_listener"]
-
-#: environment variable carrying a JSON TraceContext into child processes
-TRACE_CONTEXT_ENV = "LIMPET_TRACE_CONTEXT"
+           "active_tracer", "span", "instant", "annotate", "add_listener",
+           "remove_listener"]
 
 
 class TraceContext:
-    """The serializable identity a trace hands to another process.
+    """The identity a trace hands to a forked worker.
 
-    Carries the trace id, the span id the child's spans logically nest
-    under, and the parent's clock origins.  A fork-child tracer built
-    from a context shares the parent's CLOCK_MONOTONIC epoch, so its
-    events need no timestamp shifting; independently started processes
-    are aligned by :func:`merge_files` via the wall-clock origin.
+    Carries the trace id, the span id the worker's spans logically nest
+    under, and the parent's clock origins.  A worker tracer built from
+    a context shares the parent's CLOCK_MONOTONIC epoch, so its events
+    need no timestamp shifting.
     """
 
     __slots__ = ("trace_id", "parent_span_id", "t0_monotonic", "t0_wall")
@@ -73,43 +64,6 @@ class TraceContext:
         self.parent_span_id = parent_span_id
         self.t0_monotonic = t0_monotonic
         self.t0_wall = t0_wall
-
-    def to_dict(self) -> Dict[str, Any]:
-        return {"trace_id": self.trace_id,
-                "parent_span_id": self.parent_span_id,
-                "t0_monotonic": self.t0_monotonic,
-                "t0_wall": self.t0_wall}
-
-    @classmethod
-    def from_dict(cls, data: Dict[str, Any]) -> "TraceContext":
-        return cls(trace_id=str(data["trace_id"]),
-                   parent_span_id=int(data.get("parent_span_id", 0)),
-                   t0_monotonic=float(data.get("t0_monotonic", 0.0)),
-                   t0_wall=float(data.get("t0_wall", 0.0)))
-
-    def to_json(self) -> str:
-        return json.dumps(self.to_dict(), sort_keys=True)
-
-    @classmethod
-    def from_json(cls, text: str) -> "TraceContext":
-        return cls.from_dict(json.loads(text))
-
-    def to_env(self, env: Dict[str, str]) -> Dict[str, str]:
-        """Install this context into ``env`` (for child processes)."""
-        env[TRACE_CONTEXT_ENV] = self.to_json()
-        return env
-
-    @classmethod
-    def from_env(cls, env=None) -> Optional["TraceContext"]:
-        """The context from ``$LIMPET_TRACE_CONTEXT``, or None."""
-        text = (env if env is not None else os.environ).get(
-            TRACE_CONTEXT_ENV)
-        if not text:
-            return None
-        try:
-            return cls.from_json(text)
-        except (ValueError, KeyError, TypeError):
-            return None
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return (f"TraceContext({self.trace_id!r}, "
@@ -435,9 +389,6 @@ class Tracer:
         path.write_text(json.dumps(self.to_chrome()))
         return path
 
-    #: classmethod alias so callers can say ``Tracer.merge_files(...)``
-    merge_files: "staticmethod"
-
     def summary_tree(self) -> str:
         """The plain-text span tree (durations + compact args)."""
         lines: List[str] = []
@@ -465,55 +416,6 @@ class Tracer:
             lines.append(f"[+{spans} foreign span(s) from "
                          f"{len(pids)} worker process(es)]")
         return "\n".join(lines)
-
-
-def merge_files(paths: Sequence[Union[str, pathlib.Path]],
-                out: Optional[Union[str, pathlib.Path]] = None
-                ) -> Dict[str, Any]:
-    """Stitch independently written Chrome trace files into one.
-
-    Each file's events are shifted onto a common timeline using the
-    ``trace_start_unix_s`` wall-clock origin the tracer records in
-    ``otherData`` (files written by context-sharing tracers have equal
-    origins, so their events pass through unshifted).  Returns the
-    merged trace object; with ``out`` it is also written there.
-    """
-    traces: List[Dict[str, Any]] = []
-    for path in paths:
-        with open(path) as fh:
-            traces.append(json.load(fh))
-    if not traces:
-        raise ValueError("merge_files: no trace files given")
-    starts = [float(t.get("otherData", {}).get("trace_start_unix_s", 0.0))
-              for t in traces]
-    base = min(starts)
-    events: List[Dict[str, Any]] = []
-    for trace_obj, start in zip(traces, starts):
-        offset_us = (start - base) * 1e6
-        for event in trace_obj.get("traceEvents", []):
-            if offset_us and event.get("ph") != "M" and "ts" in event:
-                event = dict(event)
-                event["ts"] = round(event["ts"] + offset_us, 3)
-            events.append(event)
-    trace_ids = sorted({t.get("otherData", {}).get("trace_id")
-                        for t in traces} - {None})
-    merged = {"traceEvents": events,
-              "displayTimeUnit": "ms",
-              "otherData": {"tool": "limpet-bench",
-                            "merged_from": len(traces),
-                            "trace_id": trace_ids[0]
-                            if len(trace_ids) == 1 else None,
-                            "trace_ids": trace_ids,
-                            "trace_start_unix_s": round(base, 3)}}
-    if out is not None:
-        out = pathlib.Path(out)
-        if out.parent != pathlib.Path("."):
-            out.parent.mkdir(parents=True, exist_ok=True)
-        out.write_text(json.dumps(merged))
-    return merged
-
-
-Tracer.merge_files = staticmethod(merge_files)
 
 
 def _jsonable(args: Dict[str, Any]) -> Dict[str, Any]:

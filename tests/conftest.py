@@ -18,7 +18,6 @@ def _isolated_telemetry(tmp_path, monkeypatch):
     flight.recorder().clear()
     monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path / "flight"))
     monkeypatch.delenv("LIMPET_LEDGER", raising=False)
-    monkeypatch.delenv("LIMPET_TRACE_CONTEXT", raising=False)
     yield
     metrics.reset()
     flight.recorder().clear()

@@ -15,6 +15,7 @@ import pytest
 
 from repro.aot import (BUNDLE_FORMAT_VERSION, ArtifactStore, audit_bundle,
                        build_bundle, runner_from_store)
+from repro.aot.build import default_kernel
 from repro.codegen import generate_limpet_mlir
 from repro.models import load_model
 from repro.obs import metrics as obs_metrics
@@ -22,6 +23,8 @@ from repro.obs import trace as obs_trace
 from repro.obs.trace import Tracer
 from repro.runtime.executor import KernelRunner
 from repro.runtime.kernel_cache import KernelCache, payload_checksum
+
+from .pins import TIER1_MODELS
 
 COMPILE_SPANS = {"passes", "verify", "lowering"}
 
@@ -51,6 +54,15 @@ def bundle(tmp_path):
     root = tmp_path / "bundle"
     report = build_bundle(root, models=["Plonsey"], width=8)
     assert report.built == 1 and not report.failed
+    return root
+
+
+@pytest.fixture(scope="module")
+def tier1_bundle(tmp_path_factory):
+    """A bundle of the ``TIER1_MODELS`` (width 8), built once."""
+    root = tmp_path_factory.mktemp("tier1") / "bundle"
+    report = build_bundle(root, models=TIER1_MODELS, width=8)
+    assert report.built == len(TIER1_MODELS) and not report.failed
     return root
 
 
@@ -147,28 +159,32 @@ class TestArtifactTier:
         assert np.array_equal(ref.state.state_matrix(),
                               got.state.state_matrix())
 
-    def test_spec_fast_path_skips_irgen_entirely(self, bundle):
-        load_model.cache_clear()
-        tracer = Tracer()
-        previous = obs_trace.activate(tracer)
-        try:
-            runner = runner_from_store("Plonsey", width=8,
-                                       store=ArtifactStore(bundle))
-        finally:
-            obs_trace.deactivate(previous)
-        assert runner is not None and runner.artifact_hit
-        # the bundled model blob replaces even the parse + frontend
-        spans = _span_names(tracer)
-        assert not ((COMPILE_SPANS | {"parse", "frontend", "irgen"})
-                    & spans)
+    def test_spec_fast_path_skips_irgen_entirely(self, tier1_bundle):
+        for name in TIER1_MODELS:
+            # the kernel build-all built: limpetMLIR, or the baseline
+            # for a model that calls foreign functions
+            generated = default_kernel(load_model(name))
+            load_model.cache_clear()
+            tracer = Tracer()
+            previous = obs_trace.activate(tracer)
+            try:
+                runner = runner_from_store(
+                    name, backend=generated.spec.mode.value,
+                    width=generated.spec.width,
+                    store=ArtifactStore(tier1_bundle))
+            finally:
+                obs_trace.deactivate(previous)
+            assert runner is not None and runner.artifact_hit, name
+            # the bundled model blob replaces even the parse + frontend
+            spans = _span_names(tracer)
+            assert not ((COMPILE_SPANS | {"parse", "frontend", "irgen"})
+                        & spans), name
 
-        jit = KernelRunner(
-            generate_limpet_mlir(load_model("Plonsey"), width=8),
-            cache=None, artifacts=False)
-        ref = jit.run(jit.make_state(16), 20, 0.01)
-        got = runner.run(runner.make_state(16), 20, 0.01)
-        assert np.array_equal(ref.state.state_matrix(),
-                              got.state.state_matrix())
+            jit = KernelRunner(generated, cache=None, artifacts=False)
+            ref = jit.run(jit.make_state(16), 20, 0.01)
+            got = runner.run(runner.make_state(16), 20, 0.01)
+            assert np.array_equal(ref.state.state_matrix(),
+                                  got.state.state_matrix()), name
 
     def test_spec_miss_returns_none(self, bundle):
         misses = _metric("artifact_misses_total")
@@ -467,7 +483,7 @@ class TestReadOnlyKernelCache:
 
 
 # ---------------------------------------------------------------------------
-# the CLI surface + the cold-start harness
+# the CLI surface
 # ---------------------------------------------------------------------------
 
 
@@ -504,25 +520,3 @@ class TestArtifactCLI:
         monkeypatch.delenv("LIMPET_ARTIFACT_DIR", raising=False)
         code, _ = self.run_cli(capsys, "build-all", "--models", "Plonsey")
         assert code == 2
-
-
-class TestColdStartHarness:
-    def test_coldstart_report_smoke(self, tmp_path):
-        from repro.bench.coldstart import (check_coldstart_report,
-                                           coldstart_report)
-        report = coldstart_report(models=["Plonsey"], n_cells=8,
-                                  n_steps=5)
-        jit, art = report["variants"]
-        assert (jit["name"], art["name"]) == ("Plonsey.jit",
-                                              "Plonsey.artifact")
-        assert report["evidence"]["bitwise_identical"] == {"Plonsey": True}
-        assert art["artifact_hit"] and not jit["artifact_hit"]
-        from repro.bench.coldstart import COMPILE_SPANS as CHILD_SPANS
-        assert not any(art["spans"].get(s) for s in CHILD_SPANS)
-        assert report["ratios"]["Plonsey.artifact_vs_jit"] == \
-            jit["time_to_first_step"] / art["time_to_first_step"]
-        # the speedup bar is asserted by the committed BENCH.json,
-        # not by this smoke run's tiny workload
-        failures = check_coldstart_report(report, min_speedup=0.0,
-                                          min_models=1)
-        assert failures == []

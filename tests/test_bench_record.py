@@ -22,10 +22,14 @@ class TestCommittedRecord:
     def test_loads_with_every_section_and_one_machine(self):
         record = load_record(BENCH)
         assert set(record["sections"]) == set(MEASURE) \
-            == {"perf", "sweep", "coldstart"}
+            == {"perf", "sweep"}
         assert set(IDENTITY_KEYS) <= set(record["machine"])
         for section in record["sections"].values():
             assert section["variants"] and section["ratios"]
+        # the cold-start bar: the bundle serves the fused kernel >= 5x
+        # sooner than the pipeline builds it
+        assert record["sections"]["perf"]["ratios"][
+            "fused_artifact.first_step"] >= 5.0
 
     def test_metric_names_are_unique(self):
         names = [m["name"] for m in extract_metrics(load_record(BENCH))]
@@ -91,6 +95,35 @@ class TestGateCommand:
         assert [r.split()[-1] for r in rows if r.startswith("sweep.")] \
             == ["ok", "skipped", "skipped"]
 
+    def test_flags_the_mode_ignores_are_usage_errors(self, monkeypatch,
+                                                     capsys):
+        """``--baseline`` re-measures each section with its recorded
+        config, so a config flag or ``--check`` there, and
+        ``--inject-slowdown`` without it, would be dropped silently:
+        each is refused before anything is measured."""
+        from repro.bench import perf, regress
+        record = load_record(BENCH)
+        calls = []
+
+        def recorder(name):
+            def measure(**config):
+                calls.append(name)
+                return record["sections"][name]
+            return measure
+
+        monkeypatch.setattr(regress, "MEASURE", {
+            name: recorder(name) for name in record["sections"]})
+        monkeypatch.setattr(perf, "perf_report", recorder("perf"))
+        for flag in (["--model", "LuoRudy91"], ["--cells", "64"],
+                     ["--steps", "5"], ["--dt", "0.02"],
+                     ["--width", "4"], ["--check"]):
+            assert main(["perf", "--baseline", str(BENCH), *flag]) \
+                == EXIT_USAGE
+            assert flag[0] in capsys.readouterr().err
+        assert main(["perf", "--inject-slowdown", "4"]) == EXIT_USAGE
+        assert "--inject-slowdown" in capsys.readouterr().err
+        assert calls == []
+
     def test_unknown_schema_or_section_is_a_usage_error(self, tmp_path,
                                                         capsys):
         missing = tmp_path / "nope.json"
@@ -112,22 +145,22 @@ class TestReRecord:
     @staticmethod
     def _section(ttfs, ratio):
         return {"config": {"repeats": 2},
-                "variants": [{"name": "A.jit", "instances": 16,
+                "variants": [{"name": "A.slow", "instances": 16,
                               "bitwise": True, "time_to_first_step": ttfs}],
-                "ratios": {"A.artifact_vs_jit": ratio},
+                "ratios": {"A.fast_vs_slow": ratio},
                 "evidence": {"bitwise_identical": {"A": True}}}
 
     def test_median_record_takes_medians_and_keeps_constants(self):
         from repro.bench.record import make_record, median_record
-        records = [make_record({"coldstart": self._section(t, r)})
+        records = [make_record({"toy": self._section(t, r)})
                    for t, r in ((0.3, 9.0), (0.1, 11.0), (0.2, 10.0))]
         median = median_record(records)
-        (variant,) = median["sections"]["coldstart"]["variants"]
-        assert variant == {"name": "A.jit", "instances": 16,
+        (variant,) = median["sections"]["toy"]["variants"]
+        assert variant == {"name": "A.slow", "instances": 16,
                            "bitwise": True, "time_to_first_step": 0.2}
         assert type(variant["instances"]) is int
-        assert median["sections"]["coldstart"]["ratios"] == {
-            "A.artifact_vs_jit": 10.0}
+        assert median["sections"]["toy"]["ratios"] == {
+            "A.fast_vs_slow": 10.0}
         assert median["machine"] is records[0]["machine"]
 
     def test_writing_over_the_baseline_records_the_median(
@@ -140,7 +173,7 @@ class TestReRecord:
         from repro.cli import RECORD_MEASUREMENTS
         path = tmp_path / "bench.json"
         path.write_text(json.dumps(make_record(
-            {"coldstart": self._section(0.2, 10.0)})))
+            {"toy": self._section(0.2, 10.0)})))
         times = iter([0.5, 0.1, 0.2, 0.9, 0.3, 0.4])
         calls = []
 
@@ -148,16 +181,16 @@ class TestReRecord:
             calls.append(config)
             return self._section(next(times), 10.0)
 
-        monkeypatch.setattr(regress, "MEASURE", {"coldstart": measure})
+        monkeypatch.setattr(regress, "MEASURE", {"toy": measure})
         assert main(["perf", "--baseline", str(path), "--tolerance", "9",
                      "--json", str(path)]) == EXIT_OK
         assert len(calls) == RECORD_MEASUREMENTS
-        (variant,) = load_record(path)["sections"]["coldstart"]["variants"]
+        (variant,) = load_record(path)["sections"]["toy"]["variants"]
         assert variant["time_to_first_step"] == 0.3   # median of the first 5
 
         other = tmp_path / "current.json"
         assert main(["perf", "--baseline", str(path), "--tolerance", "9",
                      "--json", str(other)]) == EXIT_OK
         assert len(calls) == RECORD_MEASUREMENTS + 1
-        (variant,) = load_record(other)["sections"]["coldstart"]["variants"]
+        (variant,) = load_record(other)["sections"]["toy"]["variants"]
         assert variant["time_to_first_step"] == 0.4

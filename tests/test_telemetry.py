@@ -12,13 +12,12 @@ a ledger that records what happened — all sharing one trace id.
 from __future__ import annotations
 
 import json
-import os
 
 import pytest
 
 from repro.codegen import generate_limpet_mlir
 from repro.obs import flight, ledger, metrics, trace
-from repro.obs.trace import TraceContext, Tracer, merge_files
+from repro.obs.trace import Tracer
 
 
 # ---------------------------------------------------------------------------
@@ -26,30 +25,6 @@ from repro.obs.trace import TraceContext, Tracer, merge_files
 # ---------------------------------------------------------------------------
 
 class TestTraceContext:
-    def test_round_trip_dict_and_json(self):
-        tracer = Tracer()
-        ctx = tracer.context()
-        again = TraceContext.from_dict(json.loads(ctx.to_json()))
-        assert again.trace_id == ctx.trace_id
-        assert again.t0_monotonic == ctx.t0_monotonic
-        assert again.t0_wall == ctx.t0_wall
-
-    def test_env_round_trip(self):
-        ctx = Tracer().context()
-        env = {}
-        ctx.to_env(env)
-        assert trace.TRACE_CONTEXT_ENV in env
-        os.environ[trace.TRACE_CONTEXT_ENV] = env[trace.TRACE_CONTEXT_ENV]
-        try:
-            again = TraceContext.from_env()
-        finally:
-            del os.environ[trace.TRACE_CONTEXT_ENV]
-        assert again is not None
-        assert again.trace_id == ctx.trace_id
-
-    def test_from_env_absent(self):
-        assert TraceContext.from_env() is None
-
     def test_child_tracer_adopts_identity_and_timebase(self):
         parent = Tracer()
         with parent.span("parent_work"):
@@ -81,25 +56,6 @@ class TestTraceContext:
         assert "shard_task" in names
         # repeated drains must not duplicate spans
         assert child.drain_events() == []
-
-
-class TestMergeFiles:
-    def test_merge_aligns_wall_clock(self, tmp_path):
-        a = Tracer()
-        with a.span("alpha"):
-            pass
-        b = Tracer()
-        with b.span("beta"):
-            pass
-        pa = a.write(tmp_path / "trace-a.json")
-        pb = b.write(tmp_path / "trace-b.json")
-        merged = merge_files([pa, pb], out=tmp_path / "merged.json")
-        names = {e["name"] for e in merged["traceEvents"]
-                 if e.get("ph") == "X"}
-        assert {"alpha", "beta"} <= names
-        assert merged["otherData"]["merged_from"] == 2
-        with open(tmp_path / "merged.json") as fh:
-            assert json.load(fh)["traceEvents"]
 
 
 # ---------------------------------------------------------------------------
@@ -386,14 +342,13 @@ class TestPerfGate:
     BASELINE = {
         "schema": "limpet-bench-record/1",
         "machine": MACHINE,
-        "sections": {"coldstart": {
-            "config": {"models": ["A"], "n_cells": 8, "n_steps": 5,
-                       "dt": 0.01, "width": 8, "repeats": 1},
+        "sections": {"toy": {
+            "config": {"models": ["A"], "n_cells": 8, "n_steps": 5},
             "variants": [
-                {"name": "A.jit", "time_to_first_step": 0.100},
-                {"name": "A.artifact", "time_to_first_step": 0.010}],
-            "ratios": {"A.artifact_vs_jit": 10.0},
-            "evidence": {"bitwise_identical": {"A": True}},
+                {"name": "A.slow", "time_to_first_step": 0.100},
+                {"name": "A.fast", "time_to_first_step": 0.010}],
+            "ratios": {"A.fast_vs_slow": 10.0},
+            "evidence": {},
         }},
     }
 
@@ -411,20 +366,19 @@ class TestPerfGate:
         # different machine: absolute ttfs metrics are skipped, the
         # ratio is still gated
         assert {r.name: r.status for r in rows} == {
-            "coldstart.A.artifact_vs_jit": "ok",
-            "coldstart.A.jit.time_to_first_step": "skipped",
-            "coldstart.A.artifact.time_to_first_step": "skipped"}
+            "toy.A.fast_vs_slow": "ok",
+            "toy.A.slow.time_to_first_step": "skipped",
+            "toy.A.fast.time_to_first_step": "skipped"}
 
     def test_gate_trips_on_ratio_regression(self, tmp_path):
         from repro.bench.regress import perf_gate
         path = self._write(tmp_path, self.BASELINE)
         current = _copy(self.BASELINE, cpu_model="Another CPU")
-        current["sections"]["coldstart"]["ratios"][
-            "A.artifact_vs_jit"] = 5.0
+        current["sections"]["toy"]["ratios"]["A.fast_vs_slow"] = 5.0
         rows, failures, _ = perf_gate(path, tolerance=0.15,
                                       measure=lambda b: current)
         assert len(failures) == 1
-        assert "coldstart.A.artifact_vs_jit" in failures[0]
+        assert "toy.A.fast_vs_slow" in failures[0]
 
     def test_injected_slowdown_trips_the_gate(self, tmp_path):
         from repro.bench.regress import perf_gate
@@ -441,11 +395,11 @@ class TestPerfGate:
         path = self._write(tmp_path, self.BASELINE)
         current = _copy(self.BASELINE,
                         platform="Linux-6.18.44-fc-v42-x86_64")
-        current["sections"]["coldstart"]["variants"][1][
+        current["sections"]["toy"]["variants"][1][
             "time_to_first_step"] = 0.050
         rows, failures, _ = perf_gate(path, tolerance=0.15,
                                       measure=lambda b: current)
-        assert any("A.artifact.time_to_first_step" in f
+        assert any("A.fast.time_to_first_step" in f
                    for f in failures)
         assert not any(r.status == "skipped" for r in rows)
 
@@ -457,7 +411,7 @@ class TestPerfGate:
         from repro.bench.regress import perf_gate
         path = self._write(tmp_path, self.BASELINE)
         current = _copy(self.BASELINE, **{field: value})
-        current["sections"]["coldstart"]["variants"][1][
+        current["sections"]["toy"]["variants"][1][
             "time_to_first_step"] = 0.050
         rows, failures, _ = perf_gate(path, measure=lambda b: current)
         assert failures == []
@@ -480,11 +434,11 @@ class TestPerfGate:
         with pytest.raises(ValueError, match="schema"):
             perf_gate(old, measure=lambda b: b)
         unknown = json.loads(json.dumps(self.BASELINE))
-        unknown["sections"]["warp"] = unknown["sections"]["coldstart"]
+        unknown["sections"]["warp"] = unknown["sections"]["toy"]
         with pytest.raises(ValueError, match="warp"):
             perf_gate(self._write(tmp_path, unknown))
         shapeless = json.loads(json.dumps(self.BASELINE))
-        del shapeless["sections"]["coldstart"]["ratios"]
+        del shapeless["sections"]["toy"]["ratios"]
         with pytest.raises(ValueError, match="ratios"):
             perf_gate(self._write(tmp_path, shapeless),
                       measure=lambda b: b)
@@ -526,7 +480,7 @@ class TestPerfGate:
 
         monkeypatch.setattr(regress, "MEASURE",
                             {"perf": fake("perf"),
-                             "coldstart": fake("coldstart")})
+                             "toy": fake("toy")})
         baseline = json.loads(json.dumps(self.BASELINE))
         baseline["sections"]["perf"] = {
             "config": {"model_name": "OHara", "width": 8, "runs": 5},
@@ -535,9 +489,8 @@ class TestPerfGate:
         _, _, current = regress.perf_gate(path, runs=3)
         assert seen["perf"] == {"model_name": "OHara", "width": 8,
                                 "runs": 3}
-        assert seen["coldstart"] == \
-            self.BASELINE["sections"]["coldstart"]["config"]
-        assert set(current["sections"]) == {"coldstart", "perf"}
+        assert seen["toy"] == self.BASELINE["sections"]["toy"]["config"]
+        assert set(current["sections"]) == {"toy", "perf"}
 
 
 # ---------------------------------------------------------------------------
@@ -575,16 +528,18 @@ class TestTelemetryCli:
         from repro.cli import cmd_flight
         assert cmd_flight("show", str(tmp_path), 10, False) == 1
 
-    def test_trace_cli_merge(self, tmp_path, capsys):
-        from repro.cli import cmd_trace
-        t = Tracer()
-        with t.span("x"):
-            pass
-        t.write(tmp_path / "trace-one.json")
-        out = tmp_path / "merged.json"
-        assert cmd_trace(None, "limpet_mlir", 8, 1, 1, 0.01,
-                         str(out), False, 0, str(tmp_path)) == 0
-        assert out.is_file()
-        # without --merge a model is mandatory
-        assert cmd_trace(None, "limpet_mlir", 8, 1, 1, 0.01,
-                         None, False, 0, None) == 2
+    def test_flight_cli_corrupt_dump_fails_cleanly(self, tmp_path,
+                                                   monkeypatch, capsys):
+        """A truncated or foreign dump is listed as corrupt and ``show``
+        exits 1 with a message: no traceback, no new dump about it."""
+        from repro.cli import main
+        monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path))
+        (tmp_path / "flight-1-1.json").write_text('{"format": "limp')
+        (tmp_path / "flight-1-2.json").write_text("[]")
+        assert main(["flight", "list"]) == 0
+        assert capsys.readouterr().out.count("reason=corrupt") == 2
+        assert main(["flight", "show"]) == 1
+        assert "is corrupt or not a flight dump" in capsys.readouterr().err
+        assert sorted(p.name for p in tmp_path.iterdir()) \
+            == ["flight-1-1.json", "flight-1-2.json"]
+
