@@ -469,6 +469,8 @@ def cmd_run(model_name: str, backend: str, width: int, cells: int,
         for _ in range(3):              # the paper's best-of-N protocol
             result = runner.simulate(cells, steps, dt, watchdog=guard)
             seconds = min(seconds, result.elapsed_seconds)
+        # the workers that ran the last simulate still hold its state
+        ran = getattr(runner, "live_workers", 0)
     except NumericalDivergenceError as err:
         print(err.report.summary())
         print(f"{model_name}: numerical divergence unrecovered: {err}",
@@ -477,7 +479,9 @@ def cmd_run(model_name: str, backend: str, width: int, cells: int,
     finally:
         runner.close()
     per_cell_step = seconds / (cells * steps) * 1e9
-    tier = f", {runner.active_tier} x{workers}" if workers else ""
+    tier = ""
+    if workers:
+        tier = f", {runner.active_tier} x{ran}" if ran else ", inline"
     print(f"{model_name} [{compiled.backend}, width "
           f"{compiled.kernel.spec.width}{tier}]: "
           f"{cells} cells x {steps} steps in {seconds * 1e3:.1f} ms "

@@ -44,8 +44,8 @@ class SimulationState:
     time: float = 0.0
     steps_done: int = 0
     #: per-cell arrays for the model's promoted parameters (population
-    #: batching).  Read-only at runtime: never checkpointed, restored
-    #: or moved to shared memory — forked workers inherit them.
+    #: batching).  The kernel only reads them: never checkpointed or
+    #: restored; supervised workers get a copy before each segment.
     params: Dict[str, np.ndarray] = None  # type: ignore[assignment]
 
     def __post_init__(self):
@@ -69,9 +69,8 @@ class SimulationState:
         full[:self.n_cells] = values
         # padding lanes replicate the last real cell so they stay finite
         full[self.n_cells:] = values[-1] if len(values) else 0.0
-        # in place: buffer identity is load-bearing — shared-memory
-        # views held by supervised workers and prebound kernel args
-        # must keep seeing this state
+        # in place: buffer identity is load-bearing — the runner's
+        # prebound kernel args must keep seeing this state
         self.sv[...] = pack_state(full, self.layout)
 
     def external(self, name: str) -> np.ndarray:

@@ -7,11 +7,13 @@ the whole sweep with it.  This tier puts each width-aligned cell shard
 **own worker process** over :mod:`multiprocessing.shared_memory`-backed
 state arrays, supervised by the parent:
 
-* **fork + inherited views** — workers are forked *after* the state is
-  moved into shared memory, so they inherit the parent's numpy views
-  of the segment (``MAP_SHARED``: child writes are visible to the
-  parent with no re-attach by name, and a killed child can never leave
-  the resource tracker confused about segment ownership);
+* **workers per state** — the workers fork over one shared-memory
+  segment holding a shadow of the state (``sv``, the externals, the
+  promoted parameters), so they inherit views of it (``MAP_SHARED``:
+  no re-attach by name, and a killed child can never leave the
+  resource tracker confused about segment ownership); they and the
+  segment live until :meth:`SupervisedRunner.close` or a run on another
+  state, and each segment copies the caller's arrays in and back out;
 * **segments** — a task is a run segment of k steps: the worker runs
   the compute *and* the solver stage over its own ``[start, end)``
   slice k times, through :func:`~repro.runtime.executor.advance`, and
@@ -25,10 +27,11 @@ state arrays, supervised by the parent:
   treats a stale beat, a dead process, or a step that overruns
   ``task_timeout`` (the deadline restarts whenever the progress count
   moves) identically (restart + retry);
-* **bounded retry** — a failed shard is restored from the
-  segment-start backup (shards are disjoint, so only the failed slice
-  is touched), the worker is respawned, and the whole segment
-  re-dispatched with exponential backoff, up to ``max_retries`` times;
+* **bounded retry** — a failed shard's slice of the shadow is restored
+  from the caller's arrays, which hold the segment start until the
+  copy-out (shards are disjoint, so only the failed slice is touched),
+  the worker is respawned, and the whole segment re-dispatched with
+  exponential backoff, up to ``max_retries`` times;
 * **graceful degradation** — when supervision itself gives up
   (:class:`SupervisedExecutionError`) or fails unexpectedly, the run
   restarts from its initial checkpoint on the single-process tier,
@@ -42,27 +45,29 @@ quantized dt, and apply the solver stage's elementwise update to their
 slice, so supervised trajectories are **bitwise identical** to
 single-process runs (proven by the differential tests).
 
-Crash isolation is what the tier is for; a task per step also made it
-slow.  One pipe round-trip, one full ``sv`` backup and a parent-side
-solver stage per step held it to ~1.1× of inline (OHara, 4096 cells,
-two workers), where two independent processes reach ~1.8×; a segment
-pays them once per k steps.  The paper
-parallelises inside the generated code — ``omp.parallel`` around the
-cell loop, lowered by the openmp dialect (PAPER.md §1, Figs. 3–4) —
-which is where a native lowering target (C from the post-pipeline IR)
-would put it, with no pipe at all.
+Crash isolation is what the tier is for; segments and workers that
+outlive ``run()`` keep it from costing speed, since a pipe round-trip
+is paid once per k steps and a fork once per state (EXPERIMENTS.md
+"Supervised workers per runner").  The paper parallelises inside the
+generated code — ``omp.parallel`` around the cell loop, lowered by the
+openmp dialect (PAPER.md §1, Figs. 3–4) — which is where a native
+lowering target (C from the post-pipeline IR) would put it, with no
+pipe at all.
 """
 
 from __future__ import annotations
 
 import atexit
+import dataclasses
 import multiprocessing as mp
 import os
 import threading
 import time
 import weakref
+from contextlib import suppress
 from dataclasses import dataclass
 from math import inf
+from multiprocessing.connection import wait as _wait
 from typing import Dict, List, Optional, Tuple
 
 import numpy as np
@@ -177,6 +182,12 @@ def _solved_in_workers(state, dt, stimulus) -> None:
     """The parent's solver stage for a segment: the workers ran it."""
 
 
+def _state_arrays(state: SimulationState) -> List[np.ndarray]:
+    """``sv``, the externals, then the promoted-parameter arrays: what
+    a shadow holds, in segment order."""
+    return [state.sv, *state.externals.values(), *state.params.values()]
+
+
 def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
                   slot: int, conn, heartbeats: np.ndarray,
                   progress: np.ndarray, config: SupervisionConfig,
@@ -251,10 +262,9 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
                                     start=start, end=end)
             try:
                 with task_span:
-                    # the parent's own binding, over this shard: shm
-                    # state views, fork-inherited read-only parameter
-                    # arrays (exact copies, never in the segment), LUTs
-                    # rebuilt deterministically per quantized dt
+                    # the parent's own binding, over this shard of the
+                    # shadow: views of the segment, LUTs built
+                    # deterministically per quantized dt
                     args = runner._bind_args(state, dt)
                     args[0], args[1] = start, end
                     shard = _Shard({name: array[start:end] for name, array
@@ -274,6 +284,15 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
         pass                            # parent went away: just exit
     finally:
         stop.set()
+
+
+def _release(shm) -> None:
+    """Close and unlink a segment this process created, once the views
+    of it are dropped."""
+    with suppress(BufferError):         # pragma: no cover - exported view
+        shm.close()
+    with suppress(FileNotFoundError):   # pragma: no cover - already gone
+        shm.unlink()
 
 
 def _failure_kind(failure: str) -> str:
@@ -321,8 +340,9 @@ class SupervisedRunner(ShardedRunner):
     so fewer may run for small cell counts); ``fault_plan`` arms
     deterministic process-level faults
     (:class:`~repro.resilience.faultinject.FaultPlan`) for drills.
-    Use as a context manager or call :meth:`close` — unclosed runners
-    are reaped at interpreter exit.
+    Workers stay from the first run of a state until :meth:`close` or
+    a run on another state.  Use as a context manager or call
+    :meth:`close` — unclosed runners are reaped at interpreter exit.
     """
 
     _tier = TIERS[0]            # degradation rebinds it per instance
@@ -343,8 +363,11 @@ class SupervisedRunner(ShardedRunner):
         self._hb_view: Optional[np.ndarray] = None
         self._progress: Optional[np.ndarray] = None
         self._state_shm = None
+        #: the caller's state the workers hold, their shadow of it in
+        #: ``_state_shm``, and the array shapes the shadow was cut to
         self._attached: Optional[SimulationState] = None
-        self._orig_arrays: Optional[tuple] = None
+        self._shadow: Optional[SimulationState] = None
+        self._shapes: Optional[tuple] = None
         # register the counters up front so they show in snapshots
         # even before the first fault (operators see zeros, not gaps)
         _metrics.counter("worker_restarts_total",
@@ -366,6 +389,11 @@ class SupervisedRunner(ShardedRunner):
         it; a runner without a ``tier`` is, to it, one that cannot
         degrade."""
         return self._tier
+
+    @property
+    def live_workers(self) -> int:
+        """Workers holding a state (0 after an inline run)."""
+        return len(self._procs)
 
     # -- the degradation ladder ----------------------------------------------------
 
@@ -414,19 +442,18 @@ class SupervisedRunner(ShardedRunner):
             initial = state.checkpoint()
             try:
                 self._attach_state(state)
-                try:
-                    self._ensure_workers(state)
-                    return super().run(*args)
-                finally:
-                    self._detach_state()
+                return super().run(*args)
             except NumericalDivergenceError:
                 raise           # a watchdog verdict, not an infra failure
             except Exception as err:
                 # supervision gave up (SupervisedExecutionError) or
                 # broke: restart from the checkpoint on the single tier
-                self._shutdown_workers()
+                self._detach_state()
                 state.restore(initial)
                 self._record_degradation(err)
+            except BaseException:
+                self._detach_state()    # workers may be mid-segment
+                raise
         return super().run(*args)
 
     # -- segment dispatch ----------------------------------------------------------
@@ -457,11 +484,11 @@ class SupervisedRunner(ShardedRunner):
         return the steps taken and the final time, on which all shards
         must agree."""
         started = time.perf_counter()
-        # segment-start backup: a failed shard restores only its own
-        # slice before its respawned worker re-runs the whole segment
-        # from identical inputs (deterministic, so still bitwise)
-        backup_sv = state.sv.copy()
-        backup_ext = {k: v.copy() for k, v in state.externals.items()}
+        # copy-in: the shadow takes whatever the caller did since the
+        # last segment (set_state, restore, writes to externals/params)
+        shadow = self._shadow
+        for view, array in zip(_state_arrays(shadow), _state_arrays(state)):
+            view[...] = array
         segment = (n_steps, dt, state.time, until, stimulus)
         pending: Dict[int, _Task] = {
             slot: self._dispatch(slot, start, end, segment)
@@ -469,6 +496,8 @@ class SupervisedRunner(ShardedRunner):
         attempts = dict.fromkeys(pending, 0)
         outcomes = set()
         while pending:
+            # wake on any reply; the liveness checks run every 10 ms
+            _wait([self._conns[slot] for slot in pending], 0.01)
             for slot, task in list(pending.items()):
                 failure = self._poll_slot(task)
                 if failure == "pending":
@@ -501,8 +530,7 @@ class SupervisedRunner(ShardedRunner):
                         f"({failure})",
                         slot=slot, attempts=attempts[slot], step=step)
                 self._restart_worker(slot, failure, step=step)
-                self._restore_shard(state, backup_sv, backup_ext,
-                                    task.start, task.end)
+                self._restore_shard(state, task.start, task.end)
                 time.sleep(self.config.retry_backoff
                            * (2 ** (attempts[slot] - 1)))
                 pending[slot] = self._dispatch(slot, task.start, task.end,
@@ -511,6 +539,9 @@ class SupervisedRunner(ShardedRunner):
             raise SupervisedExecutionError(
                 f"shards disagree on (steps, time) at the end of a "
                 f"segment: {sorted(outcomes)}", step=state.steps_done)
+        state.sv[...] = shadow.sv       # copy-out
+        for name, array in state.externals.items():
+            array[...] = shadow.externals[name]
         if isinstance(compute, ClockedCompute):
             compute.seconds += time.perf_counter() - started
         return outcomes.pop()
@@ -521,7 +552,7 @@ class SupervisedRunner(ShardedRunner):
         slot = task.slot
         conn = self._conns[slot]
         try:
-            while conn.poll(0.01):
+            while conn.poll():
                 reply = conn.recv()
                 self._harvest_events(reply)
                 if reply[1] != task.seq:
@@ -550,10 +581,10 @@ class SupervisedRunner(ShardedRunner):
                     f"{self.config.task_timeout:g}s)")
         return "pending"
 
-    def _restore_shard(self, state: SimulationState,
-                       backup_sv: np.ndarray, backup_ext: Dict,
-                       start: int, end: int) -> None:
-        """Roll one shard's slice back to the segment-start backup.
+    def _restore_shard(self, state: SimulationState, start: int,
+                       end: int) -> None:
+        """Roll one shard's slice of the shadow back to the caller's
+        arrays, which hold the segment start until the copy-out.
 
         Shard bounds are width-aligned, so for AoS and AoSoA the cell
         range ``[start, end)`` is exactly the flat sv slice
@@ -561,10 +592,10 @@ class SupervisedRunner(ShardedRunner):
         (refused for >1 worker at construction).
         """
         n_states = len(self.model.states)
-        state.sv[start * n_states:end * n_states] = \
-            backup_sv[start * n_states:end * n_states]
-        for name, saved in backup_ext.items():
-            state.externals[name][start:end] = saved[start:end]
+        lo, hi = start * n_states, end * n_states
+        self._shadow.sv[lo:hi] = state.sv[lo:hi]
+        for name, array in state.externals.items():
+            self._shadow.externals[name][start:end] = array[start:end]
 
     def _dispatch(self, slot: int, start: int, end: int,
                   segment: tuple) -> _Task:
@@ -581,13 +612,7 @@ class SupervisedRunner(ShardedRunner):
 
     # -- worker lifecycle ----------------------------------------------------------
 
-    def _ensure_workers(self, state: SimulationState) -> None:
-        if self._procs:
-            return
-        shards = self.shards_for(state)
-        if len(shards) <= 1:
-            return                      # nothing to supervise: inline
-        n = len(shards)
+    def _fork_workers(self, n: int) -> None:
         # per worker: a float64 heartbeat, and an int64 progress count
         # (completed steps of its current segment) after all the beats
         self._hb_shm = _shm_mod.SharedMemory(create=True, size=16 * n)
@@ -631,7 +656,7 @@ class SupervisedRunner(ShardedRunner):
         trace_ctx = tracer.context() if tracer is not None else None
         proc = ctx.Process(
             target=_worker_entry,
-            args=(self, self._attached, slot, child_conn, self._hb_view,
+            args=(self, self._shadow, slot, child_conn, self._hb_view,
                   self._progress, self.config, fault, trace_ctx),
             daemon=True, name=f"limpet-worker-{slot}")
         proc.start()
@@ -730,16 +755,9 @@ class SupervisedRunner(ShardedRunner):
         self._procs = []
         self._conns = []
         self._spawns = []
+        self._hb_view = self._progress = None
         if self._hb_shm is not None:
-            self._hb_view = self._progress = None
-            try:
-                self._hb_shm.close()
-            except BufferError:         # pragma: no cover - exported view
-                pass
-            try:
-                self._hb_shm.unlink()
-            except FileNotFoundError:   # pragma: no cover - already gone
-                pass
+            _release(self._hb_shm)
             self._hb_shm = None
         _metrics.gauge("supervised_workers",
                        "live worker processes of the supervised "
@@ -748,66 +766,46 @@ class SupervisedRunner(ShardedRunner):
     # -- shared-memory state attach/detach -----------------------------------------
 
     def _attach_state(self, state: SimulationState) -> None:
-        """Move ``state``'s arrays into one shared-memory segment and
-        rebind the state to views of it (workers fork after this, so
-        they inherit the views)."""
-        if self._attached is state:
+        """Fork the workers over a shadow of ``state`` in one
+        shared-memory segment, unless they already hold this object at
+        these array shapes and names; a one-shard plan gets neither."""
+        arrays = _state_arrays(state)
+        shapes = ([a.shape for a in arrays], list(state.externals),
+                  list(state.params))
+        if state is self._attached and shapes == self._shapes:
             return
-        if self._attached is not None:
-            self._detach_state()
-        total = state.sv.nbytes + sum(a.nbytes
-                                      for a in state.externals.values())
-        self._state_shm = _shm_mod.SharedMemory(create=True,
-                                                size=max(total, 1))
-        buf = self._state_shm.buf
-        offset = 0
-        sv_view = np.ndarray(state.sv.shape, dtype=state.sv.dtype,
-                             buffer=buf, offset=offset)
-        sv_view[...] = state.sv
-        offset += state.sv.nbytes
-        ext_views: Dict[str, np.ndarray] = {}
-        for name, array in state.externals.items():
-            view = np.ndarray(array.shape, dtype=array.dtype,
-                              buffer=buf, offset=offset)
-            view[...] = array
+        self._detach_state()
+        n = len(self.shards_for(state))
+        if n <= 1:
+            return                      # nothing to supervise: inline
+        self._state_shm = _shm_mod.SharedMemory(
+            create=True, size=max(sum(a.nbytes for a in arrays), 1))
+        views, offset = [], 0
+        for array in arrays:
+            views.append(np.ndarray(array.shape, dtype=array.dtype,
+                                    buffer=self._state_shm.buf,
+                                    offset=offset))
             offset += array.nbytes
-            ext_views[name] = view
-        self._orig_arrays = (state.sv, dict(state.externals))
-        state.sv = sv_view
-        state.externals.update(ext_views)
-        self._attached = state
-        self._bound = None              # stale prebound args hold old arrays
+        n_ext = len(state.externals)
+        self._shadow = dataclasses.replace(
+            state, sv=views[0],
+            externals=dict(zip(state.externals, views[1:1 + n_ext])),
+            params=dict(zip(state.params, views[1 + n_ext:])))
+        self._attached, self._shapes = state, shapes
+        self._fork_workers(n)
 
     def _detach_state(self) -> None:
-        """Shut the workers down, copy the shared segment back into the
-        original arrays, rebind the state, and unlink the segment."""
-        state = self._attached
-        if state is None:
-            return
-        self._shutdown_workers()        # workers hold views of this segment
-        orig_sv, orig_ext = self._orig_arrays
-        orig_sv[...] = state.sv
-        for name, array in orig_ext.items():
-            array[...] = state.externals[name]
-        state.sv = orig_sv
-        state.externals.update(orig_ext)
-        self._attached = None
-        self._orig_arrays = None
-        self._bound = None              # release view refs before close
-        try:
-            self._state_shm.close()
-        except BufferError:             # pragma: no cover - exported view
-            pass
-        try:
-            self._state_shm.unlink()
-        except FileNotFoundError:       # pragma: no cover - already gone
-            pass
-        self._state_shm = None
+        """Stop the workers and unlink the segment that shadowed the
+        attached state (the caller's arrays already hold its values)."""
+        self._shutdown_workers()        # workers hold views of the segment
+        self._attached = self._shadow = self._shapes = None
+        if self._state_shm is not None:
+            _release(self._state_shm)
+            self._state_shm = None
 
     # -- lifecycle ------------------------------------------------------------------
 
     def close(self) -> None:
         self._detach_state()
-        self._shutdown_workers()
         _ACTIVE_RUNNERS.discard(self)
         super().close()

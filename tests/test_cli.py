@@ -101,6 +101,18 @@ class TestRunAndCompare:
         assert code == 0
         assert "ns/cell-step" in out
 
+    @pytest.mark.parametrize("workers,cells,ran", [
+        ("1", "8", "inline"),
+        # 8 cells are one vector block: one shard, so no worker runs
+        ("2", "8", "inline"),
+        ("2", "64", "supervised x2")])
+    def test_run_names_what_ran_not_the_request(self, capsys, workers,
+                                                cells, ran):
+        code, out = run_cli(capsys, "run", "Plonsey", "--workers", workers,
+                            "--cells", cells, "--steps", "10")
+        assert code == 0
+        assert f"width 8, {ran}]" in out
+
     def test_compare_checks_equivalence(self, capsys):
         code, out = run_cli(capsys, "compare", "HodgkinHuxley",
                             "--cells", "64", "--steps", "30")

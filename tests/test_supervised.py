@@ -1,6 +1,7 @@
 """Supervised multiprocess tier: bitwise differential, crash/stall
 recovery, the degradation ladder, lifecycle hygiene, signal shutdown."""
 
+import multiprocessing as mp
 import os
 import signal
 import subprocess
@@ -137,15 +138,21 @@ class TestBitwiseDifferential:
         assert compare_trajectories(expected, got, rtol=0, atol=0)
 
     def test_state_arrays_restored_after_run(self):
-        # the run moves state into shared memory; afterwards the state
-        # must be rebound to ordinary heap arrays and the segment gone
+        # the workers step a shadow of the state in shared memory; the
+        # caller's arrays are never rebound and hold the result, and
+        # the segment lives until close()
+        expected = run_single("Plonsey", 16, 10)
         with SupervisedRunner(make_generated("Plonsey"),
                               n_workers=2) as sup:
             state = sup.make_state(16)
             sv_before = state.sv
             sup.run(state, 10, 0.01)
-            assert sup._state_shm is None
+            shm = sup._state_shm
+            path = f"/dev/shm/{shm.name}"
+            assert os.path.exists(path)
             assert state.sv is sv_before
+        assert sup._state_shm is None and not os.path.exists(path)
+        assert compare_trajectories(expected, state, rtol=0, atol=0)
 
 
 # ---------------------------------------------------------------------------
@@ -289,6 +296,120 @@ class TestSegments:
         assert (slot, step) == (0, 149) and "task deadline" in reason
         assert detected - float(hung.read_text()) < 3.0
         assert compare_trajectories(expected, state, rtol=0, atol=0)
+
+
+# ---------------------------------------------------------------------------
+# Workers outlive run(): one fork per worker per state
+# ---------------------------------------------------------------------------
+
+
+def _pids(runner):
+    return [proc.pid for proc in getattr(runner, "_procs", [])]
+
+
+def _restarts(runner):
+    return [d for d in runner.diagnostics if "restarted worker" in d.message]
+
+
+def _twin(scenario, n_cells=29, **kwargs):
+    """Run ``scenario(runner, state)`` inline and on two supervised
+    workers, from equal fresh states; assert the final states are
+    bitwise equal and return ``(inline out, supervised out, runner)``."""
+    inline = KernelRunner(make_generated("LuoRudy91"))
+    expected = inline.make_state(n_cells)
+    inline_out = scenario(inline, expected)
+    with SupervisedRunner(make_generated("LuoRudy91"), n_workers=2,
+                          **kwargs) as sup:
+        state = sup.make_state(n_cells)
+        out = scenario(sup, state)
+        assert sup.tier == "supervised"
+    assert compare_trajectories(expected, state, rtol=0, atol=0)
+    return inline_out, out, sup
+
+
+@needs_mp
+class TestPersistentWorkers:
+    def test_runs_on_one_state_keep_the_workers(self):
+        def scenario(runner, state):
+            runner.run(state, 1, 0.01)
+            forked = (_pids(runner), list(getattr(runner, "_spawns", [])))
+            runner.run(state, 59, 0.01)
+            return forked, (_pids(runner), list(getattr(runner, "_spawns",
+                                                        [])))
+
+        _, (forked, after), _ = _twin(scenario)
+        assert len(forked[0]) == 2 and forked[1] == [1, 1]
+        assert after == forked
+
+    def test_another_state_forks_again(self):
+        def scenario(runner, state):
+            other = runner.make_state(29, perturbation=0.01)
+            runner.run(state, 20, 0.01)
+            first = _pids(runner)
+            runner.run(other, 20, 0.01)
+            second = _pids(runner)
+            runner.run(state, 20, 0.01)
+            return other, first, second, _pids(runner)
+
+        (expected, *_), (other, first, second, third), _ = _twin(scenario)
+        assert compare_trajectories(expected, other, rtol=0, atol=0)
+        assert len(first) == len(second) == len(third) == 2
+        assert not set(first) & set(second)
+        assert not set(second) & set(third)
+
+    def test_caller_writes_between_runs_are_seen(self):
+        def scenario(runner, state):
+            runner.run(state, 10, 0.01)
+            checkpoint = state.checkpoint()
+            runner.run(state, 10, 0.01)
+            state.restore(checkpoint)
+            runner.run(state, 10, 0.01)
+            state.set_state(state.state_matrix() * 1.001)
+            runner.run(state, 10, 0.01)
+            state.externals["Vm"][:state.n_cells] += 1.5
+            runner.run(state, 10, 0.01)
+            return state.steps_done
+
+        assert _twin(scenario)[:2] == (40, 40)
+
+    def test_worker_killed_between_runs_is_restarted(self):
+        def scenario(runner, state):
+            runner.run(state, 10, 0.01)
+            if isinstance(runner, SupervisedRunner):
+                victim = runner._procs[0]
+                os.kill(victim.pid, signal.SIGKILL)
+                victim.join(timeout=5.0)
+            runner.run(state, 10, 0.01)
+
+        *_, sup = _twin(scenario, config=SupervisionConfig(**FAST))
+        restart, = _restarts(sup)
+        assert "restarted worker 0" in restart.message
+
+    def test_fault_counts_steps_across_runs(self):
+        # the first life spans both runs: its 12th step is the second
+        # step of the second run
+        def scenario(runner, state):
+            runner.run(state, 10, 0.01)
+            before = len(_restarts(runner))
+            runner.run(state, 10, 0.01)
+            return before
+
+        plan = FaultPlan(kill_worker=0, kill_worker_at_task=12)
+        _, before, sup = _twin(scenario, fault_plan=plan,
+                               config=SupervisionConfig(**FAST))
+        restart, = _restarts(sup)
+        assert before == 0 and restart.data["step"] == 11
+
+    def test_one_shard_state_gets_no_segment_and_no_process(self):
+        def scenario(runner, state):
+            seen = set()
+            runner.run(state, 10, 0.01, step_hook=lambda s: seen.add((
+                getattr(runner, "_state_shm", None), len(_pids(runner)),
+                len(mp.active_children()))))
+            return seen
+
+        _, seen, _ = _twin(scenario, n_cells=8)
+        assert seen == {(None, 0, 0)}
 
 
 # ---------------------------------------------------------------------------
