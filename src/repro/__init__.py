@@ -35,7 +35,7 @@ from .frontend import load_model as load_model_source
 from .frontend import load_model_file
 from .codegen import (BackendMode, GeneratedKernel, KernelSpec, Layout,
                       aos, aosoa, generate, generate_baseline,
-                      generate_icc_simd, generate_limpet_mlir, soa)
+                      generate_icc_simd, generate_limpet_mlir)
 from .runtime import (KernelRunner, RunResult, SimulationState, Stimulus,
                       TrajectoryComparison, compare_trajectories)
 from .resilience import (Diagnostic, FaultInjector, FaultPlan, HealthReport,
@@ -51,7 +51,7 @@ __version__ = "1.0.0"
 __all__ = [
     "parse_model", "parse_model_file", "IonicModel", "Method", "analyze",
     "load_model_source", "load_model_file", "BackendMode",
-    "GeneratedKernel", "KernelSpec", "Layout", "aos", "aosoa", "soa",
+    "GeneratedKernel", "KernelSpec", "Layout", "aos", "aosoa",
     "generate", "generate_baseline", "generate_icc_simd",
     "generate_limpet_mlir",
     "KernelRunner", "RunResult", "SimulationState", "Stimulus",

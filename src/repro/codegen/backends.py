@@ -6,9 +6,7 @@ the emitter runs when the module is first read.
 * ``limpet_mlir`` — the paper's contribution (§3.3–§3.4): SIMD as an
   intrinsic feature, ``vector<Wxf64>`` values one cell per lane, state
   through the layout's accessor (AoSoA by default, §3.4.1; AoS for the
-  §4.4 ablation; SoA as a third choice — its slot stride is the
-  ``end`` argument, so it must run over the whole allocation and the
-  ShardedRunner refuses it), vectorized LUT rows (§3.4.2);
+  §4.4 ablation), vectorized LUT rows (§3.4.2);
 * ``icc_simd`` — the icc ``#pragma omp simd`` comparator of §5: vector
   arithmetic and math, but AoS layout and serialized scalar LUT calls;
 * ``plugin`` — multimodel offspring kernels (§3.3.2) whose externals go
@@ -83,14 +81,13 @@ def generate_limpet_mlir(model: IonicModel, width: int = 8,
     ``width`` is the SIMD width in doubles (2 = SSE, 4 = AVX2,
     8 = AVX-512).  ``layout`` is the paper's data-layout flag
     (§3.4.1): ``"aosoa"`` (the default, ``None``) applies the AoS ->
-    AoSoA transformation, ``"aos"`` leaves it off, ``"soa"`` is the
-    third choice.
+    AoSoA transformation, ``"aos"`` leaves it off.
     """
     try:
         kind = LayoutKind("aosoa" if layout is None else layout)
     except ValueError:
         raise ValueError(f"unknown layout {layout!r}; "
-                         f"one of 'aos', 'soa', 'aosoa'") from None
+                         f"one of 'aos', 'aosoa'") from None
     resolved = Layout(kind, model.n_states,
                       width if kind is LayoutKind.AOSOA else 1)
     _refuse(model, model.foreign_functions, _NOT_VECTORIZABLE)

@@ -11,7 +11,7 @@ once; a :class:`Target` row holds what differs:
   ``scf.for`` step W (``limpet_mlir``, ``icc_simd``, ``plugin``);
 * element access — scalar ``memref`` or ``vector``; with the state
   layout it selects the state accessor: scalar AoS, vector
-  AoS-gather / SoA / AoSoA (§3.4.1), each one address function serving
+  AoS-gather / AoSoA (§3.4.1), each one address function serving
   both the load and the store side;
 * how externals are bound and outputs written back — plain, or the
   plugin's parent-masked gather / accumulate-scatter (plus its extra
@@ -166,16 +166,6 @@ def _aos_gather(k: _Kernel) -> Callable[[int], Value]:
     return at
 
 
-def _soa_vector(k: _Kernel) -> Callable[[int], Value]:
-    """SoA: slot s of cells i..i+W-1 sits at s*n_alloc + i.  The slot
-    stride is the ``end`` argument — SoA kernels are only valid over the
-    whole allocation (end == n_alloc), which the runtime guarantees by
-    refusing to shard them."""
-    b = k.b
-    return lambda slot: arith.addi(
-        b, arith.muli(b, k.end, b.constant(slot, index)), k.i)
-
-
 class _StateAccess(NamedTuple):
     address: Callable[[_Kernel], Callable[[int], Value]]
     load: Callable[..., Value]
@@ -186,7 +176,6 @@ _STATE_ACCESS = {
     (False, LayoutKind.AOS): _StateAccess(_blocked, _mload, _mstore),
     (True, LayoutKind.AOS): _StateAccess(_aos_gather, _gather,
                                          vector_dialect.scatter),
-    (True, LayoutKind.SOA): _StateAccess(_soa_vector, _vload, _vstore),
     (True, LayoutKind.AOSOA): _StateAccess(_blocked, _vload, _vstore),
 }
 

@@ -21,7 +21,6 @@ import numpy as np
 
 class LayoutKind(enum.Enum):
     AOS = "aos"
-    SOA = "soa"
     AOSOA = "aosoa"
 
 
@@ -57,50 +56,24 @@ class Layout:
 
     # -- addressing ----------------------------------------------------------------
 
-    def offset(self, cell: int, slot: int, n_cells: int) -> int:
-        """Flat index of (cell, slot); ``n_cells`` is the allocated count."""
+    def offset(self, cell: int, slot: int) -> int:
+        """Flat index of (cell, slot)."""
         if not 0 <= slot < max(self.n_states, 1):
             raise IndexError(f"state slot {slot} out of range")
         if self.kind is LayoutKind.AOS:
             return cell * self.n_states + slot
-        if self.kind is LayoutKind.SOA:
-            return slot * self.padded_cells(n_cells) + cell
         block_idx, lane = divmod(cell, self.block)
         return (block_idx * self.n_states * self.block
                 + slot * self.block + lane)
 
-    def offsets(self, cells: np.ndarray, slot: int,
-                n_cells: int) -> np.ndarray:
+    def offsets(self, cells: np.ndarray, slot: int) -> np.ndarray:
         """Vectorized :meth:`offset` for an array of cell indices."""
         cells = np.asarray(cells, dtype=np.int64)
         if self.kind is LayoutKind.AOS:
             return cells * self.n_states + slot
-        if self.kind is LayoutKind.SOA:
-            return slot * self.padded_cells(n_cells) + cells
         block_idx, lane = np.divmod(cells, self.block)
         return (block_idx * self.n_states * self.block
                 + slot * self.block + lane)
-
-    # -- properties the code generators key on -------------------------------------------
-
-    def vector_load_is_contiguous(self, width: int) -> bool:
-        """True when ``width`` consecutive cells of one slot are contiguous.
-
-        This is the whole point of the AoSoA transformation: with
-        ``block == width`` a lane-per-cell vector load is one contiguous
-        load; under AoS it must be a gather (stride = n_states), and
-        under SoA it is contiguous for any width.
-        """
-        if self.kind is LayoutKind.SOA:
-            return True
-        if self.kind is LayoutKind.AOSOA:
-            return self.block >= width and self.block % width == 0
-        return self.n_states == 1
-
-    @property
-    def gather_stride(self) -> int:
-        """Element stride between the same slot of consecutive cells (AoS)."""
-        return self.n_states if self.kind is LayoutKind.AOS else 1
 
     def __str__(self) -> str:
         if self.kind is LayoutKind.AOSOA:
@@ -111,11 +84,6 @@ class Layout:
 def aos(n_states: int) -> Layout:
     """openCARP's original array-of-structures layout."""
     return Layout(LayoutKind.AOS, n_states)
-
-
-def soa(n_states: int) -> Layout:
-    """Structure-of-arrays: fully transposed (contiguous but far apart)."""
-    return Layout(LayoutKind.SOA, n_states)
 
 
 def aosoa(n_states: int, block: int) -> Layout:
@@ -131,7 +99,7 @@ def pack_state(values: np.ndarray, layout: Layout) -> np.ndarray:
     buffer = np.zeros(layout.buffer_size(n_cells), dtype=np.float64)
     cells = np.arange(n_cells)
     for slot in range(n_states):
-        buffer[layout.offsets(cells, slot, n_cells)] = values[:, slot]
+        buffer[layout.offsets(cells, slot)] = values[:, slot]
     return buffer
 
 
@@ -141,5 +109,5 @@ def unpack_state(buffer: np.ndarray, layout: Layout,
     values = np.empty((n_cells, layout.n_states), dtype=np.float64)
     cells = np.arange(n_cells)
     for slot in range(layout.n_states):
-        values[:, slot] = buffer[layout.offsets(cells, slot, n_cells)]
+        values[:, slot] = buffer[layout.offsets(cells, slot)]
     return values

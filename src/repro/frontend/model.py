@@ -139,22 +139,6 @@ class IonicModel:
         lut_names = self.lut_column_names
         return [c for c in self.computations if c.target not in lut_names]
 
-    def dependencies_of(self, target: str) -> Set[str]:
-        """Transitive free variables feeding ``target``'s computation."""
-        by_name = {c.target: c for c in self.computations}
-        seen: Set[str] = set()
-        frontier = [target]
-        while frontier:
-            name = frontier.pop()
-            comp = by_name.get(name)
-            if comp is None:
-                continue
-            for dep in comp.reads:
-                if dep not in seen:
-                    seen.add(dep)
-                    frontier.append(dep)
-        return seen
-
     def stage_computations(self, state: str) -> List[Computation]:
         """Computations that must be re-evaluated when ``state`` changes.
 

@@ -11,16 +11,14 @@ currents into the parent's ``Iion`` — openCARP's plugin architecture
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence
+from typing import List, Optional, Sequence
 
 import numpy as np
 
 from ..codegen import generate_limpet_mlir, generate_plugin
 from ..frontend.model import IonicModel
-from .executor import KernelRunner, Stimulus, _quantize_dt, advance
-from .lut_runtime import build_all_luts
-from .resolve import resolve_kernel
-from .state import SimulationState, allocate_state
+from .executor import KernelRunner, Stimulus, advance
+from .state import SimulationState
 
 
 @dataclass
@@ -28,13 +26,11 @@ class PluginInstance:
     """One plugin model attached to (a subset of) the parent's cells."""
 
     model: IonicModel
-    kernel: object                 # CompiledKernel
+    #: binds the plugin kernel's standard arguments and keeps its
+    #: dt-dependent LUTs, bounded as every runner's are
+    runner: KernelRunner
     state: SimulationState
     parent_map: np.ndarray         # offspring cell -> parent cell (or -1)
-    #: quantised dt -> tables: Rush–Larsen columns are dt-dependent, so
-    #: keyed exactly as ``KernelRunner.luts_for`` keys its own
-    luts: Dict[float, List]
-    use_lut: bool
 
 
 class HierarchicalSimulation:
@@ -63,27 +59,18 @@ class HierarchicalSimulation:
             raise ValueError("parent_map must be one-dimensional")
         if (parent_map >= self.state.n_cells).any():
             raise ValueError("parent_map points past the parent's cells")
-        generated = generate_plugin(model, self.width, use_lut=use_lut)
-        kernel, _ = resolve_kernel(generated)
-        state = allocate_state(model, generated.layout, len(parent_map),
-                               width=self.width)
+        runner = KernelRunner(generate_plugin(model, self.width,
+                                              use_lut=use_lut),
+                              artifacts=False)
+        state = runner.make_state(len(parent_map))
         padded_map = np.full(state.n_alloc, -1, dtype=np.int64)
         padded_map[:len(parent_map)] = parent_map
-        plugin = PluginInstance(model=model, kernel=kernel, state=state,
-                                parent_map=padded_map, luts={},
-                                use_lut=use_lut)
+        plugin = PluginInstance(model=model, runner=runner, state=state,
+                                parent_map=padded_map)
         self.plugins.append(plugin)
         return plugin
 
     # -- stepping ----------------------------------------------------------------
-
-    def _plugin_luts(self, plugin: PluginInstance, dt: float) -> List:
-        if not plugin.use_lut:
-            return []
-        key = _quantize_dt(dt)
-        if key not in plugin.luts:
-            plugin.luts[key] = build_all_luts(plugin.model, dt=dt)
-        return plugin.luts[key]
 
     def _compute_coupled(self, state: SimulationState, dt: float) -> None:
         """The compute stage: the parent's kernel, then every plugin's
@@ -91,10 +78,8 @@ class HierarchicalSimulation:
         self.parent.compute_step(state, dt)
         for plugin in self.plugins:
             ps = plugin.state
-            args = [0, ps.n_alloc, dt, state.time, ps.sv]
-            args += [ps.externals[ext] for ext in plugin.model.externals]
-            args += self._plugin_luts(plugin, dt)
-            args.append(plugin.parent_map)
+            args = plugin.runner._bind_args(ps, dt) + [plugin.parent_map]
+            args[3] = state.time
             for ext in plugin.model.externals:
                 parent_array = state.externals.get(ext)
                 if parent_array is None:
@@ -102,7 +87,7 @@ class HierarchicalSimulation:
                     # fall through to their local storage for it
                     parent_array = ps.externals[ext]
                 args.append(parent_array)
-            plugin.kernel.fn(*args)
+            plugin.runner.kernel.fn(*args)
 
     def step(self, dt: float = 0.01,
              stimulus: Optional[Stimulus] = None) -> None:

@@ -443,8 +443,6 @@ class _NumPyPrinter:
         lo = self.expr(access.loop.operands[0])
         if form.a != 1:
             lo = f"{form.a}*{lo}"
-        if form.sym is not None:
-            lo = f"{self.expr(form.sym)} + {lo}"
         n_blocks = self.s.block_counts[id(access.loop)]
         row = form.a * access.step
         return (f"{self.expr(access.mem)}[{lo}:{lo} + {n_blocks}*{row}]"

@@ -20,7 +20,6 @@ from typing import Dict, Iterator, List, Optional, Set, Tuple
 
 from ..ir.core import (Block, IRError, Operation, OpResult, Value,
                        is_defined_in)
-from ..ir.types import VectorType
 
 #: fused expressions deeper than this are materialized into a named
 #: temporary so generated lines stay readable and CPython's parser
@@ -34,7 +33,7 @@ class LoweringError(IRError):
 
 # -- addressing modes (DESIGN.md §6.2) ---------------------------------------
 # A vector memory access in the flattened cell loop touches, for block k
-# and lane l, the address ``a*(lb + k*S) + sym + b + c*l``.  When the
+# and lane l, the address ``a*(lb + k*S) + b + c*l``.  When the
 # analysis proves that form the access is a strided slice of a
 # ``(n_blocks, a*S)`` view of the memref; otherwise it builds the index
 # array.
@@ -54,20 +53,15 @@ _ADDRESS_OPS = {"arith.addi", "arith.subi", "arith.muli",
 
 @dataclass(frozen=True)
 class _Affine:
-    """An index value as ``a*iv + sym + b + c*lane`` over one cell loop."""
+    """An index value as ``a*iv + b + c*lane`` over one cell loop."""
 
     a: int = 0                     # coefficient of the induction variable
     b: int = 0                     # compile-time constant
     c: int = 0                     # coefficient of the lane id
-    sym: Optional[Value] = None    # loop-invariant runtime scalar
-
-    @property
-    def invariant(self) -> bool:
-        return self.a == 0 and self.c == 0
 
     @property
     def constant(self) -> bool:
-        return self.invariant and self.sym is None
+        return self.a == 0 and self.c == 0
 
 
 @dataclass(frozen=True)
@@ -85,9 +79,9 @@ class Access:
     step: int = 0
 
     @cached_property
-    def view_key(self) -> Tuple[int, int, int, int]:
+    def view_key(self) -> Tuple[int, int, int]:
         """Accesses with one key share one block view."""
-        return (id(self.loop), id(self.mem), self.form.a, id(self.form.sym))
+        return (id(self.loop), id(self.mem), self.form.a)
 
     def slot(self, width: int) -> Optional[int]:
         """The state slot a sliced access of ``width`` lanes touches when
@@ -120,20 +114,11 @@ class _AffineAnalysis:
     def _derive(self, value: Value) -> Optional[_Affine]:
         if value is self.iv:
             return _Affine(a=1)
-        if not value.type.is_integer:
+        if not value.type.is_integer or not isinstance(value, OpResult):
             return None
-        unvaried = not is_defined_in(value, self.loop)
-        if isinstance(value, OpResult):
-            operands = [self.form(v) for v in value.op.operands]
-            if all(f is not None for f in operands):
-                form = self._combine(value.op, operands)
-                if form is not None:
-                    return form
-                unvaried = unvaried or (
-                    value.op.is_pure and bool(operands)
-                    and all(f.invariant for f in operands))
-        if unvaried and not isinstance(value.type, VectorType):
-            return _Affine(sym=value)       # a runtime scalar symbol
+        operands = [self.form(v) for v in value.op.operands]
+        if all(f is not None for f in operands):
+            return self._combine(value.op, operands)
         return None
 
     @staticmethod
@@ -151,18 +136,13 @@ class _AffineAnalysis:
         if name in ("arith.addi", "arith.subi"):
             x, y = operands
             if name == "arith.subi":
-                if y.sym is not None:
-                    return None
                 y = _Affine(-y.a, -y.b, -y.c)
-            if x.sym is not None and y.sym is not None:
-                return None
-            return _Affine(x.a + y.a, x.b + y.b, x.c + y.c,
-                           x.sym if x.sym is not None else y.sym)
+            return _Affine(x.a + y.a, x.b + y.b, x.c + y.c)
         if name == "arith.muli":
             x, k = operands
             if not k.constant:
                 x, k = k, x
-            if not k.constant or x.sym is not None:
+            if not k.constant:
                 return None
             return _Affine(x.a * k.b, x.b * k.b, x.c * k.b)
         return None
@@ -420,11 +400,9 @@ class Schedule:
         that only sliced accesses consume: it is never materialized."""
         ops = list(self.func_op.walk())
         self.access = analyze_accesses(self.func_op, ops)
-        live = {id(a.form.sym) for a in self.access.values()
-                if a.form is not None and a.form.sym is not None}
         # users come after definitions, so one reverse walk settles it
         for op in reversed(ops):
-            if op.name in _ADDRESS_OPS and id(op.results[0]) not in live \
+            if op.name in _ADDRESS_OPS \
                     and self._feeds_only_slices(op.results[0]):
                 self.address_only.add(id(op))
 
@@ -441,8 +419,6 @@ class Schedule:
     def _view_operands(self, access: Access) -> None:
         """Name what ``access``'s block view mentions, unless hoisted."""
         if access.view_key not in self.views:
-            if access.form.sym is not None:
-                self._materialize(access.form.sym)
             self._materialize(access.mem)
 
     def _hoist_views(self, loop: Operation) -> None:
@@ -458,9 +434,7 @@ class Schedule:
         self._emit(loop, n_blocks, kind="blocks")
         for access in sliced:
             if access.view_key in self.views \
-                    or is_defined_in(access.mem, loop) or (
-                        access.form.sym is not None
-                        and is_defined_in(access.form.sym, loop)):
+                    or is_defined_in(access.mem, loop):
                 continue
             self._view_operands(access)
             name = f"_{self.names[id(access.mem)]}_b{len(self.views)}"

@@ -69,12 +69,6 @@ class ShardedRunner(KernelRunner):
                  **kwargs):
         super().__init__(generated, **kwargs)
         self.n_threads = n_threads or available_cpus()
-        from ..codegen.layout import LayoutKind
-        if self.layout.kind is LayoutKind.SOA and self.n_threads > 1:
-            raise ValueError(
-                "ShardedRunner cannot shard SoA kernels: their slot "
-                "stride is the `end` argument, so they are only valid "
-                "over the whole allocation (end == n_alloc)")
         self._shards: Optional[Tuple[int, List[Tuple[int, int]]]] = None
 
     def shards_for(self, state: SimulationState) -> List[Tuple[int, int]]:

@@ -385,7 +385,7 @@ class SupervisedRunner(ShardedRunner):
 
     @property
     def tier(self) -> str:
-        """``active_tier`` as ``benchmarks/e2e/workloads.py:231`` reads
+        """``active_tier`` as ``benchmarks/e2e/workloads.py:232`` reads
         it; a runner without a ``tier`` is, to it, one that cannot
         degrade."""
         return self._tier
@@ -586,10 +586,9 @@ class SupervisedRunner(ShardedRunner):
         """Roll one shard's slice of the shadow back to the caller's
         arrays, which hold the segment start until the copy-out.
 
-        Shard bounds are width-aligned, so for AoS and AoSoA the cell
+        Shard bounds are width-aligned, so under either layout the cell
         range ``[start, end)`` is exactly the flat sv slice
-        ``[start * n_states, end * n_states)``; SoA never reaches here
-        (refused for >1 worker at construction).
+        ``[start * n_states, end * n_states)``.
         """
         n_states = len(self.model.states)
         lo, hi = start * n_states, end * n_states

@@ -194,6 +194,23 @@ class TestFaultsCommand:
         assert any((b / "meta.json").exists() for b in bundles)
 
 
+class TestCacheStats:
+    def test_prints_quarantined_entries(self, capsys, tmp_path):
+        from repro.resilience import corrupt_cache_entry
+        from repro.runtime import KernelCache
+        cache = KernelCache(tmp_path)
+        cache.store("k1", source="def f(): pass", mode="vector", width=8,
+                    arg_names=["sv"], function_name="f", fused=True,
+                    arena=False)
+        assert corrupt_cache_entry(cache, mode="truncate") is not None
+        assert cache.load("k1") is None          # quarantined on read
+        code, out = run_cli(capsys, "cache-stats", "--cache-dir",
+                            str(tmp_path))
+        assert code == 0
+        assert "  entries:   0\n" in out
+        assert "  quarantined: 1\n" in out
+
+
 class TestPerfCommand:
     def test_perf_width_flag(self, capsys, tmp_path):
         out_path = tmp_path / "perf.json"

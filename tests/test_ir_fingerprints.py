@@ -7,7 +7,7 @@ while one request always yields one module and one lowering.
 
 * ``cells``: sha256 of the spec coordinates and the *pre-pipeline*
   printed module per ``model/variant`` of 47 models x {baseline x lut
-  linear/spline/off; limpet_mlir x w 2/4/8 x aosoa/aos/soa x lut
+  linear/spline/off; limpet_mlir x w 2/4/8 x aosoa/aos x lut
   linear/spline/off; icc_simd w8; plugin w8} plus the promoted
   Courtemanche ``GKr`` kernels, a refusal as the exception's type name;
   recorded under ``GENERATOR_VERSION``;
@@ -59,7 +59,7 @@ def variants() -> Dict[str, Build]:
         table[f"baseline/lut={lut}"] = \
             lambda m, k=kwargs: generate_baseline(m, **k)
         for width in (2, 4, 8):
-            for layout in ("aosoa", "aos", "soa"):
+            for layout in ("aosoa", "aos"):
                 table[f"limpet_mlir/w{width}/{layout}/lut={lut}"] = \
                     lambda m, w=width, l=layout, k=kwargs: \
                     generate_limpet_mlir(m, width=w, layout=l, **k)
@@ -214,13 +214,13 @@ def test_record_covers_the_full_matrix():
     recorded = record["cells"]
     assert set(recorded) == {key for key, _ in entries()}
     refusals = {k for k, v in recorded.items() if v.startswith("refused:")}
-    assert len(recorded) == 47 * 32 + 2 and len(refusals) == 4 * 29
+    assert len(recorded) == 47 * 23 + 2 and len(refusals) == 4 * 20
     assert all(v == "refused:UnsupportedModelError"
                for k, v in recorded.items() if k in refusals)
     assert set(record["sources"]) == {key for key, _ in source_entries()}
     # both default kernels of all 47 (+ the promoted model), the other
-    # 30 variants and two lowering options of the five
-    assert len(record["sources"]) == 2 * 48 + 5 * 30 + 5 * 2
+    # 21 variants and two lowering options of the five
+    assert len(record["sources"]) == 2 * 48 + 5 * 21 + 5 * 2
     assert set(record["provenances"]) \
         == {key for key, _ in provenance_entries()}
     assert len(record["provenances"]) == 5

@@ -10,7 +10,7 @@ meshes.  The corpus covers:
 
 * every zoo model's default kernel (limpetMLIR at width 8, the
   baseline for the four foreign models);
-* the ``TIER1_MODELS`` at widths 2 / 4 / 8 x layouts aosoa / aos / soa
+* the ``TIER1_MODELS`` at widths 2 / 4 / 8 x layouts aosoa / aos
   (a foreign model's refusal is recorded as such);
 * the promoted Courtemanche population kernel, ``GKr`` set per cell.
 
@@ -56,7 +56,7 @@ def kernels(tier1_only=False):
                lambda n=name: default_kernel(load_model(n)), False)
         if name in pins.TIER1_MODELS:
             for width in (2, 4, 8):
-                for layout in ("aosoa", "aos", "soa"):
+                for layout in ("aosoa", "aos"):
                     yield (f"{name}/w{width}/{layout}",
                            lambda n=name, w=width, l=layout:
                            generate_limpet_mlir(load_model(n), w, layout=l),
@@ -114,7 +114,7 @@ def recorded():
 def test_record_covers_the_zoo_and_the_tier1_matrix():
     keys = set(recorded()["states"])
     assert keys == {key for key, _, _ in kernels()}
-    assert len(keys) == 47 + 9 * len(pins.TIER1_MODELS) + 1
+    assert len(keys) == 47 + 6 * len(pins.TIER1_MODELS) + 1
 
 
 @pytest.mark.parametrize(

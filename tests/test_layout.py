@@ -1,55 +1,51 @@
-"""Data-layout tests (§3.4.1): addressing, packing, contiguity."""
+"""Data-layout tests (§3.4.1): addressing, padding, packing."""
 
 import numpy as np
 import pytest
 
+from repro.codegen import generate, generate_limpet_mlir
 from repro.codegen.layout import (Layout, LayoutKind, aos, aosoa, pack_state,
-                                  soa, unpack_state)
+                                  unpack_state)
+from repro.models import load_model
+from repro.population import PopulationRunner, PopulationSpec
 
 
 class TestAddressing:
     def test_aos_offsets(self):
         layout = aos(n_states=3)
         # cell-major: [c0s0 c0s1 c0s2 c1s0 ...]
-        assert layout.offset(0, 0, 10) == 0
-        assert layout.offset(0, 2, 10) == 2
-        assert layout.offset(1, 0, 10) == 3
-        assert layout.offset(4, 1, 10) == 13
-
-    def test_soa_offsets(self):
-        layout = soa(n_states=3)
-        assert layout.offset(0, 0, 10) == 0
-        assert layout.offset(9, 0, 10) == 9
-        assert layout.offset(0, 1, 10) == 10
-        assert layout.offset(4, 2, 10) == 24
+        assert layout.offset(0, 0) == 0
+        assert layout.offset(0, 2) == 2
+        assert layout.offset(1, 0) == 3
+        assert layout.offset(4, 1) == 13
 
     def test_aosoa_offsets(self):
         layout = aosoa(n_states=3, block=4)
         # block 0: s0 lanes 0-3, s1 lanes 0-3, s2 lanes 0-3, block 1...
-        assert layout.offset(0, 0, 8) == 0
-        assert layout.offset(3, 0, 8) == 3
-        assert layout.offset(0, 1, 8) == 4
-        assert layout.offset(4, 0, 8) == 12   # second block starts
-        assert layout.offset(5, 2, 8) == 21
+        assert layout.offset(0, 0) == 0
+        assert layout.offset(3, 0) == 3
+        assert layout.offset(0, 1) == 4
+        assert layout.offset(4, 0) == 12   # second block starts
+        assert layout.offset(5, 2) == 21
 
     def test_vectorized_offsets_match_scalar(self):
-        for layout in (aos(5), soa(5), aosoa(5, 8)):
+        for layout in (aos(5), aosoa(5, 8)):
             cells = np.arange(16)
             for slot in range(5):
-                vectorized = layout.offsets(cells, slot, 16)
-                scalar = [layout.offset(int(c), slot, 16) for c in cells]
+                vectorized = layout.offsets(cells, slot)
+                scalar = [layout.offset(int(c), slot) for c in cells]
                 assert list(vectorized) == scalar, str(layout)
 
     def test_slot_out_of_range(self):
         with pytest.raises(IndexError):
-            aos(2).offset(0, 2, 4)
+            aos(2).offset(0, 2)
 
     def test_offsets_within_buffer(self):
-        for layout in (aos(4), soa(4), aosoa(4, 8)):
+        for layout in (aos(4), aosoa(4, 8)):
             size = layout.buffer_size(10)
             cells = np.arange(10)
             for slot in range(4):
-                offs = layout.offsets(cells, slot, 10)
+                offs = layout.offsets(cells, slot)
                 assert offs.max() < size
 
 
@@ -67,31 +63,8 @@ class TestPadding:
         assert aosoa(3, 8).buffer_size(10) == 48
 
 
-class TestContiguity:
-    def test_aosoa_contiguous_at_block_width(self):
-        assert aosoa(4, 8).vector_load_is_contiguous(8)
-        assert aosoa(4, 8).vector_load_is_contiguous(4)
-
-    def test_aosoa_not_contiguous_beyond_block(self):
-        assert not aosoa(4, 4).vector_load_is_contiguous(8)
-
-    def test_aos_not_contiguous(self):
-        assert not aos(4).vector_load_is_contiguous(8)
-
-    def test_aos_single_state_degenerate_contiguous(self):
-        assert aos(1).vector_load_is_contiguous(8)
-
-    def test_soa_always_contiguous(self):
-        assert soa(4).vector_load_is_contiguous(8)
-
-    def test_gather_stride(self):
-        assert aos(7).gather_stride == 7
-        assert aosoa(7, 8).gather_stride == 1
-
-
 class TestPackUnpack:
-    @pytest.mark.parametrize("make", [lambda: aos(4), lambda: soa(4),
-                                      lambda: aosoa(4, 8)])
+    @pytest.mark.parametrize("make", [lambda: aos(4), lambda: aosoa(4, 8)])
     def test_round_trip(self, make):
         layout = make()
         rng = np.random.default_rng(7)
@@ -117,7 +90,6 @@ class TestPackUnpack:
 
     def test_str_forms(self):
         assert str(aos(3)) == "aos"
-        assert str(soa(3)) == "soa"
         assert str(aosoa(3, 8)) == "aosoa(block=8)"
 
     def test_invalid_construction(self):
@@ -125,3 +97,20 @@ class TestPackUnpack:
             Layout(LayoutKind.AOSOA, 3, 0)
         with pytest.raises(ValueError):
             Layout(LayoutKind.AOS, -1)
+
+
+class TestLayoutChoice:
+    """``layout=`` takes the paper's two layouts (§3.4.1) and no other."""
+
+    @pytest.mark.parametrize("build", [
+        lambda m, layout: generate_limpet_mlir(m, 8, layout=layout),
+        lambda m, layout: generate(m, "limpet_mlir", 8, layout=layout),
+        lambda m, layout: PopulationRunner(
+            m, PopulationSpec.from_ranges(m, {"GK": "0.5:1.0:2"}),
+            layout=layout),
+    ], ids=["generate_limpet_mlir", "generate", "PopulationRunner"])
+    def test_soa_is_refused(self, build):
+        with pytest.raises(ValueError) as refused:
+            build(load_model("LuoRudy91"), "soa")
+        assert "'aos'" in str(refused.value)
+        assert "'aosoa'" in str(refused.value)

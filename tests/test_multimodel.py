@@ -9,6 +9,7 @@ from repro.ir import verify_module
 from repro.models import load_model as load_registry_model
 from repro.runtime import (HierarchicalSimulation, KernelRunner, Stimulus,
                            compare_trajectories)
+from repro.runtime.executor import _LUT_CACHE_MAX
 
 PLUGIN_SOURCE = """
 Vm; .external();
@@ -60,12 +61,22 @@ class TestHierarchy:
             return sim
 
         reused, rebuilt = coupled(), coupled()
-        rebuilt.plugins[0].luts.clear()
+        rebuilt.plugins[0].runner._lut_cache.clear()
         for sim in (reused, rebuilt):
             sim.run(20, 0.005)
         assert np.array_equal(reused.parent_vm(), rebuilt.parent_vm())
         assert np.array_equal(reused.plugin_state(0, "m"),
                               rebuilt.plugin_state(0, "m"))
+
+    def test_plugin_luts_are_bounded(self):
+        """A plugin keeps at most as many dt table sets as any runner
+        does, however many dt values a run visits."""
+        model = load_registry_model("LuoRudy91")
+        sim = HierarchicalSimulation(model, n_cells=8, width=8)
+        plugin = sim.attach_plugin(model, list(range(8)))
+        for k in range(20):
+            sim.run(1, 0.01 / (k + 1))
+        assert plugin.runner.lut_cache_stats()["entries"] <= _LUT_CACHE_MAX
 
     def test_coupled_cells_feel_the_plugin(self, plugin_model):
         parent = load_registry_model("LuoRudy91")

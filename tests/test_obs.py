@@ -368,7 +368,7 @@ class TestKernelProfiler:
         for key in snap_p:
             assert np.array_equal(snap_p[key], snap_u[key]), key
 
-    @pytest.mark.parametrize("layout", ["aosoa", "aos", "soa"])
+    @pytest.mark.parametrize("layout", ["aosoa", "aos"])
     def test_profiled_access_modes_bitwise_identical(self, layout):
         """Sliced loads and stores bracket like any statement; their
         provenance names the addressing mode (``pack G`` for G packed
@@ -386,10 +386,9 @@ class TestKernelProfiler:
                  if e["op"] in ("vector.load", "vector.store",
                                 "vector.gather", "vector.scatter")}
         # LuoRudy91's seven state loads are one transposed copy where
-        # its slots share a block view (SoA gives each slot its own)
+        # its slots share a block view
         assert modes == {"aos": {"unit", "strided", "pack 7"},
-                         "aosoa": {"unit", "pack 7"},
-                         "soa": {"unit"}}[layout]
+                         "aosoa": {"unit", "pack 7"}}[layout]
         report = profiled.profile_report(invocations=25)
         assert "detail" in report.hot_table(3).splitlines()[1]
         assert any(f" {mode} " in report.hot_table(len(report.entries))

@@ -200,7 +200,7 @@ def make_spec(model):
 
 class TestBitwiseDifferential:
     @pytest.mark.parametrize("layout,width", [
-        ("aos", 2), ("aos", 4), ("aosoa", 4), ("aosoa", 8), ("soa", 4),
+        ("aos", 2), ("aos", 4), ("aosoa", 4), ("aosoa", 8),
     ])
     def test_layouts_and_widths(self, layout, width):
         model = promoted()

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
-from repro.codegen.layout import aos, aosoa, pack_state, soa, unpack_state
+from repro.codegen.layout import aos, aosoa, pack_state, unpack_state
 from repro.easyml import parse_model, tokenize
 from repro.easyml.ast_nodes import (Binary, Call, Expr, Name, Number,
                                     Ternary, Unary)
@@ -139,12 +139,11 @@ class TestCodegenSemanticsProperty:
 
 
 class TestLayoutProperties:
-    layouts = st.sampled_from(["aos", "soa", "aosoa2", "aosoa8"])
+    layouts = st.sampled_from(["aos", "aosoa2", "aosoa8"])
 
     @staticmethod
     def _make(kind, n_states):
-        return {"aos": aos(n_states), "soa": soa(n_states),
-                "aosoa2": aosoa(n_states, 2),
+        return {"aos": aos(n_states), "aosoa2": aosoa(n_states, 2),
                 "aosoa8": aosoa(n_states, 8)}[kind]
 
     @given(layouts, st.integers(1, 6), st.integers(1, 40),
@@ -167,7 +166,7 @@ class TestLayoutProperties:
         cells = np.arange(padded)
         seen = set()
         for slot in range(n_states):
-            for off in layout.offsets(cells, slot, padded):
+            for off in layout.offsets(cells, slot):
                 assert off not in seen
                 seen.add(int(off))
         assert max(seen) < layout.buffer_size(padded)

@@ -107,10 +107,7 @@ class TestShardRangesBitwise:
                                            optimize):
         generated = generate_limpet_mlir(gate_model, width, layout=layout)
         n_cells = 4 * width + _RAGGED[width] % width
-        n_alloc = -(-n_cells // width) * width
-        # SoA's slot stride is ``end``: its shards end at the allocation
-        end = n_alloc if layout == "soa" else 3 * width
-        fast, slow = _run_both(generated, n_cells, bounds=(width, end),
+        fast, slow = _run_both(generated, n_cells, bounds=(width, 3 * width),
                                optimize=optimize)
         assert compare_trajectories(fast, slow, rtol=0, atol=0)
         untouched = fast.state_matrix()[:width]
@@ -201,7 +198,7 @@ class TestAddressingModes:
     @pytest.mark.parametrize("name", ALL_MODELS)
     def test_zoo_has_no_indexed_access(self, name):
         model = load_registry_model(name)
-        for layout, modes in (("aosoa", {"unit"}), ("soa", {"unit"}),
+        for layout, modes in (("aosoa", {"unit"}),
                               ("aos", {"unit", "strided"})):
             generated = generate_limpet_mlir(model, 8, layout=layout)
             KernelRunner(generated)      # runs the pipeline in place

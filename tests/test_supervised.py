@@ -558,25 +558,6 @@ class TestDegradationLadder:
 
 
 # ---------------------------------------------------------------------------
-# Construction refusals inherited from the shard plan
-# ---------------------------------------------------------------------------
-
-
-class TestConstructionRefusals:
-    def test_soa_refused_for_multiple_workers(self):
-        generated = generate_limpet_mlir(load_model("Plonsey"),
-                                         layout="soa")
-        with pytest.raises(ValueError, match="SoA"):
-            SupervisedRunner(generated, n_workers=2)
-
-    def test_soa_allowed_for_one_worker(self):
-        generated = generate_limpet_mlir(load_model("Plonsey"),
-                                         layout="soa")
-        sup = SupervisedRunner(generated, n_workers=1)
-        sup.close()
-
-
-# ---------------------------------------------------------------------------
 # Lifecycle hygiene
 # ---------------------------------------------------------------------------
 
