@@ -64,7 +64,8 @@ class TestPadding:
 
 
 class TestPackUnpack:
-    @pytest.mark.parametrize("make", [lambda: aos(4), lambda: aosoa(4, 8)])
+    @pytest.mark.parametrize("make", [lambda: aos(4), lambda: aosoa(4, 8),
+                                      lambda: aosoa(4, 4)])
     def test_round_trip(self, make):
         layout = make()
         rng = np.random.default_rng(7)

@@ -396,18 +396,23 @@ class TestKernelProfiler:
         assert "indexed" not in report.by_class()
 
     def test_profile_report_attributes_compute_time(self):
+        # The counters are held against the compute time of the very run
+        # they count: two separate runs of this size differ by tens of
+        # percent on a shared machine, which would swamp a 5% bar.  The
+        # run's own compute also carries whatever the profiler costs
+        # outside its brackets, so it is no easier a bar than a plain
+        # runner's compute.
+        # A warm-up run first, then the counters start again from zero,
+        # so first-call costs outside the kernel's statements are left out.
         profiled = make_runner("OHara", profile=True)
-        plain = make_runner("OHara")
-        plain.run(plain.make_state(1024), 5, 0.01)       # warm-up
-        best_compute = float("inf")
-        for _ in range(3):
-            res = plain.run(plain.make_state(1024), 30, 0.01,
-                            time_breakdown=True)
-            best_compute = min(best_compute, res.compute_seconds)
-        profiled.run(profiled.make_state(1024), 30, 0.01)
+        profiled.run(profiled.make_state(1024), 5, 0.01)
+        counters = profiled.kernel.profile_counters
+        counters[:] = [0.0] * len(counters)
+        res = profiled.run(profiled.make_state(1024), 30, 0.01,
+                           time_breakdown=True)
         report = profiled.profile_report(invocations=30)
         assert report.total_seconds > 0
-        assert report.attributed_fraction(best_compute) >= 0.95
+        assert report.attributed_fraction(res.compute_seconds) >= 0.95
         # every counter slot has a provenance record, and the hot table
         # names IR ops
         assert len(report.entries) == \
