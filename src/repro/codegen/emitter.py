@@ -143,8 +143,8 @@ def _gather(b, ref, idx, width):
 def _blocked(k: _Kernel) -> Callable[[int], Value]:
     """AoS (block 1, Listing 2's ``sv = sv_base + __i``) and AoSoA
     (block W): lanes of one slot are contiguous and i is a block start,
-    so offset = i*n_states + slot*block (the ``memref.view`` +
-    ``load_struct_to_vec`` pattern of Listing 3)."""
+    so offset = i*n_states + slot*block (Listing 3's view of the state
+    buffer + ``load_struct_to_vec``)."""
     b, block = k.b, k.spec.layout.block
     base = arith.muli(b, k.i, k.n_states)
     return lambda slot: arith.addi(b, base, b.constant(slot * block, index))

@@ -28,8 +28,12 @@ class LayoutKind(enum.Enum):
 class Layout:
     """A concrete layout for ``n_states`` state variables.
 
-    ``block`` is only meaningful for AoSoA; it equals the SIMD width in
-    limpetMLIR's transformation.
+    Both layouts are blocked: ``block`` successive cells store each slot
+    side by side, (cell i, slot s) at
+    ``(i // block)*n_states*block + s*block + i % block``.  AoSoA's
+    ``block`` is the SIMD width in limpetMLIR's transformation; AoS is
+    the same formula at ``block`` 1 (Listing 2's ``sv_base + i``), as
+    the emitter addresses it, and takes no other block.
     """
 
     kind: LayoutKind
@@ -39,17 +43,18 @@ class Layout:
     def __post_init__(self) -> None:
         if self.n_states < 0:
             raise ValueError("n_states must be >= 0")
-        if self.kind is LayoutKind.AOSOA and self.block < 1:
+        if self.kind is LayoutKind.AOS and self.block != 1:
+            raise ValueError(f"AoS is the blocked layout at block 1, "
+                             f"not {self.block}")
+        if self.block < 1:
             raise ValueError("AoSoA requires a positive block size")
 
     # -- size -------------------------------------------------------------------
 
     def padded_cells(self, n_cells: int) -> int:
         """Cell count rounded up to a whole number of blocks."""
-        if self.kind is LayoutKind.AOSOA:
-            blocks = -(-n_cells // self.block)
-            return blocks * self.block
-        return n_cells
+        blocks = -(-n_cells // self.block)
+        return blocks * self.block
 
     def buffer_size(self, n_cells: int) -> int:
         return self.padded_cells(n_cells) * self.n_states
@@ -60,8 +65,6 @@ class Layout:
         """Flat index of (cell, slot)."""
         if not 0 <= slot < max(self.n_states, 1):
             raise IndexError(f"state slot {slot} out of range")
-        if self.kind is LayoutKind.AOS:
-            return cell * self.n_states + slot
         block_idx, lane = divmod(cell, self.block)
         return (block_idx * self.n_states * self.block
                 + slot * self.block + lane)
@@ -69,8 +72,6 @@ class Layout:
     def offsets(self, cells: np.ndarray, slot: int) -> np.ndarray:
         """Vectorized :meth:`offset` for an array of cell indices."""
         cells = np.asarray(cells, dtype=np.int64)
-        if self.kind is LayoutKind.AOS:
-            return cells * self.n_states + slot
         block_idx, lane = np.divmod(cells, self.block)
         return (block_idx * self.n_states * self.block
                 + slot * self.block + lane)

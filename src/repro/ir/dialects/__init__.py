@@ -4,6 +4,6 @@ Importing this package registers every op's :class:`~repro.ir.core.OpInfo`
 (traits, verifier, folder, evaluator) with the global registry.
 """
 
-from . import arith, cf, func, math, memref, omp, scf, vector
+from . import arith, func, math, memref, omp, scf, vector
 
-__all__ = ["arith", "cf", "func", "math", "memref", "omp", "scf", "vector"]
+__all__ = ["arith", "func", "math", "memref", "omp", "scf", "vector"]

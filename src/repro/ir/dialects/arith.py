@@ -17,7 +17,7 @@ import numpy as np
 
 from ..core import IRError, OpInfo, Operation, Value, register_op
 from ..builder import IRBuilder
-from ..types import (IRType, broadcast_type, f64, i1, i64, vector_width)
+from ..types import IRType, broadcast_type, f64, i1, vector_width
 
 CMPF_PREDICATES = ("oeq", "one", "olt", "ole", "ogt", "oge", "ueq", "une")
 CMPI_PREDICATES = ("eq", "ne", "slt", "sle", "sgt", "sge")
@@ -102,8 +102,8 @@ def trunc_div(a, b):
 def trunc_rem(a, b):
     """C-style signed integer remainder: a - trunc_div(a, b) * b.
 
-    Integer-typed for integer operands (``math.fmod`` would return a
-    float); satisfies (a/b)*b + a%b == a like C99.
+    Integer-typed for integer operands (a float ``fmod`` would not be);
+    satisfies (a/b)*b + a%b == a like C99.
     """
     if isinstance(a, np.ndarray) or isinstance(b, np.ndarray):
         a = np.asarray(a)
@@ -186,14 +186,6 @@ register_op(OpInfo(name="arith.index_cast", pure=True,
                    fold=lambda op, xs: None if xs[0] is None else [int(xs[0])],
                    py_eval=lambda x: x if isinstance(x, np.ndarray) else int(x),
                    numpy="{0}", scalar="{0}", cost="int"))
-register_op(OpInfo(name="arith.sitofp", pure=True,
-                   fold=lambda op, xs: None if xs[0] is None else [float(xs[0])],
-                   py_eval=lambda x: x.astype(np.float64) if isinstance(x, np.ndarray) else float(x),
-                   numpy="_f64({0})", scalar="float({0})", cost="int"))
-register_op(OpInfo(name="arith.fptosi", pure=True,
-                   fold=lambda op, xs: None if xs[0] is None else [int(xs[0])],
-                   py_eval=lambda x: np.trunc(x).astype(np.int64) if isinstance(x, np.ndarray) else int(x),
-                   numpy="_i64({0})", scalar="int({0})", cost="int"))
 
 
 # ---------------------------------------------------------------------------
@@ -245,11 +237,3 @@ def select(b: IRBuilder, cond: Value, true_val: Value, false_val: Value) -> Valu
 
 def index_cast(b: IRBuilder, operand: Value, ty: IRType) -> Value:
     return b.create("arith.index_cast", [operand], [ty]).result
-
-
-def sitofp(b: IRBuilder, operand: Value, ty: IRType = f64) -> Value:
-    return b.create("arith.sitofp", [operand], [ty]).result
-
-
-def fptosi(b: IRBuilder, operand: Value, ty: IRType = i64) -> Value:
-    return b.create("arith.fptosi", [operand], [ty]).result

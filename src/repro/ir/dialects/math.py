@@ -99,12 +99,8 @@ _OPS = (
     ("math.floor",    np.floor,     "np.floor({0})",          "_g_floor({0})",           "exp"),
     ("math.ceil",     np.ceil,      "np.ceil({0})",           "_g_ceil({0})",            "exp"),
     ("math.erf",      np_erf,       "_np_erf({0})",           "math.erf({0})",           "exp"),
-    ("math.round",    np.round,     "np.round({0})",          "_g_round({0})",           "exp"),
-    ("math.trunc",    np.trunc,     "np.trunc({0})",          "_g_trunc({0})",           "exp"),
     ("math.powf",     np.power,     "np.power({0}, {1})",     "_g_pow({0}, {1})",        "pow"),
     ("math.atan2",    np.arctan2,   "np.arctan2({0}, {1})",   "math.atan2({0}, {1})",    "pow"),
-    ("math.copysign", np.copysign,  "np.copysign({0}, {1})",  "math.copysign({0}, {1})", "simple"),
-    ("math.fmod",     np.fmod,      "np.fmod({0}, {1})",      "_g_fmod({0}, {1})",       "div"),
 )
 
 

@@ -1,9 +1,11 @@
 """The ``memref`` dialect: buffers for cell state, parameters and LUTs.
 
-At runtime a memref is a NumPy array; these ops describe typed access
-to it.  The baseline backend's AoS accesses and the paper's
-``memref.view``/``memref.cast`` reinterpretations (Listing 3) both map
-here.
+At runtime a memref is a NumPy array; ``memref.load`` and
+``memref.store`` are the scalar accesses of the baseline backend and of
+the scalar parameter reads.  The runtime allocates every buffer, so no
+op allocates, copies or reinterprets one: the paper's view-and-cast of
+the state buffer (Listing 3) is the vector accesses' index arithmetic
+here (``repro.codegen.emitter._blocked``).
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Sequence
 
 from ..core import IRError, OpInfo, Operation, Value, register_op
 from ..builder import IRBuilder
-from ..types import MemRefType, index
+from ..types import MemRefType
 
 
 def _verify_load(op: Operation) -> None:
@@ -36,26 +38,8 @@ def _verify_store(op: Operation) -> None:
         raise IRError("memref.store: value type must match element type")
 
 
-def _verify_alloc(op: Operation) -> None:
-    if not isinstance(op.result.type, MemRefType):
-        raise IRError("memref.alloc: result must be a memref")
-    dynamic = sum(1 for d in op.result.type.shape if d is None)
-    if len(op.operands) != dynamic:
-        raise IRError("memref.alloc: one operand per dynamic dimension")
-
-
 register_op(OpInfo(name="memref.load", pure=True, verify=_verify_load))
 register_op(OpInfo(name="memref.store", verify=_verify_store))
-register_op(OpInfo(name="memref.alloc", verify=_verify_alloc))
-register_op(OpInfo(name="memref.dealloc"))
-register_op(OpInfo(name="memref.cast", pure=True))
-register_op(OpInfo(name="memref.view", pure=True))
-register_op(OpInfo(name="memref.dim", pure=True))
-register_op(OpInfo(name="memref.copy"))
-
-
-def alloc(b: IRBuilder, ty: MemRefType, dynamic_sizes: Sequence[Value] = ()) -> Value:
-    return b.create("memref.alloc", list(dynamic_sizes), [ty]).result
 
 
 def load(b: IRBuilder, source: Value, indices: Sequence[Value]) -> Value:
@@ -68,26 +52,3 @@ def load(b: IRBuilder, source: Value, indices: Sequence[Value]) -> Value:
 def store(b: IRBuilder, value: Value, dest: Value,
           indices: Sequence[Value]) -> Operation:
     return b.create("memref.store", [value, dest, *indices], [])
-
-
-def cast(b: IRBuilder, source: Value, ty: MemRefType) -> Value:
-    return b.create("memref.cast", [source], [ty]).result
-
-
-def view(b: IRBuilder, source: Value, byte_shift: Value, ty: MemRefType) -> Value:
-    """Reinterpret ``source`` at an element offset as a new memref.
-
-    MLIR's ``memref.view`` shifts by bytes into an i8 buffer; since our
-    runtime buffers are typed NumPy arrays we shift by elements, which
-    carries the same information for the cost model and the executor.
-    """
-    return b.create("memref.view", [source, byte_shift], [ty]).result
-
-
-def dim(b: IRBuilder, source: Value, dimension: int) -> Value:
-    return b.create("memref.dim", [source], [index],
-                    {"index": dimension}).result
-
-
-def copy(b: IRBuilder, source: Value, dest: Value) -> Operation:
-    return b.create("memref.copy", [source, dest], [])

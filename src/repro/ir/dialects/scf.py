@@ -1,8 +1,10 @@
-"""The ``scf`` dialect: structured control flow (for, if, yield).
+"""The ``scf`` dialect: structured control flow (for, yield).
 
-``scf.for`` carries optional loop-carried values (``iter_args``), used
-by the rk2/rk4/markov_be integrator emissions; ``scf.if`` is used for
-the conditional expressions that EasyML ``if`` statements produce.
+``scf.for`` is the loop over cells, and with loop-carried values
+(``iter_args``) the markov_be fixed-point refinement.  There is no
+conditional op: the frontend if-converts EasyML conditionals to
+``arith.select``, so a kernel body is straight-line code that the vector
+engine runs lane-wise.
 """
 
 from __future__ import annotations
@@ -12,7 +14,7 @@ from typing import Sequence
 from ..core import (Block, IRError, OpInfo, Operation, Region, Value,
                     register_op)
 from ..builder import IRBuilder
-from ..types import IRType, index
+from ..types import index
 
 
 def _verify_for(op: Operation) -> None:
@@ -35,21 +37,7 @@ def _verify_for(op: Operation) -> None:
         raise IRError("scf.for: yield arity must match iter_args")
 
 
-def _verify_if(op: Operation) -> None:
-    if len(op.operands) != 1:
-        raise IRError("scf.if: expects a single i1 condition")
-    if len(op.regions) not in (1, 2):
-        raise IRError("scf.if: expects then (and optional else) regions")
-    for region in op.regions:
-        term = region.entry.terminator
-        if term is None or term.name != "scf.yield":
-            raise IRError("scf.if: each branch must end in scf.yield")
-        if len(term.operands) != len(op.results):
-            raise IRError("scf.if: yield arity must match results")
-
-
 register_op(OpInfo(name="scf.for", verify=_verify_for))
-register_op(OpInfo(name="scf.if", verify=_verify_if))
 register_op(OpInfo(name="scf.yield", terminator=True))
 
 
@@ -94,36 +82,6 @@ def for_op(b: IRBuilder, lower: Value, upper: Value, step: Value,
                   [v.type for v in iter_init],
                   regions=[Region([body])])
     return ForOp(op)
-
-
-class IfOp:
-    """Structured wrapper over a built ``scf.if`` operation."""
-
-    def __init__(self, op: Operation):
-        self.op = op
-
-    @property
-    def then_block(self) -> Block:
-        return self.op.regions[0].entry
-
-    @property
-    def else_block(self) -> Block:
-        if len(self.op.regions) < 2:
-            raise IRError("scf.if has no else region")
-        return self.op.regions[1].entry
-
-    @property
-    def results(self) -> Sequence[Value]:
-        return self.op.results
-
-
-def if_op(b: IRBuilder, cond: Value, result_types: Sequence[IRType] = (),
-          with_else: bool = True) -> IfOp:
-    regions = [Region([Block()])]
-    if with_else:
-        regions.append(Region([Block()]))
-    op = b.create("scf.if", [cond], list(result_types), regions=regions)
-    return IfOp(op)
 
 
 def yield_op(b: IRBuilder, values: Sequence[Value] = ()) -> Operation:

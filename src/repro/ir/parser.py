@@ -9,7 +9,7 @@ pipelines be exercised on hand-written fixtures, the way MLIR's own
 from __future__ import annotations
 
 import re
-from typing import Any, Dict, List, Optional, Tuple
+from typing import Any, Dict, List, Optional
 
 from .core import Block, IRError, Module, Operation, Region
 from .types import FunctionType, parse_type
@@ -76,8 +76,6 @@ class Parser:
         self.lines = [ln.rstrip() for ln in text.splitlines()]
         self.pos = 0
         self.values: Dict[str, Any] = {}
-        self.block_labels: Dict[str, Block] = {}
-        self.block_fixups: List[Tuple[Operation, str, str]] = []
 
     # -- line cursor -----------------------------------------------------------
 
@@ -115,7 +113,6 @@ class Parser:
                 self.pos += 1
                 break
             module.append(self.parse_top_level())
-        self._apply_block_fixups()
         return module
 
     def parse_top_level(self) -> Operation:
@@ -172,7 +169,6 @@ class Parser:
                     value = block.add_argument(parse_type(ty_text),
                                                name.strip().lstrip("%"))
                     self.values[name.strip().lstrip("%")] = value
-                self.block_labels[label.group(1)] = block
                 region.add_block(block)
                 continue
             block.append(self.parse_op())
@@ -194,7 +190,7 @@ class Parser:
             operands.append(self.values[op_name])
         out_tys = [parse_type(t)
                    for t in _split_commas(match.group("out_tys") or "")]
-        attrs, fixups = self._parse_attrs(match.group("attrs"))
+        attrs = self._parse_attrs(match.group("attrs"))
         result_hints = []
         if match.group("results"):
             result_hints = [t.strip().lstrip("%")
@@ -202,8 +198,6 @@ class Parser:
         # all-digit names are the printer's own numbering, not hints
         op = Operation(name, operands, out_tys, attrs, result_hints=[
             None if h.isdigit() else h for h in result_hints])
-        for key, label in fixups:
-            self.block_fixups.append((op, key, label))
         for hint, result in zip(result_hints, op.results):
             self.values[hint] = result
         if match.group("open"):
@@ -234,23 +228,16 @@ class Parser:
                 value = placeholder.add_argument(parse_type(ty_text),
                                                  name.strip().lstrip("%"))
                 self.values[name.strip().lstrip("%")] = value
-            self.block_labels[label.group(1)] = placeholder
         return self._parse_block_body(region, placeholder)
 
-    def _parse_attrs(self, text: Optional[str]):
+    def _parse_attrs(self, text: Optional[str]) -> Dict[str, Any]:
         attrs: Dict[str, Any] = {}
-        fixups: List[Tuple[str, str]] = []
         if not text:
-            return attrs, fixups
+            return attrs
         for item in _split_commas(text):
             key, _, value_text = item.partition("=")
-            key = key.strip()
-            value_text = value_text.strip()
-            if value_text.startswith("^"):
-                fixups.append((key, value_text[1:]))
-                continue
-            attrs[key] = self._parse_attr_value(value_text)
-        return attrs, fixups
+            attrs[key.strip()] = self._parse_attr_value(value_text.strip())
+        return attrs
 
     def _parse_attr_value(self, text: str) -> Any:
         if text == "true":
@@ -273,13 +260,6 @@ class Parser:
         except ValueError:
             pass
         raise self._error(f"cannot parse attribute value {text!r}")
-
-    def _apply_block_fixups(self) -> None:
-        for op, key, label in self.block_fixups:
-            block = self.block_labels.get(label)
-            if block is None:
-                raise IRError(f"undefined block label ^{label}")
-            op.attributes[key] = block
 
 
 def parse_module(text: str) -> Module:

@@ -65,7 +65,7 @@ class _NameScope:
         return name
 
 
-def _format_attr_value(value, scope: _NameScope) -> str:
+def _format_attr_value(value) -> str:
     if isinstance(value, bool):
         return "true" if value else "false"
     if isinstance(value, int):
@@ -74,20 +74,18 @@ def _format_attr_value(value, scope: _NameScope) -> str:
         return repr(value)
     if isinstance(value, str):
         return f'"{value}"'
-    if isinstance(value, Block):
-        return f"^{scope.block_name(value)}"
     if isinstance(value, FunctionType):
         return f"<{value}>"
     if isinstance(value, (list, tuple)):
-        inner = ", ".join(_format_attr_value(v, scope) for v in value)
+        inner = ", ".join(_format_attr_value(v) for v in value)
         return f"[{inner}]"
     return f'"{value!s}"'
 
 
-def _format_attrs(op: Operation, scope: _NameScope) -> str:
+def _format_attrs(op: Operation) -> str:
     if not op.attributes:
         return ""
-    parts = [f"{k} = {_format_attr_value(v, scope)}"
+    parts = [f"{k} = {_format_attr_value(v)}"
              for k, v in sorted(op.attributes.items())]
     return " {" + ", ".join(parts) + "}"
 
@@ -128,7 +126,7 @@ class Printer:
         results = ", ".join(f"%{v(r)}" for r in op.results)
         prefix = f"{results} = " if op.results else ""
         operands = ", ".join(f"%{v(o)}" for o in op.operands)
-        attrs = _format_attrs(op, self.scope)
+        attrs = _format_attrs(op)
         in_tys = ", ".join(str(o.type) for o in op.operands)
         out_tys = ", ".join(str(r.type) for r in op.results)
         sig = f" : ({in_tys}) -> ({out_tys})"
@@ -283,25 +281,6 @@ class Printer:
             for body_op in body.ops:
                 self.print_op(body_op)
             self.indent -= 1
-            self.line("}")
-            return True
-        if op.name == "scf.if":
-            cond = op.operands[0]
-            results = ", ".join(f"%{v(r)}" for r in op.results)
-            prefix = f"{results} = " if op.results else ""
-            tys = ", ".join(str(r.type) for r in op.results)
-            suffix = f" -> ({tys})" if op.results else ""
-            self.line(f"{prefix}scf.if %{v(cond)}{suffix} {{")
-            self.indent += 1
-            for body_op in op.regions[0].entry.ops:
-                self.print_op(body_op)
-            self.indent -= 1
-            if len(op.regions) > 1:
-                self.line("} else {")
-                self.indent += 1
-                for body_op in op.regions[1].entry.ops:
-                    self.print_op(body_op)
-                self.indent -= 1
             self.line("}")
             return True
         if op.name == "omp.parallel":

@@ -147,12 +147,6 @@ def _count_block(block, profile: KernelProfile, multiplier: float,
                              multiplier * trip if in_cell_loop else 0.0,
                              in_cell_loop)
             continue
-        if op.name == "scf.if":
-            # both branches execute under if-conversion / vector masks
-            for region in op.regions:
-                _count_block(region.entry, profile, multiplier,
-                             in_cell_loop)
-            continue
         if not in_cell_loop:
             profile.setup_ops += 1
             continue
@@ -218,5 +212,3 @@ def _count_op(op: Operation, profile: KernelProfile, m: float) -> None:
             profile.lut_columns_scalar += m * len(op.results)
         else:
             profile.other_calls += m
-    elif name in ("memref.cast", "memref.view", "memref.dim"):
-        profile.int_ops += m

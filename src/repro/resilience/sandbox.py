@@ -37,7 +37,8 @@ from typing import Dict, List, Optional, Set, Tuple
 
 from ..ir.core import Module
 from ..ir.parser import parse_module
-from ..ir.passes.pass_manager import Pass, PassManager, PassStatistics
+from ..ir.passes.pass_manager import (Pass, PassManager, PassStatistics,
+                                      default_pipeline)
 from ..ir.printer import print_module
 from ..ir.verifier import VerificationError, verify_module
 from ..obs import metrics as _metrics
@@ -242,12 +243,8 @@ class SandboxedPassManager(PassManager):
 
 def sandboxed_pipeline(reproducer_dir: Optional[pathlib.Path] = None,
                        max_iterations: int = 8) -> SandboxedPassManager:
-    """The default pipeline (canonicalize/CSE/LICM/DCE) in a sandbox."""
-    from ..ir.passes.canonicalize import Canonicalize
-    from ..ir.passes.cse import CSE
-    from ..ir.passes.dce import DCE
-    from ..ir.passes.licm import LICM
-    return SandboxedPassManager([Canonicalize(), CSE(), LICM(), DCE()],
+    """:func:`~repro.ir.passes.default_pipeline`'s passes in a sandbox."""
+    return SandboxedPassManager(default_pipeline().passes,
                                 verify_each=True,
                                 max_iterations=max_iterations,
                                 reproducer_dir=reproducer_dir)

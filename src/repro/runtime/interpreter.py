@@ -79,9 +79,6 @@ class Interpreter:
         if name == "scf.for":
             self._run_for(op, env, values)
             return None
-        if name == "scf.if":
-            self._run_if(op, env, values)
-            return None
         if name == "scf.yield":
             raise InterpreterError("scf.yield outside its parent")
         if name == "arith.constant":
@@ -122,16 +119,6 @@ class Interpreter:
         for result, value in zip(op.results, carried):
             env[id(result)] = value
 
-    def _run_if(self, op: Operation, env: Dict[int, Any],
-                values: Sequence[Any]) -> None:
-        region = op.regions[0] if values[0] else op.regions[1]
-        block = region.entry
-        for inner in block.ops[:-1]:
-            self._run_op(inner, env)
-        terminator = block.ops[-1]
-        for result, yielded in zip(op.results, terminator.operands):
-            env[id(result)] = env[id(yielded)]
-
     # -- calls ------------------------------------------------------------------------
 
     def _run_call(self, op: Operation, env: Dict[int, Any],
@@ -168,18 +155,6 @@ class Interpreter:
                 base[tuple(int(i) for i in idx)] = value
             else:
                 base[int(idx[0])] = value
-        elif name == "memref.alloc":
-            shape = tuple(int(env[id(v)]) if d is None else d
-                          for d, v in zip(op.result.type.shape,
-                                          list(op.operands) + [None]))
-            env[id(op.result)] = np.zeros(shape, dtype=np.float64)
-        elif name in ("memref.cast",):
-            env[id(op.result)] = values[0]
-        elif name == "memref.view":
-            env[id(op.result)] = values[0][int(values[1]):]
-        elif name == "memref.dim":
-            env[id(op.result)] = values[0].shape[
-                op.attributes.get("index", 0)]
         elif name == "vector.broadcast":
             width = op.result.type.width
             env[id(op.result)] = np.full(width, values[0])

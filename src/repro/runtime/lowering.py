@@ -135,15 +135,6 @@ def _column(values):
     return column
 
 
-def _f64(x):
-    return x.astype(np.float64) if isinstance(x, np.ndarray) else float(x)
-
-
-def _i64(x):
-    return np.trunc(x).astype(np.int64) if isinstance(x, np.ndarray) \
-        else int(x)
-
-
 # guarded scalar math: IEEE results instead of Python exceptions,
 # matching NumPy's (and the hardware's) behaviour in the vector engine
 def _g_exp(x):
@@ -251,8 +242,7 @@ def _integral(fn):
 
 _g_sin, _g_cos, _g_tan = map(_nan_outside_domain,
                              (math.sin, math.cos, math.tan))
-_g_floor, _g_ceil, _g_trunc, _g_round = map(
-    _integral, (math.floor, math.ceil, math.trunc, round))
+_g_floor, _g_ceil = map(_integral, (math.floor, math.ceil))
 
 
 def _cbrt(x):
@@ -282,7 +272,7 @@ _HELPER_GLOBALS = {
     "np": np, "math": math,
     "_vb": _vb, "_vstore": _vstore, "_vgather": _vgather,
     "_vscatter": _vscatter, "_vinsert": _vinsert, "_column": _column,
-    "_f64": _f64, "_i64": _i64, "_cbrt": _cbrt, "_np_erf": np_erf,
+    "_cbrt": _cbrt, "_np_erf": np_erf,
     "_idiv": trunc_div, "_irem": trunc_rem,
     "_lut_scalar": _lut_any, "_lut_vec": lut_interp_row_vec,
     "_lut_spline_scalar": _lut_spline_any,
@@ -303,10 +293,8 @@ _NUMPY_SPELLING = {name: info.numpy
 _CMP_PY = {"oeq": "==", "one": "!=", "olt": "<", "ole": "<=", "ogt": ">",
            "oge": ">=", "ueq": "==", "une": "!=", "eq": "==", "ne": "!=",
            "slt": "<", "sle": "<=", "sgt": ">", "sge": ">="}
-#: ops spelled alike in both modes: the lane ids, typed views of the
-#: runtime's flat NumPy buffers
-_KERNEL_SPELLING = {"vector.step": "_lanes", "memref.cast": "{0}",
-                    "memref.view": "{0}[{1}:]"}
+#: ops spelled alike in both modes: the lane ids
+_KERNEL_SPELLING = {"vector.step": "_lanes"}
 
 
 class _NumPyPrinter:
@@ -386,8 +374,6 @@ class _NumPyPrinter:
             return (f"_vinsert({args[1]}, {args[0]}, "
                     f"{op.attributes['position']}, "
                     f"{op.results[0].type.width})")
-        if name == "memref.dim":
-            return f"{args[0]}.shape[{op.attributes.get('index', 0)}]"
         raise LoweringError(f"no {self.s.mode} lowering for {name}")
 
     def stmt(self, stmt: Stmt) -> str:
@@ -395,8 +381,8 @@ class _NumPyPrinter:
         op, kind, targets = stmt.op, stmt.kind, stmt.targets
         if kind == "value":
             return f"{targets[0]} = {self.expr(stmt.value)}"
-        if kind in ("else", "pass"):
-            return "else:" if kind == "else" else "pass"
+        if kind == "pass":
+            return "pass"
         if kind == "view":
             return f"{targets[0]} = {self.view(stmt.access)}"
         if kind == "pack":
@@ -420,13 +406,10 @@ class _NumPyPrinter:
             return self.access(op, targets)
         if name == "func.call":
             return self.call(op, targets)
-        if name not in ("scf.if", "func.return", "memref.load",
-                        "memref.store"):
+        if name not in ("func.return", "memref.load", "memref.store"):
             text = self.spell(op)       # a value, bound to its name
             return f"{targets[0]} = {text}"
         args = [self.expr(v) for v in op.operands]
-        if name == "scf.if":
-            return f"if {args[0]}:"
         if name == "func.return":
             return f"return {', '.join(args)}" if args else "return"
         if name == "memref.load":

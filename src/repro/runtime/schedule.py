@@ -42,10 +42,9 @@ class LoweringError(IRError):
 ACCESS_INDEX_OPERAND = {"vector.load": 1, "vector.store": 2,
                         "vector.gather": 1, "vector.scatter": 2}
 #: ops the walk handles one by one; any other op is a pure expression
-_WALKED = {"omp.parallel", "scf.for", "scf.if", "scf.yield",
-           "omp.terminator", "arith.constant", "func.call", "func.return",
-           "memref.load", "memref.store", "memref.cast", "memref.view",
-           "memref.dim", *ACCESS_INDEX_OPERAND}
+_WALKED = {"omp.parallel", "scf.for", "scf.yield", "omp.terminator",
+           "arith.constant", "func.call", "func.return", "memref.load",
+           "memref.store", *ACCESS_INDEX_OPERAND}
 #: ops that compute nothing but addresses when every use is one
 _ADDRESS_OPS = {"arith.addi", "arith.subi", "arith.muli",
                 "arith.index_cast", "vector.broadcast", "vector.step"}
@@ -211,12 +210,11 @@ class Stmt:
     #: a vector access's addressing mode, a call's callee (``live/total
     #: callee`` for a LUT call); ``None`` otherwise
     detail: Optional[str] = None
-    #: ``op`` (``op`` itself, or a loop's or branch's header), ``value``
-    #: (bind ``targets`` to ``value``), ``arange`` / ``blocks`` (a flat
-    #: loop's block starts / count), ``view`` (of ``access``), ``else``,
-    #: ``pass``
+    #: ``op`` (``op`` itself, or a loop's header), ``value`` (bind
+    #: ``targets`` to ``value``), ``arange`` / ``blocks`` (a flat loop's
+    #: block starts / count), ``view`` (of ``access``), ``pass``, ``pack``
     kind: str = "op"
-    compute: bool = True           # False: headers, constants, casts, return
+    compute: bool = True           # False: headers, constants, return
     value: Optional[Value] = None
     access: Optional[Access] = None
     pack: Optional["Pack"] = None          # kind ``pack``: what it runs
@@ -458,9 +456,9 @@ class Schedule:
             for inner in op.regions[0].entry.ops:
                 if not inner.is_terminator:
                     self._op(inner)
-        elif name in ("scf.for", "scf.if"):
+        elif name == "scf.for":
             self._flush()
-            (self._for if name == "scf.for" else self._if)(op)
+            self._for(op)
         elif name in ("scf.yield", "omp.terminator"):
             raise LoweringError(f"{name} outside its parent's lowering")
         elif name == "arith.constant":
@@ -472,12 +470,11 @@ class Schedule:
             self._access(op)
         elif name == "func.call":
             self._call(op)
-        elif name in ("func.return", "memref.load", "memref.store",
-                      "memref.cast", "memref.view", "memref.dim"):
+        elif name in ("func.return", "memref.load", "memref.store"):
             for value in op.operands:
                 self._use(value)
             self._emit(op, *(self._fresh(r) for r in op.results),
-                       compute=name in ("memref.load", "memref.store"))
+                       compute=name != "func.return")
 
     def _pure(self, op: Operation) -> None:
         name = op.name
@@ -564,19 +561,6 @@ class Schedule:
         self._body(body, accs)
         for result, acc in zip(op.results, accs):
             self.names[id(result)] = acc
-
-    def _if(self, op: Operation) -> None:
-        if self.mode == "vector":
-            raise LoweringError(
-                "scf.if has no vector lowering; use arith.select "
-                "(if-conversion happens in the frontend)")
-        self._use(op.operands[0])
-        targets = [self._fresh(r) for r in op.results]
-        self._emit(op, *targets, compute=False)
-        self._body(op.regions[0].entry, targets)
-        if len(op.regions) > 1:
-            self._emit(op, kind="else", compute=False)
-            self._body(op.regions[1].entry, targets)
 
     def _body(self, block: Block, targets: List[str],
               nested: bool = True) -> None:

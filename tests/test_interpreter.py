@@ -41,22 +41,6 @@ class TestInterpreterBasics:
         with pytest.raises(InterpreterError, match="arguments"):
             Interpreter(self._sum_module()).call("total", np.zeros(3))
 
-    def test_if_branches(self):
-        module, _ = build_module()
-        fn = func.func(module, "clamp", [f64], [f64], ["x"])
-        b = IRBuilder(fn.entry)
-        zero = b.constant(0.0, f64)
-        cond = arith.cmpf(b, "olt", fn.args[0], zero)
-        branch = scf.if_op(b, cond, [f64])
-        with b.at_end_of(branch.then_block):
-            scf.yield_op(b, [zero])
-        with b.at_end_of(branch.else_block):
-            scf.yield_op(b, [fn.args[0]])
-        func.ret(b, [branch.results[0]])
-        interp = Interpreter(module)
-        assert interp.call("clamp", -3.0) == 0.0
-        assert interp.call("clamp", 4.0) == 4.0
-
     def test_math_ops_via_registry(self):
         module, _ = build_module()
         fn = func.func(module, "f", [f64], [f64], ["x"])

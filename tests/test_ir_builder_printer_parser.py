@@ -4,8 +4,8 @@ import pytest
 
 from repro.ir import (IRBuilder, build_module, parse_module, print_module,
                       print_op, verify_module)
-from repro.ir.core import Block, IRError, Operation
-from repro.ir.dialects import arith, cf, func, math, memref, omp, scf, vector
+from repro.ir.core import Block, IRError, Operation, Region
+from repro.ir.dialects import arith, func, math, memref, omp, scf, vector
 from repro.ir.parser import ParseError
 from repro.ir.types import f64, i1, index, memref_of, vector_of
 
@@ -50,7 +50,7 @@ class TestBuilder:
 
 
 def build_sample_module():
-    """A module touching most syntax: func, loop, if, call, memrefs."""
+    """A module touching most syntax: func, loop, select, call, memrefs."""
     module, _ = build_module("sample")
     mem_ty = memref_of(f64)
     func.func(module, "helper", [f64], [f64], declaration=True)
@@ -64,13 +64,9 @@ def build_sample_module():
     with b.at_end_of(loop.body):
         value = memref.load(b, buf, [loop.induction_var])
         cond = arith.cmpf(b, "olt", value, b.constant(0.0, f64))
-        branch = scf.if_op(b, cond, [f64])
-        with b.at_end_of(branch.then_block):
-            scf.yield_op(b, [arith.negf(b, value)])
-        with b.at_end_of(branch.else_block):
-            call = func.call(b, "helper", [value], [f64])
-            scf.yield_op(b, [call.results[0]])
-        total = arith.addf(b, loop.iter_args[0], branch.results[0])
+        call = func.call(b, "helper", [value], [f64])
+        picked = arith.select(b, cond, arith.negf(b, value), call.results[0])
+        total = arith.addf(b, loop.iter_args[0], picked)
         scf.yield_op(b, [total])
     func.ret(b, [loop.results[0]])
     return module
@@ -81,7 +77,7 @@ class TestPrinter:
         text = print_module(build_sample_module())
         for fragment in ("module @sample", "func.func @main",
                          "func.func private @helper", "scf.for(",
-                         "scf.if(", "memref.load(", "func.return("):
+                         "arith.select(", "memref.load(", "func.return("):
             assert fragment in text, fragment
 
     def test_pretty_form_sugar(self):
@@ -89,7 +85,6 @@ class TestPrinter:
         assert "scf.for %i = " in text
         assert "iter_args(" in text
         assert " = memref.load %buf[%i] : memref<?xf64>" in text
-        assert "scf.if " in text and "} else {" in text
 
     def test_pretty_constant_vector(self):
         module, b = build_module()
@@ -140,19 +135,25 @@ class TestParserRoundTrip:
         op = reparsed.lookup_func("f").regions[0].entry.ops[0]
         assert op.attributes["predicate"] == "olt"
 
-    def test_block_reference_attribute_round_trips(self):
-        module, _ = build_module("branches")
-        fn = func.func(module, "f", [i1], [])
+    def test_op_with_two_regions_round_trips(self):
+        # the generic form's "} {" region separator, which no registered
+        # op prints: each has at most one region
+        module, _ = build_module("regions")
+        fn = func.func(module, "f", [], [])
         b = IRBuilder(fn.entry)
-        exit_block = Block()
-        fn.op.regions[0].add_block(exit_block)
-        cf.cond_br(b, fn.args[0], exit_block, exit_block)
-        with b.at_end_of(exit_block):
-            func.ret(b)
-        reparsed = parse_module(print_module(module))
-        fn2 = reparsed.lookup_func("f")
-        br = fn2.regions[0].blocks[0].ops[-1]
-        assert br.attributes["true_dest"] is fn2.regions[0].blocks[1]
+        first, second = Block(), Block([f64], ["x"])
+        b.create("test.two_regions", [], [f64],
+                 regions=[Region([first]), Region([second])])
+        with b.at_end_of(first):
+            b.constant(1.0, f64)
+        with b.at_end_of(second):
+            arith.negf(b, second.args[0])
+        func.ret(b)
+        text = print_module(module)
+        assert "} {" in text
+        reparsed = parse_module(text)
+        verify_module(reparsed, allow_unregistered=True)
+        assert print_module(reparsed) == text
 
 
 class TestParserErrors:

@@ -218,7 +218,7 @@ class TestRegistry:
     def test_known_ops_registered(self):
         names = registered_ops()
         for name in ("arith.addf", "math.exp", "scf.for", "vector.gather",
-                     "memref.load", "func.call", "omp.parallel", "cf.br"):
+                     "memref.load", "func.call", "omp.parallel"):
             assert name in names
 
     def test_op_info_traits(self):

@@ -99,6 +99,17 @@ class TestPackUnpack:
         with pytest.raises(ValueError):
             Layout(LayoutKind.AOS, -1)
 
+    def test_aos_is_the_blocked_layout_at_block_1(self):
+        """The emitter addresses AoS as the blocked layout at block 1
+        (``i*n_states + slot*block``); an AoS layout with another block
+        would place (cell, slot) where no emitted kernel looks."""
+        with pytest.raises(ValueError, match="block 1"):
+            Layout(LayoutKind.AOS, 3, 8)
+        cells = np.arange(10)
+        for slot in range(3):
+            np.testing.assert_array_equal(aos(3).offsets(cells, slot),
+                                          aosoa(3, 1).offsets(cells, slot))
+
 
 class TestLayoutChoice:
     """``layout=`` takes the paper's two layouts (§3.4.1) and no other."""

@@ -103,22 +103,6 @@ class TestLoweringBasics:
         kernel.fn(0, 8, src, dst)
         np.testing.assert_array_equal(dst, src[::2])
 
-    def test_scalar_if_lowering(self):
-        module, _ = build_module()
-        fn = func.func(module, "absval", [f64], [f64], ["x"])
-        b = IRBuilder(fn.entry)
-        zero = b.constant(0.0, f64)
-        cond = arith.cmpf(b, "olt", fn.args[0], zero)
-        branch = scf.if_op(b, cond, [f64])
-        with b.at_end_of(branch.then_block):
-            scf.yield_op(b, [arith.negf(b, fn.args[0])])
-        with b.at_end_of(branch.else_block):
-            scf.yield_op(b, [fn.args[0]])
-        func.ret(b, [branch.results[0]])
-        kernel = lower_function(module, "absval")
-        assert kernel.fn(-3.0) == 3.0
-        assert kernel.fn(4.0) == 4.0
-
     def test_guarded_scalar_math(self):
         """Scalar engines must produce IEEE results, not exceptions."""
         from repro.runtime.lowering import (_g_div, _g_exp, _g_log,

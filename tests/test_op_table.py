@@ -12,7 +12,8 @@ import numpy as np
 import pytest
 
 from repro.bench.harness import kernel_profile
-from repro.codegen import generate_baseline, generate_limpet_mlir
+from repro.codegen import (UnsupportedModelError, generate_baseline,
+                           generate_limpet_mlir)
 from repro.codegen.common import ExprEmitter
 from repro.easyml.ast_nodes import Binary, Call, Name, Number, Unary
 from repro.easyml.builtins import BUILTINS, OPERATORS
@@ -30,6 +31,7 @@ from repro.runtime.interpreter import Interpreter
 from repro.runtime.lowering import _HELPER_GLOBALS
 
 from . import pins
+from .test_ir_fingerprints import variants
 
 COST_CLASSES = {"simple", "div", "exp", "pow", "int", "none"}
 #: lowered by ``_lower_special``: a cost class and no spelling
@@ -89,8 +91,51 @@ def _ulps(a: float, b: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def test_the_math_dialect_has_its_27_rows():
-    assert sum(name.startswith("math.") for name in ELEMENTWISE) == 27
+def test_the_math_dialect_has_its_23_rows():
+    assert sum(name.startswith("math.") for name in ELEMENTWISE) == 23
+
+
+#: integer index ops no generator emits, kept for the addressing they
+#: describe: op -> why it stays
+ADDRESS_OPS = {
+    "arith.index_cast": "the affine access analysis looks through it, and "
+                        "a verifier-corpus mutation builds one",
+    "arith.subi": "the affine access analysis folds it into a negated term",
+    "arith.divsi": "C's truncating index division (``_idiv``), the "
+                   "partner of ``remsi``",
+    "arith.remsi": "a wrapped index the affine access analysis must leave "
+                   "indexed (test_remainder_differential.py builds one)",
+}
+
+
+def _emitted_ops():
+    """Op kinds the generators emit over ``TIER1_MODELS`` x every
+    backend / layout / LUT variant of the fingerprint matrix."""
+    kinds = set()
+    for name in pins.TIER1_MODELS:
+        model = load_model(name)
+        for build in variants().values():
+            try:
+                generated = build(model)
+            except UnsupportedModelError:
+                continue
+            kinds.update(op.name for op in generated.module.walk())
+    return kinds
+
+
+def test_every_registered_op_is_emitted_named_or_an_address_op():
+    """The IR holds what the generators emit: a registered op that no
+    generator emits, no EasyML builtin or operator names and no address
+    computation needs is surface to delete, not to keep verified,
+    printed, parsed, lowered, interpreted and priced."""
+    named = {f"math.{row.op}" for row in BUILTINS.values() if row.op}
+    # a truth-valued operator's ``ir`` is an ``arith.cmpf`` predicate
+    named |= {row.ir if "." in row.ir else "arith.cmpf"
+              for row in OPERATORS.values()}
+    reached = _emitted_ops() | named
+    registered = set(registered_ops())
+    assert set(ADDRESS_OPS) <= registered - reached   # each one needed
+    assert sorted(registered - reached - set(ADDRESS_OPS)) == []
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTWISE))
