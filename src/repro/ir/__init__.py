@@ -6,7 +6,7 @@ registers all dialects.
 """
 
 from . import dialects  # noqa: F401  (registers all op definitions)
-from .core import (Block, IRError, Module, OpInfo, Operation, Region, Value,
+from .core import (Block, IRError, Module, OpInfo, Operation, Value,
                    op_info, register_op)
 from .builder import IRBuilder, build_module
 from .printer import print_module, print_op
@@ -16,7 +16,7 @@ from .passes import PassManager, default_pipeline
 from . import types
 
 __all__ = [
-    "Block", "IRError", "Module", "OpInfo", "Operation", "Region", "Value",
+    "Block", "IRError", "Module", "OpInfo", "Operation", "Value",
     "op_info", "register_op", "IRBuilder", "build_module", "print_module",
     "print_op", "parse_module", "ParseError", "VerificationError",
     "verify_module", "PassManager", "default_pipeline", "types", "dialects",

@@ -5,7 +5,7 @@ from __future__ import annotations
 from contextlib import contextmanager
 from typing import Any, Dict, Iterator, Optional, Sequence
 
-from .core import Block, IRError, Module, Operation, Region, Value
+from .core import Block, IRError, Module, Operation, Value
 from .types import IRType
 
 
@@ -61,9 +61,9 @@ class IRBuilder:
     def create(self, name: str, operands: Sequence[Value] = (),
                result_types: Sequence[IRType] = (),
                attributes: Optional[Dict[str, Any]] = None,
-               regions: Sequence[Region] = (),
+               body: Optional[Block] = None,
                result_hints: Sequence[Optional[str]] = ()) -> Operation:
-        op = Operation(name, operands, result_types, attributes, regions,
+        op = Operation(name, operands, result_types, attributes, body,
                        result_hints)
         return self.insert(op)
 
@@ -87,5 +87,5 @@ class IRBuilder:
 def build_module(name: str = "module") -> tuple[Module, IRBuilder]:
     """Convenience: a fresh module plus a builder at its body."""
     module = Module(name)
-    builder = IRBuilder(module.body.entry)
+    builder = IRBuilder(module.body)
     return module, builder

@@ -1,15 +1,21 @@
-"""Core SSA infrastructure: values, operations, blocks, regions, modules.
+"""Core SSA infrastructure: values, operations, blocks, modules.
 
 This mirrors MLIR's object model at the granularity the paper needs:
 
 * every :class:`Value` is defined exactly once (an op result or a block
   argument) and tracks its uses,
 * an :class:`Operation` is a generic record of ``name``, operands,
-  attributes, results and nested regions — dialect modules register the
-  per-op semantics (traits, verifier, constant folder, Python evaluator)
-  in the :class:`OpInfo` registry instead of subclassing,
-* :class:`Block` / :class:`Region` / :class:`Module` provide the nesting
-  structure that passes walk.
+  attributes, results and at most one body :class:`Block` — dialect
+  modules register the per-op semantics (traits, verifier, constant
+  folder, Python evaluator) in the :class:`OpInfo` registry instead of
+  subclassing,
+* :class:`Block` / :class:`Module` provide the nesting structure that
+  passes walk.
+
+An op owns at most one block, where MLIR's ops own a list of regions of
+blocks: the IR is structured (``func``, ``scf.for``, ``omp.parallel``)
+and has no ``cf`` branch, so nothing can reach a second block, and no
+registered op has a second body.
 """
 
 from __future__ import annotations
@@ -77,7 +83,7 @@ class OpResult(Value):
 
 
 class BlockArgument(Value):
-    """A value introduced as a block (or region entry) argument."""
+    """A value introduced as a block argument."""
 
     __slots__ = ("block", "index")
 
@@ -163,13 +169,13 @@ class Operation:
     so an op's name is fixed for its lifetime, as in MLIR.
     """
 
-    __slots__ = ("name", "operands", "attributes", "results", "regions",
+    __slots__ = ("name", "operands", "attributes", "results", "body",
                  "parent", "uid", "info")
 
     def __init__(self, name: str, operands: Sequence[Value] = (),
                  result_types: Sequence[IRType] = (),
                  attributes: Optional[Dict[str, Any]] = None,
-                 regions: Sequence["Region"] = (),
+                 body: Optional["Block"] = None,
                  result_hints: Sequence[Optional[str]] = ()):
         self.name = name
         self.info: Optional[OpInfo] = _OP_REGISTRY.get(name)
@@ -181,9 +187,9 @@ class Operation:
         hints = list(result_hints) + [None] * (len(result_types) - len(result_hints))
         for i, ty in enumerate(result_types):
             self.results.append(OpResult(self, i, ty, hints[i]))
-        self.regions: List[Region] = []
-        for region in regions:
-            self.take_region(region)
+        self.body = body
+        if body is not None:
+            body.parent = self
         for operand in operands:
             self.append_operand(operand)
 
@@ -213,12 +219,6 @@ class Operation:
                 pass
         self.operands.clear()
 
-    # -- region management ---------------------------------------------------
-
-    def take_region(self, region: "Region") -> None:
-        region.parent = self
-        self.regions.append(region)
-
     # -- structure -----------------------------------------------------------
 
     @property
@@ -247,11 +247,8 @@ class Operation:
                 raise IRError(
                     f"cannot erase {self.name}: result still has "
                     f"{len(res.uses)} use(s)")
-        self.drop_all_operands()
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.ops):
-                    op.drop_all_operands()
+        for op in self.walk():
+            op.drop_all_operands()
         if self.parent is not None:
             self.parent.ops.remove(self)
             self.parent = None
@@ -267,18 +264,16 @@ class Operation:
         self.parent = block
 
     def walk(self) -> Iterator["Operation"]:
-        """Yield this op and all ops nested in its regions, pre-order."""
+        """Yield this op and all ops nested in its body, pre-order."""
         yield self
-        for region in self.regions:
-            for block in region.blocks:
-                for op in list(block.ops):
-                    yield from op.walk()
+        if self.body is not None:
+            for op in list(self.body.ops):
+                yield from op.walk()
 
     def clone(self, value_map: Optional[Dict[Value, Value]] = None) -> "Operation":
         """Deep-copy this op, remapping operands through ``value_map``."""
         value_map = value_map if value_map is not None else {}
         operands = [value_map.get(v, v) for v in self.operands]
-        new_regions = []
         new = Operation(
             self.name, operands,
             [r.type for r in self.results],
@@ -286,8 +281,9 @@ class Operation:
             result_hints=[r.name_hint for r in self.results])
         for old_res, new_res in zip(self.results, new.results):
             value_map[old_res] = new_res
-        for region in self.regions:
-            new.take_region(region.clone(value_map))
+        if self.body is not None:
+            new.body = self.body.clone(value_map)
+            new.body.parent = new
         return new
 
     def __repr__(self) -> str:
@@ -295,12 +291,15 @@ class Operation:
 
 
 # ---------------------------------------------------------------------------
-# Blocks / regions / module
+# Blocks / module
 # ---------------------------------------------------------------------------
 
 
 class Block:
-    """A straight-line list of operations ending (usually) in a terminator."""
+    """A straight-line list of operations ending (usually) in a terminator.
+
+    ``parent`` is the op whose body it is (None for a module's body).
+    """
 
     __slots__ = ("args", "ops", "parent")
 
@@ -311,7 +310,7 @@ class Block:
         for i, ty in enumerate(arg_types):
             self.args.append(BlockArgument(self, i, ty, hints[i]))
         self.ops: List[Operation] = []
-        self.parent: Optional[Region] = None
+        self.parent: Optional[Operation] = None
 
     def append(self, op: Operation) -> Operation:
         if op.parent is not None:
@@ -354,52 +353,20 @@ class Block:
         return f"<Block with {len(self.ops)} ops>"
 
 
-class Region:
-    """A list of blocks owned by an operation."""
-
-    __slots__ = ("blocks", "parent")
-
-    def __init__(self, blocks: Sequence[Block] = ()):
-        self.blocks: List[Block] = []
-        self.parent: Optional[Operation] = None
-        for block in blocks:
-            self.add_block(block)
-
-    def add_block(self, block: Block) -> Block:
-        block.parent = self
-        self.blocks.append(block)
-        return block
-
-    @property
-    def entry(self) -> Block:
-        if not self.blocks:
-            raise IRError("region has no blocks")
-        return self.blocks[0]
-
-    def clone(self, value_map: Dict[Value, Value]) -> "Region":
-        new = Region()
-        for block in self.blocks:
-            new.add_block(block.clone(value_map))
-        return new
-
-    def __iter__(self) -> Iterator[Block]:
-        return iter(self.blocks)
-
-
 class Module:
     """Top-level container holding function definitions."""
 
     def __init__(self, name: str = "module"):
         self.name = name
-        self.body = Region([Block()])
+        self.body = Block()
         self.attributes: Dict[str, Any] = {}
 
     @property
     def ops(self) -> List[Operation]:
-        return self.body.entry.ops
+        return self.body.ops
 
     def append(self, op: Operation) -> Operation:
-        return self.body.entry.append(op)
+        return self.body.append(op)
 
     def walk(self) -> Iterator[Operation]:
         for op in list(self.ops):
@@ -419,13 +386,12 @@ class Module:
 
 
 def enclosing_op(value: Value) -> Optional[Operation]:
-    """The operation whose region (transitively) defines ``value``."""
+    """The operation that defines ``value``: its result's op, or the op
+    whose body takes it as an argument."""
     owner = value.owner
     if isinstance(owner, Operation):
         return owner
-    block = owner
-    region = block.parent
-    return region.parent if region is not None else None
+    return owner.parent
 
 
 def defining_block(value: Value) -> Optional[Block]:
@@ -437,13 +403,10 @@ def defining_block(value: Value) -> Optional[Block]:
 
 
 def is_defined_in(value: Value, op: Operation) -> bool:
-    """True if ``value`` is defined inside any region of ``op``."""
+    """True if ``value`` is defined inside the body of ``op``."""
     block = defining_block(value)
     while block is not None:
-        region = block.parent
-        if region is None:
-            return False
-        parent_op = region.parent
+        parent_op = block.parent
         if parent_op is op:
             return True
         if parent_op is None:

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from typing import Optional, Sequence
 
-from ..core import (Block, IRError, Module, OpInfo, Operation, Region, Value,
+from ..core import (Block, IRError, Module, OpInfo, Operation, Value,
                     register_op)
 from ..builder import IRBuilder
 from ..types import FunctionType, IRType
@@ -18,19 +18,18 @@ def _verify_func(op: Operation) -> None:
     if not isinstance(ftype, FunctionType):
         raise IRError("func.func: missing function_type attribute")
     if op.attributes.get("declaration"):
-        if op.regions and op.regions[0].blocks:
+        if op.body is not None:
             raise IRError("func.func: declaration must not have a body")
         return
-    if not op.regions or not op.regions[0].blocks:
+    if op.body is None:
         raise IRError("func.func: definition requires a body")
-    entry = op.regions[0].entry
-    if tuple(a.type for a in entry.args) != ftype.inputs:
+    if tuple(a.type for a in op.body.args) != ftype.inputs:
         raise IRError(f"func.func @{name}: entry block args do not match "
                       f"signature {ftype}")
 
 
 def _verify_return(op: Operation) -> None:
-    func = op.parent.parent.parent if op.parent and op.parent.parent else None
+    func = op.parent.parent if op.parent else None
     if func is None or func.name != "func.func":
         return
     ftype = func.attributes["function_type"]
@@ -67,7 +66,7 @@ class FuncOp:
 
     @property
     def entry(self) -> Block:
-        return self.op.regions[0].entry
+        return self.op.body
 
     @property
     def args(self) -> Sequence[Value]:
@@ -81,13 +80,12 @@ def func(module_or_builder, sym_name: str,
     """Create a function (definition or declaration) in a module."""
     ftype = FunctionType(tuple(inputs), tuple(results))
     attrs = {"sym_name": sym_name, "function_type": ftype}
-    regions = []
+    body = None
     if declaration:
         attrs["declaration"] = True
-        regions = [Region()]
     else:
-        regions = [Region([Block(list(inputs), list(arg_hints))])]
-    op = Operation("func.func", [], [], attrs, regions)
+        body = Block(list(inputs), list(arg_hints))
+    op = Operation("func.func", [], [], attrs, body=body)
     if isinstance(module_or_builder, Module):
         module_or_builder.append(op)
     else:

@@ -2,22 +2,23 @@
 
 The paper parallelizes the compute stage with
 ``#pragma omp parallel for schedule(static)``; in the MLIR path this
-becomes an ``omp.parallel`` region wrapping the ``scf.for``.  Our
-executor partitions cells across simulated threads and the machine
-model charges fork/join + barrier costs per time step (the effect that
-makes small models *slower* at 32 threads in Fig. 3/4).
+becomes an ``omp.parallel`` op whose one-block body wraps the
+``scf.for``.  Our executor partitions cells across simulated threads
+and the machine model charges fork/join + barrier costs per time step
+(the effect that makes small models *slower* at 32 threads in Fig.
+3/4).
 """
 
 from __future__ import annotations
 
-from ..core import Block, IRError, OpInfo, Operation, Region, register_op
+from ..core import Block, IRError, OpInfo, Operation, register_op
 from ..builder import IRBuilder
 
 
 def _verify_parallel(op: Operation) -> None:
-    if len(op.regions) != 1 or len(op.regions[0].blocks) != 1:
-        raise IRError("omp.parallel: expects one single-block region")
-    term = op.regions[0].entry.terminator
+    if op.body is None:
+        raise IRError("omp.parallel: expects a body")
+    term = op.body.terminator
     if term is None or term.name != "omp.terminator":
         raise IRError("omp.parallel: region must end in omp.terminator")
 
@@ -27,14 +28,14 @@ register_op(OpInfo(name="omp.terminator", terminator=True))
 
 
 class ParallelOp:
-    """Structured wrapper over an ``omp.parallel`` region."""
+    """Structured wrapper over an ``omp.parallel`` op and its body."""
 
     def __init__(self, op: Operation):
         self.op = op
 
     @property
     def body(self) -> Block:
-        return self.op.regions[0].entry
+        return self.op.body
 
     @property
     def schedule(self) -> str:
@@ -49,7 +50,7 @@ def parallel(b: IRBuilder, schedule: str = "static") -> ParallelOp:
     """
     body = Block()
     op = b.create("omp.parallel", [], [], {"schedule": schedule},
-                  regions=[Region([body])])
+                  body=body)
     with b.at_end_of(body):
         b.create("omp.terminator", [], [])
     return ParallelOp(op)

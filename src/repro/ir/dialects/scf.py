@@ -11,8 +11,7 @@ from __future__ import annotations
 
 from typing import Sequence
 
-from ..core import (Block, IRError, OpInfo, Operation, Region, Value,
-                    register_op)
+from ..core import Block, IRError, OpInfo, Operation, Value, register_op
 from ..builder import IRBuilder
 from ..types import index
 
@@ -24,9 +23,9 @@ def _verify_for(op: Operation) -> None:
     for v, what in ((lb, "lower bound"), (ub, "upper bound"), (step, "step")):
         if not v.type.is_integer:
             raise IRError(f"scf.for: {what} must be integer-like, got {v.type}")
-    if len(op.regions) != 1 or len(op.regions[0].blocks) != 1:
-        raise IRError("scf.for: expects exactly one single-block region")
-    body = op.regions[0].entry
+    body = op.body
+    if body is None:
+        raise IRError("scf.for: expects a body")
     n_iter = len(op.operands) - 3
     if len(body.args) != 1 + n_iter:
         raise IRError("scf.for: body must take induction var + iter_args")
@@ -49,7 +48,7 @@ class ForOp:
 
     @property
     def body(self) -> Block:
-        return self.op.regions[0].entry
+        return self.op.body
 
     @property
     def induction_var(self) -> Value:
@@ -80,7 +79,7 @@ def for_op(b: IRBuilder, lower: Value, upper: Value, step: Value,
                  [iv_hint] + [f"iter{i}" for i in range(len(iter_init))])
     op = b.create("scf.for", [lower, upper, step, *iter_init],
                   [v.type for v in iter_init],
-                  regions=[Region([body])])
+                  body=body)
     return ForOp(op)
 
 

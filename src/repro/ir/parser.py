@@ -4,6 +4,10 @@ Round-tripping IR through text is used by the test suite (property:
 ``parse(print(m))`` is structurally identical to ``m``) and lets pass
 pipelines be exercised on hand-written fixtures, the way MLIR's own
 ``mlir-opt`` tests work.
+
+An op owns at most one body block (:mod:`repro.ir.core`): a ``^label``
+line anywhere but at the head of an op's body, and an op that opens a
+second body with ``} {``, are parse errors.
 """
 
 from __future__ import annotations
@@ -11,7 +15,7 @@ from __future__ import annotations
 import re
 from typing import Any, Dict, List, Optional
 
-from .core import Block, IRError, Module, Operation, Region
+from .core import Block, IRError, Module, Operation
 from .types import FunctionType, parse_type
 
 
@@ -124,7 +128,7 @@ class Parser:
             ftype = _parse_function_type(decl.group(2))
             return Operation("func.func", [], [], {
                 "sym_name": decl.group(1), "function_type": ftype,
-                "declaration": True}, [Region()])
+                "declaration": True})
         match = _FUNC_DEF.match(line)
         if match:
             return self.parse_func(match)
@@ -136,41 +140,32 @@ class Parser:
         self.pos += 1
         sym_name, args_text, rets_text = match.groups()
         entry = Block()
-        arg_types = []
-        for arg in _split_commas(args_text):
-            name, _, ty_text = arg.partition(":")
-            ty = parse_type(ty_text)
-            arg_types.append(ty)
-            value = entry.add_argument(ty, name.strip().lstrip("%"))
-            self.values[name.strip().lstrip("%")] = value
+        self._parse_block_args(entry, args_text)
         results = tuple(parse_type(t) for t in _split_commas(rets_text))
-        region = Region([entry])
-        self._parse_block_body(region, entry)
-        ftype = FunctionType(tuple(arg_types), results)
+        self._parse_body(entry)
+        ftype = FunctionType(tuple(a.type for a in entry.args), results)
         return Operation("func.func", [], [],
                          {"sym_name": sym_name, "function_type": ftype},
-                         [region])
+                         entry)
 
-    def _parse_block_body(self, region: Region, block: Block) -> str:
-        """Parse ops into ``block`` until '}' or '} {'; handles new labels."""
+    def _parse_block_args(self, block: Block, text: str) -> None:
+        for arg in _split_commas(text):
+            name, _, ty_text = arg.partition(":")
+            hint = name.strip().lstrip("%")
+            self.values[hint] = block.add_argument(parse_type(ty_text), hint)
+
+    def _parse_body(self, block: Block) -> None:
+        """Parse ops into ``block`` up to its closing '}'."""
         while True:
             line = self._peek()
             if line is None:
-                raise self._error("unterminated region")
-            if line in ("}", "} {"):
+                raise self._error("unterminated body")
+            if line == "}":
                 self.pos += 1
-                return line
-            label = _BLOCK_LABEL.match(line)
-            if label:
-                self.pos += 1
-                block = Block()
-                for arg in _split_commas(label.group(2)):
-                    name, _, ty_text = arg.partition(":")
-                    value = block.add_argument(parse_type(ty_text),
-                                               name.strip().lstrip("%"))
-                    self.values[name.strip().lstrip("%")] = value
-                region.add_block(block)
-                continue
+                return
+            if line == "} {" or _BLOCK_LABEL.match(line):
+                raise ParseError(f"an op owns at most one body block, "
+                                 f"got {line!r}", self.pos + 1)
             block.append(self.parse_op())
 
     # -- generic ops ---------------------------------------------------------------
@@ -196,39 +191,19 @@ class Parser:
             result_hints = [t.strip().lstrip("%")
                             for t in _split_commas(match.group("results"))]
         # all-digit names are the printer's own numbering, not hints
-        op = Operation(name, operands, out_tys, attrs, result_hints=[
+        body = Block() if match.group("open") else None
+        op = Operation(name, operands, out_tys, attrs, body, result_hints=[
             None if h.isdigit() else h for h in result_hints])
         for hint, result in zip(result_hints, op.results):
             self.values[hint] = result
-        if match.group("open"):
-            region = Region()
-            op.take_region(region)
-            # The printer always emits a labelled entry block.
-            while True:
-                first = self._peek()
-                if first is None:
-                    raise self._error("unterminated region")
-                block = Block()
-                region.add_block(block)
-                closer = self._parse_region_blocks(region, block)
-                if closer == "}":
-                    break
-                region = Region()
-                op.take_region(region)
+        if body is not None:
+            # the printer heads every op body with its label line
+            label = _BLOCK_LABEL.match(self._next())
+            if not label:
+                raise self._error("expected the body's ^label(...) line")
+            self._parse_block_args(body, label.group(2))
+            self._parse_body(body)
         return op
-
-    def _parse_region_blocks(self, region: Region, placeholder: Block) -> str:
-        """Parse blocks of one region; the placeholder entry gets its label."""
-        line = self._peek()
-        label = _BLOCK_LABEL.match(line) if line else None
-        if label:
-            self.pos += 1
-            for arg in _split_commas(label.group(2)):
-                name, _, ty_text = arg.partition(":")
-                value = placeholder.add_argument(parse_type(ty_text),
-                                                 name.strip().lstrip("%"))
-                self.values[name.strip().lstrip("%")] = value
-        return self._parse_block_body(region, placeholder)
 
     def _parse_attrs(self, text: Optional[str]) -> Dict[str, Any]:
         attrs: Dict[str, Any] = {}

@@ -39,18 +39,16 @@ class Canonicalize(Pass):
     def run(self, module: Module) -> bool:
         changed = False
         for func in module.ops:
-            for region in func.regions:
-                for block in region.blocks:
-                    changed |= self._run_on_block(block)
+            if func.body is not None:
+                changed |= self._run_on_block(func.body)
         return changed
 
     def _run_on_block(self, block: Block) -> bool:
         changed = False
         builder = IRBuilder(block)
         for op in list(block.ops):
-            for region in op.regions:
-                for inner in region.blocks:
-                    changed |= self._run_on_block(inner)
+            if op.body is not None:
+                changed |= self._run_on_block(op.body)
             if op.parent is None:  # removed by an earlier rewrite
                 continue
             changed |= self._try_rewrite(op, builder)
@@ -78,7 +76,7 @@ class Canonicalize(Pass):
     def _try_fold(self, op: Operation, builder: IRBuilder) -> bool:
         info = op.info
         if (info is None or info.fold is None or not info.pure
-                or op.name == "arith.constant" or op.regions):
+                or op.name == "arith.constant" or op.body is not None):
             return False
         operand_values = [_constant_value(v) for v in op.operands]
         folded = info.fold(op, operand_values)

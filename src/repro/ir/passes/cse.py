@@ -5,7 +5,7 @@ times in the paper's Listing 2 — so CSE is one of the two in-tree MLIR
 passes the paper calls out as beneficial (§3.4.2 closing remark).
 
 Scoped like MLIR's CSE: an op may reuse an equivalent op from its own
-block or any enclosing block, never from a sibling region.
+block or any enclosing block, never from a sibling op's body.
 """
 
 from __future__ import annotations
@@ -35,9 +35,8 @@ class CSE(Pass):
     def run(self, module: Module) -> bool:
         changed = False
         for func in module.ops:
-            for region in func.regions:
-                for block in region.blocks:
-                    changed |= self._run_on_block(block, {})
+            if func.body is not None:
+                changed |= self._run_on_block(func.body, {})
         return changed
 
     def _run_on_block(self, block: Block,
@@ -45,7 +44,7 @@ class CSE(Pass):
         changed = False
         known: Dict[Tuple, Operation] = dict(outer)
         for op in list(block.ops):
-            if op.is_pure and not op.regions:
+            if op.is_pure and op.body is None:
                 key = _op_key(op)
                 existing = known.get(key)
                 if existing is not None:
@@ -55,7 +54,6 @@ class CSE(Pass):
                     changed = True
                     continue
                 known[key] = op
-            for region in op.regions:
-                for inner in region.blocks:
-                    changed |= self._run_on_block(inner, known)
+            if op.body is not None:
+                changed |= self._run_on_block(op.body, known)
         return changed

@@ -7,7 +7,7 @@ from .pass_manager import Pass
 
 
 def _is_dead(op: Operation) -> bool:
-    if not op.is_pure or op.regions:
+    if not op.is_pure or op.body is not None:
         return False
     return all(not r.uses for r in op.results)
 
@@ -18,17 +18,15 @@ class DCE(Pass):
     def run(self, module: Module) -> bool:
         changed = False
         for func in module.ops:
-            for region in func.regions:
-                for block in region.blocks:
-                    changed |= self._run_on_block(block)
+            if func.body is not None:
+                changed |= self._run_on_block(func.body)
         return changed
 
     def _run_on_block(self, block: Block) -> bool:
         changed = False
         for op in list(block.ops):
-            for region in op.regions:
-                for inner in region.blocks:
-                    changed |= self._run_on_block(inner)
+            if op.body is not None:
+                changed |= self._run_on_block(op.body)
         # Reverse order so a chain of dead ops dies in a single sweep.
         for op in reversed(list(block.ops)):
             if _is_dead(op):

@@ -16,7 +16,7 @@ from .pass_manager import Pass
 
 def _is_invariant(op: Operation, loop: Operation,
                   hoisted: Set[int]) -> bool:
-    if not op.is_pure or op.regions:
+    if not op.is_pure or op.body is not None:
         return False
     for operand in op.operands:
         if id(operand) in hoisted:
@@ -37,7 +37,7 @@ class LICM(Pass):
         return changed
 
     def _hoist_from(self, loop: Operation) -> bool:
-        body: Block = loop.regions[0].entry
+        body: Block = loop.body
         hoisted_results: Set[int] = set()
         changed = False
         # Iterate to a local fixed point: hoisting one op can make its

@@ -22,16 +22,15 @@ from __future__ import annotations
 import io
 from typing import Dict
 
-from .core import Block, Module, Operation, Region, Value
+from .core import Module, Operation, Value
 from .types import FunctionType
 
 
 class _NameScope:
-    """Assigns stable printed names to SSA values and blocks."""
+    """Assigns stable printed names to SSA values and body labels."""
 
     def __init__(self) -> None:
         self.value_names: Dict[int, str] = {}
-        self.block_names: Dict[int, str] = {}
         self._taken: set[str] = set()
         self._counter = 0
         self._block_counter = 0
@@ -56,12 +55,10 @@ class _NameScope:
         self.value_names[id(value)] = name
         return name
 
-    def block_name(self, block: Block) -> str:
-        name = self.block_names.get(id(block))
-        if name is None:
-            name = f"bb{self._block_counter}"
-            self._block_counter += 1
-            self.block_names[id(block)] = name
+    def block_label(self) -> str:
+        """The next body's label; each body is printed once."""
+        name = f"bb{self._block_counter}"
+        self._block_counter += 1
         return name
 
 
@@ -131,29 +128,19 @@ class Printer:
         out_tys = ", ".join(str(r.type) for r in op.results)
         sig = f" : ({in_tys}) -> ({out_tys})"
         header = f"{prefix}{op.name}({operands}){attrs}{sig}"
-        if not op.regions:
+        body = op.body
+        if body is None:
             self.line(header)
             return
         self.line(header + " {")
+        args = ", ".join(
+            f"%{self.scope.value_name(a)}: {a.type}" for a in body.args)
+        self.line(f"^{self.scope.block_label()}({args}):")
         self.indent += 1
-        for i, region in enumerate(op.regions):
-            if i:
-                self.indent -= 1
-                self.line("} {")
-                self.indent += 1
-            self._print_region(region)
+        for inner in body.ops:
+            self.print_op(inner)
         self.indent -= 1
         self.line("}")
-
-    def _print_region(self, region: Region) -> None:
-        for block in region.blocks:
-            args = ", ".join(
-                f"%{self.scope.value_name(a)}: {a.type}" for a in block.args)
-            self.indent -= 1
-            self.line(f"^{self.scope.block_name(block)}({args}):")
-            self.indent += 1
-            for op in block.ops:
-                self.print_op(op)
 
     def _print_func(self, op: Operation) -> None:
         ftype: FunctionType = op.attributes["function_type"]
@@ -161,22 +148,14 @@ class Printer:
         if op.attributes.get("declaration"):
             self.line(f"func.func private @{name} {ftype}")
             return
-        entry = op.regions[0].entry
+        body = op.body
         args = ", ".join(
-            f"%{self.scope.value_name(a)}: {a.type}" for a in entry.args)
+            f"%{self.scope.value_name(a)}: {a.type}" for a in body.args)
         rets = ", ".join(str(t) for t in ftype.results)
         self.line(f"func.func @{name}({args}) -> ({rets}) {{")
         self.indent += 1
-        for body_op in entry.ops:
+        for body_op in body.ops:
             self.print_op(body_op)
-        for extra in op.regions[0].blocks[1:]:
-            bargs = ", ".join(
-                f"%{self.scope.value_name(a)}: {a.type}" for a in extra.args)
-            self.indent -= 1
-            self.line(f"^{self.scope.block_name(extra)}({bargs}):")
-            self.indent += 1
-            for body_op in extra.ops:
-                self.print_op(body_op)
         self.indent -= 1
         self.line("}")
 
@@ -201,7 +180,7 @@ class Printer:
                       f" : {a.type}")
             return True
         if (op.dialect in ("arith", "math") and op.results
-                and not op.regions):
+                and op.body is None):
             ops_str = ", ".join(f"%{v(o)}" for o in op.operands)
             self.line(f"%{v(op.result)} = {op.name} {ops_str}"
                       f" : {op.result.type}")
@@ -263,7 +242,7 @@ class Printer:
             return True
         if op.name == "scf.for":
             lb, ub, step, *init = op.operands
-            body = op.regions[0].entry
+            body = op.body
             iv = body.args[0]
             header = (f"scf.for %{v(iv)} = %{v(lb)} to %{v(ub)} "
                       f"step %{v(step)}")
@@ -287,7 +266,7 @@ class Printer:
             self.line(f"omp.parallel "
                       f"schedule({op.attributes.get('schedule', 'static')}) {{")
             self.indent += 1
-            for body_op in op.regions[0].entry.ops:
+            for body_op in op.body.ops:
                 self.print_op(body_op)
             self.indent -= 1
             self.line("}")
@@ -304,7 +283,7 @@ def print_module(module: Module, pretty: bool = False) -> str:
 
 
 def print_op(op: Operation, pretty: bool = False) -> str:
-    """Serialize a single operation (and nested regions) to text."""
+    """Serialize a single operation (and its body) to text."""
     printer = Printer(pretty=pretty)
     printer.print_op(op)
     return printer.out.getvalue()

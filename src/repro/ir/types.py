@@ -74,7 +74,7 @@ class IRType(metaclass=_Uniqued):
 
 @dataclass(frozen=True, eq=False)
 class FloatType(IRType):
-    """An IEEE float type (f32 or f64)."""
+    """An IEEE float type, printed ``f<width>``."""
 
     width: int
 
@@ -90,7 +90,7 @@ class FloatType(IRType):
 
 @dataclass(frozen=True, eq=False)
 class IntegerType(IRType):
-    """A signless integer type (i1, i32, i64...)."""
+    """A signless integer type, printed ``i<width>``."""
 
     width: int
 
@@ -172,25 +172,12 @@ class FunctionType(IRType):
         return f"({ins}) -> ({outs})"
 
 
-@dataclass(frozen=True, eq=False)
-class NoneType(IRType):
-    """The unit type for ops with no meaningful result."""
-
-    def _format(self) -> str:
-        return "none"
-
-
-# Singletons used throughout the code base.
-f32 = FloatType(32)
+# The scalars the generators emit (cell values, predicates, addresses).
 f64 = FloatType(64)
 i1 = IntegerType(1)
-i8 = IntegerType(8)
-i32 = IntegerType(32)
-i64 = IntegerType(64)
 index = IndexType()
-none = NoneType()
 
-_SCALARS = {str(ty): ty for ty in (f32, f64, i1, i8, i32, i64, index, none)}
+_SCALARS = {str(ty): ty for ty in (f64, i1, index)}
 
 
 def vector_of(width: int, element: IRType = f64) -> VectorType:

@@ -3,13 +3,13 @@
 Checks the invariants MLIR's verifier would: registered ops only,
 per-op invariants via :class:`OpInfo.verify`, terminators at block
 ends, and define-before-use visibility (values are visible in the block
-that defines them after their definition, and in any nested region).
+that defines them after their definition, and in any nested body).
 
 Visibility is one scope per module: a dict of the values visible at
 the current op, in the order they became visible.  A block adds its
 arguments and its ops' results, and takes them out again (newest first)
-when it is left, so a nested block sees its ancestors' values and no
-sibling's, without a copy of the set per block.
+when it is left, so a nested block sees its ancestors' values and none of a
+sibling body's, without a copy of the set per block.
 """
 
 from __future__ import annotations
@@ -48,9 +48,8 @@ def _verify_op(op: Operation, visible: Dict[Value, None],
             if isinstance(err, VerificationError):
                 raise
             raise VerificationError(str(err)) from err
-    for region in op.regions:
-        for block in region.blocks:
-            _verify_block(block, visible, allow_unregistered)
+    if op.body is not None:
+        _verify_block(op.body, visible, allow_unregistered)
     for result in op.results:
         visible[result] = None
 

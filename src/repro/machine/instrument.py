@@ -122,8 +122,7 @@ def profile_kernel(module: Module, function_name: str) -> KernelProfile:
 
 
 def _walk_function(func_op: Operation, profile: KernelProfile) -> None:
-    entry = func_op.regions[0].entry
-    _count_block(entry, profile, multiplier=0.0, in_cell_loop=False)
+    _count_block(func_op.body, profile, multiplier=0.0, in_cell_loop=False)
 
 
 def _count_block(block, profile: KernelProfile, multiplier: float,
@@ -131,8 +130,7 @@ def _count_block(block, profile: KernelProfile, multiplier: float,
     for op in block.ops:
         if op.name == "omp.parallel":
             profile.parallel = True
-            _count_block(op.regions[0].entry, profile, multiplier,
-                         in_cell_loop)
+            _count_block(op.body, profile, multiplier, in_cell_loop)
             continue
         if op.name == "scf.for":
             if op.attributes.get("cell_loop"):
@@ -140,10 +138,10 @@ def _count_block(block, profile: KernelProfile, multiplier: float,
                 profile.layout = str(op.attributes.get("layout", "aos"))
                 profile.parallel = profile.parallel or \
                     bool(op.attributes.get("parallel"))
-                _count_block(op.regions[0].entry, profile, 1.0, True)
+                _count_block(op.body, profile, 1.0, True)
             else:
                 trip = _trip_count(op)
-                _count_block(op.regions[0].entry, profile,
+                _count_block(op.body, profile,
                              multiplier * trip if in_cell_loop else 0.0,
                              in_cell_loop)
             continue

@@ -99,10 +99,8 @@ class _FaultyPassProxy(Pass):
 def _corrupt_module(module: Module) -> None:
     """Plant an unregistered op so the verifier rejects the module."""
     for fn in module.funcs():
-        blocks = fn.regions[0].blocks if fn.regions else []
-        if blocks and blocks[0].ops:    # skip bodyless declarations
-            blocks[0].insert_before(blocks[0].ops[0],
-                                    Operation("fault.corrupt"))
+        if fn.body is not None and fn.body.ops:   # skip declarations
+            fn.body.insert_before(fn.body.ops[0], Operation("fault.corrupt"))
             return
     module.append(Operation("fault.corrupt"))
 

@@ -41,7 +41,7 @@ class Interpreter:
         func_op = self.module.lookup_func(function_name)
         if func_op is None:
             raise InterpreterError(f"no function @{function_name}")
-        entry = func_op.regions[0].entry
+        entry = func_op.body
         if len(args) != len(entry.args):
             raise InterpreterError(
                 f"@{function_name} takes {len(entry.args)} arguments, "
@@ -70,9 +70,8 @@ class Interpreter:
                 return None
             return values[0] if len(values) == 1 else tuple(values)
         if name == "omp.parallel":
-            # one simulated worker interprets the whole region
-            body = op.regions[0].entry
-            for inner in body.ops:
+            # one simulated worker interprets the whole body
+            for inner in op.body.ops:
                 if inner.name != "omp.terminator":
                     self._run_op(inner, env)
             return None
@@ -105,7 +104,7 @@ class Interpreter:
                  values: Sequence[Any]) -> None:
         lower, upper, step = (int(v) for v in values[:3])
         carried = list(values[3:])
-        body = op.regions[0].entry
+        body = op.body
         for iv in range(lower, upper, step):
             env[id(body.args[0])] = iv
             for arg, value in zip(body.args[1:], carried):

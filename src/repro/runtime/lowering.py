@@ -689,7 +689,7 @@ def lower_function(module: Module, sym_name: str,
     inferred_mode, width = _kernel_mode(func_op)
     mode = mode or inferred_mode
     printer = _NumPyPrinter(Schedule(func_op, mode, width, fuse=fuse))
-    entry = func_op.regions[0].entry
+    entry = func_op.body
     kernel = CompiledKernel(
         name=sym_name, fn=None, source="", mode=mode, width=width,
         arg_names=[a.name_hint or f"arg{i}"

@@ -101,7 +101,7 @@ class _AffineAnalysis:
 
     def __init__(self, loop: Operation):
         self.loop = loop
-        self.iv = loop.regions[0].entry.args[0]
+        self.iv = loop.body.args[0]
         self.forms: Dict[int, Optional[_Affine]] = {}
 
     def form(self, value: Value) -> Optional[_Affine]:
@@ -179,7 +179,7 @@ def analyze_accesses(func_op: Operation,
     for op in func_op.walk() if ops is None else ops:
         loop = op if op.name in ACCESS_INDEX_OPERAND else func_op
         while loop is not func_op:
-            loop = loop.parent.parent.parent        # the enclosing op
+            loop = loop.parent.parent               # the enclosing op
             if loop.name == "scf.for" and loop.attributes.get("cell_loop"):
                 if id(loop) not in analyses:
                     analyses[id(loop)] = _AffineAnalysis(loop)
@@ -301,9 +301,9 @@ class Schedule:
     *pending* until that use consumes it: it is fused, spelled at the
     use.  Fused ops are side-effect free, so results stay bit-identical
     while hundreds of one-op statements collapse into a few.  Pending
-    values are materialized before any region op, so fusion never moves
-    work across control flow; constants are fused into every use.  A
-    fused vector schedule then packs isomorphic statements
+    values are materialized before any op with a body, so fusion never
+    moves work across control flow; constants are fused into every use.
+    A fused vector schedule then packs isomorphic statements
     (:class:`Pack`).
     """
 
@@ -339,7 +339,7 @@ class Schedule:
         #: value id -> (expression depth, defining op), in def order
         self._pending: Dict[int, Tuple[int, Operation]] = {}
         self._flat_loops: List[Operation] = []
-        entry = func_op.regions[0].entry
+        entry = func_op.body
         self.args = [self._fresh(arg, sanitize(arg.name_hint))
                      for arg in entry.args]
         if mode == "vector":
@@ -453,7 +453,7 @@ class Schedule:
         elif name == "omp.parallel":
             # worksharing is the supervised tier's job
             self._flush()
-            for inner in op.regions[0].entry.ops:
+            for inner in op.body.ops:
                 if not inner.is_terminator:
                     self._op(inner)
         elif name == "scf.for":
@@ -539,7 +539,7 @@ class Schedule:
     def _for(self, op: Operation) -> None:
         for value in op.operands:
             self._use(value)
-        body = op.regions[0].entry
+        body = op.body
         iv = self._fresh(body.args[0], sanitize(body.args[0].name_hint))
         accs = []
         for arg, init in zip(body.args[1:], op.operands[3:]):
@@ -564,7 +564,7 @@ class Schedule:
 
     def _body(self, block: Block, targets: List[str],
               nested: bool = True) -> None:
-        """A region's ops, its ``scf.yield`` binding ``targets``; a
+        """A body's ops, its ``scf.yield`` binding ``targets``; a
         nested body that emits nothing gets a ``pass``."""
         self._depth += nested
         mark = len(self.stmts)
@@ -639,7 +639,7 @@ class _Packer:
         stretch: List = []
         for position, stmt in enumerate(stmts + [None]):
             if stmt is None or stmt.kind != "op" or stmt.depth != 1 \
-                    or stmt.op.regions:
+                    or stmt.op.body is not None:
                 self.start = position - len(stretch)
                 self._stretch(stretch)
                 stretch = []

@@ -100,7 +100,7 @@ class TestLimpetMLIRStructure:
 
     def test_all_value_types_are_width_consistent(self, gate_model):
         loop = find_cell_loop(generate_limpet_mlir(gate_model, 4))
-        for op in loop.regions[0].entry.ops:
+        for op in loop.body.ops:
             for result in op.results:
                 if result.type.is_vector:
                     assert result.type.width == 4

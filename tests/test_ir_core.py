@@ -1,11 +1,11 @@
-"""Unit tests for the SSA core: values, ops, blocks, regions, modules."""
+"""Unit tests for the SSA core: values, ops, blocks, modules."""
 
 import pytest
 
 from repro.ir import dialects  # noqa: F401 - registers ops
-from repro.ir.core import (Block, IRError, Module, Operation, Region,
-                           defining_block, enclosing_op, is_defined_in,
-                           op_info, registered_ops)
+from repro.ir.core import (Block, IRError, Module, Operation, defining_block,
+                           enclosing_op, is_defined_in, op_info,
+                           registered_ops)
 from repro.ir.types import f64, index
 
 
@@ -142,6 +142,19 @@ class TestEraseAndMove:
         with pytest.raises(IRError):
             op1.erase()
 
+    def test_erase_drops_uses_of_ops_nested_two_bodies_deep(
+            self, block_with_args):
+        x, _ = block_with_args.args
+        inner_body = Block([index])
+        inner_body.append(make_add(x, x))
+        outer_body = Block([index])
+        outer_body.append(Operation("scf.for", [], [], body=inner_body))
+        loop = block_with_args.append(
+            Operation("scf.for", [], [], body=outer_body))
+        assert x.num_uses == 2
+        loop.erase()
+        assert x.num_uses == 0
+
     def test_move_before(self, block_with_args):
         a, b = block_with_args.args
         op1 = block_with_args.append(make_add(a, b))
@@ -161,19 +174,16 @@ class TestCloneAndWalk:
 
     def test_clone_with_region(self):
         inner = Block([index])
-        region = Region([inner])
-        outer = Operation("scf.for", [], [], regions=[region])
+        outer = Operation("scf.for", [], [], body=inner)
         value_map = {}
         clone = outer.clone(value_map)
-        assert len(clone.regions) == 1
-        assert clone.regions[0].entry is not inner
+        assert clone.body is not inner and clone.body.parent is clone
         assert inner.args[0] in value_map
 
     def test_walk_visits_nested(self):
         inner_block = Block()
         inner_block.append(Operation("omp.terminator", [], []))
-        op = Operation("omp.parallel", [], [],
-                       regions=[Region([inner_block])])
+        op = Operation("omp.parallel", [], [], body=inner_block)
         names = [o.name for o in op.walk()]
         assert names == ["omp.parallel", "omp.terminator"]
 
@@ -202,7 +212,7 @@ class TestScoping:
 
     def test_is_defined_in(self):
         body = Block([index])
-        loop = Operation("scf.for", [], [], regions=[Region([body])])
+        loop = Operation("scf.for", [], [], body=body)
         iv = body.args[0]
         assert is_defined_in(iv, loop)
         outer = Block([f64])
@@ -210,7 +220,7 @@ class TestScoping:
 
     def test_enclosing_op_of_block_arg(self):
         body = Block([index])
-        loop = Operation("scf.for", [], [], regions=[Region([body])])
+        loop = Operation("scf.for", [], [], body=body)
         assert enclosing_op(body.args[0]) is loop
 
 

@@ -16,7 +16,7 @@ def make_func(module, inputs=(f64, f64), results=(f64,), hints=("x", "y")):
 
 
 def body_ops(module, name="f"):
-    return module.lookup_func(name).regions[0].entry.ops
+    return module.lookup_func(name).body.ops
 
 
 class TestCanonicalize:
@@ -164,9 +164,9 @@ class TestCSE:
             scf.yield_op(b)
         func.ret(b)
         assert CSE().run(module)
-        loop_ops = module.lookup_func("f").regions[0].entry.ops
+        loop_ops = module.lookup_func("f").body.ops
         for_op = next(op for op in loop_ops if op.name == "scf.for")
-        inner_adds = [op for op in for_op.regions[0].entry.ops
+        inner_adds = [op for op in for_op.body.ops
                       if op.name == "arith.addf"]
         assert inner_adds == []  # merged with the outer add
         assert outer.num_uses > 0

@@ -17,9 +17,10 @@ import pytest
 from repro.aot.build import default_kernel
 from repro.ir import (IRBuilder, build_module, parse_module, print_module,
                       verify_module)
-from repro.ir.core import Block, Operation, OpResult, Region
+from repro.ir.core import Block, Operation, OpResult
 from repro.ir.dialects import arith, func
-from repro.ir.types import FunctionType, f64, i1, i64, index, vector_of
+from repro.ir.types import (FunctionType, IntegerType, f64, i1, index,
+                            vector_of)
 from repro.ir.verifier import VerificationError, verify_op_isolated
 from repro.models import load_model
 
@@ -69,14 +70,15 @@ class TestModuleVerification:
             verify_module(module)
 
     def test_value_from_sibling_region_rejected(self):
-        # no registered op has two regions, so an unregistered one holds
-        # the siblings: the scoping rule is the verifier's, not an op's
+        # a value defined in one op's body is not visible in the body of
+        # the op after it; unregistered ops hold the bodies, since the
+        # scoping rule is the verifier's, not an op's
         module, _ = build_module()
         fn = empty_func(module)
         b = IRBuilder(fn.entry)
         first, second = Block(), Block()
-        b.create("test.two_regions",
-                 regions=[Region([first]), Region([second])])
+        b.create("test.body", body=first)
+        b.create("test.body", body=second)
         with b.at_end_of(first):
             leaked = b.constant(1.0, f64)
         with b.at_end_of(second):
@@ -119,8 +121,7 @@ class TestPerOpVerifiers:
         body = Block([index, f64])
         body.append(Operation("scf.yield", [], []))
         bounds = Block([index, index, index, f64])
-        op = Operation("scf.for", list(bounds.args), [f64],
-                       regions=[Region([body])])
+        op = Operation("scf.for", list(bounds.args), [f64], body=body)
         with pytest.raises(Exception, match="arity"):
             verify_op_isolated(op)
 
@@ -128,8 +129,7 @@ class TestPerOpVerifiers:
         body = Block([index, f64, f64])   # one extra arg
         body.append(Operation("scf.yield", [], []))
         bounds = Block([index, index, index])
-        op = Operation("scf.for", list(bounds.args), [],
-                       regions=[Region([body])])
+        op = Operation("scf.for", list(bounds.args), [], body=body)
         with pytest.raises(Exception, match="induction"):
             verify_op_isolated(op)
 
@@ -145,7 +145,7 @@ class TestPerOpVerifiers:
         bad = Operation("func.func", [], [], {
             "sym_name": "f",
             "function_type": FunctionType((f64,), ())},
-            [Region([Block()])])   # entry block has no args
+            Block())   # entry block has no args
         with pytest.raises(Exception, match="entry block args"):
             verify_op_isolated(bad)
 
@@ -198,14 +198,12 @@ def _body_blocks(module):
     def visit(block):
         blocks.append(block)
         for op in block.ops:
-            for region in op.regions:
-                for inner in region.blocks:
-                    visit(inner)
+            if op.body is not None:
+                visit(op.body)
 
     for fn in module.ops:
-        for region in fn.regions:
-            for block in region.blocks:
-                visit(block)
+        if fn.body is not None:
+            visit(fn.body)
     return blocks
 
 
@@ -214,8 +212,7 @@ def _enclosing(block):
     chain = []
     while block is not None:
         chain.append(block)
-        op = block.parent.parent if block.parent is not None else None
-        block = op.parent if op is not None else None
+        block = block.parent.parent if block.parent is not None else None
     return chain
 
 
@@ -257,7 +254,7 @@ def _retarget(relation):
             if candidates:
                 target = rng.choice(candidates)
                 owner = target.op if isinstance(target, OpResult) \
-                    else target.block.parent.parent
+                    else target.block.parent
                 where = f"{label(op)} operand #{i} -> {label(owner)}"
                 op.set_operand(i, target)
                 return where
@@ -274,7 +271,7 @@ def _visible_retarget(module, rng, label):
             candidates += block.args
             for earlier in block.ops[:block.ops.index(at)]:
                 candidates += earlier.results
-            at = block.parent.parent if block.parent is not None else None
+            at = block.parent
         candidates = [v for v in candidates if v is not op.operands[i]
                       and v.type == op.operands[i].type]
         if candidates:
@@ -291,7 +288,7 @@ def _iv_after_loop(module, rng, label):
                                      len(block.ops))]
     where = f"induction variable of {label(loop)} before {label(anchor)}"
     block.insert_before(anchor, Operation(
-        "arith.index_cast", [loop.regions[0].entry.args[0]], [i64]))
+        "arith.index_cast", [loop.body.args[0]], [IntegerType(64)]))
     return where
 
 
@@ -311,7 +308,8 @@ def _mixed_addf(other):
         b = IRBuilder()
         b.set_insertion_point_before(anchor)
         x = b.create("arith.constant", [], [f64], {"value": 1.0}).result
-        y = b.create("arith.constant", [], [i64], {"value": 1}).result \
+        y = b.create("arith.constant", [], [IntegerType(64)],
+                     {"value": 1}).result \
             if other == "i64" else \
             b.create("vector.broadcast", [x], [vector_of(8)]).result
         operands = [x, y] if rng.random() < 0.5 else [y, x]
@@ -324,7 +322,7 @@ def _mixed_addf(other):
 
 def _unregistered(module, rng, label):
     op = rng.choice([op for block in _body_blocks(module) for op in block.ops
-                     if not op.regions])
+                     if op.body is None])
     bogus = Operation("limpet.bogus", list(op.operands),
                       [r.type for r in op.results], op.attributes)
     op.parent.insert_before(op, bogus)

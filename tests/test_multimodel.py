@@ -34,7 +34,7 @@ class TestPluginCodegen:
     def test_signature_has_parent_arguments(self, plugin_model):
         kernel = generate_plugin(plugin_model, width=8)
         fn = kernel.module.lookup_func(kernel.spec.function_name)
-        hints = [a.name_hint for a in fn.regions[0].entry.args]
+        hints = [a.name_hint for a in fn.body.args]
         assert "parent_map" in hints
         assert "parent_Vm" in hints and "parent_Iion" in hints
 

@@ -5,6 +5,7 @@ so a new op, builtin or operator is covered by registering it.
 """
 
 import dataclasses
+import functools
 import itertools
 import math
 
@@ -23,7 +24,7 @@ from repro.frontend.preprocessor import Preprocessor
 from repro.ir.builder import IRBuilder, build_module
 from repro.ir.core import registered_ops
 from repro.ir.dialects import func as func_dialect
-from repro.ir.types import broadcast_type, f64
+from repro.ir.types import _SCALARS, broadcast_type, element_type, f64
 from repro.models import all_model_files, load_model
 from repro.runtime import KernelRunner
 from repro.runtime.expr_eval import eval_expr
@@ -108,10 +109,12 @@ ADDRESS_OPS = {
 }
 
 
-def _emitted_ops():
-    """Op kinds the generators emit over ``TIER1_MODELS`` x every
-    backend / layout / LUT variant of the fingerprint matrix."""
-    kinds = set()
+@functools.lru_cache(maxsize=None)
+def _generated_kinds_and_scalars():
+    """Op kinds and scalar types (of values, vector and memref elements
+    and function signatures) the generators emit over ``TIER1_MODELS`` x
+    every backend / layout / LUT variant of the fingerprint matrix."""
+    kinds, scalars = set(), set()
     for name in pins.TIER1_MODELS:
         model = load_model(name)
         for build in variants().values():
@@ -119,8 +122,16 @@ def _emitted_ops():
                 generated = build(model)
             except UnsupportedModelError:
                 continue
-            kinds.update(op.name for op in generated.module.walk())
-    return kinds
+            for op in generated.module.walk():
+                kinds.add(op.name)
+                types = [v.type for v in op.results]
+                if op.body is not None:
+                    types += [a.type for a in op.body.args]
+                signature = op.attributes.get("function_type")
+                if signature is not None:
+                    types += [*signature.inputs, *signature.results]
+                scalars.update(str(element_type(ty)) for ty in types)
+    return kinds, scalars
 
 
 def test_every_registered_op_is_emitted_named_or_an_address_op():
@@ -132,10 +143,15 @@ def test_every_registered_op_is_emitted_named_or_an_address_op():
     # a truth-valued operator's ``ir`` is an ``arith.cmpf`` predicate
     named |= {row.ir if "." in row.ir else "arith.cmpf"
               for row in OPERATORS.values()}
-    reached = _emitted_ops() | named
+    reached = _generated_kinds_and_scalars()[0] | named
     registered = set(registered_ops())
     assert set(ADDRESS_OPS) <= registered - reached   # each one needed
     assert sorted(registered - reached - set(ADDRESS_OPS)) == []
+
+
+def test_every_parsed_scalar_type_is_emitted():
+    """A scalar type the parser knows is one some generator emits."""
+    assert sorted(set(_SCALARS) - _generated_kinds_and_scalars()[1]) == []
 
 
 @pytest.mark.parametrize("name", sorted(ELEMENTWISE))
