@@ -27,7 +27,8 @@ Subcommands:
   keys, flags pipeline/lowering/source drift, quarantines
   corrupt entries; nonzero exit when anything drifted) / manifest
   listing;
-* ``cache-stats`` — kernel-cache statistics;
+* ``cache-stats`` — what a kernel-cache directory holds (entries,
+  bytes, quarantined);
 * ``trace MODEL`` — compile + run one model under the tracer and emit
   the span tree (parse -> frontend -> irgen -> passes -> lowering ->
   run, with per-pass op-count deltas) plus Chrome trace-event JSON
@@ -304,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
         args.action, args.dir, args.no_deep, args.json))
 
     cache_stats = sub.add_parser(
-        "cache-stats", help="kernel-cache statistics")
+        "cache-stats", help="what a kernel-cache directory holds")
     cache_stats.add_argument("--cache-dir", default=None,
                              help="kernel cache directory (default: "
                                   "$LIMPET_CACHE_DIR or "
@@ -744,9 +745,6 @@ def cmd_cache_stats(cache_dir: Optional[str], clear: bool) -> int:
     print(f"kernel cache [{root}]")
     print(f"  entries:   {stats.entries}")
     print(f"  bytes:     {stats.bytes}")
-    print(f"  hits:      {stats.hits}")
-    print(f"  misses:    {stats.misses}")
-    print(f"  evictions: {stats.evictions}")
     print(f"  quarantined: {stats.corrupt}")
     return EXIT_OK
 

@@ -231,9 +231,14 @@ def parse_type(text: str) -> IRType:
         width_str, _, elem_str = body.partition("x")
         return VectorType(int(width_str), parse_type(elem_str))
     if text.startswith("memref<") and text.endswith(">"):
+        # peel dimensions only while they are ``?`` or digits: an
+        # element type may hold an ``x`` (``index``, ``vector<8xf64>``)
         body = text[len("memref<"):-1]
-        parts = body.split("x")
-        *dim_parts, elem_str = parts
-        shape = tuple(None if p == "?" else int(p) for p in dim_parts)
-        return MemRefType(shape, parse_type(elem_str))
+        shape = []
+        dim, sep, rest = body.partition("x")
+        while sep and (dim == "?" or dim.isdigit()):
+            shape.append(None if dim == "?" else int(dim))
+            body = rest
+            dim, sep, rest = body.partition("x")
+        return MemRefType(tuple(shape), parse_type(body))
     raise ValueError(f"cannot parse type: {text!r}")

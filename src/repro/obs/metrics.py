@@ -3,7 +3,8 @@
 The subsystems each grew private counters (``CacheStats`` in the
 kernel cache, ``hits/misses`` on the LUT cache, ``retries`` on the
 watchdog report); this registry gives them one shared, thread-safe
-home with two exports:
+home with two exports (both per process: the kernel cache persists no
+counts, its hits and misses across processes are the run ledger's):
 
 * :meth:`MetricsRegistry.snapshot` — a JSON-able dict for
   ``limpet-bench metrics --json`` and tests;
@@ -30,7 +31,6 @@ bare gauges).  The canonical set, wired in this PR:
 ``degradations_total``          execution-tier downgrades taken
 ``supervised_workers``          gauge: live supervised worker processes
 ``kernel_cache_corrupt_total``  corrupt cache entries quarantined
-``cache_memory_fallbacks_total`` persistent tiers degraded to in-memory
 ``population_instances``        gauge: instances per kernel call of the
                                 latest population run
 ``sweep_compile_reuse_total``   sweeps served by an already-compiled
@@ -45,8 +45,10 @@ bare gauges).  The canonical set, wired in this PR:
                                 (audit quarantines them)
 ``artifact_build_seconds``      histogram: per-kernel ``build-all``
                                 compile time
-``cache_readonly_fallbacks_total`` persistent tiers degraded to
-                                read-only operation
+``cache_readonly_fallbacks_total`` persistent tiers whose root
+                                stopped being written (unwritable
+                                at start, failed mkdir, or a store
+                                raised OSError)
 ==============================  =======================================
 
 All mutation is lock-per-metric; creation is lock-on-registry.  The

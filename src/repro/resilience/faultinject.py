@@ -186,8 +186,7 @@ def corrupt_cache_entry(target, mode: str = "truncate"):
         root = getattr(target, "root", target)
     path = pathlib.Path(root)
     if path.is_dir():
-        entries = sorted(p for p in path.glob("*.json")
-                         if p.name != "stats.json")
+        entries = sorted(path.glob("*.json"))
         if not entries:
             return None
         path = entries[0]

@@ -23,9 +23,11 @@ nothing: the cached code object is unmarshalled and exec'd (the source
 is compiled instead only for another interpreter's bytecode or an entry
 written without it).  Both stores share this module's entry check
 (:func:`read_entry`), quarantine (:func:`quarantine_entry`) and write
-(:func:`write_atomic`).  Hit/miss/eviction counters persist in the
-cache directory (``stats.json``) so ``limpet-bench cache-stats`` can
-report across processes.
+(:func:`write_atomic`).  A load is a read: it writes nothing but a
+hit's LRU mtime.  Hit/miss counts are this process's
+(:attr:`KernelCache.stats` and the ``kernel_cache_*_total`` metrics);
+across processes they are the run ledger's ``cache=`` column, and
+``limpet-bench cache-stats`` reports what the directory holds.
 
 Crash safety (the cache is shared by every process of a sweep, and by
 supervised worker processes):
@@ -36,17 +38,16 @@ supervised worker processes):
   :class:`~repro.resilience.diagnostics.Diagnostic` and a
   ``kernel_cache_corrupt_total`` metric) instead of poisoning every
   later consumer, then treated as a miss and rebuilt;
-* mutations (store, evict, stats bumps) run under an **advisory
-  ``flock``** (:mod:`repro.runtime.locking`) so concurrent writers
-  serialize — stats counts are exact, not best-effort;
-* an **unwritable-but-readable cache root** (a read-only
-  ``$LIMPET_CACHE_DIR`` mount, the shared AOT artifact tier) degrades
-  to **read-only operation**: disk hits keep being served with no LRU
-  touches, no ``stats.json`` bumps and no lock attempts, while stores
-  land in an in-memory overlay for this process only;
-* a cache root that cannot even be read (a path under a file, a full
-  disk at mkdir time) degrades further to an in-memory dict — in both
-  cases with a logged Diagnostic instead of raising at first write.
+* stores and evictions run under an **advisory ``flock``**
+  (:mod:`repro.runtime.locking`) so concurrent writers serialize, and
+  land through :func:`write_atomic`, so no reader sees a torn entry;
+* a root that cannot be written (a read-only ``$LIMPET_CACHE_DIR``
+  mount, the shared AOT artifact tier, a path under a file, a full
+  disk) **stops being written**: disk hits keep being served with no
+  LRU touches and no lock attempts, corrupt entries are left in place,
+  and this process's stores land in an in-process overlay — with a
+  logged Diagnostic and ``cache_readonly_fallbacks_total`` instead of
+  raising at first write.
 """
 
 from __future__ import annotations
@@ -77,7 +78,10 @@ QUARANTINE_DIR = "quarantine"
 
 @dataclass
 class CacheStats:
-    """Counters for one cache (in-memory view; persisted to disk)."""
+    """Counters for one cache: this process's hits, misses, evictions
+    and corrupt reads (:attr:`KernelCache.stats`), or what its
+    directory holds (:meth:`KernelCache.persistent_stats`: entries,
+    bytes and, as ``corrupt``, the quarantined count)."""
 
     hits: int = 0
     misses: int = 0
@@ -137,12 +141,13 @@ def read_entry(path: pathlib.Path,
 
     ``(entry, None)`` for a JSON object of format ``fmt`` whose
     ``checksum`` matches :func:`payload_checksum`; ``(None, reason)``
-    for a corrupt one; ``(None, None)`` for a missing entry or one of
-    another format, which is a plain miss.
+    for a corrupt one; ``(None, None)`` for a missing entry (a root
+    under a file included) or one of another format, which is a plain
+    miss.
     """
     try:
         entry = json.loads(path.read_text())
-    except FileNotFoundError:
+    except (FileNotFoundError, NotADirectoryError):
         return None, None
     except (OSError, ValueError) as err:
         return None, f"unreadable ({type(err).__name__})"
@@ -218,48 +223,33 @@ class KernelCache:
     (:func:`~repro.runtime.lowering.kernel_payload`) plus ``format``
     and ``checksum``.  The cache is LRU-bounded by entry count (file
     mtime is the recency signal), checksum-verified on read (corrupt
-    entries are quarantined, not served), flock-serialized on write,
-    and falls back to an in-memory dict when the directory is
-    unwritable.
+    entries are quarantined, not served) and flock-serialized on
+    store.  A load writes nothing but a hit's mtime.
+
+    A root that was unwritable at start, failed ``mkdir``, or raised
+    ``OSError`` on a store stops being written: the cache keeps serving
+    what the disk holds and keeps its own stores in an in-process
+    overlay.
     """
 
-    def __init__(self, root, max_entries: int = 512,
-                 read_only: bool = False):
+    def __init__(self, root, max_entries: int = 512):
         self.root = pathlib.Path(root)
         self.max_entries = max_entries
         self.stats = CacheStats()
-        #: non-None once the cache degraded to memory-only operation
-        self._memory: Optional[Dict[str, Dict]] = None
-        #: absorbs stores while the cache operates read-only
+        #: this process's stores once the root stopped being written
         self._overlay: Dict[str, Dict] = {}
-        self._read_only = bool(read_only)
-        if self._read_only:
-            return
+        self._writable = True
         try:
             self.root.mkdir(parents=True, exist_ok=True)
         except OSError as err:
-            if self.root.is_dir() and os.access(self.root, os.R_OK):
-                self._fall_back_to_read_only(err)
-            else:
-                self._fall_back_to_memory(err)
+            self._stop_writing(err)
             return
         if not os.access(self.root, os.W_OK):
-            self._fall_back_to_read_only(None)
+            self._stop_writing(None)
 
-    # -- degraded (read-only / in-memory) modes ------------------------------------
-
-    def _fall_back_to_read_only(self,
-                                error: Optional[BaseException]) -> None:
-        """Serve disk hits, absorb writes in memory; record why.
-
-        The middle rung of the degradation ladder: the root cannot be
-        written (read-only mount, permissions) but its entries are
-        still perfectly readable, so — unlike the memory fallback —
-        every previously stored kernel keeps hitting.
-        """
-        if self._read_only:
-            return
-        self._read_only = True
+    def _stop_writing(self, error: Optional[BaseException]) -> None:
+        """Serve disk hits, keep stores in the overlay; record why."""
+        self._writable = False
         from ..resilience.diagnostics import (Diagnostic, Severity,
                                               log_diagnostic)
         log_diagnostic(Diagnostic(
@@ -273,30 +263,10 @@ class KernelCache:
             "cache_readonly_fallbacks_total",
             "persistent tiers degraded to read-only operation").inc()
 
-    def _fall_back_to_memory(self, error: BaseException) -> None:
-        """Degrade to an in-memory dict; record why, never raise."""
-        if self._memory is not None:
-            return
-        self._memory = {}
-        from ..resilience.diagnostics import (Diagnostic, Severity,
-                                              log_diagnostic)
-        log_diagnostic(Diagnostic.from_exception(
-            stage="cache", component="kernel_cache", exc=error,
-            severity=Severity.WARNING, with_traceback=False,
-            root=str(self.root)))
-        _metrics.counter(
-            "cache_memory_fallbacks_total",
-            "persistent tiers degraded to in-memory operation").inc()
-
     @property
-    def in_memory(self) -> bool:
-        """True when the cache degraded to memory-only operation."""
-        return self._memory is not None
-
-    @property
-    def read_only(self) -> bool:
-        """True when the cache serves disk reads but never writes."""
-        return self._read_only
+    def writable(self) -> bool:
+        """False once the root stopped being written."""
+        return self._writable
 
     # -- entries -----------------------------------------------------------------
 
@@ -310,47 +280,31 @@ class KernelCache:
         """The cached payload for ``key``, or None (counts hit/miss).
 
         A missing entry is a plain miss; an unreadable, torn, or
-        checksum-mismatching entry is quarantined first, then counted
-        as a miss.
+        checksum-mismatching entry is quarantined first (left in place
+        when the root is not written), then counted as a miss.
         """
-        if self._memory is not None:
-            payload = self._memory.get(key)
-            if payload is None:
-                self.stats.misses += 1
-                _metrics.counter("kernel_cache_misses_total",
-                                 "persistent kernel-cache misses").inc()
-                return None
-            self.stats.hits += 1
-            _metrics.counter("kernel_cache_hits_total",
-                             "persistent kernel-cache hits").inc()
-            return payload
-        if self._read_only and key in self._overlay:
-            self.stats.hits += 1
-            _metrics.counter("kernel_cache_hits_total",
-                             "persistent kernel-cache hits").inc()
-            return self._overlay[key]
-        path = self._path(key)
-        payload, corrupt = read_entry(path, CACHE_FORMAT_VERSION)
-        if corrupt is not None:
-            self.stats.corrupt += 1
-            quarantine_entry(
-                self.root, path, corrupt, "kernel_cache",
-                _metrics.counter("kernel_cache_corrupt_total",
-                                 "corrupt kernel-cache entries quarantined"),
-                move=not self._read_only)
+        payload = self._overlay.get(key)
+        if payload is None:
+            path = self._path(key)
+            payload, corrupt = read_entry(path, CACHE_FORMAT_VERSION)
+            if corrupt is not None:
+                self.stats.corrupt += 1
+                quarantine_entry(
+                    self.root, path, corrupt, "kernel_cache",
+                    _metrics.counter(
+                        "kernel_cache_corrupt_total",
+                        "corrupt kernel-cache entries quarantined"),
+                    move=self._writable)
+            if payload is not None and self._writable:
+                try:
+                    path.touch()          # refresh LRU recency
+                except OSError:
+                    pass
         if payload is None:
             self.stats.misses += 1
-            if not self._read_only:
-                self._bump("misses")
             _metrics.counter("kernel_cache_misses_total",
                              "persistent kernel-cache misses").inc()
             return None
-        if not self._read_only:
-            try:
-                path.touch()              # refresh LRU recency
-            except OSError:
-                pass
-            self._bump("hits")
         self.stats.hits += 1
         _metrics.counter("kernel_cache_hits_total",
                          "persistent kernel-cache hits").inc()
@@ -375,31 +329,20 @@ class KernelCache:
         (:func:`~repro.runtime.lowering.kernel_payload`) under ``key``."""
         payload = {"format": CACHE_FORMAT_VERSION, **kernel_payload(kernel)}
         payload["checksum"] = payload_checksum(payload)
-        if self._memory is not None:
-            self._memory[key] = payload
-            return
-        if self._read_only:
-            self._overlay[key] = payload
-            return
-        try:
-            with file_lock(self._lock_path()):
-                write_atomic(self._path(key), json.dumps(payload))
-                self._evict()
-        except OSError as err:
-            if self.root.is_dir() and os.access(self.root, os.R_OK):
-                self._fall_back_to_read_only(err)
-                self._overlay[key] = payload
-            else:
-                self._fall_back_to_memory(err)
-                self._memory[key] = payload
+        if self._writable:
+            try:
+                with file_lock(self._lock_path()):
+                    write_atomic(self._path(key), json.dumps(payload))
+                    self._evict()
+                return
+            except OSError as err:
+                self._stop_writing(err)
+        self._overlay[key] = payload
 
     def _evict(self) -> None:
         """Drop the oldest entries beyond ``max_entries``; the caller
-        (:meth:`store`) holds the cache lock, so the eviction count is
-        added under it — taking the lock again here would wait out the
-        whole timeout on this process's own descriptor."""
-        entries = sorted((p for p in self.root.glob("*.json")
-                          if p.name != "stats.json"),
+        (:meth:`store_kernel`) holds the cache lock."""
+        entries = sorted(self.root.glob("*.json"),
                          key=lambda p: p.stat().st_mtime)
         excess = len(entries) - self.max_entries
         evicted = 0
@@ -411,26 +354,18 @@ class KernelCache:
             evicted += 1
         if evicted:
             self.stats.evictions += evicted
-            self._add("evictions", evicted)
             _metrics.counter("kernel_cache_evictions_total",
                              "persistent kernel-cache LRU evictions"
                              ).inc(evicted)
 
     def clear(self) -> int:
         """Delete every entry; returns how many were removed."""
-        removed = 0
-        if self._memory is not None:
-            removed = len(self._memory)
-            self._memory.clear()
-            return removed
-        if self._read_only:
-            removed = len(self._overlay)
-            self._overlay.clear()
+        removed = len(self._overlay)
+        self._overlay.clear()
+        if not self._writable:
             return removed
         with file_lock(self._lock_path()):
             for path in self.root.glob("*.json"):
-                if path.name == "stats.json":
-                    continue
                 try:
                     path.unlink()
                     removed += 1
@@ -438,66 +373,18 @@ class KernelCache:
                     continue
         return removed
 
-    # -- statistics --------------------------------------------------------------
-
-    def _stats_path(self) -> pathlib.Path:
-        return self.root / "stats.json"
-
-    def _bump(self, counter: str) -> None:
-        """Increment one persistent counter.
-
-        Read-modify-write under the cache's advisory flock, written
-        atomically via tmp file + ``os.replace``: concurrent processes
-        serialize on the lock, so counts are exact, and a torn write
-        can never corrupt ``stats.json`` for later readers.  (If the
-        lock is unavailable the update still happens atomically and
-        merely degrades to best-effort, the pre-lock behaviour.)
-        """
-        if self._memory is not None or self._read_only:
-            return
-        with file_lock(self._lock_path()):
-            self._add(counter, 1)
-
-    def _add(self, counter: str, amount: int) -> None:
-        """The read-modify-write itself; the caller holds the lock."""
-        path = self._stats_path()
-        try:
-            data = json.loads(path.read_text())
-            if not isinstance(data, dict):
-                data = {}
-        except (OSError, ValueError):
-            data = {}
-        data[counter] = int(data.get(counter, 0)) + amount
-        try:
-            write_atomic(path, json.dumps(data))
-        except OSError:
-            pass
-
     def persistent_stats(self) -> CacheStats:
-        """Counters accumulated across every process using this dir."""
-        if self._memory is not None:
-            return CacheStats(hits=self.stats.hits,
-                              misses=self.stats.misses,
-                              evictions=self.stats.evictions,
-                              entries=len(self._memory),
-                              bytes=0, corrupt=self.stats.corrupt)
-        try:
-            data = json.loads(self._stats_path().read_text())
-        except (OSError, ValueError):
-            data = {}
+        """What the directory holds: the entries a load would serve,
+        their bytes, and the quarantined count.  Hits, misses and
+        evictions across processes are the run ledger's (its
+        ``cache=`` column); :attr:`stats` counts this process's."""
         entries = [p for p in self.root.glob("*.json")
-                   if p.name != "stats.json"]
-        quarantined = 0
-        qdir = self.root / QUARANTINE_DIR
-        if qdir.is_dir():
-            quarantined = sum(1 for _ in qdir.glob("*.json"))
-        return CacheStats(
-            hits=int(data.get("hits", 0)),
-            misses=int(data.get("misses", 0)),
-            evictions=int(data.get("evictions", 0)),
-            entries=len(entries),
-            bytes=sum(p.stat().st_size for p in entries),
-            corrupt=quarantined)
+                   if read_entry(p, CACHE_FORMAT_VERSION)[0] is not None]
+        quarantined = sum(
+            1 for _ in (self.root / QUARANTINE_DIR).glob("*.json"))
+        return CacheStats(entries=len(entries),
+                          bytes=sum(p.stat().st_size for p in entries),
+                          corrupt=quarantined)
 
 
 _DEFAULT_CACHE: Optional[KernelCache] = None

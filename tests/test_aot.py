@@ -413,40 +413,60 @@ class TestReadOnlyKernelCache:
                     fused=False, arena=False)
         return cache
 
-    def test_read_only_serves_disk_hits_without_writing(self, tmp_path):
+    def _open_unwritable(self, root, monkeypatch):
+        """Open ``root`` as an unwritable mount; root ignores mode bits,
+        so the write check itself is denied."""
+        real_access = os.access
+
+        def access(path, mode, **kwargs):
+            return not mode & os.W_OK and real_access(path, mode, **kwargs)
+
+        with monkeypatch.context() as patch:
+            patch.setattr(os, "access", access)
+            return KernelCache(root)
+
+    @staticmethod
+    def _files(root):
+        return {p.relative_to(root): p.read_bytes()
+                for p in root.rglob("*") if p.is_file()}
+
+    def test_read_only_serves_disk_hits_without_writing(self, tmp_path,
+                                                        monkeypatch):
         self._seed(tmp_path)
-        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()
-                  if p.is_file()}
-        cache = KernelCache(tmp_path, read_only=True)
-        assert cache.read_only
+        before = self._files(tmp_path)
+        cache = self._open_unwritable(tmp_path, monkeypatch)
+        assert not cache.writable
         assert cache.load(self.KEY) is not None
         assert cache.load("b" * 64) is None
         # stores land in the overlay, visible to this process only
         cache.store("b" * 64, "def k2(): pass", "vector", 8, [], "k2",
                     fused=False, arena=False)
         assert cache.load("b" * 64) is not None
-        after = {p.name: p.read_bytes() for p in tmp_path.iterdir()
-                 if p.is_file()}
-        assert after == before, "read-only cache wrote to disk"
+        assert self._files(tmp_path) == before, \
+            "read-only cache wrote to disk"
 
-    def test_read_only_never_bumps_stats_or_mtimes(self, tmp_path):
-        seeded = self._seed(tmp_path)
-        seeded.load(self.KEY)                    # creates stats.json
-        stats_path = tmp_path / "stats.json"
-        stats_before = stats_path.read_bytes()
+    def test_read_only_never_bumps_stats_or_mtimes(self, tmp_path,
+                                                   monkeypatch):
+        # a directory an older version wrote: its counter file stays
+        # as it was and is not counted as an entry
+        self._seed(tmp_path)
+        legacy = tmp_path / "stats.json"
+        legacy.write_text(json.dumps({"hits": 3, "misses": 1}))
         entry_mtime = (tmp_path / f"{self.KEY}.json").stat().st_mtime_ns
-        cache = KernelCache(tmp_path, read_only=True)
-        cache.load(self.KEY)
-        cache.load("c" * 64)
-        assert stats_path.read_bytes() == stats_before
+        cache = self._open_unwritable(tmp_path, monkeypatch)
+        assert cache.load(self.KEY) is not None
+        assert cache.load("c" * 64) is None
+        assert json.loads(legacy.read_text()) == {"hits": 3, "misses": 1}
         assert (tmp_path / f"{self.KEY}.json").stat().st_mtime_ns \
             == entry_mtime, "read-only hit refreshed LRU recency"
+        assert cache.persistent_stats().entries == 1
 
-    def test_corrupt_entry_left_in_place_read_only(self, tmp_path):
+    def test_corrupt_entry_left_in_place_read_only(self, tmp_path,
+                                                   monkeypatch):
         self._seed(tmp_path)
         path = tmp_path / f"{self.KEY}.json"
         path.write_text("{ torn")
-        cache = KernelCache(tmp_path, read_only=True)
+        cache = self._open_unwritable(tmp_path, monkeypatch)
         assert cache.load(self.KEY) is None
         assert path.exists()
         assert not (tmp_path / "quarantine").exists()
@@ -462,7 +482,7 @@ class TestReadOnlyKernelCache:
         monkeypatch.setattr("repro.runtime.kernel_cache.file_lock", deny)
         cache.store("b" * 64, "def k2(): pass", "vector", 8, [], "k2",
                     fused=False, arena=False)
-        assert cache.read_only and not cache.in_memory
+        assert not cache.writable
         assert _metric("cache_readonly_fallbacks_total") == fallbacks + 1
         # prior disk entries keep hitting; the failed store is overlaid
         assert cache.load(self.KEY) is not None
@@ -476,7 +496,7 @@ class TestReadOnlyKernelCache:
             if os.access(root, os.W_OK):
                 pytest.skip("privileged process ignores directory modes")
             cache = KernelCache(root)
-            assert cache.read_only
+            assert not cache.writable
             assert cache.load(self.KEY) is not None
         finally:
             os.chmod(root, 0o755)

@@ -1,7 +1,7 @@
 """Crash-safe persistent tiers: checksummed kernel-cache entries,
-corruption quarantine, advisory locking, concurrent mutation from
-threads and processes, in-memory fallbacks, and the watchdog's
-bounded-retry abort policy."""
+corruption quarantine, advisory locking, concurrent stores from
+threads and processes, the unwritable-root fallback, and the
+watchdog's bounded-retry abort policy."""
 
 import multiprocessing as mp
 import threading
@@ -94,7 +94,7 @@ class TestKernelCacheChecksums:
 
 
 # ---------------------------------------------------------------------------
-# Kernel cache: unwritable directory -> in-memory fallback
+# Kernel cache: unwritable directory -> stores kept in the overlay
 # ---------------------------------------------------------------------------
 
 
@@ -108,20 +108,23 @@ class TestKernelCacheFallback:
 
     def test_falls_back_to_memory(self, tmp_path):
         cache = KernelCache(self.unwritable_root(tmp_path))
-        assert cache.in_memory
+        assert not cache.writable
+        assert cache.load("k1") is None        # a plain miss, not corrupt
         store_entry(cache)
         assert cache.load("k1")["source"] == "def f(): pass"
         assert cache.load("nope") is None
+        assert cache.stats.corrupt == 0
+        # the directory holds nothing; the store lives in this process
         stats = cache.persistent_stats()
-        assert stats.entries == 1 and stats.bytes == 0
+        assert stats.entries == 0 and stats.bytes == 0
 
     def test_fallback_increments_metric(self, tmp_path):
         from repro.obs import metrics
         before = getattr(metrics.default_registry()
-                         .get("cache_memory_fallbacks_total"), "value", 0)
+                         .get("cache_readonly_fallbacks_total"), "value", 0)
         KernelCache(self.unwritable_root(tmp_path))
         after = metrics.default_registry() \
-            .get("cache_memory_fallbacks_total").value
+            .get("cache_readonly_fallbacks_total").value
         assert after == before + 1
 
     def test_fallback_logs_diagnostic(self, tmp_path, caplog):
@@ -132,7 +135,7 @@ class TestKernelCacheFallback:
 
 
 # ---------------------------------------------------------------------------
-# Kernel cache: concurrent mutation (threads + processes)
+# Kernel cache: concurrent stores (threads + processes)
 # ---------------------------------------------------------------------------
 
 
@@ -160,11 +163,8 @@ class TestKernelCacheConcurrency:
         for w in range(self.N_WORKERS):
             for i in range(self.N_OPS):
                 assert cache.load(f"w{w}-{i}") is not None
-        stats = cache.persistent_stats()
-        assert stats.entries == self.N_WORKERS * self.N_OPS
-        # every hit was counted exactly once: the per-worker verify
-        # loads plus this process's sweep
-        assert stats.hits == 2 * self.N_WORKERS * self.N_OPS
+        assert cache.persistent_stats().entries \
+            == self.N_WORKERS * self.N_OPS
 
     def test_process_stress_no_lost_entries_or_stats(self, tmp_path):
         root = tmp_path / "kernels"
@@ -178,9 +178,13 @@ class TestKernelCacheConcurrency:
             p.join()
             assert p.exitcode == 0
         cache = KernelCache(root)
-        stats = cache.persistent_stats()
-        assert stats.entries == self.N_WORKERS * self.N_OPS
-        assert stats.hits == self.N_WORKERS * self.N_OPS
+        for w in range(self.N_WORKERS):
+            for i in range(self.N_OPS):
+                assert cache.load(f"w{w}-{i}") is not None
+        # persistent_stats counts only entries whose checksum holds:
+        # none lost, none torn
+        assert cache.persistent_stats().entries \
+            == self.N_WORKERS * self.N_OPS
 
     def test_quarantine_under_concurrent_readers(self, tmp_path):
         # readers racing a corrupt entry: exactly one quarantine file,

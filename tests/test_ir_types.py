@@ -212,7 +212,9 @@ class TestParseType:
                                     vector_of(8), vector_of(2, i1),
                                     memref_of(f64), memref_of(f64, None,
                                                               None),
-                                    memref_of(i1, 16)])
+                                    memref_of(i1, 16),
+                                    memref_of(index),
+                                    memref_of(vector_of(8))])
     def test_round_trip(self, ty):
         assert parse_type(str(ty)) == ty
 
