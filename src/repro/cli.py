@@ -65,13 +65,16 @@ supervised tier and merges worker spans into one multi-pid trace.
 :mod:`repro.runtime.supervised`).
 
 Setting ``$LIMPET_TRACE=<dir>`` captures a Chrome trace from *any*
-subcommand into ``<dir>/trace-<command>-<pid>.json``; SIGINT/SIGTERM
-reap workers, unlink shared memory and still flush the trace.
+subcommand into ``<dir>/trace-<command>-<pid>.json``.  SIGTERM raises
+``SystemExit(143)`` as SIGINT raises ``KeyboardInterrupt``: workers are
+reaped and shared memory unlinked while the exception unwinds, open
+spans close marked ``interrupted``, and ``main`` writes the trace last.
 
 Exit codes are structured for CI: 0 success, 1 result failure
 (mismatch / not vectorizable), 2 usage (argparse), 3 compiled only via
 a fallback tier, 4 compile failed outright, 5 numerical divergence
-unrecovered, 6 fault-injection drill failed, 130 interrupted.
+unrecovered, 6 fault-injection drill failed, 130 interrupted (SIGINT),
+143 terminated (SIGTERM).
 """
 
 from __future__ import annotations
@@ -82,10 +85,10 @@ import sys
 import tempfile
 from typing import List, Optional
 
-from .bench import (figure_isa_sweep, figure_roofline, figure_scaling,
-                    figure_speedups, format_isa_sweep, format_scaling_table,
-                    format_speedup_table, format_sweep_table,
-                    generate_variant, resilient_sweep)
+from .bench import (BenchConfig, figure_isa_sweep, figure_roofline,
+                    figure_scaling, figure_speedups, format_isa_sweep,
+                    format_scaling_table, format_speedup_table,
+                    format_sweep_table, generate_variant, resilient_sweep)
 from .bench.record import make_record, write_record
 from .codegen import check_simd_legality
 from .ir import print_module, verify_module
@@ -97,7 +100,7 @@ from .resilience import (DEFAULT_CHAIN, FaultInjector, FaultPlan,
                          NumericalDivergenceError, ResilientCompileError,
                          WatchdogConfig, compile_resilient, format_trail,
                          load_reproducer, sandboxed_pipeline)
-from .runtime import Stimulus, compare_trajectories
+from .runtime import compare_trajectories
 
 #: structured exit codes (documented above; mapped from Diagnostics)
 EXIT_OK = 0
@@ -512,13 +515,12 @@ def cmd_compare(model_name: str, cells: int, steps: int,
         print(f"{model_name}: compile failed ({type(err).__name__}): {err}",
               file=sys.stderr)
         return EXIT_COMPILE_FAILED
-    stim = Stimulus(amplitude=-20.0 if
-                    abs(model.external_init.get("Vm", 0.0)) > 5 else -0.3,
-                    duration=1.0, period=400.0)
+    config = BenchConfig()
+    stim = config.stimulus_for(model)
     res_base = base.runner.simulate(cells, steps, stimulus=stim,
-                                    perturbation=0.005)
+                                    perturbation=config.perturbation)
     res_vec = vec.runner.simulate(cells, steps, stimulus=stim,
-                                  perturbation=0.005)
+                                  perturbation=config.perturbation)
     comparison = compare_trajectories(res_base.state, res_vec.state)
     speedup = res_base.elapsed_seconds / res_vec.elapsed_seconds
     print(f"{model_name}: baseline {res_base.elapsed_seconds * 1e3:.1f} ms, "
@@ -735,13 +737,17 @@ def cmd_artifacts(action: str, bundle_dir: Optional[str], no_deep: bool,
 
 
 def cmd_cache_stats(cache_dir: Optional[str], clear: bool) -> int:
-    from .runtime.kernel_cache import KernelCache, default_cache_dir
+    from .runtime.kernel_cache import (CacheStats, KernelCache,
+                                       default_cache_dir)
     root = cache_dir or default_cache_dir()
-    cache = KernelCache(root)
+    stats, removed = CacheStats(), 0
+    # a missing root holds nothing; opening a KernelCache would create it
+    if os.path.isdir(root):
+        cache = KernelCache(root)
+        removed = cache.clear() if clear else 0
+        stats = cache.persistent_stats()
     if clear:
-        removed = cache.clear()
         print(f"cleared {removed} cached kernel(s) from {root}")
-    stats = cache.persistent_stats()
     print(f"kernel cache [{root}]")
     print(f"  entries:   {stats.entries}")
     print(f"  bytes:     {stats.bytes}")
@@ -1154,9 +1160,9 @@ EXIT_INTERRUPTED = 130
 
 
 def main(argv: Optional[List[str]] = None) -> int:
-    from .runtime import shutdown as _shutdown
+    from .runtime.shutdown import install_signal_handlers
     args = build_parser().parse_args(argv)
-    _shutdown.install_signal_handlers()
+    install_signal_handlers()
     trace_dir = os.environ.get("LIMPET_TRACE")
     tracer = previous = None
     trace_path = None
@@ -1166,14 +1172,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         previous = _trace.activate(tracer)
         trace_path = os.path.join(
             trace_dir, f"trace-{args.command}-{os.getpid()}.json")
-        # the signal handler flushes open spans and writes here, so an
-        # interrupted run still lands its trace on disk
-        _shutdown.set_trace_flush_path(trace_path)
     try:
         return args.func(args)
     except KeyboardInterrupt:
-        # workers reaped, shm unlinked and trace flushed by the signal
-        # handler before KeyboardInterrupt was raised
+        # workers reaped, shm unlinked and open spans closed as the
+        # exception unwound; the trace is written below
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except BrokenPipeError:
@@ -1194,7 +1197,6 @@ def main(argv: Optional[List[str]] = None) -> int:
     finally:
         if tracer is not None:
             from .obs import trace as _trace
-            _shutdown.set_trace_flush_path(None)
             _trace.deactivate(previous)
             path = tracer.write(trace_path)
             print(f"trace written to {path}", file=sys.stderr)

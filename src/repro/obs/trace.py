@@ -106,7 +106,10 @@ class Span:
         self._tracer._begin(self)
         return self
 
-    def __exit__(self, *exc) -> bool:
+    def __exit__(self, exc_type, exc, tb) -> bool:
+        if exc_type is not None and issubclass(
+                exc_type, (KeyboardInterrupt, SystemExit)):
+            self.annotate(interrupted=True)
         self._tracer._end(self)
         return False
 
@@ -162,9 +165,6 @@ class Tracer:
         self.roots: List[Span] = []
         self._stacks = threading.local()
         self._lock = threading.Lock()
-        # every thread's open-span stack, so flush() can force-end
-        # spans left open by an interrupt on any thread
-        self._all_stacks: Dict[int, List[Span]] = {}
         # pre-built Chrome events received from other processes
         # (worker span streams), merged verbatim into to_chrome()
         self._foreign: List[Dict[str, Any]] = []
@@ -178,37 +178,7 @@ class Tracer:
         if stack is None:
             stack = []
             self._stacks.stack = stack
-            with self._lock:
-                self._all_stacks[threading.get_ident()] = stack
         return stack
-
-    def flush(self) -> int:
-        """Force-end every open span on every thread (interrupt path).
-
-        An interrupted run leaves its ``with`` spans open; without this
-        they would never reach :attr:`roots` and the written trace
-        would silently drop the most interesting part.  Each dangling
-        span is ended *now*, annotated ``interrupted=True``, and rooted
-        outer-first so nesting survives.  Returns how many spans were
-        flushed.
-        """
-        now = time.perf_counter()
-        flushed = 0
-        with self._lock:
-            stacks = list(self._all_stacks.values())
-        for stack in stacks:
-            while stack:
-                dangling = stack.pop()
-                if dangling.end is None:
-                    dangling.end = now
-                dangling.annotate(interrupted=True)
-                if stack:
-                    stack[-1].children.append(dangling)
-                else:
-                    with self._lock:
-                        self.roots.append(dangling)
-                flushed += 1
-        return flushed
 
     def span(self, name: str, category: str = "", **args: Any) -> Span:
         """A new span context manager; nesting follows ``with`` scope."""

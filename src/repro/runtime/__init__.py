@@ -13,8 +13,7 @@ from .supervised import (SupervisedExecutionError, SupervisedRunner,
                          multiprocess_supported)
 from .tiers import make_runner
 from .locking import file_lock, locking_available
-from .shutdown import (install_signal_handlers, register_cleanup,
-                       run_cleanups, unregister_cleanup)
+from .shutdown import install_signal_handlers
 from .lut_runtime import (LUTData, build_all_luts, build_lut,
                           lut_interp_row, lut_interp_row_vec)
 from .state import SimulationState, StateCheckpoint, allocate_state
@@ -34,8 +33,7 @@ __all__ = ["KernelRunner", "RunResult", "Stimulus", "TrajectoryComparison",
            "SupervisedRunner", "SupervisedExecutionError",
            "SupervisionConfig", "close_all_runners",
            "multiprocess_supported", "file_lock", "locking_available",
-           "install_signal_handlers", "register_cleanup",
-           "run_cleanups", "unregister_cleanup", "LUTData",
+           "install_signal_handlers", "LUTData",
            "build_all_luts", "build_lut", "lut_interp_row",
            "lut_interp_row_vec", "SimulationState", "StateCheckpoint",
            "allocate_state",

@@ -1,126 +1,44 @@
-"""Clean SIGINT/SIGTERM shutdown: reap workers, unlink shm, flush obs.
+"""SIGTERM unwinds like Ctrl-C.
 
 A supervised run interrupted with Ctrl-C (or killed by a job
 scheduler's SIGTERM) must not leave orphaned worker processes or
-leaked ``/dev/shm`` segments behind, and the observability layer's
-in-flight data — open ``$LIMPET_TRACE`` spans, the metrics snapshot —
-should land on disk rather than vanish.  This module is the single
-place that ordering lives:
+leaked ``/dev/shm`` segments behind, and its ``$LIMPET_TRACE`` spans
+should land on disk.  Python already turns SIGINT into
+``KeyboardInterrupt``; :func:`install_signal_handlers` makes SIGTERM
+raise ``SystemExit(143)`` the same way, so both take the ordinary
+exception path:
 
-1. run every registered cleanup callback (LIFO, exceptions swallowed) —
-   the supervised tier registers
-   :func:`~repro.runtime.supervised.close_all_runners` here, which
-   terminates workers and unlinks shared memory;
-2. flush the active tracer (open spans are force-ended and the trace
-   written to ``$LIMPET_TRACE``'s path when one is pending);
-3. re-deliver the signal's conventional outcome: ``KeyboardInterrupt``
-   for SIGINT (the CLI maps it to exit code 130), ``SystemExit(143)``
-   for SIGTERM.
+1. ``SupervisedRunner.run`` reaps its workers and unlinks its segments
+   as the exception passes (its ``except BaseException``);
+2. every open ``with`` span closes, annotated ``interrupted=True``;
+3. the CLI's ``main`` writes the trace in its ``finally`` and exits
+   130 (SIGINT) or 143 (SIGTERM);
+4. ``atexit`` closes any runner no run was using.
 
-Handlers are installed only by explicit :func:`install_signal_handlers`
-(the CLI calls it; library embedders keep their own signal policy) and
-only on the main thread — elsewhere the call is a recorded no-op.
+Nothing runs inside the handler but the raise.  Handlers are installed
+only by explicit :func:`install_signal_handlers` (the CLI calls it;
+library embedders keep their own signal policy) and only on the main
+thread.  Supervised workers reset both signals when they start.
 """
 
 from __future__ import annotations
 
 import signal
+import sys
 import threading
-from typing import Callable, List, Optional, Tuple
-
-#: (name, callback) pairs, run LIFO at shutdown
-_CLEANUPS: List[Tuple[str, Callable[[], None]]] = []
-_LOCK = threading.Lock()
-_INSTALLED = False
 
 
-def register_cleanup(callback: Callable[[], None],
-                     name: str = "") -> Callable[[], None]:
-    """Register ``callback`` to run at signal shutdown; returns it
-    (idempotent: re-registering the same callable is a no-op)."""
-    with _LOCK:
-        if all(cb is not callback for _, cb in _CLEANUPS):
-            _CLEANUPS.append((name or getattr(callback, "__name__",
-                                              "cleanup"), callback))
-    return callback
-
-
-def unregister_cleanup(callback: Callable[[], None]) -> bool:
-    with _LOCK:
-        for i, (_, cb) in enumerate(_CLEANUPS):
-            if cb is callback:
-                del _CLEANUPS[i]
-                return True
-    return False
-
-
-def run_cleanups() -> int:
-    """Run every registered cleanup (LIFO); returns how many ran.
-
-    Exceptions are swallowed — shutdown must always make it to the
-    flush step, and a failing cleanup cannot block its peers.
-    """
-    with _LOCK:
-        cleanups = list(_CLEANUPS)
-    ran = 0
-    for _, callback in reversed(cleanups):
-        try:
-            callback()
-            ran += 1
-        except Exception:               # pragma: no cover - best effort
-            pass
-    return ran
-
-
-#: where the CLI wants the trace written at interrupt (set by the CLI
-#: when ``$LIMPET_TRACE`` is active, cleared after its normal write)
-_TRACE_PATH: Optional[str] = None
-
-
-def set_trace_flush_path(path: Optional[str]) -> None:
-    global _TRACE_PATH
-    _TRACE_PATH = path
-
-
-def flush_observability() -> None:
-    """Force-end open trace spans and write the pending trace file."""
-    from ..obs import trace as _trace
-    tracer = _trace.active_tracer()
-    if tracer is None:
-        return
-    tracer.flush()
-    if _TRACE_PATH:
-        try:
-            tracer.write(_TRACE_PATH)
-        except OSError:                 # pragma: no cover - best effort
-            pass
-
-
-def shutdown(signum: Optional[int] = None) -> None:
-    """The full cleanup + flush sequence (idempotent, signal-safe)."""
-    run_cleanups()
-    flush_observability()
-
-
-def _handler(signum, frame):            # pragma: no cover - signal path
-    shutdown(signum)
-    if signum == signal.SIGINT:
-        raise KeyboardInterrupt
-    raise SystemExit(128 + signum)
+def _exit(signum, frame):               # pragma: no cover - signal path
+    sys.exit(128 + signum)
 
 
 def install_signal_handlers() -> bool:
-    """Install the SIGINT/SIGTERM shutdown handlers (main thread only).
+    """Make SIGTERM raise ``SystemExit(143)`` (main thread only).
 
-    Returns True when installed (or already installed), False when the
-    caller is not on the main thread.
+    Returns True when installed, False when the caller is not on the
+    main thread.
     """
-    global _INSTALLED
     if threading.current_thread() is not threading.main_thread():
         return False
-    if _INSTALLED:
-        return True
-    signal.signal(signal.SIGINT, _handler)
-    signal.signal(signal.SIGTERM, _handler)
-    _INSTALLED = True
+    signal.signal(signal.SIGTERM, _exit)
     return True

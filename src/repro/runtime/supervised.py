@@ -36,7 +36,13 @@ state arrays, supervised by the parent:
   (:class:`SupervisedExecutionError`) or fails unexpectedly, the run
   restarts from its initial checkpoint on the single-process tier,
   recorded as one :class:`~repro.resilience.diagnostics.Diagnostic`,
-  one ``degradations_total`` increment and one flight dump.
+  one ``degradations_total`` increment and one flight dump;
+* **shutdown by unwinding** — Ctrl-C (``KeyboardInterrupt``) or a
+  SIGTERM under :func:`~repro.runtime.shutdown.install_signal_handlers`
+  (``SystemExit``) passes through ``run``, which reaps the workers and
+  unlinks the segments on its way out; ``atexit`` closes runners that
+  no run was using.  Workers reset both signals: SIGTERM kills one
+  outright, SIGINT is left to the parent.
 
 Correctness invariant: shards are disjoint width-aligned cell ranges
 of a cell-local model, workers run the *same compiled kernel* the
@@ -61,6 +67,7 @@ import atexit
 import dataclasses
 import multiprocessing as mp
 import os
+import signal
 import threading
 import time
 import weakref
@@ -211,7 +218,13 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
     on every reply — the parent merges them as foreign events, so a
     worker killed mid-run has already delivered the spans of every
     task it completed.
+
+    The worker drops the parent's signal policy: SIGTERM kills it
+    outright (``terminate()`` is how the parent reaps it) and SIGINT is
+    ignored, since the parent reaps its workers on Ctrl-C.
     """
+    signal.signal(signal.SIGTERM, signal.SIG_DFL)
+    signal.signal(signal.SIGINT, signal.SIG_IGN)
     stop = threading.Event()
     stalled = threading.Event()
     # drop the fork-inherited parent tracer: worker spans belong to the
@@ -280,7 +293,7 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
                 reply = ("err", seq, type(err).__name__, str(err))
             events = tracer.drain_events() if tracer else []
             conn.send(reply + (events,))
-    except (EOFError, OSError, KeyboardInterrupt):
+    except (EOFError, OSError):
         pass                            # parent went away: just exit
     finally:
         stop.set()
@@ -311,8 +324,8 @@ def _failure_kind(failure: str) -> str:
     return "other"
 
 
-#: every live runner, so interpreter exit / signal shutdown can reap
-#: worker processes and unlink shared-memory segments
+#: every live runner, so interpreter exit can reap worker processes
+#: and unlink shared-memory segments
 _ACTIVE_RUNNERS: "weakref.WeakSet[SupervisedRunner]" = weakref.WeakSet()
 
 
@@ -326,10 +339,6 @@ def close_all_runners() -> None:
 
 
 atexit.register(close_all_runners)
-
-from .shutdown import register_cleanup as _register_cleanup  # noqa: E402
-
-_register_cleanup(close_all_runners, "supervised-runners")
 
 
 class SupervisedRunner(ShardedRunner):
@@ -708,10 +717,10 @@ class SupervisedRunner(ShardedRunner):
         """Best-effort harvest of every reply still queued on a pipe.
 
         Called before a worker's pipe is closed (kill, restart, or
-        shutdown — including the SIGTERM path, which runs the cleanup
-        hooks *before* the tracer is flushed and written), so span
-        buffers in flight when a run is interrupted reach the merged
-        trace instead of dying with the pipe.
+        shutdown — including an interrupted run, whose workers are
+        reaped while the exception unwinds, before the CLI writes the
+        trace), so span buffers in flight when a run is interrupted
+        reach the merged trace instead of dying with the pipe.
         """
         if conn is None:
             return

@@ -210,6 +210,15 @@ class TestCacheStats:
         assert "  entries:   0\n" in out
         assert "  quarantined: 1\n" in out
 
+    @pytest.mark.parametrize("clear", [[], ["--clear"]])
+    def test_missing_root_stays_missing(self, capsys, tmp_path, clear):
+        root = tmp_path / "never-made"
+        code, out = run_cli(capsys, "cache-stats", "--cache-dir",
+                            str(root), *clear)
+        assert code == 0
+        assert "  entries:   0\n  bytes:     0\n  quarantined: 0\n" in out
+        assert not root.exists()
+
 
 class TestPerfCommand:
     def test_perf_width_flag(self, capsys, tmp_path):

@@ -135,6 +135,20 @@ class TestTracer:
         assert sorted(r.name for r in tracer.roots) == \
             [f"thread{i}" for i in range(4)]
 
+    @pytest.mark.parametrize("exc, interrupted", [
+        (KeyboardInterrupt, True), (SystemExit, True), (ValueError, False)])
+    def test_unwinding_interrupt_marks_open_spans(self, exc, interrupted):
+        tracer = Tracer()
+        with pytest.raises(exc):
+            with tracer.span("outer"):
+                with tracer.span("inner"):
+                    raise exc
+        (outer,) = tracer.roots
+        (inner,) = outer.children
+        for span in (outer, inner):
+            assert span.end is not None
+            assert span.args.get("interrupted", False) is interrupted
+
 
 # ---------------------------------------------------------------------------
 # Pass instrumentation: op-count deltas on a canned pipeline

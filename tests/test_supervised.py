@@ -1,6 +1,8 @@
 """Supervised multiprocess tier: bitwise differential, crash/stall
 recovery, the degradation ladder, lifecycle hygiene, signal shutdown."""
 
+import glob
+import json
 import multiprocessing as mp
 import os
 import signal
@@ -19,8 +21,6 @@ from repro.runtime import (KernelRunner, SupervisedRunner,
                            SupervisionConfig, close_all_runners,
                            compare_trajectories, multiprocess_supported,
                            shard_bounds)
-from repro.runtime.shutdown import (register_cleanup, run_cleanups,
-                                    unregister_cleanup)
 
 needs_mp = pytest.mark.skipif(not multiprocess_supported(),
                               reason="platform lacks fork/shared_memory")
@@ -578,19 +578,6 @@ class TestLifecycle:
         close_all_runners()
         assert sup._procs == []
 
-    def test_cleanup_registry_runs_lifo_once(self):
-        calls = []
-        register_cleanup(lambda: calls.append("a"), "test-a")
-        register_cleanup(lambda: calls.append("b"), "test-b")
-        try:
-            run_cleanups()
-            assert calls == ["b", "a"]
-            run_cleanups()              # registrations survive, idempotent
-            assert calls == ["b", "a", "b", "a"]
-        finally:
-            unregister_cleanup("test-a")
-            unregister_cleanup("test-b")
-
     def test_metrics_registered_up_front(self):
         from repro.obs import metrics
         SupervisedRunner(make_generated("Plonsey"), n_workers=2).close()
@@ -630,9 +617,73 @@ except SystemExit as err:
     raise
 """
 
+#: a worker forked under the CLI's signal policy, then terminated: the
+#: parent's segment must outlive it (the worker resets SIGTERM)
+_WORKER_TERM_SCRIPT = """
+from multiprocessing.shared_memory import SharedMemory
+from repro.codegen import generate_limpet_mlir
+from repro.models import load_model
+from repro.runtime import SupervisedRunner, install_signal_handlers
+
+install_signal_handlers()
+sup = SupervisedRunner(generate_limpet_mlir(load_model("Plonsey")),
+                       n_workers=2)
+state = sup.make_state(64)
+sup.run(state, 2, 0.01)
+worker = sup._procs[0]
+worker.terminate()
+worker.join(5)
+print("WORKER EXIT", worker.exitcode, flush=True)
+SharedMemory(name=sup._state_shm.name).close()
+print("SEGMENT ATTACHED", flush=True)
+sup.close()
+"""
+
+
+def _segments():
+    return set(glob.glob("/dev/shm/psm_*"))
+
+
+def _parent_of(pid):
+    """The parent pid of a running (not zombie) process, else None."""
+    try:
+        with open(f"/proc/{pid}/stat") as fh:
+            state, ppid = fh.read().rsplit(")", 1)[1].split()[:2]
+    except OSError:
+        return None                     # gone
+    return None if state == "Z" else int(ppid)
+
+
+def _workers_of(pid):
+    """The running children of ``pid`` but multiprocessing's resource
+    tracker (an exec'd helper that exits once its clients are gone)."""
+    kids = []
+    for entry in os.listdir("/proc"):
+        if entry.isdigit() and _parent_of(entry) == pid:
+            try:
+                with open(f"/proc/{entry}/cmdline", "rb") as fh:
+                    if b"resource_tracker" not in fh.read():
+                        kids.append(int(entry))
+            except OSError:
+                continue
+    return kids
+
 
 @needs_mp
 class TestSignalShutdown:
+    def test_terminated_worker_leaves_parent_segment(self, tmp_path):
+        script = tmp_path / "worker_term.py"
+        script.write_text(_WORKER_TERM_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(p) for p in sys.path if p])
+        proc = subprocess.run([sys.executable, str(script)],
+                              capture_output=True, text=True, env=env,
+                              timeout=60)
+        assert proc.returncode == 0, proc.stderr
+        assert f"WORKER EXIT {-signal.SIGTERM}" in proc.stdout
+        assert "SEGMENT ATTACHED" in proc.stdout
+
     def test_sigterm_terminates_cleanly(self, tmp_path):
         script = tmp_path / "victim.py"
         script.write_text(_SIGNAL_SCRIPT)
@@ -655,3 +706,45 @@ class TestSignalShutdown:
         assert "EXIT 143" in out
         # no orphaned worker output, no shared-memory leak warnings
         assert "leaked shared_memory" not in out
+
+    @pytest.mark.skipif(not (os.path.isdir("/dev/shm")
+                             and os.path.isdir("/proc")),
+                        reason="needs /dev/shm and /proc")
+    def test_traced_cli_sigterm_writes_one_interrupted_run(self, tmp_path):
+        """SIGTERM a traced ``limpet-bench run --workers 2`` mid-run:
+        exit 143, one trace file holding one ``run`` span marked
+        ``interrupted``, and no segment or worker outlives it."""
+        env = dict(os.environ, LIMPET_TRACE=str(tmp_path / "trace"),
+                   LIMPET_FLIGHT_DIR=str(tmp_path / "flight"))
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(p) for p in sys.path if p])
+        (tmp_path / "trace").mkdir()
+        before = _segments()
+        proc = subprocess.Popen(
+            [sys.executable, "-m", "repro.cli", "run", "LuoRudy91",
+             "--workers", "2", "--cells", "64", "--steps", "10000000"],
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, env=env)
+        workers = []
+        try:
+            deadline = time.monotonic() + 60
+            while proc.poll() is None and time.monotonic() < deadline:
+                workers = _workers_of(proc.pid)
+                if len(workers) == 2 and _segments() - before:
+                    break
+                time.sleep(0.02)
+            proc.send_signal(signal.SIGTERM)
+            _, err = proc.communicate(timeout=30)
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 128 + signal.SIGTERM, err
+        assert len(workers) == 2
+        traces = list((tmp_path / "trace").iterdir())
+        assert len(traces) == 1
+        events = json.loads(traces[0].read_text())["traceEvents"]
+        runs = [e for e in events if e.get("name") == "run"]
+        assert len(runs) == 1
+        assert runs[0]["args"]["interrupted"] is True
+        assert not _segments() - before
+        assert [pid for pid in workers if _parent_of(pid)] == []
