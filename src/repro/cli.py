@@ -1048,7 +1048,8 @@ def _drill_worker_crash() -> str:
 
 
 def _drill_worker_stall() -> str:
-    """A stalled heartbeat must be detected and the worker replaced."""
+    """A hung step must be caught by the progress deadline and the
+    worker replaced."""
     from .codegen import generate_limpet_mlir
     from .runtime import (SupervisedRunner, SupervisionConfig,
                           multiprocess_supported)
@@ -1056,8 +1057,7 @@ def _drill_worker_stall() -> str:
         return "worker stall: skipped (no fork/shared_memory)"
     plan = FaultPlan(stall_worker=1, stall_worker_at_task=2,
                      stall_worker_seconds=20.0)
-    config = SupervisionConfig(heartbeat_interval=0.02,
-                               heartbeat_timeout=0.3, task_timeout=1.0)
+    config = SupervisionConfig(task_timeout=1.0)
     with SupervisedRunner(generate_limpet_mlir(load_model("Plonsey")),
                           n_workers=2, fault_plan=plan,
                           config=config) as sup:
@@ -1066,8 +1066,9 @@ def _drill_worker_stall() -> str:
         assert sup.tier == "supervised", f"degraded to {sup.tier}"
         restarts = [d for d in sup.diagnostics
                     if "restarted worker" in d.message]
-        assert restarts, "stalled heartbeat not detected"
-    return "worker stall: stale heartbeat detected, worker replaced"
+        assert restarts, "hung step not detected"
+    return ("worker stall: hung step caught by the progress deadline, "
+            "worker replaced")
 
 
 def _drill_degradation() -> str:

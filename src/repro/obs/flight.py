@@ -2,8 +2,8 @@
 
 Post-mortems of supervised runs kept hitting the same wall: by the
 time a worker dies or a tier degrades, the evidence — which spans just
-finished, which counters just moved, how stale each shard's heartbeat
-was — is gone.  This module keeps that evidence in a process-wide
+finished, which counters just moved, which shard failed at which step
+and why — is gone.  This module keeps that evidence in a process-wide
 **ring buffer** (:class:`FlightRecorder`) and, when something fails,
 dumps the last seconds to a ``flight-<ts>-<pid>.json`` file next to
 the existing reproducer bundles (DESIGN.md §13).

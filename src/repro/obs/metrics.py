@@ -131,7 +131,7 @@ class LabeledCounter:
     """A counter fanned out over label sets (Prometheus-style).
 
     ``counter("worker_failures_total", labelnames=("shard", "reason"))``
-    returns one of these; ``.labels(shard="2", reason="stalled").inc()``
+    returns one of these; ``.labels(shard="2", reason="deadline").inc()``
     bumps the matching series.  ``value`` sums every series, so code
     that only knows the unlabeled convention still reads a total.
     """

@@ -206,10 +206,13 @@ class Tracer:
     def _end(self, span_: Span) -> None:
         span_.end = time.perf_counter()
         stack = self._stack()
-        if span_ in stack:          # tolerate error-path mismatches
-            while stack and stack[-1] is not span_:
+        if span_ in stack:
+            # spans left open above this one (a ``begin`` an exception
+            # unwound past) end with it, each a child of the one below
+            while stack[-1] is not span_:
                 dangling = stack.pop()
                 dangling.end = dangling.end or span_.end
+                stack[-1].children.append(dangling)
             stack.pop()
         if stack:
             stack[-1].children.append(span_)

@@ -14,8 +14,8 @@ numerical watchdog are all testable:
 * **backend failures** — a compile tier raises, forcing the chain to
   fall through (how the bench exercises full-sweep survival);
 * **process faults** — a supervised worker dies (``os._exit``) or
-  stalls its heartbeat at a chosen step of its run segment, exercising
-  the restart/retry path of
+  hangs in a chosen step of its run segment (no step finishes, so the
+  progress deadline fires), exercising the restart/retry path of
   :class:`~repro.runtime.supervised.SupervisedRunner`;
 * **on-disk corruption** — :func:`corrupt_cache_entry` scrambles a
   persisted cache entry so the checksum-quarantine path is provable.
@@ -62,7 +62,7 @@ class FaultPlan:
     #: the name it counts steps, not tasks: a task is a run segment of
     #: many steps, so the fault still fires mid-run in a one-segment run
     kill_worker_at_task: int = 1
-    #: supervised worker slot whose heartbeat (and segment) stalls
+    #: supervised worker slot one of whose steps hangs
     stall_worker: Optional[int] = None
     #: ... as it begins this (1-based) step of its first life (steps,
     #: like ``kill_worker_at_task``)

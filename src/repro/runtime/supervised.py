@@ -21,17 +21,16 @@ state arrays, supervised by the parent:
   parent adopts.  k comes from the run's own structure: the first step
   alone, then the rest; one watchdog ``check_interval`` stretch; 1
   under a per-step hook, which runs in the parent after each step;
-* **heartbeats and progress** — each worker beats a slot of a shared
-  float64 array from a daemon thread and publishes the steps it has
-  completed of its segment in a progress slot beside it; the parent
-  treats a stale beat, a dead process, or a step that overruns
-  ``task_timeout`` (the deadline restarts whenever the progress count
-  moves) identically (restart + retry);
+* **progress** — each worker publishes the steps it has completed of
+  its segment in a slot of a shared int64 array; the parent treats a
+  closed pipe, a dead process, a worker exception, or a step that
+  overruns ``task_timeout`` (the deadline restarts whenever the
+  progress count moves) identically (restart + retry);
 * **bounded retry** — a failed shard's slice of the shadow is restored
   from the caller's arrays, which hold the segment start until the
   copy-out (shards are disjoint, so only the failed slice is touched),
-  the worker is respawned, and the whole segment re-dispatched with
-  exponential backoff, up to ``max_retries`` times;
+  the worker is respawned, and the whole segment re-dispatched at once,
+  up to ``max_retries`` times;
 * **graceful degradation** — when supervision itself gives up
   (:class:`SupervisedExecutionError`) or fails unexpectedly, the run
   restarts from its initial checkpoint on the single-process tier,
@@ -42,7 +41,9 @@ state arrays, supervised by the parent:
   (``SystemExit``) passes through ``run``, which reaps the workers and
   unlinks the segments on its way out; ``atexit`` closes runners that
   no run was using.  Workers reset both signals: SIGTERM kills one
-  outright, SIGINT is left to the parent.
+  outright, SIGINT is left to the parent.  Shutdown is a
+  ``terminate()`` per worker, never a handshake: a worker mid-segment
+  reads no message until the segment ends.
 
 Correctness invariant: shards are disjoint width-aligned cell ranges
 of a cell-local model, workers run the *same compiled kernel* the
@@ -68,7 +69,6 @@ import dataclasses
 import multiprocessing as mp
 import os
 import signal
-import threading
 import time
 import weakref
 from contextlib import suppress
@@ -124,29 +124,18 @@ class SupervisedExecutionError(RuntimeError):
 class SupervisionConfig:
     """Tunables of the worker supervisor."""
 
-    #: seconds between heartbeat writes in each worker
-    heartbeat_interval: float = 0.05
-    #: a beat older than this marks the worker as stalled
-    heartbeat_timeout: float = 5.0
     #: wall-clock budget for one step of a dispatched segment (the
-    #: deadline restarts whenever the worker's progress count moves)
+    #: deadline restarts whenever the worker's progress count moves):
+    #: the only stall detector, so it also bounds a frozen worker
     task_timeout: float = 30.0
     #: retry budget per shard per segment
     max_retries: int = 2
-    #: base seconds of the exponential retry backoff
-    retry_backoff: float = 0.05
 
     def __post_init__(self) -> None:
-        if self.heartbeat_interval <= 0:
-            raise ValueError("heartbeat_interval must be > 0")
-        if self.heartbeat_timeout <= self.heartbeat_interval:
-            raise ValueError("heartbeat_timeout must exceed the interval")
         if self.task_timeout <= 0:
             raise ValueError("task_timeout must be > 0")
         if self.max_retries < 0:
             raise ValueError("max_retries must be >= 0")
-        if self.retry_backoff < 0:
-            raise ValueError("retry_backoff must be >= 0")
 
 
 @dataclass
@@ -196,20 +185,20 @@ def _state_arrays(state: SimulationState) -> List[np.ndarray]:
 
 
 def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
-                  slot: int, conn, heartbeats: np.ndarray,
-                  progress: np.ndarray, config: SupervisionConfig,
+                  slot: int, conn, progress: np.ndarray,
                   fault: Optional[_WorkerFault],
                   trace_ctx: Optional[_trace.TraceContext] = None
                   ) -> None:
     """Worker main loop (runs in the forked child).
 
     Everything it needs — the compiled kernel, the shm-backed state
-    views, its heartbeat and progress slots — arrived via fork, not
-    pickling.  A task ``("run", seq, start, end, n_steps, dt, now,
-    until, stimulus)`` advances only the ``[start, end)`` slice, from
-    the parent's clock ``now``, so concurrent workers never alias; the
-    worker publishes each completed step in its progress slot and
-    replies ``("ok", seq, steps taken, final time)``.
+    views, its progress slot — arrived via fork, not pickling.  It runs
+    on one thread, blocked in ``recv`` between tasks.  A task
+    ``("run", seq, start, end, n_steps, dt, now, until, stimulus)``
+    advances only the ``[start, end)`` slice, from the parent's clock
+    ``now``, so concurrent workers never alias; the worker publishes
+    each completed step in its progress slot and replies
+    ``("ok", seq, steps taken, final time)``.
 
     With a ``trace_ctx`` the worker runs its own :class:`Tracer` under
     the parent's trace id and timebase (fork shares CLOCK_MONOTONIC),
@@ -221,12 +210,11 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
 
     The worker drops the parent's signal policy: SIGTERM kills it
     outright (``terminate()`` is how the parent reaps it) and SIGINT is
-    ignored, since the parent reaps its workers on Ctrl-C.
+    ignored, since the parent reaps its workers on Ctrl-C.  There is
+    no stop message: the parent terminates its workers.
     """
     signal.signal(signal.SIGTERM, signal.SIG_DFL)
     signal.signal(signal.SIGINT, signal.SIG_IGN)
-    stop = threading.Event()
-    stalled = threading.Event()
     # drop the fork-inherited parent tracer: worker spans belong to the
     # worker's own tracer (or nowhere, when tracing is off)
     if trace_ctx is not None:
@@ -236,15 +224,6 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
     else:
         tracer = None
         _trace.deactivate(None)
-
-    def beat() -> None:
-        while not stop.is_set():
-            if not stalled.is_set():
-                heartbeats[slot] = time.monotonic()
-            stop.wait(config.heartbeat_interval)
-
-    threading.Thread(target=beat, daemon=True,
-                     name=f"limpet-heartbeat-{slot}").start()
     fn = runner.kernel.fn
     args: list = []             # the current task's kernel arguments
     life_steps = 0              # steps begun in this life: faults count them
@@ -256,8 +235,7 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
             if fault.kill_at_step == life_steps:
                 os._exit(1)                 # simulated crash mid-segment
             if fault.stall_at_step == life_steps:
-                stalled.set()               # heartbeat goes quiet...
-                time.sleep(fault.stall_seconds)     # ...and so do we
+                time.sleep(fault.stall_seconds)     # simulated hung step
         args[3] = shard.time
         fn(*args)
 
@@ -266,10 +244,8 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
 
     try:
         while True:
-            msg = conn.recv()
-            if msg[0] == "stop":
-                break
-            _, seq, start, end, n_steps, dt, now, until, stimulus = msg
+            _, seq, start, end, n_steps, dt, now, until, stimulus = \
+                conn.recv()
             begun = life_steps
             task_span = _trace.span("shard_task", slot=slot, seq=seq,
                                     start=start, end=end)
@@ -295,8 +271,6 @@ def _worker_entry(runner: "SupervisedRunner", state: SimulationState,
             conn.send(reply + (events,))
     except (EOFError, OSError):
         pass                            # parent went away: just exit
-    finally:
-        stop.set()
 
 
 def _release(shm) -> None:
@@ -306,22 +280,6 @@ def _release(shm) -> None:
         shm.close()
     with suppress(FileNotFoundError):   # pragma: no cover - already gone
         shm.unlink()
-
-
-def _failure_kind(failure: str) -> str:
-    """Fold a free-text failure reason into a low-cardinality label
-    (labels are metric dimensions: bounded values only)."""
-    if failure.startswith("worker exception"):
-        return "exception"
-    if failure.startswith("worker pipe"):
-        return "pipe_closed"
-    if failure.startswith("worker died"):
-        return "died"
-    if failure.startswith("heartbeat"):
-        return "stalled"
-    if failure.startswith("task deadline"):
-        return "deadline"
-    return "other"
 
 
 #: every live runner, so interpreter exit can reap worker processes
@@ -368,8 +326,7 @@ class SupervisedRunner(ShardedRunner):
         self._procs: List[Optional[mp.process.BaseProcess]] = []
         self._conns: List = []
         self._spawns: List[int] = []
-        self._hb_shm = None
-        self._hb_view: Optional[np.ndarray] = None
+        self._progress_shm = None
         self._progress: Optional[np.ndarray] = None
         self._state_shm = None
         #: the caller's state the workers hold, their shadow of it in
@@ -509,39 +466,35 @@ class SupervisedRunner(ShardedRunner):
             _wait([self._conns[slot] for slot in pending], 0.01)
             for slot, task in list(pending.items()):
                 failure = self._poll_slot(task)
-                if failure == "pending":
-                    continue
                 if failure is None:
-                    outcomes.add(task.outcome)
-                    del pending[slot]
+                    if task.outcome is not None:
+                        outcomes.add(task.outcome)
+                        del pending[slot]
                     continue
+                kind, reason = failure
                 step = state.steps_done + int(self._progress[slot])
                 attempts[slot] += 1
                 _metrics.counter(
                     "shard_retries_total",
                     "shard tasks re-dispatched after a failure").inc()
-                kind = _failure_kind(failure)
                 _metrics.counter(
                     "worker_failures_total",
                     "supervised worker failures by shard and reason",
                     labelnames=("shard", "reason")).labels(
                         shard=str(slot), reason=kind).inc()
                 _trace.instant("shard_failure", slot=slot,
-                               attempt=attempts[slot], reason=failure)
+                               attempt=attempts[slot], reason=reason)
                 _flight.record("worker_failure", slot=slot, step=step,
-                               reason=kind, detail=failure,
-                               heartbeat_age=self._heartbeat_age(slot),
+                               reason=kind, detail=reason,
                                attempt=attempts[slot])
                 if attempts[slot] > self.config.max_retries:
                     raise SupervisedExecutionError(
                         f"shard {slot} [{task.start}, {task.end}) failed "
                         f"{attempts[slot]} times at step {step} "
-                        f"({failure})",
+                        f"({reason})",
                         slot=slot, attempts=attempts[slot], step=step)
-                self._restart_worker(slot, failure, step=step)
+                self._restart_worker(slot, reason, step=step)
                 self._restore_shard(state, task.start, task.end)
-                time.sleep(self.config.retry_backoff
-                           * (2 ** (attempts[slot] - 1)))
                 pending[slot] = self._dispatch(slot, task.start, task.end,
                                                segment)
         if len(outcomes) != 1:
@@ -555,9 +508,10 @@ class SupervisedRunner(ShardedRunner):
             compute.seconds += time.perf_counter() - started
         return outcomes.pop()
 
-    def _poll_slot(self, task: _Task) -> Optional[str]:
-        """None = segment done (``task.outcome`` set); "pending" = keep
-        waiting; else the failure reason."""
+    def _poll_slot(self, task: _Task) -> Optional[Tuple[str, str]]:
+        """None while the segment is pending or done (``task.outcome``
+        set); on a failure ``(kind, reason)``: a low-cardinality metric
+        label and the free-text reason."""
         slot = task.slot
         conn = self._conns[slot]
         try:
@@ -569,26 +523,24 @@ class SupervisedRunner(ShardedRunner):
                 if reply[0] == "ok":
                     task.outcome = (reply[2], reply[3])
                     return None
-                return f"worker exception {reply[2]}: {reply[3]}"
+                return ("exception",
+                        f"worker exception {reply[2]}: {reply[3]}")
         except (EOFError, OSError):
-            return "worker pipe closed"
+            return "pipe_closed", "worker pipe closed"
         proc = self._procs[slot]
         if proc is None or not proc.is_alive():
             code = proc.exitcode if proc is not None else None
-            return f"worker died (exit code {code})"
+            return "died", f"worker died (exit code {code})"
         now = time.monotonic()
-        age = now - float(self._hb_view[slot])
-        if age > self.config.heartbeat_timeout:
-            return f"heartbeat stalled ({age:.2f}s old)"
         progress = int(self._progress[slot])
         if progress != task.progress:
             # a step finished: the next one gets a whole task_timeout
             task.progress = progress
             task.deadline = now + self.config.task_timeout
         elif now > task.deadline:
-            return (f"task deadline exceeded (no step finished in "
-                    f"{self.config.task_timeout:g}s)")
-        return "pending"
+            return ("deadline", f"task deadline exceeded (no step "
+                    f"finished in {self.config.task_timeout:g}s)")
+        return None
 
     def _restore_shard(self, state: SimulationState, start: int,
                        end: int) -> None:
@@ -621,14 +573,11 @@ class SupervisedRunner(ShardedRunner):
     # -- worker lifecycle ----------------------------------------------------------
 
     def _fork_workers(self, n: int) -> None:
-        # per worker: a float64 heartbeat, and an int64 progress count
-        # (completed steps of its current segment) after all the beats
-        self._hb_shm = _shm_mod.SharedMemory(create=True, size=16 * n)
-        self._hb_view = np.ndarray((n,), dtype=np.float64,
-                                   buffer=self._hb_shm.buf)
+        # per worker: an int64 progress count (completed steps of its
+        # current segment)
+        self._progress_shm = _shm_mod.SharedMemory(create=True, size=8 * n)
         self._progress = np.ndarray((n,), dtype=np.int64,
-                                    buffer=self._hb_shm.buf, offset=8 * n)
-        self._hb_view[:] = time.monotonic()
+                                    buffer=self._progress_shm.buf)
         self._progress[:] = 0
         self._procs = [None] * n
         self._conns = [None] * n
@@ -664,12 +613,11 @@ class SupervisedRunner(ShardedRunner):
         trace_ctx = tracer.context() if tracer is not None else None
         proc = ctx.Process(
             target=_worker_entry,
-            args=(self, self._shadow, slot, child_conn, self._hb_view,
-                  self._progress, self.config, fault, trace_ctx),
+            args=(self, self._shadow, slot, child_conn, self._progress,
+                  fault, trace_ctx),
             daemon=True, name=f"limpet-worker-{slot}")
         proc.start()
         child_conn.close()
-        self._hb_view[slot] = time.monotonic()  # fresh grace period
         self._procs[slot] = proc
         self._conns[slot] = parent_conn
 
@@ -698,11 +646,6 @@ class SupervisedRunner(ShardedRunner):
         self._spawn_worker(mp.get_context("fork"), slot)
         _trace.instant("worker_respawn", slot=slot, reason=reason,
                        spawn=self._spawns[slot])
-
-    def _heartbeat_age(self, slot: int) -> Optional[float]:
-        if self._hb_view is None or slot >= len(self._hb_view):
-            return None
-        return round(time.monotonic() - float(self._hb_view[slot]), 3)
 
     def _harvest_events(self, reply) -> None:
         """Merge the span events piggybacked on a worker reply into the
@@ -749,28 +692,6 @@ class SupervisedRunner(ShardedRunner):
                     proc.join(timeout=1.0)
             self._procs[slot] = None
 
-    def _shutdown_workers(self) -> None:
-        for slot, conn in enumerate(self._conns):
-            if conn is not None:
-                try:
-                    conn.send(("stop",))
-                except (OSError, BrokenPipeError):
-                    pass
-        for slot, proc in enumerate(self._procs):
-            if proc is not None:
-                proc.join(timeout=0.5)
-            self._kill_worker(slot)
-        self._procs = []
-        self._conns = []
-        self._spawns = []
-        self._hb_view = self._progress = None
-        if self._hb_shm is not None:
-            _release(self._hb_shm)
-            self._hb_shm = None
-        _metrics.gauge("supervised_workers",
-                       "live worker processes of the supervised "
-                       "tier").set(0)
-
     # -- shared-memory state attach/detach -----------------------------------------
 
     def _attach_state(self, state: SimulationState) -> None:
@@ -803,13 +724,21 @@ class SupervisedRunner(ShardedRunner):
         self._fork_workers(n)
 
     def _detach_state(self) -> None:
-        """Stop the workers and unlink the segment that shadowed the
-        attached state (the caller's arrays already hold its values)."""
-        self._shutdown_workers()        # workers hold views of the segment
+        """Kill the workers and unlink the progress segment and the one
+        that shadowed the attached state (the caller's arrays already
+        hold its values)."""
+        for slot in range(len(self._procs)):    # they hold views of both
+            self._kill_worker(slot)
+        self._procs, self._conns, self._spawns = [], [], []
+        self._progress = None
         self._attached = self._shadow = self._shapes = None
-        if self._state_shm is not None:
-            _release(self._state_shm)
-            self._state_shm = None
+        for shm in (self._progress_shm, self._state_shm):
+            if shm is not None:
+                _release(shm)
+        self._progress_shm = self._state_shm = None
+        _metrics.gauge("supervised_workers",
+                       "live worker processes of the supervised "
+                       "tier").set(0)
 
     # -- lifecycle ------------------------------------------------------------------
 

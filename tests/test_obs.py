@@ -149,6 +149,24 @@ class TestTracer:
             assert span.end is not None
             assert span.args.get("interrupted", False) is interrupted
 
+    def test_span_left_open_by_unwinding_stays_in_the_tree(self):
+        # a ``begin`` span (the pass instrumentation's ``pass:*``) that
+        # an interrupt unwinds past ends with the ``with`` span below it
+        # and is written as its child, not dropped
+        tracer = Tracer()
+        with pytest.raises(KeyboardInterrupt):
+            with tracer.span("outer"):
+                tracer.begin("pass:a")
+                tracer.begin("pass:b")
+                raise KeyboardInterrupt
+        (outer,) = tracer.roots
+        (a,) = outer.children
+        (b,) = a.children
+        assert [a.name, b.name] == ["pass:a", "pass:b"]
+        assert a.end == b.end == outer.end
+        names = {e["name"] for e in tracer.to_chrome()["traceEvents"]}
+        assert {"outer", "pass:a", "pass:b"} <= names
+
 
 # ---------------------------------------------------------------------------
 # Pass instrumentation: op-count deltas on a canned pipeline

@@ -1,6 +1,7 @@
 """Supervised multiprocess tier: bitwise differential, crash/stall
 recovery, the degradation ladder, lifecycle hygiene, signal shutdown."""
 
+import dataclasses
 import glob
 import json
 import multiprocessing as mp
@@ -9,6 +10,7 @@ import signal
 import subprocess
 import sys
 import textwrap
+import threading
 import time
 
 import numpy as np
@@ -29,9 +31,8 @@ needs_mp = pytest.mark.skipif(not multiprocess_supported(),
 #: model — with ragged cell counts that exercise the width remainder
 DIFF_CASES = [("Plonsey", 13), ("FitzHughNagumo", 37), ("LuoRudy91", 29)]
 
-#: fast supervision settings for tests that provoke stalls
-FAST = dict(heartbeat_interval=0.02, heartbeat_timeout=0.3,
-            task_timeout=2.0, retry_backoff=0.01)
+#: fast supervision settings for tests that provoke failures
+FAST = dict(task_timeout=2.0)
 
 
 def make_generated(name):
@@ -54,17 +55,21 @@ class TestSupervisionConfig:
     def test_defaults_valid(self):
         config = SupervisionConfig()
         assert config.max_retries >= 1
-        assert config.heartbeat_timeout > config.heartbeat_interval
+        assert [f.name for f in dataclasses.fields(config)] == \
+            ["task_timeout", "max_retries"]
 
-    @pytest.mark.parametrize("kwargs", [
-        {"heartbeat_interval": 0.0},
-        {"heartbeat_interval": 1.0, "heartbeat_timeout": 0.5},
-        {"task_timeout": 0.0},
-        {"max_retries": -1},
-        {"retry_backoff": -0.1},
-    ])
-    def test_rejects_bad_values(self, kwargs):
-        with pytest.raises(ValueError):
+    # the heartbeat and the retry backoff are gone: the progress
+    # deadline is the one stall detector, and a retry goes to a freshly
+    # forked worker at once
+    @pytest.mark.parametrize("kwargs,error", [
+        ({"task_timeout": 0.0}, ValueError),
+        ({"max_retries": -1}, ValueError),
+        ({"heartbeat_interval": 0.02}, TypeError),
+        ({"heartbeat_timeout": 0.3}, TypeError),
+        ({"retry_backoff": 0.01}, TypeError),
+    ], ids=[f"kwargs{i}" for i in range(5)])
+    def test_rejects_bad_values(self, kwargs, error):
+        with pytest.raises(error):
             SupervisionConfig(**kwargs)
 
 
@@ -260,12 +265,10 @@ class TestSegments:
     def test_hung_step_caught_by_per_step_deadline(self, tmp_path):
         # until the hang every step takes >= 4 ms, so the 149 steps
         # before it outlast task_timeout=0.5 and must not trip it; then
-        # one step of shard 0 hangs 5 s while the heartbeat thread keeps
-        # beating, and only the per-step deadline (restarted by
-        # progress) can catch that
-        import dataclasses
+        # one step of shard 0 hangs 5 s, and the per-step deadline
+        # (restarted by progress) must catch it
         expected = run_single("LuoRudy91", 29, 201)
-        config = SupervisionConfig(task_timeout=0.5, retry_backoff=0.01)
+        config = SupervisionConfig(task_timeout=0.5)
         with SupervisedRunner(make_generated("LuoRudy91"), n_workers=2,
                               config=config) as sup:
             kernel, calls, hung = sup.kernel.fn, [0], tmp_path / "hung"
@@ -433,12 +436,13 @@ class TestCrashRecovery:
             assert len(restarts) == 1
             assert np.isfinite(state.sv).all()
 
-    def test_worker_stall_detected_by_heartbeat(self):
+    def test_worker_stall_detected_by_deadline(self):
         plan = FaultPlan(stall_worker=0, stall_worker_at_task=2,
                          stall_worker_seconds=30.0)
         with SupervisedRunner(make_generated("Plonsey"), n_workers=2,
                               fault_plan=plan,
-                              config=SupervisionConfig(**FAST)) as sup:
+                              config=SupervisionConfig(
+                                  task_timeout=0.5)) as sup:
             state = sup.make_state(16)
             start = time.monotonic()
             sup.run(state, 20, 0.01)
@@ -446,7 +450,7 @@ class TestCrashRecovery:
             assert sup.tier == "supervised"
             assert any("restarted worker 0" in d.message
                        for d in sup.diagnostics)
-            # detection is bounded by the heartbeat timeout, not the
+            # detection is bounded by the per-step deadline, not the
             # 30 s the worker would have slept
             assert elapsed < 15.0
 
@@ -570,13 +574,31 @@ class TestLifecycle:
         sup.run(state, 5, 0.01)
         sup.close()
         assert sup._procs == [] and sup._state_shm is None
-        assert sup._hb_shm is None
+        assert sup._progress_shm is None
         sup.close()                     # idempotent
 
     def test_close_all_runners_sweeps_registry(self):
         sup = SupervisedRunner(make_generated("Plonsey"), n_workers=2)
         close_all_runners()
         assert sup._procs == []
+
+    def test_worker_runs_on_one_thread(self, tmp_path):
+        # no heartbeat thread: the progress count the worker writes as
+        # it steps is the only liveness signal
+        with SupervisedRunner(make_generated("Plonsey"),
+                              n_workers=2) as sup:
+            kernel, seen = sup.kernel.fn, tmp_path / "threads"
+
+            def count_threads(*args):
+                if args[0] == 0:
+                    seen.write_text(str(threading.active_count()))
+                return kernel(*args)
+
+            sup.kernel = dataclasses.replace(sup.kernel, fn=count_threads)
+            state = sup.make_state(16)
+            sup.run(state, 3, 0.01)
+            assert sup.live_workers == 2
+        assert seen.read_text() == "1"
 
     def test_metrics_registered_up_front(self):
         from repro.obs import metrics
@@ -615,6 +637,22 @@ try:
 except SystemExit as err:
     print("EXIT", err.code, flush=True)
     raise
+"""
+
+#: a run whose workers are mid-segment (no step hook: after the first
+#: step the rest is one segment) when the parent is told to stop
+_MID_SEGMENT_SCRIPT = """
+from repro.codegen import generate_limpet_mlir
+from repro.models import load_model
+from repro.runtime import SupervisedRunner, install_signal_handlers
+
+install_signal_handlers()
+sup = SupervisedRunner(generate_limpet_mlir(load_model("LuoRudy91")),
+                       n_workers=2)
+state = sup.make_state(64)
+sup.run(state, 2, 0.01)                 # fork the workers
+print("READY", flush=True)
+sup.run(state, 10_000_000, 0.01)
 """
 
 #: a worker forked under the CLI's signal policy, then terminated: the
@@ -706,6 +744,33 @@ class TestSignalShutdown:
         assert "EXIT 143" in out
         # no orphaned worker output, no shared-memory leak warnings
         assert "leaked shared_memory" not in out
+
+    def test_sigterm_mid_segment_exits_at_once(self, tmp_path):
+        """A worker mid-segment reads no message until its segment
+        ends, so shutdown terminates it instead of waiting on it."""
+        script = tmp_path / "mid_segment.py"
+        script.write_text(_MID_SEGMENT_SCRIPT)
+        env = dict(os.environ)
+        env["PYTHONPATH"] = os.pathsep.join(
+            [str(p) for p in sys.path if p])
+        proc = subprocess.Popen([sys.executable, str(script)],
+                                stdout=subprocess.PIPE,
+                                stderr=subprocess.STDOUT, text=True,
+                                env=env)
+        try:
+            assert "READY" in proc.stdout.readline()
+            time.sleep(0.3)             # well into the long segment
+            sent = time.monotonic()
+            proc.send_signal(signal.SIGTERM)
+            proc.wait(timeout=30)
+            elapsed = time.monotonic() - sent
+            out = proc.stdout.read()
+        finally:
+            if proc.poll() is None:
+                proc.kill()
+                proc.communicate()
+        assert proc.returncode == 128 + signal.SIGTERM, out
+        assert elapsed < 0.5, f"{elapsed:.3f}s from SIGTERM to exit"
 
     @pytest.mark.skipif(not (os.path.isdir("/dev/shm")
                              and os.path.isdir("/proc")),
