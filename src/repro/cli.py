@@ -42,10 +42,8 @@ Subcommands:
   stall supervised workers, corrupt on-disk cache entries — then
   check the resilience layer recovers from every one;
 * ``ledger`` — inspect the append-only run ledger ($LIMPET_LEDGER):
-  every run/compile/degradation row, ``--summary`` per-model rollup;
-* ``flight`` — show/list crash flight-recorder dumps (the bounded ring
-  of recent spans/metrics written on worker death, degradation,
-  quarantine or unhandled exception).
+  every run/compile/degradation/worker-restart row, ``--summary``
+  per-model rollup.
 
 ``perf`` and ``sweep`` each measure one section of the
 perf record (:mod:`repro.bench.record`); ``--json`` writes it as a
@@ -69,6 +67,8 @@ subcommand into ``<dir>/trace-<command>-<pid>.json``.  SIGTERM raises
 ``SystemExit(143)`` as SIGINT raises ``KeyboardInterrupt``: workers are
 reaped and shared memory unlinked while the exception unwinds, open
 spans close marked ``interrupted``, and ``main`` writes the trace last.
+Any other exception leaves ``main`` with its traceback on stderr, once
+that trace is written.
 
 Exit codes are structured for CI: 0 success, 1 result failure
 (mismatch / not vectorizable), 2 usage (argparse), 3 compiled only via
@@ -387,25 +387,6 @@ def build_parser() -> argparse.ArgumentParser:
     ledger_cmd.set_defaults(func=lambda args: cmd_ledger(
         args.path, args.tail, args.model, args.event, args.json,
         args.summary))
-
-    flight_cmd = sub.add_parser(
-        "flight", help="inspect crash flight-recorder dumps")
-    flight_cmd.add_argument("action", nargs="?", default="show",
-                            choices=("show", "list"),
-                            help="'show' the latest dump (default) or "
-                                 "'list' all dumps")
-    flight_cmd.add_argument("--dir", default=None, metavar="DIR",
-                            help="dump directory (default: "
-                                 "$LIMPET_FLIGHT_DIR or "
-                                 "~/.cache/limpet-repro/flight)")
-    flight_cmd.add_argument("--last", type=_positive_int, default=40,
-                            metavar="N",
-                            help="events shown from the end of the "
-                                 "ring (default 40)")
-    flight_cmd.add_argument("--json", action="store_true",
-                            help="raw dump payload as JSON")
-    flight_cmd.set_defaults(func=lambda args: cmd_flight(
-        args.action, args.dir, args.last, args.json))
     return parser
 
 
@@ -880,47 +861,6 @@ def cmd_ledger(path: Optional[str], tail: Optional[int],
     return EXIT_OK
 
 
-def cmd_flight(action: str, directory: Optional[str], last: int,
-               as_json: bool) -> int:
-    import json as _json
-
-    from .obs import flight as _flight
-
-    def load(path):
-        """The dump at ``path``, or None when it is corrupt or foreign."""
-        try:
-            return _flight.load_dump(path)
-        except (OSError, ValueError):
-            return None
-
-    if action == "list":
-        dumps = _flight.list_dumps(directory)
-        if not dumps:
-            print("flight: no dumps recorded", file=sys.stderr)
-            return EXIT_FAILURE
-        for path in dumps:
-            payload = load(path)
-            reason = payload.get("reason", "?") if payload else "corrupt"
-            n = len(payload.get("events", [])) if payload else 0
-            print(f"{path}  reason={reason} events={n}")
-        return EXIT_OK
-    latest = _flight.latest_dump(directory)
-    if latest is None:
-        print("flight: no dumps recorded", file=sys.stderr)
-        return EXIT_FAILURE
-    payload = load(latest)
-    if payload is None:
-        print(f"flight: {latest} is corrupt or not a flight dump",
-              file=sys.stderr)
-        return EXIT_FAILURE
-    if as_json:
-        print(_json.dumps(payload, indent=2, sort_keys=True))
-        return EXIT_OK
-    print(f"flight dump: {latest}")
-    print(_flight.format_dump(payload, last=last))
-    return EXIT_OK
-
-
 # ---------------------------------------------------------------------------
 # The fault-injection drill (``limpet-bench faults``)
 # ---------------------------------------------------------------------------
@@ -1181,20 +1121,10 @@ def main(argv: Optional[List[str]] = None) -> int:
         print("interrupted", file=sys.stderr)
         return EXIT_INTERRUPTED
     except BrokenPipeError:
-        # downstream pager/head closed the pipe; not an error (caught
-        # before ``Exception``, which would otherwise take it)
+        # downstream pager/head closed the pipe; not an error
         devnull = os.open(os.devnull, os.O_WRONLY)
         os.dup2(devnull, sys.stdout.fileno())
         return EXIT_OK
-    except Exception as err:
-        # land the last seconds of telemetry next to the crash
-        # ('limpet-bench flight show' replays them), then re-raise for
-        # the normal traceback
-        from .obs import flight as _flight
-        _flight.dump("unhandled_exception",
-                     extra={"command": args.command,
-                            "error": f"{type(err).__name__}: {err}"})
-        raise
     finally:
         if tracer is not None:
             from .obs import trace as _trace

@@ -14,32 +14,23 @@ The unified measurement layer of the reproduction (DESIGN.md §8):
 * :mod:`repro.obs.profiler` — measured per-op kernel costs from
   profile-mode lowering: hot tables by op, dialect and cost class.
 
-The fleet-telemetry additions (DESIGN.md §13):
+The fleet-telemetry addition (DESIGN.md §13):
 
-* :mod:`repro.obs.flight` — the crash flight recorder: a bounded ring
-  of recent spans/metric deltas/worker events, dumped as a black-box
-  JSON file on worker death, degradation, quarantine, or unhandled
-  exception (``limpet-bench flight``);
 * :mod:`repro.obs.ledger` — the append-only run ledger at
-  ``$LIMPET_LEDGER`` recording every compile/run/degradation
-  (``limpet-bench ledger``).
+  ``$LIMPET_LEDGER`` recording every compile/run/degradation and
+  worker restart (``limpet-bench ledger``).
 
 Only modules that depend on nothing inside :mod:`repro` beyond
 ``obs`` itself are imported eagerly (any subsystem may import them
-without cycles): ``trace``, ``metrics``, and ``flight`` (whose
-listeners are installed here, so the black box records from process
-start).  ``ledger`` defers its one runtime dependency (the advisory
-file lock) to call time; ``passes`` and ``profiler`` are reached as
-submodules.
+without cycles): ``trace``, ``metrics`` and ``ledger``, which defers
+its one runtime dependency (the advisory file lock) to call time.
+``passes`` and ``profiler`` are reached as submodules.
 """
 
-from . import metrics, trace
-from . import flight, ledger
+from . import ledger, metrics, trace
 from .metrics import MetricsRegistry, default_registry
 from .trace import TraceContext, Tracer, activate, active_tracer, deactivate
 
-flight.install()
-
-__all__ = ["metrics", "trace", "flight", "ledger", "MetricsRegistry",
+__all__ = ["metrics", "trace", "ledger", "MetricsRegistry",
            "default_registry", "TraceContext", "Tracer", "activate",
            "active_tracer", "deactivate"]

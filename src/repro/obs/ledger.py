@@ -25,6 +25,8 @@ Wired event types:
 ``population_run``  population-batched sweeps
 ``artifact_load``   AOT bundle hits in ``runner_from_store``
 ``degradation``     supervised execution-tier downgrades
+``worker_restart``  supervised worker deaths (slot, failure kind,
+                    attempt, step, spawns)
 
 ``limpet-bench ledger [--tail N --model M --json --summary]`` queries
 the file; corrupt lines (a crash mid-append on a filesystem without

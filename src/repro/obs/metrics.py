@@ -59,12 +59,11 @@ never inside the per-step hot loop.
 from __future__ import annotations
 
 import threading
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["Counter", "LabeledCounter", "Gauge", "Histogram",
            "MetricsRegistry", "default_registry", "counter", "gauge",
-           "histogram", "snapshot", "to_prometheus", "reset",
-           "add_listener", "remove_listener"]
+           "histogram", "snapshot", "to_prometheus", "reset"]
 
 #: default histogram buckets: wall-time seconds, log-spaced
 DEFAULT_BUCKETS = (1e-5, 1e-4, 1e-3, 1e-2, 0.1, 1.0, 10.0)
@@ -87,8 +86,6 @@ class Counter:
             raise ValueError(f"counter {self.name}: negative increment")
         with self._lock:
             self._value += amount
-        if _LISTENERS:
-            _notify(self.name, amount, None)
 
     @property
     def value(self) -> int:
@@ -104,12 +101,10 @@ class Counter:
 class _LabeledChild:
     """One labeled series of a :class:`LabeledCounter`."""
 
-    __slots__ = ("_parent", "_labels", "_key")
+    __slots__ = ("_parent", "_key")
 
-    def __init__(self, parent: "LabeledCounter",
-                 labels: Dict[str, str], key: str):
+    def __init__(self, parent: "LabeledCounter", key: str):
         self._parent = parent
-        self._labels = labels
         self._key = key
 
     def inc(self, amount: int = 1) -> None:
@@ -119,8 +114,6 @@ class _LabeledChild:
         with self._parent._lock:
             self._parent._series[self._key] = \
                 self._parent._series.get(self._key, 0) + amount
-        if _LISTENERS:
-            _notify(self._parent.name, amount, self._labels)
 
     @property
     def value(self) -> int:
@@ -152,9 +145,9 @@ class LabeledCounter:
             raise ValueError(
                 f"counter {self.name!r} takes labels "
                 f"{self.labelnames}, got {tuple(sorted(labels))}")
-        clean = {k: str(labels[k]) for k in self.labelnames}
-        key = ",".join(f'{k}="{_escape(v)}"' for k, v in clean.items())
-        return _LabeledChild(self, clean, key)
+        key = ",".join(f'{k}="{_escape(str(labels[k]))}"'
+                       for k in self.labelnames)
+        return _LabeledChild(self, key)
 
     def inc(self, amount: int = 1, **labels: Any) -> None:
         self.labels(**labels).inc(amount)
@@ -389,36 +382,3 @@ def to_prometheus() -> str:
 
 def reset() -> None:
     _DEFAULT.reset()
-
-
-# ---------------------------------------------------------------------------
-# Increment listeners (the flight recorder's tap)
-# ---------------------------------------------------------------------------
-
-#: callables invoked as fn(name, amount, labels_or_None) after every
-#: counter increment; empty unless the flight recorder installs one,
-#: so the usual cost is a single truthiness check per increment (and
-#: increments only ever sit on cold paths — see the module docstring)
-_LISTENERS: List[Callable[[str, int, Optional[Dict[str, str]]], None]] = []
-
-
-def add_listener(fn: Callable[[str, int, Optional[Dict[str, str]]],
-                              None]) -> None:
-    if fn not in _LISTENERS:
-        _LISTENERS.append(fn)
-
-
-def remove_listener(fn) -> None:
-    try:
-        _LISTENERS.remove(fn)
-    except ValueError:
-        pass
-
-
-def _notify(name: str, amount: int,
-            labels: Optional[Dict[str, str]]) -> None:
-    for fn in list(_LISTENERS):
-        try:
-            fn(name, amount, labels)
-        except Exception:               # pragma: no cover - best effort
-            pass

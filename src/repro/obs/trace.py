@@ -40,11 +40,10 @@ import os
 import pathlib
 import threading
 import time
-from typing import Any, Callable, Dict, List, Optional, Sequence
+from typing import Any, Dict, List, Optional, Sequence
 
 __all__ = ["Span", "TraceContext", "Tracer", "activate", "deactivate",
-           "active_tracer", "span", "instant", "annotate", "add_listener",
-           "remove_listener"]
+           "active_tracer", "span", "instant", "annotate"]
 
 
 class TraceContext:
@@ -219,10 +218,6 @@ class Tracer:
         else:
             with self._lock:
                 self.roots.append(span_)
-        if _LISTENERS:
-            _notify("span", span_.name,
-                    {"dur_ms": round(span_.duration * 1e3, 3),
-                     "data": _jsonable(span_.args)})
 
     def instant(self, name: str, **args: Any) -> None:
         """A zero-duration marker attached to the current span."""
@@ -234,8 +229,6 @@ class Tracer:
         else:
             with self._lock:
                 self.roots.append(mark)
-        if _LISTENERS:
-            _notify("instant", name, {"data": _jsonable(args)})
 
     def current_span(self) -> Optional[Span]:
         stack = self._stack()
@@ -417,36 +410,6 @@ def _format_args(args: Dict[str, Any]) -> str:
         elif isinstance(value, (str, int, bool)):
             parts.append(f"{key}={value}")
     return " ".join(parts)
-
-
-# ---------------------------------------------------------------------------
-# Span-event listeners (the flight recorder's tap)
-# ---------------------------------------------------------------------------
-
-#: callables invoked as fn(kind, name, payload) on every finished span
-#: and every instant; kept empty unless something (the flight recorder)
-#: registers, so the common path pays one truthiness check
-_LISTENERS: List[Callable[[str, str, Dict[str, Any]], None]] = []
-
-
-def add_listener(fn: Callable[[str, str, Dict[str, Any]], None]) -> None:
-    if fn not in _LISTENERS:
-        _LISTENERS.append(fn)
-
-
-def remove_listener(fn) -> None:
-    try:
-        _LISTENERS.remove(fn)
-    except ValueError:
-        pass
-
-
-def _notify(kind: str, name: str, payload: Dict[str, Any]) -> None:
-    for fn in list(_LISTENERS):
-        try:
-            fn(kind, name, payload)
-        except Exception:               # pragma: no cover - best effort
-            pass
 
 
 # ---------------------------------------------------------------------------

@@ -99,8 +99,9 @@ def log_diagnostic(diag: Diagnostic) -> Diagnostic:
     their structured trail — the trail API is unchanged).
 
     Severity maps onto logging levels (INFO/WARNING/ERROR); the trace
-    export is an instant event on the current span, so recovery
-    decisions show up inline in ``chrome://tracing`` timelines.
+    export is an instant event on the current span carrying ``data``
+    too, so recovery decisions show up inline in ``chrome://tracing``
+    timelines with where they happened.
     """
     kind = f" [{diag.error_type}]" if diag.error_type else ""
     LOGGER.log(_LOG_LEVELS.get(diag.severity, logging.WARNING),
@@ -108,8 +109,8 @@ def log_diagnostic(diag: Diagnostic) -> Diagnostic:
                diag.message)
     from ..obs import trace as _trace
     _trace.instant(f"diagnostic:{diag.stage}/{diag.component}",
-                   severity=diag.severity.value, message=diag.message,
-                   error_type=diag.error_type)
+                   **diag.data, severity=diag.severity.value,
+                   message=diag.message, error_type=diag.error_type)
     return diag
 
 

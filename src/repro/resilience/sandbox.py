@@ -164,14 +164,6 @@ class SandboxedPassManager(PassManager):
             pipeline_position=position, replayed_passes=replayed)))
         _metrics.counter("pass_quarantines_total",
                          "passes quarantined by the sandbox").inc()
-        # black-box the lead-up next to the IR reproducer bundle (or
-        # the default flight directory when no bundle dir is set)
-        from ..obs import flight as _flight
-        _flight.dump("pass_quarantine", directory=self.reproducer_dir,
-                     extra={"pass": pass_.name, "position": position,
-                            "stage": stage,
-                            "reproducer": str(bundle) if bundle else None,
-                            "replayed_passes": replayed})
 
     def run(self, module: Module, fixed_point: bool = False) -> bool:
         """Run the pipeline with per-pass rollback; never raises for a

@@ -30,12 +30,15 @@ state arrays, supervised by the parent:
   from the caller's arrays, which hold the segment start until the
   copy-out (shards are disjoint, so only the failed slice is touched),
   the worker is respawned, and the whole segment re-dispatched at once,
-  up to ``max_retries`` times;
+  up to ``max_retries`` times; each restart is one
+  :class:`~repro.resilience.diagnostics.Diagnostic` and one
+  ``worker_restart`` ledger row;
 * **graceful degradation** — when supervision itself gives up
   (:class:`SupervisedExecutionError`) or fails unexpectedly, the run
   restarts from its initial checkpoint on the single-process tier,
   recorded as one :class:`~repro.resilience.diagnostics.Diagnostic`,
-  one ``degradations_total`` increment and one flight dump;
+  one ``degradations_total`` increment and one ``degradation`` ledger
+  row;
 * **shutdown by unwinding** — Ctrl-C (``KeyboardInterrupt``) or a
   SIGTERM under :func:`~repro.runtime.shutdown.install_signal_handlers`
   (``SystemExit``) passes through ``run``, which reaps the workers and
@@ -80,7 +83,6 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from ..codegen.common import GeneratedKernel
-from ..obs import flight as _flight
 from ..obs import ledger as _ledger
 from ..obs import metrics as _metrics
 from ..obs import trace as _trace
@@ -108,8 +110,7 @@ class SupervisedExecutionError(RuntimeError):
 
     ``run`` treats this as the signal to degrade to the single tier,
     so it never escapes ``run``; its ``slot``, ``attempts`` and
-    ``step`` land on the degradation diagnostic, ledger row and flight
-    dump.
+    ``step`` land on the degradation diagnostic and ledger row.
     """
 
     def __init__(self, message: str, slot: int = -1, attempts: int = 0,
@@ -387,10 +388,6 @@ class SupervisedRunner(ShardedRunner):
         _metrics.gauge("supervised_workers",
                        "live worker processes of the supervised "
                        "tier").set(0)
-        _flight.dump("degradation",
-                     extra={"from_tier": from_tier, "to_tier": target,
-                            "model": self.model.name, "slot": slot,
-                            "step": step, "attempts": attempts})
         _ledger.record_event("degradation", model=self.model.name,
                              tier=target, from_tier=from_tier,
                              disposition="degraded", slot=slot,
@@ -482,18 +479,14 @@ class SupervisedRunner(ShardedRunner):
                     "supervised worker failures by shard and reason",
                     labelnames=("shard", "reason")).labels(
                         shard=str(slot), reason=kind).inc()
-                _trace.instant("shard_failure", slot=slot,
-                               attempt=attempts[slot], reason=reason)
-                _flight.record("worker_failure", slot=slot, step=step,
-                               reason=kind, detail=reason,
-                               attempt=attempts[slot])
                 if attempts[slot] > self.config.max_retries:
                     raise SupervisedExecutionError(
                         f"shard {slot} [{task.start}, {task.end}) failed "
                         f"{attempts[slot]} times at step {step} "
                         f"({reason})",
                         slot=slot, attempts=attempts[slot], step=step)
-                self._restart_worker(slot, reason, step=step)
+                self._restart_worker(slot, kind, reason, step,
+                                     attempts[slot])
                 self._restore_shard(state, task.start, task.end)
                 pending[slot] = self._dispatch(slot, task.start, task.end,
                                                segment)
@@ -621,8 +614,8 @@ class SupervisedRunner(ShardedRunner):
         self._procs[slot] = proc
         self._conns[slot] = parent_conn
 
-    def _restart_worker(self, slot: int, reason: str,
-                        step: int = -1) -> None:
+    def _restart_worker(self, slot: int, kind: str, reason: str,
+                        step: int, attempt: int) -> None:
         self._kill_worker(slot)
         _metrics.counter("worker_restarts_total",
                          "supervised workers killed and "
@@ -633,16 +626,16 @@ class SupervisedRunner(ShardedRunner):
             stage="run", component="supervised",
             message=f"restarted worker {slot}: {reason}",
             severity=Severity.WARNING,
-            data={"slot": slot, "reason": reason, "step": step,
+            data={"slot": slot, "kind": kind, "reason": reason,
+                  "step": step, "attempt": attempt,
                   "model": self.model.name})
         log_diagnostic(diag)
         self.diagnostics.append(diag)
-        # black-box the moments before the death; the respawn marker
-        # lands in the merged trace next to the dead worker's spans
-        _flight.dump("worker_death",
-                     extra={"slot": slot, "reason": reason,
-                            "step": step, "model": self.model.name,
-                            "spawns": self._spawns[slot]})
+        _ledger.record_event("worker_restart", model=self.model.name,
+                             slot=slot, kind=kind, attempt=attempt,
+                             step=step, spawns=self._spawns[slot])
+        # the respawn marker lands in the merged trace next to the dead
+        # worker's spans
         self._spawn_worker(mp.get_context("fork"), slot)
         _trace.instant("worker_respawn", slot=slot, reason=reason,
                        spawn=self._spawns[slot])
@@ -662,7 +655,7 @@ class SupervisedRunner(ShardedRunner):
         Called before a worker's pipe is closed (kill, restart, or
         shutdown — including an interrupted run, whose workers are
         reaped while the exception unwinds, before the CLI writes the
-        trace), so span buffers in flight when a run is interrupted
+        trace), so span buffers still queued when a run is interrupted
         reach the merged trace instead of dying with the pipe.
         """
         if conn is None:

@@ -9,18 +9,14 @@ from repro.models import load_model as load_registry_model
 
 
 @pytest.fixture(autouse=True)
-def _isolated_telemetry(tmp_path, monkeypatch):
-    """Keep fleet telemetry hermetic per test: fresh metrics registry,
-    empty flight ring, flight dumps into the test's tmp dir (never
-    ~/.cache), and no ambient run ledger unless a test sets one."""
-    from repro.obs import flight, metrics
+def _isolated_telemetry(monkeypatch):
+    """Keep fleet telemetry hermetic per test: fresh metrics registry
+    and no ambient run ledger unless a test sets one."""
+    from repro.obs import metrics
     metrics.reset()
-    flight.recorder().clear()
-    monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path / "flight"))
     monkeypatch.delenv("LIMPET_LEDGER", raising=False)
     yield
     metrics.reset()
-    flight.recorder().clear()
 
 #: the paper's Listing 1 (modified Pathmanathan), verbatim structure
 LISTING1_SOURCE = """

@@ -18,7 +18,7 @@ from repro.ir.passes import PassManager, default_pipeline
 from repro.ir.passes.pass_manager import Pass, PassInstrumentation
 from repro.ir.verifier import VerificationError
 from repro.models import load_model
-from repro.obs import flight, ledger, metrics, trace
+from repro.obs import ledger, metrics, trace
 from repro.obs.passes import IRSnapshotInstrumentation
 from repro.resilience import (FaultInjector, FaultPlan, InjectedFault,
                               compile_resilient, load_reproducer,
@@ -268,9 +268,14 @@ class TestObservability:
         counters = metrics.snapshot()
         assert counters["sandbox_replays_total"]["value"] == 1
         assert counters["pass_quarantines_total"]["value"] == 1
-        payload = json.loads(flight.list_dumps(tmp_path)[-1].read_text())
-        assert payload["reason"] == "pass_quarantine"
-        assert payload["extra"]["replayed_passes"] == ["canonicalize", "cse"]
+        # the quarantine's record: the Diagnostic and the reproducer
+        [diag] = faulty.diagnostics
+        assert diag.data["replayed_passes"] == ["canonicalize", "cse"]
+        [bundle] = faulty.reproducers
+        assert diag.data["reproducer"] == str(bundle)
+        meta = json.loads((bundle / "meta.json").read_text())
+        assert (meta["pass"], meta["pipeline_position"]) == \
+            ("licm", diag.data["pipeline_position"])
 
     def test_compile_ledger_row(self, tmp_path, monkeypatch):
         monkeypatch.setenv("LIMPET_LEDGER", str(tmp_path / "ledger.jsonl"))

@@ -285,9 +285,9 @@ class TestSegments:
 
             restarts, restart = [], sup._restart_worker
 
-            def spy(slot, reason, step=-1):
+            def spy(slot, kind, reason, step, attempt):
                 restarts.append((time.monotonic(), slot, reason, step))
-                restart(slot, reason, step=step)
+                restart(slot, kind, reason, step, attempt)
 
             sup.kernel = dataclasses.replace(sup.kernel,
                                              fn=slow_then_hang_once)
@@ -779,8 +779,7 @@ class TestSignalShutdown:
         """SIGTERM a traced ``limpet-bench run --workers 2`` mid-run:
         exit 143, one trace file holding one ``run`` span marked
         ``interrupted``, and no segment or worker outlives it."""
-        env = dict(os.environ, LIMPET_TRACE=str(tmp_path / "trace"),
-                   LIMPET_FLIGHT_DIR=str(tmp_path / "flight"))
+        env = dict(os.environ, LIMPET_TRACE=str(tmp_path / "trace"))
         env["PYTHONPATH"] = os.pathsep.join(
             [str(p) for p in sys.path if p])
         (tmp_path / "trace").mkdir()

@@ -1,12 +1,12 @@
 """Fleet-wide telemetry (DESIGN.md §13): cross-process trace
-propagation, the crash flight recorder, the run ledger and the
-perf-regression gate.
+propagation, the run ledger and the perf-regression gate.
 
-The acceptance drill at the bottom is the PR's headline scenario: a
+The acceptance drill at the bottom is the headline scenario: a
 supervised run with an injected worker kill must still produce ONE
 merged Chrome trace holding the dead worker's partial spans next to
-the parent's, a flight dump whose last events precede the failure, and
-a ledger that records what happened — all sharing one trace id.
+the parent's, and a ledger that records the restart and the run — all
+sharing one trace id.  Each failure is written down once, to records
+that are kept: nothing lands under ``$HOME`` uninvited.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.codegen import generate_limpet_mlir
-from repro.obs import flight, ledger, metrics, trace
+from repro.obs import ledger, metrics, trace
 from repro.obs.trace import Tracer
 
 
@@ -86,51 +86,6 @@ class TestLabeledCounters:
         c.labels(kind="a").inc(2)
         text = metrics.to_prometheus()
         assert 'tl_prom_total{kind="a"} 2' in text
-
-
-# ---------------------------------------------------------------------------
-# Flight recorder
-# ---------------------------------------------------------------------------
-
-class TestFlightRecorder:
-    def test_ring_is_bounded(self):
-        rec = flight.FlightRecorder(capacity=8)
-        for i in range(20):
-            rec.record("tick", i=i)
-        assert len(rec) == 8
-        events = rec.events()
-        assert events[0]["i"] == 12 and events[-1]["i"] == 19
-
-    def test_dump_schema_and_prune(self, tmp_path):
-        rec = flight.FlightRecorder(capacity=4)
-        rec.record("worker_failure", slot=1, reason="died")
-        path = rec.dump("worker_death", directory=tmp_path,
-                        extra={"slot": 1})
-        payload = flight.load_dump(path)
-        assert payload["format"] == flight.FORMAT
-        assert payload["reason"] == "worker_death"
-        assert payload["extra"]["slot"] == 1
-        assert payload["events"][-1]["kind"] == "worker_failure"
-        assert flight.latest_dump(tmp_path) == path
-
-    def test_taps_capture_spans_and_metrics(self):
-        assert flight.installed()
-        tracer = Tracer()
-        previous = trace.activate(tracer)
-        try:
-            with trace.span("tl_tapped_span", x=1):
-                pass
-        finally:
-            trace.deactivate(previous)
-        metrics.counter("tl_tapped_total", "t").inc()
-        kinds = {(e["kind"], e.get("name")) for e in
-                 flight.recorder().events()}
-        assert ("span", "tl_tapped_span") in kinds
-        assert ("metric", "tl_tapped_total") in kinds
-
-    def test_module_dump_never_raises(self, monkeypatch):
-        monkeypatch.setenv(flight.FLIGHT_DIR_ENV, "/dev/null/nope")
-        assert flight.dump("test") is None
 
 
 # ---------------------------------------------------------------------------
@@ -222,7 +177,6 @@ class TestSupervisedTelemetry:
         from repro.runtime import SupervisedRunner, SupervisionConfig
         monkeypatch.setenv(ledger.LEDGER_ENV,
                            str(tmp_path / "ledger.jsonl"))
-        monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path))
         tracer = Tracer(process_name="test-parent")
         previous = trace.activate(tracer)
         try:
@@ -257,30 +211,25 @@ class TestSupervisedTelemetry:
             assert e["dur"] >= 0
             assert isinstance(e["ts"], (int, float))
 
-        # the flight dump shares the trace id and its events precede
-        # the failure that triggered it
-        dump_path = flight.latest_dump(tmp_path)
-        assert dump_path is not None
-        payload = flight.load_dump(dump_path)
-        assert payload["reason"] == "worker_death"
-        assert payload["trace_id"] == tracer.trace_id
-        assert payload["ts_unix"] >= payload["events"][-1]["t"]
-        assert any(e["kind"] == "worker_failure"
-                   for e in payload["events"])
+        # one ledger row records the restart, under the run's trace id;
+        # a SIGKILLed worker surfaces as EOF on its pipe or as a dead
+        # process, depending on which the parent notices first
+        book = ledger.RunLedger(tmp_path / "ledger.jsonl")
+        [restart] = book.read(event="worker_restart")
+        assert (restart["slot"], restart["attempt"]) == (0, 1)
+        assert restart["kind"] in ("died", "pipe_closed")
+        assert restart["trace_id"] == tracer.trace_id
 
         # the labeled failure counter has the shard/reason series
         fails = metrics.snapshot()["worker_failures_total"]
         assert fails["value"] >= 1
-        # a SIGKILLed worker surfaces as EOF on its pipe or as a dead
-        # process, depending on which the parent notices first
         assert any('shard="0"' in key and
                    ('reason="died"' in key or
                     'reason="pipe_closed"' in key)
                    for key in fails["series"])
 
         # and the ledger recorded the run on the supervised tier
-        rows = ledger.RunLedger(
-            tmp_path / "ledger.jsonl").read(event="run")
+        rows = book.read(event="run")
         assert rows and rows[-1]["tier"] == "supervised"
         assert rows[-1]["disposition"] == "ok"
 
@@ -290,7 +239,6 @@ class TestSupervisedTelemetry:
         from repro.runtime import SupervisedRunner, SupervisionConfig
         monkeypatch.setenv(ledger.LEDGER_ENV,
                            str(tmp_path / "ledger.jsonl"))
-        monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path))
         plan = FaultPlan(kill_worker=0, kill_worker_at_task=1)
         runner = SupervisedRunner(
             generate_limpet_mlir(luo_rudy), n_workers=2,
@@ -304,7 +252,7 @@ class TestSupervisedTelemetry:
             runner.close()
         # supervision gave up on shard 0 after one attempt at step 0;
         # the SupervisedExecutionError that said so never escapes run,
-        # so its fields must land on all three records
+        # so its fields must land on both records
         where = {"slot": 0, "attempts": 1, "step": 0}
         [diag] = [d for d in runner.diagnostics
                   if "degrading" in d.message]
@@ -317,10 +265,59 @@ class TestSupervisedTelemetry:
         assert (row["from_tier"], row["tier"]) == ("supervised", "single")
         assert row["disposition"] == "degraded"
         assert {k: row[k] for k in where} == where
-        dumps = [p for p in (flight.load_dump(d)
-                             for d in flight.list_dumps(tmp_path)) if p]
-        [dump] = [p for p in dumps if p["reason"] == "degradation"]
-        assert {k: dump["extra"][k] for k in where} == where
+
+    def test_traced_degradation_instant_says_where(self, luo_rudy):
+        """The degradation's trace instant carries the Diagnostic's
+        data, so a traced run says which shard gave up at which step."""
+        from repro.resilience import FaultPlan
+        from repro.runtime import SupervisedRunner, SupervisionConfig
+        tracer = Tracer()
+        previous = trace.activate(tracer)
+        try:
+            runner = SupervisedRunner(
+                generate_limpet_mlir(luo_rudy), n_workers=2,
+                fault_plan=FaultPlan(kill_worker=0, kill_worker_at_task=1),
+                config=SupervisionConfig(max_retries=0, task_timeout=5.0))
+            try:
+                runner.run(runner.make_state(24), 10, 0.01)
+                assert runner.active_tier == "single"
+            finally:
+                runner.close()
+        finally:
+            trace.deactivate(previous)
+        [mark] = [e for e in tracer.to_chrome()["traceEvents"]
+                  if e["ph"] == "i"
+                  and e["name"] == "diagnostic:run/supervised"
+                  and "degrading" in e["args"]["message"]]
+        where = {"slot": 0, "step": 0, "attempts": 1}
+        assert {k: mark["args"][k] for k in where} == where
+
+    def test_failures_write_nothing_under_home(self, tmp_path, monkeypatch,
+                                               luo_rudy):
+        """A quarantining compile with no reproducer dir and a worker
+        kill each leave their record in kept places (Diagnostics, the
+        env-gated ledger): nothing is written under ``$HOME``."""
+        from repro.resilience import (FaultInjector, FaultPlan,
+                                      compile_resilient)
+        from repro.runtime import SupervisedRunner, SupervisionConfig
+        monkeypatch.setenv("HOME", str(tmp_path))
+        monkeypatch.delenv("LIMPET_FLIGHT_DIR", raising=False)
+        compiled = compile_resilient(
+            "FitzHughNagumo", artifacts=False,
+            inject=FaultInjector(FaultPlan(fail_pass="cse")))
+        assert compiled.sandbox.quarantined == {"cse"}
+        runner = SupervisedRunner(
+            generate_limpet_mlir(luo_rudy), n_workers=2,
+            fault_plan=FaultPlan(kill_worker=0, kill_worker_at_task=1),
+            config=SupervisionConfig(task_timeout=10.0))
+        try:
+            runner.run(runner.make_state(24), 10, 0.01)
+            assert runner.active_tier == "supervised"
+        finally:
+            runner.close()
+        assert any("restarted worker 0" in d.message
+                   for d in runner.diagnostics)
+        assert [p.relative_to(tmp_path) for p in tmp_path.rglob("*")] == []
 
 
 # ---------------------------------------------------------------------------
@@ -513,33 +510,4 @@ class TestTelemetryCli:
         from repro.cli import cmd_ledger
         assert cmd_ledger(str(tmp_path / "none.jsonl"), None, None,
                           None, False, False) == 1
-
-    def test_flight_cli_shows_latest(self, tmp_path, capsys):
-        from repro.cli import cmd_flight
-        rec = flight.FlightRecorder()
-        rec.record("span", name="compile")
-        rec.dump("test_reason", directory=tmp_path)
-        assert cmd_flight("show", str(tmp_path), 10, False) == 0
-        out = capsys.readouterr().out
-        assert "test_reason" in out
-        assert cmd_flight("list", str(tmp_path), 10, False) == 0
-
-    def test_flight_cli_no_dumps_fails(self, tmp_path):
-        from repro.cli import cmd_flight
-        assert cmd_flight("show", str(tmp_path), 10, False) == 1
-
-    def test_flight_cli_corrupt_dump_fails_cleanly(self, tmp_path,
-                                                   monkeypatch, capsys):
-        """A truncated or foreign dump is listed as corrupt and ``show``
-        exits 1 with a message: no traceback, no new dump about it."""
-        from repro.cli import main
-        monkeypatch.setenv(flight.FLIGHT_DIR_ENV, str(tmp_path))
-        (tmp_path / "flight-1-1.json").write_text('{"format": "limp')
-        (tmp_path / "flight-1-2.json").write_text("[]")
-        assert main(["flight", "list"]) == 0
-        assert capsys.readouterr().out.count("reason=corrupt") == 2
-        assert main(["flight", "show"]) == 1
-        assert "is corrupt or not a flight dump" in capsys.readouterr().err
-        assert sorted(p.name for p in tmp_path.iterdir()) \
-            == ["flight-1-1.json", "flight-1-2.json"]
 
