@@ -35,11 +35,11 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Union
 
 from ..models import model_source_hash
-from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION, quarantine_entry,
                                     read_entry)
 from ..runtime.resolve import toolchain_identity
-from .bundle import BUNDLE_FORMAT_VERSION, ArtifactStore, corrupt_counter
+from .bundle import (BUNDLE_FORMAT_VERSION, ArtifactStore, corrupt_counter,
+                     count_stale)
 
 
 @dataclass
@@ -86,12 +86,6 @@ class AuditReport:
                              for f in self.findings]}
 
 
-def _count_stale() -> None:
-    _metrics.counter(
-        "artifact_stale_total",
-        "AOT artifact entries found stale (drifted inputs)").inc()
-
-
 def _rederive_key(entry: Dict, fingerprint: str) -> Optional[str]:
     """Generate the entry's kernel again and recompute its cache key."""
     from ..codegen import generate
@@ -134,7 +128,7 @@ def audit_bundle(root: Union[str, pathlib.Path],
             report.findings.append(AuditFinding(
                 key=key, model=model, kind="missing",
                 detail=f"entry file {path.name} does not exist"))
-            _count_stale()
+            count_stale()
             continue
         entry, corrupt = read_entry(path, BUNDLE_FORMAT_VERSION)
         if entry is None:
@@ -156,21 +150,21 @@ def audit_bundle(root: Union[str, pathlib.Path],
                 detail=(f"keyed under cache format "
                         f"v{prov.get('cache_format_version')}, current "
                         f"v{CACHE_FORMAT_VERSION}; rebuild the bundle")))
-            _count_stale()
+            count_stale()
             continue
         if prov.get("pipeline_fingerprint") != current_fp:
             report.findings.append(AuditFinding(
                 key=key, model=model, kind="pipeline_drift",
                 detail=(f"built with {prov.get('pipeline_fingerprint')!r},"
                         f" current {current_fp!r}")))
-            _count_stale()
+            count_stale()
             flagged = True
         if prov.get("lowering_version") != lowering_version:
             report.findings.append(AuditFinding(
                 key=key, model=model, kind="lowering_drift",
                 detail=(f"built at v{prov.get('lowering_version')}, "
                         f"current v{lowering_version}")))
-            _count_stale()
+            count_stale()
             flagged = True
         try:
             current_hash = model_source_hash(model)
@@ -180,7 +174,7 @@ def audit_bundle(root: Union[str, pathlib.Path],
             report.findings.append(AuditFinding(
                 key=key, model=model, kind="source_drift",
                 detail="model source bytes changed since build"))
-            _count_stale()
+            count_stale()
             flagged = True
         if deep and not flagged:
             try:
@@ -195,5 +189,5 @@ def audit_bundle(root: Union[str, pathlib.Path],
                 report.findings.append(AuditFinding(
                     key=key, model=model, kind="key_mismatch",
                     detail=detail))
-                _count_stale()
+                count_stale()
     return report

@@ -27,7 +27,6 @@ from typing import Dict, List, Optional, Sequence, Union
 
 from ..codegen import backend_for, generate
 from ..models import all_model_files, load_model, model_source_hash
-from ..obs import metrics as _metrics
 from ..runtime.kernel_cache import (CACHE_FORMAT_VERSION,
                                     kernel_cache_key, payload_checksum,
                                     read_entry, write_atomic)
@@ -165,9 +164,6 @@ def build_bundle(dest: Union[str, pathlib.Path],
     manifest = _read_manifest(root)
     report = BuildReport(root=str(root))
     changed = False
-    build_hist = _metrics.histogram(
-        "artifact_build_seconds",
-        "wall seconds to AOT-build one bundle entry")
 
     def failed(name: str, err: Exception, key: str = "",
                backend: str = "") -> None:
@@ -209,7 +205,6 @@ def build_bundle(dest: Union[str, pathlib.Path],
             failed(name, err, key, backend)
             continue
         seconds = time.perf_counter() - start
-        build_hist.observe(seconds)
         manifest["entries"][key] = {
             "model": name, "backend": backend,
             "width": generated.spec.width,

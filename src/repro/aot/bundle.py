@@ -172,6 +172,14 @@ def corrupt_counter():
         "corrupt AOT artifact entries/manifests detected")
 
 
+def count_stale() -> None:
+    """``artifact_stale_total``: bundle entries whose inputs drifted,
+    counted by the runtime store and the audit alike."""
+    _metrics.counter(
+        "artifact_stale_total",
+        "AOT artifact entries found stale (drifted inputs)").inc()
+
+
 def _count_hit() -> None:
     _metrics.counter("artifact_hits_total",
                      "AOT artifact-tier kernel hits").inc()
@@ -386,9 +394,7 @@ def runner_from_store(model, backend: str = "limpet_mlir",
         _count_miss()
         return None
     if ment.get("source_hash") != current_hash:
-        _metrics.counter(
-            "artifact_stale_total",
-            "AOT artifact entries found stale (drifted inputs)").inc()
+        count_stale()
         _log_artifact_diagnostic(
             f"artifact for {name} is stale (model source drifted); "
             "falling back to JIT", model=name, key=key)

@@ -6,7 +6,7 @@ The unified measurement layer of the reproduction (DESIGN.md §8):
   compile-and-run pipeline, exported as Chrome trace-event JSON and a
   plain-text tree (``limpet-bench trace``, ``$LIMPET_TRACE``); forked
   supervised workers stream their spans into the parent's one trace;
-* :mod:`repro.obs.metrics` — process-wide counters/gauges/histograms
+* :mod:`repro.obs.metrics` — process-wide counters and gauges
   with JSON and Prometheus exports (``limpet-bench metrics``);
 * :mod:`repro.obs.passes` — concrete
   :class:`~repro.ir.passes.PassInstrumentation` hooks (per-pass spans

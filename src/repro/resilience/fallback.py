@@ -21,7 +21,6 @@ from ..codegen import GeneratedKernel, UnsupportedModelError, generate
 from ..frontend.model import IonicModel
 from ..models import load_model
 from ..obs import ledger as _ledger
-from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from ..runtime import KernelRunner, make_runner
 from .diagnostics import Diagnostic, Severity, log_diagnostic
@@ -126,8 +125,6 @@ def compile_resilient(model: Union[str, IonicModel],
                 severity=severity, with_traceback=not isinstance(
                     err, UnsupportedModelError),
                 tier=tier, model=model.name)))
-            _metrics.counter("fallback_tier_skips_total",
-                             "backend tiers skipped by the chain").inc()
             continue
         if runner.artifact_hit:
             outcome = (f"loaded {model.name} from AOT artifact bundle via "

@@ -148,9 +148,6 @@ class SandboxedPassManager(PassManager):
         module.attributes = dict(restored.attributes)
         replayed = [ran.name for ran, _ in journal]
         self.replayed_passes.extend(replayed)
-        _metrics.counter("sandbox_replays_total",
-                         "sandbox rollbacks replayed from the checkpoint"
-                         ).inc()
         self.quarantined.add(pass_.name)
         bundle: Optional[pathlib.Path] = None
         if self.reproducer_dir is not None:

@@ -29,7 +29,6 @@ import numpy as np
 from ..codegen.common import GeneratedKernel
 from ..frontend.model import IonicModel
 from ..ir.passes.pass_manager import PassManager
-from ..obs import metrics as _metrics
 from ..obs import trace as _trace
 from .kernel_cache import KernelCache, default_cache
 from .lut_runtime import LUTData, build_all_luts
@@ -492,8 +491,6 @@ class KernelRunner:
             event = DivergenceEvent(step=state.steps_done, time=state.time,
                                     dt=cur_dt, arrays=bad)
             report.events.append(event)
-            _metrics.counter("watchdog_nan_events_total",
-                             "NaN/Inf detections by the watchdog").inc()
             _trace.instant("watchdog_divergence", step=state.steps_done,
                            dt=cur_dt, arrays=list(bad))
             report.ok = False
@@ -524,9 +521,6 @@ class KernelRunner:
                 del trace[trace_mark:]
             event.action = "rolled_back"
             report.retries += 1
-            _metrics.counter("watchdog_retries_total",
-                             "checkpoint rollbacks taken by the "
-                             "watchdog").inc()
             cur_dt = next_dt
         report.final_dt = cur_dt
         report.ok = not report.aborted and not guard.scan(state)

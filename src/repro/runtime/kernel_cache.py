@@ -25,8 +25,7 @@ written without it).  Both stores share this module's entry check
 (:func:`read_entry`), quarantine (:func:`quarantine_entry`) and write
 (:func:`write_atomic`).  A load is a read: it writes nothing but a
 hit's LRU mtime.  Hit/miss counts are this process's
-(:attr:`KernelCache.stats` and the ``kernel_cache_*_total`` metrics);
-across processes they are the run ledger's ``cache=`` column, and
+(the ``kernel_cache_*_total`` metrics); across processes they are the run ledger's ``cache=`` column, and
 ``limpet-bench cache-stats`` reports what the directory holds.
 
 Crash safety (the cache is shared by every process of a sweep, and by
@@ -57,7 +56,7 @@ import json
 import os
 import pathlib
 import threading
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple, Union
 
 from ..obs import metrics as _metrics
@@ -78,20 +77,13 @@ QUARANTINE_DIR = "quarantine"
 
 @dataclass
 class CacheStats:
-    """Counters for one cache: this process's hits, misses, evictions
-    and corrupt reads (:attr:`KernelCache.stats`), or what its
-    directory holds (:meth:`KernelCache.persistent_stats`: entries,
-    bytes and, as ``corrupt``, the quarantined count)."""
+    """What one cache's directory holds
+    (:meth:`KernelCache.persistent_stats`): entries, bytes and, as
+    ``corrupt``, the quarantined count."""
 
-    hits: int = 0
-    misses: int = 0
-    evictions: int = 0
     entries: int = 0
     bytes: int = 0
     corrupt: int = 0
-
-    def as_dict(self) -> Dict[str, int]:
-        return asdict(self)
 
 
 def kernel_cache_key(generated, pipeline_fingerprint: str,
@@ -235,7 +227,6 @@ class KernelCache:
     def __init__(self, root, max_entries: int = 512):
         self.root = pathlib.Path(root)
         self.max_entries = max_entries
-        self.stats = CacheStats()
         #: this process's stores once the root stopped being written
         self._overlay: Dict[str, Dict] = {}
         self._writable = True
@@ -288,7 +279,6 @@ class KernelCache:
             path = self._path(key)
             payload, corrupt = read_entry(path, CACHE_FORMAT_VERSION)
             if corrupt is not None:
-                self.stats.corrupt += 1
                 quarantine_entry(
                     self.root, path, corrupt, "kernel_cache",
                     _metrics.counter(
@@ -301,11 +291,9 @@ class KernelCache:
                 except OSError:
                     pass
         if payload is None:
-            self.stats.misses += 1
             _metrics.counter("kernel_cache_misses_total",
                              "persistent kernel-cache misses").inc()
             return None
-        self.stats.hits += 1
         _metrics.counter("kernel_cache_hits_total",
                          "persistent kernel-cache hits").inc()
         return payload
@@ -353,7 +341,6 @@ class KernelCache:
                 continue
             evicted += 1
         if evicted:
-            self.stats.evictions += evicted
             _metrics.counter("kernel_cache_evictions_total",
                              "persistent kernel-cache LRU evictions"
                              ).inc(evicted)
@@ -377,7 +364,8 @@ class KernelCache:
         """What the directory holds: the entries a load would serve,
         their bytes, and the quarantined count.  Hits, misses and
         evictions across processes are the run ledger's (its
-        ``cache=`` column); :attr:`stats` counts this process's."""
+        ``cache=`` column); the ``kernel_cache_*_total`` metrics count
+        this process's."""
         entries = [p for p in self.root.glob("*.json")
                    if read_entry(p, CACHE_FORMAT_VERSION)[0] is not None]
         quarantined = sum(

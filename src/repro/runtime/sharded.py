@@ -23,7 +23,6 @@ import os
 from typing import List, Optional, Tuple
 
 from ..codegen.common import GeneratedKernel
-from ..obs import metrics as _metrics
 from .executor import KernelRunner
 from .state import SimulationState
 
@@ -77,13 +76,4 @@ class ShardedRunner(KernelRunner):
             return cached[1]
         bounds = shard_bounds(state.n_alloc, self.n_threads, self.spec.width)
         self._shards = (state.n_alloc, bounds)
-        sizes = [end - start for start, end in bounds]
-        if sizes:
-            mean = sum(sizes) / len(sizes)
-            _metrics.gauge("shard_count",
-                           "shards of the latest decomposition"
-                           ).set(len(bounds))
-            _metrics.gauge("shard_imbalance_ratio",
-                           "largest shard / mean shard size"
-                           ).set(max(sizes) / mean if mean else 1.0)
         return bounds

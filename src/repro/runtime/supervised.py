@@ -339,8 +339,6 @@ class SupervisedRunner(ShardedRunner):
         # even before the first fault (operators see zeros, not gaps)
         _metrics.counter("worker_restarts_total",
                          "supervised workers killed and respawned")
-        _metrics.counter("shard_retries_total",
-                         "shard tasks re-dispatched after a failure")
         _metrics.counter("degradations_total",
                          "execution-tier downgrades taken")
         _metrics.gauge("supervised_workers",
@@ -385,9 +383,6 @@ class SupervisedRunner(ShardedRunner):
         self._tier = target
         _metrics.counter("degradations_total",
                          "execution-tier downgrades taken").inc()
-        _metrics.gauge("supervised_workers",
-                       "live worker processes of the supervised "
-                       "tier").set(0)
         _ledger.record_event("degradation", model=self.model.name,
                              tier=target, from_tier=from_tier,
                              disposition="degraded", slot=slot,
@@ -471,14 +466,6 @@ class SupervisedRunner(ShardedRunner):
                 kind, reason = failure
                 step = state.steps_done + int(self._progress[slot])
                 attempts[slot] += 1
-                _metrics.counter(
-                    "shard_retries_total",
-                    "shard tasks re-dispatched after a failure").inc()
-                _metrics.counter(
-                    "worker_failures_total",
-                    "supervised worker failures by shard and reason",
-                    labelnames=("shard", "reason")).labels(
-                        shard=str(slot), reason=kind).inc()
                 if attempts[slot] > self.config.max_retries:
                     raise SupervisedExecutionError(
                         f"shard {slot} [{task.start}, {task.end}) failed "

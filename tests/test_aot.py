@@ -225,8 +225,6 @@ class TestArtifactTier:
         text = obs_metrics.to_prometheus()
         assert "# TYPE artifact_hits_total counter" in text
         assert "# TYPE artifact_misses_total counter" in text
-        # registered by the build the fixture ran in this process
-        assert "# TYPE artifact_build_seconds histogram" in text
 
     def test_run_result_carries_cold_start_fields(self, bundle):
         runner = runner_from_store("Plonsey", width=8,

@@ -22,6 +22,7 @@ import pytest
 from repro.aot import ArtifactStore, build_bundle, runner_from_store
 from repro.codegen import generate_limpet_mlir
 from repro.models import load_model
+from repro.obs import metrics
 from repro.runtime import KernelCache
 from repro.runtime.executor import KernelRunner
 from repro.runtime.kernel_cache import payload_checksum
@@ -143,7 +144,8 @@ def test_tampered_code_is_quarantined_before_unmarshalling(warm_cache):
     cache = KernelCache(root)
     with marshal_loads() as loads:
         payload = cache.load(path.stem)
-    assert payload is None and cache.stats.corrupt == 1
+    assert payload is None
+    assert metrics.counter("kernel_cache_corrupt_total").value == 1
     assert list((root / "quarantine").glob("*.json"))
     assert loads == []
 

@@ -9,6 +9,7 @@ import threading
 import numpy as np
 import pytest
 
+from repro.obs import metrics
 from repro.resilience import WatchdogConfig, corrupt_cache_entry
 from repro.runtime import KernelCache, file_lock, locking_available
 from repro.runtime.kernel_cache import payload_checksum
@@ -21,6 +22,11 @@ def store_entry(cache, key="k1", source="def f(): pass"):
     cache.store(key, source=source, mode="vector", width=8,
                 arg_names=["sv"], function_name="f", fused=True,
                 arena=False)
+
+
+def corrupt_count():
+    """This process's ``kernel_cache_corrupt_total``."""
+    return metrics.counter("kernel_cache_corrupt_total").value
 
 
 # ---------------------------------------------------------------------------
@@ -42,7 +48,7 @@ class TestKernelCacheChecksums:
         corrupted = corrupt_cache_entry(cache, mode="truncate")
         assert corrupted is not None
         assert cache.load("k1") is None
-        assert cache.stats.corrupt == 1
+        assert corrupt_count() == 1
         # moved aside, not deleted: available for post-mortem
         quarantine = cache.root / "quarantine"
         assert list(quarantine.glob("*.json"))
@@ -53,7 +59,7 @@ class TestKernelCacheChecksums:
         store_entry(cache)
         corrupt_cache_entry(cache, mode="scramble")
         assert cache.load("k1") is None
-        assert cache.stats.corrupt == 1
+        assert corrupt_count() == 1
 
     def test_rebuild_after_quarantine(self, tmp_path):
         cache = KernelCache(tmp_path / "kernels")
@@ -72,7 +78,6 @@ class TestKernelCacheChecksums:
         assert cache.load("bbb") is not None
 
     def test_corrupt_counter_in_metrics(self, tmp_path):
-        from repro.obs import metrics
         cache = KernelCache(tmp_path / "kernels")
         store_entry(cache)
         before = getattr(metrics.default_registry()
@@ -113,13 +118,12 @@ class TestKernelCacheFallback:
         store_entry(cache)
         assert cache.load("k1")["source"] == "def f(): pass"
         assert cache.load("nope") is None
-        assert cache.stats.corrupt == 0
+        assert corrupt_count() == 0
         # the directory holds nothing; the store lives in this process
         stats = cache.persistent_stats()
         assert stats.entries == 0 and stats.bytes == 0
 
     def test_fallback_increments_metric(self, tmp_path):
-        from repro.obs import metrics
         before = getattr(metrics.default_registry()
                          .get("cache_readonly_fallbacks_total"), "value", 0)
         KernelCache(self.unwritable_root(tmp_path))

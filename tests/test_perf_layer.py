@@ -10,6 +10,7 @@ from repro.ir.dialects.arith import trunc_div, trunc_rem
 from repro.ir.passes import default_pipeline
 from repro.ir.passes.pass_manager import PassManager
 from repro.models import load_model
+from repro.obs import metrics
 from repro.runtime import (KernelCache, KernelRunner, compare_trajectories,
                            kernel_cache_key, shard_bounds)
 from repro.runtime.interpreter import interpret_kernel
@@ -22,6 +23,11 @@ DIFF_MODELS = ["Plonsey", "HodgkinHuxley", "LuoRudy91", "OHara",
 
 def make_runner(name, **kwargs):
     return KernelRunner(generate_limpet_mlir(load_model(name)), **kwargs)
+
+
+def cache_count(event):
+    """This process's ``kernel_cache_<event>_total``."""
+    return metrics.counter(f"kernel_cache_{event}_total").value
 
 
 # ---------------------------------------------------------------------------
@@ -137,7 +143,7 @@ class TestKernelCache:
         assert not first.cache_hit
         second = make_runner("HodgkinHuxley", cache=cache)
         assert second.cache_hit
-        assert cache.stats.misses == 1 and cache.stats.hits == 1
+        assert cache_count("misses") == 1 and cache_count("hits") == 1
         assert second.kernel.source == first.kernel.source
 
     def test_cached_kernel_runs_identically(self, tmp_path):
@@ -172,7 +178,7 @@ class TestKernelCache:
                             verify_each=False)
         third = make_runner("Plonsey", cache=cache, pipeline=short)
         assert not third.cache_hit
-        assert cache.stats.misses == 2
+        assert cache_count("misses") == 2
 
     def test_key_changes_with_pass_version(self):
         g = generate_limpet_mlir(load_model("Plonsey"))
@@ -213,7 +219,7 @@ class TestKernelCache:
         for name in ("Plonsey", "HodgkinHuxley", "LuoRudy91"):
             make_runner(name, cache=cache)
         assert len(list(cache.root.glob("*.json"))) == 2
-        assert cache.stats.evictions >= 1
+        assert cache_count("evictions") >= 1
 
     def test_eviction_does_not_wait_on_its_own_lock(self, tmp_path,
                                                     monkeypatch):
@@ -240,7 +246,7 @@ class TestKernelCache:
                         fused=True, arena=False)
         assert time.perf_counter() - start < 1.0
         assert yielded and all(yielded)
-        assert cache.stats.evictions == 1
+        assert cache_count("evictions") == 1
 
     def test_persistent_stats_across_instances(self, tmp_path):
         cache_a = KernelCache(tmp_path)

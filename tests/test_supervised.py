@@ -454,6 +454,27 @@ class TestCrashRecovery:
             # 30 s the worker would have slept
             assert elapsed < 15.0
 
+    @pytest.mark.parametrize("max_retries, restarts, degradations",
+                             [(0, 0, 1), (1, 1, 0)])
+    def test_one_kill_is_counted_once(self, max_retries, restarts,
+                                      degradations):
+        # a retry that max_retries forbids is no restart; the failure
+        # itself is the Diagnostics' and the ledger's, not a counter's
+        from repro.obs import metrics
+        plan = FaultPlan(kill_worker=0, kill_worker_at_task=1)
+        config = SupervisionConfig(max_retries=max_retries, **FAST)
+        with SupervisedRunner(make_generated("LuoRudy91"), n_workers=2,
+                              fault_plan=plan, config=config) as sup:
+            sup.run(sup.make_state(24), 10, 0.01)
+        snap = metrics.snapshot()
+        expected = {"worker_restarts_total": restarts,
+                    "degradations_total": degradations}
+        for name, value in expected.items():
+            assert snap[name]["value"] == value
+        counted = {name: metric["value"] for name, metric in snap.items()
+                   if metric["type"] == "counter" and metric["value"]}
+        assert counted == {name: n for name, n in expected.items() if n}
+
 
 # ---------------------------------------------------------------------------
 # The degradation ladder
@@ -604,8 +625,8 @@ class TestLifecycle:
         from repro.obs import metrics
         SupervisedRunner(make_generated("Plonsey"), n_workers=2).close()
         snap = metrics.snapshot()
-        for name in ("worker_restarts_total", "shard_retries_total",
-                     "degradations_total", "supervised_workers"):
+        for name in ("worker_restarts_total", "degradations_total",
+                     "supervised_workers"):
             assert name in snap
 
 

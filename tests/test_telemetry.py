@@ -16,7 +16,7 @@ import json
 import pytest
 
 from repro.codegen import generate_limpet_mlir
-from repro.obs import ledger, metrics, trace
+from repro.obs import ledger, trace
 from repro.obs.trace import Tracer
 
 
@@ -56,36 +56,6 @@ class TestTraceContext:
         assert "shard_task" in names
         # repeated drains must not duplicate spans
         assert child.drain_events() == []
-
-
-# ---------------------------------------------------------------------------
-# Labeled counters
-# ---------------------------------------------------------------------------
-
-class TestLabeledCounters:
-    def test_series_and_total(self):
-        c = metrics.counter("tl_failures_total", "test",
-                            labelnames=("shard", "reason"))
-        c.labels(shard="0", reason="died").inc()
-        c.labels(shard="0", reason="died").inc()
-        c.labels(shard="1", reason="stalled").inc()
-        assert c.value == 3
-        assert c.series()['shard="0",reason="died"'] == 2
-
-    def test_label_shape_enforced(self):
-        c = metrics.counter("tl_shape_total", "test",
-                            labelnames=("shard",))
-        with pytest.raises(ValueError):
-            c.labels(reason="died")
-        with pytest.raises(TypeError):
-            metrics.counter("tl_shape_total", "test")
-
-    def test_prometheus_exposition(self):
-        c = metrics.counter("tl_prom_total", "test",
-                            labelnames=("kind",))
-        c.labels(kind="a").inc(2)
-        text = metrics.to_prometheus()
-        assert 'tl_prom_total{kind="a"} 2' in text
 
 
 # ---------------------------------------------------------------------------
@@ -219,14 +189,6 @@ class TestSupervisedTelemetry:
         assert (restart["slot"], restart["attempt"]) == (0, 1)
         assert restart["kind"] in ("died", "pipe_closed")
         assert restart["trace_id"] == tracer.trace_id
-
-        # the labeled failure counter has the shard/reason series
-        fails = metrics.snapshot()["worker_failures_total"]
-        assert fails["value"] >= 1
-        assert any('shard="0"' in key and
-                   ('reason="died"' in key or
-                    'reason="pipe_closed"' in key)
-                   for key in fails["series"])
 
         # and the ledger recorded the run on the supervised tier
         rows = book.read(event="run")
