@@ -25,6 +25,7 @@ from ..frontend.preprocessor import Preprocessor
 from ..ir.builder import IRBuilder
 from ..ir.core import Value
 from ..ir.dialects import arith, math as math_dialect
+from ..ir.dialects import vector as vector_dialect
 from ..ir.types import f64, i1
 from .layout import Layout
 
@@ -116,7 +117,9 @@ class GeneratedKernel:
     ``module`` is either the module (or ``None``: a bundled kernel has
     no IR) or the zero-argument emitter that builds it; the emitter runs
     on the first read of :attr:`module`, so a kernel served from a store
-    never pays for IR nobody reads.
+    never pays for IR nobody reads.  Emission is deterministic, so the
+    emitter also builds the module again: :meth:`take_module` hands it
+    to the read that emits, for a pass manager to roll back with.
     """
 
     def __init__(self, module, spec: KernelSpec, layout: Layout,
@@ -136,6 +139,14 @@ class GeneratedKernel:
     @module.setter
     def module(self, module) -> None:
         self._module = module
+
+    def take_module(self):
+        """``(module, rebuild)``: :attr:`module`, and the emitter when
+        this read is the one that emits it, so nothing has changed the
+        module yet and the emitter builds it again as it is now;
+        ``rebuild`` is None once the module was read or if it was given."""
+        rebuild = self._module if callable(self._module) else None
+        return self.module, rebuild
 
 
 class ExprEmitter:
@@ -187,14 +198,12 @@ class ExprEmitter:
         scalar = self.b.constant(float(value), f64)
         if self.width == 1:
             return scalar
-        from ..ir.dialects import vector as vector_dialect
         return vector_dialect.broadcast(self.b, scalar, self.width)
 
     def _bool_const(self, value: bool) -> Value:
         scalar = self.b.constant(bool(value), i1)
         if self.width == 1:
             return scalar
-        from ..ir.dialects import vector as vector_dialect
         return vector_dialect.broadcast(self.b, scalar, self.width)
 
     @staticmethod

@@ -65,7 +65,11 @@ class IRBuilder:
                result_hints: Sequence[Optional[str]] = ()) -> Operation:
         op = Operation(name, operands, result_types, attributes, body,
                        result_hints)
-        return self.insert(op)
+        if self._anchor is not None or self._block is None:
+            return self.insert(op)
+        op.parent = self._block         # Block.append for a new op
+        self._block.ops.append(op)
+        return op
 
     def constant(self, value: Any, ty: IRType) -> Value:
         """Create (or reuse) an ``arith.constant`` in the current block."""

@@ -54,8 +54,10 @@ class Value:
         """Rewrite every use of ``self`` to use ``other`` instead."""
         if other is self:
             return
-        for op, idx in list(self.uses):
-            op.set_operand(idx, other)
+        uses, self.uses = self.uses, []
+        for op, idx in uses:
+            op.operands[idx] = other
+        other.uses.extend(uses)
 
     @property
     def num_uses(self) -> int:
@@ -73,7 +75,10 @@ class OpResult(Value):
 
     def __init__(self, op: "Operation", index: int, ty: IRType,
                  name_hint: Optional[str] = None):
-        super().__init__(ty, name_hint)
+        # Value.__init__ spelled out: every op built pays for this
+        self.type = ty
+        self.uses = []
+        self.name_hint = name_hint
         self.op = op
         self.index = index
 
@@ -177,30 +182,29 @@ class Operation:
                  attributes: Optional[Dict[str, Any]] = None,
                  body: Optional["Block"] = None,
                  result_hints: Sequence[Optional[str]] = ()):
+        # every emitted op is built here: no call that is not needed
         self.name = name
         self.info: Optional[OpInfo] = _OP_REGISTRY.get(name)
         self.uid = next(_op_counter)
-        self.operands: List[Value] = []
-        self.attributes: Dict[str, Any] = dict(attributes or {})
+        self.attributes: Dict[str, Any] = (dict(attributes) if attributes
+                                           else {})
         self.parent: Optional[Block] = None
-        self.results: List[OpResult] = []
-        hints = list(result_hints) + [None] * (len(result_types) - len(result_hints))
+        results: List[OpResult] = []
+        hints = iter(result_hints)
         for i, ty in enumerate(result_types):
-            self.results.append(OpResult(self, i, ty, hints[i]))
+            results.append(OpResult(self, i, ty, next(hints, None)))
+        self.results = results
         self.body = body
         if body is not None:
             body.parent = self
-        for operand in operands:
-            self.append_operand(operand)
+        self.operands: List[Value] = list(operands)
+        for idx, operand in enumerate(self.operands):
+            if not isinstance(operand, Value):
+                raise IRError(f"{name}: operand must be a Value, "
+                              f"got {operand!r}")
+            operand.uses.append((self, idx))
 
     # -- operand management -------------------------------------------------
-
-    def append_operand(self, value: Value) -> None:
-        if not isinstance(value, Value):
-            raise IRError(f"{self.name}: operand must be a Value, got {value!r}")
-        idx = len(self.operands)
-        self.operands.append(value)
-        value.uses.append((self, idx))
 
     def set_operand(self, index: int, value: Value) -> None:
         old = self.operands[index]
@@ -242,16 +246,28 @@ class Operation:
 
     def erase(self) -> None:
         """Remove this op from its block; it must have no remaining uses."""
+        block = self.parent
+        self.detach()
+        if block is not None:
+            block.ops.remove(self)
+
+    def detach(self) -> None:
+        """Erase this op except from its block's op list, which still
+        holds it (with ``parent`` None) until the owner of that list
+        rebuilds it.  A pass that erases many ops of one block detaches
+        each and rebuilds the list once, where :meth:`erase` scans the
+        block per op.  It must have no remaining uses."""
         for res in self.results:
             if res.uses:
                 raise IRError(
                     f"cannot erase {self.name}: result still has "
                     f"{len(res.uses)} use(s)")
-        for op in self.walk():
-            op.drop_all_operands()
-        if self.parent is not None:
-            self.parent.ops.remove(self)
-            self.parent = None
+        if self.body is None:
+            self.drop_all_operands()
+        else:
+            for op in self.walk():
+                op.drop_all_operands()
+        self.parent = None
 
     def move_before(self, other: "Operation") -> None:
         """Move this op immediately before ``other`` (possibly new block)."""

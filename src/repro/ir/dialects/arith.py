@@ -42,10 +42,16 @@ def _same_type(op: Operation) -> None:
 
 
 def _require_float(op: Operation) -> None:
-    _same_type(op)          # so the first operand's type is every operand's
-    if op.operands and not op.operands[0].type.is_float:
-        raise IRError(f"{op.name}: expected float operand, "
-                      f"got {op.operands[0].type}")
+    # _same_type inlined (every compile verifies each op nine times), so
+    # the first operand's type is every operand's
+    operands = op.operands
+    if operands:
+        ty = operands[0].type
+        for v in operands:
+            if v.type is not ty:
+                _same_type(op)
+        if not ty.is_float:
+            raise IRError(f"{op.name}: expected float operand, got {ty}")
 
 
 def _require_int(op: Operation) -> None:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 from typing import Any, Optional
 
-from ..core import Block, Module, Operation, Value
+from ..core import Block, Module, Operation, OpResult, Value
 from ..builder import IRBuilder
 from .pass_manager import Pass
 
@@ -27,9 +27,8 @@ _IDENTITIES = {
 
 
 def _constant_value(value: Value) -> Optional[Any]:
-    owner = value.owner
-    if isinstance(owner, Operation) and owner.name == "arith.constant":
-        return owner.attributes["value"]
+    if isinstance(value, OpResult) and value.op.name == "arith.constant":
+        return value.op.attributes["value"]
     return None
 
 
@@ -44,17 +43,25 @@ class Canonicalize(Pass):
         return changed
 
     def _run_on_block(self, block: Block) -> bool:
+        """Rewrite ``block`` front to back while rebuilding its op list:
+        an op that survives is appended again, and a fold's constants,
+        built at the end of the list so far, land just before the op
+        they replace."""
         changed = False
         builder = IRBuilder(block)
-        for op in list(block.ops):
+        ops = list(block.ops)
+        block.ops.clear()
+        for op in ops:
             if op.body is not None:
                 changed |= self._run_on_block(op.body)
-            if op.parent is None:  # removed by an earlier rewrite
-                continue
-            changed |= self._try_rewrite(op, builder)
+            if self._try_rewrite(op, builder):
+                changed = True
+            else:
+                block.ops.append(op)
         return changed
 
     def _try_rewrite(self, op: Operation, builder: IRBuilder) -> bool:
+        """True when ``op`` was rewritten away (and detached)."""
         if self._try_fold(op, builder):
             return True
         if self._try_select(op):
@@ -70,7 +77,7 @@ class Canonicalize(Pass):
             return False
         chosen = op.operands[1] if cond else op.operands[2]
         op.result.replace_all_uses_with(chosen)
-        op.erase()
+        op.detach()
         return True
 
     def _try_fold(self, op: Operation, builder: IRBuilder) -> bool:
@@ -82,20 +89,21 @@ class Canonicalize(Pass):
         folded = info.fold(op, operand_values)
         if folded is None:
             return False
-        builder.set_insertion_point_before(op)
         for result, value in zip(op.results, folded):
             const = builder.constant(_normalize(value, result.type),
                                      result.type)
             result.replace_all_uses_with(const)
-        op.erase()
+        op.detach()
         return True
 
     def _try_identity(self, op: Operation) -> bool:
-        if len(op.operands) != 2 or len(op.results) != 1:
+        absorber = _ZERO_ABSORBING.get(op.name)
+        rule = _IDENTITIES.get(op.name)
+        if ((absorber is None and rule is None) or len(op.operands) != 2
+                or len(op.results) != 1):
             return False
         lhs_const = _constant_value(op.operands[0])
         rhs_const = _constant_value(op.operands[1])
-        absorber = _ZERO_ABSORBING.get(op.name)
         if absorber is not None:
             # x * 0 -> 0 (valid here: ionic model values are finite reals;
             # the generated code never multiplies by an infinite constant).
@@ -103,19 +111,18 @@ class Canonicalize(Pass):
                                         (rhs_const, op.operands[1])):
                 if const is not None and const == absorber:
                     op.result.replace_all_uses_with(zero_operand)
-                    op.erase()
+                    op.detach()
                     return True
-        rule = _IDENTITIES.get(op.name)
         if rule is None:
             return False
         identity, side = rule
         if rhs_const == identity and rhs_const is not None:
             op.result.replace_all_uses_with(op.operands[0])
-            op.erase()
+            op.detach()
             return True
         if side == "either" and lhs_const == identity and lhs_const is not None:
             op.result.replace_all_uses_with(op.operands[1])
-            op.erase()
+            op.detach()
             return True
         return False
 

@@ -24,12 +24,16 @@ class DCE(Pass):
 
     def _run_on_block(self, block: Block) -> bool:
         changed = False
-        for op in list(block.ops):
+        for op in block.ops:
             if op.body is not None:
                 changed |= self._run_on_block(op.body)
-        # Reverse order so a chain of dead ops dies in a single sweep.
-        for op in reversed(list(block.ops)):
+        # Reverse order so a chain of dead ops dies in a single sweep;
+        # the dead are detached and the op list rebuilt once.
+        dead = False
+        for op in reversed(block.ops):
             if _is_dead(op):
-                op.erase()
-                changed = True
-        return changed
+                op.detach()
+                dead = True
+        if dead:
+            block.ops[:] = [op for op in block.ops if op.parent is block]
+        return changed or dead

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass
-from typing import Dict, List, Optional
+from typing import Callable, Dict, List, Optional
 
 from ..core import Module
 from ..verifier import verify_module
@@ -115,8 +115,13 @@ class PassManager:
                           for p in self.passes)
         return f"[{stages}];iters={self.max_iterations}"
 
-    def run(self, module: Module, fixed_point: bool = False) -> bool:
-        """Run the pipeline once (or until stable); return overall change."""
+    def run(self, module: Module, fixed_point: bool = False,
+            rebuild: Optional[Callable[[], Module]] = None) -> bool:
+        """Run the pipeline once (or until stable); return overall change.
+
+        ``rebuild``, when given, builds ``module`` again as it is now; a
+        manager that rolls a failed pass back reads it, this one lets
+        the failure propagate and ignores it."""
         any_change = False
         for _ in range(self.max_iterations if fixed_point else 1):
             round_change = False

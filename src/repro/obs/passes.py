@@ -85,7 +85,8 @@ class IRSnapshotInstrumentation(PassInstrumentation):
     An ordinary instrument, attached by whoever wants the text: it
     prints the whole module per pass, which is why the
     :class:`~repro.resilience.sandbox.SandboxedPassManager` does not use
-    it (it rebuilds the pre-pass module from one checkpoint instead).
+    it (it rebuilds the pre-pass module instead: re-emit or re-parse,
+    then replay its journal).
     :attr:`last` is the latest capture; ``keep_history=True``
     additionally retains every ``(pass_name, ir_text)`` pair — the
     reference the sandbox's rollback is tested against.

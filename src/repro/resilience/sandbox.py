@@ -1,4 +1,4 @@
-"""Sandboxed pass execution: checkpoint -> run -> verify -> journal.
+"""Sandboxed pass execution: run -> verify -> journal; rebuild + replay.
 
 MLIR's structured-codegen line of work keeps long pass pipelines sound
 by verifying after each transform; this module goes one step further
@@ -9,12 +9,15 @@ remainder of the pipeline, and a **reproducer bundle** (pre-pass IR +
 pass name + traceback) is written to disk so the failure can be
 replayed offline.
 
-Rollback is a replay, not a stored snapshot.  The module is printed
-once, on entry (the **checkpoint**); every invocation that ran and
-verified goes into a **journal**; a failure parses the checkpoint and
-re-runs the journal.  The compile that never fails, which is every
-zoo model, prints once instead of once per pass; the per-pass
-``verify_module`` stays, including after a pass that reports no change.
+Rollback is a replay, not a stored snapshot: every invocation that ran
+and verified goes into a **journal**, and a failure rebuilds the module
+the pipeline was given, then re-runs the journal.  The rebuild re-emits
+or re-parses.  A module fresh from its emitter (what every compile
+through a runner runs) is emitted again, so the compile that never
+fails, which is every zoo model, prints nothing.  A bare module is
+printed once, on entry (the **checkpoint**), and re-parsed.  The
+per-pass ``verify_module`` stays, including after a pass that reports
+no change.
 
 The bundle layout::
 
@@ -29,11 +32,12 @@ The bundle round-trips through :func:`load_reproducer`, which re-parses
 
 from __future__ import annotations
 
+import functools
 import json
 import pathlib
 import time
 import traceback as _traceback
-from typing import Dict, List, Optional, Set, Tuple
+from typing import Callable, Dict, List, Optional, Set, Tuple
 
 from ..ir.core import Module
 from ..ir.parser import parse_module
@@ -77,20 +81,24 @@ def load_reproducer(bundle: pathlib.Path) -> Tuple[Module, Dict]:
 
 
 class ReplayError(RuntimeError):
-    """Rebuilding the pre-pass module from the checkpoint failed: a
-    journaled pass did not repeat what it did the first time."""
+    """Rebuilding the pre-pass module failed: the re-emitted or
+    re-parsed module did not take a journaled pass through what it did
+    the first time."""
 
     def __init__(self, detail: str):
-        super().__init__("cannot rebuild the pre-pass module, a journaled "
-                         f"pass is not deterministic: {detail}")
+        super().__init__("cannot rebuild the pre-pass module, the rebuild "
+                         "or a journaled pass is not deterministic: "
+                         f"{detail}")
 
 
-def _replay(checkpoint: str, journal: List[Tuple[Pass, bool]]) -> Module:
-    """Rebuild the module the journaled invocations left: parse the
-    checkpoint, re-run them, verify.  A fault-injection proxy is stepped
-    around (``inner``), so a replay never counts as an invocation."""
-    module = parse_module(checkpoint)
+def _replay(rebuild: Callable[[], Module],
+            journal: List[Tuple[Pass, bool]]) -> Module:
+    """Rebuild the module the journaled invocations left: build the
+    module the pipeline was given again (re-emit or re-parse), re-run
+    them, verify.  A fault-injection proxy is stepped around
+    (``inner``), so a replay never counts as an invocation."""
     try:
+        module = rebuild()
         repeated = [bool(getattr(pass_, "inner", pass_).run(module))
                     for pass_, _ in journal]
         verify_module(module)
@@ -113,14 +121,17 @@ class SandboxedPassManager(PassManager):
     quarantined pass; callers inspect :attr:`diagnostics` and
     :attr:`quarantined`.
 
-    The pre-pass state is rebuilt, not kept: :meth:`run` prints the
-    module once on entry (the checkpoint) and journals every invocation
-    that ran and verified.  Only a failure pays for a rollback (parse
-    the checkpoint, re-run the journal) and for the one further print
-    the reproducer needs.  Passes are deterministic, so the rebuilt
-    module prints byte-identically to the one the failing pass was
-    given; a replay that does not repeat raises :class:`ReplayError`
-    instead of quarantining a second pass.
+    The pre-pass state is rebuilt, not kept: :meth:`run` journals every
+    invocation that ran and verified, and a rollback re-emits or
+    re-parses the module it was given, then replays the journal.  Given
+    ``rebuild`` (the emitter of a module nothing has changed yet) it
+    re-emits and prints nothing; given a bare module it prints it once
+    on entry (the checkpoint) and re-parses that.  Only a failure pays
+    for a rollback and for the one print the reproducer needs.
+    Emission and passes are deterministic, so the rebuilt module prints
+    byte-identically to the one the failing pass was given; a replay
+    that does not repeat raises :class:`ReplayError` instead of
+    quarantining a second pass.
     """
 
     def __init__(self, passes: Optional[List[Pass]] = None,
@@ -139,11 +150,12 @@ class SandboxedPassManager(PassManager):
     # -- sandboxed execution -----------------------------------------------------
 
     def _quarantine(self, pass_: Pass, position: int, error: BaseException,
-                    stage: str, module: Module, checkpoint: str,
+                    stage: str, module: Module,
+                    rebuild: Callable[[], Module],
                     journal: List[Tuple[Pass, bool]]) -> None:
         """Roll ``module`` back in place to what the journal left of the
-        checkpoint, then quarantine ``pass_`` and leave the evidence."""
-        restored = _replay(checkpoint, journal)
+        rebuilt module, then quarantine ``pass_`` and leave the evidence."""
+        restored = _replay(rebuild, journal)
         module.body = restored.body
         module.attributes = dict(restored.attributes)
         replayed = [ran.name for ran, _ in journal]
@@ -162,27 +174,37 @@ class SandboxedPassManager(PassManager):
         _metrics.counter("pass_quarantines_total",
                          "passes quarantined by the sandbox").inc()
 
-    def run(self, module: Module, fixed_point: bool = False) -> bool:
+    def run(self, module: Module, fixed_point: bool = False,
+            rebuild: Optional[Callable[[], Module]] = None) -> bool:
         """Run the pipeline with per-pass rollback; never raises for a
-        quarantined pass (the module is always left verifying)."""
+        quarantined pass (the module is always left verifying).
+
+        ``rebuild`` builds ``module`` again as it is now (its emitter,
+        before any pass ran); without it the module is printed on entry
+        and a rollback re-parses that checkpoint."""
         with _trace.span("sandbox") as span:
-            start = time.perf_counter()
-            checkpoint = print_module(module)
-            spent = {"checkpoint_s": time.perf_counter() - start,
-                     "verify_s": 0.0}
+            source, checkpoint = "reemit", ""
+            spent = {"checkpoint_s": 0.0, "verify_s": 0.0}
+            if rebuild is None:
+                start = time.perf_counter()
+                source, checkpoint = "reparse", print_module(module)
+                spent["checkpoint_s"] = time.perf_counter() - start
+                rebuild = functools.partial(parse_module, checkpoint)
             journal: List[Tuple[Pass, bool]] = []
             contained = len(self.diagnostics)
             try:
-                return self._run(module, fixed_point, checkpoint, journal,
+                return self._run(module, fixed_point, rebuild, journal,
                                  spent)
             finally:
                 replays = len(self.diagnostics) - contained
-                span.annotate(checkpoint_bytes=len(checkpoint),
-                              invocations=len(journal) + replays,
-                              replays=replays, **spent)
+                span.annotate(
+                    rollback=source,
+                    checkpoint_bytes=len(checkpoint),
+                    invocations=len(journal) + replays,
+                    replays=replays, **spent)
 
-    def _run(self, module: Module, fixed_point: bool, checkpoint: str,
-             journal: List[Tuple[Pass, bool]],
+    def _run(self, module: Module, fixed_point: bool,
+             rebuild: Callable[[], Module], journal: List[Tuple[Pass, bool]],
              spent: Dict[str, float]) -> bool:
         any_change = False
         for _ in range(self.max_iterations if fixed_point else 1):
@@ -201,7 +223,7 @@ class SandboxedPassManager(PassManager):
                     stats.seconds += seconds
                     stats.runs += 1
                     self._quarantine(pass_, position, err, "pass", module,
-                                     checkpoint, journal)
+                                     rebuild, journal)
                     self._notify_error(pass_, module, err, seconds)
                     continue
                 seconds = time.perf_counter() - start
@@ -216,7 +238,7 @@ class SandboxedPassManager(PassManager):
                 spent["verify_s"] += time.perf_counter() - start
                 if rejected is not None:
                     self._quarantine(pass_, position, rejected, "verify",
-                                     module, checkpoint, journal)
+                                     module, rebuild, journal)
                     self._notify_error(pass_, module, rejected, seconds)
                     continue
                 journal.append((pass_, bool(changed)))

@@ -92,7 +92,8 @@ def resolve_kernel(generated, optimize: bool = True,
             look.annotate(hit=payload is not None)
         if payload is not None:
             return resolved(kernel_from_payload(payload), source, key)
-    module = generated.module       # every store missed: the IR is needed
+    # every store missed: the IR is needed
+    module, rebuild = generated.take_module()
     if pipeline is not None:
         tracer = _trace.active_tracer()
         if tracer is not None:
@@ -102,7 +103,7 @@ def resolve_kernel(generated, optimize: bool = True,
                 pipeline.add_instrumentation(
                     TracePassInstrumentation(tracer))
         with _trace.span("passes", model=model, pipeline=fingerprint):
-            pipeline.run(module, fixed_point=True)
+            pipeline.run(module, fixed_point=True, rebuild=rebuild)
     with _trace.span("verify", model=model):
         verify_module(module)
     with _trace.span("lowering", model=model, fuse=fuse, profile=profile):

@@ -2,11 +2,18 @@
 
 import pytest
 
-from repro.ir import IRBuilder, build_module, verify_module
+from repro import codegen
+from repro.ir import (IRBuilder, build_module, parse_module, print_module,
+                      verify_module)
 from repro.ir.dialects import arith, func, math, memref, scf
 from repro.ir.passes import (CSE, DCE, LICM, Canonicalize, PassManager,
                              default_pipeline)
+from repro.ir.passes.licm import _is_invariant
+from repro.ir.passes.pass_manager import Pass, PassInstrumentation
 from repro.ir.types import f64, index, memref_of
+from repro.models import load_model
+
+from .pins import TIER1_MODELS
 
 
 def make_func(module, inputs=(f64, f64), results=(f64,), hints=("x", "y")):
@@ -228,6 +235,112 @@ class TestLICM:
         LICM().run(module)
         names = [op.name for op in loop.body.ops]
         assert names == ["scf.yield"]
+
+
+class _LoopUntilStableLICM(Pass):
+    """The LICM that one sweep replaced, as it was: sweep each loop body
+    again while a sweep hoists, moving one op at a time."""
+
+    name = "licm"
+
+    def run(self, module):
+        changed = False
+        for op in module.walk():
+            if op.name == "scf.for":
+                changed |= self._hoist_from(op)
+        return changed
+
+    def _hoist_from(self, loop):
+        body, hoisted, changed, progress = loop.body, set(), False, True
+        while progress:
+            progress = False
+            for op in list(body.ops):
+                if op is not body.terminator and \
+                        _is_invariant(op, loop, hoisted):
+                    op.move_before(loop)
+                    hoisted.update(id(result) for result in op.results)
+                    progress = changed = True
+        return changed
+
+
+def _nested_loops_module():
+    """Two nested loops: the inner body holds an op invariant to both
+    loops, one invariant to the inner only, and their users."""
+    module, _ = build_module()
+    fn, b = make_func(module, inputs=(f64, index, memref_of(f64)),
+                      results=(), hints=("x", "n", "buf"))
+    zero, one = b.constant(0, index), b.constant(1, index)
+    outer = scf.for_op(b, zero, fn.args[1], one)
+    with b.at_end_of(outer.body):
+        row = memref.load(b, fn.args[2], [outer.induction_var])
+        inner = scf.for_op(b, zero, fn.args[1], one)
+        with b.at_end_of(inner.body):
+            both = arith.mulf(b, fn.args[0], fn.args[0])
+            outer_only = arith.addf(b, row, both)
+            cell = memref.load(b, fn.args[2], [inner.induction_var])
+            total = arith.addf(b, arith.mulf(b, cell, outer_only), both)
+            memref.store(b, math.exp(b, total), fn.args[2],
+                         [inner.induction_var])
+            scf.yield_op(b)
+        scf.yield_op(b)
+    func.ret(b)
+    return module
+
+
+class TestOneSweepLICM:
+    """One forward sweep hoists what the loop-until-stable LICM hoisted,
+    in the same order: the printed IR matches byte for byte."""
+
+    @staticmethod
+    def _both(text):
+        """Printed IR after each LICM invocation of a fixed-point
+        pipeline, with the sweep and with the oracle."""
+        out = []
+        for licm in (LICM(), _LoopUntilStableLICM()):
+            texts = []
+
+            class After(PassInstrumentation):
+                def after_pass(self, pass_, module, changed, seconds):
+                    if pass_.name == "licm":
+                        texts.append((changed, print_module(module)))
+
+            module = parse_module(text)
+            PassManager([Canonicalize(), CSE(), licm, DCE()]
+                        ).add_instrumentation(After()).run(
+                            module, fixed_point=True)
+            out.append(texts)
+        return out
+
+    @pytest.mark.parametrize("generate", [
+        codegen.generate_baseline, codegen.generate_limpet_mlir,
+        codegen.generate_icc_simd], ids=["baseline", "limpet_mlir",
+                                         "icc_simd"])
+    def test_zoo_kernels(self, generate):
+        compared = 0
+        for name in TIER1_MODELS:
+            model = load_model(name)
+            if model.foreign_functions and \
+                    generate is not codegen.generate_baseline:
+                continue
+            sweep, oracle = self._both(print_module(generate(model).module))
+            assert sweep == oracle and sweep[0][0]
+            compared += 1
+        assert compared >= 4
+
+    def test_nested_loops(self):
+        text = print_module(_nested_loops_module())
+        sweep, oracle = self._both(text)
+        assert sweep == oracle
+        # the op invariant to both loops leaves the inner one in round 1
+        # and the outer one in round 2
+        assert [changed for changed, _ in sweep] == [True, True, False]
+        single = parse_module(text)
+        assert PassManager([LICM()]).run(single, fixed_point=True)
+        outer = next(op for op in single.lookup_func("f").body.ops
+                     if op.name == "scf.for")
+        assert not any(op.name == "arith.mulf" and
+                       op.operands[0] is op.operands[1]
+                       for op in outer.walk())
 
 
 class TestDCE:

@@ -1,5 +1,8 @@
-"""The sandbox's rollback is a replay: one checkpoint print on entry, a
-journal of the invocations that took, and a rebuild only on failure.
+"""The sandbox's rollback is a replay: a journal of the invocations that
+took, and on failure a rebuild of the module the pipeline was given
+(re-emit or re-parse), then the journal again.  A module fresh from its
+emitter is emitted again and never printed ahead; a bare module is
+printed once on entry (the checkpoint) and re-parsed.
 
 The reference for "what the failing pass was given" is an uninterrupted
 plain ``PassManager`` carrying ``IRSnapshotInstrumentation``; the
@@ -25,6 +28,7 @@ from repro.resilience import (FaultInjector, FaultPlan, InjectedFault,
                               sandboxed_pipeline)
 from repro.resilience import sandbox as sandbox_module
 from repro.resilience.sandbox import ReplayError, SandboxedPassManager
+from repro.runtime.lowering import lower_function
 
 from .pins import TIER1_MODELS
 
@@ -154,6 +158,34 @@ class TestRollbackIsByteIdentical:
         assert print_module(module) == expected
         verify_module(module)
 
+    def test_every_position_reemitted(self, tmp_path, monkeypatch):
+        # the same faults through compile_resilient, whose module comes
+        # fresh from its emitter: the rollback emits it again instead of
+        # re-parsing a checkpoint, and prints only for the reproducer
+        text, history, _ = _reference("FitzHughNagumo")
+        prints = []
+        monkeypatch.setattr(sandbox_module, "print_module",
+                            lambda module: prints.append(1)
+                            or print_module(module))
+        for index, (name, invocation, before) in enumerate(history):
+            for kind in ("raise", "corrupt"):
+                oracle = parse_module(text)
+                faulty = FaultInjector(_plan(kind, name, invocation)
+                                       ).wrap_pipeline(default_pipeline())
+                assert _snapshot_per_pass(oracle, faulty.passes) == {name}
+                prints.clear()
+                compiled = compile_resilient(
+                    "FitzHughNagumo", reproducer_dir=tmp_path / f"{kind}-"
+                    f"{index}", inject=FaultInjector(
+                        _plan(kind, name, invocation)))
+                assert compiled.backend == "limpet_mlir"
+                assert compiled.sandbox.quarantined == {name}
+                assert len(prints) == 1     # the reproducer's, nothing else
+                [bundle] = compiled.sandbox.reproducers
+                assert (bundle / "module.ir").read_text() == before
+                assert compiled.runner.kernel.source == lower_function(
+                    oracle, compiled.kernel.spec.function_name).source
+
     def test_replay_is_not_an_injector_invocation(self, small_text):
         # canonicalize's first run is journaled through its proxy; the
         # rollback for cse re-runs it, and the proxy must not count that
@@ -196,6 +228,20 @@ class TestSuccessPath:
         assert not any(isinstance(i, IRSnapshotInstrumentation)
                        for i in pipeline.instrumentations)
 
+    def test_compile_resilient_prints_nothing(self, monkeypatch):
+        # an emitted module's rollback source is its emitter: a compile
+        # that never fails never prints
+        prints = []
+        monkeypatch.setattr(sandbox_module, "print_module",
+                            lambda module: prints.append(1)
+                            or print_module(module))
+        for name in TIER1_MODELS:
+            compiled = compile_resilient(name, artifacts=False)
+            assert compiled.runner.resolution.source == "jit"
+            assert compiled.sandbox.statistics
+            assert not compiled.sandbox.quarantined
+        assert prints == []
+
     def test_pipeline_from_the_same_text_prints_the_same_ir(self, reference):
         # the premise of replaying instead of storing
         text, _, after = reference
@@ -234,14 +280,20 @@ def _raise():
 
 
 class TestNonDeterministicPass:
+    @pytest.mark.parametrize("emitted", [False, True],
+                             ids=["reparse", "reemit"])
     @pytest.mark.parametrize("then", [_raise, lambda: False],
                              ids=["raises", "flips-its-change-flag"])
     def test_replay_raises_instead_of_quarantining_twice(self, small_text,
-                                                         then, tmp_path):
+                                                         then, emitted,
+                                                         tmp_path):
         pipeline = SandboxedPassManager([_Flaky(then), _Boom()],
                                         reproducer_dir=tmp_path)
+        module, rebuild = (
+            default_kernel(load_model("FitzHughNagumo")).take_module()
+            if emitted else (parse_module(small_text), None))
         with pytest.raises(ReplayError, match="not deterministic"):
-            pipeline.run(parse_module(small_text))
+            pipeline.run(module, rebuild=rebuild)
         assert pipeline.quarantined == set()
         assert pipeline.diagnostics == [] and pipeline.reproducers == []
 
@@ -256,11 +308,25 @@ class TestObservability:
             faulty = sandboxed_pipeline(tmp_path)
             FaultInjector(FaultPlan(fail_pass="licm")).wrap_pipeline(faulty)
             faulty.run(parse_module(small_text), fixed_point=True)
+            compile_resilient("FitzHughNagumo", artifacts=False)
         finally:
             trace.deactivate(previous)
+        # bare modules: each printed once on entry, the checkpoint
         spans = [s for s in tracer.roots if s.name == "sandbox"]
         assert [s.args["replays"] for s in spans] == [0, 1]
         assert all(s.args["checkpoint_bytes"] == len(small_text) for s in spans)
+        assert all(s.args["rollback"] == "reparse" for s in spans)
+        # an emitted module (compile_resilient's, a nested span) reports
+        # no checkpoint: zero bytes, zero seconds, rollback by re-emission
+        nested, stack = [], [c for r in tracer.roots for c in r.children]
+        while stack:
+            span = stack.pop()
+            nested.append(span)
+            stack += span.children
+        [emitted] = [s for s in nested if s.name == "sandbox"]
+        assert (emitted.args["checkpoint_bytes"],
+                emitted.args["checkpoint_s"],
+                emitted.args["rollback"]) == (0, 0.0, "reemit")
         assert spans[0].args["invocations"] == \
             sum(s.runs for s in clean.statistics.values())
         assert spans[1].args["invocations"] == \
