@@ -7,8 +7,12 @@ MLIR backend cannot vectorize an opaque call, which is (in this
 reproduction) why 4 of the 47 shipped models fall outside limpetMLIR's
 supported set — "43 out of 47 ionic models ... are supported" (§3.3.2).
 
-Foreign implementations registered here are NumPy-compatible so the
-scalar baseline engine can execute them per cell.
+Foreign implementations registered here are NumPy-compatible: the
+scalar baseline engine calls them per cell on Python floats and wraps
+the result in ``float()``; the interpreter and ``eval_expr`` call them
+on NumPy values.  They hold no ``np.errstate``: each caller holds one
+(the scalar kernel around its cell loop, ``Interpreter.call``,
+``eval_expr``), not one per call per cell.
 """
 
 from __future__ import annotations
@@ -44,28 +48,24 @@ def registered_foreign() -> Dict[str, Callable]:
 
 def _sac_tension(stretch):
     """Measured stretch-tension relation (piecewise-smooth saturation)."""
-    with np.errstate(all="ignore"):
-        s = np.maximum(stretch - 1.0, 0.0)
-        return 4.5 * s / (0.08 + s)
+    s = np.maximum(stretch - 1.0, 0.0)
+    return 4.5 * s / (0.08 + s)
 
 
 def _ach_release(t_activity):
     """Vagal acetylcholine release protocol (experiment-driven)."""
-    with np.errstate(all="ignore"):
-        return 0.1 + 0.05 * np.sin(0.002 * t_activity)
+    return 0.1 + 0.05 * np.sin(0.002 * t_activity)
 
 
 def _fibro_coupling(vm, g_gap):
     """Fibroblast-myocyte gap-junction current from tabulated data."""
-    with np.errstate(all="ignore"):
-        return g_gap * (vm + 22.5) / (1.0 + np.exp(-(vm + 40.0) / 15.0))
+    return g_gap * (vm + 22.5) / (1.0 + np.exp(-(vm + 40.0) / 15.0))
 
 
 def _afterload_pressure(volume):
     """Windkessel afterload pressure (external circulation model)."""
-    with np.errstate(all="ignore"):
-        return 10.0 + 120.0 * np.maximum(volume, 0.0) ** 1.2 / \
-            (1.0 + np.maximum(volume, 0.0) ** 1.2)
+    return 10.0 + 120.0 * np.maximum(volume, 0.0) ** 1.2 / \
+        (1.0 + np.maximum(volume, 0.0) ** 1.2)
 
 
 register_foreign("sac_tension", _sac_tension)

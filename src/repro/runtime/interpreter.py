@@ -49,8 +49,9 @@ class Interpreter:
         env: Dict[int, Any] = {id(block_arg): value
                                for block_arg, value in zip(entry.args,
                                                            args)}
-        result = self._run_block(entry, env)
-        return result
+        # the foreign functions hold no errstate: their caller holds one
+        with np.errstate(all="ignore"):
+            return self._run_block(entry, env)
 
     # -- structure ---------------------------------------------------------------
 

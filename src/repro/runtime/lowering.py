@@ -3,8 +3,10 @@
 This plays the role of MLIR's lowering to LLVM and JIT execution:
 
 * **scalar mode** (baseline kernels, width 1) — the cell loop becomes a
-  per-cell Python loop over ``math`` scalar operations: the unvectorized
-  engine, our stand-in for the clang-compiled scalar binary.
+  per-cell Python loop over ``math`` scalar operations on Python floats
+  (an f64 load is ``mem.item(i)``, a foreign call's result is wrapped in
+  ``float()``): the unvectorized engine, our stand-in for the
+  clang-compiled scalar binary.
 * **vector mode** (limpetMLIR/icc kernels, width W) — vector values
   become NumPy arrays and the cell loop is *flattened*: all blocks
   execute in one NumPy pass.  Lane semantics are preserved exactly
@@ -39,6 +41,7 @@ import numpy as np
 from ..ir.core import Module, Operation, Value, registered_ops
 from ..ir.dialects.arith import trunc_div, trunc_rem
 from ..ir.dialects.math import np_erf
+from ..ir.types import f64
 from .lut_runtime import (lut_interp_row, lut_interp_row_spline,
                           lut_interp_row_spline_vec, lut_interp_row_vec)
 from .schedule import (ACCESS_INDEX_OPERAND, Access, LoweringError, Pack,
@@ -46,7 +49,7 @@ from .schedule import (ACCESS_INDEX_OPERAND, Access, LoweringError, Pack,
 
 #: bump whenever generated source semantics change — part of the
 #: persistent kernel cache key (repro.runtime.kernel_cache)
-LOWERING_VERSION = 5
+LOWERING_VERSION = 6
 
 #: the largest array a kernel's packs may make (lanes x blocks x W
 #: float64s) for them to run packed; above it they run lane by lane
@@ -320,9 +323,14 @@ class _NumPyPrinter:
                  f"({', '.join(s.args)}):"]
         if s.uses_lanes:
             lines.append(f"    _lanes = np.arange({s.width})")
+        # the foreign functions hold no errstate: their caller holds one
+        indent = ""
+        if any(_foreign(stmt.op) for stmt in s.stmts):
+            lines.append('    with np.errstate(all="ignore"):')
+            indent = "    "
         for stmt in s.stmts:
             text = self.stmt(stmt)
-            lines += ["    " * stmt.depth + line
+            lines += [indent + "    " * stmt.depth + line
                       for chunk in (wrap(stmt, text) if wrap
                                     and stmt.compute else (text,))
                       for line in chunk.split("\n")]
@@ -413,7 +421,13 @@ class _NumPyPrinter:
         if name == "func.return":
             return f"return {', '.join(args)}" if args else "return"
         if name == "memref.load":
-            return f"{targets[0]} = {args[0]}[{', '.join(args[1:])}]"
+            index = ", ".join(args[1:])
+            # an f64 element is read as a Python float, so the scalar
+            # engine's arithmetic skips NumPy's scalar machinery; an
+            # integer stays a NumPy one, which wraps as the IR's does
+            if self.s.mode == "scalar" and op.results[0].type is f64:
+                return f"{targets[0]} = {args[0]}.item({index})"
+            return f"{targets[0]} = {args[0]}[{index}]"
         return f"{args[1]}[{', '.join(args[2:])}] = {args[0]}"
 
     def view(self, access: Access) -> str:
@@ -567,7 +581,15 @@ class _NumPyPrinter:
             bound += ","
         else:       # foreign_* and module-local functions alike
             call = f"{sanitize(callee)}({operands})"
+            if _foreign(op) and self.s.mode == "scalar":
+                call = f"float({call})"
         return f"{bound} = {call}" if targets else call
+
+
+def _foreign(op: Optional[Operation]) -> bool:
+    """Whether ``op`` calls a foreign (external C) function."""
+    return op is not None and op.name == "func.call" \
+        and op.attributes["callee"].startswith("foreign_")
 
 
 def _kernel_mode(func_op: Operation) -> tuple[str, int]:

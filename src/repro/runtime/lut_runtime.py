@@ -123,7 +123,12 @@ def build_lut(table: LUTTable, constants: Dict[str, float],
 
 
 def lut_interp_row(lut: LUTData, x: float) -> Tuple[float, ...]:
-    """Scalar linear interpolation of one row (baseline code path)."""
+    """Scalar linear interpolation of one row (baseline code path).
+
+    The two bracketing rows are read with one ``tolist()`` and the row
+    is interpolated in Python floats: bitwise what the same operations
+    on NumPy scalars give, without their per-operation dispatch.
+    """
     position = (x - lut.lo) / lut.step
     if position <= 0.0:
         idx, frac = 0, 0.0
@@ -134,10 +139,8 @@ def lut_interp_row(lut: LUTData, x: float) -> Tuple[float, ...]:
     else:
         idx = int(position)
         frac = position - idx
-    low = lut.rows[idx]
-    high = lut.rows[idx + 1]
-    return tuple(low[c] + frac * (high[c] - low[c])
-                 for c in range(lut.n_cols))
+    low, high = lut.rows[idx:idx + 2].tolist()
+    return tuple(a + frac * (b - a) for a, b in zip(low, high))
 
 
 def _index_frac(lut: LUTData, x) -> Tuple[np.ndarray, np.ndarray]:

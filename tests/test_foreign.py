@@ -1,5 +1,7 @@
 """Foreign-function tests: the 43-of-47 supported-models story (§3.3.2)."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -13,6 +15,9 @@ from repro.models import (ALL_MODELS, UNSUPPORTED_MODELS, all_model_files,
                           verify_registry)
 from repro.runtime import KernelRunner, register_foreign
 from repro.runtime.foreign import foreign_function, registered_foreign
+from repro.runtime.interpreter import interpret_kernel
+
+from .pins import TIER1_MODELS
 
 FOREIGN_SOURCE = """
 Vm; .external();
@@ -144,3 +149,72 @@ class TestRegistryAPI:
             args = [np.linspace(0.5, 2.0, 5)] * arity
             out = fn(*args)
             assert np.asarray(out).shape == (5,), name
+
+
+class TestScalarEngineComputesOnFloats:
+    """The baseline kernel reads state as Python floats: NumPy scalars
+    would route every operation of every cell through NumPy."""
+
+    @staticmethod
+    def _spy(fn, seen, skip=0):
+        """``fn``, noting the types of its arguments after ``skip``."""
+        def spy(*args):
+            seen.extend(type(arg) for arg in args[skip:])
+            return fn(*args)
+        return spy
+
+    @pytest.mark.parametrize("name", UNSUPPORTED_MODELS)
+    def test_foreign_and_lut_calls_see_floats(self, name, monkeypatch):
+        runner = KernelRunner(generate_baseline(load_registry_model(name)))
+        namespace = runner.kernel.fn.__globals__
+        foreign, lut = [], []
+        for key in [k for k in namespace if k.startswith("foreign_")]:
+            monkeypatch.setitem(namespace, key,
+                                self._spy(namespace[key], foreign))
+        monkeypatch.setitem(namespace, "_lut_scalar", self._spy(
+            namespace["_lut_scalar"], lut, skip=1))
+        runner.compute_step(runner.make_state(4, perturbation=0.01), 0.01)
+        assert foreign and set(foreign) == {float}, name
+        if runner.model.lut_tables:
+            assert lut and set(lut) == {float}, name
+
+    @pytest.mark.parametrize("name", TIER1_MODELS)
+    def test_state_and_externals_are_read_with_item(self, name):
+        runner = KernelRunner(generate_baseline(load_registry_model(name)))
+        source = runner.kernel.source
+        arrays = ["sv"] + [f"{ext}_ext" for ext in runner.model.externals]
+        assert ".item(" in source
+        for array in arrays:
+            for line in source.splitlines():
+                if f"{array}[" in line:
+                    # a store's target, never a read
+                    assert line.lstrip().startswith(f"{array}["), line
+                    assert line.count(f"{array}[") == 1, line
+
+
+class TestCallersHoldErrstate:
+    """The foreign functions hold no ``np.errstate``; the scalar kernel
+    and the interpreter each hold one, so a foreign overflow or invalid
+    operation is its IEEE value, not a warning."""
+
+    @pytest.mark.parametrize("name", UNSUPPORTED_MODELS)
+    def test_overflow_and_invalid_raise_no_warning(self, name):
+        generated = generate_baseline(load_registry_model(name))
+        runner = KernelRunner(generated, optimize=False)
+        states = [runner.make_state(6, perturbation=0.01) for _ in range(2)]
+        for state in states:
+            # inf drives sac_tension, ach_release and afterload_pressure
+            # to inf/inf or sin(inf), Vm = -1e5 fibro_coupling's exp over
+            state.sv[::3] = np.inf
+            state.externals["Vm"][::2] = -1e5
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            runner.compute_step(states[0], 0.01)
+            interpret_kernel(generated, states[1], runner.luts_for(0.01),
+                             0.01)
+        fast, slow = ([state.sv] + [state.externals[ext]
+                                    for ext in sorted(state.externals)]
+                      for state in states)
+        assert not all(np.isfinite(a).all() for a in fast), name
+        for a, b in zip(fast, slow):
+            assert a.tobytes() == b.tobytes(), name

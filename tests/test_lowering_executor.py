@@ -103,6 +103,33 @@ class TestLoweringBasics:
         kernel.fn(0, 8, src, dst)
         np.testing.assert_array_equal(dst, src[::2])
 
+    def test_only_float_loads_are_read_with_item(self):
+        """A scalar f64 load is ``.item()`` (a Python float); an index
+        load keeps NumPy indexing (a NumPy integer, which wraps)."""
+        module, _ = build_module()
+        fn = func.func(module, "pick", [index, index, memref_of(index),
+                                        memref_of(f64), memref_of(f64)],
+                       [], ["start", "end", "idx", "src", "dst"])
+        b = IRBuilder(fn.entry)
+        one = b.constant(1, index)
+        loop = scf.for_op(b, fn.args[0], fn.args[1], one, iv_hint="i")
+        loop.op.attributes["cell_loop"] = True
+        with b.at_end_of(loop.body):
+            where = memref.load(b, fn.args[2], [loop.induction_var])
+            value = memref.load(b, fn.args[3], [where])
+            memref.store(b, value, fn.args[4], [loop.induction_var])
+            scf.yield_op(b)
+        func.ret(b)
+        kernel = lower_function(module, "pick")
+        assert kernel.mode == "scalar"
+        loads = [line.split(" = ")[1] for line in kernel.source.split("\n")
+                 if " = idx" in line or " = src" in line]
+        assert loads == ["idx[i]", "src.item(v6)"], kernel.source
+        idx, src, dst = np.array([2, 0, 1]), np.array([5.0, 6.0, 7.0]), \
+            np.zeros(3)
+        kernel.fn(0, 3, idx, src, dst)
+        np.testing.assert_array_equal(dst, [7.0, 5.0, 6.0])
+
     def test_guarded_scalar_math(self):
         """Scalar engines must produce IEEE results, not exceptions."""
         from repro.runtime.lowering import (_g_div, _g_exp, _g_log,
